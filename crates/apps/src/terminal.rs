@@ -21,6 +21,10 @@ pub struct TerminalResult {
     pub stderr: String,
 }
 
+/// How many command lines [`Terminal::history`] remembers (bash's default
+/// `HISTSIZE`): a terminal left running must not grow without bound.
+pub const HISTORY_LIMIT: usize = 500;
+
 /// An in-browser Unix terminal backed by a Browsix kernel.
 pub struct Terminal {
     kernel: Kernel,
@@ -49,7 +53,8 @@ impl Terminal {
         self.kernel
     }
 
-    /// The command lines executed so far.
+    /// The most recent command lines, oldest first (at most
+    /// [`HISTORY_LIMIT`]).
     pub fn history(&self) -> &[String] {
         &self.history
     }
@@ -60,6 +65,9 @@ impl Terminal {
     ///
     /// Returns an [`Errno`] if the shell itself cannot be started.
     pub fn run_line(&mut self, line: &str) -> Result<TerminalResult, Errno> {
+        if self.history.len() == HISTORY_LIMIT {
+            self.history.remove(0);
+        }
         self.history.push(line.to_owned());
         // Each line runs in a fresh `/bin/sh -c` process, so the terminal —
         // not the shell — is what carries environment variables from one
@@ -190,6 +198,18 @@ mod tests {
         let result = term.run_line("no-such-program").unwrap();
         assert_eq!(result.exit_code, 127);
         assert_eq!(term.history().len(), 2);
+    }
+
+    #[test]
+    fn history_keeps_only_the_most_recent_lines() {
+        let mut term = terminal();
+        // Assignment-only lines start no process, so this stays fast.
+        for i in 0..HISTORY_LIMIT + 3 {
+            term.run_line(&format!("N={i}")).unwrap();
+        }
+        assert_eq!(term.history().len(), HISTORY_LIMIT);
+        assert_eq!(term.history()[0], "N=3");
+        assert_eq!(term.history().last().unwrap(), &format!("N={}", HISTORY_LIMIT + 2));
     }
 
     #[test]

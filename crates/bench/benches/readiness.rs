@@ -17,18 +17,32 @@
 //!   poll-driven `httpd` guest (accept, read, respond and drain, all via
 //!   wait-queue wakeups and `O_NONBLOCK`).
 //!
+//! * `close_with_{8,128,1024}_tasks` — closing descriptors beside N resident
+//!   tasks, each parked in `read` holding a pipe plus four dup'd descriptors
+//!   (the `perfbench` `sh_crowded` shape).  One iteration is one short-lived
+//!   process that creates and closes 1024 pipes in 32 batched submissions:
+//!   3072 descriptor-lifecycle calls, enough that the spawn and exit around
+//!   them (which do get a few hundred microseconds slower beside a thousand
+//!   parked threads) stay a few percent of the iteration.  Endpoint counts
+//!   are reference counts kept by the operations themselves, so none of
+//!   that looks at the residents; when every close recounted every
+//!   descriptor of every task, the 1024-task id was two orders of magnitude
+//!   slower than the 8-task one.
+//!
 //! `scripts/bench_smoke.sh` asserts `wake_one_256` beats `rescan_256` by at
-//! least 5x.
+//! least 5x, and that `close_with_1024_tasks` costs at most 2x
+//! `close_with_8_tasks`.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use browsix_core::kernel::{WaitChannel, WaitTable};
 use browsix_core::{StreamId, StreamTable};
 use browsix_http::{HttpRequest, Method};
-use browsix_runtime::{ExecutionProfile, NodeLauncher, SyscallConvention};
+use browsix_runtime::{guest, ExecutionProfile, NodeLauncher, RuntimeEnv, SyscallConvention};
 
 const WAITER_COUNTS: [usize; 2] = [1, 256];
 
@@ -88,6 +102,81 @@ fn bench_wakeup(c: &mut Criterion) {
                 }
             });
         });
+    }
+    group.finish();
+}
+
+/// Descriptor close beside N resident tasks: flat in N.
+fn bench_close(c: &mut Criterion) {
+    const PIPES_PER_BATCH: usize = 64;
+    const BATCHES: usize = 16;
+    let mut group = c.benchmark_group("readiness");
+    group.sample_size(10);
+    for residents in [8usize, 128, 1024] {
+        let instant = ExecutionProfile::instant(SyscallConvention::Async);
+        let config = browsix_core::BootConfig::in_memory().with_shards(1);
+        let started = Arc::new(AtomicUsize::new(0));
+        let resident = {
+            let started = Arc::clone(&started);
+            guest("resident", move |env: &mut dyn RuntimeEnv| {
+                let (r, w) = env.pipe().expect("pipe");
+                for (i, fd) in [r, w, r, w].into_iter().enumerate() {
+                    env.dup2(fd, 20 + i as i32).expect("dup2");
+                }
+                started.fetch_add(1, Ordering::SeqCst);
+                // The write end stays open right here: parked for good.
+                let _ = env.read(r, 64);
+                0
+            })
+        };
+        let closer = guest("closer", |env: &mut dyn RuntimeEnv| {
+            for _ in 0..BATCHES {
+                let pipes = env.pipe_many(PIPES_PER_BATCH).expect("pipe_many");
+                let fds: Vec<i32> = pipes.iter().flat_map(|&(r, w)| [r, w]).collect();
+                env.close_many(&fds).expect("close_many");
+            }
+            0
+        });
+        config.registry.register(
+            "/usr/bin/resident",
+            Arc::new(NodeLauncher::new("resident", resident).with_profile(instant.clone())),
+        );
+        config.registry.register(
+            "/usr/bin/closer",
+            Arc::new(NodeLauncher::new("closer", closer).with_profile(instant)),
+        );
+        let kernel = browsix_core::Kernel::boot(config);
+        let sink: browsix_core::OutputSink = Arc::new(|_: &[u8]| {});
+        for _ in 0..residents {
+            kernel
+                .spawn_with_sinks(
+                    "/usr/bin/resident",
+                    &["resident"],
+                    &[],
+                    Arc::clone(&sink),
+                    Arc::clone(&sink),
+                )
+                .expect("spawn resident");
+        }
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while started.load(Ordering::SeqCst) < residents || kernel.resources().waiters < residents {
+            assert!(Instant::now() < deadline, "the residents never parked");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        group.bench_function(format!("close_with_{residents}_tasks"), |b| {
+            b.iter(|| {
+                let status = kernel
+                    .spawn("/usr/bin/closer", &["closer"], &[])
+                    .expect("spawn closer")
+                    .wait();
+                assert_eq!(status.code, Some(0));
+            });
+        });
+        assert!(
+            kernel.resources().tasks >= residents,
+            "the residents must still be there"
+        );
+        kernel.shutdown();
     }
     group.finish();
 }
@@ -181,5 +270,5 @@ fn bench_httpd_payload(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_wakeup, bench_httpd, bench_httpd_payload);
+criterion_group!(benches, bench_wakeup, bench_close, bench_httpd, bench_httpd_payload);
 criterion_main!(benches);

@@ -14,6 +14,7 @@ use browsix_browser::SharedArrayBuffer;
 use browsix_fs::Errno;
 use browsix_http::{HttpRequest, HttpResponse};
 
+use crate::hostapi::ResourceCounts;
 use crate::signals::Signal;
 use crate::stats::KernelStats;
 use crate::syscall::Transport;
@@ -94,6 +95,12 @@ pub enum HostRequest {
         /// Receives the snapshot.
         reply: Sender<KernelStats>,
     },
+    /// Count the live kernel objects of one shard (what is resident *now*,
+    /// where [`HostRequest::ReadStats`] says what happened so far).
+    ReadResources {
+        /// Receives the counts.
+        reply: Sender<ResourceCounts>,
+    },
     /// List the live tasks as `(pid, ppid, name, state)` tuples, for the
     /// terminal's `ps`-like inspection of kernel state.
     ListTasks {
@@ -113,6 +120,7 @@ impl std::fmt::Debug for HostRequest {
             HostRequest::SubscribePortListen { .. } => "SubscribePortListen",
             HostRequest::ListeningPorts { .. } => "ListeningPorts",
             HostRequest::ReadStats { .. } => "ReadStats",
+            HostRequest::ReadResources { .. } => "ReadResources",
             HostRequest::ListTasks { .. } => "ListTasks",
         };
         f.write_str(name)

@@ -6,6 +6,16 @@
 //! counting — here expressed as shared [`OpenFile`] descriptions behind
 //! `Arc`s, exactly like Unix "open file descriptions" shared by `dup` and
 //! inheritance.
+//!
+//! The `Arc` *is* the reference count the kernel's pipe and socket
+//! bookkeeping hangs off: a description's stream endpoints are counted once
+//! when it is created (or becomes a connected socket) and dropped once when
+//! its last `Arc` goes away.  Every table operation that can let go of a
+//! description — [`FdTable::remove`], [`FdTable::insert_at`],
+//! [`FdTable::clear`] — therefore hands it back to the caller, and the
+//! kernel passes it to its one release point (`KernelState::release_file`),
+//! where [`Arc::into_inner`] says whether it was the last reference.  `dup`,
+//! `dup2` and `fork` only clone the `Arc` and cost no bookkeeping at all.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -16,6 +26,7 @@ use parking_lot::Mutex;
 
 use browsix_fs::{Errno, FileHandle, OpenFlags};
 
+use crate::events::OutputSink;
 use crate::socket::ConnectionId;
 use crate::streams::StreamId;
 
@@ -75,10 +86,12 @@ pub enum FileKind {
         side: SocketSide,
     },
     /// A sink owned by the embedding web application (the stdout/stderr
-    /// callbacks passed to `kernel.system(...)`).
+    /// callbacks passed to `kernel.system(...)`).  The description owns the
+    /// callback, so it is dropped with the last descriptor that can write
+    /// to it — on whichever shard that descriptor lives.
     HostSink {
-        /// Host stream id.
-        stream: u64,
+        /// Receives every write.
+        sink: OutputSink,
     },
     /// The controlling terminal's input.  Reads return EOF (the terminal UI
     /// feeds input by other means) — unless the reader is in a background
@@ -107,7 +120,7 @@ impl fmt::Debug for FileKind {
                 .field("connection", connection)
                 .field("side", side)
                 .finish(),
-            FileKind::HostSink { stream } => f.debug_struct("HostSink").field("stream", stream).finish(),
+            FileKind::HostSink { .. } => f.write_str("HostSink"),
             FileKind::Tty => f.write_str("Tty"),
             FileKind::Null => f.write_str("Null"),
         }
@@ -121,6 +134,14 @@ impl fmt::Debug for FileKind {
 #[derive(Debug)]
 pub struct OpenFile {
     kind: Mutex<FileKind>,
+    /// The state that follows the description onto other kernel shards.
+    shared: Arc<SharedState>,
+}
+
+/// The part of a description every handle on it sees, whichever shard the
+/// handle lives on: the file offset and the `O_NONBLOCK` status flag.
+#[derive(Debug, Default)]
+struct SharedState {
     offset: Mutex<u64>,
     nonblocking: AtomicBool,
 }
@@ -130,20 +151,31 @@ impl OpenFile {
     pub fn new(kind: FileKind) -> Arc<OpenFile> {
         Arc::new(OpenFile {
             kind: Mutex::new(kind),
-            offset: Mutex::new(0),
-            nonblocking: AtomicBool::new(false),
+            shared: Arc::default(),
+        })
+    }
+
+    /// A second handle on this description for a task on another kernel
+    /// shard (the stdio of a cross-shard spawn): same offset, same status
+    /// flags, same kind — but its own `Arc`, so each shard sees the last of
+    /// *its* references go away and accounts for the handle in its own
+    /// books.  An `Arc<OpenFile>` is never held by two shards.
+    pub fn export(&self) -> Arc<OpenFile> {
+        Arc::new(OpenFile {
+            kind: Mutex::new(self.kind()),
+            shared: Arc::clone(&self.shared),
         })
     }
 
     /// Whether `O_NONBLOCK` is set: reads, writes and accepts that would
     /// otherwise park on a wait queue return `EAGAIN` instead.
     pub fn nonblocking(&self) -> bool {
-        self.nonblocking.load(Ordering::Relaxed)
+        self.shared.nonblocking.load(Ordering::Relaxed)
     }
 
     /// Sets or clears `O_NONBLOCK` (the `SetFlags` system call).
     pub fn set_nonblocking(&self, nonblocking: bool) {
-        self.nonblocking.store(nonblocking, Ordering::Relaxed);
+        self.shared.nonblocking.store(nonblocking, Ordering::Relaxed);
     }
 
     /// What this description refers to.
@@ -153,24 +185,26 @@ impl OpenFile {
 
     /// Replaces what this description refers to (sockets transition from
     /// unbound to bound to listening to connected in place, so `dup`ed copies
-    /// observe the change).
+    /// observe the change).  Becoming a connected socket gains stream
+    /// endpoints: the kernel does that through `KernelState::connect_file`,
+    /// never by calling this directly.
     pub fn set_kind(&self, kind: FileKind) {
         *self.kind.lock() = kind;
     }
 
     /// Current file offset (meaningful for regular files only).
     pub fn offset(&self) -> u64 {
-        *self.offset.lock()
+        *self.shared.offset.lock()
     }
 
     /// Sets the file offset.
     pub fn set_offset(&self, offset: u64) {
-        *self.offset.lock() = offset;
+        *self.shared.offset.lock() = offset;
     }
 
     /// Advances the file offset by `delta` and returns the new value.
     pub fn advance_offset(&self, delta: u64) -> u64 {
-        let mut offset = self.offset.lock();
+        let mut offset = self.shared.offset.lock();
         *offset += delta;
         *offset
     }
@@ -199,10 +233,11 @@ impl FdTable {
         fd
     }
 
-    /// Installs `file` at exactly `fd`, replacing any existing entry
-    /// (`dup2` semantics).
-    pub fn insert_at(&mut self, fd: Fd, file: Arc<OpenFile>) {
-        self.entries.insert(fd, file);
+    /// Installs `file` at exactly `fd` (`dup2` semantics), returning the
+    /// description that was open there, which the caller must release.
+    #[must_use = "the displaced description must be released"]
+    pub fn insert_at(&mut self, fd: Fd, file: Arc<OpenFile>) -> Option<Arc<OpenFile>> {
+        self.entries.insert(fd, file)
     }
 
     /// Looks up a descriptor.
@@ -214,7 +249,8 @@ impl FdTable {
         self.entries.get(&fd).cloned().ok_or(Errno::EBADF)
     }
 
-    /// Removes a descriptor, returning its description.
+    /// Removes a descriptor, returning its description for the caller to
+    /// release.
     ///
     /// # Errors
     ///
@@ -251,9 +287,11 @@ impl FdTable {
         }
     }
 
-    /// Removes every descriptor (process exit).
-    pub fn clear(&mut self) {
-        self.entries.clear();
+    /// Removes every descriptor (process exit), returning the descriptions
+    /// in ascending fd order for the caller to release.
+    #[must_use = "the removed descriptions must be released"]
+    pub fn clear(&mut self) -> Vec<Arc<OpenFile>> {
+        std::mem::take(&mut self.entries).into_values().collect()
     }
 }
 
@@ -310,8 +348,13 @@ mod tests {
         let mut table = FdTable::new();
         let first = null_file();
         let second = OpenFile::new(FileKind::PipeReader { stream: 3 });
-        table.insert_at(1, first);
-        table.insert_at(1, second);
+        assert!(table.insert_at(1, first.clone()).is_none());
+        let displaced = table.insert_at(1, second).expect("fd 1 was open");
+        assert!(Arc::ptr_eq(&displaced, &first));
+        // The table held the only other reference: the caller now owns the
+        // last one, which is what the kernel's release point keys on.
+        drop(first);
+        assert!(Arc::into_inner(displaced).is_some());
         assert!(matches!(
             table.get(1).unwrap().kind(),
             FileKind::PipeReader { stream: 3 }
@@ -323,7 +366,7 @@ mod tests {
     fn inherit_shares_descriptions() {
         let mut parent = FdTable::new();
         let file = file_description(OpenFlags::read_write());
-        parent.insert_at(0, file.clone());
+        assert!(parent.insert_at(0, file.clone()).is_none());
         let child = parent.inherit();
         child.get(0).unwrap().set_offset(42);
         assert_eq!(parent.get(0).unwrap().offset(), 42);
@@ -333,13 +376,33 @@ mod tests {
     #[test]
     fn iter_is_in_fd_order_and_clear_empties() {
         let mut table = FdTable::new();
-        table.insert_at(2, null_file());
-        table.insert_at(0, null_file());
-        table.insert_at(1, null_file());
+        let pipe = OpenFile::new(FileKind::PipeWriter { stream: 9 });
+        assert!(table.insert_at(2, pipe.clone()).is_none());
+        assert!(table.insert_at(0, null_file()).is_none());
+        assert!(table.insert_at(1, pipe).is_none());
         let fds: Vec<Fd> = table.iter().map(|(fd, _)| fd).collect();
         assert_eq!(fds, vec![0, 1, 2]);
         assert!(!table.is_empty());
-        table.clear();
+        let removed = table.clear();
         assert!(table.is_empty());
+        // Every entry comes back, in fd order; of a description dup'd across
+        // two descriptors only the second hand-back is the last reference.
+        assert_eq!(removed.len(), 3);
+        let last: Vec<bool> = removed.into_iter().map(|f| Arc::into_inner(f).is_some()).collect();
+        assert_eq!(last, vec![true, false, true]);
+    }
+
+    #[test]
+    fn exported_handle_shares_offset_and_flags_but_not_the_arc() {
+        let file = file_description(OpenFlags::read_only());
+        let peer = file.export();
+        assert!(!Arc::ptr_eq(&file, &peer));
+        file.set_offset(7);
+        peer.set_nonblocking(true);
+        assert_eq!(peer.offset(), 7);
+        assert!(file.nonblocking());
+        // Each side sees the last of its own references independently.
+        assert!(Arc::into_inner(peer).is_some());
+        assert!(Arc::into_inner(file).is_some());
     }
 }

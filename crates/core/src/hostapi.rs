@@ -135,6 +135,21 @@ impl ExitStatus {
     }
 }
 
+/// What is resident in the kernel right now (summed over shards): the
+/// leak-checker's view, next to the event counters of [`KernelStats`].  An
+/// idle kernel with no processes reports all zeros.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ResourceCounts {
+    /// Task-table entries: running, stopped and zombie processes.
+    pub tasks: usize,
+    /// Stream buffers: one per pipe, two per socket connection.
+    pub streams: usize,
+    /// Established socket connections.
+    pub connections: usize,
+    /// System calls (and in-kernel HTTP clients) parked on a wait queue.
+    pub waiters: usize,
+}
+
 /// A handle to a process started through [`Kernel::system`] or
 /// [`Kernel::spawn`], with captured output.
 #[derive(Debug)]
@@ -517,6 +532,26 @@ impl Kernel {
         snapshots
     }
 
+    /// Counts the kernel objects that are live right now, across all shards.
+    pub fn resources(&self) -> ResourceCounts {
+        let mut total = ResourceCounts::default();
+        for shard in &self.shards {
+            let (tx, rx) = bounded(1);
+            if shard
+                .send(KernelEvent::Host(HostRequest::ReadResources { reply: tx }))
+                .is_err()
+            {
+                continue;
+            }
+            let counts = rx.recv_timeout(Duration::from_secs(5)).unwrap_or_default();
+            total.tasks += counts.tasks;
+            total.streams += counts.streams;
+            total.connections += counts.connections;
+            total.waiters += counts.waiters;
+        }
+        total
+    }
+
     /// Lists live tasks as `(pid, ppid, name, state)`, for terminal-style
     /// inspection of kernel state.  Tasks from every shard, sorted by pid.
     pub fn tasks(&self) -> Vec<(Pid, Pid, String, String)> {
@@ -567,6 +602,7 @@ mod tests {
         let kernel = Kernel::boot(BootConfig::in_memory());
         assert!(kernel.listening_ports().is_empty());
         assert_eq!(kernel.stats().total_syscalls, 0);
+        assert_eq!(kernel.resources(), ResourceCounts::default());
         kernel.shutdown();
     }
 

@@ -78,11 +78,9 @@ impl KernelState {
         match removed {
             Ok(file) => {
                 if let FileKind::SocketListener { port } = file.kind() {
-                    self.sockets_mut().close_listener(port);
-                    self.router.release_port(port, self.shard_id);
-                    self.wake(WaitChannel::Listener(port));
+                    self.close_listener(port);
                 }
-                self.recompute_endpoints();
+                self.release_file(file);
                 Outcome::Complete(SysResult::Ok)
             }
             Err(e) => Outcome::Complete(SysResult::Err(e)),
@@ -270,10 +268,8 @@ impl KernelState {
             }
             FileKind::Directory { .. } => Err(Errno::EISDIR),
             FileKind::Null | FileKind::Tty => Ok((data.len(), true)),
-            FileKind::HostSink { stream } => {
-                if let Some(sink) = self.host_sink(*stream) {
-                    sink(data);
-                }
+            FileKind::HostSink { sink } => {
+                sink(data);
                 Ok((data.len(), true))
             }
             FileKind::PipeReader { .. } => Err(Errno::EBADF),
@@ -281,6 +277,9 @@ impl KernelState {
             FileKind::PipeWriter { .. } | FileKind::SocketStream { .. } => {
                 // The one place socket and pipe writes converge.
                 let stream = self.write_stream_of(&kind).ok_or(Errno::ENOTCONN)?;
+                // The write can end in SIGPIPE killing the caller, and the
+                // exit must see the table's reference as the last one.
+                drop(file);
                 self.try_write_stream(pid, stream, data)
             }
         }
@@ -649,11 +648,8 @@ impl KernelState {
             Err(e) => return Outcome::Complete(SysResult::Err(e)),
         };
         match task.files.get(fd) {
-            Ok(file) => {
-                let new_fd = task.files.insert(file, 0);
-                self.recompute_endpoints();
-                Outcome::Complete(SysResult::Int(new_fd as i64))
-            }
+            // Another reference to the same description: nothing to count.
+            Ok(file) => Outcome::Complete(SysResult::Int(task.files.insert(file, 0) as i64)),
             Err(e) => Outcome::Complete(SysResult::Err(e)),
         }
     }
@@ -668,10 +664,16 @@ impl KernelState {
         };
         match task.files.get(from) {
             Ok(file) => {
-                if from != to {
-                    task.files.insert_at(to, file);
+                // The description that was open at `to` is closed, as by
+                // `close`; `from` itself only gains a reference.
+                let displaced = if from != to {
+                    task.files.insert_at(to, file)
+                } else {
+                    None
+                };
+                if let Some(displaced) = displaced {
+                    self.release_file(displaced);
                 }
-                self.recompute_endpoints();
                 Outcome::Complete(SysResult::Int(to as i64))
             }
             Err(e) => Outcome::Complete(SysResult::Err(e)),

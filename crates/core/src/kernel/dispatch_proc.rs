@@ -95,12 +95,12 @@ impl KernelState {
                     .collect();
                 if let Ok(child_task) = self.task_mut(child) {
                     for (fd, file) in extra {
-                        child_task.files.insert_at(fd, file);
+                        let displaced = child_task.files.insert_at(fd, file);
+                        debug_assert!(displaced.is_none(), "a fresh child holds only stdio");
                     }
                     child_task.address_space = address_space;
                 }
                 self.stats.record_vm(vm_delta);
-                self.recompute_endpoints();
                 Outcome::Complete(SysResult::Int(child as i64))
             }
             Err(e) => Outcome::Complete(SysResult::Err(e)),
@@ -108,18 +108,15 @@ impl KernelState {
     }
 
     pub(crate) fn sys_pipe2(&mut self, pid: Pid) -> Outcome {
+        if let Err(e) = self.task(pid) {
+            return Outcome::Complete(SysResult::Err(e));
+        }
         let stream_id = self.streams_mut().create();
-        let reader = OpenFile::new(FileKind::PipeReader { stream: stream_id });
-        let writer = OpenFile::new(FileKind::PipeWriter { stream: stream_id });
-        let (read_fd, write_fd) = match self.task_mut(pid) {
-            Ok(task) => {
-                let read_fd = task.files.insert(reader, 0);
-                let write_fd = task.files.insert(writer, 0);
-                (read_fd, write_fd)
-            }
-            Err(e) => return Outcome::Complete(SysResult::Err(e)),
-        };
-        self.recompute_endpoints();
+        let reader = self.new_stream_file(FileKind::PipeReader { stream: stream_id });
+        let writer = self.new_stream_file(FileKind::PipeWriter { stream: stream_id });
+        let files = &mut self.task_mut(pid).expect("checked above").files;
+        let read_fd = files.insert(reader, 0);
+        let write_fd = files.insert(writer, 0);
         Outcome::Complete(SysResult::Pair(read_fd as i64, write_fd as i64))
     }
 
@@ -420,9 +417,5 @@ impl KernelState {
 
     pub(crate) fn tasks_contains(&self, pid: Pid) -> bool {
         self.task(pid).is_ok()
-    }
-
-    pub(crate) fn remove_task(&mut self, pid: Pid) {
-        self.remove_task_impl(pid);
     }
 }

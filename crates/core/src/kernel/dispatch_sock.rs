@@ -115,12 +115,17 @@ impl KernelState {
         let Some(connection) = self.sockets_mut().accept(port) else {
             return Ok(None);
         };
-        let stream = OpenFile::new(FileKind::SocketStream {
+        // The server side now belongs to the new description; the backlog's
+        // hold on it (taken at connect) is dropped after, so the count never
+        // dips in between.
+        let stream = self.new_stream_file(FileKind::SocketStream {
             connection,
             side: SocketSide::Server,
         });
+        if let Some(conn) = self.sockets().connection(connection) {
+            self.drop_connection_side(&conn, SocketSide::Server);
+        }
         let new_fd = self.task_mut(pid)?.files.insert(stream, 0);
-        self.recompute_endpoints();
         Ok(Some(new_fd))
     }
 
@@ -172,25 +177,15 @@ impl KernelState {
                 _ => return Outcome::Complete(SysResult::Err(Errno::ECONNREFUSED)),
             }
         }
-        let client_to_server = self.streams_mut().create();
-        let server_to_client = self.streams_mut().create();
-        match self.sockets_mut().connect(port, client_to_server, server_to_client) {
-            Ok(connection) => {
-                file.set_kind(FileKind::SocketStream {
-                    connection,
-                    side: SocketSide::Client,
-                });
-                self.recompute_endpoints();
+        match self.open_connection(port) {
+            Ok((connection, _)) => {
+                self.connect_file(&file, connection, SocketSide::Client);
                 // Wake exactly the listener's queue: a blocked accept (or a
                 // poll on the listener) can now complete.
                 self.wake(WaitChannel::Listener(port));
                 Outcome::Complete(SysResult::Ok)
             }
-            Err(e) => {
-                self.streams_mut().remove(client_to_server);
-                self.streams_mut().remove(server_to_client);
-                Outcome::Complete(SysResult::Err(e))
-            }
+            Err(e) => Outcome::Complete(SysResult::Err(e)),
         }
     }
 
@@ -208,10 +203,8 @@ impl KernelState {
             let _ = reply.send(Err(Errno::ECONNREFUSED));
             return;
         }
-        let client_to_server = self.streams_mut().create();
-        let server_to_client = self.streams_mut().create();
-        match self.sockets_mut().connect(port, client_to_server, server_to_client) {
-            Ok(connection) => {
+        match self.open_connection(port) {
+            Ok((connection, conn)) => {
                 let client = HttpClientState {
                     connection,
                     to_send: request.serialize(),
@@ -219,8 +212,10 @@ impl KernelState {
                     received: Vec::new(),
                     reply,
                 };
+                // The client holds the client side of the connection, like a
+                // descriptor would, until the exchange finishes.
                 self.http_clients.push(client);
-                self.recompute_endpoints();
+                self.hold_connection_side(&conn, SocketSide::Client);
                 // The server's blocked accept (or poll) can take the
                 // connection now.
                 self.wake(WaitChannel::Listener(port));
@@ -243,8 +238,6 @@ impl KernelState {
                 }
             }
             Err(e) => {
-                self.streams_mut().remove(client_to_server);
-                self.streams_mut().remove(server_to_client);
                 let _ = reply.send(Err(e));
             }
         }

@@ -11,6 +11,9 @@ mod dispatch_fs;
 mod dispatch_proc;
 mod dispatch_sock;
 mod dispatch_vm;
+#[cfg(test)]
+mod endpoint_model;
+mod endpoints;
 mod poll;
 pub mod shard;
 pub mod waitq;
@@ -124,7 +127,10 @@ pub(crate) struct KernelState {
     router: Arc<RouterState>,
 
     events_tx: Sender<KernelEvent>,
-    tasks: HashMap<Pid, Task>,
+    /// Boxed: a task is half a kilobyte, and keeping it out of the table's
+    /// buckets keeps the table a few kilobytes however it grows, so neither
+    /// a rehash nor a lookup drags whole tasks through the cache.
+    tasks: HashMap<Pid, Box<Task>>,
     streams: StreamTable,
     sockets: SocketTable,
     /// Blocked system calls (and kernel HTTP clients), parked on the wait
@@ -150,22 +156,22 @@ pub(crate) struct KernelState {
     /// Stop signals of remotely-stopped children not yet reported by a
     /// `WUNTRACED` wait.
     remote_stops: HashMap<Pid, Signal>,
-    /// Endpoint contributions received from each peer shard: references
-    /// their descriptor tables hold to streams this shard owns.
-    remote_contribs: HashMap<usize, HashMap<StreamId, (u32, u32)>>,
-    /// The last endpoint snapshot sent to each peer (dedup so recomputes
-    /// only message peers whose view actually changed).
-    sent_contribs: HashMap<usize, Vec<(StreamId, u32, u32)>>,
-    /// Connections owned by other shards that local descriptors reference
-    /// (purged when the last local reference disappears).
-    remote_connections: HashMap<ConnectionId, Connection>,
+    /// `(readers, writers)` references this shard holds on streams owned by
+    /// other shards; each change is reported to the owner, per stream.
+    foreign_endpoints: HashMap<StreamId, (u32, u32)>,
+    /// The latest tally each peer shard reported for a stream this shard
+    /// owns (already folded into that stream's counts).
+    remote_contribs: HashMap<(usize, StreamId), (u32, u32)>,
+    /// Connections owned by other shards, with the number of local
+    /// descriptions referring to each (forgotten with the last one).
+    remote_connections: HashMap<ConnectionId, (Connection, u32)>,
     /// Latest readiness snapshots of foreign streams local `poll`s watch.
     remote_revents_cache: HashMap<StreamId, RemoteRevents>,
-    /// Connections created by a remote `connect` whose client endpoints are
-    /// pinned here until the connecting shard acks its endpoint snapshot.
+    /// Connections created by a remote `connect`: this shard holds their
+    /// client side until the connecting shard has counted its descriptor.
     remote_client_pins: HashSet<ConnectionId>,
-    /// stdio of in-flight cross-shard spawns, pinned (and counted as
-    /// endpoints) until the owning shard acks the task exists.
+    /// stdio of in-flight cross-shard spawns: references kept (and released
+    /// like any other) until the owning shard acks the task exists.
     pinned_files: HashMap<u64, Vec<Arc<OpenFile>>>,
 
     exit_watchers: HashMap<Pid, Vec<Sender<i32>>>,
@@ -205,8 +211,8 @@ impl KernelState {
             remote_ops: HashMap::new(),
             remote_zombies: HashMap::new(),
             remote_stops: HashMap::new(),
+            foreign_endpoints: HashMap::new(),
             remote_contribs: HashMap::new(),
-            sent_contribs: HashMap::new(),
             remote_connections: HashMap::new(),
             remote_revents_cache: HashMap::new(),
             remote_client_pins: HashSet::new(),
@@ -220,9 +226,12 @@ impl KernelState {
     /// The kernel's main loop: process events until shutdown.
     ///
     /// Every state change wakes exactly the wait queues it affects as part
-    /// of handling the event, so the loop itself does no retry work; the
-    /// only timer-driven duty left is expiring `poll` deadlines, which bound
-    /// the sleep.
+    /// of handling the event, and ring submissions arrive as doorbell
+    /// events, so the loop itself does no retry work.  Two timer-driven
+    /// duties remain: expiring `poll` deadlines, which bound the sleep, and
+    /// — only when the queue stayed empty for a whole tick (at most 20 ms) —
+    /// a backstop drain of every mapped ring, which bounds the cost of a
+    /// doorbell that was lost rather than letting it hang a process.
     pub(crate) fn run(mut self, events: Receiver<KernelEvent>) {
         loop {
             let timeout = self
@@ -233,21 +242,21 @@ impl KernelState {
             match events.recv_timeout(timeout) {
                 Ok(KernelEvent::Shutdown) => break,
                 Ok(event) => self.handle_event(event),
-                Err(RecvTimeoutError::Timeout) => {}
+                // The idle tick: nothing arrived, so sweep the rings once.
+                Err(RecvTimeoutError::Timeout) => self.drain_rings(),
                 Err(RecvTimeoutError::Disconnected) => break,
             }
-            // Backstop drain of every persistent ring: submissions normally
-            // arrive via a doorbell event, but entries published while the
-            // kernel was busy (doorbell suppressed by a clear NEED_WAKEUP
-            // flag) are picked up here before the loop sleeps again.
-            self.drain_rings();
             self.expire_poll_deadlines();
-            // With the `scavenger` feature, prove the wait queues lost no
-            // wakeup: retrying every parked waiter must complete none.
+            // With the `scavenger` feature, prove after every event that the
+            // wait queues lost no wakeup (retrying every parked waiter must
+            // complete none), that no submission sits undrained, and that
+            // the endpoint counts equal a from-scratch recount.
             #[cfg(feature = "scavenger")]
-            self.scavenge();
-            #[cfg(feature = "scavenger")]
-            self.scavenge_rings();
+            {
+                self.scavenge();
+                self.scavenge_rings();
+                self.audit_endpoints();
+            }
         }
         // Terminate every remaining worker so their threads exit.
         for task in self.tasks.values_mut() {
@@ -320,7 +329,7 @@ impl KernelState {
     pub(crate) fn connection_info(&self, id: ConnectionId) -> Option<Connection> {
         self.sockets
             .connection(id)
-            .or_else(|| self.remote_connections.get(&id).copied())
+            .or_else(|| self.remote_connections.get(&id).map(|&(conn, _)| conn))
     }
 
     /// A cached readiness snapshot of a foreign stream (for `poll`).
@@ -477,16 +486,24 @@ impl KernelState {
                 stdio,
             } => {
                 let blob_url = file_bytes.map(|bytes| self.blobs.create_url(bytes));
-                let stdio: [Arc<OpenFile>; 3] = stdio;
+                // The handles were exported for this shard: count each once
+                // (stdout and stderr are often one description).  The origin
+                // keeps its own references pinned until the ack, so the
+                // streams cannot see a gap.
+                for (i, file) in stdio.iter().enumerate() {
+                    if !stdio[..i].iter().any(|earlier| Arc::ptr_eq(earlier, file)) {
+                        self.adopt_file(file);
+                    }
+                }
                 self.install_task(
                     pid, ppid, pgid, &name, &path, &cwd, args, env, stdio, blob_url, None, launcher,
                 );
-                self.recompute_endpoints();
                 self.send_shard(origin, ShardMsg::SpawnAck { token });
             }
             ShardMsg::SpawnAck { token } => {
-                self.pinned_files.remove(&token);
-                self.recompute_endpoints();
+                for file in self.pinned_files.remove(&token).unwrap_or_default() {
+                    self.release_file(file);
+                }
             }
             ShardMsg::ChildExited { pid, ppid, status } => {
                 if self.tasks.get(&ppid).map(|t| !t.is_zombie()).unwrap_or(false) {
@@ -512,7 +529,7 @@ impl KernelState {
                 if let Some(task) = self.tasks.get_mut(&child) {
                     task.ppid = 0;
                     if task.is_zombie() {
-                        self.tasks.remove(&child);
+                        self.remove_task(child);
                     }
                 }
             }
@@ -666,73 +683,44 @@ impl KernelState {
                     );
                     return;
                 }
-                let client_to_server = self.streams.create();
-                let server_to_client = self.streams.create();
-                match self.sockets.connect(port, client_to_server, server_to_client) {
-                    Ok(id) => {
-                        // Pin the client endpoints until the connecting
-                        // shard records its descriptor and acks; otherwise
-                        // the server could observe a half-closed stream in
-                        // the gap between the two shards' recounts.
-                        self.remote_client_pins.insert(id);
-                        let conn = self.sockets.connection(id).expect("connection just created");
-                        self.wake(WaitChannel::Listener(port));
-                        self.recompute_endpoints();
-                        self.send_shard(
-                            from_shard,
-                            ShardMsg::ConnectReply {
-                                token,
-                                result: Ok((id, conn)),
-                            },
-                        );
-                    }
-                    Err(errno) => {
-                        self.streams.remove(client_to_server);
-                        self.streams.remove(server_to_client);
-                        self.send_shard(
-                            from_shard,
-                            ShardMsg::ConnectReply {
-                                token,
-                                result: Err(errno),
-                            },
-                        );
-                    }
+                let result = self.open_connection(port);
+                if let Ok((id, conn)) = &result {
+                    // Hold the client side until the connecting shard has
+                    // counted its descriptor and acks; otherwise the server
+                    // could observe a half-closed connection in the gap.
+                    self.remote_client_pins.insert(*id);
+                    self.hold_connection_side(conn, SocketSide::Client);
+                    self.wake(WaitChannel::Listener(port));
                 }
+                self.send_shard(from_shard, ShardMsg::ConnectReply { token, result });
             }
             ShardMsg::ConnectReply { token, result } => {
                 let op = self.remote_ops.remove(&token);
                 match result {
                     Ok((id, conn)) => {
-                        let mut installed = false;
-                        if let Some(op) = &op {
-                            if let RemoteKind::Connect { fd } = op.kind {
-                                if let Ok(file) = self
-                                    .tasks
-                                    .get(&op.pid)
-                                    .map(|t| t.files.get(fd))
-                                    .unwrap_or(Err(Errno::EBADF))
-                                {
-                                    file.set_kind(FileKind::SocketStream {
-                                        connection: id,
-                                        side: SocketSide::Client,
-                                    });
-                                    installed = true;
-                                }
-                            }
+                        // The descriptor must still be the unconnected socket
+                        // that asked (the caller may have died, or closed and
+                        // reused the number, while the connect was in flight).
+                        let socket = op.as_ref().and_then(|op| match op.kind {
+                            RemoteKind::Connect { fd } => self.tasks.get(&op.pid)?.files.get(fd).ok(),
+                            _ => None,
+                        });
+                        let socket = socket.filter(|file| matches!(file.kind(), FileKind::Socket { .. }));
+                        if let Some(file) = &socket {
+                            // Counting the client side tells the owner, per
+                            // stream; FIFO ordering makes those tallies land
+                            // before the ack that drops the owner's hold.
+                            self.remote_connections.insert(id, (conn, 0));
+                            self.connect_file(file, id, SocketSide::Client);
                         }
-                        self.remote_connections.insert(id, conn);
                         if let Some(op) = op {
-                            let result = if installed {
+                            let result = if socket.is_some() {
                                 SysResult::Ok
                             } else {
                                 SysResult::Err(Errno::EBADF)
                             };
                             self.complete(op.pid, op.reply, result);
                         }
-                        // The recount records the client endpoints and ships
-                        // the snapshot to the owner; FIFO ordering makes it
-                        // land before the ack that drops the owner's pin.
-                        self.recompute_endpoints();
                         self.send_shard(shard::connection_shard(id), ShardMsg::ConnectAck { connection: id });
                     }
                     Err(errno) => {
@@ -743,8 +731,11 @@ impl KernelState {
                 }
             }
             ShardMsg::ConnectAck { connection } => {
-                self.remote_client_pins.remove(&connection);
-                self.recompute_endpoints();
+                if self.remote_client_pins.remove(&connection) {
+                    if let Some(conn) = self.sockets.connection(connection) {
+                        self.drop_connection_side(&conn, SocketSide::Client);
+                    }
+                }
             }
             ShardMsg::PollQuery { stream, from_shard } => {
                 let answer = match self.streams.get(stream) {
@@ -798,12 +789,12 @@ impl KernelState {
                     self.wake(WaitChannel::StreamWritable(stream));
                 }
             }
-            ShardMsg::RemoteEndpoints { from_shard, snapshot } => {
-                let contrib: HashMap<StreamId, (u32, u32)> =
-                    snapshot.into_iter().map(|(id, r, w)| (id, (r, w))).collect();
-                self.remote_contribs.insert(from_shard, contrib);
-                self.recompute_endpoints();
-            }
+            ShardMsg::RemoteEndpoints {
+                from_shard,
+                stream,
+                readers,
+                writers,
+            } => self.apply_remote_endpoints(from_shard, stream, readers, writers),
         }
     }
 
@@ -821,19 +812,27 @@ impl KernelState {
         if !geo.validate(heap.sab.len()) {
             return Outcome::Complete(SysResult::Err(Errno::EINVAL));
         }
-        task.ring = Some(Ring::new(heap.sab.clone(), geo));
+        let ring = Ring::new(heap.sab.clone(), geo);
+        // The queue starts out parked: the very first submission must ring
+        // the doorbell, because nothing else will look at this ring.
+        ring.set_need_wakeup();
+        task.ring = Some(ring);
         Outcome::Complete(SysResult::Ok)
     }
 
-    /// Drains every live task's submission queue (the per-iteration backstop).
-    fn drain_rings(&mut self) {
-        let pids: Vec<Pid> = self
-            .tasks
+    /// The running tasks that have a ring mapped.
+    fn ring_tasks(&self) -> Vec<Pid> {
+        self.tasks
             .values()
-            .filter(|t| t.is_alive() && t.ring.is_some())
+            .filter(|t| t.is_running() && t.ring.is_some())
             .map(|t| t.pid)
-            .collect();
-        for pid in pids {
+            .collect()
+    }
+
+    /// Drains every running task's submission queue: the idle-tick backstop
+    /// that bounds a lost doorbell to one tick.
+    fn drain_rings(&mut self) {
+        for pid in self.ring_tasks() {
             self.drain_ring(pid);
         }
     }
@@ -846,17 +845,29 @@ impl KernelState {
     /// their submitter saw the flag still clear and suppressed its doorbell,
     /// so they must be consumed by this pass — this loop is what guarantees
     /// a non-empty queue never goes undrained.
+    ///
+    /// A stopped task's queue is left exactly as it is — entries unpopped,
+    /// flag untouched — like the framed batches `handle_syscall` stashes:
+    /// the process freezes at its next system call, and SIGCONT
+    /// ([`KernelState::continue_task`]) runs the drain it missed.
     fn drain_ring(&mut self, pid: Pid) {
-        let Some(ring) = self.tasks.get(&pid).and_then(|t| t.ring.clone()) else {
+        let Some(ring) = self
+            .tasks
+            .get(&pid)
+            .filter(|t| t.is_running())
+            .and_then(|t| t.ring.clone())
+        else {
             return;
         };
         self.flush_pending_cqes(pid, &ring);
         loop {
-            while let Some((user_data, payload)) = ring.pop_sqe() {
+            // Re-checked per entry: dispatching one can stop (or kill) the
+            // submitter, and the entries behind it must stay queued.
+            while self.task_running(pid) {
+                let Some((user_data, payload)) = ring.pop_sqe() else {
+                    break;
+                };
                 self.stats.sq_polled += 1;
-                if !self.tasks.get(&pid).map(Task::is_alive).unwrap_or(false) {
-                    return;
-                }
                 let mut r = Reader::new(&payload);
                 let Some(call) = Syscall::decode_from(&mut r) else {
                     self.post_ring_completion(pid, user_data, SysResult::Err(Errno::EINVAL));
@@ -874,6 +885,9 @@ impl KernelState {
                     Outcome::NoReply => return,
                 }
             }
+            if !self.task_running(pid) {
+                return;
+            }
             ring.set_need_wakeup();
             if ring.sq_is_empty() {
                 break;
@@ -885,35 +899,20 @@ impl KernelState {
     /// Scavenger-mode enforcement that a non-empty submission queue never
     /// goes undrained: re-drain every ring until it is observed empty.
     ///
-    /// An entry visible here either arrived after this iteration's backstop
-    /// drain (its doorbell may still be in flight — consuming it early is
-    /// harmless) or would have been lost; the loop guarantees neither
-    /// survives to the next sleep.  No flag/emptiness assertion is made
-    /// against shared state: submitters publish entries and consult the
-    /// doorbell flag in two separate steps, so a transient
+    /// An entry visible here either has its doorbell still in flight
+    /// (consuming it early is harmless) or would have waited for the idle
+    /// tick; the loop guarantees neither survives to the next sleep, so the
+    /// scavenger suite never depends on the tick.  No flag/emptiness
+    /// assertion is made against shared state: submitters publish entries
+    /// and consult the doorbell flag in two separate steps, so a transient
     /// "non-empty with `NEED_WAKEUP` set" is legal mid-publish.  The strict
     /// single-threaded invariant (a drained queue is empty with the flag
     /// set) is asserted by the deterministic ring model property test.
     #[cfg(feature = "scavenger")]
     fn scavenge_rings(&mut self) {
-        let pids: Vec<Pid> = self
-            .tasks
-            .values()
-            .filter(|t| t.is_alive() && t.ring.is_some())
-            .map(|t| t.pid)
-            .collect();
-        for pid in pids {
-            loop {
-                let Some(ring) = self.tasks.get(&pid).and_then(|t| t.ring.clone()) else {
-                    break;
-                };
-                if ring.sq_is_empty() {
-                    break;
-                }
+        for pid in self.ring_tasks() {
+            while self.task_running(pid) && self.tasks[&pid].ring.as_ref().is_some_and(|ring| !ring.sq_is_empty()) {
                 self.drain_ring(pid);
-                if !self.tasks.get(&pid).map(Task::is_alive).unwrap_or(false) {
-                    break;
-                }
             }
         }
     }
@@ -1069,7 +1068,7 @@ impl KernelState {
             // abandoning them would leave the batch incomplete and hang the
             // worker in `Atomics.wait` even after SIGCONT.  Only exit (which
             // consumes the batch via `NoReply`) ends it early.
-            if !self.tasks.get(&pid).map(Task::is_alive).unwrap_or(false) {
+            if !self.tasks.get(&pid).is_some_and(|t| t.is_alive()) {
                 return;
             }
             self.stats.record_syscall(call.name(), call.class(), sync);
@@ -1215,6 +1214,14 @@ impl KernelState {
                 // attaches the (shared) VFS cache counters exactly once.
                 let _ = reply.send(self.stats.clone());
             }
+            HostRequest::ReadResources { reply } => {
+                let _ = reply.send(crate::hostapi::ResourceCounts {
+                    tasks: self.tasks.len(),
+                    streams: self.streams.len(),
+                    connections: self.sockets.connection_count(),
+                    waiters: self.waiters.len(),
+                });
+            }
             HostRequest::ListTasks { reply } => {
                 let mut tasks: Vec<(Pid, Pid, String, String)> = self
                     .tasks
@@ -1243,8 +1250,8 @@ impl KernelState {
         stdout: OutputSink,
         stderr: OutputSink,
     ) -> Result<Pid, Errno> {
-        let stdout_fd = self.new_host_sink(stdout);
-        let stderr_fd = self.new_host_sink(stderr);
+        let stdout_fd = OpenFile::new(FileKind::HostSink { sink: stdout });
+        let stderr_fd = OpenFile::new(FileKind::HostSink { sink: stderr });
         // Host-started processes read from the controlling terminal, which
         // is what routes SIGTTIN to background readers.
         let stdin = OpenFile::new(FileKind::Tty);
@@ -1263,18 +1270,6 @@ impl KernelState {
             None,
             None,
         )
-    }
-
-    /// Creates a host-sink open file: writes are forwarded to the callback.
-    /// Sinks live in the router so a descriptor inherited by a process on
-    /// another shard still resolves.
-    pub(crate) fn new_host_sink(&mut self, sink: OutputSink) -> Arc<OpenFile> {
-        let id = self.router.new_sink(sink);
-        OpenFile::new(FileKind::HostSink { stream: id })
-    }
-
-    pub(crate) fn host_sink(&self, id: u64) -> Option<OutputSink> {
-        self.router.sink(id)
     }
 
     // ---- process lifecycle -----------------------------------------------------
@@ -1331,15 +1326,22 @@ impl KernelState {
             self.install_task(
                 pid, ppid, pgid, &name, path, cwd, args, env, stdio, blob_url, fork_image, launcher,
             );
-            if let Some(parent) = self.tasks.get_mut(&ppid) {
-                parent.children.push(pid);
-            }
-            self.recompute_endpoints();
         } else {
             let token = self.next_remote_token();
-            // Pin the stdio descriptions: the endpoint recount treats them
-            // as live references until the owner has installed the child.
-            self.pinned_files.insert(token, stdio.to_vec());
+            // The child gets handles of its own on the stdio descriptions
+            // (an `Arc<OpenFile>` never spans shards), one per distinct
+            // description.  This shard's references stay pinned until the
+            // owner has counted those handles and acks, so the streams behind
+            // them never look unreferenced in between.
+            let mut exported: Vec<Arc<OpenFile>> = Vec::with_capacity(stdio.len());
+            for (i, file) in stdio.iter().enumerate() {
+                let handle = match stdio[..i].iter().position(|earlier| Arc::ptr_eq(earlier, file)) {
+                    Some(earlier) => Arc::clone(&exported[earlier]),
+                    None => file.export(),
+                };
+                exported.push(handle);
+            }
+            self.pinned_files.insert(token, stdio.into());
             self.send_shard(
                 target,
                 ShardMsg::SpawnTask {
@@ -1355,21 +1357,21 @@ impl KernelState {
                     env,
                     launcher,
                     file_bytes,
-                    stdio,
+                    stdio: exported.try_into().expect("one handle per stdio slot"),
                 },
             );
-            if let Some(parent) = self.tasks.get_mut(&ppid) {
-                parent.children.push(pid);
-            }
-            self.recompute_endpoints();
+        }
+        if let Some(parent) = self.tasks.get_mut(&ppid) {
+            parent.children.push(pid);
         }
         Ok(pid)
     }
 
     /// Installs a fully-resolved task on this shard: task-table entry,
-    /// worker thread and init message.  The caller pushes the child onto
-    /// its parent's `children` (the parent may live on another shard) and
-    /// recomputes endpoints.
+    /// worker thread and init message.  The stdio references are already
+    /// counted (shared with the parent, or adopted from another shard); the
+    /// caller pushes the child onto its parent's `children` (the parent may
+    /// live on another shard).
     #[allow(clippy::too_many_arguments)]
     fn install_task(
         &mut self,
@@ -1392,7 +1394,8 @@ impl KernelState {
         task.env = env.clone();
         task.launcher = Some(Arc::clone(&launcher));
         for (i, file) in stdio.into_iter().enumerate() {
-            task.files.insert_at(i as Fd, file);
+            let displaced = task.files.insert_at(i as Fd, file);
+            debug_assert!(displaced.is_none(), "a fresh task has no descriptors");
         }
 
         // The worker script: hand the scope and kernel channel to the
@@ -1416,7 +1419,7 @@ impl KernelState {
             }),
         );
         task.worker = Some(worker);
-        self.tasks.insert(pid, task);
+        self.tasks.insert(pid, Box::new(task));
         self.stats.processes_spawned += 1;
 
         // Init message: argument vector, environment, cwd, blob URL and (for
@@ -1456,7 +1459,7 @@ impl KernelState {
         // completion queue.
         task.ring = None;
         task.pending_cqes.clear();
-        task.files.clear();
+        let files = task.files.clear();
         // Tear down the address space: COW pages shared with live siblings
         // survive (their Arc count stays positive); sole-owner pages are
         // freed, and the scavenger feature asserts both directions.
@@ -1483,9 +1486,7 @@ impl KernelState {
             .filter(|port| self.sockets.listener_owner(*port) == Some(pid))
             .collect();
         for port in owned_ports {
-            self.sockets.close_listener(port);
-            self.router.release_port(port, self.shard_id);
-            self.wake(WaitChannel::Listener(port));
+            self.close_listener(port);
         }
 
         // Reparent children to the kernel (pid 0) and reap any that are
@@ -1497,7 +1498,7 @@ impl KernelState {
                 if let Some(child_task) = self.tasks.get_mut(&child) {
                     child_task.ppid = 0;
                     if child_task.is_zombie() {
-                        self.tasks.remove(&child);
+                        self.remove_task(child);
                     }
                 }
             } else if self.router.process_shard(child).is_some() {
@@ -1540,11 +1541,14 @@ impl KernelState {
             }
         }
 
-        // Dropping the descriptor table may have closed stream endpoints;
-        // the recount wakes exactly the streams whose EOF/EPIPE state
-        // changed.  A parent blocked in wait4 parks on its own ChildOf
-        // queue, so only that queue is woken for the exit itself.
-        self.recompute_endpoints();
+        // Let go of the descriptor table: each description this process held
+        // the last reference to closes its stream endpoints and wakes exactly
+        // the EOF/EPIPE waiters that affects.  A parent blocked in wait4
+        // parks on its own ChildOf queue, so only that queue is woken for
+        // the exit itself.
+        for file in files {
+            self.release_file(file);
+        }
         if parent_shard == Some(self.shard_id) {
             self.wake(WaitChannel::ChildOf(ppid));
         }
@@ -1777,7 +1781,8 @@ impl KernelState {
     }
 
     /// Resumes a stopped task (SIGCONT): replays the system-call batches
-    /// stashed while it was suspended, in arrival order.
+    /// stashed while it was suspended, in arrival order, and drains the ring
+    /// submissions that were left queued.
     fn continue_task(&mut self, target: Pid) {
         let Some(task) = self.tasks.get_mut(&target) else {
             return;
@@ -1803,16 +1808,22 @@ impl KernelState {
         for transport in stashed {
             self.handle_syscall(target, transport);
         }
+        self.drain_ring(target);
     }
 
     // ---- shared helpers --------------------------------------------------------
 
+    /// Whether `pid` names a task that is neither stopped nor a zombie.
+    fn task_running(&self, pid: Pid) -> bool {
+        self.tasks.get(&pid).is_some_and(|t| t.is_running())
+    }
+
     pub(crate) fn task(&self, pid: Pid) -> Result<&Task, Errno> {
-        self.tasks.get(&pid).ok_or(Errno::ESRCH)
+        self.tasks.get(&pid).map(|t| &**t).ok_or(Errno::ESRCH)
     }
 
     pub(crate) fn task_mut(&mut self, pid: Pid) -> Result<&mut Task, Errno> {
-        self.tasks.get_mut(&pid).ok_or(Errno::ESRCH)
+        self.tasks.get_mut(&pid).map(|t| &mut **t).ok_or(Errno::ESRCH)
     }
 
     pub(crate) fn fs(&self) -> &MountedFs {
@@ -1845,196 +1856,13 @@ impl KernelState {
         browsix_fs::path::resolve(cwd, path)
     }
 
-    /// Recomputes every stream's reader/writer endpoint counts by scanning
-    /// all live descriptor tables (plus the kernel's internal HTTP clients).
-    /// This is the reference counting that decides EOF and EPIPE — and the
-    /// EOF/EPIPE *transitions* it discovers wake exactly the wait queues of
-    /// the streams that changed (readers of a stream whose last writer
-    /// closed, writers of a stream whose last reader closed).
-    ///
-    /// With multiple shards the scan is local but the count is global: local
-    /// descriptors that refer to a *foreign* stream are accumulated per owner
-    /// shard and published as a [`ShardMsg::RemoteEndpoints`] snapshot (only
-    /// when it changed), while contributions previously received from peers
-    /// about *our* streams are folded into the local totals.  Every shard
-    /// therefore converges on the true global endpoint counts without any
-    /// shared lock on the data path.
-    pub(crate) fn recompute_endpoints(&mut self) {
-        let before = self.streams.endpoint_snapshot();
-        self.streams.reset_endpoint_counts();
-        let mut seen: std::collections::HashSet<usize> = std::collections::HashSet::new();
-        let mut kinds: Vec<FileKind> = Vec::new();
-        for task in self.tasks.values() {
-            // Stopped tasks still hold their descriptors: a stopped job's
-            // pipes must not report EOF/EPIPE while it is suspended.
-            if task.is_zombie() {
-                continue;
-            }
-            for (_, file) in task.files.iter() {
-                let key = Arc::as_ptr(file) as usize;
-                if seen.insert(key) {
-                    kinds.push(file.kind());
-                }
-            }
-        }
-        // Stdio descriptors shipped with a not-yet-acked cross-shard spawn:
-        // the child will hold them, so they must keep their streams alive in
-        // the gap.  Same dedup set — a descriptor the parent also holds
-        // counts once, exactly as a shared open-file description should.
-        for files in self.pinned_files.values() {
-            for file in files {
-                let key = Arc::as_ptr(file) as usize;
-                if seen.insert(key) {
-                    kinds.push(file.kind());
-                }
-            }
-        }
-        let mut adjustments: Vec<(crate::streams::StreamId, bool)> = Vec::new(); // (stream, is_reader)
-        let mut referenced: HashSet<ConnectionId> = HashSet::new();
-        for kind in kinds {
-            match kind {
-                FileKind::PipeReader { stream } => adjustments.push((stream, true)),
-                FileKind::PipeWriter { stream } => adjustments.push((stream, false)),
-                FileKind::SocketStream { connection, side } => {
-                    referenced.insert(connection);
-                    let conn = self
-                        .sockets
-                        .connection(connection)
-                        .or_else(|| self.remote_connections.get(&connection).copied());
-                    if let Some(conn) = conn {
-                        match side {
-                            crate::fd::SocketSide::Client => {
-                                adjustments.push((conn.client_to_server, false));
-                                adjustments.push((conn.server_to_client, true));
-                            }
-                            crate::fd::SocketSide::Server => {
-                                adjustments.push((conn.client_to_server, true));
-                                adjustments.push((conn.server_to_client, false));
-                            }
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        // The kernel's own XHR-like clients hold the client side of their
-        // connection until the response has been parsed.  (HTTP requests are
-        // routed to the port owner's shard, so these are always local.)
-        for client in &self.http_clients {
-            referenced.insert(client.connection);
-            if let Some(conn) = self.sockets.connection(client.connection) {
-                adjustments.push((conn.client_to_server, false));
-                adjustments.push((conn.server_to_client, true));
-            }
-        }
-        // Connections sitting in a listener's backlog have no server-side
-        // descriptor yet; count the future endpoint so clients do not see a
-        // spurious EOF before the server calls accept.
-        for pending in self.sockets.pending_connections() {
-            if let Some(conn) = self.sockets.connection(pending) {
-                adjustments.push((conn.client_to_server, true));
-                adjustments.push((conn.server_to_client, false));
-            }
-        }
-        // Remotely-initiated connections whose client descriptor has not been
-        // installed on the peer yet (pinned until its ConnectAck): count the
-        // client endpoints so the server does not observe EOF in the gap.
-        for &id in &self.remote_client_pins {
-            if let Some(conn) = self.sockets.connection(id) {
-                adjustments.push((conn.client_to_server, false));
-                adjustments.push((conn.server_to_client, true));
-            }
-        }
-        let mut outgoing: HashMap<usize, HashMap<StreamId, (u32, u32)>> = HashMap::new();
-        for (stream_id, is_reader) in adjustments {
-            if shard::stream_shard(stream_id) == self.shard_id {
-                if let Some(stream) = self.streams.get_mut(stream_id) {
-                    if is_reader {
-                        stream.readers += 1;
-                    } else {
-                        stream.writers += 1;
-                    }
-                }
-            } else {
-                let entry = outgoing
-                    .entry(shard::stream_shard(stream_id))
-                    .or_default()
-                    .entry(stream_id)
-                    .or_insert((0u32, 0u32));
-                if is_reader {
-                    entry.0 += 1;
-                } else {
-                    entry.1 += 1;
-                }
-            }
-        }
-        // Endpoint contributions peers have reported for our streams.
-        for contrib in self.remote_contribs.values() {
-            for (&stream_id, &(readers, writers)) in contrib {
-                if let Some(stream) = self.streams.get_mut(stream_id) {
-                    stream.readers += readers as usize;
-                    stream.writers += writers as usize;
-                }
-            }
-        }
-        // Forget cached info about foreign connections no local descriptor
-        // refers to any more.
-        self.remote_connections.retain(|id, _| referenced.contains(id));
-        for removed in self.streams.collect_garbage() {
-            self.wake(WaitChannel::StreamReadable(removed));
-            self.wake(WaitChannel::StreamWritable(removed));
-        }
-        // Wake exactly the queues whose EOF/EPIPE state flipped.
-        for (id, (readers_before, writers_before)) in before {
-            let (wake_readable, wake_writable) = match self.streams.get(id) {
-                // Removed by the GC above (already woken) or explicitly.
-                None => (true, true),
-                Some(stream) => (
-                    // EOF: blocked readers (and polls) must see it.
-                    writers_before > 0 && stream.write_end_closed(),
-                    // EPIPE: blocked writers must fail (and get SIGPIPE).
-                    readers_before > 0 && stream.read_end_closed(),
-                ),
-            };
-            if wake_readable {
-                self.wake(WaitChannel::StreamReadable(id));
-            }
-            if wake_writable {
-                self.wake(WaitChannel::StreamWritable(id));
-            }
-        }
-        // Publish our endpoint contributions to each owner shard, but only
-        // when they changed since the last publish (including shrinking back
-        // to empty — that is how a peer learns our last descriptor closed).
-        for peer in 0..self.nshards {
-            if peer == self.shard_id {
-                continue;
-            }
-            let mut snapshot: Vec<(StreamId, u32, u32)> = outgoing
-                .remove(&peer)
-                .map(|m| m.into_iter().map(|(id, (r, w))| (id, r, w)).collect())
-                .unwrap_or_default();
-            snapshot.sort_unstable();
-            let changed = match self.sent_contribs.get(&peer) {
-                Some(prev) => prev != &snapshot,
-                None => !snapshot.is_empty(),
-            };
-            if changed {
-                self.sent_contribs.insert(peer, snapshot.clone());
-                self.send_shard(
-                    peer,
-                    ShardMsg::RemoteEndpoints {
-                        from_shard: self.shard_id,
-                        snapshot,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Removes a task from the table entirely (used when a zombie is reaped).
-    pub(crate) fn remove_task_impl(&mut self, pid: Pid) {
+    /// Removes a reaped zombie from the table, and its exit record with it:
+    /// once `wait4` (or the parent's own exit) has consumed the status, the
+    /// pid is gone for the host too.  Only processes nobody reaps — the ones
+    /// the host started — keep a record for a late `WatchExit`.
+    pub(crate) fn remove_task(&mut self, pid: Pid) {
         self.tasks.remove(&pid);
+        self.exit_records.remove(&pid);
     }
 }
 

@@ -13,7 +13,7 @@ use std::time::Instant;
 
 use browsix_fs::Errno;
 
-use crate::fd::{Fd, FileKind, SocketSide};
+use crate::fd::{Fd, FileKind};
 use crate::kernel::waitq::{WaitChannel, WaiterId};
 use crate::kernel::{KernelState, Outcome, ReplyTo, WaitKind, Waiter};
 use crate::streams::StreamId;
@@ -29,13 +29,7 @@ impl KernelState {
     pub(crate) fn read_stream_of(&self, kind: &FileKind) -> Option<StreamId> {
         match kind {
             FileKind::PipeReader { stream } => Some(*stream),
-            FileKind::SocketStream { connection, side } => {
-                let conn = self.connection_info(*connection)?;
-                Some(match side {
-                    SocketSide::Client => conn.server_to_client,
-                    SocketSide::Server => conn.client_to_server,
-                })
-            }
+            FileKind::SocketStream { connection, side } => Some(self.connection_info(*connection)?.streams_of(*side).0),
             _ => None,
         }
     }
@@ -45,13 +39,7 @@ impl KernelState {
     pub(crate) fn write_stream_of(&self, kind: &FileKind) -> Option<StreamId> {
         match kind {
             FileKind::PipeWriter { stream } => Some(*stream),
-            FileKind::SocketStream { connection, side } => {
-                let conn = self.connection_info(*connection)?;
-                Some(match side {
-                    SocketSide::Client => conn.client_to_server,
-                    SocketSide::Server => conn.server_to_client,
-                })
-            }
+            FileKind::SocketStream { connection, side } => Some(self.connection_info(*connection)?.streams_of(*side).1),
             _ => None,
         }
     }

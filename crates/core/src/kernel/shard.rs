@@ -27,9 +27,9 @@
 //! `RouterState` is the only state shared between shards, and it is never
 //! touched on the byte-moving data path: pid allocation and process-group
 //! membership, the port table (which shard owns a listener), the `shm_open`
-//! registry, host output sinks, the foreground process group and port-listen
-//! subscribers.  Everything else is per-shard, and cross-shard effects are
-//! explicit messages with completions routed back to the submitting shard —
+//! registry, the foreground process group and port-listen subscribers.
+//! Everything else is per-shard, and cross-shard effects are explicit
+//! messages with completions routed back to the submitting shard —
 //! no lock is held across shards while bytes move.
 //!
 //! # `ShardMsg` protocol
@@ -50,7 +50,6 @@ use crossbeam::channel::Sender;
 
 use browsix_fs::Errno;
 
-use crate::events::OutputSink;
 use crate::exec::ProgramLauncher;
 use crate::fd::OpenFile;
 use crate::signals::Signal;
@@ -147,7 +146,8 @@ pub enum ShardMsg {
         launcher: Arc<dyn ProgramLauncher>,
         /// Script bytes for interpreted executables.
         file_bytes: Option<Vec<u8>>,
-        /// stdin/stdout/stderr open files (shared with the parent).
+        /// stdin/stdout/stderr: handles exported for the receiving shard
+        /// ([`OpenFile::export`]) on the parent's descriptions.
         stdio: [Arc<OpenFile>; 3],
     },
     /// The spawned task exists; the origin drops its stdio pins.
@@ -267,9 +267,10 @@ pub enum ShardMsg {
         /// The connection id and its stream pair, or the errno.
         result: Result<(ConnectionId, Connection), Errno>,
     },
-    /// The connecting shard has recorded its client endpoints (and sent its
-    /// endpoint snapshot): the owner drops the provisional client pin it
-    /// held so the connection would not look half-closed in the interim.
+    /// The connecting shard has counted its client descriptor (and sent the
+    /// per-stream tallies ahead of this message): the owner drops the hold
+    /// it kept on the client side so the connection would not look
+    /// half-closed in the interim.
     ConnectAck {
         /// The connection whose pin to release.
         connection: ConnectionId,
@@ -296,14 +297,19 @@ pub enum ShardMsg {
         /// The stream no longer exists.
         gone: bool,
     },
-    /// The sending shard's descriptor tables reference these streams owned
-    /// by the receiving shard: `(stream, readers, writers)` contributions to
-    /// the owner's endpoint reference counts.
+    /// The sending shard's references to one stream owned by the receiving
+    /// shard changed: its new tally, which replaces the previous one it
+    /// reported for that stream (zero/zero withdraws it).  Sent once per
+    /// change, per stream — never a snapshot of everything the sender holds.
     RemoteEndpoints {
-        /// The contributing shard (snapshot replaces its previous one).
+        /// The contributing shard.
         from_shard: usize,
-        /// Per-stream endpoint contributions.
-        snapshot: Vec<(StreamId, u32, u32)>,
+        /// The stream the tally is for.
+        stream: StreamId,
+        /// Read-end references the sender now holds.
+        readers: u32,
+        /// Write-end references the sender now holds.
+        writers: u32,
     },
 }
 
@@ -361,9 +367,15 @@ impl fmt::Debug for ShardMsg {
                 write!(f, "PollQuery(stream={stream}, from={from_shard})")
             }
             ShardMsg::PollAnswer { stream, .. } => write!(f, "PollAnswer(stream={stream})"),
-            ShardMsg::RemoteEndpoints { from_shard, snapshot } => {
-                write!(f, "RemoteEndpoints(from={from_shard}, {} streams)", snapshot.len())
-            }
+            ShardMsg::RemoteEndpoints {
+                from_shard,
+                stream,
+                readers,
+                writers,
+            } => write!(
+                f,
+                "RemoteEndpoints(from={from_shard}, stream={stream}, {readers}r/{writers}w)"
+            ),
         }
     }
 }
@@ -402,9 +414,6 @@ pub(crate) struct RouterState {
     ports: Mutex<PortTable>,
     /// Named POSIX shared-memory objects (`shm_open` registry).
     shm: Mutex<HashMap<String, Arc<ShmObject>>>,
-    /// Host output sinks (stdout/stderr of host-spawned processes).
-    host_sinks: Mutex<HashMap<u64, OutputSink>>,
-    next_sink: AtomicU32,
     /// The foreground process group of the (single) controlling terminal.
     foreground_pgid: Mutex<Option<Pid>>,
     /// Host subscribers notified when any shard starts listening on a port.
@@ -427,8 +436,6 @@ impl RouterState {
                 next_ephemeral: 49152,
             }),
             shm: Mutex::new(HashMap::new()),
-            host_sinks: Mutex::new(HashMap::new()),
-            next_sink: AtomicU32::new(1),
             foreground_pgid: Mutex::new(None),
             port_subscribers: Mutex::new(Vec::new()),
         }
@@ -562,18 +569,6 @@ impl RouterState {
     /// the reverse lookup `mmap(MAP_SHARED)` uses on an shm descriptor.
     pub(crate) fn shm_find(&self, predicate: impl Fn(&Arc<ShmObject>) -> bool) -> Option<Arc<ShmObject>> {
         self.shm.lock().unwrap().values().find(|o| predicate(o)).cloned()
-    }
-
-    // ---- host sinks ------------------------------------------------------
-
-    pub(crate) fn new_sink(&self, sink: OutputSink) -> u64 {
-        let id = self.next_sink.fetch_add(1, Ordering::Relaxed) as u64;
-        self.host_sinks.lock().unwrap().insert(id, sink);
-        id
-    }
-
-    pub(crate) fn sink(&self, id: u64) -> Option<OutputSink> {
-        self.host_sinks.lock().unwrap().get(&id).cloned()
     }
 
     // ---- terminal foreground group ---------------------------------------

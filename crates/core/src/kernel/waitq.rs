@@ -29,9 +29,9 @@ use crossbeam::channel::Sender;
 use browsix_fs::Errno;
 use browsix_http::{parse_response, HttpResponse};
 
-use crate::fd::Fd;
+use crate::fd::{Fd, SocketSide};
 use crate::kernel::{KernelState, ReplyTo, ShardMsg};
-use crate::socket::ConnectionId;
+use crate::socket::{Connection, ConnectionId};
 use crate::streams::StreamId;
 use crate::syscall::{PollRequest, SysResult};
 use crate::task::Pid;
@@ -953,9 +953,9 @@ impl KernelState {
             return HttpPump::Done;
         };
         let mut client = self.http_clients.swap_remove(index);
+        // The client's own hold keeps the connection alive until it is done.
         let Some(conn) = self.sockets().connection(connection) else {
             let _ = client.reply.send(Err(Errno::ECONNRESET));
-            self.recompute_endpoints();
             return HttpPump::Done;
         };
         // Push request bytes towards the server.  A vanished or reader-less
@@ -986,19 +986,9 @@ impl KernelState {
             }
         }
         match parse_response(&client.received) {
-            Ok(Some(response)) => {
-                let _ = client.reply.send(Ok(response));
-                self.sockets_mut().remove_connection(connection);
-                self.recompute_endpoints();
-                HttpPump::Done
-            }
-            Ok(None) if server_closed || request_dead => {
-                // Connection closed before a full response arrived.
-                let _ = client.reply.send(Err(Errno::ECONNRESET));
-                self.sockets_mut().remove_connection(connection);
-                self.recompute_endpoints();
-                HttpPump::Done
-            }
+            Ok(Some(response)) => self.finish_http_client(client, &conn, Ok(response)),
+            // Connection closed before a full response arrived.
+            Ok(None) if server_closed || request_dead => self.finish_http_client(client, &conn, Err(Errno::ECONNRESET)),
             Ok(None) => {
                 let mut channels = vec![WaitChannel::StreamReadable(conn.server_to_client)];
                 if client.sent < client.to_send.len() {
@@ -1007,13 +997,23 @@ impl KernelState {
                 self.http_clients.push(client);
                 HttpPump::Blocked(channels)
             }
-            Err(_) => {
-                let _ = client.reply.send(Err(Errno::EIO));
-                self.sockets_mut().remove_connection(connection);
-                self.recompute_endpoints();
-                HttpPump::Done
-            }
+            Err(_) => self.finish_http_client(client, &conn, Err(Errno::EIO)),
         }
+    }
+
+    /// Ends a host HTTP exchange: delivers the outcome and closes the
+    /// kernel's client side of the connection, which the server observes
+    /// like any peer closing — EOF on its reads, EPIPE on further writes.
+    /// The connection itself goes when the server's side is closed too.
+    fn finish_http_client(
+        &mut self,
+        client: HttpClientState,
+        conn: &Connection,
+        result: Result<HttpResponse, Errno>,
+    ) -> HttpPump {
+        let _ = client.reply.send(result);
+        self.drop_connection_side(conn, SocketSide::Client);
+        HttpPump::Done
     }
 }
 

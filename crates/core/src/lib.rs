@@ -61,7 +61,7 @@ pub mod wire;
 pub use events::{HostRequest, KernelEvent, OutputSink};
 pub use exec::{ExecutableRegistry, ForkImage, LaunchContext, ProcessStart, ProgramLauncher};
 pub use fd::{Fd, FdTable, OpenFile};
-pub use hostapi::{BootConfig, ExitStatus, Kernel, ProcessHandle};
+pub use hostapi::{BootConfig, ExitStatus, Kernel, ProcessHandle, ResourceCounts};
 pub use ring::{Ring, RingGeometry};
 pub use signals::{SigAction, SigSet, Signal, SignalDisposition, SignalState, SIG_BLOCK, SIG_SETMASK, SIG_UNBLOCK};
 pub use stats::KernelStats;

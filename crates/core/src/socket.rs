@@ -12,6 +12,7 @@ use std::collections::{HashMap, VecDeque};
 
 use browsix_fs::Errno;
 
+use crate::fd::SocketSide;
 use crate::streams::StreamId;
 use crate::task::Pid;
 
@@ -38,6 +39,17 @@ pub struct Connection {
     pub server_to_client: StreamId,
     /// The port the connection was made to.
     pub port: u16,
+}
+
+impl Connection {
+    /// The `(reads, writes)` streams of one side: the direction flowing
+    /// towards it and the direction flowing away from it.
+    pub fn streams_of(&self, side: SocketSide) -> (StreamId, StreamId) {
+        match side {
+            SocketSide::Client => (self.server_to_client, self.client_to_server),
+            SocketSide::Server => (self.client_to_server, self.server_to_client),
+        }
+    }
 }
 
 /// The kernel's socket namespace: bound ports, listeners and connections.
@@ -171,8 +183,9 @@ impl SocketTable {
     }
 
     /// Every connection that has been made but not yet accepted, across all
-    /// listeners.  The kernel treats these as having a live (future) server
-    /// endpoint so clients do not observe EOF before `accept` runs.
+    /// listeners.  Each holds its (future) server endpoint from `connect`
+    /// until `accept`, so clients do not observe EOF in between; the endpoint
+    /// audit recounts those holds from this list.
     pub fn pending_connections(&self) -> Vec<ConnectionId> {
         self.listeners
             .values()
@@ -185,7 +198,13 @@ impl SocketTable {
         self.connections.get(&id).copied()
     }
 
-    /// Forgets a connection whose descriptors are all closed.
+    /// Ids of all established connections (the endpoint audit walks this).
+    #[cfg(any(test, feature = "scavenger"))]
+    pub(crate) fn connection_ids(&self) -> Vec<ConnectionId> {
+        self.connections.keys().copied().collect()
+    }
+
+    /// Forgets a connection whose two streams have both been freed.
     pub fn remove_connection(&mut self, id: ConnectionId) {
         self.connections.remove(&id);
     }
@@ -216,6 +235,8 @@ mod tests {
         assert_eq!(c.client_to_server, 10);
         assert_eq!(c.server_to_client, 11);
         assert_eq!(c.port, 8080);
+        assert_eq!(c.streams_of(SocketSide::Client), (11, 10));
+        assert_eq!(c.streams_of(SocketSide::Server), (10, 11));
         assert_eq!(table.connection_count(), 1);
         table.remove_connection(conn);
         assert_eq!(table.connection_count(), 0);

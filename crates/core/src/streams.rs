@@ -13,8 +13,19 @@
 //! one parks the calling system call on the stream's wait queue
 //! (`kernel::waitq`), and the state changes here (`push`, `pop`, endpoint
 //! transitions) are what wake those queues.
+//!
+//! The endpoint counts are reference counts, maintained incrementally:
+//! [`StreamTable::add_endpoints`] when an open-file description (or a kernel
+//! hold — a backlog entry, an in-kernel HTTP client) starts referring to a
+//! stream end, [`StreamTable::release_endpoints`] when the last reference to
+//! that description goes away.  A release reports the edges it caused — last
+//! writer gone (EOF), last reader gone (EPIPE) — so the kernel wakes exactly
+//! those queues, and frees the stream the moment nobody can read or write
+//! it any more, whatever is still buffered.  Nothing ever recounts.
 
 use std::collections::HashMap;
+
+use crate::socket::ConnectionId;
 
 /// Identifier of a kernel stream buffer.
 pub type StreamId = u64;
@@ -36,6 +47,22 @@ pub struct Stream {
     pub readers: usize,
     /// Number of live open-file descriptions referring to the write end.
     pub writers: usize,
+    /// The socket connection this stream is one direction of, if any (so
+    /// freeing the pair can forget the connection).
+    pub(crate) connection: Option<ConnectionId>,
+}
+
+/// What dropping endpoint references did to a stream: the wait queues the
+/// kernel must wake, and the stream itself if that was its last reference.
+#[derive(Debug, Default)]
+pub struct Released {
+    /// The last writer went away: blocked readers (and polls) must see EOF.
+    pub eof: bool,
+    /// The last reader went away: blocked writers must fail with EPIPE.
+    pub epipe: bool,
+    /// No reader and no writer is left, so the stream was removed from the
+    /// table — buffered bytes nobody could ever read go with it.
+    pub freed: Option<Stream>,
 }
 
 impl Stream {
@@ -48,6 +75,7 @@ impl Stream {
             capacity: capacity.max(1),
             readers: 0,
             writers: 0,
+            connection: None,
         }
     }
 
@@ -189,39 +217,48 @@ impl StreamTable {
         self.streams.is_empty()
     }
 
-    /// Resets every stream's endpoint counts to zero; the kernel recomputes
-    /// them by scanning all descriptor tables after any change (close, exit,
-    /// spawn), which keeps the reference counts trivially correct.
-    pub fn reset_endpoint_counts(&mut self) {
-        for stream in self.streams.values_mut() {
-            stream.readers = 0;
-            stream.writers = 0;
-        }
+    /// Counts `readers` more read-end and `writers` more write-end
+    /// references on a stream.  Returns `false` (and counts nothing) if the
+    /// stream does not exist.
+    pub fn add_endpoints(&mut self, id: StreamId, readers: usize, writers: usize) -> bool {
+        let Some(stream) = self.streams.get_mut(&id) else {
+            return false;
+        };
+        stream.readers += readers;
+        stream.writers += writers;
+        true
     }
 
-    /// Snapshot of every stream's `(readers, writers)` endpoint counts, taken
-    /// before a recount so the kernel can detect EOF/EPIPE transitions and
-    /// wake exactly the affected wait queues.
-    pub fn endpoint_snapshot(&self) -> HashMap<StreamId, (usize, usize)> {
-        self.streams
-            .iter()
-            .map(|(&id, s)| (id, (s.readers, s.writers)))
-            .collect()
+    /// Drops `readers` read-end and `writers` write-end references, reporting
+    /// the EOF/EPIPE edges this caused.  A stream left with neither readers
+    /// nor writers is removed and handed back in [`Released::freed`].
+    pub fn release_endpoints(&mut self, id: StreamId, readers: usize, writers: usize) -> Released {
+        let Some(stream) = self.streams.get_mut(&id) else {
+            return Released::default();
+        };
+        debug_assert!(
+            stream.readers >= readers && stream.writers >= writers,
+            "stream {id}: releasing {readers}r/{writers}w of {}r/{}w",
+            stream.readers,
+            stream.writers
+        );
+        stream.readers = stream.readers.saturating_sub(readers);
+        stream.writers = stream.writers.saturating_sub(writers);
+        let mut released = Released {
+            eof: writers > 0 && stream.writers == 0,
+            epipe: readers > 0 && stream.readers == 0,
+            freed: None,
+        };
+        if stream.readers == 0 && stream.writers == 0 {
+            released.freed = self.streams.remove(&id);
+        }
+        released
     }
 
-    /// Drops streams with no readers, no writers and no buffered data,
-    /// returning the ids that were removed (their wait queues must be woken).
-    pub fn collect_garbage(&mut self) -> Vec<StreamId> {
-        let dead: Vec<StreamId> = self
-            .streams
-            .iter()
-            .filter(|(_, s)| s.readers == 0 && s.writers == 0 && s.is_empty())
-            .map(|(&id, _)| id)
-            .collect();
-        for id in &dead {
-            self.streams.remove(id);
-        }
-        dead
+    /// Every live stream with its id (the endpoint audit walks this).
+    #[cfg(any(test, feature = "scavenger"))]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (StreamId, &Stream)> {
+        self.streams.iter().map(|(&id, stream)| (id, stream))
     }
 
     /// Ids of all live streams (used by tests and statistics).
@@ -316,31 +353,48 @@ mod tests {
     }
 
     #[test]
-    fn garbage_collection_keeps_streams_with_data_or_endpoints() {
+    fn releasing_a_non_last_reference_causes_no_edge() {
         let mut table = StreamTable::new();
-        let dead = table.create();
-        let buffered = table.create();
-        let referenced = table.create();
-        table.get_mut(buffered).unwrap().push(b"pending data");
-        table.get_mut(referenced).unwrap().readers = 1;
-        let removed = table.collect_garbage();
-        assert_eq!(removed, vec![dead]);
-        assert!(table.get(dead).is_none());
-        assert!(table.get(buffered).is_some());
-        assert!(table.get(referenced).is_some());
-        assert!(!table.is_empty());
+        let id = table.create();
+        assert!(table.add_endpoints(id, 2, 2));
+        let released = table.release_endpoints(id, 1, 0);
+        assert!(!released.eof && !released.epipe && released.freed.is_none());
+        let released = table.release_endpoints(id, 0, 1);
+        assert!(!released.eof && !released.epipe && released.freed.is_none());
+        assert_eq!(table.get(id).map(|s| (s.readers, s.writers)), Some((1, 1)));
     }
 
     #[test]
-    fn reset_endpoint_counts_zeroes_everything() {
+    fn each_edge_fires_exactly_once_on_the_last_reference() {
         let mut table = StreamTable::new();
         let id = table.create();
-        table.get_mut(id).unwrap().readers = 3;
-        table.get_mut(id).unwrap().writers = 2;
-        assert_eq!(table.endpoint_snapshot().get(&id), Some(&(3, 2)));
-        table.reset_endpoint_counts();
-        assert_eq!(table.get(id).unwrap().readers, 0);
-        assert_eq!(table.get(id).unwrap().writers, 0);
+        table.add_endpoints(id, 1, 2);
+        assert!(!table.release_endpoints(id, 0, 1).eof);
+        // Last writer: EOF edge, no EPIPE edge, the reader keeps it alive.
+        let released = table.release_endpoints(id, 0, 1);
+        assert!(released.eof && !released.epipe && released.freed.is_none());
+        assert!(table.get(id).unwrap().write_end_closed());
+        // Last reader: EPIPE edge only (the EOF edge already fired), freed.
+        let released = table.release_endpoints(id, 1, 0);
+        assert!(!released.eof && released.epipe && released.freed.is_some());
+        assert!(table.get(id).is_none());
+        // Nothing left to release: no edge, no panic.
+        let released = table.release_endpoints(id, 1, 1);
+        assert!(!released.eof && !released.epipe && released.freed.is_none());
+    }
+
+    #[test]
+    fn last_reference_frees_the_stream_even_with_unread_bytes() {
+        let mut table = StreamTable::new();
+        let id = table.create();
+        table.add_endpoints(id, 1, 1);
+        table.get_mut(id).unwrap().push(b"nobody will ever read this");
+        assert!(table.release_endpoints(id, 1, 0).freed.is_none());
+        let released = table.release_endpoints(id, 0, 1);
+        assert_eq!(released.freed.map(|s| s.len()), Some(26));
+        assert!(table.is_empty());
+        // References to a stream that is gone are not counted.
+        assert!(!table.add_endpoints(id, 1, 0));
     }
 
     #[test]

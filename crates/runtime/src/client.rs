@@ -471,8 +471,11 @@ impl SyscallClient {
                 seen_tail as i32,
                 Some(Duration::from_millis(100)),
             ) {
-                // Timed out or woken: re-check the queue either way (the
-                // kernel's periodic backstop drain bounds a missed edge).
+                // Timed out or woken: re-check the queue either way.  The
+                // loop re-offers the doorbell each time round, and the
+                // kernel's idle-tick sweep of all rings (only when its
+                // event queue stayed empty, so by at most 20 ms) picks up an
+                // entry whose doorbell was lost outright.
                 Ok(_) => {}
                 Err(_) => return vec![SysResult::Err(Errno::EFAULT); n],
             }

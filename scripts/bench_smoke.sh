@@ -94,6 +94,21 @@ if wake_256 > 3 * wake_1:
     )
 print(f"readiness: wakeup cost at 256 waiters is {wake_256 / wake_1:.2f}x the 1-waiter cost (independence)")
 
+# Guard incremental endpoint accounting: closing descriptors must cost the
+# same however many tasks are resident.  The ids time one process creating
+# and closing 1024 pipes beside 8 and beside 1024 parked tasks; a
+# recount-shaped regression puts the ratio near 50x, 2x is scheduler noise.
+close_8 = means.get("readiness/close_with_8_tasks")
+close_1024 = means.get("readiness/close_with_1024_tasks")
+if close_8 is None or close_1024 is None:
+    sys.exit("missing readiness/close_with_N_tasks results")
+if close_1024 > 2 * close_8:
+    sys.exit(
+        f"readiness: descriptor close grew with the resident task count "
+        f"({close_8} ns beside 8 tasks vs {close_1024} ns beside 1024)"
+    )
+print(f"readiness: close beside 1024 tasks costs {close_1024 / close_8:.2f}x the 8-task cost (flat)")
+
 # Guard the ring transport: submitting 256 individual pipe writes over the
 # persistent shared-memory rings must beat the framed sync transport by at
 # least 5x (the framed path pays the postMessage-priced doorbell per call;

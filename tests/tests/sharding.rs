@@ -9,12 +9,12 @@
 //! once `shards > 1`.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
 use browsix_core::kernel::shard::shard_of;
-use browsix_core::{BootConfig, Kernel, Signal};
+use browsix_core::{BootConfig, Kernel, ResourceCounts, Signal};
 use browsix_fs::FileSystem;
 use browsix_runtime::{guest, ExecutionProfile, NodeLauncher, RuntimeEnv, SpawnStdio, SyscallConvention};
 
@@ -82,6 +82,40 @@ fn yes_head_pipeline_terminates_via_sigpipe_on_multi_shard_kernels() {
             .unwrap_or_else(|| panic!("pipeline must terminate under {shards} shards"));
         assert_eq!(status.code, Some(0), "stderr: {}", handle.stderr_string());
         assert_eq!(handle.stdout_string(), "y\n", "shards: {shards}");
+        kernel.shutdown();
+    }
+}
+
+#[test]
+fn a_pipe_nobody_can_read_is_freed_with_its_unread_bytes() {
+    // `yes` keeps writing until SIGPIPE, so when `head` is gone the pipe
+    // still holds up to 64 KiB that nobody will ever read.  The stream must
+    // go away with its last descriptor regardless — the old garbage collector
+    // only dropped *empty* streams and leaked one buffer per run.  Repeating
+    // the pipeline on one kernel makes any per-run leak add up.
+    for shards in [1, 4] {
+        let kernel = boot_full(shards);
+        let baseline = kernel.resources();
+        assert_eq!(baseline, ResourceCounts::default(), "an idle kernel holds nothing");
+        for run in 0..32 {
+            let handle = kernel.spawn("/bin/sh", &["sh", "-c", "yes | head -n 1"], &[]).unwrap();
+            let status = handle
+                .wait_timeout(Duration::from_secs(30))
+                .unwrap_or_else(|| panic!("run {run} must terminate under {shards} shards"));
+            assert_eq!(status.code, Some(0), "stderr: {}", handle.stderr_string());
+            // The shell has reaped both children, so every descriptor is
+            // closed; across shards the last endpoint tallies may still be
+            // in flight for a moment.
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while kernel.resources() != baseline {
+                assert!(
+                    Instant::now() < deadline,
+                    "run {run}, {shards} shard(s): kernel state did not return to idle: {:?}",
+                    kernel.resources()
+                );
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        }
         kernel.shutdown();
     }
 }

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use browsix_apps::Terminal;
 use browsix_core::{BootConfig, Errno, Kernel, SigAction, SigSet, Signal, SIG_BLOCK, SIG_UNBLOCK, WNOHANG, WUNTRACED};
 use browsix_fs::FileSystem;
-use browsix_runtime::{guest, ExecutionProfile, NodeLauncher, RuntimeEnv, SyscallConvention};
+use browsix_runtime::{guest, ExecutionProfile, NodeLauncher, RuntimeEnv, SpawnStdio, SyscallConvention};
 
 fn instant_async() -> ExecutionProfile {
     ExecutionProfile::instant(SyscallConvention::Async)
@@ -300,6 +300,144 @@ fn sigcont_resumes_a_stopped_task_even_when_blocked() {
         .wait_timeout(Duration::from_secs(20))
         .expect("a blocked SIGCONT must still resume the stopped task");
     assert_eq!(status.code, Some(9), "stderr: {}", handle.stderr_string());
+    kernel.shutdown();
+}
+
+#[test]
+fn a_stopped_ring_mapped_task_is_frozen_until_sigcont() {
+    // A guest on the shared-memory rings writes an unbounded counter into a
+    // pipe.  SIGSTOP must freeze it at its next system call exactly like a
+    // guest on the framed transport (whose batches the kernel stashes): the
+    // submission queue is left untouched until SIGCONT, which drains it in
+    // order.  Before the fix `drain_ring` only checked that the task was
+    // alive, so a stopped ring guest ran on.
+    use browsix_runtime::{EmscriptenLauncher, EmscriptenMode};
+    let config = browsix_apps::default_config();
+    config.registry.register(
+        "/usr/bin/ring-counter",
+        Arc::new(
+            EmscriptenLauncher::new(
+                "ring-counter",
+                guest("ring-counter", |env: &mut dyn RuntimeEnv| {
+                    let mut next: u64 = 0;
+                    loop {
+                        if env.write(1, format!("{next}\n").as_bytes()).is_err() {
+                            return 1;
+                        }
+                        next += 1;
+                        if next.is_multiple_of(64) && env.exists("/tmp/done") {
+                            return 0;
+                        }
+                    }
+                }),
+                EmscriptenMode::AsmJs,
+            )
+            .with_profile(ExecutionProfile::instant(SyscallConvention::Sync)),
+        ),
+    );
+    // `ring-counter | cat`, wired by hand: the shell would report the
+    // stopped job and move on, and this pipeline has to outlive the stop.
+    config.registry.register(
+        "/usr/bin/pipeline",
+        Arc::new(
+            NodeLauncher::new(
+                "pipeline",
+                guest("pipeline", |env: &mut dyn RuntimeEnv| {
+                    let (r, w) = env.pipe().unwrap();
+                    let to_pipe = SpawnStdio {
+                        stdout: Some(w),
+                        ..SpawnStdio::default()
+                    };
+                    let from_pipe = SpawnStdio {
+                        stdin: Some(r),
+                        ..SpawnStdio::default()
+                    };
+                    let counter = env
+                        .spawn("/usr/bin/ring-counter", &["ring-counter".to_owned()], to_pipe)
+                        .unwrap();
+                    let cat = env.spawn("/usr/bin/cat", &["cat".to_owned()], from_pipe).unwrap();
+                    env.close(r).unwrap();
+                    env.close(w).unwrap();
+                    let counter = env.wait(counter as i32).unwrap();
+                    let cat = env.wait(cat as i32).unwrap();
+                    counter.exit_code.unwrap_or(99) + cat.exit_code.unwrap_or(99)
+                }),
+            )
+            .with_profile(instant_async()),
+        ),
+    );
+    let kernel = browsix_apps::boot_standard_kernel(config, instant_async());
+    let _ = kernel.fs().mkdir("/tmp");
+    let handle = kernel.spawn("/usr/bin/pipeline", &["pipeline"], &[]).unwrap();
+
+    let wait_until = |what: &str, done: &dyn Fn() -> bool| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    };
+    wait_until("the counter is flowing", &|| handle.stdout().len() > 64);
+    assert!(
+        kernel.stats().sq_polled > 0,
+        "the counter must be submitting over its ring"
+    );
+    let counter = kernel
+        .tasks()
+        .into_iter()
+        .find(|(_, _, name, _)| name == "ring-counter")
+        .expect("counter task")
+        .0;
+
+    kernel.kill(counter, Signal::SIGSTOP).unwrap();
+    // `cat` may still be forwarding what was already in the pipe; once that
+    // has drained, the output must stand still.
+    let quiet_for = |span: Duration| {
+        let start = Instant::now();
+        let len = handle.stdout().len();
+        while start.elapsed() < span {
+            std::thread::sleep(Duration::from_millis(5));
+            if handle.stdout().len() != len {
+                return false;
+            }
+        }
+        true
+    };
+    wait_until("the stopped counter's output stands still", &|| {
+        quiet_for(Duration::from_millis(150))
+    });
+    let frozen_at = handle.stdout().len();
+    assert!(
+        kernel
+            .tasks()
+            .iter()
+            .any(|(pid, _, _, state)| *pid == counter && state == "stopped"),
+        "tasks: {:?}",
+        kernel.tasks()
+    );
+    assert!(
+        quiet_for(Duration::from_millis(300)),
+        "a stopped ring guest made progress"
+    );
+
+    kernel.kill(counter, Signal::SIGCONT).unwrap();
+    wait_until("the continued counter makes progress", &|| {
+        handle.stdout().len() > frozen_at
+    });
+    kernel.fs().write_file("/tmp/done", b"").unwrap();
+    let status = handle
+        .wait_timeout(Duration::from_secs(30))
+        .expect("pipeline must finish once /tmp/done exists");
+    assert_eq!(status.code, Some(0), "stderr: {}", handle.stderr_string());
+
+    // No entry lost or duplicated across the stop: 0, 1, 2, ... in order.
+    let output = handle.stdout_string();
+    let mut expected: u64 = 0;
+    for line in output.lines() {
+        assert_eq!(line.parse::<u64>().ok(), Some(expected), "after {expected} lines");
+        expected += 1;
+    }
+    assert!(expected > 64 && expected.is_multiple_of(64), "lines: {expected}");
     kernel.shutdown();
 }
 
