@@ -225,16 +225,17 @@ impl KernelState {
         }
     }
 
-    /// Materialises a [`ByteSource`]: inline bytes are used as-is, shared-heap
+    /// Materialises a [`ByteSource`]: an inline payload is moved out (the
+    /// caller pushes, writes or parks that very buffer), shared-heap
     /// references are copied directly out of the process's registered heap.
-    pub(crate) fn resolve_bytes(&self, pid: Pid, data: &ByteSource) -> Result<Vec<u8>, Errno> {
+    pub(crate) fn resolve_bytes(&self, pid: Pid, data: ByteSource) -> Result<Vec<u8>, Errno> {
         match data {
-            ByteSource::Inline(bytes) => Ok(bytes.clone()),
+            ByteSource::Inline(bytes) => Ok(bytes),
             ByteSource::SharedHeap { offset, len } => {
                 let task = self.task(pid)?;
                 let heap = task.sync_heap.as_ref().ok_or(Errno::EFAULT)?;
                 heap.sab
-                    .read_bytes(*offset as usize, *len as usize)
+                    .read_bytes(offset as usize, len as usize)
                     .map_err(|_| Errno::EFAULT)
             }
         }
@@ -307,7 +308,7 @@ impl KernelState {
     }
 
     pub(crate) fn sys_write(&mut self, pid: Pid, reply: ReplyTo, fd: Fd, data: ByteSource) -> Outcome {
-        let bytes = match self.resolve_bytes(pid, &data) {
+        let bytes = match self.resolve_bytes(pid, data) {
             Ok(bytes) => bytes,
             Err(e) => return Outcome::Complete(SysResult::Err(e)),
         };
@@ -589,7 +590,7 @@ impl KernelState {
     }
 
     pub(crate) fn sys_pwrite(&mut self, pid: Pid, fd: Fd, data: ByteSource, offset: u64) -> Outcome {
-        let bytes = match self.resolve_bytes(pid, &data) {
+        let bytes = match self.resolve_bytes(pid, data) {
             Ok(bytes) => bytes,
             Err(e) => return Outcome::Complete(SysResult::Err(e)),
         };

@@ -250,7 +250,7 @@ impl KernelState {
 
     /// `vm_write(addr, data)`: the simulated store; services COW faults.
     pub(crate) fn sys_vm_write(&mut self, pid: Pid, addr: u64, data: ByteSource) -> Outcome {
-        let bytes = match self.resolve_bytes(pid, &data) {
+        let bytes = match self.resolve_bytes(pid, data) {
             Ok(bytes) => bytes,
             Err(e) => return Outcome::Complete(SysResult::Err(e)),
         };

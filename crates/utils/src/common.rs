@@ -1,7 +1,24 @@
 //! Helpers shared by the utilities: argument handling, input plumbing and the
 //! compute-cost accounting that models JavaScript execution.
+//!
+//! Input reaches a filter one of two ways.  [`for_each_chunk`] is the data
+//! plane: it hands the operands (or standard input) to a closure at most
+//! [`CHUNK`] bytes at a time, so a filter holds one chunk plus whatever state
+//! it folds the chunk into, overlaps with its neighbours in a pipeline and can
+//! stop an endless upstream by returning [`ControlFlow::Break`].
+//! [`LineSplitter`] turns those chunks back into lines.  [`read_inputs`]
+//! slurps everything first and is only for consumers that cannot produce a
+//! byte before the last one arrived (`sort`).
 
+use std::ops::ControlFlow;
+
+use browsix_core::Errno;
+use browsix_fs::OpenFlags;
 use browsix_runtime::RuntimeEnv;
+
+/// The largest read [`for_each_chunk`] issues: big enough to amortise the
+/// system call, small enough to stay in cache while it crosses a pipeline.
+pub const CHUNK: usize = 64 * 1024;
 
 /// Splits an argument vector into flags (arguments starting with `-`, before
 /// any `--`) and positional operands.
@@ -67,6 +84,90 @@ pub fn read_inputs(env: &mut dyn RuntimeEnv, name: &str, operands: &[String]) ->
         }
     }
     (data, code)
+}
+
+/// Feeds `f` every operand file in order (or standard input when there are no
+/// operands), at most [`CHUNK`] bytes at a time, until the input ends or `f`
+/// breaks.  Files that cannot be opened or read are reported on standard
+/// error exactly as [`read_inputs`] reports them and reflected in the returned
+/// exit code; a failing read on standard input just ends the input.
+pub fn for_each_chunk(
+    env: &mut dyn RuntimeEnv,
+    name: &str,
+    operands: &[String],
+    mut f: impl FnMut(&mut dyn RuntimeEnv, &[u8]) -> ControlFlow<()>,
+) -> i32 {
+    if operands.is_empty() {
+        let _ = pump_fd(env, 0, &mut f);
+        return 0;
+    }
+    let mut code = 0;
+    for path in operands {
+        let pumped = env.open(path, OpenFlags::read_only()).and_then(|fd| {
+            let pumped = pump_fd(env, fd, &mut f);
+            let _ = env.close(fd);
+            pumped
+        });
+        match pumped {
+            Ok(ControlFlow::Continue(())) => {}
+            Ok(ControlFlow::Break(())) => break,
+            Err(e) => {
+                env.eprint(&format!("{name}: {path}: {e}\n"));
+                code = 1;
+            }
+        }
+    }
+    code
+}
+
+/// Reads `fd` to its end through `f`, one chunk at a time.
+fn pump_fd(
+    env: &mut dyn RuntimeEnv,
+    fd: i32,
+    f: &mut impl FnMut(&mut dyn RuntimeEnv, &[u8]) -> ControlFlow<()>,
+) -> Result<ControlFlow<()>, Errno> {
+    loop {
+        let chunk = env.read(fd, CHUNK)?;
+        if chunk.is_empty() {
+            return Ok(ControlFlow::Continue(()));
+        }
+        if f(env, &chunk).is_break() {
+            return Ok(ControlFlow::Break(()));
+        }
+    }
+}
+
+/// Cuts a byte stream that arrives in arbitrary pieces into lines (without
+/// their newline), carrying an unfinished last line over to the next piece.
+/// Memory held is the longest line, not the input.
+#[derive(Debug, Default)]
+pub struct LineSplitter {
+    carry: Vec<u8>,
+}
+
+impl LineSplitter {
+    /// Calls `f` with every line that `chunk` completes.
+    pub fn feed(&mut self, chunk: &[u8], mut f: impl FnMut(&[u8])) {
+        let mut rest = chunk;
+        while let Some(newline) = rest.iter().position(|&b| b == b'\n') {
+            let line = &rest[..newline];
+            if self.carry.is_empty() {
+                f(line);
+            } else {
+                self.carry.extend_from_slice(line);
+                f(&self.carry);
+                self.carry.clear();
+            }
+            rest = &rest[newline + 1..];
+        }
+        self.carry.extend_from_slice(rest);
+    }
+
+    /// The last line, if the input did not end in a newline (as [`lines`]
+    /// tolerates).
+    pub fn finish(self) -> Option<Vec<u8>> {
+        (!self.carry.is_empty()).then_some(self.carry)
+    }
 }
 
 /// Charges compute proportional to the number of bytes a text-processing

@@ -4,14 +4,23 @@
 //! runs natively, under the Node.js baseline, and as a Browsix process.
 //! Behaviour follows the POSIX utilities closely enough for the shell, the
 //! case studies and the benchmarks, without aiming for flag-for-flag parity.
+//!
+//! Filters stream: `cat`, `cp`, `grep`, `head`, `sha1sum`, `tail`, `tee` and
+//! `wc` take their input through [`for_each_chunk`] and have consumed one
+//! chunk — written it on, or folded it into counters, a hash state or the
+//! last N lines — before they read the next, so pipeline stages overlap,
+//! memory does not grow with the input and every hop back-pressures.  Only
+//! `sort` and `xargs` read all of their input first; they have to.
 
+use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use std::time::Duration;
 
 use browsix_fs::{FileType, OpenFlags};
 use browsix_runtime::{guest, GuestFactory, RuntimeEnv, SharedArrayBuffer, SpawnStdio};
 
-use crate::common::{charge_for_bytes, flag_value, has_flag, lines, read_inputs, split_args};
-use crate::sha1::sha1_hex;
+use crate::common::{charge_for_bytes, flag_value, for_each_chunk, has_flag, lines, split_args, LineSplitter, CHUNK};
+use crate::sha1::{hex, Sha1};
 
 /// Returns every utility as a `(name, factory)` pair.
 pub fn all_utilities() -> Vec<(&'static str, GuestFactory)> {
@@ -66,24 +75,11 @@ fn run_cat(env: &mut dyn RuntimeEnv) -> i32 {
                 Err(_) => return 1,
             }
         }
-        loop {
-            match env.read(0, 64 * 1024) {
-                Ok(chunk) if chunk.is_empty() => break,
-                Ok(chunk) => {
-                    charge_for_bytes(env, chunk.len());
-                    if env.write(1, &chunk).is_err() || env.flush_stdout().is_err() {
-                        return 1;
-                    }
-                }
-                Err(_) => break,
-            }
-        }
-        return 0;
     }
     // A single regular-file operand can flow to stdout over `sendfile`
     // without its bytes entering this process.  Anything else — stdin
     // mixed in, several operands, a non-stream stdout — and the attempt
-    // fails before any output, falling back to the buffered path below.
+    // fails before any output, falling back to the copy loop below.
     if operands.len() == 1 && operands[0] != "-" {
         if let Ok(fd) = env.open(&operands[0], OpenFlags::read_only()) {
             if let Some(meta) = env.fstat(fd).ok().filter(|m| !m.is_dir()) {
@@ -115,11 +111,36 @@ fn run_cat(env: &mut dyn RuntimeEnv) -> i32 {
             let _ = env.close(fd);
         }
     }
-    let (data, code) = read_inputs(env, "cat", &operands);
-    charge_for_bytes(env, data.len());
-    let _ = env.write(1, &data);
-    let _ = env.flush_stdout();
-    code
+    let mut broken = false;
+    let code = for_each_chunk(env, "cat", &operands, |env, chunk| {
+        charge_for_bytes(env, chunk.len());
+        let flow = emit(env, chunk);
+        broken = flow.is_break();
+        flow
+    });
+    if broken {
+        1
+    } else {
+        code
+    }
+}
+
+/// Writes `out` (if any) to standard output and flushes it, so the next
+/// stage has this chunk before we read another.  Breaks when standard output
+/// is gone (EPIPE with SIGPIPE ignored): nobody is left to read what we
+/// would pump.
+fn emit(env: &mut dyn RuntimeEnv, out: &[u8]) -> ControlFlow<()> {
+    if !out.is_empty() && (env.write(1, out).is_err() || env.flush_stdout().is_err()) {
+        ControlFlow::Break(())
+    } else {
+        ControlFlow::Continue(())
+    }
+}
+
+/// Appends `line`, decoded lossily, and a newline to `out`.
+fn push_line(out: &mut Vec<u8>, line: &[u8]) {
+    out.extend_from_slice(String::from_utf8_lossy(line).as_bytes());
+    out.push(b'\n');
 }
 
 fn run_cp(env: &mut dyn RuntimeEnv) -> i32 {
@@ -128,29 +149,59 @@ fn run_cp(env: &mut dyn RuntimeEnv) -> i32 {
         env.eprint("cp: usage: cp SOURCE DEST\n");
         return 1;
     }
-    match env.read_file(&operands[0]) {
-        Ok(data) => {
-            charge_for_bytes(env, data.len());
-            // Copying onto a directory places the file inside it.
-            let dest = match env.stat(&operands[1]) {
-                Ok(meta) if meta.is_dir() => {
-                    format!("{}/{}", operands[1], browsix_fs::path::basename(&operands[0]))
-                }
-                _ => operands[1].clone(),
-            };
-            match env.write_file(&dest, &data) {
-                Ok(()) => 0,
-                Err(e) => {
-                    env.eprint(&format!("cp: {dest}: {e}\n"));
-                    1
-                }
-            }
-        }
+    let source = match env.open(&operands[0], OpenFlags::read_only()) {
+        Ok(fd) => fd,
         Err(e) => {
             env.eprint(&format!("cp: {}: {e}\n", operands[0]));
-            1
+            return 1;
         }
-    }
+    };
+    // Copying onto a directory places the file inside it.
+    let dest = match env.stat(&operands[1]) {
+        Ok(meta) if meta.is_dir() => {
+            format!("{}/{}", operands[1], browsix_fs::path::basename(&operands[0]))
+        }
+        _ => operands[1].clone(),
+    };
+    let cwd = env.getcwd();
+    let code = if browsix_fs::path::resolve(&cwd, &operands[0]) == browsix_fs::path::resolve(&cwd, &dest) {
+        // Opening the destination would truncate the source under us.
+        env.eprint(&format!("cp: {} and {dest} are the same file\n", operands[0]));
+        1
+    } else {
+        copy_to(env, source, &operands[0], &dest)
+    };
+    let _ = env.close(source);
+    code
+}
+
+/// Copies the rest of `source` into a freshly truncated `dest`, one chunk in
+/// flight at a time.
+fn copy_to(env: &mut dyn RuntimeEnv, source: i32, source_path: &str, dest: &str) -> i32 {
+    let sink = match env.open(dest, OpenFlags::write_create_truncate()) {
+        Ok(fd) => fd,
+        Err(e) => {
+            env.eprint(&format!("cp: {dest}: {e}\n"));
+            return 1;
+        }
+    };
+    let code = loop {
+        let chunk = match env.read(source, CHUNK) {
+            Ok(chunk) if chunk.is_empty() => break 0,
+            Ok(chunk) => chunk,
+            Err(e) => {
+                env.eprint(&format!("cp: {source_path}: {e}\n"));
+                break 1;
+            }
+        };
+        charge_for_bytes(env, chunk.len());
+        if let Err(e) = env.write(sink, &chunk) {
+            env.eprint(&format!("cp: {dest}: {e}\n"));
+            break 1;
+        }
+    };
+    let _ = env.close(sink);
+    code
 }
 
 fn run_curl(env: &mut dyn RuntimeEnv) -> i32 {
@@ -258,29 +309,47 @@ fn run_grep(env: &mut dyn RuntimeEnv) -> i32 {
     } else {
         pattern.clone()
     };
-    let (data, read_code) = read_inputs(env, "grep", &operands[1..]);
-    charge_for_bytes(env, data.len());
-    let all_lines = lines(&data);
-    let mut matched_lines: Vec<&str> = Vec::new();
-    for line in &all_lines {
-        let haystack = if ignore_case { line.to_lowercase() } else { line.clone() };
-        if haystack.contains(&needle) != invert {
-            matched_lines.push(line);
+    let mut matched = 0usize;
+    // Decoding per complete line gives the bytes decoding the whole input
+    // would: a newline never sits inside a UTF-8 sequence.
+    let mut select = |line: &[u8], out: &mut Vec<u8>| {
+        let text = String::from_utf8_lossy(line);
+        let hit = if ignore_case {
+            text.to_lowercase().contains(&needle)
+        } else {
+            text.contains(&needle)
+        };
+        if hit != invert {
+            matched += 1;
+            if !count_only {
+                out.extend_from_slice(text.as_bytes());
+                out.push(b'\n');
+            }
         }
+    };
+    let mut splitter = LineSplitter::default();
+    let mut out = Vec::new();
+    let mut broken = false;
+    // Each chunk's matches leave before the next chunk is read.
+    let read_code = for_each_chunk(env, "grep", &operands[1..], |env, chunk| {
+        charge_for_bytes(env, chunk.len());
+        out.clear();
+        splitter.feed(chunk, |line| select(line, &mut out));
+        let flow = emit(env, &out);
+        broken = flow.is_break();
+        flow
+    });
+    if broken {
+        return 2;
     }
-    let matched = matched_lines.len();
+    out.clear();
+    if let Some(line) = splitter.finish() {
+        select(&line, &mut out);
+    }
     if count_only {
-        env.print(&format!("{matched}\n"));
-    } else {
-        // All matching lines leave the process as one batched submission.
-        let mut bufs: Vec<&[u8]> = Vec::with_capacity(matched * 2);
-        for line in &matched_lines {
-            bufs.push(line.as_bytes());
-            bufs.push(b"\n");
-        }
-        let _ = env.write_vectored(1, &bufs);
+        out.extend_from_slice(format!("{matched}\n").as_bytes());
     }
-    let _ = env.flush_stdout();
+    let _ = emit(env, &out);
     if read_code != 0 {
         2
     } else if matched > 0 {
@@ -299,36 +368,36 @@ fn run_head(env: &mut dyn RuntimeEnv) -> i32 {
         .into_iter()
         .filter(|o| count_arg.as_deref() != Some(o.as_str()))
         .collect();
-    let (data, code) = if files.is_empty() {
-        // Reading a pipe: stop as soon as enough lines have arrived instead
-        // of draining the writer to EOF.  Exiting then closes the read end,
-        // so an infinite upstream (`yes | head -n 1`) gets EPIPE/SIGPIPE —
-        // exactly the coreutils behaviour.
-        let mut data = Vec::new();
-        let mut newlines = 0usize;
-        while newlines < count {
-            match env.read(0, 64 * 1024) {
-                Ok(chunk) if chunk.is_empty() => break,
-                Ok(chunk) => {
-                    newlines += chunk.iter().filter(|&&b| b == b'\n').count();
-                    data.extend_from_slice(&chunk);
-                }
-                Err(_) => break,
+    // Stop as soon as enough lines have arrived instead of draining the
+    // input.  Exiting then closes the read end of a pipe, so an infinite
+    // upstream (`yes | head -n 1`) gets EPIPE/SIGPIPE — exactly the
+    // coreutils behaviour.
+    let mut splitter = LineSplitter::default();
+    let mut taken = 0usize;
+    let mut out = Vec::new();
+    let code = for_each_chunk(env, "head", &files, |env, chunk| {
+        charge_for_bytes(env, chunk.len());
+        out.clear();
+        splitter.feed(chunk, |line| {
+            if taken < count {
+                push_line(&mut out, line);
+                taken += 1;
             }
+        });
+        emit(env, &out)?;
+        if taken < count {
+            ControlFlow::Continue(())
+        } else {
+            ControlFlow::Break(())
         }
-        (data, 0)
-    } else {
-        read_inputs(env, "head", &files)
-    };
-    charge_for_bytes(env, data.len());
-    let selected: Vec<String> = lines(&data).into_iter().take(count).collect();
-    let mut bufs: Vec<&[u8]> = Vec::with_capacity(selected.len() * 2);
-    for line in &selected {
-        bufs.push(line.as_bytes());
-        bufs.push(b"\n");
+    });
+    if taken < count {
+        if let Some(line) = splitter.finish() {
+            out.clear();
+            push_line(&mut out, &line);
+            let _ = emit(env, &out);
+        }
     }
-    let _ = env.write_vectored(1, &bufs);
-    let _ = env.flush_stdout();
     code
 }
 
@@ -340,17 +409,36 @@ fn run_tail(env: &mut dyn RuntimeEnv) -> i32 {
         .into_iter()
         .filter(|o| flag_value(&args, 'n').as_deref() != Some(o.as_str()))
         .collect();
-    let (data, code) = read_inputs(env, "tail", &files);
-    charge_for_bytes(env, data.len());
-    let all = lines(&data);
-    let start = all.len().saturating_sub(count);
-    let mut bufs: Vec<&[u8]> = Vec::with_capacity((all.len() - start) * 2);
-    for line in &all[start..] {
-        bufs.push(line.as_bytes());
-        bufs.push(b"\n");
+    // Only the last `count` lines seen so far are kept.
+    let mut last: VecDeque<Vec<u8>> = VecDeque::new();
+    let mut keep = |line: &[u8]| {
+        if count == 0 {
+            return;
+        }
+        // A full window recycles its oldest line's buffer.
+        let mut slot = if last.len() == count {
+            last.pop_front().unwrap_or_default()
+        } else {
+            Vec::new()
+        };
+        slot.clear();
+        slot.extend_from_slice(line);
+        last.push_back(slot);
+    };
+    let mut splitter = LineSplitter::default();
+    let code = for_each_chunk(env, "tail", &files, |env, chunk| {
+        charge_for_bytes(env, chunk.len());
+        splitter.feed(chunk, &mut keep);
+        ControlFlow::Continue(())
+    });
+    if let Some(line) = splitter.finish() {
+        keep(&line);
     }
-    let _ = env.write_vectored(1, &bufs);
-    let _ = env.flush_stdout();
+    let mut out = Vec::new();
+    for line in &last {
+        push_line(&mut out, line);
+    }
+    let _ = emit(env, &out);
     code
 }
 
@@ -524,28 +612,29 @@ fn run_rmdir(env: &mut dyn RuntimeEnv) -> i32 {
 
 fn run_sha1sum(env: &mut dyn RuntimeEnv) -> i32 {
     let (_, operands) = split_args(&env.args());
-    let mut code = 0;
     if operands.is_empty() {
-        let data = env.read_stdin_to_end();
-        charge_for_bytes(env, data.len() * 4);
-        let digest = sha1_hex(&data);
-        env.print(&format!("{digest}  -\n"));
-        return 0;
+        return hash_input(env, &[], "-");
     }
+    let mut code = 0;
     for path in &operands {
-        match env.read_file(path) {
-            Ok(data) => {
-                // Hashing dominates: charge a higher per-byte cost than plain
-                // text processing (this is the JavaScript SHA-1 of Figure 9).
-                charge_for_bytes(env, data.len() * 4);
-                let digest = sha1_hex(&data);
-                env.print(&format!("{digest}  {path}\n"));
-            }
-            Err(e) => {
-                env.eprint(&format!("sha1sum: {path}: {e}\n"));
-                code = 1;
-            }
-        }
+        code |= hash_input(env, std::slice::from_ref(path), path);
+    }
+    code
+}
+
+/// Prints the digest of one input (a single file operand, or standard input
+/// for none) unless it could not be read.
+fn hash_input(env: &mut dyn RuntimeEnv, operands: &[String], label: &str) -> i32 {
+    let mut state = Sha1::new();
+    let code = for_each_chunk(env, "sha1sum", operands, |env, chunk| {
+        // Hashing dominates: charge a higher per-byte cost than plain
+        // text processing (this is the JavaScript SHA-1 of Figure 9).
+        charge_for_bytes(env, chunk.len() * 4);
+        state.update(chunk);
+        ControlFlow::Continue(())
+    });
+    if code == 0 {
+        env.print(&format!("{}  {label}\n", hex(&state.finish())));
     }
     code
 }
@@ -703,7 +792,7 @@ fn run_sort(env: &mut dyn RuntimeEnv) -> i32 {
     let reverse = has_flag(&flags, 'r');
     let numeric = has_flag(&flags, 'n');
     let unique = has_flag(&flags, 'u');
-    let (data, code) = read_inputs(env, "sort", &operands);
+    let (data, code) = crate::common::read_inputs(env, "sort", &operands);
     charge_for_bytes(env, data.len() * 2);
     let mut all = lines(&data);
     if numeric {
@@ -757,28 +846,37 @@ fn run_stat(env: &mut dyn RuntimeEnv) -> i32 {
 fn run_tee(env: &mut dyn RuntimeEnv) -> i32 {
     let args = env.args();
     let (flags, operands) = split_args(&args);
-    let append = has_flag(&flags, 'a');
-    let data = env.read_stdin_to_end();
-    charge_for_bytes(env, data.len());
-    let _ = env.write(1, &data);
-    let _ = env.flush_stdout();
+    let open_flags = if has_flag(&flags, 'a') {
+        OpenFlags::append_create()
+    } else {
+        OpenFlags::write_create_truncate()
+    };
     let mut code = 0;
+    let mut sinks = Vec::with_capacity(operands.len());
     for path in &operands {
-        let flags = if append {
-            OpenFlags::append_create()
-        } else {
-            OpenFlags::write_create_truncate()
-        };
-        match env.open(path, flags) {
-            Ok(fd) => {
-                let _ = env.write(fd, &data);
-                let _ = env.close(fd);
-            }
+        match env.open(path, open_flags) {
+            Ok(fd) => sinks.push(fd),
             Err(e) => {
                 env.eprint(&format!("tee: {path}: {e}\n"));
                 code = 1;
             }
         }
+    }
+    // Standard output first: the downstream stage starts on this chunk
+    // while we copy it into the files.
+    for_each_chunk(env, "tee", &[], |env, chunk| {
+        charge_for_bytes(env, chunk.len());
+        if emit(env, chunk).is_break() {
+            code = 1;
+            return ControlFlow::Break(());
+        }
+        for &fd in &sinks {
+            let _ = env.write(fd, chunk);
+        }
+        ControlFlow::Continue(())
+    });
+    for fd in sinks {
+        let _ = env.close(fd);
     }
     code
 }
@@ -811,20 +909,34 @@ fn run_touch(env: &mut dyn RuntimeEnv) -> i32 {
 fn run_wc(env: &mut dyn RuntimeEnv) -> i32 {
     let args = env.args();
     let (flags, operands) = split_args(&args);
-    let (data, code) = read_inputs(env, "wc", &operands);
-    charge_for_bytes(env, data.len());
-    let line_count = data.iter().filter(|&&b| b == b'\n').count();
-    let word_count = String::from_utf8_lossy(&data).split_whitespace().count();
-    let byte_count = data.len();
+    let only = ['l', 'w', 'c'].into_iter().find(|&letter| has_flag(&flags, letter));
+    // Running counts; only the ones that will be printed are computed.  A
+    // word is a maximal run of non-whitespace bytes, as for `wc` in the C
+    // locale: nothing is decoded.
+    let (mut line_count, mut word_count, mut byte_count) = (0usize, 0usize, 0usize);
+    let mut in_word = false;
+    let code = for_each_chunk(env, "wc", &operands, |env, chunk| {
+        charge_for_bytes(env, chunk.len());
+        byte_count += chunk.len();
+        if matches!(only, None | Some('l')) {
+            line_count += chunk.iter().filter(|&&b| b == b'\n').count();
+        }
+        if matches!(only, None | Some('w')) {
+            for &b in chunk {
+                let space = b.is_ascii_whitespace() || b == 0x0b;
+                word_count += usize::from(in_word && space);
+                in_word = !space;
+            }
+        }
+        ControlFlow::Continue(())
+    });
+    word_count += usize::from(in_word);
     let name = operands.first().cloned().unwrap_or_default();
-    let output = if has_flag(&flags, 'l') {
-        format!("{line_count} {name}\n")
-    } else if has_flag(&flags, 'w') {
-        format!("{word_count} {name}\n")
-    } else if has_flag(&flags, 'c') {
-        format!("{byte_count} {name}\n")
-    } else {
-        format!("{line_count:>8}{word_count:>8}{byte_count:>8} {name}\n")
+    let output = match only {
+        Some('l') => format!("{line_count} {name}\n"),
+        Some('w') => format!("{word_count} {name}\n"),
+        Some(_) => format!("{byte_count} {name}\n"),
+        None => format!("{line_count:>8}{word_count:>8}{byte_count:>8} {name}\n"),
     };
     env.print(output.trim_end_matches(' '));
     let _ = env.flush_stdout();
@@ -1061,8 +1173,12 @@ fn run_yes(env: &mut dyn RuntimeEnv) -> i32 {
 }
 
 #[cfg(test)]
+mod streaming_tests;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sha1::sha1_hex;
     use browsix_fs::{FileSystem, MemFs, MountedFs};
     use browsix_runtime::{ExecutionProfile, NativeWorld, SyscallConvention};
     use std::sync::Arc;

@@ -39,6 +39,9 @@ BROWSIX_BENCH_JSON="$out" cargo bench -p browsix-bench --bench vm -- vm
 echo "== running the 'sharding' criterion group =="
 BROWSIX_BENCH_JSON="$out" cargo bench -p browsix-bench --bench sharding -- sharding
 
+echo "== running the 'pipes' criterion group =="
+BROWSIX_BENCH_JSON="$out" cargo bench -p browsix-bench --bench pipes -- pipes
+
 echo "== baseline written to $out =="
 cat "$out"
 
@@ -59,6 +62,17 @@ for convention in ("async", "sync"):
     if batched >= per_call:
         sys.exit(f"{convention}: batched ({batched} ns) did not beat per-call ({per_call} ns)")
     print(f"{convention}: batched beats per-call by {per_call / batched:.1f}x")
+
+# Guard the pipeline data plane with an absolute budget: 4 MiB through
+# `cat | tee FILE | wc -c` in at most 20 ms, i.e. at least 200 MiB/s through
+# three processes.  Filters that stream chunk by chunk need about 5 ms; one
+# stage slurping its input to the end, or decoding all of it, needs 80 ms.
+pipeline = means.get("pipes/cat_tee_wc_4m")
+if pipeline is None:
+    sys.exit("missing pipes/cat_tee_wc_4m result")
+if pipeline > 20_000_000:
+    sys.exit(f"pipes: cat | tee | wc over 4 MiB took {pipeline / 1e6:.1f} ms; the budget is 20 ms")
+print(f"pipes: cat | tee | wc moves 4 MiB in {pipeline / 1e6:.1f} ms ({4 / (pipeline / 1e9):.0f} MiB/s; budget 20 ms)")
 
 # Guard the handle-based VFS: descriptor I/O through an open-file handle must
 # beat legacy path-per-operation dispatch on the 1 MiB sequential read.

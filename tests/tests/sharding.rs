@@ -86,6 +86,20 @@ fn yes_head_pipeline_terminates_via_sigpipe_on_multi_shard_kernels() {
     }
 }
 
+/// Waits (a few seconds at most) for the kernel to hold exactly `expected`
+/// again: across shards the last endpoint tallies travel as messages.
+fn await_resources(kernel: &Kernel, expected: ResourceCounts, what: &str) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while kernel.resources() != expected {
+        assert!(
+            Instant::now() < deadline,
+            "{what}: kernel state did not return to idle: {:?}",
+            kernel.resources()
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
 #[test]
 fn a_pipe_nobody_can_read_is_freed_with_its_unread_bytes() {
     // `yes` keeps writing until SIGPIPE, so when `head` is gone the pipe
@@ -106,18 +120,52 @@ fn a_pipe_nobody_can_read_is_freed_with_its_unread_bytes() {
             // The shell has reaped both children, so every descriptor is
             // closed; across shards the last endpoint tallies may still be
             // in flight for a moment.
-            let deadline = Instant::now() + Duration::from_secs(5);
-            while kernel.resources() != baseline {
-                assert!(
-                    Instant::now() < deadline,
-                    "run {run}, {shards} shard(s): kernel state did not return to idle: {:?}",
-                    kernel.resources()
-                );
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            await_resources(&kernel, baseline, &format!("run {run}, {shards} shard(s)"));
         }
         kernel.shutdown();
     }
+}
+
+/// Runs `yes | <filters> | head -n <lines>` at 1 and 4 shards under a
+/// watchdog and checks that it returns the lines, exits 0 and leaves no
+/// stage behind.  A filter that reads its input to the end before writing
+/// any of it never returns behind `yes` and grows until the host runs out of
+/// memory; one that passes each chunk on before reading the next lets `head`
+/// take its lines and exit, and SIGPIPE walks back up the pipeline one stage
+/// at a time.
+fn endless_upstream_terminates(command: &str, lines: usize) {
+    for shards in [1, 4] {
+        let kernel = boot_full(shards);
+        let baseline = kernel.resources();
+        let handle = kernel.spawn("/bin/sh", &["sh", "-c", command], &[]).unwrap();
+        let status = handle
+            .wait_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|| panic!("`{command}` must terminate under {shards} shard(s)"));
+        assert_eq!(status.code, Some(0), "`{command}` stderr: {}", handle.stderr_string());
+        assert_eq!(
+            handle.stdout_string(),
+            "y\n".repeat(lines),
+            "`{command}`, shards: {shards}"
+        );
+        // Every stage is dead and reaped, not merely out of sight.
+        await_resources(&kernel, baseline, &format!("`{command}`, {shards} shard(s)"));
+        kernel.shutdown();
+    }
+}
+
+#[test]
+fn yes_grep_head_terminates() {
+    endless_upstream_terminates("yes | grep y | head -n 1", 1);
+}
+
+#[test]
+fn yes_tee_head_terminates() {
+    endless_upstream_terminates("yes | tee | head -n 1", 1);
+}
+
+#[test]
+fn yes_grep_tee_file_head_terminates() {
+    endless_upstream_terminates("yes | grep -v n | tee /tmp/t | head -n 3", 3);
 }
 
 #[test]
