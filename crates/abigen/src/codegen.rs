@@ -7,7 +7,7 @@
 //! |---------------------|-------------------------------------------|
 //! | [`gen_core`]        | `crates/core/src/syscall.rs` (enums+codec)|
 //! | [`gen_dispatch`]    | `crates/core/src/kernel/mod.rs`           |
-//! | [`gen_abi_mod`]     | `crates/core/src/abi.rs` (manifest, ring) |
+//! | [`gen_abi_mod`]     | `crates/core/src/abi.rs` (manifest, clamp)|
 //! | [`gen_client`]      | `crates/runtime/src/client.rs` (stubs)    |
 //! | [`gen_shapes`]      | integration tests (fuzz shape builders)   |
 //!
@@ -15,7 +15,7 @@
 //! `abi/golden_corpus.txt`; `tests/tests/abi_drift.rs` enforces that, so
 //! any change to the encode emitters here is an ABI event, not a refactor.
 
-use crate::{Abi, FieldDef, ResultDef, ResultKind, RingClass, StubKind, SyscallDef, Ty};
+use crate::{Abi, FieldDef, ResultDef, ResultKind, StubKind, SyscallDef, Ty};
 
 const BANNER: &str = "// @generated by browsix-abigen from abi/syscalls.abi — do not edit.\n\
                       // Regenerate by rebuilding (build.rs) or via scripts/abigen_check.sh.\n";
@@ -551,7 +551,7 @@ pub fn gen_dispatch(abi: &Abi) -> String {
     out
 }
 
-/// The ABI manifest constants and the `ring_safe` classifier, included into
+/// The ABI manifest constants and the ring read clamp, included into
 /// `crates/core/src/abi.rs`.
 pub fn gen_abi_mod(abi: &Abi) -> String {
     let mut out = String::from(BANNER);
@@ -559,17 +559,14 @@ pub fn gen_abi_mod(abi: &Abi) -> String {
 
     out.push_str("/// Per-opcode descriptors, in opcode order.\npub const SYSCALLS: &[SyscallDesc] = &[\n");
     for sc in &abi.syscalls {
+        let alt_name = sc.alt_name.as_ref().map(|(_, alt)| alt);
         out.push_str(&format!(
-            "    SyscallDesc {{ name: \"{}\", opcode: {}, class: \"{}\", ring: \"{}\" }},\n",
-            sc.wire_name,
-            sc.opcode,
-            sc.class,
-            sc.ring.label().replace('≤', "<="),
+            "    SyscallDesc {{ name: \"{}\", alt_name: {alt_name:?}, opcode: {}, class: \"{}\" }},\n",
+            sc.wire_name, sc.opcode, sc.class,
         ));
     }
     out.push_str("];\n\n");
 
-    let ring_safe = abi.syscalls.iter().filter(|s| s.ring != RingClass::Framed).count();
     out.push_str(&format!(
         "/// The generation manifest: counts printed by `table1_features` and CI\n\
          /// so ABI growth is visible release over release.\n\
@@ -578,62 +575,29 @@ pub fn gen_abi_mod(abi: &Abi) -> String {
          \x20   syscall_count: {},\n\
          \x20   max_opcode: {},\n\
          \x20   result_count: {},\n\
-         \x20   ring_eligible: {},\n\
-         \x20   framed_only: {},\n\
          }};\n\n",
         abi.version,
         abi.syscalls.len(),
         abi.syscalls.iter().map(|s| s.opcode).max().unwrap_or(0),
         abi.results.len(),
-        ring_safe,
-        abi.syscalls.len() - ring_safe,
     ));
 
     out.push_str(
-        "/// Whether `call` may ride a persistent ring slot, given the ring's\n\
-         /// registered-buffer size.  Calls classified `framed` in the IDL (or\n\
-         /// whose payload exceeds its cap) fall back to a framed batch.\n\
-         pub fn ring_safe(call: &Syscall, buf_bytes: u32) -> bool {\n\
+        "/// Clamps the length of a read-like call (`ring: data-capped(FIELD)` in\n\
+         /// the IDL) to `cap`, the most bytes the submitter's ring can carry back:\n\
+         /// the caller sees a POSIX short read and asks again for the rest.\n\
+         pub fn cap_ring_read(call: &mut Syscall, cap: u32) {\n\
          \x20   match call {\n",
     );
-    // Framed-only calls first (grouped), then capped calls, then the default.
-    let framed: Vec<&SyscallDef> = abi.syscalls.iter().filter(|s| s.ring == RingClass::Framed).collect();
-    if !framed.is_empty() {
-        let pats: Vec<String> = framed
-            .iter()
-            .map(|s| variant_pattern("Syscall", &s.ident, &s.args, false))
-            .collect();
-        out.push_str(&format!("        {} => false,\n", pats.join(" | ")));
-    }
-    let mut data_capped: Vec<(String, &SyscallDef)> = Vec::new();
     for sc in &abi.syscalls {
-        match &sc.ring {
-            RingClass::DataCapped(field) => data_capped.push((field.clone(), sc)),
-            RingClass::ListCapped(field, cap) => {
-                out.push_str(&format!(
-                    "        Syscall::{} {{ {field}, .. }} => {field}.len() <= {cap},\n",
-                    sc.ident
-                ));
-            }
-            _ => {}
+        if let Some(field) = &sc.ring_cap {
+            out.push_str(&format!(
+                "        Syscall::{} {{ {field}, .. }} => *{field} = (*{field}).min(cap),\n",
+                sc.ident
+            ));
         }
     }
-    // Group data-capped calls sharing the same field name into one arm.
-    let mut grouped: Vec<(String, Vec<&SyscallDef>)> = Vec::new();
-    for (field, sc) in data_capped {
-        match grouped.iter_mut().find(|(f, _)| *f == field) {
-            Some((_, list)) => list.push(sc),
-            None => grouped.push((field, vec![sc])),
-        }
-    }
-    for (field, defs) in grouped {
-        let pats: Vec<String> = defs
-            .iter()
-            .map(|s| format!("Syscall::{} {{ {field}, .. }}", s.ident))
-            .collect();
-        out.push_str(&format!("        {} => *{field} <= buf_bytes,\n", pats.join(" | ")));
-    }
-    out.push_str("        _ => true,\n    }\n}\n");
+    out.push_str("        _ => {}\n    }\n}\n");
     out
 }
 
@@ -674,8 +638,8 @@ pub fn gen_client(abi: &Abi) -> String {
     out.push_str(
         "/// Generated typed submission stubs, one `sys_*` method per syscall in\n\
          /// `abi/syscalls.abi`.  Each stub builds the call value and submits it\n\
-         /// through [`SyscallClient::call`], which picks the ring fast path when\n\
-         /// the call is ring-safe and falls back to a framed batch otherwise.\n\
+         /// through [`SyscallClient::call`], over whichever transport the client\n\
+         /// negotiated at start-up.\n\
          impl SyscallClient {\n",
     );
     for sc in &abi.syscalls {

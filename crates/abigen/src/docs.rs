@@ -5,7 +5,7 @@
 //! any diff (`scripts/abigen_check.sh`), so it can never go stale the way
 //! a hand-written spec would.
 
-use crate::{Abi, ResultKind, RingClass, SyscallDef};
+use crate::{Abi, ResultKind, SyscallDef};
 
 /// Renders the full reference manual as Markdown.
 pub fn render(abi: &Abi) -> String {
@@ -19,7 +19,7 @@ pub fn render(abi: &Abi) -> String {
         "Wire codec version **{}** · {} syscalls · {} result tags.\n\n\
          This file is rendered from [`abi/syscalls.abi`](../abi/syscalls.abi), the\n\
          single definition point for the syscall surface. Everything below —\n\
-         opcode numbers, wire layouts, ring-safety classes, errno sets — is the\n\
+         opcode numbers, wire layouts, ring read caps, errno sets — is the\n\
          same data the build generates the Rust codec, kernel dispatch, client\n\
          stubs and fuzz shapes from, so this document cannot drift from the\n\
          implementation (CI re-renders it and fails on any diff).\n\n",
@@ -44,34 +44,40 @@ pub fn render(abi: &Abi) -> String {
 
     out.push_str(
         "## Transports and framing\n\n\
-         Every call travels in a **syscall batch** and every result in a\n\
-         **completion batch**; the same codec serves all three transports\n\
-         (async shared-memory mailbox, synchronous turn, persistent ring).\n\n\
+         Two transports share one codec. Over **messages** (every browser) calls\n\
+         travel in a **syscall batch** and results in a **completion batch**,\n\
+         each one `postMessage`. Over the **ring** (a process with a\n\
+         `SharedArrayBuffer` heap) each slot carries one bare `syscall` or\n\
+         `result`.\n\n\
          ```text\n\
          syscall batch:     u8 magic 0x42 | u8 version | u32 count | count × syscall\n\
          completion batch:  u8 magic 0x43 | u8 version | u32 count | count × (u32 index | result)\n\
          syscall:           u8 opcode | args (layouts below)\n\
          result:            u8 tag    | payload (layouts below)\n\
+         ring slot:         u32 user_data | u32 length word | payload\n\
          ```\n\n\
          All integers are little-endian. Strings and byte buffers are\n\
          `u32` length-prefixed; strings are UTF-8. A `byte_source` argument is a\n\
          tagged union: tag `0` = inline length-prefixed bytes, tag `1` = a\n\
          `(u32 offset, u32 len)` window into the shared heap (the zero-copy\n\
          path).\n\n\
-         ### Ring safety\n\n\
-         Calls marked **safe** may be written into a persistent ring slot\n\
-         (`ring_setup`); calls marked **framed** always use a framed batch\n\
-         because their result size is unbounded or their semantics pin the\n\
-         transport. Capped entries (`safe if …`) ride the ring only when the\n\
-         payload fits the registered ring buffer; the generated\n\
-         `browsix_core::abi::ring_safe` implements exactly the classification\n\
-         in this table.\n\n",
+         ### The ring carries every call\n\n\
+         A process sends `ring_setup` as an ordinary message; from then on every\n\
+         call it makes, `exit` included, is a ring entry. An entry that does not\n\
+         fit its slot is **spilled**: bit 31 of the length word (`INDIRECT`)\n\
+         makes the payload a `(u32 a, u32 len)` reference — for a submission a\n\
+         byte offset into the process's heap, for a completion the first of\n\
+         ⌈len / buf_bytes⌉ adjacent registered buffers. A reference that fails\n\
+         its bounds check reads as `EFAULT`; a result larger than the whole\n\
+         buffer table completes with `EOVERFLOW`, so calls with a **read cap**\n\
+         below have that length clamped when they arrive by ring (a short read;\n\
+         `browsix_core::abi::cap_ring_read`).\n\n",
     );
 
     // ---- opcode table ------------------------------------------------------
     out.push_str("## Opcode table\n\n");
-    out.push_str("| op | name | class | ring | result | errnos |\n");
-    out.push_str("|---:|------|-------|------|--------|--------|\n");
+    out.push_str("| op | name | class | read cap | result | errnos |\n");
+    out.push_str("|---:|------|-------|----------|--------|--------|\n");
     for sc in &abi.syscalls {
         let name = match &sc.alt_name {
             Some((_, alt)) => format!("[{}](#{}) / {}", sc.wire_name, anchor(sc), alt),
@@ -82,7 +88,7 @@ pub fn render(abi: &Abi) -> String {
             sc.opcode,
             name,
             sc.class,
-            sc.ring.label(),
+            sc.ring_cap.as_deref().unwrap_or("—"),
             if sc.result_doc.is_empty() {
                 "—"
             } else {
@@ -188,19 +194,18 @@ fn render_syscall(out: &mut String, sc: &SyscallDef) {
     if sc.args.iter().any(|a| !a.docs.is_empty()) {
         out.push('\n');
     }
-    let ring = match &sc.ring {
-        RingClass::Safe => "ring-safe".to_string(),
-        RingClass::Framed => "framed-only (never rides a ring slot)".to_string(),
-        other => other.label(),
+    let ring_cap = match &sc.ring_cap {
+        Some(field) => format!(" · **Ring:** `{field}` clamped to the buffer table"),
+        None => String::new(),
     };
     out.push_str(&format!(
-        "**Result:** {} · **Ring:** {}{}\n\n",
+        "**Result:** {}{}{}\n\n",
         if sc.result_doc.is_empty() {
             "`Ok`"
         } else {
             &sc.result_doc
         },
-        ring,
+        ring_cap,
         if sc.errnos.is_empty() {
             String::new()
         } else {

@@ -2,14 +2,14 @@
 //! syscall ABI.
 //!
 //! The checked-in IDL file `abi/syscalls.abi` describes every system call
-//! (name, opcode, argument/result types, errno set, ring-safety class, doc
+//! (name, opcode, argument/result types, errno set, ring read cap, doc
 //! comments) and every result shape.  This crate parses that file into an
 //! [`Abi`] model and generates, deterministically:
 //!
 //! * the `Syscall`/`SysResult` enums and their wire codec
 //!   ([`codegen::gen_core`], included by `browsix-core`'s `build.rs`),
 //! * the kernel dispatch match ([`codegen::gen_dispatch`]),
-//! * the ABI manifest plus the `ring_safe` classifier
+//! * the ABI manifest plus the ring read clamp
 //!   ([`codegen::gen_abi_mod`]),
 //! * typed `SyscallClient` submission stubs ([`codegen::gen_client`]),
 //! * the proptest shape builders ([`codegen::gen_shapes`]), and
@@ -189,32 +189,6 @@ impl FieldDef {
     }
 }
 
-/// Ring-transport eligibility of a syscall, straight from the IDL.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RingClass {
-    /// Always eligible for a persistent-ring slot.
-    Safe,
-    /// Never rides the ring; always falls back to a framed batch.
-    Framed,
-    /// Eligible only when the named `u32` length field fits a registered
-    /// ring buffer.
-    DataCapped(String),
-    /// Eligible only when the named list field has at most N entries.
-    ListCapped(String, u32),
-}
-
-impl RingClass {
-    /// Short human-readable classification used in tables and manifests.
-    pub fn label(&self) -> String {
-        match self {
-            RingClass::Safe => "safe".to_string(),
-            RingClass::Framed => "framed".to_string(),
-            RingClass::DataCapped(field) => format!("safe if {field} ≤ buf_bytes"),
-            RingClass::ListCapped(field, n) => format!("safe if |{field}| ≤ {n}"),
-        }
-    }
-}
-
 /// Whether the generator emits a typed `SyscallClient` stub for a call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StubKind {
@@ -240,8 +214,10 @@ pub struct SyscallDef {
     pub alt_name: Option<(String, String)>,
     /// Figure 3 class, e.g. `"File IO"`.
     pub class: String,
-    /// Ring-transport eligibility.
-    pub ring: RingClass,
+    /// The `u32` length argument the kernel clamps when the call arrives by
+    /// ring (`ring: data-capped(FIELD)`): a read returns at most what the
+    /// ring's registered buffers can carry back.
+    pub ring_cap: Option<String>,
     /// Result shape description for the manual, e.g. `Int (new pid)`.
     pub result_doc: String,
     /// Errnos this call can fail with (documentation, not enforcement).
@@ -331,34 +307,19 @@ fn unquote(line: usize, s: &str) -> Result<String, ParseError> {
     }
 }
 
-fn parse_ring(line: usize, value: &str) -> Result<RingClass, ParseError> {
-    let value = value.trim();
-    if value == "safe" {
-        return Ok(RingClass::Safe);
-    }
-    if value == "framed" {
-        return Ok(RingClass::Framed);
-    }
-    if let Some(rest) = value.strip_prefix("data-capped(") {
-        let field = rest
-            .strip_suffix(')')
-            .ok_or_else(|| err(line, "missing `)` in data-capped"))?;
-        return Ok(RingClass::DataCapped(field.trim().to_string()));
-    }
-    if let Some(rest) = value.strip_prefix("list-capped(") {
-        let inner = rest
-            .strip_suffix(')')
-            .ok_or_else(|| err(line, "missing `)` in list-capped"))?;
-        let (field, cap) = inner
-            .split_once(',')
-            .ok_or_else(|| err(line, "list-capped needs `field, N`"))?;
-        let cap: u32 = cap
-            .trim()
-            .parse()
-            .map_err(|_| err(line, format!("bad list-capped bound `{}`", cap.trim())))?;
-        return Ok(RingClass::ListCapped(field.trim().to_string(), cap));
-    }
-    Err(err(line, format!("unknown ring class `{value}`")))
+/// Parses the one ring annotation, `data-capped(FIELD)`, to its field name.
+fn parse_ring_cap(line: usize, value: &str) -> Result<String, ParseError> {
+    value
+        .trim()
+        .strip_prefix("data-capped(")
+        .and_then(|rest| rest.strip_suffix(')'))
+        .map(|field| field.trim().to_string())
+        .ok_or_else(|| {
+            err(
+                line,
+                format!("`ring:` takes `data-capped(field)`, got `{}`", value.trim()),
+            )
+        })
 }
 
 /// Parses an arg/field declaration: `NAME: TYPE` or `NAME: TYPE as BIND`.
@@ -427,7 +388,7 @@ pub fn parse(text: &str) -> Result<Abi, ParseError> {
         let mut name = None;
         let mut alt_name = None;
         let mut class = None;
-        let mut ring = None;
+        let mut ring_cap = None;
         let mut result_doc = String::new();
         let mut errnos = Vec::new();
         let mut dispatch = None;
@@ -472,7 +433,7 @@ pub fn parse(text: &str) -> Result<Abi, ParseError> {
                     alt_name = Some((field.trim().to_string(), unquote(bln, alt)?));
                 }
                 "class" => class = Some(unquote(bln, value)?),
-                "ring" => ring = Some(parse_ring(bln, value)?),
+                "ring" => ring_cap = Some(parse_ring_cap(bln, value)?),
                 "result" => result_doc = value.to_string(),
                 "errno" => errnos = value.split_whitespace().map(str::to_string).collect(),
                 "dispatch" => dispatch = Some(value.to_string()),
@@ -505,7 +466,7 @@ pub fn parse(text: &str) -> Result<Abi, ParseError> {
                 wire_name: name.ok_or_else(|| err(ln, format!("syscall `{ident}` missing `name:`")))?,
                 alt_name,
                 class: class.ok_or_else(|| err(ln, format!("syscall `{ident}` missing `class:`")))?,
-                ring: ring.ok_or_else(|| err(ln, format!("syscall `{ident}` missing `ring:`")))?,
+                ring_cap,
                 result_doc,
                 errnos,
                 docs,
@@ -546,11 +507,13 @@ fn validate(abi: &Abi) -> Result<(), ParseError> {
             return Err(err(0, "opcode 0 is reserved (never valid on the wire)"));
         }
         let field_names: Vec<&str> = sc.args.iter().map(|a| a.name.as_str()).collect();
-        match &sc.ring {
-            RingClass::DataCapped(f) | RingClass::ListCapped(f, _) if !field_names.contains(&f.as_str()) => {
-                return Err(err(0, format!("{}: ring cap references unknown field `{f}`", sc.ident)));
+        if let Some(f) = &sc.ring_cap {
+            if !sc.args.iter().any(|a| a.name == *f && a.ty == Ty::U32) {
+                return Err(err(
+                    0,
+                    format!("{}: ring cap needs a `u32` argument named `{f}`", sc.ident),
+                ));
             }
-            _ => {}
         }
         if let Some((f, _)) = &sc.alt_name {
             if !field_names.contains(&f.as_str()) {
@@ -588,15 +551,11 @@ pub fn load(path: &std::path::Path) -> Result<Abi, Box<dyn std::error::Error>> {
 /// One-line generation manifest: the counts CI and `table1_features` print
 /// so ABI growth is visible in the paper figures.
 pub fn manifest_line(abi: &Abi) -> String {
-    let ring_safe = abi.syscalls.iter().filter(|s| s.ring != RingClass::Framed).count();
-    let framed = abi.syscalls.len() - ring_safe;
     format!(
-        "abi v{}: {} opcodes (max {}), {} result tags, {} ring-eligible, {} framed-only",
+        "abi v{}: {} opcodes (max {}), {} result tags",
         abi.version,
         abi.syscalls.len(),
         abi.syscalls.iter().map(|s| s.opcode).max().unwrap_or(0),
         abi.results.len(),
-        ring_safe,
-        framed,
     )
 }

@@ -1,20 +1,15 @@
-//! Criterion bench for the persistent shared-memory syscall rings: what one
-//! submission costs over the ring versus the classic framed transport.
+//! Criterion bench for the persistent shared-memory syscall rings: what a
+//! run of individual submissions costs over the ring.
 //!
 //! The guest creates a pipe and issues 256 *individual* small writes (no
-//! batching — each is its own submission), then reads everything back.  Under
-//! the framed convention every submission stages a frame and pays the
-//! modelled `postMessage` wake each way; over the ring the client writes the
-//! entry into the shared-heap submission queue in place and rings the
-//! doorbell (an `Atomics.notify`, which the platform model charges nothing
-//! for), so the per-submission transport cost collapses.
+//! batching — each is its own submission), then reads everything back.  The
+//! client writes each entry into the shared-heap submission queue in place
+//! and rings the doorbell (an `Atomics.notify`, which the platform model
+//! charges nothing for), so the only modelled `postMessage` round trip the
+//! process pays is the one that bootstraps its ring.
 //!
-//! Both variants run the same guest on the same kernel build; the framed one
-//! just starts with `BROWSIX_SYSCALL_RINGS=0` in its environment, which makes
-//! the client skip ring setup and fall back to frames for everything.
-//!
-//! `scripts/bench_smoke.sh` asserts the ring variant beats the framed one by
-//! at least 5x.
+//! `scripts/bench_smoke.sh` holds the id to an absolute budget: a regression
+//! to one kernel wake-up per call lands far above it.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -23,9 +18,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use browsix_browser::PlatformConfig;
 use browsix_core::{BootConfig, Kernel};
-use browsix_runtime::{
-    guest, EmscriptenLauncher, EmscriptenMode, ExecutionProfile, RuntimeEnv, SyscallConvention, RINGS_ENV_VAR,
-};
+use browsix_runtime::{guest, EmscriptenLauncher, EmscriptenMode, ExecutionProfile, RuntimeEnv, SyscallConvention};
 
 /// Number of individual writes the guest issues.
 const WRITES: usize = 256;
@@ -34,8 +27,7 @@ const LINE: &[u8] = b"0123456789abcdef0123456789abcdef0123456789abcdef0123456789
 
 /// Boots a kernel with realistic Chrome-like transport costs and one guest
 /// that pumps [`WRITES`] individual writes through a pipe and reads them
-/// back.  The syscall transport (ring vs framed) is chosen per spawn via the
-/// [`RINGS_ENV_VAR`] environment variable, so one kernel serves both sides.
+/// back.
 fn boot() -> Kernel {
     let profile = ExecutionProfile::instant(SyscallConvention::Sync);
     let writer = guest("ringwriter", |env: &mut dyn RuntimeEnv| {
@@ -79,17 +71,12 @@ fn bench_rings(c: &mut Criterion) {
         .sample_size(10)
         .measurement_time(Duration::from_secs(4))
         .throughput(Throughput::Elements(WRITES as u64));
-    for (name, env) in [
-        ("framed_submit_256", &[(RINGS_ENV_VAR, "0")][..]),
-        ("ring_submit_256", &[][..]),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let handle = kernel.spawn("/usr/bin/ringwriter", &["ringwriter"], env).unwrap();
-                assert!(handle.wait().success(), "{name} guest failed");
-            })
-        });
-    }
+    group.bench_function("ring_submit_256", |b| {
+        b.iter(|| {
+            let handle = kernel.spawn("/usr/bin/ringwriter", &["ringwriter"], &[]).unwrap();
+            assert!(handle.wait().success(), "ringwriter guest failed");
+        })
+    });
     group.finish();
     kernel.shutdown();
 }

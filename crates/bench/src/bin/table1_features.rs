@@ -11,8 +11,8 @@ fn main() {
     // is visible run over run.
     let m = browsix_core::abi::MANIFEST;
     println!(
-        "ABI manifest (generated from abi/syscalls.abi): wire v{} · {} syscalls (max opcode {}) · {} result tags · {} ring-eligible · {} framed-only\n",
-        m.wire_version, m.syscall_count, m.max_opcode, m.result_count, m.ring_eligible, m.framed_only
+        "ABI manifest (generated from abi/syscalls.abi): wire v{} · {} syscalls (max opcode {}) · {} result tags\n",
+        m.wire_version, m.syscall_count, m.max_opcode, m.result_count
     );
 
     let rows: Vec<Vec<String>> = environment_feature_table().iter().map(|row| row.cells()).collect();

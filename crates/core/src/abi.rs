@@ -1,11 +1,12 @@
 //! The generated ABI manifest: per-opcode descriptors, generation counts and
-//! the ring-safety classifier, all derived from `abi/syscalls.abi` at build
-//! time by `browsix-abigen`.
+//! the ring read clamp, all derived from `abi/syscalls.abi` at build time by
+//! `browsix-abigen`.
 //!
 //! This module is how the rest of the system asks questions *about* the ABI
-//! (as opposed to using it): the runtime's ring submission path consults
-//! [`ring_safe`], and `table1_features` prints [`MANIFEST`] so ABI growth is
-//! visible release over release.
+//! (as opposed to using it): the kernel statistics resolve opcodes to names
+//! and classes through [`SYSCALLS`], the ring drain applies
+//! [`cap_ring_read`], and `table1_features` prints [`MANIFEST`] so ABI growth
+//! is visible release over release.
 //!
 //! # Example
 //!
@@ -16,10 +17,12 @@
 //! assert_eq!(abi::SYSCALLS.len() as u32, abi::MANIFEST.syscall_count);
 //! assert_eq!(abi::SYSCALLS[0].name, "spawn");
 //!
-//! // `getpid` is ring-safe; a directory read never rides the ring.
+//! // A read that arrives by ring is clamped to what the ring can carry back;
+//! // nothing else is touched.
 //! use browsix_core::Syscall;
-//! assert!(abi::ring_safe(&Syscall::GetPid, 4096));
-//! assert!(!abi::ring_safe(&Syscall::Readdir { path: "/".into() }, 4096));
+//! let mut read = Syscall::Read { fd: 3, len: 1 << 20 };
+//! abi::cap_ring_read(&mut read, 4096);
+//! assert_eq!(read, Syscall::Read { fd: 3, len: 4096 });
 //! ```
 
 use crate::syscall::Syscall;
@@ -29,12 +32,13 @@ use crate::syscall::Syscall;
 pub struct SyscallDesc {
     /// Wire/statistics name, e.g. `"llseek"`.
     pub name: &'static str,
+    /// The name the call reports when its switching flag is set (`lstat` for
+    /// `stat`), if it has one.
+    pub alt_name: Option<&'static str>,
     /// Wire opcode; append-only, never reused.
     pub opcode: u8,
     /// Figure 3 class, e.g. `"File IO"`.
     pub class: &'static str,
-    /// Human-readable ring-safety classification.
-    pub ring: &'static str,
 }
 
 /// Counts describing the generated ABI, printed by `table1_features` and CI
@@ -50,11 +54,6 @@ pub struct AbiManifest {
     pub max_opcode: u32,
     /// Number of result tags.
     pub result_count: u32,
-    /// Calls eligible for the persistent-ring transport (including capped
-    /// ones).
-    pub ring_eligible: u32,
-    /// Calls that always use a framed batch.
-    pub framed_only: u32,
 }
 
 include!(concat!(env!("OUT_DIR"), "/abi_gen.rs"));

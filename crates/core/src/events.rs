@@ -17,7 +17,6 @@ use browsix_http::{HttpRequest, HttpResponse};
 use crate::hostapi::ResourceCounts;
 use crate::signals::Signal;
 use crate::stats::KernelStats;
-use crate::syscall::Transport;
 use crate::task::Pid;
 
 /// A callback the embedding application supplies for a process's standard
@@ -129,24 +128,26 @@ impl std::fmt::Debug for HostRequest {
 
 /// An event on the kernel's queue.
 pub enum KernelEvent {
-    /// A submission batch of system calls issued by a process.
+    /// A submission batch of system calls a process posted as a message:
+    /// the frame was structured-clone copied, and the reply is a message
+    /// carrying `seq`.
     Syscall {
         /// The calling process.
         pid: Pid,
-        /// How the batch travelled (and how to reply).
-        transport: Transport,
+        /// Per-process sequence number used to match the response.
+        seq: u64,
+        /// The encoded [`SyscallBatch`](crate::SyscallBatch).
+        payload: Vec<u8>,
     },
-    /// A process registering its shared heap for synchronous system calls
-    /// (sent once at runtime startup, as described in §3.2 of the paper).
+    /// A process handing the kernel its shared heap (sent once at runtime
+    /// startup, like the `personality` call of §3.2): the memory shared-heap
+    /// write sources are read from and a following `ring_setup` maps the
+    /// syscall ring into.
     RegisterSyncHeap {
         /// The registering process.
         pid: Pid,
         /// The shared memory.
         sab: SharedArrayBuffer,
-        /// Offset of the response area.
-        resp_offset: usize,
-        /// Offset of the wake address.
-        wake_offset: usize,
     },
     /// A process ringing its submission-ring doorbell: its SQ went from
     /// empty to non-empty while the kernel had the `NEED_WAKEUP` flag set.
@@ -168,13 +169,7 @@ pub enum KernelEvent {
 impl std::fmt::Debug for KernelEvent {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            KernelEvent::Syscall { pid, transport } => {
-                let kind = match transport {
-                    Transport::Async { .. } => "async",
-                    Transport::Sync { .. } => "sync",
-                };
-                write!(f, "Syscall(pid={pid}, {kind})")
-            }
+            KernelEvent::Syscall { pid, seq, .. } => write!(f, "Syscall(pid={pid}, seq={seq})"),
             KernelEvent::RegisterSyncHeap { pid, .. } => write!(f, "RegisterSyncHeap(pid={pid})"),
             KernelEvent::Doorbell { pid } => write!(f, "Doorbell(pid={pid})"),
             KernelEvent::Host(req) => write!(f, "Host({req:?})"),
@@ -187,7 +182,6 @@ impl std::fmt::Debug for KernelEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::syscall::{Syscall, SyscallBatch};
     use crossbeam::channel::unbounded;
 
     #[test]
@@ -197,21 +191,11 @@ mod tests {
         assert_eq!(format!("{event:?}"), "Host(WatchExit(4))");
 
         let event = KernelEvent::Syscall {
-            pid: 2,
-            transport: Transport::Sync {
-                payload: SyscallBatch::single(Syscall::GetPid).encode(),
-            },
-        };
-        assert_eq!(format!("{event:?}"), "Syscall(pid=2, sync)");
-
-        let event = KernelEvent::Syscall {
             pid: 3,
-            transport: Transport::Async {
-                seq: 1,
-                payload: Vec::new(),
-            },
+            seq: 1,
+            payload: Vec::new(),
         };
-        assert!(format!("{event:?}").contains("async"));
+        assert_eq!(format!("{event:?}"), "Syscall(pid=3, seq=1)");
         assert_eq!(format!("{:?}", KernelEvent::Shutdown), "Shutdown");
     }
 

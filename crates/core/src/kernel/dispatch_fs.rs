@@ -234,8 +234,7 @@ impl KernelState {
             ByteSource::SharedHeap { offset, len } => {
                 let task = self.task(pid)?;
                 let heap = task.sync_heap.as_ref().ok_or(Errno::EFAULT)?;
-                heap.sab
-                    .read_bytes(offset as usize, len as usize)
+                heap.read_bytes(offset as usize, len as usize)
                     .map_err(|_| Errno::EFAULT)
             }
         }

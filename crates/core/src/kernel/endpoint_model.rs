@@ -185,7 +185,6 @@ impl Fleet {
             // in it, where `settle` finds them.
             task.inflight.get_or_insert_with(|| InflightBatch {
                 seq: 0,
-                sync: false,
                 total: u32::MAX,
                 completions: Vec::new(),
             });

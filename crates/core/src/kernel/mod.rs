@@ -33,10 +33,10 @@ use crate::fd::{Fd, FileKind, OpenFile, SocketSide};
 use crate::ring::{Ring, RingGeometry};
 use crate::signals::{SigAction, Signal, SignalDisposition};
 use crate::socket::{Connection, ConnectionId, SocketTable};
-use crate::stats::KernelStats;
+use crate::stats::{KernelStats, SyscallTally};
 use crate::streams::{StreamId, StreamTable};
-use crate::syscall::{encode_wait_status, Completion, CompletionBatch, SysResult, Syscall, Transport};
-use crate::task::{InflightBatch, Pid, SyncHeap, Task, TaskState};
+use crate::syscall::{encode_wait_status, Completion, CompletionBatch, SysResult, Syscall, SyscallBatch};
+use crate::task::{InflightBatch, Pid, Task, TaskState};
 use crate::wire::Reader;
 
 pub(crate) use shard::{RemoteRevents, RouterState, ShardMsg};
@@ -45,10 +45,9 @@ pub use waitq::{WaitChannel, WaitTable, WaiterId};
 
 /// Where a system call's result belongs.
 ///
-/// Batch entries complete into the task's [`InflightBatch`] (the transport
-/// convention and, for the asynchronous convention, the reply sequence
-/// number live there, so both framed conventions share one completion
-/// path).  Ring entries complete individually: each one becomes a
+/// Entries of a message frame complete into the task's [`InflightBatch`]
+/// (the reply sequence number lives there) and go back together in one
+/// response message.  Ring entries complete individually: each one becomes a
 /// completion-queue entry tagged with the submitter's `user_data`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplyTo {
@@ -178,6 +177,8 @@ pub(crate) struct KernelState {
     exit_records: HashMap<Pid, i32>,
 
     stats: KernelStats,
+    /// The per-call counters, folded into `stats` when a snapshot is taken.
+    syscall_tally: SyscallTally,
 }
 
 impl KernelState {
@@ -220,6 +221,7 @@ impl KernelState {
             exit_watchers: HashMap::new(),
             exit_records: HashMap::new(),
             stats: KernelStats::default(),
+            syscall_tally: SyscallTally::default(),
         }
     }
 
@@ -268,19 +270,10 @@ impl KernelState {
 
     fn handle_event(&mut self, event: KernelEvent) {
         match event {
-            KernelEvent::Syscall { pid, transport } => self.handle_syscall(pid, transport),
-            KernelEvent::RegisterSyncHeap {
-                pid,
-                sab,
-                resp_offset,
-                wake_offset,
-            } => {
+            KernelEvent::Syscall { pid, seq, payload } => self.handle_syscall(pid, seq, payload),
+            KernelEvent::RegisterSyncHeap { pid, sab } => {
                 if let Some(task) = self.tasks.get_mut(&pid) {
-                    task.sync_heap = Some(SyncHeap {
-                        sab,
-                        resp_offset,
-                        wake_offset,
-                    });
+                    task.sync_heap = Some(sab);
                 }
             }
             KernelEvent::Doorbell { pid } => {
@@ -801,18 +794,22 @@ impl KernelState {
     // ---- syscall rings -------------------------------------------------------
 
     /// Registers a persistent ring pair for `pid`, validating the geometry
-    /// against the shared heap the task registered earlier.
+    /// against the shared heap the task registered earlier.  A task maps one
+    /// ring, once, whichever transport brings a second request.
     fn sys_ring_setup(&mut self, pid: Pid, geo: RingGeometry) -> Outcome {
         let Some(task) = self.tasks.get_mut(&pid) else {
             return Outcome::Complete(SysResult::Err(Errno::ESRCH));
         };
+        if task.ring.is_some() {
+            return Outcome::Complete(SysResult::Err(Errno::EEXIST));
+        }
         let Some(heap) = task.sync_heap.as_ref() else {
             return Outcome::Complete(SysResult::Err(Errno::EINVAL));
         };
-        if !geo.validate(heap.sab.len()) {
+        if !geo.validate(heap.len()) {
             return Outcome::Complete(SysResult::Err(Errno::EINVAL));
         }
-        let ring = Ring::new(heap.sab.clone(), geo);
+        let ring = Ring::new(heap.clone(), geo);
         // The queue starts out parked: the very first submission must ring
         // the doorbell, because nothing else will look at this ring.
         ring.set_need_wakeup();
@@ -847,7 +844,7 @@ impl KernelState {
     /// a non-empty queue never goes undrained.
     ///
     /// A stopped task's queue is left exactly as it is — entries unpopped,
-    /// flag untouched — like the framed batches `handle_syscall` stashes:
+    /// flag untouched — like the message frames `handle_syscall` stashes:
     /// the process freezes at its next system call, and SIGCONT
     /// ([`KernelState::continue_task`]) runs the drain it missed.
     fn drain_ring(&mut self, pid: Pid) {
@@ -868,12 +865,19 @@ impl KernelState {
                     break;
                 };
                 self.stats.sq_polled += 1;
-                let mut r = Reader::new(&payload);
-                let Some(call) = Syscall::decode_from(&mut r) else {
-                    self.post_ring_completion(pid, user_data, SysResult::Err(Errno::EINVAL));
+                let Some(mut call) = Syscall::decode_from(&mut Reader::new(&payload)) else {
+                    // An empty payload is how the ring reports a spill
+                    // reference that points outside the heap.
+                    let errno = if payload.is_empty() {
+                        Errno::EFAULT
+                    } else {
+                        Errno::EINVAL
+                    };
+                    self.post_ring_completion(pid, user_data, SysResult::Err(errno));
                     continue;
                 };
-                self.stats.record_syscall(call.name(), call.class(), true);
+                crate::abi::cap_ring_read(&mut call, ring.geometry().max_read_bytes());
+                self.syscall_tally.record_syscall(&call, true);
                 if let Some(task) = self.tasks.get_mut(&pid) {
                     task.syscall_count += 1;
                 }
@@ -961,48 +965,46 @@ impl KernelState {
 
     /// Encodes one result into a completion-queue entry and publishes it.
     ///
-    /// Bulk `Data` results that exceed the slot's payload capacity travel by
-    /// registered buffer instead: the bytes go into a free buffer and the
-    /// entry carries a 12-byte [`SysResult::DataFixed`] reference.
+    /// Bulk `Data` results that exceed a slot but fit one registered buffer
+    /// travel raw: the bytes go into a free buffer and the entry carries a
+    /// 12-byte [`SysResult::DataFixed`] reference.  Anything else too large
+    /// for a slot is spilled by [`Ring::push_cqe`] — or, if not even the
+    /// whole buffer table could hold it, completes with `EOVERFLOW`.
     ///
     /// # Errors
     ///
     /// Returns the result back when it cannot be posted right now (queue
-    /// full, or no registered buffer free for an oversized payload); the
-    /// caller keeps it in the task's overflow queue.
+    /// full, or the registered buffers it needs are not free); the caller
+    /// keeps it in the task's overflow queue.
     fn try_post_cqe(&mut self, ring: &Ring, user_data: u32, result: SysResult) -> Result<(), SysResult> {
         if ring.cq_space() == 0 {
             return Err(result);
         }
+        let geo = ring.geometry();
         let mut frame = Vec::with_capacity(16);
         result.encode_into(&mut frame);
         let mut fixed_buf = None;
-        if frame.len() > ring.geometry().slot_payload_bytes() {
-            let SysResult::Data(data) = result else {
-                // Non-bulk results are bounded by the client's routing policy
-                // (large-result calls use the framed transport); a breach is
-                // a kernel bug, not a guest error.
-                debug_assert!(false, "oversized non-Data ring completion");
-                return Err(result);
-            };
-            if data.len() > ring.geometry().buf_bytes as usize {
-                debug_assert!(false, "ring read larger than a registered buffer");
-                return Err(SysResult::Data(data));
+        if frame.len() > geo.slot_payload_bytes() {
+            match &result {
+                SysResult::Data(data) if data.len() <= geo.buf_bytes as usize => {
+                    let Some(buf) = ring.alloc_buf() else {
+                        return Err(result);
+                    };
+                    ring.write_buf(buf, data);
+                    frame.clear();
+                    SysResult::DataFixed {
+                        buf,
+                        len: data.len() as u32,
+                    }
+                    .encode_into(&mut frame);
+                    fixed_buf = Some(buf);
+                }
+                _ if frame.len() > geo.max_spill_bytes() => {
+                    frame.clear();
+                    SysResult::Err(Errno::EOVERFLOW).encode_into(&mut frame);
+                }
+                _ => {}
             }
-            let Some(buf) = ring.alloc_buf() else {
-                return Err(SysResult::Data(data));
-            };
-            if !ring.write_buf(buf, &data) {
-                ring.free_buf(buf);
-                return Err(SysResult::Data(data));
-            }
-            frame.clear();
-            SysResult::DataFixed {
-                buf,
-                len: data.len() as u32,
-            }
-            .encode_into(&mut frame);
-            fixed_buf = Some(buf);
         }
         if ring.push_cqe(user_data, &frame) {
             self.stats.cq_posted += 1;
@@ -1011,67 +1013,59 @@ impl KernelState {
             if let Some(buf) = fixed_buf {
                 ring.free_buf(buf);
             }
-            // The queue filled between the space check and the push (it
-            // cannot — both run on this thread — but stay defensive).
-            Err(SysResult::Err(Errno::EINVAL))
+            Err(result)
         }
     }
 
     // ---- system-call entry ---------------------------------------------------
 
-    fn handle_syscall(&mut self, pid: Pid, transport: Transport) {
-        let sync = transport.is_sync();
-        let wire_bytes = transport.payload_len();
-        let seq = match &transport {
-            Transport::Async { seq, .. } => *seq,
-            Transport::Sync { .. } => 0,
-        };
+    /// Services one message frame: a [`SyscallBatch`] whose completions go
+    /// back together in the response message carrying `seq`.
+    fn handle_syscall(&mut self, pid: Pid, seq: u64, payload: Vec<u8>) {
         match self.tasks.get_mut(&pid) {
             None => return,
             Some(task) if task.is_stopped() => {
                 // A stopped process's system calls are not serviced: stash
-                // the batch and replay it (in order) when SIGCONT arrives.
+                // the frame and replay it (in order) when SIGCONT arrives.
                 // The worker blocks awaiting the reply, which is exactly the
                 // "frozen at a syscall boundary" stop semantics.
-                task.stashed_transports.push(transport);
+                task.stashed_frames.push((seq, payload));
                 return;
             }
             Some(_) => {}
         }
-        let Some(batch) = transport.decode_batch() else {
+        let Some(batch) = SyscallBatch::decode(&payload) else {
             // An undecodable frame (corruption, codec-version skew) must
-            // still produce a reply: a sync-convention process has already
-            // armed its wake word and would otherwise hang forever.
+            // still produce a reply, or the process waits for it forever.
             let error = CompletionBatch {
                 completions: vec![Completion {
                     index: 0,
                     result: SysResult::Err(Errno::EINVAL),
                 }],
             };
-            self.deliver_payload(pid, sync, seq, error.encode());
+            self.deliver_response(pid, seq, error.encode());
             return;
         };
         if batch.is_empty() {
             return;
         }
-        self.stats.record_batch(batch.len(), sync, wire_bytes);
+        self.stats.record_batch(batch.len(), payload.len());
         if let Some(task) = self.tasks.get_mut(&pid) {
             task.inflight = Some(InflightBatch {
                 seq,
-                sync,
                 total: batch.len() as u32,
                 completions: Vec::with_capacity(batch.len()),
             });
         }
         for (index, call) in batch.entries.into_iter().enumerate() {
             // A mid-batch self-stop keeps dispatching the remaining entries:
-            // abandoning them would leave the batch incomplete and hang the
-            // worker in `Atomics.wait` even after SIGCONT.  Only exit (which
-            // consumes the batch via `NoReply`) ends it early.
+            // abandoning them would leave the batch incomplete and the
+            // worker waiting for its reply even after SIGCONT.  Only exit
+            // (which consumes the batch via `NoReply`) ends it early.
             if !self.tasks.get(&pid).is_some_and(|t| t.is_alive()) {
                 return;
             }
-            self.stats.record_syscall(call.name(), call.class(), sync);
+            self.syscall_tally.record_syscall(&call, false);
             if let Some(task) = self.tasks.get_mut(&pid) {
                 task.syscall_count += 1;
             }
@@ -1111,11 +1105,10 @@ impl KernelState {
         inflight.completions.push(Completion { index, result });
     }
 
-    /// Delivers the task's in-flight batch once every entry has completed:
-    /// one response message (asynchronous convention) or one shared-heap
-    /// write + notify (synchronous convention), either way carrying the same
-    /// encoded [`CompletionBatch`] frame.  The receiving client places each
-    /// completion by its index, so no ordering is imposed here.
+    /// Delivers the task's in-flight batch once every entry has completed,
+    /// as one response message carrying the encoded [`CompletionBatch`].
+    /// The receiving client places each completion by its index, so no
+    /// ordering is imposed here.
     fn maybe_deliver_batch(&mut self, pid: Pid) {
         let Some(task) = self.tasks.get_mut(&pid) else { return };
         if !task.inflight.as_ref().map(InflightBatch::is_complete).unwrap_or(false) {
@@ -1126,28 +1119,16 @@ impl KernelState {
             completions: inflight.completions,
         }
         .encode();
-        self.deliver_payload(pid, inflight.sync, inflight.seq, payload);
+        self.deliver_response(pid, inflight.seq, payload);
     }
 
-    /// Sends an encoded [`CompletionBatch`] frame over the given convention.
-    fn deliver_payload(&mut self, pid: Pid, sync: bool, seq: u64, payload: Vec<u8>) {
-        if sync {
-            let Some(heap) = self.tasks.get(&pid).and_then(|t| t.sync_heap.clone()) else {
-                return;
-            };
-            // [u32 length][frame] at resp_offset, then wake the process.
-            let _ = heap
-                .sab
-                .write_bytes(heap.resp_offset, &(payload.len() as u32).to_le_bytes());
-            let _ = heap.sab.write_bytes(heap.resp_offset + 4, &payload);
-            let _ = heap.sab.store_and_notify(heap.wake_offset, 1);
-        } else {
-            let msg = Message::map()
-                .with("type", "syscall-response")
-                .with("seq", seq as i64)
-                .with("completions", payload);
-            self.post_to_worker(pid, msg);
-        }
+    /// Posts an encoded [`CompletionBatch`] frame as the response to `seq`.
+    fn deliver_response(&mut self, pid: Pid, seq: u64, payload: Vec<u8>) {
+        let msg = Message::map()
+            .with("type", "syscall-response")
+            .with("seq", seq as i64)
+            .with("completions", payload);
+        self.post_to_worker(pid, msg);
     }
 
     /// Posts a message to a process's worker, recording the copy cost.
@@ -1212,7 +1193,9 @@ impl KernelState {
             HostRequest::ReadStats { reply } => {
                 // Raw per-shard snapshot: the host merges all shards and then
                 // attaches the (shared) VFS cache counters exactly once.
-                let _ = reply.send(self.stats.clone());
+                let mut snapshot = self.stats.clone();
+                self.syscall_tally.fold_into(&mut snapshot);
+                let _ = reply.send(snapshot);
             }
             HostRequest::ReadResources { reply } => {
                 let _ = reply.send(crate::hostapi::ResourceCounts {
@@ -1780,7 +1763,7 @@ impl KernelState {
         }
     }
 
-    /// Resumes a stopped task (SIGCONT): replays the system-call batches
+    /// Resumes a stopped task (SIGCONT): replays the system-call frames
     /// stashed while it was suspended, in arrival order, and drains the ring
     /// submissions that were left queued.
     fn continue_task(&mut self, target: Pid) {
@@ -1793,7 +1776,7 @@ impl KernelState {
         task.state = TaskState::Running;
         task.stop_reported = false;
         let ppid = task.ppid;
-        let stashed = std::mem::take(&mut task.stashed_transports);
+        let stashed = std::mem::take(&mut task.stashed_frames);
         // A remote parent's not-yet-reported stop record is withdrawn (the
         // local equivalent is the running state clearing `stop_signal`).
         if ppid != 0
@@ -1805,8 +1788,8 @@ impl KernelState {
                 ShardMsg::ChildContinued { pid: target, ppid },
             );
         }
-        for transport in stashed {
-            self.handle_syscall(target, transport);
+        for (seq, payload) in stashed {
+            self.handle_syscall(target, seq, payload);
         }
         self.drain_ring(target);
     }

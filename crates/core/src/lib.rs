@@ -12,11 +12,13 @@
 //!   an event: system calls from processes, host API calls from the embedding
 //!   web application.
 //! * Each process is a worker created through `browsix-browser`.  Processes
-//!   issue system calls over two conventions:
-//!   [asynchronous](syscall::Transport::Async) (structured-clone messages,
-//!   works everywhere) and [synchronous](syscall::Transport::Sync)
-//!   (integer arguments plus a `SharedArrayBuffer` heap and `Atomics.wait`,
-//!   Chrome-only at publication time but much faster).
+//!   issue system calls over two transports: asynchronous
+//!   [messages](KernelEvent::Syscall) (structured-clone frames, works
+//!   everywhere) and, for a process that registered a `SharedArrayBuffer`
+//!   heap, the synchronous [`ring`] mapped into it (submission and
+//!   completion queues plus `Atomics.wait`; Chrome-only at publication time
+//!   but much faster).  A process bootstraps its ring with one message and
+//!   from then on the ring carries every call it makes.
 //! * The file system is a [`browsix_fs::MountedFs`] shared by every process.
 //! * Pipes, sockets and signals live in kernel tables and are reference
 //!   counted across `spawn`/`fork`/`dup`/process exit.
@@ -68,8 +70,8 @@ pub use stats::KernelStats;
 pub use streams::{Stream, StreamId, StreamTable};
 pub use syscall::{
     encode_stop_status, encode_wait_status, wait_status_exit_code, wait_status_signal, wait_status_stop_signal,
-    ByteSource, Completion, CompletionBatch, PollRequest, SysResult, Syscall, SyscallBatch, Transport, NONBLOCK,
-    POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT, WNOHANG, WUNTRACED,
+    ByteSource, Completion, CompletionBatch, PollRequest, SysResult, Syscall, SyscallBatch, NONBLOCK, POLLERR, POLLHUP,
+    POLLIN, POLLNVAL, POLLOUT, WNOHANG, WUNTRACED,
 };
 pub use task::{Pid, TaskState};
 pub use vm::{

@@ -1,16 +1,15 @@
-//! Persistent shared-memory syscall rings.
+//! Persistent shared-memory syscall rings: the transport of every process
+//! that has a `SharedArrayBuffer` heap.
 //!
-//! The synchronous convention originally built one wire frame per batch and
-//! handed it to the kernel by value.  Rings replace that with an io_uring
-//! style pair of fixed-slot queues living *inside* the process's shared heap:
+//! An io_uring style pair of fixed-slot queues lives *inside* the process's
+//! shared heap:
 //!
 //! * the **submission queue** (SQ): the process encodes each call directly
 //!   into the next free slot and publishes it by advancing the tail index;
 //! * the **completion queue** (CQ): the kernel encodes each result into the
 //!   next free slot, advances the tail and notifies the waiting process;
-//! * the **registered-buffer table**: a small pool of fixed-size buffers the
-//!   kernel can fill with bulk read data, so a large `read` completion is a
-//!   12-byte `DataFixed` entry instead of a payload copy through the codec.
+//! * the **registered-buffer table**: a small pool of fixed-size buffers,
+//!   laid out back to back, that carry what a completion slot cannot.
 //!
 //! Each queue is single-producer/single-consumer: the process owns the SQ
 //! tail and CQ head, the kernel owns the SQ head and CQ tail.  Indices are
@@ -23,14 +22,25 @@
 //! `Atomics.notify` on the kernel's wait address) only when it observes the
 //! flag set — i.e. only on empty→non-empty transitions.
 //!
-//! Slot payloads reuse the exact wire encoding of [`crate::Syscall`] and
-//! [`crate::syscall::SysResult`]; the frame codec stays the oracle for what
-//! travels through a slot, and the asynchronous `postMessage` transport keeps
-//! using full frames unchanged.
+//! Slot payloads are the exact wire encoding of [`crate::Syscall`] and
+//! [`crate::syscall::SysResult`], the same bytes the message transport puts
+//! in its frames.
 //!
-//! Which calls may ride a ring slot is decided by the generated classifier
-//! [`crate::abi::ring_safe`], straight from each call's `ring:` class in
-//! `abi/syscalls.abi`.
+//! # Spilling: the ring carries every call and every result
+//!
+//! A slot is `u32 user_data | u32 length word | payload`.  An entry that
+//! does not fit is **spilled**: bit 31 of the length word ([`INDIRECT`])
+//! says the payload is an 8-byte `(u32 a, u32 len)` reference to the `len`
+//! encoded bytes.  For a submission ([`Ring::push_sqe_spilled`]) `a` is a
+//! byte offset into the heap, chosen by the process; for a completion
+//! ([`Ring::push_cqe`]) it is the first of ⌈`len` / `buf_bytes`⌉ adjacent
+//! registered buffers, which the consumer frees as it pops the entry.
+//! [`Ring::pop_sqe`] and [`Ring::pop_cqe`] follow the reference — after
+//! checking it, because the process can scribble on every byte of this
+//! memory: a bad one pops as an empty payload, which nothing decodes from.
+//! A result larger than the whole table ([`RingGeometry::max_spill_bytes`])
+//! cannot travel at all; the kernel answers it `EOVERFLOW` and clamps ring
+//! reads ([`RingGeometry::max_read_bytes`]) so that a read never gets there.
 //!
 //! # Example
 //!
@@ -56,10 +66,12 @@
 
 use browsix_browser::SharedArrayBuffer;
 
+use crate::wire::{self, Reader};
+
 /// Number of slots in each queue (power of two).
 pub const RING_SLOTS: u32 = 64;
-/// Byte size of one slot: an 8-byte entry header (`user_data`, payload
-/// length) plus payload capacity.
+/// Byte size of one slot: an 8-byte entry header (`user_data`, length word)
+/// plus payload capacity.
 pub const RING_SLOT_BYTES: u32 = 256;
 /// Byte size of a queue header: head, tail, flags, one reserved word.
 pub const RING_HEADER_BYTES: u32 = 16;
@@ -83,6 +95,19 @@ pub const NEED_WAKEUP: i32 = 1;
 
 /// Maximum payload bytes one slot can carry.
 pub const SLOT_PAYLOAD_BYTES: u32 = RING_SLOT_BYTES - 8;
+
+/// Bit 31 of a slot's length word: the payload is an 8-byte `(u32 a, u32
+/// len)` reference to a spilled entry, not the entry (see the module docs).
+pub const INDIRECT: u32 = 1 << 31;
+/// Byte size of a spill reference.
+const REFERENCE_BYTES: usize = 8;
+/// Byte offsets of the tail and flags words in a queue header (the head
+/// word comes first).
+const TAIL: usize = 4;
+const FLAGS: usize = 8;
+/// Bytes an encoded `SysResult::Data` spends before its data: the tag and
+/// the `u32` length prefix.
+const DATA_HEADER_BYTES: usize = 5;
 
 /// Where the two queues and the buffer table sit inside the shared heap.
 ///
@@ -121,58 +146,36 @@ impl RingGeometry {
         }
     }
 
-    /// Whether this geometry is sane and fits a heap of `heap_len` bytes.
+    /// Whether this geometry is sane and fits a heap of `heap_len` bytes: a
+    /// slot holds at least a spill reference, the buffer table is no larger
+    /// than its one-word allocation bitmap, and every offset into a region
+    /// fits the `u32` arithmetic that computes it.
     pub fn validate(&self, heap_len: usize) -> bool {
-        let queue_bytes = match self
-            .slot_bytes
-            .checked_mul(self.slots)
-            .and_then(|b| b.checked_add(RING_HEADER_BYTES))
-        {
-            Some(b) => b as usize,
-            None => return false,
+        let fits = |offset: u32, header: u32, count: u32, each: u32| {
+            let end = offset as u64 + header as u64 + count as u64 * each as u64;
+            end <= heap_len as u64 && end <= u32::MAX as u64
         };
-        let buf_bytes = match self
-            .buf_bytes
-            .checked_mul(self.buf_count)
-            .and_then(|b| b.checked_add(REG_BUF_TABLE_HEADER_BYTES))
-        {
-            Some(b) => b as usize,
-            None => return false,
-        };
-        let in_bounds = |off: u32, len: usize| (off as usize).checked_add(len).map(|end| end <= heap_len) == Some(true);
         self.slots.is_power_of_two()
-            && self.slots > 0
-            && self.slot_bytes > 8
-            && in_bounds(self.sq_offset, queue_bytes)
-            && in_bounds(self.cq_offset, queue_bytes)
-            && in_bounds(self.buf_offset, buf_bytes)
+            && self.slot_bytes as usize >= 8 + REFERENCE_BYTES
+            && self.buf_count <= 32
+            && fits(self.sq_offset, RING_HEADER_BYTES, self.slots, self.slot_bytes)
+            && fits(self.cq_offset, RING_HEADER_BYTES, self.slots, self.slot_bytes)
+            && fits(
+                self.buf_offset,
+                REG_BUF_TABLE_HEADER_BYTES,
+                self.buf_count,
+                self.buf_bytes,
+            )
     }
 
-    fn sq_head_off(&self) -> usize {
-        self.sq_offset as usize
-    }
-    fn sq_tail_off(&self) -> usize {
-        self.sq_offset as usize + 4
-    }
-    fn sq_flags_off(&self) -> usize {
-        self.sq_offset as usize + 8
-    }
-    fn cq_head_off(&self) -> usize {
-        self.cq_offset as usize
-    }
     /// Byte offset of the CQ tail word — the address the process blocks on
     /// with `Atomics.wait` while expecting completions.
     pub fn cq_tail_off(&self) -> usize {
-        self.cq_offset as usize + 4
+        self.cq_offset as usize + TAIL
     }
-    fn sq_slot_off(&self, index: u32) -> usize {
-        self.sq_offset as usize + RING_HEADER_BYTES as usize + (index % self.slots * self.slot_bytes) as usize
-    }
-    fn cq_slot_off(&self, index: u32) -> usize {
-        self.cq_offset as usize + RING_HEADER_BYTES as usize + (index % self.slots * self.slot_bytes) as usize
-    }
-    fn bitmap_off(&self) -> usize {
-        self.buf_offset as usize
+    /// Byte offset of slot `index % slots` of the queue headed at `queue`.
+    fn slot_off(&self, queue: u32, index: u32) -> usize {
+        (queue + RING_HEADER_BYTES + index % self.slots * self.slot_bytes) as usize
     }
     fn buf_slot_off(&self, index: u32) -> usize {
         self.buf_offset as usize + REG_BUF_TABLE_HEADER_BYTES as usize + (index * self.buf_bytes) as usize
@@ -182,6 +185,37 @@ impl RingGeometry {
     pub fn slot_payload_bytes(&self) -> usize {
         self.slot_bytes as usize - 8
     }
+
+    /// The largest completion the registered buffers can carry: the whole
+    /// table, as one run.
+    pub fn max_spill_bytes(&self) -> usize {
+        self.buf_count as usize * self.buf_bytes as usize
+    }
+
+    /// The most bytes a `read` submitted through this ring can return: what
+    /// is left of the largest completion after the `Data` result's header.
+    pub fn max_read_bytes(&self) -> u32 {
+        (self.max_spill_bytes().max(self.slot_payload_bytes()) - DATA_HEADER_BYTES) as u32
+    }
+
+    /// How many adjacent buffers a spilled completion of `len` bytes covers.
+    fn buf_run(&self, len: usize) -> u32 {
+        len.div_ceil(self.buf_bytes.max(1) as usize) as u32
+    }
+}
+
+/// The allocation-bitmap bits of `n` adjacent buffers starting at `first`
+/// (`1 <= n`, `first + n <= 32`).
+fn run_mask(first: u32, n: u32) -> u32 {
+    (u32::MAX >> (32 - n)) << first
+}
+
+/// The spill reference `(a, len)` as slot payload bytes.
+fn reference(a: u32, len: usize) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(REFERENCE_BYTES);
+    wire::put_u32(&mut bytes, a);
+    wire::put_u32(&mut bytes, len as u32);
+    bytes
 }
 
 /// One side's handle to a ring pair mapped into a shared heap.
@@ -219,80 +253,128 @@ impl Ring {
         let _ = self.sab.store_i32(off, value as i32);
     }
 
+    /// The head index of the queue headed at `queue` and how many entries
+    /// wait behind it.  More entries than slots — indices only scribbling
+    /// produces — read as an empty queue: the process stalls itself.
+    fn queued(&self, queue: u32) -> (u32, u32) {
+        let head = self.load(queue as usize);
+        let queued = self.load(queue as usize + TAIL).wrapping_sub(head);
+        (head, if queued > self.geo.slots { 0 } else { queued })
+    }
+
+    /// Writes one entry into the next free slot of the queue headed at
+    /// `queue`.  Returns the tail index that publishes it, or `None`
+    /// (without side effects) if the queue is full.
+    fn write_slot(&self, queue: u32, user_data: u32, length_word: u32, payload: &[u8]) -> Option<u32> {
+        if self.queued(queue).1 == self.geo.slots {
+            return None;
+        }
+        let tail = self.load(queue as usize + TAIL);
+        let mut entry = Vec::with_capacity(8 + payload.len());
+        wire::put_u32(&mut entry, user_data);
+        wire::put_u32(&mut entry, length_word);
+        entry.extend_from_slice(payload);
+        self.sab.write_bytes(self.geo.slot_off(queue, tail), &entry).ok()?;
+        Some(tail.wrapping_add(1))
+    }
+
+    /// Pops the oldest entry of the queue headed at `queue`, following a
+    /// spill reference with `resolve(a, len)`.  An inline length is clamped
+    /// to the slot; a reference `resolve` rejects pops as an empty payload.
+    fn pop(&self, queue: u32, resolve: impl FnOnce(u32, usize) -> Option<Vec<u8>>) -> Option<(u32, Vec<u8>)> {
+        let (head, queued) = self.queued(queue);
+        if queued == 0 {
+            return None;
+        }
+        let slot = self.geo.slot_off(queue, head);
+        let header = self.sab.read_bytes(slot, 8).ok()?;
+        let mut header = Reader::new(&header);
+        let (user_data, length_word) = (header.u32()?, header.u32()?);
+        let payload = if length_word & INDIRECT == 0 {
+            let len = (length_word as usize).min(self.geo.slot_payload_bytes());
+            self.sab.read_bytes(slot + 8, len).ok()?
+        } else {
+            let reference = self.sab.read_bytes(slot + 8, REFERENCE_BYTES).ok()?;
+            let mut reference = Reader::new(&reference);
+            resolve(reference.u32()?, reference.u32()? as usize).unwrap_or_default()
+        };
+        self.store(queue as usize, head.wrapping_add(1));
+        Some((user_data, payload))
+    }
+
     // --- submission queue -------------------------------------------------
 
     /// Free SQ slots from the producer's point of view.
     pub fn sq_space(&self) -> u32 {
-        let head = self.load(self.geo.sq_head_off());
-        let tail = self.load(self.geo.sq_tail_off());
-        self.geo.slots - tail.wrapping_sub(head)
+        self.geo.slots - self.queued(self.geo.sq_offset).1
     }
 
     /// Whether the SQ currently holds no published entries.
     pub fn sq_is_empty(&self) -> bool {
-        self.load(self.geo.sq_head_off()) == self.load(self.geo.sq_tail_off())
+        self.queued(self.geo.sq_offset).1 == 0
+    }
+
+    fn publish_sqe(&self, user_data: u32, length_word: u32, payload: &[u8]) -> bool {
+        let tail = self.write_slot(self.geo.sq_offset, user_data, length_word, payload);
+        tail.is_some_and(|tail| {
+            self.store(self.geo.sq_offset as usize + TAIL, tail);
+            true
+        })
     }
 
     /// Producer: writes one entry into the next free slot and publishes it.
     ///
     /// Returns `false` (without side effects) if the queue is full or the
-    /// payload exceeds the slot capacity.
+    /// payload exceeds the slot capacity — spill that one with
+    /// [`Ring::push_sqe_spilled`].
     pub fn push_sqe(&self, user_data: u32, payload: &[u8]) -> bool {
-        if self.sq_space() == 0 || payload.len() > self.geo.slot_payload_bytes() {
-            return false;
-        }
-        let tail = self.load(self.geo.sq_tail_off());
-        let slot = self.geo.sq_slot_off(tail);
-        let mut entry = Vec::with_capacity(8 + payload.len());
-        entry.extend_from_slice(&user_data.to_le_bytes());
-        entry.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        entry.extend_from_slice(payload);
-        if self.sab.write_bytes(slot, &entry).is_err() {
-            return false;
-        }
-        self.store(self.geo.sq_tail_off(), tail.wrapping_add(1));
-        true
+        payload.len() <= self.geo.slot_payload_bytes() && self.publish_sqe(user_data, payload.len() as u32, payload)
     }
 
-    /// Consumer: pops the oldest entry, if any.
+    /// Producer: writes an entry of any size at byte `offset` of the heap
+    /// and publishes a slot that refers to it.  The bytes must stay put
+    /// until the kernel has popped the entry (it copies them out then).
+    ///
+    /// Returns `false` if the queue is full or `offset..offset +
+    /// payload.len()` is not inside the heap.
+    pub fn push_sqe_spilled(&self, user_data: u32, offset: u32, payload: &[u8]) -> bool {
+        self.sq_space() > 0
+            && self.sab.write_bytes(offset as usize, payload).is_ok()
+            && self.publish_sqe(user_data, INDIRECT | 8, &reference(offset, payload.len()))
+    }
+
+    /// Consumer: pops the oldest entry, if any, copying a spilled one out of
+    /// the heap.  A spill reference that is empty or not inside the heap
+    /// pops as an empty payload.
     pub fn pop_sqe(&self) -> Option<(u32, Vec<u8>)> {
-        let head = self.load(self.geo.sq_head_off());
-        if head == self.load(self.geo.sq_tail_off()) {
-            return None;
-        }
-        let slot = self.geo.sq_slot_off(head);
-        let header = self.sab.read_bytes(slot, 8).ok()?;
-        let user_data = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-        let len = u32::from_le_bytes([header[4], header[5], header[6], header[7]]) as usize;
-        let payload = self
-            .sab
-            .read_bytes(slot + 8, len.min(self.geo.slot_payload_bytes()))
-            .ok()?;
-        self.store(self.geo.sq_head_off(), head.wrapping_add(1));
-        Some((user_data, payload))
+        self.pop(self.geo.sq_offset, |offset, len| {
+            self.sab.read_bytes(offset as usize, len).ok()
+        })
     }
 
     /// Current SQ flags word.
     pub fn sq_flags(&self) -> i32 {
-        self.sab.load_i32(self.geo.sq_flags_off()).unwrap_or(0)
+        self.sab.load_i32(self.geo.sq_offset as usize + FLAGS).unwrap_or(0)
     }
 
     /// Kernel: parks the queue — sets `NEED_WAKEUP` so the next submission
     /// rings the doorbell.
     pub fn set_need_wakeup(&self) {
-        let _ = self.sab.fetch_or_i32(self.geo.sq_flags_off(), NEED_WAKEUP);
+        let _ = self.sab.fetch_or_i32(self.geo.sq_offset as usize + FLAGS, NEED_WAKEUP);
     }
 
     /// Kernel: clears `NEED_WAKEUP` before re-draining.
     pub fn clear_need_wakeup(&self) {
-        let _ = self.sab.fetch_and_i32(self.geo.sq_flags_off(), !NEED_WAKEUP);
+        let _ = self
+            .sab
+            .fetch_and_i32(self.geo.sq_offset as usize + FLAGS, !NEED_WAKEUP);
     }
 
     /// Process: atomically consumes the `NEED_WAKEUP` flag.  Returns whether
     /// it was set, i.e. whether the doorbell must ring for this submission.
     pub fn take_doorbell(&self) -> bool {
         matches!(
-            self.sab.fetch_and_i32(self.geo.sq_flags_off(), !NEED_WAKEUP),
+            self.sab.fetch_and_i32(self.geo.sq_offset as usize + FLAGS, !NEED_WAKEUP),
             Ok(old) if old & NEED_WAKEUP != 0
         )
     }
@@ -301,9 +383,7 @@ impl Ring {
 
     /// Free CQ slots from the producer's (kernel's) point of view.
     pub fn cq_space(&self) -> u32 {
-        let head = self.load(self.geo.cq_head_off());
-        let tail = self.load(self.geo.cq_tail_off());
-        self.geo.slots - tail.wrapping_sub(head)
+        self.geo.slots - self.queued(self.geo.cq_offset).1
     }
 
     /// The CQ tail index, which the process also uses as the `Atomics.wait`
@@ -312,68 +392,88 @@ impl Ring {
         self.load(self.geo.cq_tail_off())
     }
 
-    /// Kernel: writes one completion into the next free slot, publishes it
-    /// and notifies the process blocked on the CQ tail word.
+    /// Kernel: writes one completion into the next free slot — or, when it
+    /// does not fit one, into adjacent registered buffers with the slot
+    /// referring to them — publishes it and notifies the process blocked on
+    /// the CQ tail word.
     ///
     /// Returns `false` (without side effects) if the queue is full or the
-    /// payload exceeds the slot capacity; the caller is expected to hold the
-    /// completion in an overflow queue and retry later.
+    /// buffers a spill needs are not free; the caller is expected to hold
+    /// the completion in an overflow queue and retry later.  A payload
+    /// larger than [`RingGeometry::max_spill_bytes`] can never be pushed.
     pub fn push_cqe(&self, user_data: u32, payload: &[u8]) -> bool {
-        if self.cq_space() == 0 || payload.len() > self.geo.slot_payload_bytes() {
-            return false;
-        }
-        let tail = self.load(self.geo.cq_tail_off());
-        let slot = self.geo.cq_slot_off(tail);
-        let mut entry = Vec::with_capacity(8 + payload.len());
-        entry.extend_from_slice(&user_data.to_le_bytes());
-        entry.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        entry.extend_from_slice(payload);
-        if self.sab.write_bytes(slot, &entry).is_err() {
-            return false;
-        }
-        let _ = self
-            .sab
-            .store_and_notify(self.geo.cq_tail_off(), tail.wrapping_add(1) as i32);
-        true
+        let cq = self.geo.cq_offset;
+        let tail = if payload.len() <= self.geo.slot_payload_bytes() {
+            self.write_slot(cq, user_data, payload.len() as u32, payload)
+        } else {
+            let run = self.geo.buf_run(payload.len());
+            let Some(first) = self.alloc_bufs(run) else {
+                return false;
+            };
+            let reference = reference(first, payload.len());
+            let spilled = self.sab.write_bytes(self.geo.buf_slot_off(first), payload).ok();
+            let tail = spilled.and_then(|()| self.write_slot(cq, user_data, INDIRECT | 8, &reference));
+            if tail.is_none() {
+                self.free_bufs(first, run);
+            }
+            tail
+        };
+        tail.is_some_and(|tail| {
+            let _ = self.sab.store_and_notify(self.geo.cq_tail_off(), tail as i32);
+            true
+        })
     }
 
-    /// Process: pops the oldest completion, if any.
+    /// Process: pops the oldest completion, if any, copying a spilled one
+    /// out of its registered buffers and freeing them.  A spill reference
+    /// that is empty or names buffers outside the table pops as an empty
+    /// payload and frees nothing.
     pub fn pop_cqe(&self) -> Option<(u32, Vec<u8>)> {
-        let head = self.load(self.geo.cq_head_off());
-        if head == self.load(self.geo.cq_tail_off()) {
-            return None;
-        }
-        let slot = self.geo.cq_slot_off(head);
-        let header = self.sab.read_bytes(slot, 8).ok()?;
-        let user_data = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-        let len = u32::from_le_bytes([header[4], header[5], header[6], header[7]]) as usize;
-        let payload = self
-            .sab
-            .read_bytes(slot + 8, len.min(self.geo.slot_payload_bytes()))
-            .ok()?;
-        self.store(self.geo.cq_head_off(), head.wrapping_add(1));
-        Some((user_data, payload))
+        self.pop(self.geo.cq_offset, |first, len| {
+            let run = self.geo.buf_run(len);
+            if run == 0 || first >= self.geo.buf_count || run > self.geo.buf_count - first {
+                return None;
+            }
+            let bytes = self.sab.read_bytes(self.geo.buf_slot_off(first), len).ok();
+            self.free_bufs(first, run);
+            bytes
+        })
     }
 
     // --- registered buffers -----------------------------------------------
 
+    /// Claims `n` adjacent free buffers, marking them in the shared
+    /// allocation bitmap.  Returns the first index, or `None` if no such run
+    /// is free.
+    fn alloc_bufs(&self, n: u32) -> Option<u32> {
+        if n == 0 || n > self.geo.buf_count {
+            return None;
+        }
+        let bitmap = self.sab.load_i32(self.geo.buf_offset as usize).ok()? as u32;
+        let first = (0..=self.geo.buf_count - n).find(|&first| bitmap & run_mask(first, n) == 0)?;
+        let _ = self
+            .sab
+            .fetch_or_i32(self.geo.buf_offset as usize, run_mask(first, n) as i32);
+        Some(first)
+    }
+
+    /// Releases `n` adjacent buffers starting at `first` (in range).
+    fn free_bufs(&self, first: u32, n: u32) {
+        let _ = self
+            .sab
+            .fetch_and_i32(self.geo.buf_offset as usize, !run_mask(first, n) as i32);
+    }
+
     /// Kernel: claims a free registered buffer, marking it in the shared
     /// allocation bitmap.  Returns its index, or `None` if all are in use.
     pub fn alloc_buf(&self) -> Option<u32> {
-        let bitmap = self.sab.load_i32(self.geo.bitmap_off()).ok()? as u32;
-        for index in 0..self.geo.buf_count {
-            if bitmap & (1 << index) == 0 {
-                let _ = self.sab.fetch_or_i32(self.geo.bitmap_off(), 1 << index);
-                return Some(index);
-            }
-        }
-        None
+        self.alloc_bufs(1)
     }
 
     /// Process: releases a registered buffer after copying its bytes out.
     pub fn free_buf(&self, index: u32) {
         if index < self.geo.buf_count {
-            let _ = self.sab.fetch_and_i32(self.geo.bitmap_off(), !(1 << index));
+            self.free_bufs(index, 1);
         }
     }
 
@@ -418,6 +518,14 @@ mod tests {
         // Non-power-of-two slot counts are rejected.
         let mut bad = geo;
         bad.slots = 48;
+        assert!(!bad.validate(1024 * 1024));
+        // So are slots too small for a spill reference, and more buffers
+        // than the one-word allocation bitmap can track.
+        let mut bad = geo;
+        bad.slot_bytes = 12;
+        assert!(!bad.validate(1024 * 1024));
+        let mut bad = geo;
+        (bad.buf_count, bad.buf_bytes) = (33, 16);
         assert!(!bad.validate(1024 * 1024));
     }
 
@@ -470,6 +578,114 @@ mod tests {
         assert_eq!(ring.cq_tail(), before.wrapping_add(1));
         assert_eq!(ring.pop_cqe(), Some((3, b"done".to_vec())));
         assert_eq!(ring.pop_cqe(), None);
+    }
+
+    /// A heap with room below the ring region for spilled submissions.
+    fn ring_above(spill_bytes: u32) -> Ring {
+        let sab = SharedArrayBuffer::new((spill_bytes + RING_REGION_BYTES) as usize);
+        Ring::new(sab, RingGeometry::standard(spill_bytes))
+    }
+
+    /// Overwrites the slot `index` of the queue at `queue_offset` with a
+    /// raw header and payload, as a hostile peer could.
+    fn scribble(ring: &Ring, queue_offset: u32, index: u32, length_word: u32, payload: &[u8]) {
+        let slot = (queue_offset + RING_HEADER_BYTES + index * RING_SLOT_BYTES) as usize;
+        ring.sab().write_bytes(slot + 4, &length_word.to_le_bytes()).unwrap();
+        ring.sab().write_bytes(slot + 8, payload).unwrap();
+    }
+
+    #[test]
+    fn oversized_entries_spill_and_pop_like_inline_ones() {
+        let ring = ring_above(4096);
+        let call = vec![7u8; 1000];
+        assert!(!ring.push_sqe(1, &call), "too large for a slot");
+        assert!(ring.push_sqe_spilled(1, 64, &call));
+        assert!(ring.push_sqe(2, b"inline"));
+        assert_eq!(ring.pop_sqe(), Some((1, call)));
+        assert_eq!(ring.pop_sqe(), Some((2, b"inline".to_vec())));
+        // A spill that would leave the heap is refused up front.
+        let heap_len = ring.sab().len() as u32;
+        assert!(!ring.push_sqe_spilled(3, heap_len - 8, &[0u8; 16]));
+        assert!(ring.sq_is_empty());
+
+        // A completion of two and a bit buffers takes three adjacent ones,
+        // and popping it hands all three back.
+        let result: Vec<u8> = (0..2 * REG_BUF_BYTES + 5).map(|i| i as u8).collect();
+        assert_eq!(ring.alloc_buf(), Some(0));
+        assert!(ring.push_cqe(9, &result));
+        assert_eq!(ring.alloc_buf(), Some(4), "buffers 1..=3 carry the spill");
+        assert_eq!(ring.pop_cqe(), Some((9, result)));
+        assert_eq!(ring.alloc_buf(), Some(1));
+        // No run of free buffers, no push; nothing is left half-claimed.
+        assert!(!ring.push_cqe(10, &vec![0u8; 6 * REG_BUF_BYTES as usize]));
+        for index in [0, 1, 4] {
+            ring.free_buf(index);
+        }
+        let whole_table = vec![1u8; ring.geometry().max_spill_bytes()];
+        assert!(ring.push_cqe(10, &whole_table));
+        assert_eq!(ring.pop_cqe(), Some((10, whole_table)));
+        assert!(!ring.push_cqe(11, &vec![0u8; ring.geometry().max_spill_bytes() + 1]));
+    }
+
+    #[test]
+    fn bad_spill_references_pop_as_empty_payloads() {
+        let ring = ring_above(4096);
+        let heap_len = ring.sab().len() as u32;
+        let sq_cases = [
+            reference(heap_len, 1),
+            reference(0, heap_len as usize + 1),
+            reference(u32::MAX - 2, 8),
+            reference(16, 0),
+            vec![0xff; 8],
+        ];
+        for (i, case) in sq_cases.iter().enumerate() {
+            assert!(ring.push_sqe(i as u32, b"placeholder"));
+            scribble(&ring, 4096, i as u32, INDIRECT | 8, case);
+            assert_eq!(ring.pop_sqe(), Some((i as u32, Vec::new())), "case {i}");
+        }
+        // An inline length word larger than the slot is clamped to it.
+        assert!(ring.push_sqe(7, b"x"));
+        scribble(&ring, 4096, sq_cases.len() as u32, !INDIRECT, b"x");
+        assert_eq!(ring.pop_sqe().unwrap().1.len(), SLOT_PAYLOAD_BYTES as usize);
+
+        let cq_cases = [
+            reference(REG_BUF_COUNT, 1),
+            reference(REG_BUF_COUNT - 1, REG_BUF_BYTES as usize + 1),
+            reference(0, (REG_BUF_COUNT * REG_BUF_BYTES) as usize + 1),
+            reference(u32::MAX, u32::MAX as usize),
+            reference(2, 0),
+        ];
+        let claimed = ring.alloc_buf().unwrap();
+        for (i, case) in cq_cases.iter().enumerate() {
+            assert!(ring.push_cqe(i as u32, b"placeholder"));
+            scribble(&ring, 4096 + RING_BYTES, i as u32, INDIRECT | 8, case);
+            assert_eq!(ring.pop_cqe(), Some((i as u32, Vec::new())), "case {i}");
+        }
+        assert_eq!(ring.alloc_buf(), Some(claimed + 1), "a bad reference frees nothing");
+    }
+
+    #[test]
+    fn impossible_indices_read_as_an_empty_queue() {
+        let ring = ring();
+        assert!(ring.push_sqe(1, b"x"));
+        // The tail runs away from the head by more than the queue holds.
+        ring.sab().store_i32(4, 1_000).unwrap();
+        assert!(ring.sq_is_empty());
+        assert_eq!(ring.pop_sqe(), None);
+        assert_eq!(ring.sq_space(), RING_SLOTS);
+        // Same on the completion side, where the head is the guest's word.
+        ring.sab().store_i32(RING_BYTES as usize, 1_000).unwrap();
+        assert_eq!(ring.cq_space(), RING_SLOTS);
+        assert_eq!(ring.pop_cqe(), None);
+    }
+
+    #[test]
+    fn read_cap_leaves_room_for_the_data_header() {
+        let geo = RingGeometry::standard(0);
+        let largest = crate::SysResult::Data(vec![0u8; geo.max_read_bytes() as usize]);
+        let mut frame = Vec::new();
+        largest.encode_into(&mut frame);
+        assert_eq!(frame.len(), geo.max_spill_bytes());
     }
 
     #[test]

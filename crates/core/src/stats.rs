@@ -4,9 +4,15 @@
 //! calls were issued over each convention and in each Figure 3 class, how
 //! large the submission batches were, how many bytes were copied between
 //! heaps, how many processes ran.  [`KernelStats`] is the snapshot handed to
-//! the host through the statistics host request.
+//! the host through the statistics host request.  The per-call counters are
+//! kept apart, in a `SyscallTally` of fixed arrays the dispatch path can
+//! bump without allocating; their names and classes are resolved through
+//! [`abi::SYSCALLS`] only when a snapshot is taken.
 
 use std::collections::BTreeMap;
+
+use crate::abi;
+use crate::syscall::Syscall;
 
 /// A snapshot of kernel activity since boot.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -17,11 +23,13 @@ pub struct KernelStats {
     pub syscalls_by_class: BTreeMap<String, u64>,
     /// Total system calls.
     pub total_syscalls: u64,
-    /// Calls made over the asynchronous (message-passing) convention.
+    /// Calls that arrived in a message frame (the asynchronous convention).
     pub async_syscalls: u64,
-    /// Calls made over the synchronous (shared-memory) convention.
+    /// Calls that arrived through a syscall ring (the synchronous,
+    /// shared-memory convention).
     pub sync_syscalls: u64,
-    /// Submission batches received (each carries one or more calls).
+    /// Submission batches received as messages (each carries one or more
+    /// calls).
     pub batches: u64,
     /// Histogram of submission-batch sizes: entries-per-batch → batch count.
     pub batch_size_histogram: BTreeMap<u32, u64>,
@@ -101,28 +109,64 @@ pub struct KernelStats {
     pub cross_shard_wakeups: u64,
 }
 
-impl KernelStats {
-    /// Records a submission batch arriving at the kernel.  `wire_bytes` is the
-    /// size of the encoded frame, charged as copy cost only for the
-    /// asynchronous convention (the synchronous frame lives in shared memory).
-    pub fn record_batch(&mut self, entries: usize, synchronous: bool, wire_bytes: usize) {
-        self.batches += 1;
-        *self.batch_size_histogram.entry(entries as u32).or_insert(0) += 1;
-        if !synchronous {
-            self.bytes_copied += wire_bytes as u64;
+/// One counter per opcode, with slot 0 (never a valid opcode) unused.
+const OPCODE_SLOTS: usize = abi::MANIFEST.max_opcode as usize + 1;
+
+/// The per-call counters of one kernel shard: what the dispatch path bumps
+/// for every system call, folded into a [`KernelStats`] snapshot on demand.
+#[derive(Debug, Clone)]
+pub(crate) struct SyscallTally {
+    /// Calls per opcode, split by whether the call reported its primary or
+    /// its alternate name (`stat` and `lstat` share an opcode).
+    by_opcode: [[u64; 2]; OPCODE_SLOTS],
+    /// Calls that arrived in a message frame, and through a ring.
+    by_transport: [u64; 2],
+}
+
+impl Default for SyscallTally {
+    fn default() -> SyscallTally {
+        SyscallTally {
+            by_opcode: [[0; 2]; OPCODE_SLOTS],
+            by_transport: [0; 2],
         }
     }
+}
 
-    /// Records one system call dispatched from a batch.
-    pub fn record_syscall(&mut self, name: &str, class: &str, synchronous: bool) {
-        *self.syscalls_by_name.entry(name.to_owned()).or_insert(0) += 1;
-        *self.syscalls_by_class.entry(class.to_owned()).or_insert(0) += 1;
-        self.total_syscalls += 1;
-        if synchronous {
-            self.sync_syscalls += 1;
-        } else {
-            self.async_syscalls += 1;
+impl SyscallTally {
+    /// Records one dispatched system call and the transport it arrived by.
+    pub(crate) fn record_syscall(&mut self, call: &Syscall, via_ring: bool) {
+        let opcode = call.opcode() as usize;
+        let alternate = call.name() != abi::SYSCALLS[opcode - 1].name;
+        self.by_opcode[opcode][alternate as usize] += 1;
+        self.by_transport[via_ring as usize] += 1;
+    }
+
+    /// Adds the tally to a snapshot, resolving opcodes to names and classes.
+    pub(crate) fn fold_into(&self, stats: &mut KernelStats) {
+        for desc in abi::SYSCALLS {
+            let [primary, alternate] = self.by_opcode[desc.opcode as usize];
+            for (name, count) in [(desc.name, primary), (desc.alt_name.unwrap_or(desc.name), alternate)] {
+                if count > 0 {
+                    *stats.syscalls_by_name.entry(name.to_owned()).or_insert(0) += count;
+                    *stats.syscalls_by_class.entry(desc.class.to_owned()).or_insert(0) += count;
+                }
+            }
         }
+        let [via_frame, via_ring] = self.by_transport;
+        stats.total_syscalls += via_frame + via_ring;
+        stats.async_syscalls += via_frame;
+        stats.sync_syscalls += via_ring;
+    }
+}
+
+impl KernelStats {
+    /// Records a submission batch arriving at the kernel as a message.
+    /// `wire_bytes` is the size of the encoded frame, charged as
+    /// structured-clone copy cost.
+    pub fn record_batch(&mut self, entries: usize, wire_bytes: usize) {
+        self.batches += 1;
+        *self.batch_size_histogram.entry(entries as u32).or_insert(0) += 1;
+        self.bytes_copied += wire_bytes as u64;
     }
 
     /// Records a message posted from the kernel to a worker, with the number
@@ -235,35 +279,66 @@ impl KernelStats {
 mod tests {
     use super::*;
 
+    fn open() -> Syscall {
+        Syscall::Open {
+            path: "/etc/passwd".into(),
+            flags: browsix_fs::OpenFlags::read_only(),
+            mode: 0,
+        }
+    }
+
+    fn read() -> Syscall {
+        Syscall::Read { fd: 3, len: 16 }
+    }
+
+    /// A snapshot of `stats` with `tally` folded in, as `ReadStats` takes it.
+    fn snapshot(stats: &KernelStats, tally: &SyscallTally) -> KernelStats {
+        let mut snapshot = stats.clone();
+        tally.fold_into(&mut snapshot);
+        snapshot
+    }
+
     #[test]
     fn records_split_by_convention_and_class() {
         let mut stats = KernelStats::default();
-        stats.record_batch(2, false, 120);
-        stats.record_syscall("open", "File IO", false);
-        stats.record_syscall("read", "File IO", false);
-        stats.record_batch(1, true, 64);
-        stats.record_syscall("read", "File IO", true);
-        assert_eq!(stats.total_syscalls, 3);
+        let mut tally = SyscallTally::default();
+        stats.record_batch(2, 120);
+        tally.record_syscall(&open(), false);
+        tally.record_syscall(&read(), false);
+        tally.record_syscall(&read(), true);
+        for lstat in [false, true, true] {
+            let path = "/etc".into();
+            tally.record_syscall(&Syscall::Stat { path, lstat }, true);
+        }
+        let stats = snapshot(&stats, &tally);
+        assert_eq!(stats.total_syscalls, 6);
         assert_eq!(stats.async_syscalls, 2);
-        assert_eq!(stats.sync_syscalls, 1);
-        assert_eq!(stats.bytes_copied, 120, "sync frames are not structured-clone copied");
+        assert_eq!(stats.sync_syscalls, 4);
+        assert_eq!(
+            stats.bytes_copied, 120,
+            "only message frames are structured-clone copied"
+        );
         assert_eq!(stats.count("read"), 2);
         assert_eq!(stats.count("open"), 1);
         assert_eq!(stats.count("write"), 0);
+        assert_eq!((stats.count("stat"), stats.count("lstat")), (1, 2));
         assert_eq!(stats.class_count("File IO"), 3);
+        assert_eq!(stats.class_count("File Metadata"), 3);
         assert_eq!(stats.class_count("Sockets"), 0);
-        assert_eq!(stats.observed_syscalls(), vec!["open".to_string(), "read".to_string()]);
+        assert_eq!(stats.observed_syscalls(), ["lstat", "open", "read", "stat"]);
     }
 
     #[test]
     fn batch_histogram_tracks_sizes() {
         let mut stats = KernelStats::default();
-        stats.record_batch(1, false, 10);
-        stats.record_batch(1, false, 10);
-        stats.record_batch(8, false, 200);
+        let mut tally = SyscallTally::default();
+        stats.record_batch(1, 10);
+        stats.record_batch(1, 10);
+        stats.record_batch(8, 200);
         for _ in 0..10 {
-            stats.record_syscall("write", "File IO", false);
+            tally.record_syscall(&read(), false);
         }
+        let stats = snapshot(&stats, &tally);
         assert_eq!(stats.batches, 3);
         assert_eq!(stats.batch_size_histogram.get(&1), Some(&2));
         assert_eq!(stats.batch_size_histogram.get(&8), Some(&1));
@@ -301,13 +376,17 @@ mod tests {
     #[test]
     fn merge_sums_counters_and_maps() {
         let mut a = KernelStats::default();
-        a.record_batch(2, false, 100);
-        a.record_syscall("read", "File IO", false);
-        a.record_syscall("open", "File IO", false);
+        let mut tally = SyscallTally::default();
+        a.record_batch(2, 100);
+        tally.record_syscall(&read(), false);
+        tally.record_syscall(&open(), false);
+        let mut a = snapshot(&a, &tally);
         a.shard_msgs_sent = 3;
         let mut b = KernelStats::default();
-        b.record_batch(1, true, 50);
-        b.record_syscall("read", "File IO", true);
+        let mut tally = SyscallTally::default();
+        b.record_batch(1, 50);
+        tally.record_syscall(&read(), true);
+        let mut b = snapshot(&b, &tally);
         b.steals = 2;
         b.cross_shard_wakeups = 1;
         a.merge(&b);

@@ -1,20 +1,25 @@
 //! The system-call ABI: call and result types, submission/completion batches,
-//! and the single wire codec shared by both transport conventions.
+//! and the single wire codec shared by both transports.
 //!
-//! A process never sends one system call at a time; it submits a
-//! [`SyscallBatch`] and receives a [`CompletionBatch`] holding one
-//! [`Completion`] per entry.  Both frames are encoded with the compact,
-//! self-describing wire codec in this module (built on [`crate::wire`]) —
-//! the **only** encoder/decoder in the system:
+//! The compact, self-describing wire codec in this module (built on
+//! [`crate::wire`]) is the **only** encoder/decoder in the system.  What
+//! differs between the two transports of §3.2 is how its `entry` and
+//! `result` encodings are packaged:
 //!
-//! * **asynchronous convention** — the encoded submission travels to the
+//! * **messages** (asynchronous convention, every browser) — a process
+//!   submits a [`SyscallBatch`] and receives a [`CompletionBatch`] holding
+//!   one [`Completion`] per entry.  The encoded submission travels to the
 //!   kernel as a byte buffer inside a structured-clone message (paying the
 //!   clone cost once per batch instead of once per call), and the encoded
-//!   completion batch comes back the same way.
-//! * **synchronous convention** — the submission crosses in a tiny integer
-//!   message while bulk data sits in the process's `SharedArrayBuffer`; the
-//!   kernel writes the *same* encoded completion-batch frame into the shared
-//!   heap and wakes the process with `Atomics.notify`.
+//!   completion batch comes back the same way, once every entry has
+//!   completed (entries that cannot finish immediately peel off into the
+//!   kernel's wait queues individually).
+//! * **the ring** (synchronous convention, processes with a
+//!   `SharedArrayBuffer` heap) — each call is one bare `entry` in a
+//!   submission-queue slot and each result one bare `result` in a
+//!   completion-queue slot of [`crate::ring`], with bulk write data staged in
+//!   the heap ([`ByteSource::SharedHeap`]); nothing is framed and nothing is
+//!   cloned.
 //!
 //! Wire format, all integers little-endian, strings and buffers
 //! `u32`-length-prefixed:
@@ -25,11 +30,6 @@
 //! completion  := 0x43 'C' | version u8 | count u32 | (index u32 | result)*
 //! result      := tag u8 | payload
 //! ```
-//!
-//! Entries that cannot finish immediately peel off into the kernel's pending
-//! list individually; the kernel delivers the completion batch once — a
-//! single reply message or a single shared-heap write + notify — when every
-//! entry has completed.
 //!
 //! The [`Syscall`] and [`SysResult`] enums and their codec are generated
 //! from `abi/syscalls.abi` by `browsix-abigen` (see `docs/ABI.md`); the
@@ -106,10 +106,9 @@ pub struct PollRequest {
 
 /// A source of bytes for data-carrying system calls (`write`, `pwrite`).
 ///
-/// The asynchronous convention inlines the bytes into the submission frame
-/// (and pays the structured-clone cost); the synchronous convention passes an
-/// offset into the process's shared heap and the kernel reads the bytes
-/// directly.
+/// The message transport inlines the bytes into the submission frame (and
+/// pays the structured-clone cost); a ring submission passes an offset into
+/// the process's shared heap and the kernel reads the bytes directly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ByteSource {
     /// Bytes carried inside the submission frame.
@@ -253,8 +252,7 @@ pub struct Completion {
 }
 
 /// Every completion for one submission batch, delivered to the process in a
-/// single reply message (asynchronous convention) or a single shared-heap
-/// write + notify (synchronous convention).
+/// single reply message.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CompletionBatch {
     /// The completions, in arbitrary order; receivers place each one by its
@@ -341,52 +339,6 @@ impl From<Result<SysResult, Errno>> for SysResult {
         match value {
             Ok(result) => result,
             Err(errno) => SysResult::Err(errno),
-        }
-    }
-}
-
-/// How a submission batch travelled from the process to the kernel.
-///
-/// Both variants carry the same wire frame (an encoded [`SyscallBatch`]);
-/// they differ only in how the frame crossed the worker boundary and how the
-/// completion batch must be delivered back, which is what lets the kernel
-/// run one code path for both conventions.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Transport {
-    /// Asynchronous convention: the frame was structured-clone copied inside
-    /// a message, and the reply must be a message carrying `seq`.
-    Async {
-        /// Per-process sequence number used to match responses.
-        seq: u64,
-        /// The encoded submission batch.
-        payload: Vec<u8>,
-    },
-    /// Synchronous convention: the frame sits in the process's shared heap
-    /// (carried here by value in the simulation); the reply is written into
-    /// the shared heap and the process woken with `Atomics.notify`.
-    Sync {
-        /// The encoded submission batch.
-        payload: Vec<u8>,
-    },
-}
-
-impl Transport {
-    /// Whether this is the synchronous (shared-memory) convention.
-    pub fn is_sync(&self) -> bool {
-        matches!(self, Transport::Sync { .. })
-    }
-
-    /// The size of the encoded submission frame in bytes.
-    pub fn payload_len(&self) -> usize {
-        match self {
-            Transport::Async { payload, .. } | Transport::Sync { payload } => payload.len(),
-        }
-    }
-
-    /// Decodes the submission batch carried by either convention.
-    pub fn decode_batch(&self) -> Option<SyscallBatch> {
-        match self {
-            Transport::Async { payload, .. } | Transport::Sync { payload } => SyscallBatch::decode(payload),
         }
     }
 }
@@ -809,20 +761,16 @@ mod tests {
 
     #[test]
     fn transports_share_the_codec() {
+        // A message frame is a header plus exactly the bytes each call would
+        // occupy in a ring slot, in order.
         let batch = SyscallBatch {
             entries: vec![Syscall::GetPid, Syscall::Pipe2],
         };
-        let payload = batch.encode();
-        let on_message = Transport::Async {
-            seq: 9,
-            payload: payload.clone(),
-        };
-        let on_shared_heap = Transport::Sync { payload };
-        assert!(!on_message.is_sync());
-        assert!(on_shared_heap.is_sync());
-        assert_eq!(on_message.payload_len(), on_shared_heap.payload_len());
-        assert_eq!(on_message.decode_batch().unwrap(), batch);
-        assert_eq!(on_shared_heap.decode_batch().unwrap(), batch);
+        let mut slots = Vec::new();
+        for call in &batch.entries {
+            call.encode_into(&mut slots);
+        }
+        assert_eq!(batch.encode()[6..], slots[..]);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! object, current working directory, and map of open file descriptors."
 //! [`Task`] is that structure, extended with the bookkeeping the kernel needs
 //! for signals, `wait4` (the zombie state), synchronous system calls (the
-//! registered shared heap) and `fork` (the launcher used to start it).
+//! registered shared heap and the ring mapped into it) and `fork` (the
+//! launcher used to start it).
 
 use std::sync::Arc;
 
@@ -15,7 +16,7 @@ use crate::exec::ProgramLauncher;
 use crate::fd::FdTable;
 use crate::ring::Ring;
 use crate::signals::{Signal, SignalState};
-use crate::syscall::{Completion, SysResult, Transport};
+use crate::syscall::{Completion, SysResult};
 use crate::vm::AddressSpace;
 
 /// A process identifier.
@@ -40,31 +41,15 @@ pub enum TaskState {
     },
 }
 
-/// The shared heap a process registered for synchronous system calls: the
-/// `SharedArrayBuffer` plus the offsets agreed with the kernel for the
-/// response area and the wake address.
-#[derive(Debug, Clone)]
-pub struct SyncHeap {
-    /// The shared memory.
-    pub sab: SharedArrayBuffer,
-    /// Where the kernel writes encoded system-call results.
-    pub resp_offset: usize,
-    /// The `Atomics.wait`/`Atomics.notify` address.
-    pub wake_offset: usize,
-}
-
 /// Bookkeeping for the submission batch the task currently has in flight.
 ///
 /// A process issues at most one batch at a time (its runtime blocks until the
 /// batch completes), so the kernel tracks completions here and delivers them
-/// all at once — a single reply message or a single shared-heap write —
-/// when the last entry finishes.
+/// all at once, in a single reply message, when the last entry finishes.
 #[derive(Debug)]
 pub struct InflightBatch {
-    /// Sequence number the reply must carry (asynchronous convention only).
+    /// Sequence number the reply must carry.
     pub seq: u64,
-    /// Whether the batch arrived over the synchronous convention.
-    pub sync: bool,
     /// Number of entries the batch was submitted with.
     pub total: u32,
     /// Completions collected so far, in completion (not submission) order.
@@ -105,11 +90,11 @@ pub struct Task {
     /// Whether the current stop has been reported to a `WUNTRACED` waiter
     /// (each stop is reported at most once, like Linux).
     pub stop_reported: bool,
-    /// System-call batches that arrived while the task was stopped; replayed
-    /// in arrival order on SIGCONT.
-    pub stashed_transports: Vec<Transport>,
-    /// Registered shared heap for synchronous system calls.
-    pub sync_heap: Option<SyncHeap>,
+    /// System-call frames `(seq, payload)` that arrived while the task was
+    /// stopped; replayed in arrival order on SIGCONT.
+    pub stashed_frames: Vec<(u64, Vec<u8>)>,
+    /// The shared heap the process registered, if it has one.
+    pub sync_heap: Option<SharedArrayBuffer>,
     /// Persistent submission/completion ring mapped into the shared heap
     /// (set up once by `RingSetup` after heap registration).
     pub ring: Option<Ring>,
@@ -163,7 +148,7 @@ impl Task {
             worker: None,
             signals: SignalState::new(),
             stop_reported: false,
-            stashed_transports: Vec::new(),
+            stashed_frames: Vec::new(),
             sync_heap: None,
             ring: None,
             pending_cqes: std::collections::VecDeque::new(),

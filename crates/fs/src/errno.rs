@@ -27,6 +27,8 @@ pub enum Errno {
     EIO,
     /// No such device or address.
     ENXIO,
+    /// Argument list too long.
+    E2BIG,
     /// Bad file descriptor.
     EBADF,
     /// No child processes.
@@ -103,6 +105,7 @@ impl Errno {
             Errno::EINTR => 4,
             Errno::EIO => 5,
             Errno::ENXIO => 6,
+            Errno::E2BIG => 7,
             Errno::EBADF => 9,
             Errno::ECHILD => 10,
             Errno::EAGAIN => 11,
@@ -157,6 +160,7 @@ impl Errno {
             Errno::EINTR => "EINTR",
             Errno::EIO => "EIO",
             Errno::ENXIO => "ENXIO",
+            Errno::E2BIG => "E2BIG",
             Errno::EBADF => "EBADF",
             Errno::ECHILD => "ECHILD",
             Errno::EAGAIN => "EAGAIN",
@@ -201,6 +205,7 @@ impl Errno {
             Errno::EINTR => "interrupted system call",
             Errno::EIO => "input/output error",
             Errno::ENXIO => "no such device or address",
+            Errno::E2BIG => "argument list too long",
             Errno::EBADF => "bad file descriptor",
             Errno::ECHILD => "no child processes",
             Errno::EAGAIN => "resource temporarily unavailable",
@@ -246,6 +251,7 @@ pub const ALL_ERRNOS: &[Errno] = &[
     Errno::EINTR,
     Errno::EIO,
     Errno::ENXIO,
+    Errno::E2BIG,
     Errno::EBADF,
     Errno::ECHILD,
     Errno::EAGAIN,

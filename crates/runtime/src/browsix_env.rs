@@ -52,7 +52,7 @@ impl std::fmt::Debug for BrowsixEnv {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BrowsixEnv")
             .field("pid", &self.client.pid())
-            .field("mode", &self.client.mode())
+            .field("ring", &self.client.ring_enabled())
             .field("profile", &self.profile.name)
             .finish()
     }

@@ -5,37 +5,46 @@
 //! the shared kernel.  Calls are issued as [`SyscallBatch`] submissions —
 //! [`SyscallClient::submit`] sends a whole batch in one round trip and
 //! returns one result per entry; [`SyscallClient::call`] is the one-entry
-//! convenience.  Both transport conventions from §3.2 carry the same encoded
-//! frames:
+//! convenience.  The two transports of §3.2 carry the same encoded calls:
 //!
-//! * **asynchronous** — the encoded batch is posted to the kernel inside a
-//!   structured-clone message; the worker then waits for the single response
-//!   message carrying the encoded completion batch.  The clone cost is paid
-//!   once per batch instead of once per call.
-//! * **synchronous** — at startup the client allocates a `SharedArrayBuffer`
-//!   heap and registers it (plus a response offset and a wake address) with
-//!   the kernel.  Submissions carry only integers; bulk data is staged in the
-//!   shared heap, and the worker blocks in `Atomics.wait` until the kernel
-//!   writes the encoded completion batch into the heap and notifies it.
+//! * **messages** (asynchronous) — the encoded batch is posted to the kernel
+//!   inside a structured-clone message; the worker then waits for the single
+//!   response message carrying the encoded completion batch.  The clone cost
+//!   is paid once per batch instead of once per call.  Every client starts
+//!   here, and a browser without shared memory stays here.
+//! * **the ring** (synchronous) — at startup the client allocates a
+//!   `SharedArrayBuffer` heap, hands it to the kernel and asks, in one
+//!   ordinary message, for a syscall ring ([`browsix_core::ring`]) to be
+//!   mapped into it.  Once the kernel agrees, every call — `exit` included —
+//!   is written into a submission-queue slot in place, and the worker blocks
+//!   in `Atomics.wait` on the completion queue.  If the kernel refuses, the
+//!   client simply remains a message client.
+//!
+//! The heap, which the client lays out and the kernel only ever addresses
+//! by offsets the client hands it:
+//!
+//! ```text
+//! 0         spill area      submissions too large for a ring slot
+//! 256 KiB   write staging   bulk data of write-like calls (`ByteSource::SharedHeap`)
+//! 512 KiB   ring region     submission queue, completion queue, registered buffers
+//! 1 MiB
+//! ```
 
 use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
 
 use browsix_browser::time::precise_delay;
-use browsix_browser::{AtomicsWaitResult, Message, PlatformConfig, SharedArrayBuffer, WorkerScope};
+use browsix_browser::{Message, PlatformConfig, SharedArrayBuffer, WorkerScope};
 use browsix_core::exec::{ForkImage, LaunchContext, ProcessStart};
 use browsix_core::ring::{Ring, RingGeometry};
 use browsix_core::wire::Reader;
-use browsix_core::{CompletionBatch, Errno, KernelEvent, Signal, SysResult, Syscall, SyscallBatch, Transport};
+use browsix_core::{CompletionBatch, Errno, KernelEvent, Signal, SysResult, Syscall, SyscallBatch};
 use crossbeam::channel::Sender;
 
 /// Size of the shared heap allocated for synchronous system calls.
 const SYNC_HEAP_BYTES: usize = 1024 * 1024;
-/// Offset of the wake address within the shared heap.
-const WAKE_OFFSET: usize = 0;
-/// Offset of the response area within the shared heap.
-const RESP_OFFSET: usize = 64;
-/// Offset of the outgoing-data area within the shared heap.
+/// Offset of the outgoing-data area within the shared heap.  Everything
+/// below it is the spill area for submissions larger than a ring slot.
 const DATA_OFFSET: usize = 256 * 1024;
 /// Offset of the persistent syscall-ring region (submission and completion
 /// queues plus the registered-buffer table) within the shared heap.
@@ -45,25 +54,6 @@ pub const SYNC_DATA_CAPACITY: usize = RING_REGION_OFFSET - DATA_OFFSET;
 /// Fixed per-message overhead charged on top of the encoded batch (the
 /// envelope fields of the structured-clone message).
 const MESSAGE_ENVELOPE_BYTES: usize = 24;
-/// Process-environment variable that disables the ring transport (set to
-/// `"0"`); the benchmarks use it to compare ring and framed submission.
-pub const RINGS_ENV_VAR: &str = "BROWSIX_SYSCALL_RINGS";
-
-/// Which convention the client ended up using.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClientMode {
-    /// Asynchronous message-passing system calls.
-    Async,
-    /// Synchronous shared-memory system calls.
-    Sync,
-}
-
-struct SyncState {
-    sab: SharedArrayBuffer,
-    /// The persistent submission/completion ring, once the kernel has
-    /// accepted its geometry.
-    ring: Option<Ring>,
-}
 
 /// The per-process system-call client.
 pub struct SyscallClient {
@@ -71,12 +61,13 @@ pub struct SyscallClient {
     config: PlatformConfig,
     kernel: Sender<KernelEvent>,
     scope: WorkerScope,
-    mode: ClientMode,
     next_seq: u64,
     stashed: HashMap<u64, CompletionBatch>,
     signals: VecDeque<Signal>,
     shared_maps: HashMap<u64, SharedArrayBuffer>,
-    sync: Option<SyncState>,
+    /// The syscall ring over this process's shared heap, once the kernel
+    /// has mapped it; `None` is the asynchronous convention.
+    ring: Option<Ring>,
     terminated: bool,
 }
 
@@ -84,7 +75,7 @@ impl std::fmt::Debug for SyscallClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SyscallClient")
             .field("pid", &self.pid)
-            .field("mode", &self.mode)
+            .field("ring", &self.ring_enabled())
             .field("terminated", &self.terminated)
             .finish()
     }
@@ -108,48 +99,30 @@ impl SyscallClient {
             config,
             kernel,
             scope,
-            mode: ClientMode::Async,
             next_seq: 0,
             stashed: HashMap::new(),
             signals: VecDeque::new(),
             shared_maps: HashMap::new(),
-            sync: None,
+            ring: None,
             terminated: false,
         };
         let start = client.wait_for_init();
         if prefer_sync && client.config.shared_memory {
-            let sab = SharedArrayBuffer::new(SYNC_HEAP_BYTES);
-            let _ = client.kernel.send(KernelEvent::RegisterSyncHeap {
-                pid: client.pid,
-                sab: sab.clone(),
-                resp_offset: RESP_OFFSET,
-                wake_offset: WAKE_OFFSET,
-            });
-            client.sync = Some(SyncState {
-                sab: sab.clone(),
-                ring: None,
-            });
-            client.mode = ClientMode::Sync;
-            // The persistent rings ride the same heap; `BROWSIX_SYSCALL_RINGS=0`
-            // in the process environment keeps the framed transport (how the
-            // benchmarks compare the two submission paths).
-            let rings_disabled = start.env.iter().any(|(k, v)| k == RINGS_ENV_VAR && v == "0");
-            if !rings_disabled {
-                client.setup_ring(sab);
-            }
+            client.setup_ring();
         }
         (client, start)
     }
 
-    /// Asks the kernel to map a submission/completion ring over the
-    /// registered heap.  The request itself travels over the framed
-    /// transport — the ring does not exist until the kernel accepts the
-    /// geometry.
-    fn setup_ring(&mut self, sab: SharedArrayBuffer) {
+    /// Allocates the shared heap, hands it to the kernel and asks, by an
+    /// ordinary message, for a ring to be mapped over it.  Anything but `Ok`
+    /// leaves this an asynchronous client.
+    fn setup_ring(&mut self) {
+        let sab = SharedArrayBuffer::new(SYNC_HEAP_BYTES);
         let geo = RingGeometry::standard(RING_REGION_OFFSET as u32);
-        if !geo.validate(sab.len()) {
-            return;
-        }
+        let _ = self.kernel.send(KernelEvent::RegisterSyncHeap {
+            pid: self.pid,
+            sab: sab.clone(),
+        });
         let accepted = self.call(Syscall::RingSetup {
             sq_offset: geo.sq_offset,
             cq_offset: geo.cq_offset,
@@ -160,25 +133,19 @@ impl SyscallClient {
             buf_bytes: geo.buf_bytes,
         }) == SysResult::Ok;
         if accepted {
-            if let Some(state) = self.sync.as_mut() {
-                state.ring = Some(Ring::new(sab, geo));
-            }
+            self.ring = Some(Ring::new(sab, geo));
         }
     }
 
-    /// Whether system calls are travelling over a persistent ring.
+    /// Whether system calls are travelling over a persistent ring (the
+    /// synchronous convention) rather than as messages.
     pub fn ring_enabled(&self) -> bool {
-        self.sync.as_ref().is_some_and(|s| s.ring.is_some())
+        self.ring.is_some()
     }
 
     /// The process id assigned by the kernel.
     pub fn pid(&self) -> u32 {
         self.pid
-    }
-
-    /// Which convention the client is using.
-    pub fn mode(&self) -> ClientMode {
-        self.mode
     }
 
     /// Whether the kernel has terminated this worker (SIGKILL).
@@ -269,36 +236,25 @@ impl SyscallClient {
         if self.terminated {
             return vec![SysResult::Err(Errno::EINTR); n];
         }
-        match self.mode {
-            ClientMode::Sync => {
-                if let Some(results) = self.try_submit_ring(&batch) {
-                    return results;
-                }
-                self.submit_sync(batch)
-            }
-            ClientMode::Async => self.submit_async(batch),
+        match self.ring.clone() {
+            Some(ring) => self.pump_ring(&ring, &batch),
+            None => self.submit_async(batch),
         }
     }
 
     /// Issues a system call without waiting for a result (used for `exit`,
-    /// which never gets a reply).
+    /// which never gets a reply): one more ring entry and its doorbell, or
+    /// one more message.
     pub fn send_only(&mut self, call: Syscall) {
-        let payload = SyscallBatch::single(call).encode();
-        let transport = match self.mode {
-            ClientMode::Sync => Transport::Sync { payload },
-            ClientMode::Async => {
-                self.next_seq += 1;
-                precise_delay(self.config.post_cost(payload.len() + MESSAGE_ENVELOPE_BYTES));
-                Transport::Async {
-                    seq: self.next_seq,
-                    payload,
-                }
-            }
+        let Some(ring) = &self.ring else {
+            let _ = self.post_frame(&SyscallBatch::single(call));
+            return;
         };
-        let _ = self.kernel.send(KernelEvent::Syscall {
-            pid: self.pid,
-            transport,
-        });
+        let mut frame = Vec::with_capacity(8);
+        call.encode_into(&mut frame);
+        if ring.push_sqe(0, &frame) && ring.take_doorbell() {
+            let _ = self.kernel.send(KernelEvent::Doorbell { pid: self.pid });
+        }
     }
 
     /// Copies `data` into the shared heap's outgoing-data area (synchronous
@@ -311,63 +267,50 @@ impl SyscallClient {
     /// Stages several buffers back to back in the shared heap, one
     /// [`ByteSource`](browsix_core::ByteSource) per buffer, for a batch of
     /// data-carrying entries submitted together.  Buffers that do not fit in
-    /// the data area fall back to inline copies.
+    /// the data area fall back to inline copies (which then travel through
+    /// the spill area).
     pub fn stage_writes(&mut self, bufs: &[&[u8]]) -> Vec<browsix_core::ByteSource> {
-        match (&self.mode, &self.sync) {
-            (ClientMode::Sync, Some(state)) => {
-                let mut cursor = DATA_OFFSET;
-                bufs.iter()
-                    .map(|data| {
-                        if cursor + data.len() <= SYNC_HEAP_BYTES && state.sab.write_bytes(cursor, data).is_ok() {
-                            let source = browsix_core::ByteSource::SharedHeap {
-                                offset: cursor as u32,
-                                len: data.len() as u32,
-                            };
-                            cursor += data.len();
-                            source
-                        } else {
-                            browsix_core::ByteSource::Inline(data.to_vec())
-                        }
-                    })
-                    .collect()
-            }
-            _ => bufs
-                .iter()
-                .map(|data| browsix_core::ByteSource::Inline(data.to_vec()))
-                .collect(),
-        }
+        let heap = self.ring.as_ref().map(Ring::sab);
+        let mut cursor = DATA_OFFSET;
+        bufs.iter()
+            .map(|data| {
+                let fits = cursor + data.len() <= RING_REGION_OFFSET;
+                if !heap.is_some_and(|heap| fits && heap.write_bytes(cursor, data).is_ok()) {
+                    return browsix_core::ByteSource::Inline(data.to_vec());
+                }
+                let (offset, len) = (cursor as u32, data.len() as u32);
+                cursor += data.len();
+                browsix_core::ByteSource::SharedHeap { offset, len }
+            })
+            .collect()
     }
 
     /// The maximum number of bytes [`SyscallClient::stage_write`] can place in
     /// the shared heap at once.
     pub fn max_staged_write(&self) -> usize {
-        match self.mode {
-            ClientMode::Sync => SYNC_DATA_CAPACITY,
-            ClientMode::Async => usize::MAX,
-        }
+        self.ring.as_ref().map_or(usize::MAX, |_| SYNC_DATA_CAPACITY)
+    }
+
+    /// postMessage to the kernel: the whole batch crosses the worker boundary
+    /// as one structured clone, so that cost is paid once per batch, not per
+    /// call.  Returns the frame's sequence number (`None`: kernel gone).
+    fn post_frame(&mut self, batch: &SyscallBatch) -> Option<u64> {
+        self.next_seq += 1;
+        let (pid, seq, payload) = (self.pid, self.next_seq, batch.encode());
+        precise_delay(self.config.post_cost(payload.len() + MESSAGE_ENVELOPE_BYTES));
+        let sent = self.kernel.send(KernelEvent::Syscall { pid, seq, payload });
+        sent.is_ok().then_some(seq)
     }
 
     fn submit_async(&mut self, batch: SyscallBatch) -> Vec<SysResult> {
         let n = batch.len();
-        self.next_seq += 1;
-        let seq = self.next_seq;
-        let payload = batch.encode();
-        // postMessage to the kernel: the whole batch crosses the worker
-        // boundary as one structured clone, so the message + clone cost is
-        // paid once per batch rather than once per call.
-        precise_delay(self.config.post_cost(payload.len() + MESSAGE_ENVELOPE_BYTES));
-        if self
-            .kernel
-            .send(KernelEvent::Syscall {
-                pid: self.pid,
-                transport: Transport::Async { seq, payload },
-            })
-            .is_err()
-        {
-            self.terminated = true;
-            return vec![SysResult::Err(Errno::EINTR); n];
+        match self.post_frame(&batch) {
+            Some(seq) => self.wait_for_completions(seq, n),
+            None => {
+                self.terminated = true;
+                vec![SysResult::Err(Errno::EINTR); n]
+            }
         }
-        self.wait_for_completions(seq, n)
     }
 
     fn wait_for_completions(&mut self, seq: u64, n: usize) -> Vec<SysResult> {
@@ -398,41 +341,56 @@ impl SyscallClient {
         }
     }
 
-    /// Submits the batch over the persistent ring, if one is mapped and every
-    /// entry is ring-safe.  Returns `None` to fall back to the framed
-    /// transport.
-    fn try_submit_ring(&mut self, batch: &SyscallBatch) -> Option<Vec<SysResult>> {
-        let ring = self.sync.as_ref()?.ring.clone()?;
-        let payload_cap = ring.geometry().slot_payload_bytes();
-        let buf_cap = ring.geometry().buf_bytes;
-        let mut encoded = Vec::with_capacity(batch.len());
-        for call in &batch.entries {
-            if !ring_safe(call, buf_cap) {
-                return None;
-            }
-            let mut frame = Vec::with_capacity(32);
-            call.encode_into(&mut frame);
-            if frame.len() > payload_cap {
-                return None;
-            }
-            encoded.push(frame);
-        }
-        Some(self.pump_ring(&ring, &encoded))
-    }
-
-    /// Drives one batch through the ring: write submission entries in place
-    /// (chunked through the queue in waves when the batch is larger than it),
+    /// Drives one batch through the ring, one entry per call: write
+    /// submission entries in place (in waves when the batch outgrows the queue),
     /// ring the doorbell only on an observed kernel park, and drain the
     /// completion queue — blocking in `Atomics.wait` on its tail — until
     /// every entry has completed.  No per-batch message or structured clone
     /// is paid anywhere on this path.
-    fn pump_ring(&mut self, ring: &Ring, encoded: &[Vec<u8>]) -> Vec<SysResult> {
-        let n = encoded.len();
+    ///
+    /// An entry larger than a slot goes into the spill area at a bump cursor
+    /// and is submitted by reference.  The kernel copies it out as it pops
+    /// it, so the area is free again once everything submitted so far has
+    /// completed; a wave that runs out of it waits for that.  An entry
+    /// larger than the whole area fails with `E2BIG`.
+    fn pump_ring(&mut self, ring: &Ring, batch: &SyscallBatch) -> Vec<SysResult> {
+        let n = batch.len();
+        // fork is incompatible with the synchronous convention (§3.2).
+        if batch.entries.iter().any(|c| matches!(c, Syscall::Fork { .. })) {
+            return vec![SysResult::Err(Errno::ENOSYS); n];
+        }
+        let encode = |call: &Syscall| {
+            let mut frame = Vec::with_capacity(32);
+            call.encode_into(&mut frame);
+            frame
+        };
+        let encoded: Vec<Vec<u8>> = batch.entries.iter().map(encode).collect();
+        let slot_payload = ring.geometry().slot_payload_bytes();
         let mut results = vec![SysResult::Err(Errno::EIO); n];
         let mut submitted = 0usize;
         let mut completed = 0usize;
+        let mut spill_cursor = 0usize;
         while completed < n {
-            while submitted < n && ring.push_sqe(submitted as u32, &encoded[submitted]) {
+            if submitted == completed {
+                spill_cursor = 0;
+            }
+            while submitted < n {
+                let frame = &encoded[submitted];
+                if frame.len() > DATA_OFFSET {
+                    results[submitted] = SysResult::Err(Errno::E2BIG);
+                    completed += 1;
+                } else if frame.len() <= slot_payload {
+                    if !ring.push_sqe(submitted as u32, frame) {
+                        break;
+                    }
+                } else {
+                    if spill_cursor + frame.len() > DATA_OFFSET
+                        || !ring.push_sqe_spilled(submitted as u32, spill_cursor as u32, frame)
+                    {
+                        break;
+                    }
+                    spill_cursor += frame.len();
+                }
                 submitted += 1;
             }
             // Doorbell protocol: entries are published first, then the
@@ -482,72 +440,13 @@ impl SyscallClient {
         }
         results
     }
-
-    fn submit_sync(&mut self, batch: SyscallBatch) -> Vec<SysResult> {
-        let n = batch.len();
-        // fork is incompatible with the synchronous convention (§3.2).
-        if batch.entries.iter().any(|c| matches!(c, Syscall::Fork { .. })) {
-            return vec![SysResult::Err(Errno::ENOSYS); n];
-        }
-        let Some(state) = &self.sync else {
-            return vec![SysResult::Err(Errno::EFAULT); n];
-        };
-        // Arm the wake address, send the (integer-only) request, block.
-        if state.sab.store_i32(WAKE_OFFSET, 0).is_err() {
-            return vec![SysResult::Err(Errno::EFAULT); n];
-        }
-        let payload = batch.encode();
-        precise_delay(self.config.post_cost(32));
-        if self
-            .kernel
-            .send(KernelEvent::Syscall {
-                pid: self.pid,
-                transport: Transport::Sync { payload },
-            })
-            .is_err()
-        {
-            self.terminated = true;
-            return vec![SysResult::Err(Errno::EINTR); n];
-        }
-        loop {
-            if self.scope.terminated() {
-                self.terminated = true;
-                return vec![SysResult::Err(Errno::EINTR); n];
-            }
-            let state = self.sync.as_ref().expect("checked above");
-            match state.sab.wait(WAKE_OFFSET, 0, Some(Duration::from_millis(100))) {
-                Ok(AtomicsWaitResult::TimedOut) => continue,
-                Ok(_) => break,
-                Err(_) => return vec![SysResult::Err(Errno::EFAULT); n],
-            }
-        }
-        // Decode [len][completion frame] from the response area.
-        let state = self.sync.as_ref().expect("checked above");
-        let len_bytes = match state.sab.read_bytes(RESP_OFFSET, 4) {
-            Ok(bytes) => bytes,
-            Err(_) => return vec![SysResult::Err(Errno::EFAULT); n],
-        };
-        let len = u32::from_le_bytes([len_bytes[0], len_bytes[1], len_bytes[2], len_bytes[3]]) as usize;
-        let frame = match state.sab.read_bytes(RESP_OFFSET + 4, len) {
-            Ok(bytes) => bytes,
-            Err(_) => return vec![SysResult::Err(Errno::EFAULT); n],
-        };
-        results_from(CompletionBatch::decode(&frame).unwrap_or_default(), n)
-    }
 }
-
-// Ring eligibility comes from the IDL's per-syscall `ring:` class, via the
-// classifier generated into `browsix_core::abi`: a call may ride the ring
-// when its submission entry fits a slot and its result is bounded — by a
-// completion slot, or by one registered buffer for bulk reads.  Everything
-// else (fork, unbounded-result directory/link calls, oversized reads) takes
-// the framed transport.
-use browsix_core::abi::ring_safe;
 
 include!(concat!(env!("OUT_DIR"), "/client_gen.rs"));
 
 /// Decodes one completion entry, dereferencing (and freeing) a
-/// registered-buffer result.
+/// registered-buffer result.  An empty entry is how the ring reports a spill
+/// reference that points outside the buffer table.
 fn resolve_cqe(ring: &Ring, frame: &[u8]) -> SysResult {
     let mut r = Reader::new(frame);
     match SysResult::decode_from(&mut r) {
@@ -560,6 +459,7 @@ fn resolve_cqe(ring: &Ring, frame: &[u8]) -> SysResult {
             }
         }
         Some(result) => result,
+        None if frame.is_empty() => SysResult::Err(Errno::EFAULT),
         None => SysResult::Err(Errno::EIO),
     }
 }
@@ -653,11 +553,35 @@ mod tests {
 
     #[test]
     fn sync_layout_constants_are_consistent() {
-        const { assert!(RESP_OFFSET > WAKE_OFFSET + 4) };
-        const { assert!(DATA_OFFSET > RESP_OFFSET) };
+        // Spill area, write staging and ring region tile the heap in order.
+        const { assert!(DATA_OFFSET > 64 * 1024) };
         const { assert!(SYNC_DATA_CAPACITY > 64 * 1024) };
         const { assert!(DATA_OFFSET + SYNC_DATA_CAPACITY <= RING_REGION_OFFSET) };
         const { assert!(RING_REGION_OFFSET + browsix_core::ring::RING_REGION_BYTES as usize <= SYNC_HEAP_BYTES) };
+        assert!(RingGeometry::standard(RING_REGION_OFFSET as u32).validate(SYNC_HEAP_BYTES));
+    }
+
+    #[test]
+    fn a_completion_spilled_outside_the_buffer_table_reads_as_efault() {
+        use browsix_core::ring::{INDIRECT, RING_BYTES, RING_HEADER_BYTES, RING_REGION_BYTES};
+        let sab = SharedArrayBuffer::new(RING_REGION_BYTES as usize);
+        let ring = Ring::new(sab.clone(), RingGeometry::standard(0));
+        // The kernel's side of the memory is the guest's to scribble on too:
+        // turn a posted completion into a reference to buffers 6..=8 of 7.
+        let mut frame = Vec::new();
+        SysResult::Int(7).encode_into(&mut frame);
+        assert!(ring.push_cqe(0, &frame));
+        let slot = (RING_BYTES + RING_HEADER_BYTES) as usize;
+        let buf_bytes = ring.geometry().buf_bytes;
+        sab.write_bytes(slot + 4, &(INDIRECT | 8).to_le_bytes()).unwrap();
+        sab.write_bytes(slot + 8, &6u32.to_le_bytes()).unwrap();
+        sab.write_bytes(slot + 12, &(2 * buf_bytes + 1).to_le_bytes()).unwrap();
+        let (_, popped) = ring.pop_cqe().unwrap();
+        assert_eq!(resolve_cqe(&ring, &popped), SysResult::Err(Errno::EFAULT));
+        // The same goes for a `DataFixed` naming a buffer that does not exist.
+        frame.clear();
+        SysResult::DataFixed { buf: 7, len: 1 }.encode_into(&mut frame);
+        assert_eq!(resolve_cqe(&ring, &frame), SysResult::Err(Errno::EFAULT));
     }
 
     #[test]

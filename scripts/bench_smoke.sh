@@ -31,7 +31,11 @@ echo "== running the 'readiness' criterion group =="
 BROWSIX_BENCH_JSON="$out" cargo bench -p browsix-bench --bench readiness -- readiness
 
 echo "== running the 'rings' criterion group =="
-BROWSIX_BENCH_JSON="$out" cargo bench -p browsix-bench --bench rings -- rings
+# A two-thread ping-pong: across CPUs it times how long an idle one takes to
+# wake (1.5 to 13 ms here, run to run), on one CPU it times the transport.
+pin=""
+if command -v taskset >/dev/null; then pin="taskset -c 0"; fi
+BROWSIX_BENCH_JSON="$out" $pin cargo bench -p browsix-bench --bench rings -- rings
 
 echo "== running the 'vm' criterion group =="
 BROWSIX_BENCH_JSON="$out" cargo bench -p browsix-bench --bench vm -- vm
@@ -123,20 +127,17 @@ if close_1024 > 2 * close_8:
     )
 print(f"readiness: close beside 1024 tasks costs {close_1024 / close_8:.2f}x the 8-task cost (flat)")
 
-# Guard the ring transport: submitting 256 individual pipe writes over the
-# persistent shared-memory rings must beat the framed sync transport by at
-# least 5x (the framed path pays the postMessage-priced doorbell per call;
-# the ring path pays it only on empty->nonempty edges).
+# Guard the ring transport with an absolute budget: one process submitting
+# 256 individual pipe writes over its shared-memory ring in at most 5 ms.
+# It needs about 1.5 ms, one modelled postMessage round trip (the ring_setup
+# bootstrap) included; paying a modelled postMessage per call, as the framed
+# sync transport the ring replaced did, costs about 14 ms.
 ring = means.get("rings/ring_submit_256")
-framed = means.get("rings/framed_submit_256")
-if ring is None or framed is None:
-    sys.exit("missing rings results")
-if framed < 5 * ring:
-    sys.exit(
-        f"rings: ring submission ({ring} ns) is not 5x faster than "
-        f"framed submission ({framed} ns)"
-    )
-print(f"rings: ring submission beats framed by {framed / ring:.1f}x")
+if ring is None:
+    sys.exit("missing rings/ring_submit_256 result")
+if ring > 5_000_000:
+    sys.exit(f"rings: 256 ring submissions took {ring / 1e6:.2f} ms; the budget is 5 ms")
+print(f"rings: 256 ring submissions take {ring / 1e6:.2f} ms (budget 5 ms)")
 
 # Guard the zero-copy data path: httpd serving the 32 KiB payload over
 # sendfile (page cache -> socket inside the kernel) must beat the classic

@@ -578,12 +578,17 @@ proptest! {
 
     /// The shared-memory submission/completion ring against a plain
     /// `VecDeque` model, under arbitrary single-threaded interleavings of
-    /// client submits, kernel drains and client completion reaps:
+    /// client submits, kernel drains and client completion reaps, with
+    /// entries that fit a slot and entries that must be spilled (through
+    /// the heap on the way in, through registered buffers on the way out)
+    /// mixed at random:
     ///
-    /// * acceptance agrees with the model (a push succeeds exactly when the
-    ///   model queue is below capacity),
+    /// * acceptance agrees with the model (a submission is accepted exactly
+    ///   when the model queue is below capacity; a completion exactly when
+    ///   there is a slot and, for a spilled one, a free buffer),
     /// * entries come out in submission order with their payloads intact
-    ///   (no lost, duplicated, reordered or corrupted entries),
+    ///   (no lost, duplicated, reordered or corrupted entries), spilled or
+    ///   not,
     /// * the doorbell fires exactly on empty→nonempty transitions, and
     /// * after every kernel drain the strict protocol invariant holds: the
     ///   submission queue is empty and NEED_WAKEUP is set.  (This is the
@@ -592,38 +597,78 @@ proptest! {
     ///   mid-publish at any instant.)
     #[test]
     fn ring_matches_fifo_model(
-        ops in proptest::collection::vec((0u8..3, any::<u8>()), 1..160),
+        ops in proptest::collection::vec((0u8..3, any::<u8>(), any::<u8>()), 1..160),
     ) {
-        use browsix_core::ring::{Ring, RingGeometry, NEED_WAKEUP, RING_REGION_BYTES, RING_SLOTS};
+        use browsix_core::ring::{Ring, RingGeometry, NEED_WAKEUP, REG_BUF_COUNT, RING_REGION_BYTES, RING_SLOTS};
         use std::collections::VecDeque;
 
-        let sab = browsix_browser::SharedArrayBuffer::new(RING_REGION_BYTES as usize);
-        let geo = RingGeometry::standard(0);
+        // One spill cell per slot below the ring region: at most RING_SLOTS
+        // submissions are in flight, so cell `user % RING_SLOTS` is free by
+        // the time it comes round again.
+        const SPILL_CELL: u32 = 1024;
+        let spill_area = RING_SLOTS * SPILL_CELL;
+        let sab = browsix_browser::SharedArrayBuffer::new((spill_area + RING_REGION_BYTES) as usize);
+        let geo = RingGeometry::standard(spill_area);
         prop_assert!(geo.validate(sab.len()));
         // Two views of the same shared memory, exactly as in the real system:
         // the client's and the kernel's.
         let client = Ring::new(sab.clone(), geo);
         let kernel = Ring::new(sab, geo);
         kernel.set_need_wakeup();
+        let spilled = |payload: &[u8]| payload.len() > geo.slot_payload_bytes();
 
         let mut next_user: u32 = 0;
         // Submitted but not yet drained by the kernel.
         let mut model_sq: VecDeque<(u32, Vec<u8>)> = VecDeque::new();
-        // Completed by the kernel but not yet reaped by the client.
+        // Completed by the kernel but not yet reaped by the client (completion
+        // order follows submission order in this model, as it does for ring
+        // dispatch; each completion echoes its submission's payload).
         let mut model_cq: VecDeque<(u32, Vec<u8>)> = VecDeque::new();
-        // The payload each completion must echo (completion order follows
-        // submission order in this model, as it does for ring dispatch).
         let mut doorbells = 0u32;
 
-        for &(op, size) in &ops {
+        // Kernel: post the echo of one drained entry, if the model says the
+        // ring can take it.  Each spilled completion here fits one buffer.
+        let post = |model_cq: &mut VecDeque<(u32, Vec<u8>)>, user: u32, data: Vec<u8>| {
+            let buffers_busy = model_cq.iter().filter(|(_, d)| spilled(d)).count();
+            let fits =
+                model_cq.len() < RING_SLOTS as usize && !(spilled(&data) && buffers_busy == REG_BUF_COUNT as usize);
+            prop_assert_eq!(kernel.push_cqe(user, &data), fits, "CQ acceptance diverged");
+            if fits {
+                model_cq.push_back((user, data));
+            }
+            fits
+        };
+        // Client reap: completions arrive in order, none lost, none
+        // duplicated, payloads intact.
+        let reap = |model_cq: &mut VecDeque<(u32, Vec<u8>)>| {
+            while let Some((user, data)) = client.pop_cqe() {
+                let (expected_user, expected_data) = model_cq
+                    .pop_front()
+                    .expect("client reaped a completion the model never posted");
+                prop_assert_eq!(user, expected_user, "completion order diverged");
+                prop_assert!(data == expected_data, "payload corrupted in the CQ");
+            }
+            prop_assert!(model_cq.is_empty(), "client lost completions");
+        };
+
+        for &(op, size, shape) in &ops {
             match op {
                 0 => {
-                    // Client submit: payload of fuzzed length ≤ slot capacity.
-                    let payload: Vec<u8> = (0..size as usize % (geo.slot_payload_bytes() + 1))
-                        .map(|i| (i as u8).wrapping_add(size))
-                        .collect();
+                    // Client submit: a payload of fuzzed length, one time in
+                    // four too long for a slot.
+                    let len = if shape % 4 == 0 {
+                        geo.slot_payload_bytes() + 1 + size as usize * 3
+                    } else {
+                        size as usize % (geo.slot_payload_bytes() + 1)
+                    };
+                    let payload: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_add(size)).collect();
                     let was_empty = client.sq_is_empty();
-                    let accepted = client.push_sqe(next_user, &payload);
+                    let accepted = if spilled(&payload) {
+                        prop_assert!(!client.push_sqe(next_user, &payload), "a slot took more than it holds");
+                        client.push_sqe_spilled(next_user, next_user % RING_SLOTS * SPILL_CELL, &payload)
+                    } else {
+                        client.push_sqe(next_user, &payload)
+                    };
                     prop_assert_eq!(accepted, model_sq.len() < RING_SLOTS as usize, "SQ acceptance diverged");
                     if accepted {
                         model_sq.push_back((next_user, payload));
@@ -638,19 +683,17 @@ proptest! {
                 }
                 1 => {
                     // Kernel drain, exactly the event-loop shape: pop until
-                    // empty, post a completion per entry (if there is CQ
-                    // space — otherwise the real kernel queues it; the model
-                    // defers the echo the same way), then arm NEED_WAKEUP.
+                    // empty, post a completion per entry (if the ring can
+                    // take it — otherwise the real kernel queues it; the
+                    // model drops the echo the same way), then arm
+                    // NEED_WAKEUP.
                     while let Some((user, data)) = kernel.pop_sqe() {
                         let (expected_user, expected_data) = model_sq
                             .pop_front()
                             .expect("kernel drained an entry the model never saw");
                         prop_assert_eq!(user, expected_user, "drain order diverged");
-                        prop_assert_eq!(&data, &expected_data, "payload corrupted in the SQ");
-                        if kernel.cq_space() > 0 {
-                            prop_assert!(kernel.push_cqe(user, &data));
-                            model_cq.push_back((user, data));
-                        }
+                        prop_assert!(data == expected_data, "payload corrupted in the SQ");
+                        post(&mut model_cq, user, data);
                     }
                     kernel.set_need_wakeup();
                     // Strict invariant, assertable only here (single thread):
@@ -658,18 +701,7 @@ proptest! {
                     prop_assert!(kernel.sq_is_empty(), "drain left the SQ non-empty");
                     prop_assert_eq!(kernel.sq_flags() & NEED_WAKEUP, NEED_WAKEUP, "drain left NEED_WAKEUP clear");
                 }
-                _ => {
-                    // Client reap: completions arrive in order, none lost,
-                    // none duplicated, payloads intact.
-                    while let Some((user, data)) = client.pop_cqe() {
-                        let (expected_user, expected_data) = model_cq
-                            .pop_front()
-                            .expect("client reaped a completion the model never posted");
-                        prop_assert_eq!(user, expected_user, "completion order diverged");
-                        prop_assert_eq!(&data, &expected_data, "payload corrupted in the CQ");
-                    }
-                    prop_assert!(model_cq.is_empty(), "client lost completions");
-                }
+                _ => reap(&mut model_cq),
             }
         }
 
@@ -678,17 +710,14 @@ proptest! {
         while let Some((user, data)) = kernel.pop_sqe() {
             let (expected_user, expected_data) = model_sq.pop_front().expect("lost SQE");
             prop_assert_eq!(user, expected_user);
-            prop_assert_eq!(&data, &expected_data);
-            prop_assert!(kernel.push_cqe(user, &data));
-            model_cq.push_back((user, data));
+            prop_assert!(data == expected_data);
+            if !post(&mut model_cq, user, data.clone()) {
+                reap(&mut model_cq);
+                prop_assert!(post(&mut model_cq, user, data), "an empty CQ refused a completion");
+            }
         }
         prop_assert!(model_sq.is_empty(), "entries stuck in the model SQ");
-        while let Some((user, data)) = client.pop_cqe() {
-            let (expected_user, expected_data) = model_cq.pop_front().expect("lost CQE");
-            prop_assert_eq!(user, expected_user);
-            prop_assert_eq!(&data, &expected_data);
-        }
-        prop_assert!(model_cq.is_empty(), "completions never reached the client");
+        reap(&mut model_cq);
         prop_assert!(doorbells <= ops.len() as u32);
     }
 

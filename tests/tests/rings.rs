@@ -1,14 +1,29 @@
 //! End-to-end tests for the persistent syscall rings and the zero-copy data
 //! path: `httpd` serving a large file over `sendfile` without the bytes ever
-//! entering guest memory, and a shell pipeline whose every system call rides
-//! the shared-memory submission/completion rings instead of framed messages.
+//! entering guest memory; a shell pipeline whose every system call rides the
+//! shared-memory submission/completion rings instead of messages; calls and
+//! results too large for a ring slot; and a guest that writes garbage into
+//! its ring instead of submissions.
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
-use browsix_fs::FileSystem;
+use browsix_browser::SharedArrayBuffer;
+use browsix_core::ring::{Ring, RingGeometry, INDIRECT, RING_HEADER_BYTES};
+use browsix_core::{
+    CompletionBatch, Errno, Kernel, KernelEvent, KernelStats, LaunchContext, ProgramLauncher, SysResult, Syscall,
+    SyscallBatch,
+};
+use browsix_fs::{FileSystem, OpenFlags};
 use browsix_http::{HttpRequest, Method};
-use browsix_runtime::{ExecutionProfile, NodeLauncher, SyscallConvention, RINGS_ENV_VAR};
+use browsix_runtime::{
+    guest, EmscriptenLauncher, EmscriptenMode, ExecutionProfile, GuestFactory, NodeLauncher, RuntimeEnv, SpawnStdio,
+    SyscallClient, SyscallConvention,
+};
+
+/// How long any guest below may take before its test fails instead of
+/// hanging.
+const WATCHDOG: Duration = Duration::from_secs(5);
 
 fn instant(convention: SyscallConvention) -> ExecutionProfile {
     ExecutionProfile::instant(convention)
@@ -188,30 +203,461 @@ fn shell_pipeline_runs_over_the_ring_transport() {
         stats.sq_polled > stats.count("ring_setup"),
         "rings carried only their own setup traffic"
     );
+    assert_rode_the_ring(&stats);
     kernel.shutdown();
 }
 
-/// `BROWSIX_SYSCALL_RINGS=0` in a process's environment opts it out: the
-/// pipeline still works, entirely over the framed fallback, and the ring
-/// counters stay at zero.
-#[test]
-fn rings_can_be_disabled_per_process_via_the_environment() {
-    let kernel = boot_sync_world();
-    let handle = kernel
-        .spawn(
-            "/bin/sh",
-            &["sh", "-c", "echo framed fallback | cat"],
-            &[(RINGS_ENV_VAR, "0")],
-        )
-        .expect("spawn pipeline");
-    let status = handle
-        .wait_timeout(Duration::from_secs(30))
-        .expect("pipeline must finish");
-    assert_eq!(status.code, Some(0), "stderr: {}", handle.stderr_string());
-    assert_eq!(handle.stdout_string(), "framed fallback\n");
+/// Every call of a sync-convention process except the one message that
+/// bootstraps its ring is a ring entry, `exit` included.
+fn assert_rode_the_ring(stats: &KernelStats) {
+    assert_eq!(
+        stats.sync_syscalls, stats.sq_polled,
+        "a ring entry was not a system call"
+    );
+    assert_eq!(
+        stats.async_syscalls,
+        stats.count("ring_setup"),
+        "a call other than ring_setup travelled as a message: {:?}",
+        stats.syscalls_by_name
+    );
+}
 
+// ---- spill: calls and results larger than a ring slot ------------------------
+
+/// Boots a kernel with `probe` at `/usr/bin/probe` and `child` at
+/// `/usr/bin/probe-child`, both under `convention`, lets `stage` prepare the
+/// file system, runs the probe with `env` to completion under the watchdog
+/// and returns its exit code, its stdout and the kernel's statistics.
+fn run_probe(
+    convention: SyscallConvention,
+    env: &[(&str, &str)],
+    stage: &dyn Fn(&Kernel),
+    probe: GuestFactory,
+    child: GuestFactory,
+) -> (Option<i32>, String, KernelStats) {
+    let mode = match convention {
+        SyscallConvention::Sync => EmscriptenMode::AsmJs,
+        _ => EmscriptenMode::Emterpreter,
+    };
+    let config = browsix_core::BootConfig::in_memory();
+    for (path, factory) in [("/usr/bin/probe", probe), ("/usr/bin/probe-child", child)] {
+        let launcher = EmscriptenLauncher::new("probe", factory, mode).with_profile(instant(convention));
+        config.registry.register(path, Arc::new(launcher));
+    }
+    let kernel = Kernel::boot(config);
+    kernel.fs().mkdir("/tmp").expect("mkdir /tmp");
+    stage(&kernel);
+    let handle = kernel.spawn("/usr/bin/probe", &["probe"], env).expect("spawn probe");
+    let status = handle.wait_timeout(WATCHDOG).unwrap_or_else(|| {
+        panic!(
+            "the {convention:?} probe hung; stdout so far: {}",
+            handle.stdout_string()
+        )
+    });
     let stats = kernel.stats();
-    assert_eq!(stats.sq_polled, 0, "disabled rings must carry no traffic");
-    assert_eq!(stats.count("ring_setup"), 0, "disabled rings must not even be set up");
+    let stdout = handle.stdout_string();
+    kernel.shutdown();
+    (status.code, stdout, stats)
+}
+
+fn no_child() -> GuestFactory {
+    guest("unused", |_env: &mut dyn RuntimeEnv| 0)
+}
+
+/// A working directory whose path is longer than a ring slot's payload.
+fn long_directory() -> String {
+    let path: String = (0..6).map(|i| format!("/{}", format!("{i}").repeat(50))).collect();
+    format!("/tmp{path}")
+}
+
+/// `getcwd` in a 300-byte working directory, `getdents` of a 5 000-entry
+/// directory and `spawn` with a 4 KiB environment: a result larger than a
+/// completion slot, a result larger than a registered buffer and a
+/// submission larger than a submission slot.  The guest sees exactly what it
+/// sees over messages, and every one of those calls rode the ring.
+#[test]
+fn calls_and_results_larger_than_a_slot_ride_the_ring() {
+    const ENTRIES: usize = 5_000;
+    let big = "v".repeat(4096);
+    let stage = |kernel: &Kernel| {
+        let fs = kernel.fs();
+        let mut dir = String::new();
+        for component in long_directory().split('/').skip(1) {
+            dir = format!("{dir}/{component}");
+            let _ = fs.mkdir(&dir);
+        }
+        fs.mkdir("/tmp/many").expect("mkdir /tmp/many");
+        for i in 0..ENTRIES {
+            fs.write_file(&format!("/tmp/many/entry-{i:04}"), b"")
+                .expect("stage entry");
+        }
+    };
+    let probe = || {
+        guest("probe", |env: &mut dyn RuntimeEnv| {
+            if env.chdir(&long_directory()).is_err() {
+                return 2;
+            }
+            let cwd = env.getcwd();
+            let mut names: Vec<String> = match env.readdir("/tmp/many") {
+                Ok(entries) => entries.into_iter().map(|e| e.name).collect(),
+                Err(_) => return 3,
+            };
+            names.sort();
+            env.print(&format!(
+                "cwd {cwd}\nentries {} {} {}\n",
+                names.len(),
+                names[0],
+                names[names.len() - 1]
+            ));
+            let Ok(child) = env.spawn(
+                "/usr/bin/probe-child",
+                &["probe-child".to_owned()],
+                SpawnStdio::default(),
+            ) else {
+                return 4;
+            };
+            env.wait(child as i32).ok().and_then(|w| w.exit_code).unwrap_or(5)
+        })
+    };
+    let child = || {
+        guest("probe-child", |env: &mut dyn RuntimeEnv| {
+            let big = env.getenv("BIG").unwrap_or_default();
+            env.print(&format!(
+                "child sees BIG: {} bytes of {:?}\n",
+                big.len(),
+                big.chars().next()
+            ));
+            0
+        })
+    };
+    let env = [("BIG", big.as_str())];
+    let (code, stdout, stats) = run_probe(SyscallConvention::Sync, &env, &stage, probe(), child());
+    assert_eq!(code, Some(0), "stdout: {stdout}");
+    assert_eq!(
+        stdout,
+        format!(
+            "cwd {}\nentries {ENTRIES} entry-0000 entry-4999\nchild sees BIG: 4096 bytes of Some('v')\n",
+            long_directory()
+        )
+    );
+    assert!(long_directory().len() >= 300);
+    assert_eq!(stats.count("getcwd"), 1);
+    assert_eq!(stats.count("getdents"), 1);
+    assert_eq!(stats.count("spawn"), 1);
+    assert_rode_the_ring(&stats);
+
+    let (async_code, async_stdout, async_stats) = run_probe(SyscallConvention::Async, &env, &stage, probe(), child());
+    assert_eq!((async_code, async_stdout), (code, stdout), "the conventions disagree");
+    assert_eq!(async_stats.sq_polled, 0);
+}
+
+/// A process that drives its [`SyscallClient`] itself, for the calls
+/// `RuntimeEnv` has no method for; the closure's return value is its exit
+/// code.
+struct ClientProbe {
+    prefer_sync: bool,
+    body: fn(&mut SyscallClient) -> i32,
+}
+
+impl ProgramLauncher for ClientProbe {
+    fn launch(&self, ctx: LaunchContext) {
+        let (mut client, _start) = SyscallClient::start(ctx, self.prefer_sync);
+        let code = (self.body)(&mut client);
+        client.send_only(Syscall::Exit { code });
+    }
+}
+
+/// `readlink` used to be refused a ring slot for its unbounded result.  The
+/// file system has no symbolic links, so what comes back is the errno — the
+/// same one over the ring as over messages.
+#[test]
+fn readlink_rides_the_ring() {
+    let run = |prefer_sync: bool| {
+        let config = browsix_core::BootConfig::in_memory();
+        let body = |client: &mut SyscallClient| match client.sys_readlink("/tmp/not-a-link") {
+            SysResult::Err(errno) => errno.code(),
+            _ => 0,
+        };
+        config
+            .registry
+            .register("/usr/bin/probe", Arc::new(ClientProbe { prefer_sync, body }));
+        let kernel = Kernel::boot(config);
+        kernel.fs().mkdir("/tmp").expect("mkdir /tmp");
+        kernel.fs().write_file("/tmp/not-a-link", b"plain").expect("stage file");
+        let handle = kernel.spawn("/usr/bin/probe", &["probe"], &[]).expect("spawn probe");
+        let status = handle.wait_timeout(WATCHDOG).expect("the readlink probe hung");
+        let stats = kernel.stats();
+        kernel.shutdown();
+        (status.code, stats)
+    };
+    let (sync_code, sync_stats) = run(true);
+    let (async_code, async_stats) = run(false);
+    assert_eq!(sync_code, async_code);
+    assert_ne!(sync_code, Some(0), "readlink of a regular file must fail");
+    assert_eq!(sync_stats.count("readlink"), 1);
+    assert_rode_the_ring(&sync_stats);
+    assert_eq!(async_stats.sq_polled, 0);
+}
+
+/// One `read` for more than the registered buffers hold.  The guest must get
+/// a short read, the ring must still answer the next call, and looping over
+/// the rest must reproduce the file.  (Such a read used to leave the ring for
+/// a second shared-memory path, whose 600 KiB reply was written straight
+/// across the ring region.)
+#[test]
+fn an_oversized_read_is_short_and_leaves_the_ring_intact() {
+    const FILE_LEN: usize = 700 * 1024;
+    const FIRST_READ: usize = 600 * 1024;
+    fn pattern() -> Vec<u8> {
+        (0..FILE_LEN).map(|i| (i % 239) as u8).collect()
+    }
+    let stage = |kernel: &Kernel| {
+        kernel
+            .fs()
+            .write_file("/tmp/big.bin", &pattern())
+            .expect("stage big.bin")
+    };
+    let probe = guest("probe", |env: &mut dyn RuntimeEnv| {
+        let Ok(fd) = env.open("/tmp/big.bin", OpenFlags::read_only()) else {
+            return 2;
+        };
+        let Ok(mut contents) = env.read(fd, FIRST_READ) else {
+            return 3;
+        };
+        let first = contents.len();
+        let pid = env.getpid();
+        loop {
+            match env.read(fd, FIRST_READ) {
+                Ok(chunk) if chunk.is_empty() => break,
+                Ok(chunk) => contents.extend_from_slice(&chunk),
+                Err(_) => return 4,
+            }
+        }
+        if contents != pattern() {
+            return 5;
+        }
+        if env.read_file("/tmp/big.bin").ok() != Some(contents) {
+            return 6;
+        }
+        env.print(&format!("first read {first} pid {pid}\n"));
+        0
+    });
+    let (code, stdout, stats) = run_probe(SyscallConvention::Sync, &[], &stage, probe, no_child());
+    assert_eq!(code, Some(0), "stdout: {stdout}");
+    let words: Vec<&str> = stdout.split_whitespace().collect();
+    let first: usize = words[2].parse().expect("first read length");
+    let table = RingGeometry::standard(0).max_spill_bytes();
+    assert!(first > 0 && first <= table, "first read returned {first} bytes");
+    assert!(
+        first < FIRST_READ,
+        "a {FIRST_READ}-byte read cannot fit the {table}-byte table"
+    );
+    assert_ne!(words[4], "0", "getpid after the oversized read");
+    assert_rode_the_ring(&stats);
+}
+
+// ---- the guest is hostile ------------------------------------------------------
+
+/// A process that speaks the ring protocol by hand, so it can write what no
+/// client would: it bootstraps like `SyscallClient` (heap, then `ring_setup`
+/// by message), then plants raw slots in its submission queue and records
+/// the completion each one gets.
+struct RawRingGuest {
+    /// `(case, result)` in submission order.
+    transcript: Arc<Mutex<Vec<(&'static str, SysResult)>>>,
+}
+
+const HEAP_BYTES: u32 = 1024 * 1024;
+
+struct RawRing {
+    ctx: LaunchContext,
+    sab: SharedArrayBuffer,
+    ring: Ring,
+    next_user_data: u32,
+}
+
+impl RawRing {
+    /// Sends one call as a message and waits for its response.
+    fn call_by_message(&self, seq: u64, call: Syscall) -> SysResult {
+        let payload = SyscallBatch::single(call).encode();
+        let pid = self.ctx.pid;
+        self.ctx
+            .kernel
+            .send(KernelEvent::Syscall { pid, seq, payload })
+            .expect("kernel is up");
+        loop {
+            let msg = self.ctx.scope.recv().expect("worker is alive");
+            if msg.get_str("type") == Some("syscall-response") && msg.get_int("seq") == Some(seq as i64) {
+                let batch = msg.get_bytes("completions").and_then(CompletionBatch::decode);
+                return batch.expect("response decodes").completions.remove(0).result;
+            }
+        }
+    }
+
+    /// Plants one submission slot, header and payload exactly as given.
+    fn plant(&mut self, length_word: u32, payload: &[u8]) -> SysResult {
+        let geo = *self.ring.geometry();
+        let tail_word = geo.sq_offset as usize + 4;
+        let tail = self.sab.load_u32(tail_word).expect("tail in bounds");
+        let slot = geo.sq_offset + RING_HEADER_BYTES + tail % geo.slots * geo.slot_bytes;
+        let mut entry = self.next_user_data.to_le_bytes().to_vec();
+        entry.extend_from_slice(&length_word.to_le_bytes());
+        entry.extend_from_slice(payload);
+        self.sab.write_bytes(slot as usize, &entry).expect("slot in bounds");
+        self.sab
+            .store_i32(tail_word, tail.wrapping_add(1) as i32)
+            .expect("tail in bounds");
+        self.completion()
+    }
+
+    /// Plants a spill reference `(a, len)`.
+    fn plant_reference(&mut self, a: u32, len: u32) -> SysResult {
+        let mut reference = a.to_le_bytes().to_vec();
+        reference.extend_from_slice(&len.to_le_bytes());
+        self.plant(INDIRECT | 8, &reference)
+    }
+
+    /// Rings the doorbell for the entry just published and waits for its
+    /// completion.
+    fn completion(&mut self) -> SysResult {
+        let user_data = self.next_user_data;
+        self.next_user_data += 1;
+        let deadline = Instant::now() + WATCHDOG;
+        loop {
+            if self.ring.take_doorbell() {
+                let pid = self.ctx.pid;
+                self.ctx
+                    .kernel
+                    .send(KernelEvent::Doorbell { pid })
+                    .expect("kernel is up");
+            }
+            let seen = self.ring.cq_tail();
+            if let Some((echoed, frame)) = self.ring.pop_cqe() {
+                assert_eq!(echoed, user_data, "completion for another entry");
+                let mut reader = browsix_core::wire::Reader::new(&frame);
+                return SysResult::decode_from(&mut reader).expect("completion decodes");
+            }
+            assert!(Instant::now() < deadline, "entry {user_data} was never completed");
+            let tail_word = self.ring.geometry().cq_tail_off();
+            let _ = self.sab.wait(tail_word, seen as i32, Some(Duration::from_millis(20)));
+        }
+    }
+}
+
+fn encoded(call: &Syscall) -> Vec<u8> {
+    let mut frame = Vec::new();
+    call.encode_into(&mut frame);
+    frame
+}
+
+impl ProgramLauncher for RawRingGuest {
+    fn launch(&self, ctx: LaunchContext) {
+        while ctx.scope.recv().expect("init arrives").get_str("type") != Some("init") {}
+        let sab = SharedArrayBuffer::new(HEAP_BYTES as usize);
+        let geo = RingGeometry::standard(HEAP_BYTES / 2);
+        let pid = ctx.pid;
+        let heap = KernelEvent::RegisterSyncHeap { pid, sab: sab.clone() };
+        ctx.kernel.send(heap).expect("kernel is up");
+        let mut raw = RawRing {
+            ctx,
+            ring: Ring::new(sab.clone(), geo),
+            sab,
+            next_user_data: 0,
+        };
+        let setup = Syscall::RingSetup {
+            sq_offset: geo.sq_offset,
+            cq_offset: geo.cq_offset,
+            slots: geo.slots,
+            slot_bytes: geo.slot_bytes,
+            buf_offset: geo.buf_offset,
+            buf_count: geo.buf_count,
+            buf_bytes: geo.buf_bytes,
+        };
+        let results = vec![
+            ("ring_setup by message", raw.call_by_message(1, setup.clone())),
+            (
+                "ring_setup a second time by message",
+                raw.call_by_message(2, setup.clone()),
+            ),
+            ("ring_setup through the mapped ring", {
+                assert!(raw.ring.push_sqe(raw.next_user_data, &encoded(&setup)));
+                raw.completion()
+            }),
+            (
+                "reference past the end of the heap",
+                raw.plant_reference(HEAP_BYTES, 16),
+            ),
+            ("reference longer than the heap", raw.plant_reference(0, HEAP_BYTES + 1)),
+            (
+                "reference whose end overflows u32",
+                raw.plant_reference(u32::MAX - 4, 16),
+            ),
+            ("reference to nothing", raw.plant_reference(64, 0)),
+            // 300 KiB of zeroes: in bounds, larger than any client's spill
+            // area, and not a system call.
+            ("reference to 300 KiB of zeroes", raw.plant_reference(0, 300 * 1024)),
+            ("reference of garbage", raw.plant(INDIRECT | 8, &[0xff; 8])),
+            ("inline length larger than the slot", raw.plant(1 << 20, &[0xee; 8])),
+            ("getpid, inline", {
+                assert!(raw.ring.push_sqe(raw.next_user_data, &encoded(&Syscall::GetPid)));
+                raw.completion()
+            }),
+            ("getpid, spilled", {
+                assert!(raw
+                    .ring
+                    .push_sqe_spilled(raw.next_user_data, 4096, &encoded(&Syscall::GetPid)));
+                raw.completion()
+            }),
+        ];
+        *self.transcript.lock().unwrap() = results;
+        assert!(raw
+            .ring
+            .push_sqe(raw.next_user_data, &encoded(&Syscall::Exit { code: 0 })));
+        if raw.ring.take_doorbell() {
+            let _ = raw.ctx.kernel.send(KernelEvent::Doorbell { pid });
+        }
+    }
+}
+
+/// Ring memory belongs to the guest, so the kernel treats every word of it
+/// as hostile: each malformed entry is answered with an errno, nothing
+/// panics or reads outside the heap, and the ring keeps working afterwards.
+#[test]
+fn malformed_ring_entries_get_an_errno_and_the_ring_survives() {
+    let transcript = Arc::new(Mutex::new(Vec::new()));
+    let config = browsix_core::BootConfig::in_memory();
+    let guest = RawRingGuest {
+        transcript: Arc::clone(&transcript),
+    };
+    config.registry.register("/usr/bin/hostile", Arc::new(guest));
+    let kernel = Kernel::boot(config);
+    let handle = kernel
+        .spawn("/usr/bin/hostile", &["hostile"], &[])
+        .expect("spawn hostile");
+    let status = handle.wait_timeout(WATCHDOG).expect("the hostile guest hung");
+    assert_eq!(status.code, Some(0), "transcript: {:?}", transcript.lock().unwrap());
+
+    let pid = SysResult::Int(handle.pid as i64);
+    let err = SysResult::Err;
+    assert_eq!(
+        *transcript.lock().unwrap(),
+        [
+            ("ring_setup by message", SysResult::Ok),
+            ("ring_setup a second time by message", err(Errno::EEXIST)),
+            ("ring_setup through the mapped ring", err(Errno::EEXIST)),
+            ("reference past the end of the heap", err(Errno::EFAULT)),
+            ("reference longer than the heap", err(Errno::EFAULT)),
+            ("reference whose end overflows u32", err(Errno::EFAULT)),
+            ("reference to nothing", err(Errno::EFAULT)),
+            ("reference to 300 KiB of zeroes", err(Errno::EINVAL)),
+            ("reference of garbage", err(Errno::EFAULT)),
+            ("inline length larger than the slot", err(Errno::EINVAL)),
+            ("getpid, inline", pid.clone()),
+            ("getpid, spilled", pid),
+        ]
+    );
+    let stats = kernel.stats();
+    assert_eq!(stats.sq_polled, 11, "ten entries and the exit");
+    assert_eq!(stats.cq_posted, 10, "one completion per entry, none for exit");
     kernel.shutdown();
 }

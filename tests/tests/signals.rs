@@ -307,7 +307,7 @@ fn sigcont_resumes_a_stopped_task_even_when_blocked() {
 fn a_stopped_ring_mapped_task_is_frozen_until_sigcont() {
     // A guest on the shared-memory rings writes an unbounded counter into a
     // pipe.  SIGSTOP must freeze it at its next system call exactly like a
-    // guest on the framed transport (whose batches the kernel stashes): the
+    // guest on the message transport (whose frames the kernel stashes): the
     // submission queue is left untouched until SIGCONT, which drains it in
     // order.  Before the fix `drain_ring` only checked that the task was
     // alive, so a stopped ring guest ran on.
