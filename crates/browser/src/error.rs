@@ -20,6 +20,10 @@ pub enum PlatformError {
     UnknownBlobUrl(String),
     /// A `SharedArrayBuffer` access was out of bounds.
     OutOfBounds { offset: usize, len: usize, capacity: usize },
+    /// An `Atomics`-style word operation named a byte offset that is not a
+    /// multiple of 4.  JavaScript reaches shared words through an
+    /// `Int32Array`, which cannot express such an address at all.
+    Unaligned { offset: usize },
     /// Shared memory (`SharedArrayBuffer`/`Atomics`) is not available in the
     /// configured browser (e.g. Firefox at the paper's publication time).
     SharedMemoryUnsupported,
@@ -36,6 +40,9 @@ impl fmt::Display for PlatformError {
                 f,
                 "shared buffer access out of bounds: offset {offset} len {len} capacity {capacity}"
             ),
+            PlatformError::Unaligned { offset } => {
+                write!(f, "shared buffer word access at unaligned offset {offset}")
+            }
             PlatformError::SharedMemoryUnsupported => {
                 write!(f, "shared memory is not supported by this browser configuration")
             }
@@ -61,6 +68,7 @@ mod tests {
                 len: 4,
                 capacity: 8,
             },
+            PlatformError::Unaligned { offset: 6 },
             PlatformError::SharedMemoryUnsupported,
         ];
         for err in errors {

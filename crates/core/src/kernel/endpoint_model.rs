@@ -149,7 +149,7 @@ impl Fleet {
             let mut progressed = false;
             for i in 0..self.shards.len() {
                 while let Ok(event) = self.queues[i].try_recv() {
-                    self.shards[i].handle_event(event);
+                    self.shards[i].handle_one(Some(event));
                     self.shards[i].audit_endpoints();
                     progressed = true;
                 }

@@ -176,6 +176,12 @@ pub(crate) struct KernelState {
     exit_watchers: HashMap<Pid, Vec<Sender<i32>>>,
     exit_records: HashMap<Pid, i32>,
 
+    /// Tasks whose completion queue received entries while the current event
+    /// was being handled and that have not been notified since: each is
+    /// notified once, by the drain of its own ring as that parks, or else
+    /// when the event is done ([`KernelState::notify_rings`]).
+    cq_unnotified: Vec<Pid>,
+
     stats: KernelStats,
     /// The per-call counters, folded into `stats` when a snapshot is taken.
     syscall_tally: SyscallTally,
@@ -220,6 +226,7 @@ impl KernelState {
             pinned_files: HashMap::new(),
             exit_watchers: HashMap::new(),
             exit_records: HashMap::new(),
+            cq_unnotified: Vec::new(),
             stats: KernelStats::default(),
             syscall_tally: SyscallTally::default(),
         }
@@ -243,21 +250,9 @@ impl KernelState {
                 .min(Duration::from_millis(20));
             match events.recv_timeout(timeout) {
                 Ok(KernelEvent::Shutdown) => break,
-                Ok(event) => self.handle_event(event),
-                // The idle tick: nothing arrived, so sweep the rings once.
-                Err(RecvTimeoutError::Timeout) => self.drain_rings(),
+                Ok(event) => self.handle_one(Some(event)),
+                Err(RecvTimeoutError::Timeout) => self.handle_one(None),
                 Err(RecvTimeoutError::Disconnected) => break,
-            }
-            self.expire_poll_deadlines();
-            // With the `scavenger` feature, prove after every event that the
-            // wait queues lost no wakeup (retrying every parked waiter must
-            // complete none), that no submission sits undrained, and that
-            // the endpoint counts equal a from-scratch recount.
-            #[cfg(feature = "scavenger")]
-            {
-                self.scavenge();
-                self.scavenge_rings();
-                self.audit_endpoints();
             }
         }
         // Terminate every remaining worker so their threads exit.
@@ -265,6 +260,35 @@ impl KernelState {
             if let Some(worker) = task.worker.take() {
                 worker.terminate();
             }
+        }
+    }
+
+    /// One turn of the event loop, with or without a thread around it:
+    /// handles `event` — `None` is the idle tick, which sweeps the rings
+    /// once — expires due `poll` deadlines, and then wakes every process
+    /// whose completion queue any of that filled, once each.
+    pub(crate) fn handle_one(&mut self, event: Option<KernelEvent>) {
+        match event {
+            Some(event) => self.handle_event(event),
+            None => self.drain_rings(),
+        }
+        self.expire_poll_deadlines();
+        self.notify_rings();
+        // With the `scavenger` feature, prove after every event that the
+        // wait queues lost no wakeup (retrying every parked waiter must
+        // complete none), that no submission sits undrained, that the
+        // endpoint counts equal a from-scratch recount, and that no ring
+        // holds a completion published since it was last notified.
+        #[cfg(feature = "scavenger")]
+        {
+            self.scavenge();
+            self.scavenge_rings();
+            self.audit_endpoints();
+            assert!(
+                self.cq_unnotified.is_empty(),
+                "completions were published to {:?} after the event's notify",
+                self.cq_unnotified
+            );
         }
     }
 
@@ -818,25 +842,29 @@ impl KernelState {
     }
 
     /// The running tasks that have a ring mapped.
-    fn ring_tasks(&self) -> Vec<Pid> {
+    fn ring_tasks(&self) -> impl Iterator<Item = &Task> + '_ {
         self.tasks
             .values()
+            .map(|t| &**t)
             .filter(|t| t.is_running() && t.ring.is_some())
-            .map(|t| t.pid)
-            .collect()
     }
 
-    /// Drains every running task's submission queue: the idle-tick backstop
-    /// that bounds a lost doorbell to one tick.
+    /// The idle-tick backstop that bounds a lost doorbell to one tick:
+    /// drains every running task's ring that holds submissions, or owes
+    /// completions that overflowed.  On an idle tick that is almost always
+    /// none of them, and collecting none allocates nothing.
     fn drain_rings(&mut self) {
-        for pid in self.ring_tasks() {
+        let backlog = |t: &&Task| !t.pending_cqes.is_empty() || t.ring.as_ref().is_some_and(|ring| !ring.sq_is_empty());
+        let pids: Vec<Pid> = self.ring_tasks().filter(backlog).map(|t| t.pid).collect();
+        for pid in pids {
             self.drain_ring(pid);
         }
     }
 
     /// Drains one task's submission queue dry, dispatching each entry and
-    /// posting its completion (or parking a waiter) as it goes, then parks
-    /// the queue by setting `NEED_WAKEUP`.
+    /// posting its completion (or parking a waiter) as it goes, then
+    /// notifies the task of those completions, once, and parks the queue by
+    /// setting `NEED_WAKEUP`.
     ///
     /// The park re-checks for entries that raced in after the flag was set:
     /// their submitter saw the flag still clear and suppressed its doorbell,
@@ -856,7 +884,7 @@ impl KernelState {
         else {
             return;
         };
-        self.flush_pending_cqes(pid, &ring);
+        self.flush_pending_cqes(pid, None);
         loop {
             // Re-checked per entry: dispatching one can stop (or kill) the
             // submitter, and the entries behind it must stay queued.
@@ -892,6 +920,16 @@ impl KernelState {
             if !self.task_running(pid) {
                 return;
             }
+            // Wake the process for what this pass completed *before* parking
+            // its queue.  Where it runs at once — on a single CPU the wake-up
+            // preempts this thread — it submits its next call while the flag
+            // is still clear, rings no doorbell, and the re-check below picks
+            // the entry up: a depth-1 caller keeps the kernel in this loop
+            // instead of paying a doorbell and a kernel wake-up per call.
+            if let Some(at) = self.cq_unnotified.iter().position(|&owed| owed == pid) {
+                self.cq_unnotified.swap_remove(at);
+                ring.notify_cq();
+            }
             ring.set_need_wakeup();
             if ring.sq_is_empty() {
                 break;
@@ -914,51 +952,57 @@ impl KernelState {
     /// set) is asserted by the deterministic ring model property test.
     #[cfg(feature = "scavenger")]
     fn scavenge_rings(&mut self) {
-        for pid in self.ring_tasks() {
+        let pids: Vec<Pid> = self.ring_tasks().map(|t| t.pid).collect();
+        for pid in pids {
             while self.task_running(pid) && self.tasks[&pid].ring.as_ref().is_some_and(|ring| !ring.sq_is_empty()) {
                 self.drain_ring(pid);
             }
         }
+        // What those drains completed belongs to no event: notify it here.
+        self.notify_rings();
     }
 
-    /// Posts one ring completion, spilling to the task's overflow queue when
-    /// the completion queue is full or no registered buffer is free.
+    /// Posts one ring completion.  It queues behind any that overflowed
+    /// earlier — the completion queue was full, or no registered buffer was
+    /// free — so completions reach the process in the order they were made,
+    /// and stays in the task's overflow queue itself if it cannot go now.
     fn post_ring_completion(&mut self, pid: Pid, user_data: u32, result: SysResult) {
-        let Some(ring) = self.tasks.get(&pid).and_then(|t| t.ring.clone()) else {
-            return;
-        };
-        // Preserve completion order across overflow: new completions queue
-        // behind any that are still waiting for a slot or buffer.
-        let had_pending = self
-            .tasks
-            .get(&pid)
-            .map(|t| !t.pending_cqes.is_empty())
-            .unwrap_or(false);
-        if had_pending {
-            if let Some(task) = self.tasks.get_mut(&pid) {
-                task.pending_cqes.push_back((user_data, result));
+        self.flush_pending_cqes(pid, Some((user_data, result)));
+    }
+
+    /// Publishes the task's queued completions, `newest` last, in FIFO order
+    /// until one does not fit, and remembers that its ring is owed a notify.
+    fn flush_pending_cqes(&mut self, pid: Pid, newest: Option<(u32, SysResult)>) {
+        let Some(task) = self.tasks.get_mut(&pid) else { return };
+        task.pending_cqes.extend(newest);
+        let Some(ring) = &task.ring else { return };
+        let mut posted = 0;
+        while let Some((user_data, result)) = task.pending_cqes.pop_front() {
+            if let Err(result) = Self::try_post_cqe(ring, user_data, result) {
+                task.pending_cqes.push_front((user_data, result));
+                break;
             }
-            self.flush_pending_cqes(pid, &ring);
-            return;
+            posted += 1;
         }
-        if let Err(result) = self.try_post_cqe(&ring, user_data, result) {
-            if let Some(task) = self.tasks.get_mut(&pid) {
-                task.pending_cqes.push_back((user_data, result));
+        if posted > 0 {
+            self.stats.cq_posted += posted;
+            if !self.cq_unnotified.contains(&pid) {
+                self.cq_unnotified.push(pid);
             }
         }
     }
 
-    /// Retries overflowed completions in FIFO order until one still fails.
-    fn flush_pending_cqes(&mut self, pid: Pid, ring: &Ring) {
-        loop {
-            let Some((user_data, result)) = self.tasks.get_mut(&pid).and_then(|t| t.pending_cqes.pop_front()) else {
-                return;
-            };
-            if let Err(result) = self.try_post_cqe(ring, user_data, result) {
-                if let Some(task) = self.tasks.get_mut(&pid) {
-                    task.pending_cqes.push_front((user_data, result));
-                }
-                return;
+    /// Wakes every process whose completion queue was published to and that
+    /// has not been notified since: one `Atomics.notify` per ring per event,
+    /// however many completions the event produced and whichever path
+    /// produced them (a wake-up, a peer shard's reply, a `poll` deadline, a
+    /// child's exit; a drain notifies its own ring itself, as it parks).  A
+    /// process about to sleep re-reads the tail first, so one that is not
+    /// asleep yet needs no wake.
+    fn notify_rings(&mut self) {
+        for pid in self.cq_unnotified.drain(..) {
+            if let Some(ring) = self.tasks.get(&pid).and_then(|t| t.ring.as_ref()) {
+                ring.notify_cq();
             }
         }
     }
@@ -976,7 +1020,7 @@ impl KernelState {
     /// Returns the result back when it cannot be posted right now (queue
     /// full, or the registered buffers it needs are not free); the caller
     /// keeps it in the task's overflow queue.
-    fn try_post_cqe(&mut self, ring: &Ring, user_data: u32, result: SysResult) -> Result<(), SysResult> {
+    fn try_post_cqe(ring: &Ring, user_data: u32, result: SysResult) -> Result<(), SysResult> {
         if ring.cq_space() == 0 {
             return Err(result);
         }
@@ -1007,7 +1051,6 @@ impl KernelState {
             }
         }
         if ring.push_cqe(user_data, &frame) {
-            self.stats.cq_posted += 1;
             Ok(())
         } else {
             if let Some(buf) = fixed_buf {

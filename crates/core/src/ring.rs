@@ -7,7 +7,9 @@
 //! * the **submission queue** (SQ): the process encodes each call directly
 //!   into the next free slot and publishes it by advancing the tail index;
 //! * the **completion queue** (CQ): the kernel encodes each result into the
-//!   next free slot, advances the tail and notifies the waiting process;
+//!   next free slot and publishes it by advancing the tail index; once it has
+//!   published all that a drain or other event produces, it notifies the
+//!   waiting process;
 //! * the **registered-buffer table**: a small pool of fixed-size buffers,
 //!   laid out back to back, that carry what a completion slot cannot.
 //!
@@ -21,6 +23,27 @@
 //! queue dry, and the process rings the doorbell (a kernel event, modelling
 //! `Atomics.notify` on the kernel's wait address) only when it observes the
 //! flag set — i.e. only on empty→non-empty transitions.
+//!
+//! Every word of the protocol is read and written with one sequentially
+//! consistent `Atomics` operation ([`SharedArrayBuffer::load_i32`] and
+//! friends); slot bytes are plain copies, published by the tail store that
+//! follows them and acquired by the tail load that precedes reading them:
+//!
+//! | word                  | written by | ordering          | who waits on it |
+//! |-----------------------|------------|-------------------|-----------------|
+//! | SQ head               | kernel     | `SeqCst` store    | nobody (the process polls it for space) |
+//! | SQ tail               | process    | `SeqCst` store    | nobody (a doorbell event stands in for `Atomics.notify`) |
+//! | SQ flags (`NEED_WAKEUP`) | both    | `SeqCst` `or`/`and` | nobody |
+//! | CQ head               | process    | `SeqCst` store    | nobody (the kernel retries overflow on the next drain) |
+//! | CQ tail               | kernel     | `SeqCst` store    | the process, in `Atomics.wait` with the tail it last saw |
+//! | slot header, reference | producer  | `SeqCst` stores, before the tail | nobody |
+//! | buffer bitmap         | both       | `SeqCst` compare-exchange / `and` | nobody |
+//!
+//! [`Ring::push_cqe`] only *publishes*; [`Ring::notify_cq`] *wakes*, and the
+//! kernel calls it once for everything a drain of the submission queue, or
+//! any other kernel event, published to the ring.  Nothing is lost in between: the process re-reads the CQ
+//! tail and passes that value as `Atomics.wait`'s expected one, so a
+//! completion published before it sleeps makes the wait return `NotEqual`.
 //!
 //! Slot payloads are the exact wire encoding of [`crate::Syscall`] and
 //! [`crate::syscall::SysResult`], the same bytes the message transport puts
@@ -65,8 +88,6 @@
 //! ```
 
 use browsix_browser::SharedArrayBuffer;
-
-use crate::wire::{self, Reader};
 
 /// Number of slots in each queue (power of two).
 pub const RING_SLOTS: u32 = 64;
@@ -148,14 +169,24 @@ impl RingGeometry {
 
     /// Whether this geometry is sane and fits a heap of `heap_len` bytes: a
     /// slot holds at least a spill reference, the buffer table is no larger
-    /// than its one-word allocation bitmap, and every offset into a region
-    /// fits the `u32` arithmetic that computes it.
+    /// than its one-word allocation bitmap, every offset into a region fits
+    /// the `u32` arithmetic that computes it, and every header, slot and
+    /// buffer starts on a word boundary — the protocol's words are reached
+    /// through `Atomics`, which cannot name an unaligned one.
     pub fn validate(&self, heap_len: usize) -> bool {
         let fits = |offset: u32, header: u32, count: u32, each: u32| {
             let end = offset as u64 + header as u64 + count as u64 * each as u64;
             end <= heap_len as u64 && end <= u32::MAX as u64
         };
-        self.slots.is_power_of_two()
+        let aligned = [
+            self.sq_offset,
+            self.cq_offset,
+            self.buf_offset,
+            self.slot_bytes,
+            self.buf_bytes,
+        ];
+        aligned.iter().all(|bytes| bytes.is_multiple_of(4))
+            && self.slots.is_power_of_two()
             && self.slot_bytes as usize >= 8 + REFERENCE_BYTES
             && self.buf_count <= 32
             && fits(self.sq_offset, RING_HEADER_BYTES, self.slots, self.slot_bytes)
@@ -211,10 +242,10 @@ fn run_mask(first: u32, n: u32) -> u32 {
 }
 
 /// The spill reference `(a, len)` as slot payload bytes.
-fn reference(a: u32, len: usize) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(REFERENCE_BYTES);
-    wire::put_u32(&mut bytes, a);
-    wire::put_u32(&mut bytes, len as u32);
+fn reference(a: u32, len: usize) -> [u8; REFERENCE_BYTES] {
+    let mut bytes = [0; REFERENCE_BYTES];
+    bytes[..4].copy_from_slice(&a.to_le_bytes());
+    bytes[4..].copy_from_slice(&(len as u32).to_le_bytes());
     bytes
 }
 
@@ -270,11 +301,10 @@ impl Ring {
             return None;
         }
         let tail = self.load(queue as usize + TAIL);
-        let mut entry = Vec::with_capacity(8 + payload.len());
-        wire::put_u32(&mut entry, user_data);
-        wire::put_u32(&mut entry, length_word);
-        entry.extend_from_slice(payload);
-        self.sab.write_bytes(self.geo.slot_off(queue, tail), &entry).ok()?;
+        let slot = self.geo.slot_off(queue, tail);
+        self.sab.write_bytes(slot + 8, payload).ok()?;
+        self.store(slot, user_data);
+        self.store(slot + 4, length_word);
         Some(tail.wrapping_add(1))
     }
 
@@ -287,16 +317,12 @@ impl Ring {
             return None;
         }
         let slot = self.geo.slot_off(queue, head);
-        let header = self.sab.read_bytes(slot, 8).ok()?;
-        let mut header = Reader::new(&header);
-        let (user_data, length_word) = (header.u32()?, header.u32()?);
+        let (user_data, length_word) = (self.load(slot), self.load(slot + 4));
         let payload = if length_word & INDIRECT == 0 {
             let len = (length_word as usize).min(self.geo.slot_payload_bytes());
             self.sab.read_bytes(slot + 8, len).ok()?
         } else {
-            let reference = self.sab.read_bytes(slot + 8, REFERENCE_BYTES).ok()?;
-            let mut reference = Reader::new(&reference);
-            resolve(reference.u32()?, reference.u32()? as usize).unwrap_or_default()
+            resolve(self.load(slot + 8), self.load(slot + 12) as usize).unwrap_or_default()
         };
         self.store(queue as usize, head.wrapping_add(1));
         Some((user_data, payload))
@@ -394,8 +420,9 @@ impl Ring {
 
     /// Kernel: writes one completion into the next free slot — or, when it
     /// does not fit one, into adjacent registered buffers with the slot
-    /// referring to them — publishes it and notifies the process blocked on
-    /// the CQ tail word.
+    /// referring to them — and publishes it by storing the new tail.  Nobody
+    /// is woken: that is [`Ring::notify_cq`], once the kernel has published
+    /// everything the drain or event it is busy with produces.
     ///
     /// Returns `false` (without side effects) if the queue is full or the
     /// buffers a spill needs are not free; the caller is expected to hold
@@ -419,9 +446,15 @@ impl Ring {
             tail
         };
         tail.is_some_and(|tail| {
-            let _ = self.sab.store_and_notify(self.geo.cq_tail_off(), tail as i32);
+            self.store(self.geo.cq_tail_off(), tail);
             true
         })
+    }
+
+    /// Kernel: wakes the process if it is blocked on the CQ tail word (free
+    /// when it is not).  Returns how many waiters were woken.
+    pub fn notify_cq(&self) -> usize {
+        self.sab.notify(self.geo.cq_tail_off(), 1)
     }
 
     /// Process: pops the oldest completion, if any, copying a spilled one
@@ -444,17 +477,24 @@ impl Ring {
 
     /// Claims `n` adjacent free buffers, marking them in the shared
     /// allocation bitmap.  Returns the first index, or `None` if no such run
-    /// is free.
+    /// is free.  The search and the claim are one compare-exchange, retried
+    /// against the bitmap as it then stands if the process changed it in
+    /// between, so a run is only ever claimed while it is free.
     fn alloc_bufs(&self, n: u32) -> Option<u32> {
         if n == 0 || n > self.geo.buf_count {
             return None;
         }
-        let bitmap = self.sab.load_i32(self.geo.buf_offset as usize).ok()? as u32;
-        let first = (0..=self.geo.buf_count - n).find(|&first| bitmap & run_mask(first, n) == 0)?;
-        let _ = self
-            .sab
-            .fetch_or_i32(self.geo.buf_offset as usize, run_mask(first, n) as i32);
-        Some(first)
+        let word = self.geo.buf_offset as usize;
+        let mut bitmap = self.load(word);
+        loop {
+            let first = (0..=self.geo.buf_count - n).find(|&first| bitmap & run_mask(first, n) == 0)?;
+            let claimed = (bitmap | run_mask(first, n)) as i32;
+            let now = self.sab.compare_exchange_i32(word, bitmap as i32, claimed).ok()? as u32;
+            if now == bitmap {
+                return Some(first);
+            }
+            bitmap = now;
+        }
     }
 
     /// Releases `n` adjacent buffers starting at `first` (in range).
@@ -530,6 +570,23 @@ mod tests {
     }
 
     #[test]
+    fn geometry_off_the_word_grid_is_rejected() {
+        let geo = RingGeometry::standard(512 * 1024);
+        let knock: [fn(&mut RingGeometry); 5] = [
+            |geo| geo.sq_offset += 2,
+            |geo| geo.cq_offset += 1,
+            |geo| geo.buf_offset += 3,
+            |geo| geo.slot_bytes = 18,
+            |geo| geo.buf_bytes -= 2,
+        ];
+        for (i, knock) in knock.iter().enumerate() {
+            let mut bad = geo;
+            knock(&mut bad);
+            assert!(!bad.validate(1024 * 1024), "case {i}");
+        }
+    }
+
+    #[test]
     fn sq_round_trips_in_fifo_order() {
         let ring = ring();
         assert!(ring.sq_is_empty());
@@ -572,12 +629,45 @@ mod tests {
 
     #[test]
     fn cq_round_trips_and_notifies() {
+        use browsix_browser::AtomicsWaitResult;
+        use std::time::Duration;
+
         let ring = ring();
         let before = ring.cq_tail();
         assert!(ring.push_cqe(3, b"done"));
         assert_eq!(ring.cq_tail(), before.wrapping_add(1));
         assert_eq!(ring.pop_cqe(), Some((3, b"done".to_vec())));
         assert_eq!(ring.pop_cqe(), None);
+
+        // `push_cqe` publishes, `notify_cq` wakes.
+        let sleep_on_tail = |timeout| {
+            let (ring, tail) = (ring.clone(), ring.cq_tail());
+            std::thread::spawn(move || {
+                let tail_off = ring.geometry().cq_tail_off();
+                ring.sab().wait(tail_off, tail as i32, Some(timeout)).unwrap()
+            })
+        };
+        // A process already asleep on the tail sleeps through a publish.  One
+        // that only got to `wait` after it sees the tail moved (`NotEqual`);
+        // that says nothing either way, so that round is played again.
+        let slept_through = loop {
+            let sleeper = sleep_on_tail(Duration::from_millis(50));
+            std::thread::sleep(Duration::from_millis(10));
+            assert!(ring.push_cqe(1, b"published"));
+            assert!(ring.pop_cqe().is_some());
+            match sleeper.join().unwrap() {
+                AtomicsWaitResult::NotEqual => continue,
+                result => break result,
+            }
+        };
+        assert_eq!(slept_through, AtomicsWaitResult::TimedOut, "push_cqe must not notify");
+
+        assert_eq!(ring.notify_cq(), 0, "nobody waits: free, and says so");
+        let sleeper = sleep_on_tail(Duration::from_secs(5));
+        while ring.notify_cq() == 0 {
+            std::thread::yield_now();
+        }
+        assert_eq!(sleeper.join().unwrap(), AtomicsWaitResult::Ok);
     }
 
     /// A heap with room below the ring region for spilled submissions.
@@ -636,7 +726,7 @@ mod tests {
             reference(0, heap_len as usize + 1),
             reference(u32::MAX - 2, 8),
             reference(16, 0),
-            vec![0xff; 8],
+            [0xff; 8],
         ];
         for (i, case) in sq_cases.iter().enumerate() {
             assert!(ring.push_sqe(i as u32, b"placeholder"));

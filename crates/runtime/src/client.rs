@@ -236,8 +236,8 @@ impl SyscallClient {
         if self.terminated {
             return vec![SysResult::Err(Errno::EINTR); n];
         }
-        match self.ring.clone() {
-            Some(ring) => self.pump_ring(&ring, &batch),
+        match self.pump_ring(&batch) {
+            Some(results) => results,
             None => self.submit_async(batch),
         }
     }
@@ -353,45 +353,49 @@ impl SyscallClient {
     /// it, so the area is free again once everything submitted so far has
     /// completed; a wave that runs out of it waits for that.  An entry
     /// larger than the whole area fails with `E2BIG`.
-    fn pump_ring(&mut self, ring: &Ring, batch: &SyscallBatch) -> Vec<SysResult> {
+    ///
+    /// Returns `None`, having done nothing, if this process has no ring.
+    fn pump_ring(&mut self, batch: &SyscallBatch) -> Option<Vec<SysResult>> {
+        let ring = self.ring.as_ref()?;
         let n = batch.len();
         // fork is incompatible with the synchronous convention (§3.2).
         if batch.entries.iter().any(|c| matches!(c, Syscall::Fork { .. })) {
-            return vec![SysResult::Err(Errno::ENOSYS); n];
+            return Some(vec![SysResult::Err(Errno::ENOSYS); n]);
         }
-        let encode = |call: &Syscall| {
-            let mut frame = Vec::with_capacity(32);
-            call.encode_into(&mut frame);
-            frame
-        };
-        let encoded: Vec<Vec<u8>> = batch.entries.iter().map(encode).collect();
         let slot_payload = ring.geometry().slot_payload_bytes();
         let mut results = vec![SysResult::Err(Errno::EIO); n];
         let mut submitted = 0usize;
         let mut completed = 0usize;
         let mut spill_cursor = 0usize;
+        // The encoding of entry `submitted`, or empty if it is yet to be
+        // made: one buffer serves the whole batch, and an entry the queue had
+        // no room for keeps its encoding until the next wave.
+        let mut frame = Vec::with_capacity(64);
         while completed < n {
             if submitted == completed {
                 spill_cursor = 0;
             }
             while submitted < n {
-                let frame = &encoded[submitted];
+                if frame.is_empty() {
+                    batch.entries[submitted].encode_into(&mut frame);
+                }
                 if frame.len() > DATA_OFFSET {
                     results[submitted] = SysResult::Err(Errno::E2BIG);
                     completed += 1;
                 } else if frame.len() <= slot_payload {
-                    if !ring.push_sqe(submitted as u32, frame) {
+                    if !ring.push_sqe(submitted as u32, &frame) {
                         break;
                     }
                 } else {
                     if spill_cursor + frame.len() > DATA_OFFSET
-                        || !ring.push_sqe_spilled(submitted as u32, spill_cursor as u32, frame)
+                        || !ring.push_sqe_spilled(submitted as u32, spill_cursor as u32, &frame)
                     {
                         break;
                     }
                     spill_cursor += frame.len();
                 }
                 submitted += 1;
+                frame.clear();
             }
             // Doorbell protocol: entries are published first, then the
             // kernel's NEED_WAKEUP flag is consumed.  Flag set → the kernel
@@ -400,7 +404,7 @@ impl SyscallClient {
             // draining and will observe the new tail itself.
             if ring.take_doorbell() && self.kernel.send(KernelEvent::Doorbell { pid: self.pid }).is_err() {
                 self.terminated = true;
-                return vec![SysResult::Err(Errno::EINTR); n];
+                return Some(vec![SysResult::Err(Errno::EINTR); n]);
             }
             let seen_tail = ring.cq_tail();
             let mut progressed = false;
@@ -422,23 +426,24 @@ impl SyscallClient {
             }
             if self.scope.terminated() {
                 self.terminated = true;
-                return vec![SysResult::Err(Errno::EINTR); n];
+                return Some(vec![SysResult::Err(Errno::EINTR); n]);
             }
             match ring.sab().wait(
                 ring.geometry().cq_tail_off(),
                 seen_tail as i32,
                 Some(Duration::from_millis(100)),
             ) {
-                // Timed out or woken: re-check the queue either way.  The
-                // loop re-offers the doorbell each time round, and the
-                // kernel's idle-tick sweep of all rings (only when its
-                // event queue stayed empty, so by at most 20 ms) picks up an
-                // entry whose doorbell was lost outright.
+                // Timed out, woken by the kernel's once-per-event notify, or
+                // the tail had already moved on: re-check the queue whichever
+                // it was.  The loop re-offers the doorbell each time round,
+                // and the kernel's idle-tick sweep of all rings (only when
+                // its event queue stayed empty, so by at most 20 ms) picks
+                // up an entry whose doorbell was lost outright.
                 Ok(_) => {}
-                Err(_) => return vec![SysResult::Err(Errno::EFAULT); n],
+                Err(_) => return Some(vec![SysResult::Err(Errno::EFAULT); n]),
             }
         }
-        results
+        Some(results)
     }
 }
 

@@ -128,16 +128,18 @@ if close_1024 > 2 * close_8:
 print(f"readiness: close beside 1024 tasks costs {close_1024 / close_8:.2f}x the 8-task cost (flat)")
 
 # Guard the ring transport with an absolute budget: one process submitting
-# 256 individual pipe writes over its shared-memory ring in at most 5 ms.
-# It needs about 1.5 ms, one modelled postMessage round trip (the ring_setup
-# bootstrap) included; paying a modelled postMessage per call, as the framed
-# sync transport the ring replaced did, costs about 14 ms.
+# 256 individual pipe writes over its shared-memory ring in at most 2.1 ms,
+# twice what it needs pinned to one CPU: 1.05 ms, one modelled postMessage
+# round trip (the ring_setup bootstrap) included.  With a lock and an
+# allocation per word of ring protocol (the heap before its words were
+# atomics) the same run read 1.42 ms; with a modelled postMessage per call,
+# as on the framed sync transport the ring replaced, about 14 ms.
 ring = means.get("rings/ring_submit_256")
 if ring is None:
     sys.exit("missing rings/ring_submit_256 result")
-if ring > 5_000_000:
-    sys.exit(f"rings: 256 ring submissions took {ring / 1e6:.2f} ms; the budget is 5 ms")
-print(f"rings: 256 ring submissions take {ring / 1e6:.2f} ms (budget 5 ms)")
+if ring > 2_100_000:
+    sys.exit(f"rings: 256 ring submissions took {ring / 1e6:.2f} ms; the budget is 2.1 ms")
+print(f"rings: 256 ring submissions take {ring / 1e6:.2f} ms (budget 2.1 ms)")
 
 # Guard the zero-copy data path: httpd serving the 32 KiB payload over
 # sendfile (page cache -> socket inside the kernel) must beat the classic

@@ -17,8 +17,8 @@ use browsix_core::{
 use browsix_fs::{FileSystem, OpenFlags};
 use browsix_http::{HttpRequest, Method};
 use browsix_runtime::{
-    guest, EmscriptenLauncher, EmscriptenMode, ExecutionProfile, GuestFactory, NodeLauncher, RuntimeEnv, SpawnStdio,
-    SyscallClient, SyscallConvention,
+    guest, EmscriptenLauncher, EmscriptenMode, ExecutionProfile, GuestFactory, NodeLauncher, PollFd, RuntimeEnv,
+    SpawnStdio, SyscallClient, SyscallConvention,
 };
 
 /// How long any guest below may take before its test fails instead of
@@ -456,6 +456,123 @@ fn an_oversized_read_is_short_and_leaves_the_ring_intact() {
     assert_rode_the_ring(&stats);
 }
 
+// ---- one notify per kernel event, on every completion path --------------------
+
+/// What a process pays for a completion it was not notified of: its
+/// `Atomics.wait` runs into the client's 100 ms re-check.  The guests below
+/// block a hundred times or more on completions that no drain of their own
+/// ring produces; were that path to publish without a notify, they would
+/// take ten seconds and more instead of a fraction of one.
+const NOTIFIED_WITHIN: Duration = Duration::from_secs(2);
+
+/// Runs `probe` (beside `child`) under the sync convention and returns the
+/// time it printed for its blocking loop.
+fn time_blocking_loop(probe: GuestFactory, child: GuestFactory) -> Duration {
+    let (code, stdout, stats) = run_probe(SyscallConvention::Sync, &[], &|_| {}, probe, child);
+    assert_eq!(code, Some(0), "stdout: {stdout}");
+    assert_rode_the_ring(&stats);
+    let micros = stdout.trim().parse().expect("the probe prints its loop time");
+    Duration::from_micros(micros)
+}
+
+/// Two ring processes bounce one-byte messages over a pair of pipes.  Each
+/// `read` finds its pipe empty and parks, so each completion is posted by
+/// the wake-up that the *other* process's `write` causes — on that process's
+/// doorbell event, or, when the two live on different shards, on a peer
+/// shard's reply.
+#[test]
+fn completions_posted_by_a_wake_up_are_notified() {
+    const TURNS: usize = 2_000;
+    let probe = guest("probe", |env: &mut dyn RuntimeEnv| {
+        let (Ok((ping_r, ping_w)), Ok((pong_r, pong_w))) = (env.pipe(), env.pipe()) else {
+            return 2;
+        };
+        let stdio = SpawnStdio {
+            stdin: Some(ping_r),
+            stdout: Some(pong_w),
+            stderr: None,
+        };
+        let Ok(child) = env.spawn("/usr/bin/probe-child", &["probe-child".to_owned()], stdio) else {
+            return 3;
+        };
+        if env.close_many(&[ping_r, pong_w]).is_err() {
+            return 4;
+        }
+        let start = Instant::now();
+        for turn in 0..TURNS {
+            let byte = [turn as u8];
+            if env.write(ping_w, &byte) != Ok(1) || env.read(pong_r, 1).as_deref() != Ok(&byte) {
+                return 5;
+            }
+        }
+        let elapsed = start.elapsed();
+        let _ = env.close(ping_w);
+        env.print(&format!("{}\n", elapsed.as_micros()));
+        env.wait(child as i32).ok().and_then(|w| w.exit_code).unwrap_or(6)
+    });
+    let child = guest("probe-child", |env: &mut dyn RuntimeEnv| loop {
+        match env.read(0, 1) {
+            Ok(byte) if byte.is_empty() => return 0,
+            Ok(byte) if env.write(1, &byte) == Ok(1) => {}
+            _ => return 1,
+        }
+    });
+    let elapsed = time_blocking_loop(probe, child);
+    assert!(elapsed < NOTIFIED_WITHIN, "{TURNS} turns took {elapsed:?}");
+}
+
+/// `wait4` on a child that is still starting parks; the completion is posted
+/// by the child's exit.
+#[test]
+fn completions_posted_by_a_child_exit_are_notified() {
+    const CHILDREN: usize = 100;
+    let probe = guest("probe", |env: &mut dyn RuntimeEnv| {
+        let start = Instant::now();
+        for _ in 0..CHILDREN {
+            let Ok(child) = env.spawn(
+                "/usr/bin/probe-child",
+                &["probe-child".to_owned()],
+                SpawnStdio::default(),
+            ) else {
+                return 2;
+            };
+            if env.wait(child as i32).ok().and_then(|w| w.exit_code) != Some(0) {
+                return 3;
+            }
+        }
+        env.print(&format!("{}\n", start.elapsed().as_micros()));
+        0
+    });
+    let elapsed = time_blocking_loop(probe, no_child());
+    assert!(elapsed < NOTIFIED_WITHIN, "{CHILDREN} waits took {elapsed:?}");
+}
+
+/// A `poll` on a pipe nobody writes to parks until its deadline; the
+/// completion is posted by the kernel's deadline sweep, on no event at all.
+#[test]
+fn completions_posted_by_a_poll_deadline_are_notified() {
+    const POLLS: usize = 100;
+    let probe = guest("probe", |env: &mut dyn RuntimeEnv| {
+        let Ok((idle_r, _idle_w)) = env.pipe() else {
+            return 2;
+        };
+        let start = Instant::now();
+        for _ in 0..POLLS {
+            if env.poll(&mut [PollFd::readable(idle_r)], 1) != Ok(0) {
+                return 3;
+            }
+        }
+        env.print(&format!("{}\n", start.elapsed().as_micros()));
+        0
+    });
+    let elapsed = time_blocking_loop(probe, no_child());
+    assert!(
+        elapsed >= Duration::from_millis(POLLS as u64),
+        "the polls did not block"
+    );
+    assert!(elapsed < NOTIFIED_WITHIN, "{POLLS} expiring polls took {elapsed:?}");
+}
+
 // ---- the guest is hostile ------------------------------------------------------
 
 /// A process that speaks the ring protocol by hand, so it can write what no
@@ -564,7 +681,7 @@ impl ProgramLauncher for RawRingGuest {
             sab,
             next_user_data: 0,
         };
-        let setup = Syscall::RingSetup {
+        let ring_setup = |geo: RingGeometry| Syscall::RingSetup {
             sq_offset: geo.sq_offset,
             cq_offset: geo.cq_offset,
             slots: geo.slots,
@@ -573,11 +690,20 @@ impl ProgramLauncher for RawRingGuest {
             buf_count: geo.buf_count,
             buf_bytes: geo.buf_bytes,
         };
+        let setup = ring_setup(geo);
+        // Geometries off the word grid: `Atomics` could not reach their words.
+        let odd_cq = ring_setup(RingGeometry {
+            cq_offset: geo.cq_offset + 1,
+            ..geo
+        });
+        let slots_of_18 = ring_setup(RingGeometry { slot_bytes: 18, ..geo });
         let results = vec![
-            ("ring_setup by message", raw.call_by_message(1, setup.clone())),
+            ("ring_setup with an odd cq_offset", raw.call_by_message(1, odd_cq)),
+            ("ring_setup with 18-byte slots", raw.call_by_message(2, slots_of_18)),
+            ("ring_setup by message", raw.call_by_message(3, setup.clone())),
             (
                 "ring_setup a second time by message",
-                raw.call_by_message(2, setup.clone()),
+                raw.call_by_message(4, setup.clone()),
             ),
             ("ring_setup through the mapped ring", {
                 assert!(raw.ring.push_sqe(raw.next_user_data, &encoded(&setup)));
@@ -642,6 +768,8 @@ fn malformed_ring_entries_get_an_errno_and_the_ring_survives() {
     assert_eq!(
         *transcript.lock().unwrap(),
         [
+            ("ring_setup with an odd cq_offset", err(Errno::EINVAL)),
+            ("ring_setup with 18-byte slots", err(Errno::EINVAL)),
             ("ring_setup by message", SysResult::Ok),
             ("ring_setup a second time by message", err(Errno::EEXIST)),
             ("ring_setup through the mapped ring", err(Errno::EEXIST)),
