@@ -7,8 +7,14 @@
 //! `Arc`s, exactly like Unix "open file descriptions" shared by `dup` and
 //! inheritance.
 //!
+//! A description says for itself which kernel stream ends it refers to
+//! ([`FileKind::read_stream`], [`FileKind::write_stream`]): a pipe end is one,
+//! a connected socket is two — the stream flowing towards it and the one
+//! flowing away — and nothing else in the kernel has to be looked up to
+//! read, write, poll, count or hand such a descriptor to another shard.
+//!
 //! The `Arc` *is* the reference count the kernel's pipe and socket
-//! bookkeeping hangs off: a description's stream endpoints are counted once
+//! bookkeeping hangs off: a description's stream ends are counted once
 //! when it is created (or becomes a connected socket) and dropped once when
 //! its last `Arc` goes away.  Every table operation that can let go of a
 //! description — [`FdTable::remove`], [`FdTable::insert_at`],
@@ -27,20 +33,10 @@ use parking_lot::Mutex;
 use browsix_fs::{Errno, FileHandle, OpenFlags};
 
 use crate::events::OutputSink;
-use crate::socket::ConnectionId;
 use crate::streams::StreamId;
 
 /// A file-descriptor number.
 pub type Fd = i32;
-
-/// Which side of a socket connection a descriptor refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SocketSide {
-    /// The side that called `connect`.
-    Client,
-    /// The side returned by `accept`.
-    Server,
-}
 
 /// What an open descriptor refers to.
 #[derive(Clone)]
@@ -78,12 +74,14 @@ pub enum FileKind {
         /// The port being listened on.
         port: u16,
     },
-    /// One endpoint of an established connection.
+    /// One side of an established connection: two stream ends.
     SocketStream {
-        /// Kernel connection id.
-        connection: ConnectionId,
-        /// Which side of the connection this is.
-        side: SocketSide,
+        /// Kernel stream flowing towards this side.
+        reads: StreamId,
+        /// Kernel stream flowing away from it.
+        writes: StreamId,
+        /// The port the connection was made to.
+        port: u16,
     },
     /// A sink owned by the embedding web application (the stdout/stderr
     /// callbacks passed to `kernel.system(...)`).  The description owns the
@@ -102,6 +100,28 @@ pub enum FileKind {
     Null,
 }
 
+impl FileKind {
+    /// The stream a descriptor of this kind reads from, if it is a stream
+    /// end: a pipe's read end, or the direction flowing towards a socket.
+    pub fn read_stream(&self) -> Option<StreamId> {
+        match *self {
+            FileKind::PipeReader { stream } => Some(stream),
+            FileKind::SocketStream { reads, .. } => Some(reads),
+            _ => None,
+        }
+    }
+
+    /// The stream a descriptor of this kind writes to, if any (the mirror
+    /// of [`FileKind::read_stream`]).
+    pub fn write_stream(&self) -> Option<StreamId> {
+        match *self {
+            FileKind::PipeWriter { stream } => Some(stream),
+            FileKind::SocketStream { writes, .. } => Some(writes),
+            _ => None,
+        }
+    }
+}
+
 impl fmt::Debug for FileKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -115,10 +135,11 @@ impl fmt::Debug for FileKind {
             FileKind::PipeWriter { stream } => f.debug_struct("PipeWriter").field("stream", stream).finish(),
             FileKind::Socket { bound_port } => f.debug_struct("Socket").field("bound_port", bound_port).finish(),
             FileKind::SocketListener { port } => f.debug_struct("SocketListener").field("port", port).finish(),
-            FileKind::SocketStream { connection, side } => f
+            FileKind::SocketStream { reads, writes, port } => f
                 .debug_struct("SocketStream")
-                .field("connection", connection)
-                .field("side", side)
+                .field("reads", reads)
+                .field("writes", writes)
+                .field("port", port)
                 .finish(),
             FileKind::HostSink { .. } => f.write_str("HostSink"),
             FileKind::Tty => f.write_str("Tty"),
@@ -157,9 +178,11 @@ impl OpenFile {
 
     /// A second handle on this description for a task on another kernel
     /// shard (the stdio of a cross-shard spawn): same offset, same status
-    /// flags, same kind — but its own `Arc`, so each shard sees the last of
-    /// *its* references go away and accounts for the handle in its own
-    /// books.  An `Arc<OpenFile>` is never held by two shards.
+    /// flags, same kind — which names its stream ends, so the receiving
+    /// shard can count them with nothing else shipped — but its own `Arc`,
+    /// so each shard sees the last of *its* references go away and accounts
+    /// for the handle in its own books.  An `Arc<OpenFile>` is never held by
+    /// two shards.
     pub fn export(&self) -> Arc<OpenFile> {
         Arc::new(OpenFile {
             kind: Mutex::new(self.kind()),
@@ -390,6 +413,22 @@ mod tests {
         assert_eq!(removed.len(), 3);
         let last: Vec<bool> = removed.into_iter().map(|f| Arc::into_inner(f).is_some()).collect();
         assert_eq!(last, vec![true, false, true]);
+    }
+
+    #[test]
+    fn a_description_names_its_stream_ends_and_an_export_carries_them() {
+        let ends = |kind: &FileKind| (kind.read_stream(), kind.write_stream());
+        assert_eq!(ends(&FileKind::PipeReader { stream: 3 }), (Some(3), None));
+        assert_eq!(ends(&FileKind::PipeWriter { stream: 3 }), (None, Some(3)));
+        assert_eq!(ends(&FileKind::Socket { bound_port: Some(80) }), (None, None));
+        assert_eq!(ends(&FileKind::Null), (None, None));
+        let socket = OpenFile::new(FileKind::SocketStream {
+            reads: 64,
+            writes: 128,
+            port: 80,
+        });
+        assert_eq!(ends(&socket.kind()), (Some(64), Some(128)));
+        assert_eq!(ends(&socket.export().kind()), (Some(64), Some(128)));
     }
 
     #[test]

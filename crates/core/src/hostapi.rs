@@ -142,10 +142,9 @@ impl ExitStatus {
 pub struct ResourceCounts {
     /// Task-table entries: running, stopped and zombie processes.
     pub tasks: usize,
-    /// Stream buffers: one per pipe, two per socket connection.
+    /// Stream buffers: one per pipe, two per socket connection (which is
+    /// nothing but its two streams, so there is no separate count of those).
     pub streams: usize,
-    /// Established socket connections.
-    pub connections: usize,
     /// System calls (and in-kernel HTTP clients) parked on a wait queue.
     pub waiters: usize,
 }
@@ -546,7 +545,6 @@ impl Kernel {
             let counts = rx.recv_timeout(Duration::from_secs(5)).unwrap_or_default();
             total.tasks += counts.tasks;
             total.streams += counts.streams;
-            total.connections += counts.connections;
             total.waiters += counts.waiters;
         }
         total

@@ -87,42 +87,20 @@ impl KernelState {
         }
     }
 
-    /// The foreign stream a read/write on `fd` would touch, if its backing
-    /// stream is owned by another shard (`None` for every local case —
-    /// including errors, which the normal path reports properly).
-    fn remote_stream_target(&self, pid: Pid, fd: Fd, write: bool) -> Option<StreamId> {
-        let file = self.task(pid).ok()?.files.get(fd).ok()?;
-        let kind = file.kind();
-        if !matches!(
-            kind,
-            FileKind::PipeReader { .. } | FileKind::PipeWriter { .. } | FileKind::SocketStream { .. }
-        ) {
-            return None;
-        }
-        let stream = if write {
-            self.write_stream_of(&kind)?
-        } else {
-            self.read_stream_of(&kind)?
-        };
-        self.stream_is_remote(stream).then_some(stream)
-    }
-
-    /// Attempts a read; `Ok(None)` means "would block".
-    pub(crate) fn try_read_fd(&mut self, pid: Pid, fd: Fd, len: usize) -> Result<Option<Vec<u8>>, Errno> {
-        let file = self.task(pid)?.files.get(fd)?;
-        let kind = file.kind();
-        match &kind {
+    /// Reads a descriptor that is not a stream end.  None of these block:
+    /// files, the terminal and `/dev/null` answer at once, the rest refuse.
+    fn read_unstreamed(&mut self, pid: Pid, file: &OpenFile, kind: FileKind, len: usize) -> Result<Vec<u8>, Errno> {
+        match kind {
             FileKind::File { handle, flags } => {
                 if !flags.read {
                     return Err(Errno::EBADF);
                 }
-                let offset = file.offset();
-                let data = handle.read_at(offset, len)?;
+                let data = handle.read_at(file.offset(), len)?;
                 file.advance_offset(data.len() as u64);
-                Ok(Some(data))
+                Ok(data)
             }
             FileKind::Directory { .. } => Err(Errno::EISDIR),
-            FileKind::Null => Ok(Some(Vec::new())),
+            FileKind::Null => Ok(Vec::new()),
             FileKind::Tty => {
                 // Job control: a background process group reading from the
                 // controlling terminal gets SIGTTIN (default: stop).  A
@@ -143,66 +121,73 @@ impl KernelState {
                         return Err(Errno::EINTR);
                     }
                 }
-                Ok(Some(Vec::new()))
+                Ok(Vec::new())
             }
             FileKind::HostSink { .. } | FileKind::PipeWriter { .. } => Err(Errno::EBADF),
             FileKind::Socket { .. } | FileKind::SocketListener { .. } => Err(Errno::ENOTCONN),
-            FileKind::PipeReader { .. } | FileKind::SocketStream { .. } => {
-                // The one place socket and pipe reads converge: resolve the
-                // stream flowing towards this endpoint and read it.
-                let stream = self.read_stream_of(&kind).ok_or(Errno::ENOTCONN)?;
-                self.try_read_stream(stream, len)
-            }
+            FileKind::PipeReader { .. } | FileKind::SocketStream { .. } => unreachable!("a stream end"),
         }
     }
 
-    fn try_read_stream(&mut self, id: StreamId, len: usize) -> Result<Option<Vec<u8>>, Errno> {
+    /// Attempts a read of an owned stream; `None` means "would block".
+    pub(crate) fn try_read_stream(&mut self, id: StreamId, len: usize) -> Option<Vec<u8>> {
         let Some(stream) = self.streams_mut().get_mut(id) else {
             // All endpoints (including the buffer) are gone: read EOF.
-            return Ok(Some(Vec::new()));
+            return Some(Vec::new());
         };
         if !stream.is_empty() {
             let data = stream.pop(len);
             // Space was freed: writers blocked on this stream can continue.
             self.wake(WaitChannel::StreamWritable(id));
-            return Ok(Some(data));
+            return Some(data);
         }
-        if stream.write_end_closed() {
-            return Ok(Some(Vec::new()));
+        stream.write_end_closed().then(Vec::new)
+    }
+
+    /// The one read of a stream this shard owns — pipe or socket, on behalf
+    /// of a local process (`sys_read`) or one whose shard shipped the call
+    /// here (`ShardMsg::RemoteRead`); only the reply address differs.
+    pub(crate) fn read_stream(
+        &mut self,
+        pid: Pid,
+        reply: ReplyTo,
+        stream: StreamId,
+        len: usize,
+        nonblocking: bool,
+    ) -> Outcome {
+        if let Some(data) = self.try_read_stream(stream, len) {
+            return Outcome::Complete(SysResult::Data(data));
         }
-        Ok(None)
+        if nonblocking {
+            self.stats.eagain_returns += 1;
+            return Outcome::Complete(SysResult::Err(Errno::EAGAIN));
+        }
+        self.stats.waiters_parked += 1;
+        let kind = WaitKind::Read { stream, len };
+        let reply = Some(reply);
+        self.park_waiter_one(WaitChannel::StreamReadable(stream), Waiter { pid, reply, kind });
+        Outcome::Blocked
     }
 
     pub(crate) fn sys_read(&mut self, pid: Pid, reply: ReplyTo, fd: Fd, len: usize) -> Outcome {
-        // A descriptor backed by another shard's stream: ship the read to the
-        // owner (the local table knows nothing about that buffer).
-        if let Some(stream) = self.remote_stream_target(pid, fd, false) {
-            let nonblocking = self.fd_nonblocking(pid, fd);
-            return self.remote_read(pid, reply, stream, len, nonblocking);
+        let file = match self.task(pid).and_then(|t| t.files.get(fd)) {
+            Ok(file) => file,
+            Err(e) => return Outcome::Complete(SysResult::Err(e)),
+        };
+        // The descriptor is resolved here, once: whatever happens to the
+        // number while the call is parked, it reads the stream it found.
+        let kind = file.kind();
+        let Some(stream) = kind.read_stream() else {
+            return Outcome::Complete(match self.read_unstreamed(pid, &file, kind, len) {
+                Ok(data) => SysResult::Data(data),
+                Err(e) => SysResult::Err(e),
+            });
+        };
+        if self.stream_is_remote(stream) {
+            // Another shard's buffer: ship the read to its owner.
+            return self.remote_read(pid, reply, stream, len, file.nonblocking());
         }
-        match self.try_read_fd(pid, fd, len) {
-            Ok(Some(data)) => Outcome::Complete(SysResult::Data(data)),
-            Ok(None) => {
-                if self.fd_nonblocking(pid, fd) {
-                    self.stats.eagain_returns += 1;
-                    return Outcome::Complete(SysResult::Err(Errno::EAGAIN));
-                }
-                let Some(channel) = self.read_wait_channel(pid, fd) else {
-                    return Outcome::Complete(SysResult::Err(Errno::EIO));
-                };
-                self.stats.waiters_parked += 1;
-                self.park_waiter_one(
-                    channel,
-                    Waiter {
-                        pid,
-                        reply: Some(reply),
-                        kind: WaitKind::Read { fd, len },
-                    },
-                );
-                Outcome::Blocked
-            }
-            Err(e) => Outcome::Complete(SysResult::Err(e)),
-        }
+        self.read_stream(pid, reply, stream, len, file.nonblocking())
     }
 
     pub(crate) fn sys_pread(&mut self, pid: Pid, fd: Fd, len: usize, offset: u64) -> Outcome {
@@ -240,13 +225,10 @@ impl KernelState {
         }
     }
 
-    /// Attempts to write `data` to `fd`.  Returns the number of bytes accepted
-    /// so far and whether the write is complete; pipe writes may need to wait
-    /// for space.
-    pub(crate) fn try_write_fd(&mut self, pid: Pid, fd: Fd, data: &[u8]) -> Result<(usize, bool), Errno> {
-        let file = self.task(pid)?.files.get(fd)?;
-        let kind = file.kind();
-        match &kind {
+    /// Writes a descriptor that is not a stream end; like the reads, none of
+    /// these block.
+    fn write_unstreamed(file: &OpenFile, kind: FileKind, data: &[u8]) -> Result<(), Errno> {
+        match kind {
             FileKind::File { handle, flags } => {
                 if !flags.write {
                     return Err(Errno::EBADF);
@@ -256,54 +238,82 @@ impl KernelState {
                     // descriptors (dup'd or independently opened) appending
                     // interleaved can never clobber each other, and the
                     // stored offset is never trusted for the write position.
-                    let end = handle.append(data)?;
-                    file.set_offset(end);
-                    Ok((data.len(), true))
+                    file.set_offset(handle.append(data)?);
                 } else {
                     let offset = file.offset();
                     let written = handle.write_at(offset, data)?;
                     file.set_offset(offset + written as u64);
-                    Ok((written, true))
                 }
+                Ok(())
             }
             FileKind::Directory { .. } => Err(Errno::EISDIR),
-            FileKind::Null | FileKind::Tty => Ok((data.len(), true)),
+            FileKind::Null | FileKind::Tty => Ok(()),
             FileKind::HostSink { sink } => {
                 sink(data);
-                Ok((data.len(), true))
+                Ok(())
             }
             FileKind::PipeReader { .. } => Err(Errno::EBADF),
             FileKind::Socket { .. } | FileKind::SocketListener { .. } => Err(Errno::ENOTCONN),
-            FileKind::PipeWriter { .. } | FileKind::SocketStream { .. } => {
-                // The one place socket and pipe writes converge.
-                let stream = self.write_stream_of(&kind).ok_or(Errno::ENOTCONN)?;
-                // The write can end in SIGPIPE killing the caller, and the
-                // exit must see the table's reference as the last one.
-                drop(file);
-                self.try_write_stream(pid, stream, data)
+            FileKind::PipeWriter { .. } | FileKind::SocketStream { .. } => unreachable!("a stream end"),
+        }
+    }
+
+    /// Attempts a write to an owned stream: the bytes accepted (fewer than
+    /// asked means "would block"), or `EPIPE`.
+    ///
+    /// Writing to a stream nobody will read raises SIGPIPE, as on Unix —
+    /// through the same delivery machinery as every other signal, so
+    /// handlers, sigprocmask and SA_RESTART all apply.  One rule covers the
+    /// sharded case: the shard that owns the process raises the signal.  A
+    /// writer whose call was shipped here is in no task table of this
+    /// shard, so `send_signal` finds nobody; its own shard raises the
+    /// signal when the `EPIPE` arrives there (`ShardMsg::RemoteOpDone`),
+    /// before completing the call — signal, then error, in both cases.
+    pub(crate) fn try_write_stream(&mut self, pid: Pid, id: StreamId, data: &[u8]) -> Result<usize, Errno> {
+        match self.streams_mut().get_mut(id) {
+            Some(stream) if !stream.read_end_closed() => {
+                let written = stream.push(data);
+                if written > 0 {
+                    // Data arrived: readers blocked on this stream can continue.
+                    self.wake(WaitChannel::StreamReadable(id));
+                }
+                Ok(written)
+            }
+            _ => {
+                let _ = self.send_signal(pid, Signal::SIGPIPE);
+                Err(Errno::EPIPE)
             }
         }
     }
 
-    fn try_write_stream(&mut self, pid: Pid, id: StreamId, data: &[u8]) -> Result<(usize, bool), Errno> {
-        let read_closed = match self.streams().get(id) {
-            Some(stream) => stream.read_end_closed(),
-            None => return Err(Errno::EPIPE),
+    /// The one write to a stream this shard owns (the mirror of
+    /// [`KernelState::read_stream`]).
+    pub(crate) fn write_stream(
+        &mut self,
+        pid: Pid,
+        reply: ReplyTo,
+        stream: StreamId,
+        data: Vec<u8>,
+        nonblocking: bool,
+    ) -> Outcome {
+        let written = match self.try_write_stream(pid, stream, &data) {
+            Ok(written) => written,
+            Err(e) => return Outcome::Complete(SysResult::Err(e)),
         };
-        if read_closed {
-            // Writing to a stream nobody will read raises SIGPIPE, as on
-            // Unix — through the same delivery machinery as every other
-            // signal, so handlers, sigprocmask and SA_RESTART all apply.
-            let _ = self.send_signal(pid, Signal::SIGPIPE);
-            return Err(Errno::EPIPE);
+        if written == data.len() || (nonblocking && written > 0) {
+            // A non-blocking write reports whatever it managed to push;
+            // EAGAIN only when not a single byte fit.
+            return Outcome::Complete(SysResult::Int(written as i64));
         }
-        let stream = self.streams_mut().get_mut(id).ok_or(Errno::EPIPE)?;
-        let written = stream.push(data);
-        if written > 0 {
-            // Data arrived: readers blocked on this stream can continue.
-            self.wake(WaitChannel::StreamReadable(id));
+        if nonblocking {
+            self.stats.eagain_returns += 1;
+            return Outcome::Complete(SysResult::Err(Errno::EAGAIN));
         }
-        Ok((written, written == data.len()))
+        self.stats.waiters_parked += 1;
+        let kind = WaitKind::Write { stream, data, written };
+        let reply = Some(reply);
+        self.park_waiter_one(WaitChannel::StreamWritable(stream), Waiter { pid, reply, kind });
+        Outcome::Blocked
     }
 
     pub(crate) fn sys_write(&mut self, pid: Pid, reply: ReplyTo, fd: Fd, data: ByteSource) -> Outcome {
@@ -311,46 +321,26 @@ impl KernelState {
             Ok(bytes) => bytes,
             Err(e) => return Outcome::Complete(SysResult::Err(e)),
         };
-        // Writes to a foreign stream go to its owner; EPIPE comes back with
-        // a flag telling this shard to raise SIGPIPE first, preserving the
-        // local signal-then-error ordering.
-        if let Some(stream) = self.remote_stream_target(pid, fd, true) {
-            let nonblocking = self.fd_nonblocking(pid, fd);
+        let file = match self.task(pid).and_then(|t| t.files.get(fd)) {
+            Ok(file) => file,
+            Err(e) => return Outcome::Complete(SysResult::Err(e)),
+        };
+        let kind = file.kind();
+        let Some(stream) = kind.write_stream() else {
+            return Outcome::Complete(match Self::write_unstreamed(&file, kind, &bytes) {
+                Ok(()) => SysResult::Int(bytes.len() as i64),
+                Err(e) => SysResult::Err(e),
+            });
+        };
+        let nonblocking = file.nonblocking();
+        // The write can end in SIGPIPE killing the caller, and the exit must
+        // see the table's reference as the last one.
+        drop(file);
+        if self.stream_is_remote(stream) {
+            // Another shard's buffer: ship the write to its owner.
             return self.remote_write(pid, reply, stream, bytes, nonblocking);
         }
-        let total = bytes.len();
-        match self.try_write_fd(pid, fd, &bytes) {
-            Ok((_, true)) => Outcome::Complete(SysResult::Int(total as i64)),
-            Ok((written, false)) => {
-                if self.fd_nonblocking(pid, fd) {
-                    // A non-blocking write reports whatever it managed to
-                    // push; EAGAIN only when not a single byte fit.
-                    if written > 0 {
-                        return Outcome::Complete(SysResult::Int(written as i64));
-                    }
-                    self.stats.eagain_returns += 1;
-                    return Outcome::Complete(SysResult::Err(Errno::EAGAIN));
-                }
-                let Some(channel) = self.write_wait_channel(pid, fd) else {
-                    return Outcome::Complete(SysResult::Err(Errno::EIO));
-                };
-                self.stats.waiters_parked += 1;
-                self.park_waiter_one(
-                    channel,
-                    Waiter {
-                        pid,
-                        reply: Some(reply),
-                        kind: WaitKind::Write {
-                            fd,
-                            data: bytes,
-                            written,
-                        },
-                    },
-                );
-                Outcome::Blocked
-            }
-            Err(e) => Outcome::Complete(SysResult::Err(e)),
-        }
+        self.write_stream(pid, reply, stream, bytes, nonblocking)
     }
 
     /// Pumps up to `remaining` bytes of `in_fd`'s file into `out_fd`'s stream
@@ -380,8 +370,7 @@ impl KernelState {
         if !in_flags.read {
             return Err(Errno::EBADF);
         }
-        let out_kind = self.task(pid)?.files.get(out_fd)?.kind();
-        let Some(stream_id) = self.write_stream_of(&out_kind) else {
+        let Some(stream_id) = self.task(pid)?.files.get(out_fd)?.kind().write_stream() else {
             return Err(Errno::EINVAL);
         };
         if self.stream_is_remote(stream_id) {
@@ -505,12 +494,10 @@ impl KernelState {
     /// `Ok(Some(n))` moved `n` bytes (`0` = end of input); `Ok(None)` means
     /// "would block" — input empty with live writers, or output full.
     pub(crate) fn try_splice(&mut self, pid: Pid, fd_in: Fd, fd_out: Fd, len: u64) -> Result<Option<u64>, Errno> {
-        let in_kind = self.task(pid)?.files.get(fd_in)?.kind();
-        let Some(in_stream) = self.read_stream_of(&in_kind) else {
+        let Some(in_stream) = self.task(pid)?.files.get(fd_in)?.kind().read_stream() else {
             return Err(Errno::EINVAL);
         };
-        let out_kind = self.task(pid)?.files.get(fd_out)?.kind();
-        let Some(out_stream) = self.write_stream_of(&out_kind) else {
+        let Some(out_stream) = self.task(pid)?.files.get(fd_out)?.kind().write_stream() else {
             return Err(Errno::EINVAL);
         };
         if in_stream == out_stream {

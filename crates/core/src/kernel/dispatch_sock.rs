@@ -6,7 +6,7 @@ use crossbeam::channel::Sender;
 use browsix_fs::Errno;
 use browsix_http::{HttpRequest, HttpResponse};
 
-use crate::fd::{Fd, FileKind, OpenFile, SocketSide};
+use crate::fd::{Fd, FileKind, OpenFile};
 use crate::kernel::waitq::{HttpPump, WaitChannel};
 use crate::kernel::{HttpClientState, KernelState, Outcome, ReplyTo, WaitKind, Waiter};
 use crate::syscall::SysResult;
@@ -56,13 +56,9 @@ impl KernelState {
             Err(e) => return Outcome::Complete(SysResult::Err(e)),
         };
         match file.kind() {
-            FileKind::Socket { bound_port: Some(port) } | FileKind::SocketListener { port } => {
-                Outcome::Complete(SysResult::Int(port as i64))
-            }
-            FileKind::SocketStream { connection, .. } => {
-                let port = self.connection_info(connection).map(|c| c.port).unwrap_or(0);
-                Outcome::Complete(SysResult::Int(port as i64))
-            }
+            FileKind::Socket { bound_port: Some(port) }
+            | FileKind::SocketListener { port }
+            | FileKind::SocketStream { port, .. } => Outcome::Complete(SysResult::Int(port as i64)),
             FileKind::Socket { bound_port: None } => Outcome::Complete(SysResult::Int(0)),
             _ => Outcome::Complete(SysResult::Err(Errno::ENOTSOCK)),
         }
@@ -112,19 +108,18 @@ impl KernelState {
             // port that can never queue a connection again.
             return Err(Errno::EINVAL);
         }
-        let Some(connection) = self.sockets_mut().accept(port) else {
+        let Some(server) = self.sockets_mut().accept(port) else {
             return Ok(None);
         };
         // The server side now belongs to the new description; the backlog's
         // hold on it (taken at connect) is dropped after, so the count never
         // dips in between.
         let stream = self.new_stream_file(FileKind::SocketStream {
-            connection,
-            side: SocketSide::Server,
+            reads: server.reads,
+            writes: server.writes,
+            port,
         });
-        if let Some(conn) = self.sockets().connection(connection) {
-            self.drop_connection_side(&conn, SocketSide::Server);
-        }
+        self.drop_connection_side(server);
         let new_fd = self.task_mut(pid)?.files.insert(stream, 0);
         Ok(Some(new_fd))
     }
@@ -167,9 +162,9 @@ impl KernelState {
         }
         if !self.sockets().port_in_use(port) {
             // Not listening here; maybe on another shard.  The owner creates
-            // both streams and the connection (so the server side is always
-            // shard-local to the listener) and this shard installs the
-            // client descriptor when the ConnectReply arrives.
+            // both streams (so the server side is always shard-local to the
+            // listener) and this shard's descriptor gains the client's ends
+            // when the ConnectReply arrives.
             match self.router.port_owner(port) {
                 Some(owner) if owner != self.shard_id => {
                     return self.remote_connect(pid, reply, fd, owner, port);
@@ -178,8 +173,8 @@ impl KernelState {
             }
         }
         match self.open_connection(port) {
-            Ok((connection, _)) => {
-                self.connect_file(&file, connection, SocketSide::Client);
+            Ok(client) => {
+                self.connect_file(&file, client, port);
                 // Wake exactly the listener's queue: a blocked accept (or a
                 // poll on the listener) can now complete.
                 self.wake(WaitChannel::Listener(port));
@@ -204,9 +199,9 @@ impl KernelState {
             return;
         }
         match self.open_connection(port) {
-            Ok((connection, conn)) => {
+            Ok(side) => {
                 let client = HttpClientState {
-                    connection,
+                    side,
                     to_send: request.serialize(),
                     sent: 0,
                     received: Vec::new(),
@@ -215,14 +210,14 @@ impl KernelState {
                 // The client holds the client side of the connection, like a
                 // descriptor would, until the exchange finishes.
                 self.http_clients.push(client);
-                self.hold_connection_side(&conn, SocketSide::Client);
+                self.hold_connection_side(side);
                 // The server's blocked accept (or poll) can take the
                 // connection now.
                 self.wake(WaitChannel::Listener(port));
                 // Pump once; if the exchange is still in flight the client
                 // parks on its connection's stream queues like any other
                 // blocked operation.
-                match self.pump_http_client(connection) {
+                match self.pump_http_client(side) {
                     HttpPump::Done => {}
                     HttpPump::Blocked(channels) => {
                         self.stats.waiters_parked += 1;
@@ -231,7 +226,7 @@ impl KernelState {
                             Waiter {
                                 pid: 0,
                                 reply: None,
-                                kind: WaitKind::HttpClient { connection },
+                                kind: WaitKind::HttpClient { side },
                             },
                         );
                     }

@@ -90,8 +90,8 @@ struct Listener {
     backlog: VecDeque<usize>,
 }
 
-struct Fleet {
-    shards: Vec<KernelState>,
+pub(super) struct Fleet {
+    pub(super) shards: Vec<KernelState>,
     queues: Vec<Receiver<KernelEvent>>,
     next_index: u32,
     procs: Vec<Proc>,
@@ -109,7 +109,7 @@ enum Issued {
 }
 
 impl Fleet {
-    fn boot(nshards: usize) -> Fleet {
+    pub(super) fn boot(nshards: usize) -> Fleet {
         let router = Arc::new(RouterState::new(nshards));
         let registry = ExecutableRegistry::new();
         registry.register(GUEST, Arc::new(Idle));
@@ -444,11 +444,11 @@ impl Fleet {
                 });
             }
             7 if self.procs.len() < MAX_PROCS => {
-                // spawn with chosen stdio; sockets stay home (a connected
-                // socket handed to a third shard is a documented dead end).
+                // spawn with chosen stdio — pipe ends, listeners and connected
+                // sockets alike travel to whichever shard the child lands on
                 let pick = |fleet: &Fleet, n: u8| match nth_fd(fleet, n) {
-                    Some((fd, end)) if !matches!(end, End::Client(_) | End::Server(_)) => (Some(fd), end),
-                    _ => (Some(999), End::Other),
+                    Some((fd, end)) => (Some(fd), end),
+                    None => (Some(999), End::Other),
                 };
                 let picks = [pick(self, b), pick(self, c), pick(self, b.wrapping_add(c))];
                 let stdio = [picks[0].0, picks[1].0, picks[2].0];
@@ -668,16 +668,11 @@ impl Fleet {
                 "shard {id}: streams left: {:?}",
                 shard.streams.ids()
             );
-            assert_eq!(shard.sockets.connection_count(), 0, "shard {id}: connections left");
             assert!(shard.sockets.listening_ports().is_empty(), "shard {id}: listeners left");
             assert!(shard.http_clients.is_empty(), "shard {id}: HTTP clients left");
             assert!(shard.waiters.is_empty(), "shard {id}: waiters left");
             assert!(shard.foreign_endpoints.is_empty(), "shard {id}: foreign tallies left");
             assert!(shard.remote_contribs.is_empty(), "shard {id}: peer contributions left");
-            assert!(
-                shard.remote_connections.is_empty(),
-                "shard {id}: cached connections left"
-            );
             assert!(shard.remote_client_pins.is_empty() && shard.pinned_files.is_empty());
             assert!(shard.remote_ops.is_empty(), "shard {id}: remote ops left");
         }
@@ -734,7 +729,9 @@ fn scripted_corner_cases() {
             (13, 0, 0, 0), // accept the connect
             (13, 0, 0, 0), // accept the HTTP exchange
             (15, 0, 1, 0), // half a response
-            (3, 0, 3, 4),  // dup2 over an open descriptor
+            (7, 0, 5, 2),  // a child on a third shard gets the accepted socket as stdin
+            (9, 2, 0, 0),  // ... and parks reading it: the client side is still open
+            (3, 0, 3, 4),  // dup2 over the client's descriptor: the child reads EOF
             (8, 0, 0, 0),  // the server exits with everything open
         ];
         for &(op, a, b, c) in script {
@@ -742,4 +739,139 @@ fn scripted_corner_cases() {
         }
         fleet.drain();
     }
+}
+
+/// Two readers (or writers) of one pipe, each on a shard of its own, parked
+/// on the owner under the *same* token — every shard counts from 1.
+struct Collision {
+    fleet: Fleet,
+    root: Pid,
+    /// The root's end of the pipe (the children share the other as stdio).
+    fd: Fd,
+    children: [Pid; 2],
+}
+
+impl Collision {
+    /// Root on shard 0 makes a pipe and spawns two children, on shards 1 and
+    /// 2, holding its read end as stdin (`reading`) or write end as stdout.
+    fn stage(reading: bool) -> Collision {
+        let mut fleet = Fleet::boot(4);
+        fleet.spawn_root();
+        let root = fleet.procs[0].pid;
+        let Issued::Done(SysResult::Pair(r, w)) = fleet.syscall(root, |k, _| k.sys_pipe2(root)) else {
+            panic!("pipe2 failed");
+        };
+        let (r, w) = (r as Fd, w as Fd);
+        let stdio = if reading {
+            [Some(r), None, None]
+        } else {
+            [None, Some(w), None]
+        };
+        let children = [(); 2].map(|()| {
+            Fleet::expect_int(fleet.syscall(root, |k, _| {
+                k.sys_spawn(
+                    root,
+                    GUEST.to_owned(),
+                    vec!["guest".to_owned()],
+                    Vec::new(),
+                    None,
+                    stdio,
+                )
+            })) as Pid
+        });
+        assert_eq!(children.map(|pid| fleet.shard_index(pid)), [1, 2]);
+        let fd = if reading { w } else { r };
+        Collision {
+            fleet,
+            root,
+            fd,
+            children,
+        }
+    }
+
+    /// Issues a call of `children[child]` that must park on the owner.
+    fn park(&mut self, child: usize, call: impl FnOnce(&mut KernelState, Pid, ReplyTo) -> Outcome) -> u32 {
+        let pid = self.children[child];
+        match self.fleet.syscall(pid, |k, reply| call(k, pid, reply)) {
+            Issued::Parked(index) => index,
+            _ => panic!("pid {pid}: the call did not park"),
+        }
+    }
+
+    fn assert_tokens_collide(&self) {
+        let tokens = self.children.map(|pid| {
+            let ops = &self.fleet.shards[self.fleet.shard_index(pid)].remote_ops;
+            ops.keys().copied().collect::<Vec<u64>>()
+        });
+        assert_eq!(tokens[0].len(), 1);
+        assert_eq!(tokens[0], tokens[1], "both submitters minted the same token");
+        assert_eq!(self.fleet.shards[0].waiters.len(), 2, "both calls parked on the owner");
+    }
+
+    fn signal(&mut self, child: usize, signal: Signal) {
+        let pid = self.children[child];
+        let (reply, outcome) = bounded(1);
+        self.fleet
+            .host(self.fleet.shard_index(pid), HostRequest::Kill { pid, signal, reply });
+        assert!(matches!(outcome.try_recv(), Ok(Ok(()))));
+        assert_eq!(
+            self.fleet.shards[0].waiters.len(),
+            1,
+            "exactly one waiter was cancelled"
+        );
+    }
+}
+
+#[test]
+fn a_dying_reader_cancels_only_its_own_remote_read() {
+    let mut c = Collision::stage(true);
+    let parked = [0, 1].map(|child| c.park(child, |k, pid, reply| k.sys_read(pid, reply, 0, 16)));
+    c.assert_tokens_collide();
+    c.signal(0, Signal::SIGKILL);
+    let (root, fd) = (c.root, c.fd);
+    let data = ByteSource::Inline(vec![b'x']);
+    let written = Fleet::expect_int(c.fleet.syscall(root, |k, reply| k.sys_write(root, reply, fd, data)));
+    assert_eq!(written, 1);
+    assert_eq!(
+        c.fleet.completions.remove(&parked[1]),
+        Some(vec![SysResult::Data(vec![b'x'])]),
+        "the survivor's read"
+    );
+    assert_eq!(c.fleet.completions.remove(&parked[0]), None, "the dead reader's");
+    assert!(c.fleet.shards[0].waiters.is_empty());
+}
+
+#[test]
+fn an_interrupted_writer_cancels_only_its_own_remote_write() {
+    let mut c = Collision::stage(false);
+    // A handler without SA_RESTART: the signal completes the call with EINTR.
+    let interrupted = c.children[0];
+    let action = SigAction::Handler { restart: false };
+    let installed = c.fleet.syscall(interrupted, |k, _| {
+        k.sys_sigaction(interrupted, Signal::SIGUSR1, action)
+    });
+    assert!(matches!(installed, Issued::Done(SysResult::Ok)));
+    // The first write fills the pipe and parks on its last byte, the second
+    // parks whole.
+    let sizes = [PIPE_CAPACITY + 1, 1];
+    let parked = [0, 1].map(|child| {
+        let data = ByteSource::Inline(vec![7u8; sizes[child]]);
+        c.park(child, |k, pid, reply| k.sys_write(pid, reply, 1, data))
+    });
+    c.assert_tokens_collide();
+    c.signal(0, Signal::SIGUSR1);
+    assert_eq!(
+        c.fleet.completions.remove(&parked[0]),
+        Some(vec![SysResult::Err(Errno::EINTR)])
+    );
+    // Room for the other writer's byte: its write is still parked to take it.
+    let (root, fd) = (c.root, c.fd);
+    let read = c.fleet.syscall(root, |k, reply| k.sys_read(root, reply, fd, 16));
+    assert!(matches!(read, Issued::Done(SysResult::Data(data)) if data == [7u8; 16]));
+    assert_eq!(
+        c.fleet.completions.remove(&parked[1]),
+        Some(vec![SysResult::Int(1)]),
+        "the other writer's write"
+    );
+    assert!(c.fleet.shards[0].waiters.is_empty());
 }

@@ -4,26 +4,31 @@
 //! the operations that create and destroy references — never by looking at
 //! descriptor tables:
 //!
-//! * an open-file description counts once, when it is created
-//!   ([`KernelState::new_stream_file`]), becomes a connected socket
+//! * an open-file description names its own stream ends
+//!   ([`FileKind::read_stream`], [`FileKind::write_stream`]: one for a pipe
+//!   end, two for a connected socket).  They are counted once, when it is
+//!   created ([`KernelState::new_stream_file`]), becomes a connected socket
 //!   ([`KernelState::connect_file`]) or arrives with a cross-shard spawn
-//!   ([`KernelState::adopt_file`]), and is dropped once, when its last
-//!   `Arc<OpenFile>` reaches [`KernelState::release_file`] — the one place
-//!   every descriptor-table removal, `dup2` displacement, process exit and
-//!   pin release feeds;
-//! * the kernel's own references are explicit holds taken and dropped where
-//!   the reference itself appears and disappears: a listener's backlog holds
-//!   the server side of a connection until `accept` (or the listener
-//!   closing), an in-kernel HTTP client and a not-yet-acknowledged remote
-//!   `connect` hold the client side ([`KernelState::hold_connection_side`] /
+//!   ([`KernelState::adopt_file`] — whichever shard that is, since the
+//!   description carries everything there is to know), and dropped once,
+//!   when its last `Arc<OpenFile>` reaches [`KernelState::release_file`] —
+//!   the one place every descriptor-table removal, `dup2` displacement,
+//!   process exit and pin release feeds;
+//! * the kernel's own references are explicit holds on one side of a
+//!   connection, keyed by that side's [`StreamPair`] and taken and dropped
+//!   where the reference itself appears and disappears: a listener's backlog
+//!   *is* the list of server sides it holds until `accept` (or the listener
+//!   closing); an in-kernel HTTP client (`HttpClientState::side`) and a
+//!   not-yet-acknowledged remote `connect` (`remote_client_pins`) hold the
+//!   client side ([`KernelState::hold_connection_side`] /
 //!   [`KernelState::drop_connection_side`]).
 //!
 //! The release that takes a count to zero is the EOF or EPIPE edge, and wakes
 //! exactly that stream's wait queue; the one that leaves a stream with
-//! neither readers nor writers frees it (and, for the second stream of a
-//! socket pair, forgets the connection).  `dup`, `dup2` onto a free slot and
-//! `fork` clone an `Arc` and touch nothing here, so closing a descriptor costs
-//! the same however many tasks are resident.
+//! neither readers nor writers frees it, and a connection is gone when its
+//! two streams are.  `dup`, `dup2` onto a free slot and `fork` clone an `Arc`
+//! and touch nothing here, so closing a descriptor costs the same however
+//! many tasks are resident.
 //!
 //! References to a stream owned by another shard are tallied per stream in
 //! `foreign_endpoints`; every change sends the owner this shard's new tally
@@ -37,9 +42,9 @@ use std::sync::Arc;
 
 use browsix_fs::Errno;
 
-use crate::fd::{FileKind, OpenFile, SocketSide};
+use crate::fd::{FileKind, OpenFile};
 use crate::kernel::{KernelState, ShardMsg, WaitChannel};
-use crate::socket::{Connection, ConnectionId};
+use crate::socket::StreamPair;
 use crate::streams::{Released, StreamId};
 
 impl KernelState {
@@ -52,12 +57,16 @@ impl KernelState {
         OpenFile::new(kind)
     }
 
-    /// Turns an unconnected socket description into one side of a connection,
-    /// counting the endpoints it gains (`dup`ed copies share the description
-    /// and therefore the count).
-    pub(crate) fn connect_file(&mut self, file: &OpenFile, connection: ConnectionId, side: SocketSide) {
+    /// Turns an unconnected socket description into `side` of a connection
+    /// to `port`, counting the endpoints it gains (`dup`ed copies share the
+    /// description and therefore the count).
+    pub(crate) fn connect_file(&mut self, file: &OpenFile, side: StreamPair, port: u16) {
         debug_assert!(matches!(file.kind(), FileKind::Socket { .. }));
-        let kind = FileKind::SocketStream { connection, side };
+        let kind = FileKind::SocketStream {
+            reads: side.reads,
+            writes: side.writes,
+            port,
+        };
         self.add_file_endpoints(&kind);
         file.set_kind(kind);
     }
@@ -72,75 +81,35 @@ impl KernelState {
     /// last reference to its description, the description's stream endpoints
     /// go with it — waking EOF/EPIPE waiters and freeing streams as needed.
     pub(crate) fn release_file(&mut self, file: Arc<OpenFile>) {
-        let Some(file) = Arc::into_inner(file) else {
-            return;
-        };
-        match file.kind() {
-            FileKind::PipeReader { stream } => self.drop_endpoints(stream, 1, 0),
-            FileKind::PipeWriter { stream } => self.drop_endpoints(stream, 0, 1),
-            FileKind::SocketStream { connection, side } => {
-                let Some(conn) = self.connection_info(connection) else {
-                    return;
-                };
-                if let Some((_, handles)) = self.remote_connections.get_mut(&connection) {
-                    *handles -= 1;
-                    if *handles == 0 {
-                        self.remote_connections.remove(&connection);
-                    }
-                }
-                self.drop_connection_side(&conn, side);
-            }
-            _ => {}
+        if let Some(file) = Arc::into_inner(file) {
+            let kind = file.kind();
+            self.drop_stream_ends(kind.read_stream(), kind.write_stream());
         }
     }
 
     fn add_file_endpoints(&mut self, kind: &FileKind) {
-        match *kind {
-            FileKind::PipeReader { stream } => self.add_endpoints(stream, 1, 0),
-            FileKind::PipeWriter { stream } => self.add_endpoints(stream, 0, 1),
-            FileKind::SocketStream { connection, side } => {
-                // A connection this shard knows nothing about (a handle that
-                // travelled past the shard that connected) stays uncounted at
-                // both ends of its life; reads and writes on it fail ENOTCONN.
-                let Some(conn) = self.connection_info(connection) else {
-                    return;
-                };
-                if let Some((_, handles)) = self.remote_connections.get_mut(&connection) {
-                    *handles += 1;
-                }
-                self.hold_connection_side(&conn, side);
-            }
-            _ => {}
-        }
+        self.add_stream_ends(kind.read_stream(), kind.write_stream());
     }
 
     // ---- connections -----------------------------------------------------------
 
-    /// Creates a connection to the local listener on `port`: the stream
-    /// pair, the table entry, and the backlog's hold on the server side
-    /// (dropped by `accept`, or by the listener closing).  The caller counts
-    /// the client side before waking the listener's queue.
-    pub(crate) fn open_connection(&mut self, port: u16) -> Result<(ConnectionId, Connection), Errno> {
-        let client_to_server = self.streams.create();
-        let server_to_client = self.streams.create();
-        match self.sockets.connect(port, client_to_server, server_to_client) {
-            Ok(id) => {
-                for stream in [client_to_server, server_to_client] {
-                    if let Some(s) = self.streams.get_mut(stream) {
-                        s.connection = Some(id);
-                    }
-                }
-                let conn = Connection {
-                    client_to_server,
-                    server_to_client,
-                    port,
-                };
-                self.hold_connection_side(&conn, SocketSide::Server);
-                Ok((id, conn))
+    /// Creates a connection to the local listener on `port`: the two
+    /// streams, and the backlog entry holding the server's side (dropped by
+    /// `accept`, or by the listener closing).  Returns the client's side,
+    /// which the caller counts before waking the listener's queue.
+    pub(crate) fn open_connection(&mut self, port: u16) -> Result<StreamPair, Errno> {
+        let server = StreamPair {
+            reads: self.streams.create(),
+            writes: self.streams.create(),
+        };
+        match self.sockets.connect(port, server) {
+            Ok(()) => {
+                self.hold_connection_side(server);
+                Ok(server.flip())
             }
             Err(errno) => {
-                self.streams.remove(client_to_server);
-                self.streams.remove(server_to_client);
+                self.streams.remove(server.reads);
+                self.streams.remove(server.writes);
                 Err(errno)
             }
         }
@@ -151,31 +120,42 @@ impl KernelState {
     pub(crate) fn close_listener(&mut self, port: u16) {
         let orphans = self.sockets.close_listener(port);
         self.router.release_port(port, self.shard_id);
-        for id in orphans {
-            if let Some(conn) = self.sockets.connection(id) {
-                self.drop_connection_side(&conn, SocketSide::Server);
-            }
+        for server in orphans {
+            self.drop_connection_side(server);
         }
         self.wake(WaitChannel::Listener(port));
     }
 
-    /// Counts one reference to `side` of a connection: a reader on the
+    /// Counts one reference to a side of a connection: a reader on the
     /// stream flowing towards that side, a writer on the one flowing away.
-    pub(crate) fn hold_connection_side(&mut self, conn: &Connection, side: SocketSide) {
-        let (reads, writes) = conn.streams_of(side);
-        self.add_endpoints(reads, 1, 0);
-        self.add_endpoints(writes, 0, 1);
+    pub(crate) fn hold_connection_side(&mut self, side: StreamPair) {
+        self.add_stream_ends(Some(side.reads), Some(side.writes));
     }
 
-    /// Drops one reference to `side` of a connection.  Both streams are
+    /// Drops one reference to a side of a connection.
+    pub(crate) fn drop_connection_side(&mut self, side: StreamPair) {
+        self.drop_stream_ends(Some(side.reads), Some(side.writes));
+    }
+
+    /// Counts one read-end and one write-end reference.
+    fn add_stream_ends(&mut self, reads: Option<StreamId>, writes: Option<StreamId>) {
+        if let Some(stream) = reads {
+            self.add_endpoints(stream, 1, 0);
+        }
+        if let Some(stream) = writes {
+            self.add_endpoints(stream, 0, 1);
+        }
+    }
+
+    /// Drops one read-end and one write-end reference.  Both streams are
     /// updated before either wakeup runs, so a woken waiter never observes
-    /// the side half-closed.
-    pub(crate) fn drop_connection_side(&mut self, conn: &Connection, side: SocketSide) {
-        let (reads, writes) = conn.streams_of(side);
-        let read_released = self.release_endpoints(reads, 1, 0);
-        let write_released = self.release_endpoints(writes, 0, 1);
-        self.finish_release(reads, read_released);
-        self.finish_release(writes, write_released);
+    /// a socket half-closed.
+    fn drop_stream_ends(&mut self, reads: Option<StreamId>, writes: Option<StreamId>) {
+        let read_released = reads.map(|stream| (stream, self.release_endpoints(stream, 1, 0)));
+        let write_released = writes.map(|stream| (stream, self.release_endpoints(stream, 0, 1)));
+        for (stream, released) in [read_released, write_released].into_iter().flatten() {
+            self.finish_release(stream, released);
+        }
     }
 
     // ---- per-stream counts -----------------------------------------------------
@@ -189,11 +169,6 @@ impl KernelState {
         } else {
             self.streams.add_endpoints(stream, readers as usize, writers as usize);
         }
-    }
-
-    fn drop_endpoints(&mut self, stream: StreamId, readers: u32, writers: u32) {
-        let released = self.release_endpoints(stream, readers, writers);
-        self.finish_release(stream, released);
     }
 
     /// The bookkeeping half of a release (the wakeups are
@@ -218,26 +193,13 @@ impl KernelState {
         Released::default()
     }
 
-    /// Wakes the queues a release's edges affect and, when the stream was
-    /// freed, forgets the connection whose second stream it was.
+    /// Wakes the queues a release's edges affect.
     fn finish_release(&mut self, stream: StreamId, released: Released) {
-        let Released { eof, epipe, freed } = released;
-        let gone = freed.is_some();
-        if let Some(id) = freed.and_then(|s| s.connection) {
-            // Both directions of a connection carry the same references, so
-            // they are freed by the same close: the second one takes the
-            // connection with it.
-            let both_gone = self.sockets.connection(id).is_some_and(|conn| {
-                self.streams.get(conn.client_to_server).is_none() && self.streams.get(conn.server_to_client).is_none()
-            });
-            if both_gone {
-                self.sockets.remove_connection(id);
-            }
-        }
-        if eof || gone {
+        let gone = released.freed.is_some();
+        if released.eof || gone {
             self.wake(WaitChannel::StreamReadable(stream));
         }
-        if epipe || gone {
+        if released.epipe || gone {
             self.wake(WaitChannel::StreamWritable(stream));
         }
     }
@@ -292,20 +254,22 @@ impl KernelState {
     /// Recounts every endpoint from scratch — all descriptor tables, pinned
     /// descriptions, kernel holds and peer contributions — and asserts the
     /// incrementally-maintained state agrees exactly: the counts of every
-    /// owned stream, this shard's tallies for foreign ones, the handle counts
-    /// of cached foreign connections, and that nothing unreferenced is still
-    /// in a table.  O(everything); runs after every event under the
-    /// `scavenger` feature and after every step of the model tests.
+    /// owned stream, this shard's tallies for foreign ones, and that nothing
+    /// unreferenced is still in a table.  O(everything); runs after every
+    /// event under the `scavenger` feature and after every step of the
+    /// model tests.
     #[cfg(any(test, feature = "scavenger"))]
     pub(crate) fn audit_endpoints(&self) {
         use std::collections::{HashMap, HashSet};
 
         let mut counts: HashMap<StreamId, (usize, usize)> = HashMap::new();
-        let mut handles: HashMap<ConnectionId, u32> = HashMap::new();
-        let side = |counts: &mut HashMap<StreamId, (usize, usize)>, conn: &Connection, side: SocketSide| {
-            let (reads, writes) = conn.streams_of(side);
-            counts.entry(reads).or_default().0 += 1;
-            counts.entry(writes).or_default().1 += 1;
+        let mut count = |reads: Option<StreamId>, writes: Option<StreamId>| {
+            if let Some(stream) = reads {
+                counts.entry(stream).or_default().0 += 1;
+            }
+            if let Some(stream) = writes {
+                counts.entry(stream).or_default().1 += 1;
+            }
         };
         // Distinct descriptions: a description shared by `dup` or `fork`, or
         // pinned for a spawn in flight as well as open in the parent, counts
@@ -313,33 +277,17 @@ impl KernelState {
         let mut seen: HashSet<*const OpenFile> = HashSet::new();
         let tables = self.tasks.values().flat_map(|t| t.files.iter().map(|(_, file)| file));
         for file in tables.chain(self.pinned_files.values().flatten()) {
-            if !seen.insert(Arc::as_ptr(file)) {
-                continue;
-            }
-            match file.kind() {
-                FileKind::PipeReader { stream } => counts.entry(stream).or_default().0 += 1,
-                FileKind::PipeWriter { stream } => counts.entry(stream).or_default().1 += 1,
-                FileKind::SocketStream { connection, side: s } => {
-                    if let Some(conn) = self.connection_info(connection) {
-                        if self.remote_connections.contains_key(&connection) {
-                            *handles.entry(connection).or_default() += 1;
-                        }
-                        side(&mut counts, &conn, s);
-                    }
-                }
-                _ => {}
+            if seen.insert(Arc::as_ptr(file)) {
+                let kind = file.kind();
+                count(kind.read_stream(), kind.write_stream());
             }
         }
         // Kernel holds: HTTP clients and unacknowledged remote connects hold
         // the client side, backlog entries the server side.
-        let clients = self.http_clients.iter().map(|c| c.connection);
-        for id in clients.chain(self.remote_client_pins.iter().copied()) {
-            let conn = self.sockets.connection(id).expect("held connection exists");
-            side(&mut counts, &conn, SocketSide::Client);
-        }
-        for id in self.sockets.pending_connections() {
-            let conn = self.sockets.connection(id).expect("backlog connection exists");
-            side(&mut counts, &conn, SocketSide::Server);
+        let clients = self.http_clients.iter().map(|c| c.side);
+        let pins = self.remote_client_pins.iter().copied();
+        for side in clients.chain(pins).chain(self.sockets.pending_connections()) {
+            count(Some(side.reads), Some(side.writes));
         }
         let (foreign, mut owned): (HashMap<_, _>, HashMap<_, _>) =
             counts.into_iter().partition(|(id, _)| self.stream_is_remote(*id));
@@ -369,15 +317,5 @@ impl KernelState {
             "shard {}: foreign tallies != recount",
             self.shard_id
         );
-        let cached: HashMap<ConnectionId, u32> = self.remote_connections.iter().map(|(&id, &(_, n))| (id, n)).collect();
-        debug_assert_eq!(cached, handles, "shard {}: cached foreign connections", self.shard_id);
-        for id in self.sockets.connection_ids() {
-            let conn = self.sockets.connection(id).expect("listed connection exists");
-            debug_assert!(
-                self.streams.get(conn.client_to_server).is_some() || self.streams.get(conn.server_to_client).is_some(),
-                "shard {}: connection {id} outlived both of its streams",
-                self.shard_id
-            );
-        }
     }
 }

@@ -29,17 +29,17 @@ use browsix_fs::{Errno, MountedFs};
 
 use crate::events::{HostRequest, KernelEvent, OutputSink};
 use crate::exec::{resolve_executable, ExecutableRegistry, ForkImage, LaunchContext, ProgramLauncher};
-use crate::fd::{Fd, FileKind, OpenFile, SocketSide};
+use crate::fd::{Fd, FileKind, OpenFile};
 use crate::ring::{Ring, RingGeometry};
 use crate::signals::{SigAction, Signal, SignalDisposition};
-use crate::socket::{Connection, ConnectionId, SocketTable};
+use crate::socket::{SocketTable, StreamPair};
 use crate::stats::{KernelStats, SyscallTally};
-use crate::streams::{StreamId, StreamTable};
+use crate::streams::{StreamId, StreamState, StreamTable};
 use crate::syscall::{encode_wait_status, Completion, CompletionBatch, SysResult, Syscall, SyscallBatch};
 use crate::task::{InflightBatch, Pid, Task, TaskState};
 use crate::wire::Reader;
 
-pub(crate) use shard::{RemoteRevents, RouterState, ShardMsg};
+pub(crate) use shard::{PendingRemote, RouterState, ShardMsg};
 pub(crate) use waitq::{HttpClientState, WaitKind, Waiter};
 pub use waitq::{WaitChannel, WaitTable, WaiterId};
 
@@ -48,7 +48,8 @@ pub use waitq::{WaitChannel, WaitTable, WaiterId};
 /// Entries of a message frame complete into the task's [`InflightBatch`]
 /// (the reply sequence number lives there) and go back together in one
 /// response message.  Ring entries complete individually: each one becomes a
-/// completion-queue entry tagged with the submitter's `user_data`.
+/// completion-queue entry tagged with the submitter's `user_data`.  A call
+/// another shard shipped here completes by message to that shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplyTo {
     /// The slot of the entry within the submission batch it arrived in.
@@ -61,6 +62,15 @@ pub enum ReplyTo {
         /// The submitter's cookie, echoed on the completion entry.
         user_data: u32,
     },
+    /// A read or write of a stream this shard owns, made by a process on
+    /// another shard: the result travels back as a
+    /// [`ShardMsg::RemoteOpDone`].
+    Shard {
+        /// The shard the calling process lives on.
+        shard: usize,
+        /// The token that shard minted for the call (unique only there).
+        token: u64,
+    },
 }
 
 /// The outcome of dispatching a system call.
@@ -71,31 +81,6 @@ pub(crate) enum Outcome {
     Blocked,
     /// The call finished but no reply should be sent (`exit`).
     NoReply,
-}
-
-/// What a pending remote operation was, so its reply installs the right
-/// state on the submitting shard.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum RemoteKind {
-    /// A read from a foreign stream.
-    Read,
-    /// A write to a foreign stream.
-    Write,
-    /// A connect to a listener on a foreign shard; the reply turns `fd`
-    /// into the client side of the connection.
-    Connect { fd: Fd },
-}
-
-/// A syscall parked on this shard while a foreign shard executes it; keyed
-/// by the token the reply will carry.  Removing the entry on completion or
-/// cancellation is what makes delivery exactly-once: a late or duplicate
-/// reply finds no entry and is dropped.
-pub(crate) struct PendingRemote {
-    pub pid: Pid,
-    pub reply: ReplyTo,
-    pub kind: RemoteKind,
-    /// The shard executing the op (receives `CancelOp` on EINTR/death).
-    pub owner: usize,
 }
 
 /// Configuration captured at boot time and owned by the kernel thread.
@@ -144,8 +129,8 @@ pub(crate) struct KernelState {
     http_clients: Vec<HttpClientState>,
 
     /// Monotonic token counter for cross-shard operations this shard
-    /// submits (tokens are only ever interpreted by the shard that minted
-    /// them, so plain per-shard counters cannot collide).
+    /// submits.  Every shard counts from 1, so a token names an operation
+    /// only together with the shard that minted it.
     next_remote_token: u64,
     /// Syscalls executing on a foreign shard, keyed by token.
     remote_ops: HashMap<u64, PendingRemote>,
@@ -161,14 +146,12 @@ pub(crate) struct KernelState {
     /// The latest tally each peer shard reported for a stream this shard
     /// owns (already folded into that stream's counts).
     remote_contribs: HashMap<(usize, StreamId), (u32, u32)>,
-    /// Connections owned by other shards, with the number of local
-    /// descriptions referring to each (forgotten with the last one).
-    remote_connections: HashMap<ConnectionId, (Connection, u32)>,
-    /// Latest readiness snapshots of foreign streams local `poll`s watch.
-    remote_revents_cache: HashMap<StreamId, RemoteRevents>,
-    /// Connections created by a remote `connect`: this shard holds their
-    /// client side until the connecting shard has counted its descriptor.
-    remote_client_pins: HashSet<ConnectionId>,
+    /// Latest states of foreign streams local `poll`s watch, as their
+    /// owners last reported them.
+    remote_stream_states: HashMap<StreamId, StreamState>,
+    /// Client sides of connections created by a remote `connect`: this shard
+    /// holds each until the connecting shard has counted its descriptor.
+    remote_client_pins: HashSet<StreamPair>,
     /// stdio of in-flight cross-shard spawns: references kept (and released
     /// like any other) until the owning shard acks the task exists.
     pinned_files: HashMap<u64, Vec<Arc<OpenFile>>>,
@@ -208,7 +191,7 @@ impl KernelState {
             events_tx,
             tasks: HashMap::new(),
             streams: StreamTable::new_for_shard(shard_id),
-            sockets: SocketTable::new_for_shard(shard_id),
+            sockets: SocketTable::new(),
             waiters: WaitTable::new(),
             wake_queue: VecDeque::new(),
             waking: false,
@@ -220,8 +203,7 @@ impl KernelState {
             remote_stops: HashMap::new(),
             foreign_endpoints: HashMap::new(),
             remote_contribs: HashMap::new(),
-            remote_connections: HashMap::new(),
-            remote_revents_cache: HashMap::new(),
+            remote_stream_states: HashMap::new(),
             remote_client_pins: HashSet::new(),
             pinned_files: HashMap::new(),
             exit_watchers: HashMap::new(),
@@ -310,22 +292,6 @@ impl KernelState {
         }
     }
 
-    // ---- cross-shard messaging -----------------------------------------------
-
-    /// Sends a message to a peer shard (its event queue preserves the order
-    /// of everything this shard sent it).
-    pub(crate) fn send_shard(&mut self, shard: usize, msg: ShardMsg) {
-        self.stats.shard_msgs_sent += 1;
-        let _ = self.peers[shard].send(KernelEvent::Shard(msg));
-    }
-
-    /// Mints a token for a cross-shard operation.
-    pub(crate) fn next_remote_token(&mut self) -> u64 {
-        let token = self.next_remote_token;
-        self.next_remote_token += 1;
-        token
-    }
-
     /// This shard's index.
     pub(crate) fn shard_id(&self) -> usize {
         self.shard_id
@@ -334,485 +300,6 @@ impl KernelState {
     /// The number of shards in the fleet.
     pub(crate) fn nshards(&self) -> usize {
         self.nshards
-    }
-
-    /// Whether a stream id belongs to another shard.
-    pub(crate) fn stream_is_remote(&self, stream: StreamId) -> bool {
-        shard::stream_shard(stream) != self.shard_id
-    }
-
-    /// Resolves a connection: this shard's socket table, else the cache of
-    /// remotely-owned connections local descriptors reference.
-    pub(crate) fn connection_info(&self, id: ConnectionId) -> Option<Connection> {
-        self.sockets
-            .connection(id)
-            .or_else(|| self.remote_connections.get(&id).map(|&(conn, _)| conn))
-    }
-
-    /// A cached readiness snapshot of a foreign stream (for `poll`).
-    pub(crate) fn remote_revents(&self, stream: StreamId) -> Option<RemoteRevents> {
-        self.remote_revents_cache.get(&stream).copied()
-    }
-
-    /// Submits a read of a foreign stream to its owner; the syscall parks in
-    /// `remote_ops` until [`ShardMsg::RemoteOpDone`] comes back.
-    pub(crate) fn remote_read(
-        &mut self,
-        pid: Pid,
-        reply: ReplyTo,
-        stream: StreamId,
-        len: usize,
-        nonblocking: bool,
-    ) -> Outcome {
-        let owner = shard::stream_shard(stream);
-        let token = self.next_remote_token();
-        self.remote_ops.insert(
-            token,
-            PendingRemote {
-                pid,
-                reply,
-                kind: RemoteKind::Read,
-                owner,
-            },
-        );
-        self.send_shard(
-            owner,
-            ShardMsg::RemoteRead {
-                token,
-                from_shard: self.shard_id,
-                pid,
-                stream,
-                len,
-                nonblocking,
-            },
-        );
-        Outcome::Blocked
-    }
-
-    /// Submits a write to a foreign stream to its owner.
-    pub(crate) fn remote_write(
-        &mut self,
-        pid: Pid,
-        reply: ReplyTo,
-        stream: StreamId,
-        data: Vec<u8>,
-        nonblocking: bool,
-    ) -> Outcome {
-        let owner = shard::stream_shard(stream);
-        let token = self.next_remote_token();
-        self.remote_ops.insert(
-            token,
-            PendingRemote {
-                pid,
-                reply,
-                kind: RemoteKind::Write,
-                owner,
-            },
-        );
-        self.send_shard(
-            owner,
-            ShardMsg::RemoteWrite {
-                token,
-                from_shard: self.shard_id,
-                pid,
-                stream,
-                data,
-                nonblocking,
-            },
-        );
-        Outcome::Blocked
-    }
-
-    /// Owner-side immediate read attempt against an owned stream.  `None`
-    /// means the stream exists with a live writer and no data (park).
-    pub(crate) fn try_remote_read(&mut self, stream: StreamId, len: usize) -> Option<SysResult> {
-        let Some(s) = self.streams.get_mut(stream) else {
-            // The stream is gone: its endpoints all closed, which reads as EOF.
-            return Some(SysResult::Data(Vec::new()));
-        };
-        if !s.is_empty() {
-            let data = s.pop(len);
-            self.wake(WaitChannel::StreamWritable(stream));
-            return Some(SysResult::Data(data));
-        }
-        if s.write_end_closed() {
-            return Some(SysResult::Data(Vec::new()));
-        }
-        None
-    }
-
-    /// Owner-side immediate write attempt: bytes accepted, or `EPIPE`.
-    /// Raw — the *submitting* shard raises SIGPIPE, preserving the local
-    /// signal-then-error ordering for the writer.
-    pub(crate) fn try_remote_write(&mut self, stream: StreamId, data: &[u8]) -> Result<usize, Errno> {
-        let Some(s) = self.streams.get_mut(stream) else {
-            return Err(Errno::EPIPE);
-        };
-        if s.read_end_closed() {
-            return Err(Errno::EPIPE);
-        }
-        let written = s.push(data);
-        if written > 0 {
-            self.wake(WaitChannel::StreamReadable(stream));
-        }
-        Ok(written)
-    }
-
-    /// Submits a `connect` to the shard owning the target port's listener;
-    /// the caller's descriptor is upgraded when the reply arrives.  Connect
-    /// ops are exempt from `EINTR` cancellation (the reply installs the
-    /// connection; abandoning it would leak the server-side streams), so
-    /// they only ever resolve via [`ShardMsg::ConnectReply`] or task death.
-    pub(crate) fn remote_connect(&mut self, pid: Pid, reply: ReplyTo, fd: Fd, owner: usize, port: u16) -> Outcome {
-        let token = self.next_remote_token();
-        self.remote_ops.insert(
-            token,
-            PendingRemote {
-                pid,
-                reply,
-                kind: RemoteKind::Connect { fd },
-                owner,
-            },
-        );
-        self.send_shard(
-            owner,
-            ShardMsg::Connect {
-                token,
-                from_shard: self.shard_id,
-                port,
-            },
-        );
-        Outcome::Blocked
-    }
-
-    fn handle_shard_msg(&mut self, msg: ShardMsg) {
-        match msg {
-            ShardMsg::SpawnTask {
-                token,
-                origin,
-                pid,
-                ppid,
-                pgid,
-                name,
-                path,
-                cwd,
-                args,
-                env,
-                launcher,
-                file_bytes,
-                stdio,
-            } => {
-                let blob_url = file_bytes.map(|bytes| self.blobs.create_url(bytes));
-                // The handles were exported for this shard: count each once
-                // (stdout and stderr are often one description).  The origin
-                // keeps its own references pinned until the ack, so the
-                // streams cannot see a gap.
-                for (i, file) in stdio.iter().enumerate() {
-                    if !stdio[..i].iter().any(|earlier| Arc::ptr_eq(earlier, file)) {
-                        self.adopt_file(file);
-                    }
-                }
-                self.install_task(
-                    pid, ppid, pgid, &name, &path, &cwd, args, env, stdio, blob_url, None, launcher,
-                );
-                self.send_shard(origin, ShardMsg::SpawnAck { token });
-            }
-            ShardMsg::SpawnAck { token } => {
-                for file in self.pinned_files.remove(&token).unwrap_or_default() {
-                    self.release_file(file);
-                }
-            }
-            ShardMsg::ChildExited { pid, ppid, status } => {
-                if self.tasks.get(&ppid).map(|t| !t.is_zombie()).unwrap_or(false) {
-                    self.remote_zombies.insert(pid, status);
-                    let _ = self.send_signal(ppid, Signal::SIGCHLD);
-                    self.wake(WaitChannel::ChildOf(ppid));
-                }
-                // Parent died concurrently: the child's shard already
-                // dropped the task and recorded the exit status for host
-                // watchers; nothing to reap here.
-            }
-            ShardMsg::ChildStopped { pid, ppid, signal } => {
-                if self.tasks.get(&ppid).map(|t| !t.is_zombie()).unwrap_or(false) {
-                    self.remote_stops.insert(pid, signal);
-                    let _ = self.send_signal(ppid, Signal::SIGCHLD);
-                    self.wake(WaitChannel::ChildOf(ppid));
-                }
-            }
-            ShardMsg::ChildContinued { pid, .. } => {
-                self.remote_stops.remove(&pid);
-            }
-            ShardMsg::Reparent { child } => {
-                if let Some(task) = self.tasks.get_mut(&child) {
-                    task.ppid = 0;
-                    if task.is_zombie() {
-                        self.remove_task(child);
-                    }
-                }
-            }
-            ShardMsg::SignalPid { pid, signal } => {
-                let _ = self.send_signal(pid, signal);
-            }
-            ShardMsg::SetPgid { pid, pgid } => {
-                if let Some(task) = self.tasks.get_mut(&pid) {
-                    task.pgid = pgid;
-                }
-            }
-            ShardMsg::RemoteRead {
-                token,
-                from_shard,
-                pid,
-                stream,
-                len,
-                nonblocking,
-            } => {
-                self.stats.steals += 1;
-                match self.try_remote_read(stream, len) {
-                    Some(result) => self.send_shard(
-                        from_shard,
-                        ShardMsg::RemoteOpDone {
-                            token,
-                            result,
-                            raise_sigpipe: false,
-                        },
-                    ),
-                    None if nonblocking => {
-                        self.stats.eagain_returns += 1;
-                        self.send_shard(
-                            from_shard,
-                            ShardMsg::RemoteOpDone {
-                                token,
-                                result: SysResult::Err(Errno::EAGAIN),
-                                raise_sigpipe: false,
-                            },
-                        );
-                    }
-                    None => self.park_waiter_one(
-                        WaitChannel::StreamReadable(stream),
-                        Waiter {
-                            pid,
-                            reply: None,
-                            kind: WaitKind::RemoteRead {
-                                stream,
-                                len,
-                                token,
-                                from_shard,
-                            },
-                        },
-                    ),
-                }
-            }
-            ShardMsg::RemoteWrite {
-                token,
-                from_shard,
-                pid,
-                stream,
-                data,
-                nonblocking,
-            } => {
-                self.stats.steals += 1;
-                match self.try_remote_write(stream, &data) {
-                    Err(errno) => self.send_shard(
-                        from_shard,
-                        ShardMsg::RemoteOpDone {
-                            token,
-                            result: SysResult::Err(errno),
-                            raise_sigpipe: errno == Errno::EPIPE,
-                        },
-                    ),
-                    Ok(written) if written == data.len() => self.send_shard(
-                        from_shard,
-                        ShardMsg::RemoteOpDone {
-                            token,
-                            result: SysResult::Int(written as i64),
-                            raise_sigpipe: false,
-                        },
-                    ),
-                    Ok(written) if nonblocking => {
-                        let result = if written > 0 {
-                            SysResult::Int(written as i64)
-                        } else {
-                            self.stats.eagain_returns += 1;
-                            SysResult::Err(Errno::EAGAIN)
-                        };
-                        self.send_shard(
-                            from_shard,
-                            ShardMsg::RemoteOpDone {
-                                token,
-                                result,
-                                raise_sigpipe: false,
-                            },
-                        );
-                    }
-                    Ok(written) => self.park_waiter_one(
-                        WaitChannel::StreamWritable(stream),
-                        Waiter {
-                            pid,
-                            reply: None,
-                            kind: WaitKind::RemoteWrite {
-                                stream,
-                                data,
-                                written,
-                                token,
-                                from_shard,
-                            },
-                        },
-                    ),
-                }
-            }
-            ShardMsg::RemoteOpDone {
-                token,
-                result,
-                raise_sigpipe,
-            } => {
-                // Exactly-once: a token cancelled by EINTR or death has
-                // left the table, and this late reply is dropped.
-                let Some(op) = self.remote_ops.remove(&token) else {
-                    return;
-                };
-                if raise_sigpipe {
-                    let _ = self.send_signal(op.pid, Signal::SIGPIPE);
-                }
-                self.complete(op.pid, op.reply, result);
-            }
-            ShardMsg::CancelOp { token } => {
-                drop(self.waiters.take_matching(|w| {
-                    matches!(
-                        &w.kind,
-                        WaitKind::RemoteRead { token: t, .. } | WaitKind::RemoteWrite { token: t, .. }
-                        if *t == token
-                    )
-                }));
-            }
-            ShardMsg::Connect {
-                token,
-                from_shard,
-                port,
-            } => {
-                self.stats.steals += 1;
-                if !self.sockets.port_in_use(port) {
-                    self.send_shard(
-                        from_shard,
-                        ShardMsg::ConnectReply {
-                            token,
-                            result: Err(Errno::ECONNREFUSED),
-                        },
-                    );
-                    return;
-                }
-                let result = self.open_connection(port);
-                if let Ok((id, conn)) = &result {
-                    // Hold the client side until the connecting shard has
-                    // counted its descriptor and acks; otherwise the server
-                    // could observe a half-closed connection in the gap.
-                    self.remote_client_pins.insert(*id);
-                    self.hold_connection_side(conn, SocketSide::Client);
-                    self.wake(WaitChannel::Listener(port));
-                }
-                self.send_shard(from_shard, ShardMsg::ConnectReply { token, result });
-            }
-            ShardMsg::ConnectReply { token, result } => {
-                let op = self.remote_ops.remove(&token);
-                match result {
-                    Ok((id, conn)) => {
-                        // The descriptor must still be the unconnected socket
-                        // that asked (the caller may have died, or closed and
-                        // reused the number, while the connect was in flight).
-                        let socket = op.as_ref().and_then(|op| match op.kind {
-                            RemoteKind::Connect { fd } => self.tasks.get(&op.pid)?.files.get(fd).ok(),
-                            _ => None,
-                        });
-                        let socket = socket.filter(|file| matches!(file.kind(), FileKind::Socket { .. }));
-                        if let Some(file) = &socket {
-                            // Counting the client side tells the owner, per
-                            // stream; FIFO ordering makes those tallies land
-                            // before the ack that drops the owner's hold.
-                            self.remote_connections.insert(id, (conn, 0));
-                            self.connect_file(file, id, SocketSide::Client);
-                        }
-                        if let Some(op) = op {
-                            let result = if socket.is_some() {
-                                SysResult::Ok
-                            } else {
-                                SysResult::Err(Errno::EBADF)
-                            };
-                            self.complete(op.pid, op.reply, result);
-                        }
-                        self.send_shard(shard::connection_shard(id), ShardMsg::ConnectAck { connection: id });
-                    }
-                    Err(errno) => {
-                        if let Some(op) = op {
-                            self.complete(op.pid, op.reply, SysResult::Err(errno));
-                        }
-                    }
-                }
-            }
-            ShardMsg::ConnectAck { connection } => {
-                if self.remote_client_pins.remove(&connection) {
-                    if let Some(conn) = self.sockets.connection(connection) {
-                        self.drop_connection_side(&conn, SocketSide::Client);
-                    }
-                }
-            }
-            ShardMsg::PollQuery { stream, from_shard } => {
-                let answer = match self.streams.get(stream) {
-                    None => ShardMsg::PollAnswer {
-                        stream,
-                        readable: false,
-                        eof: false,
-                        writable: false,
-                        epipe: false,
-                        gone: true,
-                    },
-                    Some(s) => ShardMsg::PollAnswer {
-                        stream,
-                        readable: !s.is_empty(),
-                        eof: s.write_end_closed(),
-                        writable: s.space() > 0,
-                        epipe: s.read_end_closed(),
-                        gone: false,
-                    },
-                };
-                self.send_shard(from_shard, answer);
-            }
-            ShardMsg::PollAnswer {
-                stream,
-                readable,
-                eof,
-                writable,
-                epipe,
-                gone,
-            } => {
-                let revents = RemoteRevents {
-                    readable,
-                    eof,
-                    writable,
-                    epipe,
-                    gone,
-                };
-                // Wake local pollers of this stream only when the snapshot
-                // *changed*: an unconditional wake would re-query on repark
-                // and ping-pong with the owner forever, while a silent cache
-                // update would be a lost wakeup (the scavenger would find a
-                // completable poll nobody woke).  A retry triggered by a
-                // change either completes or reparks; the repark's re-query
-                // returns the same snapshot, so the exchange terminates.
-                let changed = self.remote_revents_cache.insert(stream, revents).map(|old| {
-                    (old.readable, old.eof, old.writable, old.epipe, old.gone) != (readable, eof, writable, epipe, gone)
-                });
-                if changed.unwrap_or(true) {
-                    self.stats.cross_shard_wakeups += 1;
-                    self.wake(WaitChannel::StreamReadable(stream));
-                    self.wake(WaitChannel::StreamWritable(stream));
-                }
-            }
-            ShardMsg::RemoteEndpoints {
-                from_shard,
-                stream,
-                readers,
-                writers,
-            } => self.apply_remote_endpoints(from_shard, stream, readers, writers),
-        }
     }
 
     // ---- syscall rings -------------------------------------------------------
@@ -1129,7 +616,8 @@ impl KernelState {
     /// Completes one entry (used by the pending list when a blocked entry
     /// finally finishes): a batch entry files into the in-flight batch and
     /// delivers it if it was the last one; a ring entry posts straight to
-    /// the submitter's completion queue.
+    /// the submitter's completion queue; a peer shard's call is answered by
+    /// message.
     pub(crate) fn complete(&mut self, pid: Pid, reply: ReplyTo, result: SysResult) {
         match reply {
             ReplyTo::Batch { .. } => {
@@ -1137,6 +625,7 @@ impl KernelState {
                 self.maybe_deliver_batch(pid);
             }
             ReplyTo::Ring { user_data } => self.post_ring_completion(pid, user_data, result),
+            ReplyTo::Shard { shard, token } => self.send_shard(shard, ShardMsg::RemoteOpDone { token, result }),
         }
     }
 
@@ -1244,7 +733,6 @@ impl KernelState {
                 let _ = reply.send(crate::hostapi::ResourceCounts {
                     tasks: self.tasks.len(),
                     streams: self.streams.len(),
-                    connections: self.sockets.connection_count(),
                     waiters: self.waiters.len(),
                 });
             }
@@ -1761,18 +1249,8 @@ impl KernelState {
         // and complete here.  Connects are exempt — their reply installs
         // the connection, and abandoning it would leak the server-side
         // streams the owner already created.
-        let tokens: Vec<u64> = self
-            .remote_ops
-            .iter()
-            .filter(|(_, op)| op.pid == target && !matches!(op.kind, RemoteKind::Connect { .. }))
-            .map(|(&token, _)| token)
-            .collect();
-        for token in tokens {
-            let Some(op) = self.remote_ops.remove(&token) else {
-                continue;
-            };
+        for op in self.cancel_remote_ops(target, false) {
             self.stats.eintr_wakeups += 1;
-            self.send_shard(op.owner, ShardMsg::CancelOp { token });
             self.complete(op.pid, op.reply, SysResult::Err(Errno::EINTR));
         }
     }

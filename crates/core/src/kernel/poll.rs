@@ -2,12 +2,16 @@
 //! "would this descriptor block?" is computed.
 //!
 //! Pipes and socket connections are both backed by kernel
-//! [`Stream`](crate::streams::Stream)s, so every readiness question reduces
-//! to [`read_stream_of`](KernelState::read_stream_of) /
-//! [`write_stream_of`](KernelState::write_stream_of) plus the stream's own
-//! `read_ready`/`write_ready` predicates.  Blocking reads and writes, their
-//! `EAGAIN` short-circuits, and `poll` all share these helpers, so the three
-//! can never disagree about what "ready" means.
+//! [`Stream`](crate::streams::Stream)s, and a description names its own
+//! stream ends ([`FileKind::read_stream`] / [`FileKind::write_stream`]), so
+//! every readiness question reduces to one
+//! [`StreamState`] per end — read off
+//! the stream when this shard owns it, or the owner's last report when it
+//! does not (`KernelState::stream_state`) — and one mapping from that state
+//! to `revents` bits, [`KernelState::fd_revents`].  Blocking reads and
+//! writes, their `EAGAIN` short-circuits, and `poll` all rest on the
+//! stream's own `read_ready`/`write_ready`, so the three can never disagree
+//! about what "ready" means.
 
 use std::time::Instant;
 
@@ -16,50 +20,29 @@ use browsix_fs::Errno;
 use crate::fd::{Fd, FileKind};
 use crate::kernel::waitq::{WaitChannel, WaiterId};
 use crate::kernel::{KernelState, Outcome, ReplyTo, WaitKind, Waiter};
-use crate::streams::StreamId;
+use crate::streams::{StreamId, StreamState};
 use crate::syscall::{PollRequest, SysResult, NONBLOCK, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 use crate::task::Pid;
 
 impl KernelState {
-    /// The stream a descriptor of this kind reads from, if it is
-    /// stream-backed.  For a socket endpoint this resolves the connection and
-    /// picks the direction flowing *towards* this side; `None` for
-    /// non-stream descriptors and for socket endpoints whose connection is
-    /// gone.
-    pub(crate) fn read_stream_of(&self, kind: &FileKind) -> Option<StreamId> {
-        match kind {
-            FileKind::PipeReader { stream } => Some(*stream),
-            FileKind::SocketStream { connection, side } => Some(self.connection_info(*connection)?.streams_of(*side).0),
-            _ => None,
-        }
-    }
-
-    /// The stream a descriptor of this kind writes to, if any (the mirror of
-    /// [`KernelState::read_stream_of`]).
-    pub(crate) fn write_stream_of(&self, kind: &FileKind) -> Option<StreamId> {
-        match kind {
-            FileKind::PipeWriter { stream } => Some(*stream),
-            FileKind::SocketStream { connection, side } => Some(self.connection_info(*connection)?.streams_of(*side).1),
-            _ => None,
-        }
+    /// The kind of the description behind `fd`, if it is open.
+    fn fd_kind(&self, pid: Pid, fd: Fd) -> Option<FileKind> {
+        Some(self.task(pid).ok()?.files.get(fd).ok()?.kind())
     }
 
     /// The channel a blocked read on `fd` should park on.
     pub(crate) fn read_wait_channel(&self, pid: Pid, fd: Fd) -> Option<WaitChannel> {
-        let file = self.task(pid).ok()?.files.get(fd).ok()?;
-        self.read_stream_of(&file.kind()).map(WaitChannel::StreamReadable)
+        self.fd_kind(pid, fd)?.read_stream().map(WaitChannel::StreamReadable)
     }
 
     /// The channel a blocked write on `fd` should park on.
     pub(crate) fn write_wait_channel(&self, pid: Pid, fd: Fd) -> Option<WaitChannel> {
-        let file = self.task(pid).ok()?.files.get(fd).ok()?;
-        self.write_stream_of(&file.kind()).map(WaitChannel::StreamWritable)
+        self.fd_kind(pid, fd)?.write_stream().map(WaitChannel::StreamWritable)
     }
 
     /// The channel a blocked accept on `fd` should park on.
     pub(crate) fn accept_wait_channel(&self, pid: Pid, fd: Fd) -> Option<WaitChannel> {
-        let file = self.task(pid).ok()?.files.get(fd).ok()?;
-        match file.kind() {
+        match self.fd_kind(pid, fd)? {
             FileKind::SocketListener { port } => Some(WaitChannel::Listener(port)),
             _ => None,
         }
@@ -77,12 +60,10 @@ impl KernelState {
     /// `POLLHUP` and `POLLNVAL` are reported whether requested or not, as on
     /// Linux.
     pub(crate) fn fd_revents(&self, pid: Pid, fd: Fd, events: u16) -> u16 {
-        let Ok(file) = self.task(pid).and_then(|t| t.files.get(fd)) else {
+        let Some(kind) = self.fd_kind(pid, fd) else {
             return POLLNVAL;
         };
-        let kind = file.kind();
-        let mut revents = 0u16;
-        match &kind {
+        let revents = match &kind {
             // Regular files, directories, /dev/null, the terminal and host
             // sinks never block: always readable and writable (access checks
             // happen at read/write time, as with poll on Linux).
@@ -90,74 +71,19 @@ impl KernelState {
             | FileKind::Directory { .. }
             | FileKind::Null
             | FileKind::Tty
-            | FileKind::HostSink { .. } => {
-                revents = POLLIN | POLLOUT;
-            }
+            | FileKind::HostSink { .. } => POLLIN | POLLOUT,
             // An unconnected socket is never ready for anything.
-            FileKind::Socket { .. } => {}
-            FileKind::SocketListener { port } => {
-                if self.sockets().has_pending(*port) {
-                    revents |= POLLIN;
-                }
-            }
+            FileKind::Socket { .. } => 0,
+            FileKind::SocketListener { port } if self.sockets().has_pending(*port) => POLLIN,
+            FileKind::SocketListener { .. } => 0,
+            // A stream end, or a socket's two.  A foreign stream its owner
+            // has not reported on yet is not ready for anything.
             FileKind::PipeReader { .. } | FileKind::PipeWriter { .. } | FileKind::SocketStream { .. } => {
-                if matches!(kind, FileKind::SocketStream { connection, .. }
-                    if self.connection_info(connection).is_none())
-                {
-                    // The connection is gone entirely.
-                    revents |= POLLERR | POLLHUP;
-                } else {
-                    if let Some(id) = self.read_stream_of(&kind) {
-                        if self.stream_is_remote(id) {
-                            // Foreign stream: judge readiness from the owner's
-                            // latest snapshot (no snapshot yet = not ready).
-                            if let Some(r) = self.remote_revents(id) {
-                                if r.gone || r.eof {
-                                    revents |= POLLHUP;
-                                }
-                                if r.readable {
-                                    revents |= POLLIN;
-                                }
-                            }
-                        } else {
-                            match self.streams.get(id) {
-                                Some(stream) => {
-                                    if !stream.is_empty() {
-                                        revents |= POLLIN;
-                                    }
-                                    if stream.write_end_closed() {
-                                        revents |= POLLHUP;
-                                    }
-                                }
-                                None => revents |= POLLHUP,
-                            }
-                        }
-                    }
-                    if let Some(id) = self.write_stream_of(&kind) {
-                        if self.stream_is_remote(id) {
-                            if let Some(r) = self.remote_revents(id) {
-                                if r.gone || r.epipe {
-                                    revents |= POLLERR;
-                                } else if r.writable {
-                                    revents |= POLLOUT;
-                                }
-                            }
-                        } else {
-                            match self.streams.get(id) {
-                                Some(stream) => {
-                                    if stream.read_end_closed() {
-                                        revents |= POLLERR;
-                                    } else if stream.space() > 0 {
-                                        revents |= POLLOUT;
-                                    }
-                                }
-                                None => revents |= POLLERR,
-                            }
-                        }
-                    }
-                }
+                let state = |stream| self.stream_state(stream);
+                kind.read_stream().and_then(state).map_or(0, read_revents)
+                    | kind.write_stream().and_then(state).map_or(0, write_revents)
             }
-        }
+        };
         revents & (events | POLLERR | POLLHUP | POLLNVAL)
     }
 
@@ -176,18 +102,16 @@ impl KernelState {
             }
         };
         for req in fds {
-            let Ok(file) = self.task(pid).and_then(|t| t.files.get(req.fd)) else {
+            let Some(kind) = self.fd_kind(pid, req.fd) else {
                 continue;
             };
-            let kind = file.kind();
             if let FileKind::SocketListener { port } = kind {
                 push(&mut channels, WaitChannel::Listener(port));
-                continue;
             }
-            if let Some(id) = self.read_stream_of(&kind) {
+            if let Some(id) = kind.read_stream() {
                 push(&mut channels, WaitChannel::StreamReadable(id));
             }
-            if let Some(id) = self.write_stream_of(&kind) {
+            if let Some(id) = kind.write_stream() {
                 push(&mut channels, WaitChannel::StreamWritable(id));
             }
         }
@@ -199,14 +123,10 @@ impl KernelState {
     pub(crate) fn remote_poll_streams(&self, pid: Pid, fds: &[PollRequest]) -> Vec<StreamId> {
         let mut remote: Vec<StreamId> = Vec::new();
         for req in fds {
-            let Ok(file) = self.task(pid).and_then(|t| t.files.get(req.fd)) else {
+            let Some(kind) = self.fd_kind(pid, req.fd) else {
                 continue;
             };
-            let kind = file.kind();
-            for id in [self.read_stream_of(&kind), self.write_stream_of(&kind)]
-                .into_iter()
-                .flatten()
-            {
+            for id in [kind.read_stream(), kind.write_stream()].into_iter().flatten() {
                 if self.stream_is_remote(id) && !remote.contains(&id) {
                     remote.push(id);
                 }
@@ -283,5 +203,110 @@ impl KernelState {
                 self.retry_waiter(waiter);
             }
         }
+    }
+}
+
+/// What `poll` reports for the read end of a stream in `state`.
+fn read_revents(state: StreamState) -> u16 {
+    let hup = if state.gone || state.eof { POLLHUP } else { 0 };
+    let input = if state.readable { POLLIN } else { 0 };
+    hup | input
+}
+
+/// What `poll` reports for the write end of a stream in `state`: an error
+/// when nobody can read it any more, else whether there is room.
+fn write_revents(state: StreamState) -> u16 {
+    if state.gone || state.epipe {
+        POLLERR
+    } else if state.writable {
+        POLLOUT
+    } else {
+        0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fd::OpenFile;
+    use crate::kernel::endpoint_model::Fleet;
+    use crate::task::Task;
+
+    /// Installs a process holding a pipe reader (fd 0), a pipe writer (fd 1)
+    /// and a socket whose two ends are both `stream` (fd 2).
+    fn watch(kernel: &mut KernelState, pid: Pid, stream: StreamId) {
+        let mut task = Task::new(pid, 0, "watcher", "/bin/watcher", "/");
+        let kinds = [
+            FileKind::PipeReader { stream },
+            FileKind::PipeWriter { stream },
+            FileKind::SocketStream {
+                reads: stream,
+                writes: stream,
+                port: 80,
+            },
+        ];
+        for (fd, kind) in kinds.into_iter().enumerate() {
+            assert!(task.files.insert_at(fd as Fd, OpenFile::new(kind)).is_none());
+        }
+        kernel.tasks.insert(pid, Box::new(task));
+    }
+
+    /// One definition of readiness: for every state a stream can be in,
+    /// `poll` answers the same whether the state is read off a stream this
+    /// shard owns or is what the owning shard last reported.
+    #[test]
+    fn revents_are_the_same_from_a_local_stream_and_from_the_foreign_cache() {
+        let mut fleet = Fleet::boot(2);
+        let (owner, peer) = fleet.shards.split_at_mut(1);
+        let (owner, peer) = (&mut owner[0], &mut peer[0]);
+        // data/empty x writers/none x space/full x readers/none (an empty
+        // stream is never full), and the stream that is gone.
+        let mut states = vec![StreamState::GONE];
+        for bits in 0..16 {
+            let [readable, eof, writable, epipe] = [1, 2, 4, 8].map(|bit| bits & bit != 0);
+            if readable || writable {
+                states.push(StreamState {
+                    readable,
+                    eof,
+                    writable,
+                    epipe,
+                    gone: false,
+                });
+            }
+        }
+        assert_eq!(states.len(), 13);
+        let mut words = Vec::new();
+        for state in states {
+            let id = owner.streams.create_with_capacity(4);
+            if state.gone {
+                owner.streams.remove(id);
+            } else {
+                let stream = owner.streams.get_mut(id).expect("just created");
+                stream.readers = usize::from(!state.epipe);
+                stream.writers = usize::from(!state.eof);
+                let buffered: &[u8] = match (state.readable, state.writable) {
+                    (false, _) => b"",
+                    (true, true) => b"x",
+                    (true, false) => b"full",
+                };
+                stream.push(buffered);
+                assert_eq!(stream.state(), state);
+            }
+            assert!(peer.stream_is_remote(id) && peer.stream_state(id).is_none());
+            peer.remote_stream_states.insert(id, state);
+            watch(owner, 2, id);
+            watch(peer, 1, id);
+            for fd in 0..3 {
+                let word = owner.fd_revents(2, fd, POLLIN | POLLOUT);
+                assert_eq!(word, peer.fd_revents(1, fd, POLLIN | POLLOUT), "{state:?}, fd {fd}");
+                words.push(word);
+            }
+        }
+        // Reader, writer, socket — for the stream that is gone, for the last
+        // state (data and space, but neither a writer nor a reader left) and
+        // for an idle pipe open at both ends (`bits == 4`, the fourth state).
+        assert_eq!(words[..3], [POLLHUP, POLLERR, POLLHUP | POLLERR]);
+        assert_eq!(words[36..], [POLLIN | POLLHUP, POLLERR, POLLIN | POLLHUP | POLLERR]);
+        assert_eq!(words[9..12], [0, POLLOUT, POLLOUT]);
     }
 }

@@ -17,10 +17,11 @@
 //!   deterministic round-robin over spawn order (forks stay on the parent's
 //!   shard so the copied descriptor table stays local), so a failing
 //!   schedule replays exactly from the same spawn sequence.
-//! * **Streams and connections** — ids encode their owning shard in the low
+//! * **Streams** — ids encode their owning shard in the low
 //!   [`SHARD_ID_BITS`] bits: `stream_shard(id) = id & 0x3f`.  A shard only
 //!   ever mutates stream buffers it owns; operations against a foreign
-//!   stream travel as [`ShardMsg`]s.
+//!   stream travel as [`ShardMsg`]s.  Both streams of a socket connection
+//!   belong to the listener's shard.
 //!
 //! # The router
 //!
@@ -34,12 +35,44 @@
 //!
 //! # `ShardMsg` protocol
 //!
+//! Every cross-shard effect is one of the messages below, delivered through
+//! the receiving shard's ordinary event queue, so what one shard sends
+//! another arrives in the order it was sent.  The enum, both halves of every
+//! exchange (the submit helpers and `handle_shard_msg`) and the state they
+//! keep live in this module.
+//!
+//! | message | sent by | answered by | per-shard state | cancelled by |
+//! |---|---|---|---|---|
+//! | `SpawnTask` | `spawn_process`, when placement picks another shard | `SpawnAck` | sender: `pinned_files[token]`; receiver: task table, endpoint counts of the adopted stdio | — (the ack always comes) |
+//! | `SpawnAck` | the shard that installed the task | — | sender's pins released like any descriptor | — |
+//! | `ChildExited` / `ChildStopped` / `ChildContinued` | the child's shard, on the state change | — | parent's `remote_zombies` / `remote_stops`, its `ChildOf` queue | the parent exiting (records dropped) |
+//! | `Reparent` | a dying parent's shard | — | the child's `ppid` | — |
+//! | `SignalPid`, `SetPgid` | `kill` / `setpgid` / group signals naming a foreign pid | — | the target task | — |
+//! | `RemoteRead` / `RemoteWrite` | `sys_read` / `sys_write` on a descriptor whose stream another shard owns | `RemoteOpDone`, exactly once | sender: `remote_ops[token]`; owner: the stream, and a waiter whose reply address is `ReplyTo::Shard` if it parks | `CancelOp` |
+//! | `RemoteOpDone` | the owner, through `KernelState::complete` | — | sender's `remote_ops[token]` removed; a missing token drops the reply | — |
+//! | `CancelOp` | the submitter, when the process dies or takes `EINTR` | — | owner's waiter with reply address `(from_shard, token)` | — |
+//! | `Connect` | `sys_connect` to a port another shard listens on | `ConnectReply` | sender: `remote_ops[token]`; owner: two new streams, the backlog, `remote_client_pins` | never (the reply installs or disposes of the connection) |
+//! | `ConnectReply` | the listener's shard | `ConnectAck` | sender: the socket description gains the client's stream ends | — |
+//! | `ConnectAck` | the connecting shard, after its `RemoteEndpoints` | — | owner's `remote_client_pins` entry and the hold behind it | — |
+//! | `PollQuery` | a `poll` parking on a foreign stream | `PollAnswer` | none on the owner | — |
+//! | `PollAnswer` | the owner | — | sender's `remote_stream_states` cache; its stream queues wake if the state changed | — |
+//! | `RemoteEndpoints` | any change to a shard's references on a foreign stream | — | sender's `foreign_endpoints`; owner's `remote_contribs` and the stream's counts | — |
+//!
 //! Remote operations carry a `token` minted by the submitting shard; the
-//! owner replies with [`ShardMsg::RemoteOpDone`] (or parks a waiter on its
-//! own queues and replies when the stream becomes ready).  Tokens are only
-//! interpreted by the shard that minted them, so completion delivery is
-//! exactly-once by construction: a completed or cancelled token leaves the
-//! submitter's pending-op table and any late reply for it is dropped.
+//! owner runs the very code a local call runs (`read_stream` /
+//! `write_stream`) with the reply address `ReplyTo::Shard { shard, token }`,
+//! so it completes at once or parks an ordinary waiter, and completing that
+//! address *is* sending [`ShardMsg::RemoteOpDone`].  Tokens are per-shard
+//! counters, so the same number is live on several shards at once: an owner
+//! always identifies an operation by `(shard, token)`, never by the token
+//! alone.  Delivery is exactly-once by construction: a completed or
+//! cancelled token leaves the submitter's `remote_ops` and any late reply
+//! for it is dropped.
+//!
+//! Signals are raised by the shard that owns the process: a remote write
+//! that ends in `EPIPE` comes back as a plain error, and the submitter sends
+//! its process `SIGPIPE` before completing the call — the same
+//! signal-then-error order as a local write.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -50,11 +83,14 @@ use crossbeam::channel::Sender;
 
 use browsix_fs::Errno;
 
+use crate::events::KernelEvent;
 use crate::exec::ProgramLauncher;
-use crate::fd::OpenFile;
+use crate::fd::{Fd, FileKind, OpenFile};
+use crate::kernel::waitq::WaitChannel;
+use crate::kernel::{KernelState, Outcome, ReplyTo};
 use crate::signals::Signal;
-use crate::socket::{Connection, ConnectionId};
-use crate::streams::StreamId;
+use crate::socket::StreamPair;
+use crate::streams::{Stream, StreamId, StreamState};
 use crate::syscall::SysResult;
 use crate::task::Pid;
 use crate::vm::ShmObject;
@@ -62,7 +98,7 @@ use crate::vm::ShmObject;
 /// Maximum shard count (the id encodings below reserve 6 bits).
 pub const MAX_SHARDS: usize = 64;
 
-/// Low bits of a stream/connection id that name the owning shard.
+/// Low bits of a stream id that name the owning shard.
 pub const SHARD_ID_BITS: u64 = 6;
 
 /// Stride between consecutive ids handed out by one shard's tables.
@@ -76,11 +112,6 @@ pub fn shard_of(pid: Pid, nshards: usize) -> usize {
 
 /// The shard that owns a stream (encoded in the id's low bits).
 pub fn stream_shard(id: StreamId) -> usize {
-    (id & (SHARD_ID_STRIDE - 1)) as usize
-}
-
-/// The shard that owns a socket connection (same encoding as streams).
-pub fn connection_shard(id: ConnectionId) -> usize {
     (id & (SHARD_ID_STRIDE - 1)) as usize
 }
 
@@ -98,24 +129,34 @@ pub fn resolve_shards(configured: usize) -> usize {
     n.clamp(1, MAX_SHARDS)
 }
 
-/// A readiness snapshot of a remote stream, cached by the polling shard.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RemoteRevents {
-    /// A read would make progress (data buffered).
-    pub readable: bool,
-    /// All write ends are closed (EOF once drained).
-    pub eof: bool,
-    /// A write would accept bytes right now.
-    pub writable: bool,
-    /// All read ends are closed (writes raise EPIPE).
-    pub epipe: bool,
-    /// The stream no longer exists on its owner.
-    pub gone: bool,
+/// What a pending remote operation was, so its reply installs the right
+/// state on the submitting shard.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RemoteKind {
+    /// A read from a foreign stream.
+    Read,
+    /// A write to a foreign stream.
+    Write,
+    /// A connect to `port`, whose listener a foreign shard owns; the reply
+    /// turns `fd` into the client side of the connection.
+    Connect { fd: Fd, port: u16 },
+}
+
+/// A syscall parked on this shard while a foreign shard executes it; keyed
+/// by the token the reply will carry.  Removing the entry on completion or
+/// cancellation is what makes delivery exactly-once: a late or duplicate
+/// reply finds no entry and is dropped.
+pub(crate) struct PendingRemote {
+    pub pid: Pid,
+    pub reply: ReplyTo,
+    pub kind: RemoteKind,
+    /// The shard executing the op (receives `CancelOp` on EINTR/death).
+    pub owner: usize,
 }
 
 /// A message between shards.  Every cross-shard effect in the kernel is one
 /// of these; they are delivered through the owning shard's ordinary
-/// [`KernelEvent`](crate::events::KernelEvent) queue, so they interleave
+/// [`KernelEvent`] queue, so they interleave
 /// with that shard's syscalls in a single total order.
 pub enum ShardMsg {
     /// Create a task on the receiving shard (the spawn side of round-robin
@@ -233,20 +274,19 @@ pub enum ShardMsg {
         /// `O_NONBLOCK`: reply `EAGAIN`/partial instead of parking.
         nonblocking: bool,
     },
-    /// A remote read/write/connect finished; the submitter completes the
-    /// original syscall (and raises SIGPIPE locally if asked).
+    /// A remote read or write finished; the submitter completes the
+    /// original syscall (raising SIGPIPE first if a write ended in `EPIPE`).
     RemoteOpDone {
         /// Token from the original request.
         token: u64,
         /// The syscall result.
         result: SysResult,
-        /// The op hit EPIPE while blocked: the submitter sends itself
-        /// SIGPIPE before completing, preserving local signal ordering.
-        raise_sigpipe: bool,
     },
-    /// The submitting process died or took EINTR: the owner drops any
-    /// parked waiter for this token without replying.
+    /// The submitting process died or took EINTR: the owner drops the
+    /// waiter it parked for `(from_shard, token)`, if any, without replying.
     CancelOp {
+        /// The shard that minted `token` (tokens repeat across shards).
+        from_shard: usize,
         /// Token of the op to abandon.
         token: u64,
     },
@@ -259,21 +299,21 @@ pub enum ShardMsg {
         /// The target port.
         port: u16,
     },
-    /// Reply to [`ShardMsg::Connect`]: the established connection (both
-    /// streams live on the listener's shard) or the refusal.
+    /// Reply to [`ShardMsg::Connect`]: the client's side of the established
+    /// connection (both streams live on the listener's shard) or the refusal.
     ConnectReply {
         /// Token from the original request.
         token: u64,
-        /// The connection id and its stream pair, or the errno.
-        result: Result<(ConnectionId, Connection), Errno>,
+        /// The client's stream pair, or the errno.
+        result: Result<StreamPair, Errno>,
     },
     /// The connecting shard has counted its client descriptor (and sent the
     /// per-stream tallies ahead of this message): the owner drops the hold
     /// it kept on the client side so the connection would not look
     /// half-closed in the interim.
     ConnectAck {
-        /// The connection whose pin to release.
-        connection: ConnectionId,
+        /// The client side whose pin to release.
+        client: StreamPair,
     },
     /// Ask the owner of `stream` for a readiness snapshot (remote `poll`).
     PollQuery {
@@ -286,16 +326,8 @@ pub enum ShardMsg {
     PollAnswer {
         /// The stream.
         stream: StreamId,
-        /// Data is buffered.
-        readable: bool,
-        /// All write ends closed.
-        eof: bool,
-        /// Space is available.
-        writable: bool,
-        /// All read ends closed.
-        epipe: bool,
-        /// The stream no longer exists.
-        gone: bool,
+        /// Its state on the owner ([`StreamState::GONE`] once freed).
+        state: StreamState,
     },
     /// The sending shard's references to one stream owned by the receiving
     /// shard changed: its new tally, which replaces the previous one it
@@ -354,19 +386,15 @@ impl fmt::Debug for ShardMsg {
                     data.len()
                 )
             }
-            ShardMsg::RemoteOpDone {
-                token,
-                result,
-                raise_sigpipe,
-            } => write!(f, "RemoteOpDone(token={token}, {result:?}, sigpipe={raise_sigpipe})"),
-            ShardMsg::CancelOp { token } => write!(f, "CancelOp({token})"),
+            ShardMsg::RemoteOpDone { token, result } => write!(f, "RemoteOpDone(token={token}, {result:?})"),
+            ShardMsg::CancelOp { from_shard, token } => write!(f, "CancelOp(from={from_shard}, token={token})"),
             ShardMsg::Connect { token, port, .. } => write!(f, "Connect(token={token}, port={port})"),
             ShardMsg::ConnectReply { token, result } => write!(f, "ConnectReply(token={token}, {result:?})"),
-            ShardMsg::ConnectAck { connection } => write!(f, "ConnectAck({connection})"),
+            ShardMsg::ConnectAck { client } => write!(f, "ConnectAck({client:?})"),
             ShardMsg::PollQuery { stream, from_shard } => {
                 write!(f, "PollQuery(stream={stream}, from={from_shard})")
             }
-            ShardMsg::PollAnswer { stream, .. } => write!(f, "PollAnswer(stream={stream})"),
+            ShardMsg::PollAnswer { stream, state } => write!(f, "PollAnswer(stream={stream}, {state:?})"),
             ShardMsg::RemoteEndpoints {
                 from_shard,
                 stream,
@@ -376,6 +404,339 @@ impl fmt::Debug for ShardMsg {
                 f,
                 "RemoteEndpoints(from={from_shard}, stream={stream}, {readers}r/{writers}w)"
             ),
+        }
+    }
+}
+
+impl KernelState {
+    /// Sends a message to a peer shard (its event queue preserves the order
+    /// of everything this shard sent it).
+    pub(crate) fn send_shard(&mut self, shard: usize, msg: ShardMsg) {
+        self.stats.shard_msgs_sent += 1;
+        let _ = self.peers[shard].send(KernelEvent::Shard(msg));
+    }
+
+    /// Mints a token for a cross-shard exchange this shard starts.
+    pub(crate) fn next_remote_token(&mut self) -> u64 {
+        let token = self.next_remote_token;
+        self.next_remote_token += 1;
+        token
+    }
+
+    /// Whether a stream id belongs to another shard.
+    pub(crate) fn stream_is_remote(&self, stream: StreamId) -> bool {
+        stream_shard(stream) != self.shard_id
+    }
+
+    /// The one answer to "what state is this stream in": read off the
+    /// [`Stream`] when this shard owns it (a freed one is
+    /// [`StreamState::GONE`]), else the owner's latest [`ShardMsg::PollAnswer`]
+    /// — `None` until the first one arrives.
+    pub(crate) fn stream_state(&self, stream: StreamId) -> Option<StreamState> {
+        if self.stream_is_remote(stream) {
+            self.remote_stream_states.get(&stream).copied()
+        } else {
+            Some(self.streams.get(stream).map_or(StreamState::GONE, Stream::state))
+        }
+    }
+
+    /// Parks a system call in `remote_ops` while `owner` executes it, and
+    /// returns the token its reply will carry.
+    fn park_remote(&mut self, pid: Pid, reply: ReplyTo, kind: RemoteKind, owner: usize) -> u64 {
+        let token = self.next_remote_token();
+        let op = PendingRemote {
+            pid,
+            reply,
+            kind,
+            owner,
+        };
+        self.remote_ops.insert(token, op);
+        token
+    }
+
+    /// Submits a read of a foreign stream to its owner; the syscall stays in
+    /// `remote_ops` until [`ShardMsg::RemoteOpDone`] comes back.
+    pub(crate) fn remote_read(
+        &mut self,
+        pid: Pid,
+        reply: ReplyTo,
+        stream: StreamId,
+        len: usize,
+        nonblocking: bool,
+    ) -> Outcome {
+        let owner = stream_shard(stream);
+        let msg = ShardMsg::RemoteRead {
+            token: self.park_remote(pid, reply, RemoteKind::Read, owner),
+            from_shard: self.shard_id,
+            pid,
+            stream,
+            len,
+            nonblocking,
+        };
+        self.send_shard(owner, msg);
+        Outcome::Blocked
+    }
+
+    /// Submits a write to a foreign stream to its owner.
+    pub(crate) fn remote_write(
+        &mut self,
+        pid: Pid,
+        reply: ReplyTo,
+        stream: StreamId,
+        data: Vec<u8>,
+        nonblocking: bool,
+    ) -> Outcome {
+        let owner = stream_shard(stream);
+        let msg = ShardMsg::RemoteWrite {
+            token: self.park_remote(pid, reply, RemoteKind::Write, owner),
+            from_shard: self.shard_id,
+            pid,
+            stream,
+            data,
+            nonblocking,
+        };
+        self.send_shard(owner, msg);
+        Outcome::Blocked
+    }
+
+    /// Submits a `connect` to the shard owning the target port's listener;
+    /// the caller's descriptor is upgraded when the reply arrives.  Connect
+    /// ops are exempt from `EINTR` cancellation (the reply installs the
+    /// connection; abandoning it would leak the server-side streams), so
+    /// they only ever resolve via [`ShardMsg::ConnectReply`] or task death.
+    pub(crate) fn remote_connect(&mut self, pid: Pid, reply: ReplyTo, fd: Fd, owner: usize, port: u16) -> Outcome {
+        let msg = ShardMsg::Connect {
+            token: self.park_remote(pid, reply, RemoteKind::Connect { fd, port }, owner),
+            from_shard: self.shard_id,
+            port,
+        };
+        self.send_shard(owner, msg);
+        Outcome::Blocked
+    }
+
+    /// Takes every operation other shards are executing for `pid` out of
+    /// `remote_ops` — connects too only when `connects` says so — and tells
+    /// each owner to drop its parked side.  A completion already in flight
+    /// finds no token here and is discarded: exactly once either way.
+    pub(crate) fn cancel_remote_ops(&mut self, pid: Pid, connects: bool) -> Vec<PendingRemote> {
+        let tokens: Vec<u64> = self
+            .remote_ops
+            .iter()
+            .filter(|(_, op)| op.pid == pid && (connects || !matches!(op.kind, RemoteKind::Connect { .. })))
+            .map(|(&token, _)| token)
+            .collect();
+        let from_shard = self.shard_id;
+        tokens
+            .into_iter()
+            .filter_map(|token| {
+                let op = self.remote_ops.remove(&token)?;
+                self.send_shard(op.owner, ShardMsg::CancelOp { from_shard, token });
+                Some(op)
+            })
+            .collect()
+    }
+
+    pub(crate) fn handle_shard_msg(&mut self, msg: ShardMsg) {
+        match msg {
+            ShardMsg::SpawnTask {
+                token,
+                origin,
+                pid,
+                ppid,
+                pgid,
+                name,
+                path,
+                cwd,
+                args,
+                env,
+                launcher,
+                file_bytes,
+                stdio,
+            } => {
+                let blob_url = file_bytes.map(|bytes| self.blobs.create_url(bytes));
+                // The handles were exported for this shard: count each once
+                // (stdout and stderr are often one description).  The origin
+                // keeps its own references pinned until the ack, so the
+                // streams cannot see a gap.
+                for (i, file) in stdio.iter().enumerate() {
+                    if !stdio[..i].iter().any(|earlier| Arc::ptr_eq(earlier, file)) {
+                        self.adopt_file(file);
+                    }
+                }
+                self.install_task(
+                    pid, ppid, pgid, &name, &path, &cwd, args, env, stdio, blob_url, None, launcher,
+                );
+                self.send_shard(origin, ShardMsg::SpawnAck { token });
+            }
+            ShardMsg::SpawnAck { token } => {
+                for file in self.pinned_files.remove(&token).unwrap_or_default() {
+                    self.release_file(file);
+                }
+            }
+            ShardMsg::ChildExited { pid, ppid, status } => {
+                if self.tasks.get(&ppid).map(|t| !t.is_zombie()).unwrap_or(false) {
+                    self.remote_zombies.insert(pid, status);
+                    let _ = self.send_signal(ppid, Signal::SIGCHLD);
+                    self.wake(WaitChannel::ChildOf(ppid));
+                }
+                // Parent died concurrently: the child's shard already
+                // dropped the task and recorded the exit status for host
+                // watchers; nothing to reap here.
+            }
+            ShardMsg::ChildStopped { pid, ppid, signal } => {
+                if self.tasks.get(&ppid).map(|t| !t.is_zombie()).unwrap_or(false) {
+                    self.remote_stops.insert(pid, signal);
+                    let _ = self.send_signal(ppid, Signal::SIGCHLD);
+                    self.wake(WaitChannel::ChildOf(ppid));
+                }
+            }
+            ShardMsg::ChildContinued { pid, .. } => {
+                self.remote_stops.remove(&pid);
+            }
+            ShardMsg::Reparent { child } => {
+                if let Some(task) = self.tasks.get_mut(&child) {
+                    task.ppid = 0;
+                    if task.is_zombie() {
+                        self.remove_task(child);
+                    }
+                }
+            }
+            ShardMsg::SignalPid { pid, signal } => {
+                let _ = self.send_signal(pid, signal);
+            }
+            ShardMsg::SetPgid { pid, pgid } => {
+                if let Some(task) = self.tasks.get_mut(&pid) {
+                    task.pgid = pgid;
+                }
+            }
+            ShardMsg::RemoteRead {
+                token,
+                from_shard: shard,
+                pid,
+                stream,
+                len,
+                nonblocking,
+            } => {
+                // The local read, with a reply address on the submitter's shard.
+                self.stats.steals += 1;
+                let reply = ReplyTo::Shard { shard, token };
+                if let Outcome::Complete(result) = self.read_stream(pid, reply, stream, len, nonblocking) {
+                    self.complete(pid, reply, result);
+                }
+            }
+            ShardMsg::RemoteWrite {
+                token,
+                from_shard: shard,
+                pid,
+                stream,
+                data,
+                nonblocking,
+            } => {
+                self.stats.steals += 1;
+                let reply = ReplyTo::Shard { shard, token };
+                if let Outcome::Complete(result) = self.write_stream(pid, reply, stream, data, nonblocking) {
+                    self.complete(pid, reply, result);
+                }
+            }
+            ShardMsg::RemoteOpDone { token, result } => {
+                // Exactly-once: a token cancelled by EINTR or death has
+                // left the table, and this late reply is dropped.
+                let Some(op) = self.remote_ops.remove(&token) else {
+                    return;
+                };
+                // The process lives here, so its SIGPIPE is raised here —
+                // before the error completes, as for a local write.
+                if matches!((op.kind, &result), (RemoteKind::Write, SysResult::Err(Errno::EPIPE))) {
+                    let _ = self.send_signal(op.pid, Signal::SIGPIPE);
+                }
+                self.complete(op.pid, op.reply, result);
+            }
+            ShardMsg::CancelOp {
+                from_shard: shard,
+                token,
+            } => {
+                let cancelled = Some(ReplyTo::Shard { shard, token });
+                drop(self.waiters.take_matching(|w| w.reply == cancelled));
+            }
+            ShardMsg::Connect {
+                token,
+                from_shard,
+                port,
+            } => {
+                self.stats.steals += 1;
+                let result = self.open_connection(port);
+                if let Ok(client) = result {
+                    // Hold the client side until the connecting shard has
+                    // counted its descriptor and acks; otherwise the server
+                    // could observe a half-closed connection in the gap.
+                    self.remote_client_pins.insert(client);
+                    self.hold_connection_side(client);
+                    self.wake(WaitChannel::Listener(port));
+                }
+                self.send_shard(from_shard, ShardMsg::ConnectReply { token, result });
+            }
+            ShardMsg::ConnectReply { token, result } => {
+                let op = self.remote_ops.remove(&token);
+                let result = match result {
+                    Ok(client) => {
+                        // The descriptor must still be the unconnected socket
+                        // that asked (the caller may have died, or closed and
+                        // reused the number, while the connect was in flight).
+                        let socket = op.as_ref().and_then(|op| match op.kind {
+                            RemoteKind::Connect { fd, port } => {
+                                Some((self.tasks.get(&op.pid)?.files.get(fd).ok()?, port))
+                            }
+                            _ => None,
+                        });
+                        let socket = socket.filter(|(file, _)| matches!(file.kind(), FileKind::Socket { .. }));
+                        if let Some((file, port)) = &socket {
+                            // Counting the client side tells the owner, per
+                            // stream; FIFO ordering makes those tallies land
+                            // before the ack that drops the owner's hold.
+                            self.connect_file(file, client, *port);
+                        }
+                        self.send_shard(stream_shard(client.reads), ShardMsg::ConnectAck { client });
+                        match socket {
+                            Some(_) => SysResult::Ok,
+                            None => SysResult::Err(Errno::EBADF),
+                        }
+                    }
+                    Err(errno) => SysResult::Err(errno),
+                };
+                if let Some(op) = op {
+                    self.complete(op.pid, op.reply, result);
+                }
+            }
+            ShardMsg::ConnectAck { client } => {
+                if self.remote_client_pins.remove(&client) {
+                    self.drop_connection_side(client);
+                }
+            }
+            ShardMsg::PollQuery { stream, from_shard } => {
+                if let Some(state) = self.stream_state(stream) {
+                    self.send_shard(from_shard, ShardMsg::PollAnswer { stream, state });
+                }
+            }
+            ShardMsg::PollAnswer { stream, state } => {
+                // Wake local pollers of this stream only when the snapshot
+                // *changed*: an unconditional wake would re-query on repark
+                // and ping-pong with the owner forever, while a silent cache
+                // update would be a lost wakeup (the scavenger would find a
+                // completable poll nobody woke).  A retry triggered by a
+                // change either completes or reparks; the repark's re-query
+                // returns the same snapshot, so the exchange terminates.
+                if self.remote_stream_states.insert(stream, state) != Some(state) {
+                    self.stats.cross_shard_wakeups += 1;
+                    self.wake(WaitChannel::StreamReadable(stream));
+                    self.wake(WaitChannel::StreamWritable(stream));
+                }
+            }
+            ShardMsg::RemoteEndpoints {
+                from_shard,
+                stream,
+                readers,
+                writers,
+            } => self.apply_remote_endpoints(from_shard, stream, readers, writers),
         }
     }
 }
@@ -644,7 +1005,7 @@ mod tests {
     fn id_encoding_round_trips_the_shard() {
         assert_eq!(stream_shard(SHARD_ID_STRIDE * 7 + 3), 3);
         assert_eq!(stream_shard(0), 0);
-        assert_eq!(connection_shard(SHARD_ID_STRIDE + 63), 63);
+        assert_eq!(stream_shard(SHARD_ID_STRIDE + 63), 63);
     }
 
     #[test]

@@ -20,6 +20,14 @@
 //! The kernel's internal HTTP clients (the `XMLHttpRequest`-like host API)
 //! are ordinary waiters too: each parks on the wait queues of its
 //! connection's two streams and is pumped only when one of them changes.
+//!
+//! A read or write parks on the *stream* it found empty or full, not on the
+//! descriptor number it was called with: closing that number, or `dup2`ing
+//! over it, while the call is parked does not redirect it — it continues on
+//! the description it started on, as POSIX says.  The same waiter serves a
+//! call another shard shipped here; only its reply address differs
+//! (`ReplyTo::Shard`), and its liveness is the submitter's to manage (see
+//! `ShardMsg::CancelOp`).
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -29,10 +37,10 @@ use crossbeam::channel::Sender;
 use browsix_fs::Errno;
 use browsix_http::{parse_response, HttpResponse};
 
-use crate::fd::{Fd, SocketSide};
+use crate::fd::Fd;
 use crate::kernel::{KernelState, ReplyTo, ShardMsg};
-use crate::socket::{Connection, ConnectionId};
-use crate::streams::StreamId;
+use crate::socket::StreamPair;
+use crate::streams::{Stream, StreamId};
 use crate::syscall::{PollRequest, SysResult};
 use crate::task::Pid;
 
@@ -332,15 +340,15 @@ impl<T> WaitTable<T> {
 pub(crate) enum WaitKind {
     /// A read waiting for data (or EOF).
     Read {
-        /// Descriptor being read.
-        fd: Fd,
+        /// The locally-owned stream being read.
+        stream: StreamId,
         /// Requested length.
         len: usize,
     },
     /// A write waiting for stream space.
     Write {
-        /// Descriptor being written.
-        fd: Fd,
+        /// The locally-owned stream being written.
+        stream: StreamId,
         /// The full payload.
         data: Vec<u8>,
         /// How much has been accepted so far.
@@ -392,42 +400,16 @@ pub(crate) enum WaitKind {
     },
     /// A kernel-internal HTTP client waiting for its connection's streams.
     HttpClient {
-        /// The loopback connection carrying the exchange.
-        connection: ConnectionId,
-    },
-    /// A read submitted by a process on another shard
-    /// ([`ShardMsg::RemoteRead`]), parked here on the stream's owner; its
-    /// completion travels back as a [`ShardMsg::RemoteOpDone`].
-    RemoteRead {
-        /// The locally-owned stream being read.
-        stream: StreamId,
-        /// Requested length.
-        len: usize,
-        /// The submitter's completion token.
-        token: u64,
-        /// The shard the submitting process lives on.
-        from_shard: usize,
-    },
-    /// A write submitted by a process on another shard
-    /// ([`ShardMsg::RemoteWrite`]), parked here on the stream's owner.
-    RemoteWrite {
-        /// The locally-owned stream being written.
-        stream: StreamId,
-        /// The full payload.
-        data: Vec<u8>,
-        /// How much has been accepted so far.
-        written: usize,
-        /// The submitter's completion token.
-        token: u64,
-        /// The shard the submitting process lives on.
-        from_shard: usize,
+        /// The client's side of the loopback connection.
+        side: StreamPair,
     },
 }
 
 /// A parked blocked operation.
 #[derive(Debug)]
 pub(crate) struct Waiter {
-    /// The calling process (0 for kernel-internal HTTP clients).
+    /// The calling process (0 for kernel-internal HTTP clients).  It lives
+    /// on another shard exactly when `reply` is a `ReplyTo::Shard`.
     pub pid: Pid,
     /// How to reply when the operation completes (None for HTTP clients,
     /// which reply over their own channel).
@@ -438,8 +420,9 @@ pub(crate) struct Waiter {
 
 /// State of one host-initiated HTTP request to an in-Browsix server.
 pub(crate) struct HttpClientState {
-    /// The loopback connection carrying the exchange.
-    pub connection: ConnectionId,
+    /// The client's side of the loopback connection carrying the exchange,
+    /// which this state holds like a descriptor would.
+    pub side: StreamPair,
     /// The serialized request.
     pub to_send: Vec<u8>,
     /// How many request bytes have been pushed into the connection so far.
@@ -485,7 +468,7 @@ impl KernelState {
         };
         // A polled descriptor owned by another shard never produces a local
         // wake by itself: ask the owner for a readiness snapshot now (the
-        // answer lands in the revents cache and wakes us if it changed) and
+        // answer lands in the stream-state cache and wakes us if it changed) and
         // arm a short tick as the fallback retry.  The tick fires the retry
         // early; the poll's own deadline still decides the actual timeout.
         if let WaitKind::Poll { fds, .. } = &waiter.kind {
@@ -522,21 +505,9 @@ impl KernelState {
     /// that re-parks unchanged would spin forever.
     fn waiter_actionable(&self, waiter: &Waiter) -> bool {
         match &waiter.kind {
-            WaitKind::Read { fd, .. } => match self.read_wait_channel(waiter.pid, *fd) {
-                Some(WaitChannel::StreamReadable(id)) => {
-                    // A missing stream reads EOF immediately.
-                    self.streams().get(id).is_none_or(crate::streams::Stream::read_ready)
-                }
-                // No longer stream-backed: the retry will error out.
-                _ => true,
-            },
-            WaitKind::Write { fd, .. } => match self.write_wait_channel(waiter.pid, *fd) {
-                Some(WaitChannel::StreamWritable(id)) => {
-                    // A missing stream raises EPIPE immediately.
-                    self.streams().get(id).is_none_or(crate::streams::Stream::write_ready)
-                }
-                _ => true,
-            },
+            // A missing stream completes immediately (EOF / EPIPE).
+            WaitKind::Read { stream, .. } => self.streams().get(*stream).is_none_or(Stream::read_ready),
+            WaitKind::Write { stream, .. } => self.streams().get(*stream).is_none_or(Stream::write_ready),
             // Nothing that runs between a failed reap and the park can
             // produce a zombie child; exits always arrive as later events.
             WaitKind::Wait4 { .. } => false,
@@ -551,9 +522,7 @@ impl KernelState {
             // Parked only because the output stream filled: mirror the Write
             // arm, keyed on the destination descriptor.
             WaitKind::Sendfile { out_fd, .. } => match self.write_wait_channel(waiter.pid, *out_fd) {
-                Some(WaitChannel::StreamWritable(id)) => {
-                    self.streams().get(id).is_none_or(crate::streams::Stream::write_ready)
-                }
+                Some(WaitChannel::StreamWritable(id)) => self.streams().get(id).is_none_or(Stream::write_ready),
                 _ => true,
             },
             WaitKind::Splice { fd_in, fd_out, .. } => {
@@ -582,37 +551,19 @@ impl KernelState {
                 }
             }
             WaitKind::Poll { fds, .. } => self.poll_revents(waiter.pid, fds).iter().any(|&r| r != 0),
-            WaitKind::HttpClient { connection } => self.http_client_actionable(*connection),
-            // A missing stream completes immediately (EOF / EPIPE).
-            WaitKind::RemoteRead { stream, .. } => self
-                .streams()
-                .get(*stream)
-                .is_none_or(crate::streams::Stream::read_ready),
-            WaitKind::RemoteWrite { stream, .. } => self
-                .streams()
-                .get(*stream)
-                .is_none_or(crate::streams::Stream::write_ready),
+            WaitKind::HttpClient { side } => self.http_client_actionable(*side),
         }
     }
 
     /// Whether pumping the given HTTP client would make progress, mirroring
     /// the would-block decision in [`KernelState::pump_http_client`].
-    fn http_client_actionable(&self, connection: ConnectionId) -> bool {
-        let Some(client) = self.http_clients.iter().find(|c| c.connection == connection) else {
+    fn http_client_actionable(&self, side: StreamPair) -> bool {
+        let Some(client) = self.http_clients.iter().find(|c| c.side == side) else {
             return false;
         };
-        let Some(conn) = self.sockets().connection(connection) else {
-            return true;
-        };
-        let response_ready = self
-            .streams()
-            .get(conn.server_to_client)
-            .is_none_or(crate::streams::Stream::read_ready);
-        let request_sendable = client.sent < client.to_send.len()
-            && self
-                .streams()
-                .get(conn.client_to_server)
-                .is_none_or(crate::streams::Stream::write_ready);
+        let response_ready = self.streams().get(side.reads).is_none_or(Stream::read_ready);
+        let request_sendable =
+            client.sent < client.to_send.len() && self.streams().get(side.writes).is_none_or(Stream::write_ready);
         response_ready || request_sendable
     }
 
@@ -642,70 +593,45 @@ impl KernelState {
     pub(crate) fn drop_waiters_of(&mut self, pid: Pid) {
         self.waiters.retain(|w| w.pid != pid);
         // Operations executing on foreign shards on this process's behalf:
-        // tell the owner to drop its parked side too.  A completion already
-        // in flight finds no token here and is discarded — exactly once
-        // either way.
-        let tokens: Vec<u64> = self
-            .remote_ops
-            .iter()
-            .filter(|(_, op)| op.pid == pid)
-            .map(|(&token, _)| token)
-            .collect();
-        for token in tokens {
-            if let Some(op) = self.remote_ops.remove(&token) {
-                self.send_shard(op.owner, ShardMsg::CancelOp { token });
-            }
-        }
+        // tell the owner to drop its parked side too.
+        self.cancel_remote_ops(pid, true);
     }
 
     /// Retries one woken waiter: complete it, or re-park it on the channels
     /// it still needs.
     pub(crate) fn retry_waiter(&mut self, waiter: Waiter) {
         let Waiter { pid, reply, kind } = waiter;
-        // Remote operations carry a pid that lives on another shard; their
-        // liveness is the submitter's problem (it cancels via CancelOp).
-        if !matches!(
-            kind,
-            WaitKind::HttpClient { .. } | WaitKind::RemoteRead { .. } | WaitKind::RemoteWrite { .. }
-        ) && !self.tasks_contains(pid)
-        {
+        // A waiter whose process died is dropped — if the process is this
+        // shard's to know about.  One parked for a process on another shard
+        // lives until its submitter cancels it (`CancelOp`), and the kernel's
+        // own HTTP clients belong to no process at all.
+        let local = matches!(reply, Some(ReplyTo::Batch { .. } | ReplyTo::Ring { .. }));
+        if local && !self.tasks_contains(pid) {
             return;
         }
         match kind {
-            WaitKind::Read { fd, len } => match self.try_read_fd(pid, fd, len) {
-                Ok(Some(data)) => self.finish_waiter(pid, reply, SysResult::Data(data)),
-                Ok(None) => match self.read_wait_channel(pid, fd) {
-                    Some(channel) => self.repark_one(
-                        channel,
-                        Waiter {
-                            pid,
-                            reply,
-                            kind: WaitKind::Read { fd, len },
-                        },
-                    ),
-                    None => self.finish_waiter(pid, reply, SysResult::Err(Errno::EIO)),
-                },
-                Err(e) => self.finish_waiter(pid, reply, SysResult::Err(e)),
-            },
-            WaitKind::Write { fd, data, written } => match self.try_write_fd(pid, fd, &data[written..]) {
-                Ok((accepted, _)) => {
-                    let written = written + accepted;
-                    if written >= data.len() {
-                        self.finish_waiter(pid, reply, SysResult::Int(data.len() as i64));
-                    } else {
-                        match self.write_wait_channel(pid, fd) {
-                            Some(channel) => {
-                                if accepted == 0 {
-                                    self.stats.spurious_wakeups += 1;
-                                }
-                                let kind = WaitKind::Write { fd, data, written };
-                                self.park_waiter_one(channel, Waiter { pid, reply, kind });
-                            }
-                            None => self.finish_waiter(pid, reply, SysResult::Err(Errno::EIO)),
-                        }
-                    }
+            WaitKind::Read { stream, len } => match self.try_read_stream(stream, len) {
+                Some(data) => self.finish_waiter(pid, reply, SysResult::Data(data)),
+                None => {
+                    let kind = WaitKind::Read { stream, len };
+                    self.repark_one(WaitChannel::StreamReadable(stream), Waiter { pid, reply, kind });
                 }
-                Err(e) => self.finish_waiter(pid, reply, SysResult::Err(e)),
+            },
+            WaitKind::Write { stream, data, written } => match self.try_write_stream(pid, stream, &data[written..]) {
+                Ok(accepted) if written + accepted >= data.len() => {
+                    self.finish_waiter(pid, reply, SysResult::Int(data.len() as i64));
+                }
+                Ok(accepted) => {
+                    if accepted == 0 {
+                        self.stats.spurious_wakeups += 1;
+                    }
+                    let written = written + accepted;
+                    let kind = WaitKind::Write { stream, data, written };
+                    self.park_waiter_one(WaitChannel::StreamWritable(stream), Waiter { pid, reply, kind });
+                }
+                // Mid-wait EPIPE: the error (and the SIGPIPE) wins over the
+                // partial count.
+                Err(errno) => self.finish_waiter(pid, reply, SysResult::Err(errno)),
             },
             WaitKind::Wait4 { target, options } => match self.try_reap_child(pid, target, options) {
                 Ok(Some((child, status))) => self.finish_waiter(pid, reply, SysResult::Wait { pid: child, status }),
@@ -809,97 +735,16 @@ impl KernelState {
                     );
                 }
             }
-            WaitKind::HttpClient { connection } => match self.pump_http_client(connection) {
+            WaitKind::HttpClient { side } => match self.pump_http_client(side) {
                 HttpPump::Done => self.stats.wakeups += 1,
                 HttpPump::Blocked(channels) => self.repark(
                     channels,
                     Waiter {
                         pid,
                         reply,
-                        kind: WaitKind::HttpClient { connection },
+                        kind: WaitKind::HttpClient { side },
                     },
                 ),
-            },
-            WaitKind::RemoteRead {
-                stream,
-                len,
-                token,
-                from_shard,
-            } => match self.try_remote_read(stream, len) {
-                Some(result) => {
-                    self.stats.wakeups += 1;
-                    self.stats.cross_shard_wakeups += 1;
-                    self.send_shard(
-                        from_shard,
-                        ShardMsg::RemoteOpDone {
-                            token,
-                            result,
-                            raise_sigpipe: false,
-                        },
-                    );
-                }
-                None => self.repark_one(
-                    WaitChannel::StreamReadable(stream),
-                    Waiter {
-                        pid,
-                        reply,
-                        kind: WaitKind::RemoteRead {
-                            stream,
-                            len,
-                            token,
-                            from_shard,
-                        },
-                    },
-                ),
-            },
-            WaitKind::RemoteWrite {
-                stream,
-                data,
-                written,
-                token,
-                from_shard,
-            } => match self.try_remote_write(stream, &data[written..]) {
-                // Mid-wait EPIPE mirrors the local Write arm: the error (and
-                // the submitter-side SIGPIPE) wins over the partial count.
-                Err(errno) => {
-                    self.stats.wakeups += 1;
-                    self.stats.cross_shard_wakeups += 1;
-                    self.send_shard(
-                        from_shard,
-                        ShardMsg::RemoteOpDone {
-                            token,
-                            result: SysResult::Err(errno),
-                            raise_sigpipe: errno == Errno::EPIPE,
-                        },
-                    );
-                }
-                Ok(accepted) => {
-                    let written = written + accepted;
-                    if written >= data.len() {
-                        self.stats.wakeups += 1;
-                        self.stats.cross_shard_wakeups += 1;
-                        self.send_shard(
-                            from_shard,
-                            ShardMsg::RemoteOpDone {
-                                token,
-                                result: SysResult::Int(written as i64),
-                                raise_sigpipe: false,
-                            },
-                        );
-                    } else {
-                        if accepted == 0 {
-                            self.stats.spurious_wakeups += 1;
-                        }
-                        let kind = WaitKind::RemoteWrite {
-                            stream,
-                            data,
-                            written,
-                            token,
-                            from_shard,
-                        };
-                        self.park_waiter_one(WaitChannel::StreamWritable(stream), Waiter { pid, reply, kind });
-                    }
-                }
             },
         }
     }
@@ -907,6 +752,9 @@ impl KernelState {
     /// Completes a woken waiter's system call.
     fn finish_waiter(&mut self, pid: Pid, reply: Option<ReplyTo>, result: SysResult) {
         self.stats.wakeups += 1;
+        if matches!(reply, Some(ReplyTo::Shard { .. })) {
+            self.stats.cross_shard_wakeups += 1;
+        }
         if let Some(reply) = reply {
             self.complete(pid, reply, result);
         }
@@ -948,27 +796,22 @@ impl KernelState {
     /// Advances one host HTTP client: push pending request bytes, pull
     /// whatever the server has produced, and complete the request once a
     /// full response has been parsed (or the connection dies).
-    pub(crate) fn pump_http_client(&mut self, connection: ConnectionId) -> HttpPump {
-        let Some(index) = self.http_clients.iter().position(|c| c.connection == connection) else {
+    pub(crate) fn pump_http_client(&mut self, side: StreamPair) -> HttpPump {
+        let Some(index) = self.http_clients.iter().position(|c| c.side == side) else {
             return HttpPump::Done;
         };
         let mut client = self.http_clients.swap_remove(index);
-        // The client's own hold keeps the connection alive until it is done.
-        let Some(conn) = self.sockets().connection(connection) else {
-            let _ = client.reply.send(Err(Errno::ECONNRESET));
-            return HttpPump::Done;
-        };
         // Push request bytes towards the server.  A vanished or reader-less
         // request stream means the server will never see the rest of the
         // request, which kills the exchange.
         let mut request_dead = false;
         if client.sent < client.to_send.len() {
-            match self.streams.get_mut(conn.client_to_server) {
+            match self.streams.get_mut(side.writes) {
                 Some(stream) if !stream.read_end_closed() => {
                     let pushed = stream.push(&client.to_send[client.sent..]);
                     client.sent += pushed;
                     if pushed > 0 {
-                        self.wake(WaitChannel::StreamReadable(conn.client_to_server));
+                        self.wake(WaitChannel::StreamReadable(side.writes));
                     }
                 }
                 _ => request_dead = true,
@@ -977,42 +820,33 @@ impl KernelState {
         // Pull response bytes from the server.  A vanished stream counts as
         // closed: no more bytes can ever arrive.
         let mut server_closed = true;
-        if let Some(stream) = self.streams.get_mut(conn.server_to_client) {
+        if let Some(stream) = self.streams.get_mut(side.reads) {
             let chunk = stream.pop(usize::MAX);
             server_closed = stream.write_end_closed() && stream.is_empty();
             if !chunk.is_empty() {
                 client.received.extend_from_slice(&chunk);
-                self.wake(WaitChannel::StreamWritable(conn.server_to_client));
+                self.wake(WaitChannel::StreamWritable(side.reads));
             }
         }
-        match parse_response(&client.received) {
-            Ok(Some(response)) => self.finish_http_client(client, &conn, Ok(response)),
+        let verdict = match parse_response(&client.received) {
+            Ok(Some(response)) => Ok(response),
             // Connection closed before a full response arrived.
-            Ok(None) if server_closed || request_dead => self.finish_http_client(client, &conn, Err(Errno::ECONNRESET)),
+            Ok(None) if server_closed || request_dead => Err(Errno::ECONNRESET),
             Ok(None) => {
-                let mut channels = vec![WaitChannel::StreamReadable(conn.server_to_client)];
+                let mut channels = vec![WaitChannel::StreamReadable(side.reads)];
                 if client.sent < client.to_send.len() {
-                    channels.push(WaitChannel::StreamWritable(conn.client_to_server));
+                    channels.push(WaitChannel::StreamWritable(side.writes));
                 }
                 self.http_clients.push(client);
-                HttpPump::Blocked(channels)
+                return HttpPump::Blocked(channels);
             }
-            Err(_) => self.finish_http_client(client, &conn, Err(Errno::EIO)),
-        }
-    }
-
-    /// Ends a host HTTP exchange: delivers the outcome and closes the
-    /// kernel's client side of the connection, which the server observes
-    /// like any peer closing — EOF on its reads, EPIPE on further writes.
-    /// The connection itself goes when the server's side is closed too.
-    fn finish_http_client(
-        &mut self,
-        client: HttpClientState,
-        conn: &Connection,
-        result: Result<HttpResponse, Errno>,
-    ) -> HttpPump {
-        let _ = client.reply.send(result);
-        self.drop_connection_side(conn, SocketSide::Client);
+            Err(_) => Err(Errno::EIO),
+        };
+        // The exchange is over: deliver the outcome and close the kernel's
+        // client side of the connection, which the server observes like any
+        // peer closing — EOF on its reads, EPIPE on further writes.
+        let _ = client.reply.send(verdict);
+        self.drop_connection_side(side);
         HttpPump::Done
     }
 }

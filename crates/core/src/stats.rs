@@ -61,7 +61,10 @@ pub struct KernelStats {
     pub page_cache_misses: u64,
     /// Files materialised in overlay writable layers by copy-up.
     pub overlay_copy_ups: u64,
-    /// Blocked system calls parked on a wait queue.
+    /// Blocked system calls parked on a wait queue.  Counted where the call
+    /// first parks — for a read or write, in `read_stream`/`write_stream` on
+    /// the shard that owns the stream, so a call another shard shipped here
+    /// counts on the owner, like a local one.
     pub waiters_parked: u64,
     /// Parked waiters woken by a targeted wait-queue wakeup that then
     /// completed.
@@ -101,11 +104,14 @@ pub struct KernelStats {
     /// sent to peers (remote reads/writes, spawns, signals, endpoint
     /// snapshots...).  Zero with one shard.
     pub shard_msgs_sent: u64,
-    /// Remote stream operations this shard executed on behalf of a peer (a
-    /// peer's process read from or wrote to a stream this shard owns).
+    /// Operations this shard executed on behalf of a peer: one per
+    /// `RemoteRead`, `RemoteWrite` and `Connect` message it handled
+    /// (`handle_shard_msg`).
     pub steals: u64,
-    /// Wakeups whose completion was delivered to a waiter living on another
-    /// shard (the cross-shard subset of `wakeups`).
+    /// Wakeups that crossed a shard boundary: a parked waiter completing to a
+    /// `ReplyTo::Shard` address (`finish_waiter` — the cross-shard subset of
+    /// `wakeups`), and a `PollAnswer` that changed a cached stream state and
+    /// so woke local pollers.
     pub cross_shard_wakeups: u64,
 }
 
@@ -200,48 +206,88 @@ impl KernelStats {
     /// summed too — per-shard snapshots carry them as zero (the shared
     /// mount table's counters are absorbed exactly once, after the merge).
     pub fn merge(&mut self, other: &KernelStats) {
-        for (name, count) in &other.syscalls_by_name {
+        // Destructured without `..`: a field added to the struct and not
+        // merged here does not compile.
+        let KernelStats {
+            syscalls_by_name,
+            syscalls_by_class,
+            total_syscalls,
+            async_syscalls,
+            sync_syscalls,
+            batches,
+            batch_size_histogram,
+            bytes_copied,
+            processes_spawned,
+            processes_exited,
+            signals_sent,
+            signals_delivered,
+            eintr_wakeups,
+            messages_to_workers,
+            dentry_cache_hits,
+            dentry_cache_misses,
+            page_cache_hits,
+            page_cache_misses,
+            overlay_copy_ups,
+            waiters_parked,
+            wakeups,
+            spurious_wakeups,
+            eagain_returns,
+            poll_timeouts,
+            cow_faults,
+            pages_shared,
+            pages_copied,
+            shm_objects,
+            sq_polled,
+            doorbells,
+            cq_posted,
+            sendfile_bytes,
+            zero_copy_pages,
+            shard_msgs_sent,
+            steals,
+            cross_shard_wakeups,
+        } = other;
+        for (name, count) in syscalls_by_name {
             *self.syscalls_by_name.entry(name.clone()).or_insert(0) += count;
         }
-        for (class, count) in &other.syscalls_by_class {
+        for (class, count) in syscalls_by_class {
             *self.syscalls_by_class.entry(class.clone()).or_insert(0) += count;
         }
-        for (size, count) in &other.batch_size_histogram {
+        for (size, count) in batch_size_histogram {
             *self.batch_size_histogram.entry(*size).or_insert(0) += count;
         }
-        self.total_syscalls += other.total_syscalls;
-        self.async_syscalls += other.async_syscalls;
-        self.sync_syscalls += other.sync_syscalls;
-        self.batches += other.batches;
-        self.bytes_copied += other.bytes_copied;
-        self.processes_spawned += other.processes_spawned;
-        self.processes_exited += other.processes_exited;
-        self.signals_sent += other.signals_sent;
-        self.signals_delivered += other.signals_delivered;
-        self.eintr_wakeups += other.eintr_wakeups;
-        self.messages_to_workers += other.messages_to_workers;
-        self.dentry_cache_hits += other.dentry_cache_hits;
-        self.dentry_cache_misses += other.dentry_cache_misses;
-        self.page_cache_hits += other.page_cache_hits;
-        self.page_cache_misses += other.page_cache_misses;
-        self.overlay_copy_ups += other.overlay_copy_ups;
-        self.waiters_parked += other.waiters_parked;
-        self.wakeups += other.wakeups;
-        self.spurious_wakeups += other.spurious_wakeups;
-        self.eagain_returns += other.eagain_returns;
-        self.poll_timeouts += other.poll_timeouts;
-        self.cow_faults += other.cow_faults;
-        self.pages_shared += other.pages_shared;
-        self.pages_copied += other.pages_copied;
-        self.shm_objects += other.shm_objects;
-        self.sq_polled += other.sq_polled;
-        self.doorbells += other.doorbells;
-        self.cq_posted += other.cq_posted;
-        self.sendfile_bytes += other.sendfile_bytes;
-        self.zero_copy_pages += other.zero_copy_pages;
-        self.shard_msgs_sent += other.shard_msgs_sent;
-        self.steals += other.steals;
-        self.cross_shard_wakeups += other.cross_shard_wakeups;
+        self.total_syscalls += total_syscalls;
+        self.async_syscalls += async_syscalls;
+        self.sync_syscalls += sync_syscalls;
+        self.batches += batches;
+        self.bytes_copied += bytes_copied;
+        self.processes_spawned += processes_spawned;
+        self.processes_exited += processes_exited;
+        self.signals_sent += signals_sent;
+        self.signals_delivered += signals_delivered;
+        self.eintr_wakeups += eintr_wakeups;
+        self.messages_to_workers += messages_to_workers;
+        self.dentry_cache_hits += dentry_cache_hits;
+        self.dentry_cache_misses += dentry_cache_misses;
+        self.page_cache_hits += page_cache_hits;
+        self.page_cache_misses += page_cache_misses;
+        self.overlay_copy_ups += overlay_copy_ups;
+        self.waiters_parked += waiters_parked;
+        self.wakeups += wakeups;
+        self.spurious_wakeups += spurious_wakeups;
+        self.eagain_returns += eagain_returns;
+        self.poll_timeouts += poll_timeouts;
+        self.cow_faults += cow_faults;
+        self.pages_shared += pages_shared;
+        self.pages_copied += pages_copied;
+        self.shm_objects += shm_objects;
+        self.sq_polled += sq_polled;
+        self.doorbells += doorbells;
+        self.cq_posted += cq_posted;
+        self.sendfile_bytes += sendfile_bytes;
+        self.zero_copy_pages += zero_copy_pages;
+        self.shard_msgs_sent += shard_msgs_sent;
+        self.steals += steals;
+        self.cross_shard_wakeups += cross_shard_wakeups;
     }
 
     /// The count for a particular system call.

@@ -21,11 +21,11 @@
 //! that description goes away.  A release reports the edges it caused — last
 //! writer gone (EOF), last reader gone (EPIPE) — so the kernel wakes exactly
 //! those queues, and frees the stream the moment nobody can read or write
-//! it any more, whatever is still buffered.  Nothing ever recounts.
+//! it any more, whatever is still buffered.  Nothing ever recounts.  That is
+//! also all the lifetime a socket connection has: it is gone when its two
+//! streams are.
 
 use std::collections::HashMap;
-
-use crate::socket::ConnectionId;
 
 /// Identifier of a kernel stream buffer.
 pub type StreamId = u64;
@@ -47,9 +47,35 @@ pub struct Stream {
     pub readers: usize,
     /// Number of live open-file descriptions referring to the write end.
     pub writers: usize,
-    /// The socket connection this stream is one direction of, if any (so
-    /// freeing the pair can forget the connection).
-    pub(crate) connection: Option<ConnectionId>,
+}
+
+/// Everything readiness depends on, as one comparable value: what `poll`
+/// reports is a function of this and nothing else, whether it was read off a
+/// [`Stream`] this shard owns ([`Stream::state`]) or arrived from the shard
+/// that does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StreamState {
+    /// Data is buffered: a read would return bytes.
+    pub readable: bool,
+    /// All write ends are closed (EOF once drained).
+    pub eof: bool,
+    /// There is space: a write would accept bytes.
+    pub writable: bool,
+    /// All read ends are closed (writes raise EPIPE).
+    pub epipe: bool,
+    /// The stream no longer exists: reads see EOF, writes EPIPE.
+    pub gone: bool,
+}
+
+impl StreamState {
+    /// The state of a stream that has been freed.
+    pub const GONE: StreamState = StreamState {
+        readable: false,
+        eof: false,
+        writable: false,
+        epipe: false,
+        gone: true,
+    };
 }
 
 /// What dropping endpoint references did to a stream: the wait queues the
@@ -75,7 +101,6 @@ impl Stream {
             capacity: capacity.max(1),
             readers: 0,
             writers: 0,
-            connection: None,
         }
     }
 
@@ -120,6 +145,17 @@ impl Stream {
     /// write would fail immediately with EPIPE (no readers left).
     pub fn write_ready(&self) -> bool {
         self.space() > 0 || self.read_end_closed()
+    }
+
+    /// The readiness snapshot of this stream.
+    pub fn state(&self) -> StreamState {
+        StreamState {
+            readable: !self.is_empty(),
+            eof: self.write_end_closed(),
+            writable: self.space() > 0,
+            epipe: self.read_end_closed(),
+            gone: false,
+        }
     }
 
     /// Appends as much of `data` as fits, returning the number of bytes

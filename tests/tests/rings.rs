@@ -11,8 +11,8 @@ use std::time::{Duration, Instant};
 use browsix_browser::SharedArrayBuffer;
 use browsix_core::ring::{Ring, RingGeometry, INDIRECT, RING_HEADER_BYTES};
 use browsix_core::{
-    CompletionBatch, Errno, Kernel, KernelEvent, KernelStats, LaunchContext, ProgramLauncher, SysResult, Syscall,
-    SyscallBatch,
+    ByteSource, CompletionBatch, Errno, Kernel, KernelEvent, KernelStats, LaunchContext, ProgramLauncher, SysResult,
+    Syscall, SyscallBatch,
 };
 use browsix_fs::{FileSystem, OpenFlags};
 use browsix_http::{HttpRequest, Method};
@@ -594,6 +594,24 @@ struct RawRing {
 }
 
 impl RawRing {
+    /// Bootstraps like `SyscallClient`: waits for the init message and
+    /// registers a heap.  `ring_setup` is left to the caller.
+    fn start(ctx: LaunchContext) -> RawRing {
+        while ctx.scope.recv().expect("init arrives").get_str("type") != Some("init") {}
+        let sab = SharedArrayBuffer::new(HEAP_BYTES as usize);
+        let heap = KernelEvent::RegisterSyncHeap {
+            pid: ctx.pid,
+            sab: sab.clone(),
+        };
+        ctx.kernel.send(heap).expect("kernel is up");
+        RawRing {
+            ctx,
+            ring: Ring::new(sab.clone(), RingGeometry::standard(HEAP_BYTES / 2)),
+            sab,
+            next_user_data: 0,
+        }
+    }
+
     /// Sends one call as a message and waits for its response.
     fn call_by_message(&self, seq: u64, call: Syscall) -> SysResult {
         let payload = SyscallBatch::single(call).encode();
@@ -639,6 +657,14 @@ impl RawRing {
     fn completion(&mut self) -> SysResult {
         let user_data = self.next_user_data;
         self.next_user_data += 1;
+        let (echoed, result) = self.next_completion();
+        assert_eq!(echoed, user_data, "completion for another entry");
+        result
+    }
+
+    /// Rings the doorbell if the kernel asked for one and waits for the next
+    /// completion, whichever entry it answers.
+    fn next_completion(&mut self) -> (u32, SysResult) {
         let deadline = Instant::now() + WATCHDOG;
         loop {
             if self.ring.take_doorbell() {
@@ -650,14 +676,44 @@ impl RawRing {
             }
             let seen = self.ring.cq_tail();
             if let Some((echoed, frame)) = self.ring.pop_cqe() {
-                assert_eq!(echoed, user_data, "completion for another entry");
                 let mut reader = browsix_core::wire::Reader::new(&frame);
-                return SysResult::decode_from(&mut reader).expect("completion decodes");
+                return (echoed, SysResult::decode_from(&mut reader).expect("completion decodes"));
             }
-            assert!(Instant::now() < deadline, "entry {user_data} was never completed");
+            assert!(Instant::now() < deadline, "a completion never arrived");
             let tail_word = self.ring.geometry().cq_tail_off();
             let _ = self.sab.wait(tail_word, seen as i32, Some(Duration::from_millis(20)));
         }
+    }
+
+    /// Submits `exit(0)`, which nothing answers.
+    fn exit(&mut self, pid: u32) {
+        self.push(self.next_user_data, &Syscall::Exit { code: 0 });
+        if self.ring.take_doorbell() {
+            let _ = self.ctx.kernel.send(KernelEvent::Doorbell { pid });
+        }
+    }
+
+    /// Publishes one well-formed call without waiting for it.
+    fn push(&mut self, user_data: u32, call: &Syscall) {
+        assert!(self.ring.push_sqe(user_data, &encoded(call)));
+    }
+
+    /// Submits one well-formed call and waits for its completion.
+    fn call(&mut self, call: &Syscall) -> SysResult {
+        self.push(self.next_user_data, call);
+        self.completion()
+    }
+}
+
+fn ring_setup(geo: RingGeometry) -> Syscall {
+    Syscall::RingSetup {
+        sq_offset: geo.sq_offset,
+        cq_offset: geo.cq_offset,
+        slots: geo.slots,
+        slot_bytes: geo.slot_bytes,
+        buf_offset: geo.buf_offset,
+        buf_count: geo.buf_count,
+        buf_bytes: geo.buf_bytes,
     }
 }
 
@@ -669,27 +725,9 @@ fn encoded(call: &Syscall) -> Vec<u8> {
 
 impl ProgramLauncher for RawRingGuest {
     fn launch(&self, ctx: LaunchContext) {
-        while ctx.scope.recv().expect("init arrives").get_str("type") != Some("init") {}
-        let sab = SharedArrayBuffer::new(HEAP_BYTES as usize);
-        let geo = RingGeometry::standard(HEAP_BYTES / 2);
         let pid = ctx.pid;
-        let heap = KernelEvent::RegisterSyncHeap { pid, sab: sab.clone() };
-        ctx.kernel.send(heap).expect("kernel is up");
-        let mut raw = RawRing {
-            ctx,
-            ring: Ring::new(sab.clone(), geo),
-            sab,
-            next_user_data: 0,
-        };
-        let ring_setup = |geo: RingGeometry| Syscall::RingSetup {
-            sq_offset: geo.sq_offset,
-            cq_offset: geo.cq_offset,
-            slots: geo.slots,
-            slot_bytes: geo.slot_bytes,
-            buf_offset: geo.buf_offset,
-            buf_count: geo.buf_count,
-            buf_bytes: geo.buf_bytes,
-        };
+        let mut raw = RawRing::start(ctx);
+        let geo = *raw.ring.geometry();
         let setup = ring_setup(geo);
         // Geometries off the word grid: `Atomics` could not reach their words.
         let odd_cq = ring_setup(RingGeometry {
@@ -705,10 +743,7 @@ impl ProgramLauncher for RawRingGuest {
                 "ring_setup a second time by message",
                 raw.call_by_message(4, setup.clone()),
             ),
-            ("ring_setup through the mapped ring", {
-                assert!(raw.ring.push_sqe(raw.next_user_data, &encoded(&setup)));
-                raw.completion()
-            }),
+            ("ring_setup through the mapped ring", raw.call(&setup)),
             (
                 "reference past the end of the heap",
                 raw.plant_reference(HEAP_BYTES, 16),
@@ -724,10 +759,7 @@ impl ProgramLauncher for RawRingGuest {
             ("reference to 300 KiB of zeroes", raw.plant_reference(0, 300 * 1024)),
             ("reference of garbage", raw.plant(INDIRECT | 8, &[0xff; 8])),
             ("inline length larger than the slot", raw.plant(1 << 20, &[0xee; 8])),
-            ("getpid, inline", {
-                assert!(raw.ring.push_sqe(raw.next_user_data, &encoded(&Syscall::GetPid)));
-                raw.completion()
-            }),
+            ("getpid, inline", raw.call(&Syscall::GetPid)),
             ("getpid, spilled", {
                 assert!(raw
                     .ring
@@ -736,12 +768,7 @@ impl ProgramLauncher for RawRingGuest {
             }),
         ];
         *self.transcript.lock().unwrap() = results;
-        assert!(raw
-            .ring
-            .push_sqe(raw.next_user_data, &encoded(&Syscall::Exit { code: 0 })));
-        if raw.ring.take_doorbell() {
-            let _ = raw.ctx.kernel.send(KernelEvent::Doorbell { pid });
-        }
+        raw.exit(pid);
     }
 }
 
@@ -787,5 +814,86 @@ fn malformed_ring_entries_get_an_errno_and_the_ring_survives() {
     let stats = kernel.stats();
     assert_eq!(stats.sq_polled, 11, "ten entries and the exit");
     assert_eq!(stats.cq_posted, 10, "one completion per entry, none for exit");
+    kernel.shutdown();
+}
+
+// ---- a parked call stays on the description it started on ----------------------
+
+/// Submits, in one batch, a `read` of an empty pipe — which parks — then a
+/// `dup2` of a regular file over the descriptor being read, then the write
+/// that wakes the read; records what each entry completed with.
+struct ReadThenDup2 {
+    /// `[read, dup2, write]`.
+    results: Arc<Mutex<Vec<SysResult>>>,
+}
+
+impl ProgramLauncher for ReadThenDup2 {
+    fn launch(&self, ctx: LaunchContext) {
+        let pid = ctx.pid;
+        let mut raw = RawRing::start(ctx);
+        let geo = *raw.ring.geometry();
+        assert_eq!(raw.call_by_message(1, ring_setup(geo)), SysResult::Ok);
+        let SysResult::Pair(r, w) = raw.call(&Syscall::Pipe2) else {
+            panic!("pipe2 failed");
+        };
+        let (r, w) = (r as i32, w as i32);
+        // A second descriptor on the read end, so that `dup2` closing `r`
+        // does not leave the pipe without a reader.
+        assert!(matches!(raw.call(&Syscall::Dup { fd: r }), SysResult::Int(_)));
+        let open = Syscall::Open {
+            path: "/other".to_owned(),
+            flags: OpenFlags::read_only(),
+            mode: 0,
+        };
+        let SysResult::Int(file) = raw.call(&open) else {
+            panic!("open failed");
+        };
+        let first = raw.next_user_data;
+        let data = ByteSource::Inline(b"from the pipe".to_vec());
+        raw.push(first, &Syscall::Read { fd: r, len: 64 });
+        raw.push(
+            first + 1,
+            &Syscall::Dup2 {
+                from: file as i32,
+                to: r,
+            },
+        );
+        raw.push(first + 2, &Syscall::Write { fd: w, data });
+        raw.next_user_data += 3;
+        let mut results = vec![SysResult::Ok; 3];
+        for _ in 0..3 {
+            let (user_data, result) = raw.next_completion();
+            results[(user_data - first) as usize] = result;
+        }
+        *self.results.lock().unwrap() = results;
+        raw.exit(pid);
+    }
+}
+
+/// POSIX: a `read` that has started belongs to the open file description it
+/// found, not to the descriptor number — redirecting the number afterwards
+/// does not redirect the read.
+#[test]
+fn a_parked_read_is_not_redirected_by_dup2_over_its_descriptor() {
+    let results = Arc::new(Mutex::new(Vec::new()));
+    let config = browsix_core::BootConfig::in_memory();
+    let guest = ReadThenDup2 {
+        results: Arc::clone(&results),
+    };
+    config.registry.register("/usr/bin/redirect", Arc::new(guest));
+    let kernel = Kernel::boot(config);
+    kernel
+        .fs()
+        .write_file("/other", b"from the file")
+        .expect("stage /other");
+    let handle = kernel.spawn("/usr/bin/redirect", &["redirect"], &[]).expect("spawn");
+    let status = handle.wait_timeout(WATCHDOG).expect("the guest hung");
+    assert_eq!(status.code, Some(0));
+    let [read, dup2, write] = &results.lock().unwrap()[..] else {
+        panic!("three entries were submitted");
+    };
+    assert!(matches!(dup2, SysResult::Int(_)), "dup2: {dup2:?}");
+    assert_eq!(*write, SysResult::Int(13));
+    assert_eq!(*read, SysResult::Data(b"from the pipe".to_vec()));
     kernel.shutdown();
 }

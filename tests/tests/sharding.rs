@@ -282,6 +282,80 @@ fn curl_reaches_httpd_across_shards() {
     kernel.shutdown();
 }
 
+#[test]
+fn an_accepted_connection_serves_from_a_child_on_another_shard() {
+    // inetd-style: the listener accepts and hands the connection to a handler
+    // as its stdin and stdout.  Round-robin placement puts the listener on
+    // shard 0, the client on shard 1 and the handler on shard 2 — a shard
+    // that neither owns the connection's streams nor made the connection, so
+    // all it knows about the socket is what the description says.
+    const PORT: u16 = 7000;
+    let config = BootConfig::in_memory().with_shards(4);
+    let register = |name: &'static str, main: fn(&mut dyn RuntimeEnv) -> i32| {
+        let launcher = NodeLauncher::new(name, guest(name, main)).with_profile(instant_async());
+        config
+            .registry
+            .register(&format!("/usr/bin/{name}"), Arc::new(launcher));
+    };
+    register("inetd", |env| {
+        let listener = env.socket().unwrap();
+        env.bind(listener, PORT).unwrap();
+        env.listen(listener, 4).unwrap();
+        let connection = env.accept(listener).unwrap();
+        let stdio = SpawnStdio {
+            stdin: Some(connection),
+            stdout: Some(connection),
+            stderr: None,
+        };
+        let handler = env.spawn("/usr/bin/handler", &["handler".to_owned()], stdio).unwrap();
+        env.close(connection).unwrap();
+        env.wait(handler as i32).unwrap().exit_code.unwrap_or(9)
+    });
+    register("handler", |env| match env.read(0, 64) {
+        Ok(line) if env.write(1, &line) == Ok(line.len()) => 0,
+        Ok(_) => 2,
+        Err(errno) => {
+            env.eprint(&format!("handler: read: {errno:?}\n"));
+            3
+        }
+    });
+    register("client", |env| {
+        let socket = env.socket().unwrap();
+        env.connect(socket, PORT).unwrap();
+        assert_eq!(env.write(socket, b"ping\n"), Ok(5));
+        let mut echoed = Vec::new();
+        loop {
+            let chunk = env.read(socket, 64).unwrap();
+            if chunk.is_empty() {
+                break;
+            }
+            echoed.extend_from_slice(&chunk);
+        }
+        env.print(&String::from_utf8_lossy(&echoed));
+        0
+    });
+    let kernel = Kernel::boot(config);
+    let baseline = kernel.resources();
+    let server = kernel.spawn("/usr/bin/inetd", &["inetd"], &[]).unwrap();
+    assert!(kernel.wait_for_port(PORT, Duration::from_secs(10)));
+    let client = kernel.spawn("/usr/bin/client", &["client"], &[]).unwrap();
+    assert_eq!(
+        [server.pid, client.pid].map(|pid| shard_of(pid, 4)),
+        [0, 1],
+        "the handler is the third spawn, so it lands on shard 2"
+    );
+    let status = client
+        .wait_timeout(Duration::from_secs(30))
+        .expect("the client must see the handler's end of the connection close");
+    assert_eq!(status.code, Some(0), "stderr: {}", client.stderr_string());
+    assert_eq!(client.stdout_string(), "ping\n");
+    let status = server.wait_timeout(Duration::from_secs(30)).expect("inetd must exit");
+    assert_eq!(status.code, Some(0), "handler: {}", server.stderr_string());
+    // Both streams went with the last of the three descriptions on them.
+    await_resources(&kernel, baseline, "after the exchange");
+    kernel.shutdown();
+}
+
 // ---- multi-shard vs single-shard oracle -------------------------------------
 
 /// Runs `command` through the shell on a fresh kernel with `shards` shards
