@@ -366,6 +366,23 @@ pub fn gen_core(abi: &Abi) -> String {
     out.push_str("        }\n    }\n\n");
 
     out.push_str(
+        "    /// The call's byte-source argument, if it carries one: what the\n\
+         \x20   /// message transport detaches into, and re-attaches from, the\n\
+         \x20   /// transfer list beside a frame.\n\
+         \x20   pub fn byte_source_mut(&mut self) -> Option<&mut ByteSource> {\n\
+         \x20       match self {\n",
+    );
+    for sc in &abi.syscalls {
+        if let Some(arg) = sc.args.iter().find(|arg| arg.ty == Ty::ByteSrc) {
+            out.push_str(&format!(
+                "            Syscall::{} {{ {}, .. }} => Some({}),\n",
+                sc.ident, arg.name, arg.name
+            ));
+        }
+    }
+    out.push_str("            _ => None,\n        }\n    }\n\n");
+
+    out.push_str(
         "    /// Appends the call's wire encoding (opcode + fields) to `out`.\n\
          \x20   pub fn encode_into(&self, out: &mut Vec<u8>) {\n\
          \x20       wire::put_u8(out, self.opcode());\n\
@@ -704,7 +721,7 @@ fn fuzz_expr(ty: &Ty, name: &str) -> String {
         Ty::Pid => "f.small % 4096".to_string(),
         Ty::Str => "path.clone()".to_string(),
         Ty::Bytes => "f.data.clone()".to_string(),
-        Ty::ByteSrc => "if f.flag {\n                ByteSource::Inline(f.data.clone())\n            } else {\n                ByteSource::SharedHeap {\n                    offset: f.small,\n                    len: f.data.len() as u32,\n                }\n            }"
+        Ty::ByteSrc => "match f.small % 3 {\n                0 => ByteSource::Inline(f.data.clone()),\n                1 => ByteSource::SharedHeap {\n                    offset: f.small,\n                    len: f.data.len() as u32,\n                },\n                _ => ByteSource::Transfer {\n                    index: f.small,\n                    len: f.data.len() as u32,\n                },\n            }"
             .to_string(),
         Ty::Signal => "SIGNALS[f.small as usize % SIGNALS.len()]".to_string(),
         Ty::SigAction => "match f.small % 4 {\n                0 => SigAction::Default,\n                1 => SigAction::Ignore,\n                2 => SigAction::Handler { restart: false },\n                _ => SigAction::Handler { restart: true },\n            }"
@@ -764,7 +781,7 @@ pub fn gen_shapes(abi: &Abi) -> String {
     );
     out.push_str(&format!(
         "/// Number of distinct [`Syscall`] shapes [`make_call`] produces: one per\n\
-         /// opcode.  Alternate encodings (inline vs shared-heap byte sources,\n\
+         /// opcode.  Alternate encodings (the three byte sources,\n\
          /// `stat` vs `lstat`, present vs absent options, empty vs populated\n\
          /// lists) are driven by the [`Fuzz`] inputs rather than extra shapes.\n\
          pub const SYSCALL_SHAPES: usize = {};\n\n\

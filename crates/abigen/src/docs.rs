@@ -59,8 +59,22 @@ pub fn render(abi: &Abi) -> String {
          All integers are little-endian. Strings and byte buffers are\n\
          `u32` length-prefixed; strings are UTF-8. A `byte_source` argument is a\n\
          tagged union: tag `0` = inline length-prefixed bytes, tag `1` = a\n\
-         `(u32 offset, u32 len)` window into the shared heap (the zero-copy\n\
-         path).\n\n\
+         `(u32 offset, u32 len)` window into the shared heap (the ring's\n\
+         zero-copy path), tag `2` = `(u32 index, u32 len)`, an item of the\n\
+         message's transfer list (the message transport's).\n\n\
+         ### The transfer list rides beside a message frame\n\n\
+         A message is `postMessage(frame, [buf…])`: the frame is cloned, the\n\
+         buffers in the transfer list are *moved*. A payload of at least\n\
+         `DETACH_MIN_BYTES` (1 KiB; a property of the codec, not an option)\n\
+         leaves the frame and becomes a transfer-list item — a `byte_source`\n\
+         tag `2` on the way in, a `DataTransfer` result (tag 10) on the way\n\
+         out — and the receiver re-attaches it, by move, as the inline bytes\n\
+         or `Data` result it stands for. Smaller payloads encode inline, byte\n\
+         for byte as they always have. Each item may be referenced once, by\n\
+         its index and exact length: an index out of range, a length that\n\
+         disagrees with the buffer, a second reference to the same item, or\n\
+         either tag arriving where there is no transfer list (a ring slot)\n\
+         is `EINVAL` for that call alone.\n\n\
          ### The ring carries every call\n\n\
          A process sends `ring_setup` as an ordinary message; from then on every\n\
          call it makes, `exit` included, is a ring entry. An entry that does not\n\

@@ -48,7 +48,8 @@ pub enum Ty {
     Str,
     /// `u32` length prefix + raw bytes.
     Bytes,
-    /// Tagged byte source: inline bytes or a shared-heap window.
+    /// Tagged byte source: inline bytes, a shared-heap window, or an item of
+    /// the transfer list travelling beside a message frame.
     ByteSrc,
     /// Signal number as `i32`; unknown numbers fail decode.
     Signal,
@@ -150,7 +151,7 @@ impl Ty {
             Ty::Bool => format!("bool {name}"),
             Ty::Str => format!("str {name}"),
             Ty::Bytes => format!("bytes {name}"),
-            Ty::ByteSrc => format!("u8 tag | (bytes {name} ⊕ u32 offset + u32 len)"),
+            Ty::ByteSrc => format!("u8 tag | (bytes {name} ⊕ u32 offset + u32 len ⊕ u32 index + u32 len)"),
             Ty::Signal => format!("i32 {name}"),
             Ty::SigAction => format!("u8 {name}"),
             Ty::OpenFlags => format!("u32 {name}"),

@@ -35,6 +35,10 @@ impl BrowserKind {
     }
 }
 
+/// What one transferred buffer adds to a message's structured-clone payload:
+/// the handle that changes owner, not the bytes behind it.
+pub const TRANSFER_HANDLE_BYTES: usize = 8;
+
 /// Cost model and feature flags for the simulated browser platform.
 ///
 /// The two numbers that matter most for reproducing the paper's evaluation are
@@ -107,7 +111,10 @@ impl PlatformConfig {
     }
 
     /// The cost of posting a message with `payload_bytes` of structured-clone
-    /// payload across a worker boundary.
+    /// payload across a worker boundary.  A buffer in the message's transfer
+    /// list is not cloned: it counts [`TRANSFER_HANDLE_BYTES`] towards
+    /// `payload_bytes` whatever its length, as a `SharedArrayBuffer` handle
+    /// does.
     pub fn post_cost(&self, payload_bytes: usize) -> Duration {
         if !self.inject_delays {
             return Duration::ZERO;
@@ -153,6 +160,14 @@ mod tests {
         let big = cfg.post_cost(1 << 20);
         assert!(big > small);
         assert!(small >= cfg.post_message_latency);
+    }
+
+    #[test]
+    fn a_transferred_buffer_costs_a_handle_not_its_length() {
+        let cfg = PlatformConfig::chrome();
+        let (cloned, moved) = (cfg.post_cost(64 << 10), cfg.post_cost(TRANSFER_HANDLE_BYTES));
+        assert!(cloned > moved + Duration::from_micros(100));
+        assert!(moved < cfg.post_message_latency + Duration::from_micros(1));
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   the context that spawned them via message passing.
 //! * [`message`] — the structured-clone value model; every message crossing a
 //!   worker boundary is deep-copied, and the copy cost is charged according to
-//!   the configured [`PlatformConfig`].
+//!   the configured [`PlatformConfig`] — except the buffers named in its
+//!   transfer list, which change owner.
 //! * [`sab`] — `SharedArrayBuffer` plus `Atomics::wait`/`Atomics::notify`,
 //!   which the synchronous system-call convention depends on.
 //! * [`blob`] — blob URLs, used by the kernel to start workers from files that
@@ -58,7 +59,7 @@ pub mod time;
 pub mod worker;
 
 pub use blob::BlobRegistry;
-pub use config::{BrowserKind, PlatformConfig};
+pub use config::{BrowserKind, PlatformConfig, TRANSFER_HANDLE_BYTES};
 pub use error::PlatformError;
 pub use message::Message;
 pub use net::{NetworkProfile, RemoteEndpoint, RemoteService, StaticFiles};

@@ -7,10 +7,19 @@
 //! kernel and once back — which is one of the reasons synchronous system calls
 //! are so much faster.  [`Message`] captures that model: it is a deep-copyable
 //! value tree whose [`Message::byte_size`] drives the clone-cost model.
+//!
+//! The one escape the platform offers is `postMessage(msg, [buf])`: an
+//! `ArrayBuffer` named in the *transfer list* changes owner instead of being
+//! copied.  [`Worker::post_message_transfer`](crate::Worker::post_message_transfer)
+//! models it; the receiver finds the moved buffers under the message's
+//! `"transfer"` key and takes them out with [`Message::take_transfer`].
 
 use std::collections::BTreeMap;
 
 use crate::sab::SharedArrayBuffer;
+
+/// The key a received message carries its transferred buffers under.
+pub const TRANSFER_KEY: &str = "transfer";
 
 /// A structured-clone-able value, the only kind of data that may cross a
 /// worker boundary.
@@ -154,6 +163,32 @@ impl Message {
     /// Convenience accessor: `self.get(key)` as bytes.
     pub fn get_bytes(&self, key: &str) -> Option<&[u8]> {
         self.get(key).and_then(Message::as_bytes)
+    }
+
+    /// Attaches a transfer list: the buffers go in under [`TRANSFER_KEY`] by
+    /// move.  An empty list leaves the message as it is.
+    pub(crate) fn with_transfer(self, transfer: Vec<Vec<u8>>) -> Message {
+        if transfer.is_empty() {
+            return self;
+        }
+        let items = transfer.into_iter().map(Message::Bytes).collect();
+        self.with(TRANSFER_KEY, Message::Array(items))
+    }
+
+    /// Takes the buffers that were transferred with this message, in the
+    /// order the sender listed them, by move; empty if there were none.
+    pub fn take_transfer(&mut self) -> Vec<Vec<u8>> {
+        let Message::Map(map) = self else {
+            return Vec::new();
+        };
+        let Some(Message::Array(items)) = map.remove(TRANSFER_KEY) else {
+            return Vec::new();
+        };
+        let bytes = |item| match item {
+            Message::Bytes(buffer) => buffer,
+            _ => Vec::new(),
+        };
+        items.into_iter().map(bytes).collect()
     }
 
     /// The shared-buffer payload, if this value is a `SharedArrayBuffer`.
@@ -320,6 +355,19 @@ mod tests {
         assert_eq!(msg.get("sab"), received.get("sab"));
         assert!(Message::Shared(sab).byte_size() < 16);
         assert_eq!(Message::Null.as_shared(), None);
+    }
+
+    #[test]
+    fn a_transfer_list_goes_in_and_comes_out_by_move() {
+        let buffer = vec![7u8; 4096];
+        let staged = buffer.as_ptr();
+        let mut msg = Message::map().with("seq", 1i64).with_transfer(vec![buffer, vec![1]]);
+        let taken = msg.take_transfer();
+        assert_eq!((taken[0].as_ptr(), taken[0].len()), (staged, 4096));
+        assert_eq!(taken[1], [1]);
+        assert_eq!(msg, Message::map().with("seq", 1i64), "the list is gone once taken");
+        assert!(msg.take_transfer().is_empty());
+        assert_eq!(Message::Int(3).with_transfer(Vec::new()), Message::Int(3));
     }
 
     #[test]

@@ -11,6 +11,14 @@
 //! the script receives a [`WorkerScope`].  All communication flows through the
 //! pair of message queues, and every message is deep-copied and charged with
 //! the platform's `postMessage` cost model.
+//!
+//! Who copies: `post_message(msg)` clones all of `msg`, every byte buffer in
+//! it included, once, on the sender's side, and drops the original — the
+//! structured clone.  [`Worker::post_message_transfer`] is
+//! `postMessage(msg, [buf…])`: `msg` is cloned the same way, but the buffers
+//! of the transfer list are *moved* — the receiver gets the very allocations
+//! the sender staged, and the cost model charges each a handle's worth,
+//! whatever its length.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -19,7 +27,7 @@ use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 
-use crate::config::PlatformConfig;
+use crate::config::{PlatformConfig, TRANSFER_HANDLE_BYTES};
 use crate::error::PlatformError;
 use crate::message::Message;
 use crate::time::precise_delay;
@@ -182,12 +190,28 @@ impl Worker {
     /// Returns [`PlatformError::WorkerTerminated`] if the worker has exited or
     /// been terminated.
     pub fn post_message(&self, msg: Message) -> Result<(), PlatformError> {
+        self.post_message_transfer(msg, Vec::new())
+    }
+
+    /// `postMessage(msg, transfer)`: `msg` is structured-cloned, the buffers
+    /// of `transfer` are moved to the worker beside it and charged
+    /// [`TRANSFER_HANDLE_BYTES`] each.  The worker takes them out of the
+    /// received message with [`Message::take_transfer`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PlatformError::WorkerTerminated`] if the worker has exited or
+    /// been terminated.
+    pub fn post_message_transfer(&self, msg: Message, transfer: Vec<Vec<u8>>) -> Result<(), PlatformError> {
         if self.is_terminated() {
             return Err(PlatformError::WorkerTerminated);
         }
         let cloned = msg.structured_clone();
-        precise_delay(self.config.post_cost(cloned.byte_size()));
-        self.to_worker.send(cloned).map_err(|_| PlatformError::WorkerTerminated)
+        let payload_bytes = cloned.byte_size() + transfer.len() * TRANSFER_HANDLE_BYTES;
+        precise_delay(self.config.post_cost(payload_bytes));
+        self.to_worker
+            .send(cloned.with_transfer(transfer))
+            .map_err(|_| PlatformError::WorkerTerminated)
     }
 
     /// Blocks until the worker posts a message to the parent.
@@ -353,6 +377,31 @@ mod tests {
         worker.post_message(payload.clone()).unwrap();
         let echoed = worker.recv().unwrap();
         assert_eq!(echoed, payload);
+        worker.terminate_and_join();
+    }
+
+    #[test]
+    fn transferred_buffers_are_moved_not_cloned() {
+        let cfg = PlatformConfig::fast();
+        let (tx, rx) = unbounded();
+        let mut worker = Worker::spawn(
+            &cfg,
+            "receiver",
+            Box::new(move |scope: WorkerScope| {
+                let mut msg = scope.recv().unwrap();
+                let transfer = msg.take_transfer();
+                let at = transfer[0].as_ptr() as usize;
+                tx.send((at, transfer, msg)).unwrap();
+            }),
+        );
+        let buffer = vec![2u8; 64 << 10];
+        let staged = buffer.as_ptr() as usize;
+        let msg = Message::map().with("frame", vec![1u8; 64]);
+        worker.post_message_transfer(msg.clone(), vec![buffer]).unwrap();
+        let (at, transfer, received) = rx.recv().unwrap();
+        assert_eq!(at, staged, "the worker holds the allocation the parent staged");
+        assert_eq!(transfer, [vec![2u8; 64 << 10]]);
+        assert_eq!(received, msg, "the message itself arrives as ever");
         worker.terminate_and_join();
     }
 

@@ -128,9 +128,10 @@ impl std::fmt::Debug for HostRequest {
 
 /// An event on the kernel's queue.
 pub enum KernelEvent {
-    /// A submission batch of system calls a process posted as a message:
-    /// the frame was structured-clone copied, and the reply is a message
-    /// carrying `seq`.
+    /// A submission batch of system calls a process posted as a message,
+    /// `postMessage(frame, transfers)`: the frame was structured-clone
+    /// copied, the transfer list moved, and the reply is a message carrying
+    /// `seq`.
     Syscall {
         /// The calling process.
         pid: Pid,
@@ -138,6 +139,11 @@ pub enum KernelEvent {
         seq: u64,
         /// The encoded [`SyscallBatch`](crate::SyscallBatch).
         payload: Vec<u8>,
+        /// The buffers the frame's
+        /// [`ByteSource::Transfer`](crate::ByteSource::Transfer) entries
+        /// refer to by index — guest-supplied, like the frame
+        /// ([`SyscallBatch::attach_payloads`](crate::SyscallBatch::attach_payloads)).
+        transfers: Vec<Vec<u8>>,
     },
     /// A process handing the kernel its shared heap (sent once at runtime
     /// startup, like the `personality` call of §3.2): the memory shared-heap
@@ -194,6 +200,7 @@ mod tests {
             pid: 3,
             seq: 1,
             payload: Vec::new(),
+            transfers: Vec::new(),
         };
         assert_eq!(format!("{event:?}"), "Syscall(pid=3, seq=1)");
         assert_eq!(format!("{:?}", KernelEvent::Shutdown), "Shutdown");

@@ -9,13 +9,15 @@
 //! call (`read`, `write`, `pread`, `pwrite`, `seek`, `fstat`, `fsync`) goes
 //! through that handle without touching a path string again.
 
+use std::sync::Arc;
+
 use browsix_fs::{Errno, FileSystem, FileType, Metadata, OpenFlags};
 
 use crate::fd::{Fd, FileKind, OpenFile};
 use crate::kernel::waitq::WaitChannel;
 use crate::kernel::{KernelState, Outcome, ReplyTo, WaitKind, Waiter};
 use crate::signals::Signal;
-use crate::streams::StreamId;
+use crate::streams::{Stream, StreamId};
 use crate::syscall::{ByteSource, SysResult};
 use crate::task::Pid;
 
@@ -131,17 +133,23 @@ impl KernelState {
 
     /// Attempts a read of an owned stream; `None` means "would block".
     pub(crate) fn try_read_stream(&mut self, id: StreamId, len: usize) -> Option<Vec<u8>> {
-        let Some(stream) = self.streams_mut().get_mut(id) else {
+        let popped = self.with_stream(id, |stream| {
+            if stream.is_empty() {
+                Err(stream.write_end_closed())
+            } else {
+                Ok(stream.pop(len))
+            }
+        });
+        match popped {
+            Some(Ok(data)) => {
+                // Space was freed: writers blocked on this stream can continue.
+                self.wake(WaitChannel::StreamWritable(id));
+                Some(data)
+            }
+            Some(Err(eof)) => eof.then(Vec::new),
             // All endpoints (including the buffer) are gone: read EOF.
-            return Some(Vec::new());
-        };
-        if !stream.is_empty() {
-            let data = stream.pop(len);
-            // Space was freed: writers blocked on this stream can continue.
-            self.wake(WaitChannel::StreamWritable(id));
-            return Some(data);
+            None => Some(Vec::new()),
         }
-        stream.write_end_closed().then(Vec::new)
     }
 
     /// The one read of a stream this shard owns — pipe or socket, on behalf
@@ -213,9 +221,13 @@ impl KernelState {
     /// Materialises a [`ByteSource`]: an inline payload is moved out (the
     /// caller pushes, writes or parks that very buffer), shared-heap
     /// references are copied directly out of the process's registered heap.
+    /// A transfer reference that is still one here claimed no buffer: it
+    /// named none, the wrong one or one already taken, or it came through a
+    /// ring slot, which has no transfer list beside it.
     pub(crate) fn resolve_bytes(&self, pid: Pid, data: ByteSource) -> Result<Vec<u8>, Errno> {
         match data {
             ByteSource::Inline(bytes) => Ok(bytes),
+            ByteSource::Transfer { .. } => Err(Errno::EINVAL),
             ByteSource::SharedHeap { offset, len } => {
                 let task = self.task(pid)?;
                 let heap = task.sync_heap.as_ref().ok_or(Errno::EFAULT)?;
@@ -258,8 +270,11 @@ impl KernelState {
         }
     }
 
-    /// Attempts a write to an owned stream: the bytes accepted (fewer than
-    /// asked means "would block"), or `EPIPE`.
+    /// Attempts a write of `data[from..]` to an owned stream: the bytes
+    /// accepted (fewer than asked means "would block"), or `EPIPE`.  A write
+    /// that has not started (`from == 0`) offers the stream the buffer
+    /// itself, and a large one that fits whole is taken by move, leaving
+    /// `data` empty; everything else is copied in.
     ///
     /// Writing to a stream nobody will read raises SIGPIPE, as on Unix —
     /// through the same delivery machinery as every other signal, so
@@ -269,17 +284,31 @@ impl KernelState {
     /// shard, so `send_signal` finds nobody; its own shard raises the
     /// signal when the `EPIPE` arrives there (`ShardMsg::RemoteOpDone`),
     /// before completing the call — signal, then error, in both cases.
-    pub(crate) fn try_write_stream(&mut self, pid: Pid, id: StreamId, data: &[u8]) -> Result<usize, Errno> {
-        match self.streams_mut().get_mut(id) {
-            Some(stream) if !stream.read_end_closed() => {
-                let written = stream.push(data);
+    pub(crate) fn try_write_stream(
+        &mut self,
+        pid: Pid,
+        id: StreamId,
+        data: &mut Vec<u8>,
+        from: usize,
+    ) -> Result<usize, Errno> {
+        let pushed = self.with_stream(id, |stream| {
+            if stream.read_end_closed() {
+                None
+            } else if from == 0 {
+                Some(stream.push_owned(data))
+            } else {
+                Some(stream.push(&data[from..]))
+            }
+        });
+        match pushed.flatten() {
+            Some(written) => {
                 if written > 0 {
                     // Data arrived: readers blocked on this stream can continue.
                     self.wake(WaitChannel::StreamReadable(id));
                 }
                 Ok(written)
             }
-            _ => {
+            None => {
                 let _ = self.send_signal(pid, Signal::SIGPIPE);
                 Err(Errno::EPIPE)
             }
@@ -293,14 +322,15 @@ impl KernelState {
         pid: Pid,
         reply: ReplyTo,
         stream: StreamId,
-        data: Vec<u8>,
+        mut data: Vec<u8>,
         nonblocking: bool,
     ) -> Outcome {
-        let written = match self.try_write_stream(pid, stream, &data) {
+        let len = data.len();
+        let written = match self.try_write_stream(pid, stream, &mut data, 0) {
             Ok(written) => written,
             Err(e) => return Outcome::Complete(SysResult::Err(e)),
         };
-        if written == data.len() || (nonblocking && written > 0) {
+        if written == len || (nonblocking && written > 0) {
             // A non-blocking write reports whatever it managed to push;
             // EAGAIN only when not a single byte fit.
             return Outcome::Complete(SysResult::Int(written as i64));
@@ -343,42 +373,53 @@ impl KernelState {
         self.write_stream(pid, reply, stream, bytes, nonblocking)
     }
 
-    /// Pumps up to `remaining` bytes of `in_fd`'s file into `out_fd`'s stream
-    /// without the bytes ever entering guest memory: each iteration
-    /// materialises one page-cache page by reference
-    /// ([`FileHandle::map_page`](browsix_fs::FileHandle::map_page)) and pushes
-    /// the covered slice straight into the kernel stream.  Advances `offset`
-    /// and `remaining` in place; returns the bytes pushed this pass and
-    /// whether the transfer is finished (`remaining` exhausted or end of
-    /// file).  A partial pass with `done == false` means the stream filled.
-    pub(crate) fn pump_sendfile(
-        &mut self,
-        pid: Pid,
-        out_fd: Fd,
-        in_fd: Fd,
-        offset: &mut u64,
-        remaining: &mut u64,
-        advance_cursor: bool,
-    ) -> Result<(u64, bool), Errno> {
-        use crate::vm::PAGE_SIZE;
+    /// Resolves `sendfile`'s two descriptors into what the transfer runs on:
+    /// the output stream and the input file's description.  Done once, when
+    /// the call is made — whatever happens to either number while the call is
+    /// parked, it keeps moving the file it found into the stream it found.
+    fn sendfile_ends(&self, pid: Pid, out_fd: Fd, in_fd: Fd) -> Result<(StreamId, Arc<OpenFile>), Errno> {
         let in_file = self.task(pid)?.files.get(in_fd)?;
-        let (handle, in_flags) = match in_file.kind() {
-            FileKind::File { handle, flags } => (handle, flags),
+        match in_file.kind() {
+            FileKind::File { flags, .. } if flags.read => {}
+            FileKind::File { .. } => return Err(Errno::EBADF),
             FileKind::Directory { .. } => return Err(Errno::EISDIR),
             _ => return Err(Errno::EINVAL),
-        };
-        if !in_flags.read {
-            return Err(Errno::EBADF);
         }
-        let Some(stream_id) = self.task(pid)?.files.get(out_fd)?.kind().write_stream() else {
+        let Some(out) = self.task(pid)?.files.get(out_fd)?.kind().write_stream() else {
             return Err(Errno::EINVAL);
         };
-        if self.stream_is_remote(stream_id) {
+        if self.stream_is_remote(out) {
             // Zero-copy page pushes need the destination buffer in this
             // address space; callers fall back to a buffered read/write
             // loop, which the remote data path handles.
             return Err(Errno::EINVAL);
         }
+        Ok((out, in_file))
+    }
+
+    /// Pumps up to `remaining` bytes of the regular file `in_file` into the
+    /// stream `out` without the bytes ever entering guest memory: each
+    /// iteration materialises one page-cache page by reference
+    /// ([`FileHandle::map_page`](browsix_fs::FileHandle::map_page)) and copies
+    /// the covered slice into the kernel stream — the one copy this path
+    /// makes, and the stream coalesces the pages into a buffer the reader
+    /// takes whole.  Advances `offset` and `remaining` in place; returns the
+    /// bytes pushed this pass and whether the transfer is finished
+    /// (`remaining` exhausted or end of file).  A partial pass with
+    /// `done == false` means the stream filled.
+    pub(crate) fn pump_sendfile(
+        &mut self,
+        pid: Pid,
+        out: StreamId,
+        in_file: &OpenFile,
+        offset: &mut u64,
+        remaining: &mut u64,
+        advance_cursor: bool,
+    ) -> Result<(u64, bool), Errno> {
+        use crate::vm::PAGE_SIZE;
+        let FileKind::File { handle, .. } = in_file.kind() else {
+            return Err(Errno::EINVAL);
+        };
         let mut pushed_total: u64 = 0;
         let mut size;
         loop {
@@ -386,7 +427,7 @@ impl KernelState {
             if *remaining == 0 || *offset >= size {
                 break;
             }
-            let (space, read_closed) = match self.streams().get(stream_id) {
+            let (space, read_closed) = match self.streams().get(out) {
                 Some(s) => (s.space(), s.read_end_closed()),
                 None if pushed_total > 0 => break,
                 None => return Err(Errno::EPIPE),
@@ -407,10 +448,9 @@ impl KernelState {
             let chunk = (PAGE_SIZE - page_off)
                 .min(space)
                 .min((*remaining).min(size - *offset) as usize);
-            let pushed = match self.streams_mut().get_mut(stream_id) {
-                Some(s) => s.push(&page[page_off..page_off + chunk]),
-                None => break,
-            };
+            let pushed = self
+                .with_stream(out, |s| s.push(&page[page_off..page_off + chunk]))
+                .unwrap_or(0);
             if pushed == 0 {
                 break;
             }
@@ -425,7 +465,7 @@ impl KernelState {
             // Waking readers inside the loop lets a blocked consumer drain
             // the stream between pages, so one sendfile pass can move more
             // than a streamful.
-            self.wake(WaitChannel::StreamReadable(stream_id));
+            self.wake(WaitChannel::StreamReadable(out));
         }
         Ok((pushed_total, *remaining == 0 || *offset >= size))
     }
@@ -446,16 +486,17 @@ impl KernelState {
             return Outcome::Complete(SysResult::Err(Errno::EINVAL));
         }
         let advance_cursor = offset < 0;
+        let (out, in_file) = match self.sendfile_ends(pid, out_fd, in_fd) {
+            Ok(ends) => ends,
+            Err(e) => return Outcome::Complete(SysResult::Err(e)),
+        };
         let mut pos = if advance_cursor {
-            match self.task(pid).and_then(|t| t.files.get(in_fd)) {
-                Ok(file) => file.offset(),
-                Err(e) => return Outcome::Complete(SysResult::Err(e)),
-            }
+            in_file.offset()
         } else {
             offset as u64
         };
         let mut remaining = len;
-        match self.pump_sendfile(pid, out_fd, in_fd, &mut pos, &mut remaining, advance_cursor) {
+        match self.pump_sendfile(pid, out, &in_file, &mut pos, &mut remaining, advance_cursor) {
             Ok((sent, true)) => Outcome::Complete(SysResult::Int(sent as i64)),
             Ok((sent, false)) => {
                 if self.fd_nonblocking(pid, out_fd) {
@@ -465,18 +506,15 @@ impl KernelState {
                     self.stats.eagain_returns += 1;
                     return Outcome::Complete(SysResult::Err(Errno::EAGAIN));
                 }
-                let Some(channel) = self.write_wait_channel(pid, out_fd) else {
-                    return Outcome::Complete(SysResult::Err(Errno::EIO));
-                };
                 self.stats.waiters_parked += 1;
                 self.park_waiter_one(
-                    channel,
+                    WaitChannel::StreamWritable(out),
                     Waiter {
                         pid,
                         reply: Some(reply),
                         kind: WaitKind::Sendfile {
-                            out_fd,
-                            in_fd,
+                            out,
+                            in_file,
                             offset: pos,
                             remaining,
                             sent,
@@ -490,25 +528,20 @@ impl KernelState {
         }
     }
 
-    /// Attempts one stream-to-stream move of up to `len` bytes.
-    /// `Ok(Some(n))` moved `n` bytes (`0` = end of input); `Ok(None)` means
-    /// "would block" — input empty with live writers, or output full.
-    pub(crate) fn try_splice(&mut self, pid: Pid, fd_in: Fd, fd_out: Fd, len: u64) -> Result<Option<u64>, Errno> {
-        let Some(in_stream) = self.task(pid)?.files.get(fd_in)?.kind().read_stream() else {
-            return Err(Errno::EINVAL);
-        };
-        let Some(out_stream) = self.task(pid)?.files.get(fd_out)?.kind().write_stream() else {
-            return Err(Errno::EINVAL);
-        };
-        if in_stream == out_stream {
-            return Err(Errno::EINVAL);
-        }
-        if self.stream_is_remote(in_stream) || self.stream_is_remote(out_stream) {
-            // Splice moves bytes between two local buffers; with a foreign
-            // endpoint callers fall back to the buffered loop.
-            return Err(Errno::EINVAL);
-        }
-        match self.streams().get(out_stream) {
+    /// Attempts one stream-to-stream move of up to `len` bytes between two
+    /// streams this shard owns.  `Ok(Some(n))` moved `n` bytes (`0` = end of
+    /// input); `Ok(None)` means "would block" — input empty with live
+    /// writers, or output full.  The chunk is sized to what both ends can
+    /// take, so what `input` hands out (its front buffer, when that is the
+    /// whole chunk) goes into `output` as it is.
+    pub(crate) fn try_splice(
+        &mut self,
+        pid: Pid,
+        input: StreamId,
+        output: StreamId,
+        len: u64,
+    ) -> Result<Option<u64>, Errno> {
+        match self.streams().get(output) {
             Some(s) if s.read_end_closed() => {
                 let _ = self.send_signal(pid, Signal::SIGPIPE);
                 return Err(Errno::EPIPE);
@@ -516,7 +549,7 @@ impl KernelState {
             Some(_) => {}
             None => return Err(Errno::EPIPE),
         }
-        let (buffered, eof) = match self.streams().get(in_stream) {
+        let (buffered, eof) = match self.streams().get(input) {
             Some(s) => (s.len(), s.write_end_closed()),
             // Input stream gone entirely: end of input.
             None => return Ok(Some(0)),
@@ -524,49 +557,56 @@ impl KernelState {
         if buffered == 0 {
             return if eof { Ok(Some(0)) } else { Ok(None) };
         }
-        let space = self
-            .streams()
-            .get(out_stream)
-            .map(crate::streams::Stream::space)
-            .unwrap_or(0);
+        let space = self.streams().get(output).map(Stream::space).unwrap_or(0);
         if space == 0 {
             return Ok(None);
         }
         let take = (len.min(buffered as u64) as usize).min(space);
-        let data = match self.streams_mut().get_mut(in_stream) {
-            Some(s) => s.pop(take),
-            None => return Ok(Some(0)),
+        let Some(mut data) = self.with_stream(input, |s| s.pop(take)) else {
+            return Ok(Some(0));
         };
-        let moved = match self.streams_mut().get_mut(out_stream) {
-            Some(s) => s.push(&data),
-            None => return Err(Errno::EPIPE),
+        let moved = data.len();
+        let Some(pushed) = self.with_stream(output, |s| s.push_owned(&mut data)) else {
+            return Err(Errno::EPIPE);
         };
-        debug_assert_eq!(moved, data.len(), "splice sized its chunk to the output's free space");
+        debug_assert_eq!(pushed, moved, "splice sized its chunk to the output's free space");
         self.stats.sendfile_bytes += moved as u64;
-        self.wake(WaitChannel::StreamWritable(in_stream));
-        self.wake(WaitChannel::StreamReadable(out_stream));
+        self.wake(WaitChannel::StreamWritable(input));
+        self.wake(WaitChannel::StreamReadable(output));
         Ok(Some(moved as u64))
     }
 
     pub(crate) fn sys_splice(&mut self, pid: Pid, reply: ReplyTo, fd_in: Fd, fd_out: Fd, len: u64) -> Outcome {
-        match self.try_splice(pid, fd_in, fd_out, len) {
+        // Both descriptors are resolved here, once; a parked splice keeps
+        // moving bytes between the streams it found.
+        let ends = self.task(pid).and_then(|task| {
+            let input = task.files.get(fd_in)?.kind().read_stream().ok_or(Errno::EINVAL)?;
+            let output = task.files.get(fd_out)?.kind().write_stream().ok_or(Errno::EINVAL)?;
+            Ok((input, output))
+        });
+        let (input, output) = match ends {
+            // Splice moves bytes between two different local buffers; with a
+            // foreign endpoint callers fall back to the buffered loop.
+            Ok((i, o)) if i == o || self.stream_is_remote(i) || self.stream_is_remote(o) => {
+                return Outcome::Complete(SysResult::Err(Errno::EINVAL));
+            }
+            Ok(ends) => ends,
+            Err(e) => return Outcome::Complete(SysResult::Err(e)),
+        };
+        match self.try_splice(pid, input, output, len) {
             Ok(Some(moved)) => Outcome::Complete(SysResult::Int(moved as i64)),
             Ok(None) => {
                 if self.fd_nonblocking(pid, fd_in) || self.fd_nonblocking(pid, fd_out) {
                     self.stats.eagain_returns += 1;
                     return Outcome::Complete(SysResult::Err(Errno::EAGAIN));
                 }
-                let channels = match (self.read_wait_channel(pid, fd_in), self.write_wait_channel(pid, fd_out)) {
-                    (Some(a), Some(b)) => vec![a, b],
-                    _ => return Outcome::Complete(SysResult::Err(Errno::EIO)),
-                };
                 self.stats.waiters_parked += 1;
                 self.park_waiter(
-                    channels,
+                    vec![WaitChannel::StreamReadable(input), WaitChannel::StreamWritable(output)],
                     Waiter {
                         pid,
                         reply: Some(reply),
-                        kind: WaitKind::Splice { fd_in, fd_out, len },
+                        kind: WaitKind::Splice { input, output, len },
                     },
                 );
                 Outcome::Blocked

@@ -152,7 +152,7 @@ impl KernelState {
             .with("offset", offset as i64)
             .with("len", page_align(len) as i64)
             .with("sab", Message::Shared(sab));
-        self.post_to_worker(pid, msg);
+        self.post_to_worker(pid, msg, Vec::new());
         Ok(base)
     }
 

@@ -34,7 +34,7 @@ use crate::ring::{Ring, RingGeometry};
 use crate::signals::{SigAction, Signal, SignalDisposition};
 use crate::socket::{SocketTable, StreamPair};
 use crate::stats::{KernelStats, SyscallTally};
-use crate::streams::{StreamId, StreamState, StreamTable};
+use crate::streams::{Stream, StreamId, StreamState, StreamTable};
 use crate::syscall::{encode_wait_status, Completion, CompletionBatch, SysResult, Syscall, SyscallBatch};
 use crate::task::{InflightBatch, Pid, Task, TaskState};
 use crate::wire::Reader;
@@ -276,7 +276,12 @@ impl KernelState {
 
     fn handle_event(&mut self, event: KernelEvent) {
         match event {
-            KernelEvent::Syscall { pid, seq, payload } => self.handle_syscall(pid, seq, payload),
+            KernelEvent::Syscall {
+                pid,
+                seq,
+                payload,
+                transfers,
+            } => self.handle_syscall(pid, seq, payload, transfers),
             KernelEvent::RegisterSyncHeap { pid, sab } => {
                 if let Some(task) = self.tasks.get_mut(&pid) {
                     task.sync_heap = Some(sab);
@@ -550,8 +555,11 @@ impl KernelState {
     // ---- system-call entry ---------------------------------------------------
 
     /// Services one message frame: a [`SyscallBatch`] whose completions go
-    /// back together in the response message carrying `seq`.
-    fn handle_syscall(&mut self, pid: Pid, seq: u64, payload: Vec<u8>) {
+    /// back together in the response message carrying `seq`.  Payloads that
+    /// travelled beside the frame are moved back into their entries before
+    /// anything is dispatched, so handlers see the `ByteSource::Inline` they
+    /// always did.
+    fn handle_syscall(&mut self, pid: Pid, seq: u64, payload: Vec<u8>, transfers: Vec<Vec<u8>>) {
         match self.tasks.get_mut(&pid) {
             None => return,
             Some(task) if task.is_stopped() => {
@@ -559,12 +567,12 @@ impl KernelState {
                 // the frame and replay it (in order) when SIGCONT arrives.
                 // The worker blocks awaiting the reply, which is exactly the
                 // "frozen at a syscall boundary" stop semantics.
-                task.stashed_frames.push((seq, payload));
+                task.stashed_frames.push((seq, payload, transfers));
                 return;
             }
             Some(_) => {}
         }
-        let Some(batch) = SyscallBatch::decode(&payload) else {
+        let Some(mut batch) = SyscallBatch::decode(&payload) else {
             // An undecodable frame (corruption, codec-version skew) must
             // still produce a reply, or the process waits for it forever.
             let error = CompletionBatch {
@@ -573,9 +581,10 @@ impl KernelState {
                     result: SysResult::Err(Errno::EINVAL),
                 }],
             };
-            self.deliver_response(pid, seq, error.encode());
+            self.deliver_response(pid, seq, error);
             return;
         };
+        batch.attach_payloads(transfers);
         if batch.is_empty() {
             return;
         }
@@ -647,32 +656,45 @@ impl KernelState {
             return;
         }
         let inflight = task.inflight.take().expect("checked above");
-        let payload = CompletionBatch {
+        let batch = CompletionBatch {
             completions: inflight.completions,
-        }
-        .encode();
-        self.deliver_response(pid, inflight.seq, payload);
+        };
+        self.deliver_response(pid, inflight.seq, batch);
     }
 
-    /// Posts an encoded [`CompletionBatch`] frame as the response to `seq`.
-    fn deliver_response(&mut self, pid: Pid, seq: u64, payload: Vec<u8>) {
+    /// Posts a [`CompletionBatch`] as the response to `seq`: the encoded
+    /// frame inside the message, bulk read data beside it.
+    fn deliver_response(&mut self, pid: Pid, seq: u64, mut batch: CompletionBatch) {
+        let transfers = batch.detach_payloads();
         let msg = Message::map()
             .with("type", "syscall-response")
             .with("seq", seq as i64)
-            .with("completions", payload);
-        self.post_to_worker(pid, msg);
+            .with("completions", batch.encode());
+        self.post_to_worker(pid, msg, transfers);
     }
 
-    /// Posts a message to a process's worker, recording the copy cost.
-    pub(crate) fn post_to_worker(&mut self, pid: Pid, msg: Message) {
+    /// Posts a message to a process's worker, recording the copy cost: the
+    /// message is cloned, the `transfer` list beside it moved.
+    pub(crate) fn post_to_worker(&mut self, pid: Pid, msg: Message, transfer: Vec<Vec<u8>>) {
         let bytes = msg.byte_size();
         if let Some(task) = self.tasks.get(&pid) {
             if let Some(worker) = &task.worker {
-                if worker.post_message(msg).is_ok() {
+                if worker.post_message_transfer(msg, transfer).is_ok() {
                     self.stats.record_message_to_worker(bytes);
                 }
             }
         }
+    }
+
+    /// Runs `op` on a stream this shard owns, charging the bytes it copied
+    /// inside the kernel (a copying push or pop; a moved buffer costs
+    /// nothing) to `bytes_copied`.  `None` if the stream is gone.
+    pub(crate) fn with_stream<R>(&mut self, id: StreamId, op: impl FnOnce(&mut Stream) -> R) -> Option<R> {
+        let stream = self.streams.get_mut(id)?;
+        let before = stream.copied();
+        let result = op(stream);
+        self.stats.bytes_copied += stream.copied() - before;
+        Some(result)
     }
 
     // ---- host API ------------------------------------------------------------
@@ -955,7 +977,7 @@ impl KernelState {
                 .with("fork_image", image.image)
                 .with("fork_resume", image.resume_point as i64);
         }
-        self.post_to_worker(pid, init);
+        self.post_to_worker(pid, init, Vec::new());
     }
 
     /// Marks a task as exited: zombie state, worker termination, descriptor
@@ -1197,7 +1219,7 @@ impl KernelState {
                     .with("type", "signal")
                     .with("signal", signal.number() as i64)
                     .with("name", signal.name());
-                self.post_to_worker(target, msg);
+                self.post_to_worker(target, msg, Vec::new());
                 if !restart {
                     // The handler interrupts the process's blocked system
                     // calls with EINTR; SA_RESTART leaves them parked, which
@@ -1309,8 +1331,8 @@ impl KernelState {
                 ShardMsg::ChildContinued { pid: target, ppid },
             );
         }
-        for (seq, payload) in stashed {
-            self.handle_syscall(target, seq, payload);
+        for (seq, payload, transfers) in stashed {
+            self.handle_syscall(target, seq, payload, transfers);
         }
         self.drain_ring(target);
     }

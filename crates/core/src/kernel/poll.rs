@@ -30,16 +30,6 @@ impl KernelState {
         Some(self.task(pid).ok()?.files.get(fd).ok()?.kind())
     }
 
-    /// The channel a blocked read on `fd` should park on.
-    pub(crate) fn read_wait_channel(&self, pid: Pid, fd: Fd) -> Option<WaitChannel> {
-        self.fd_kind(pid, fd)?.read_stream().map(WaitChannel::StreamReadable)
-    }
-
-    /// The channel a blocked write on `fd` should park on.
-    pub(crate) fn write_wait_channel(&self, pid: Pid, fd: Fd) -> Option<WaitChannel> {
-        self.fd_kind(pid, fd)?.write_stream().map(WaitChannel::StreamWritable)
-    }
-
     /// The channel a blocked accept on `fd` should park on.
     pub(crate) fn accept_wait_channel(&self, pid: Pid, fd: Fd) -> Option<WaitChannel> {
         match self.fd_kind(pid, fd)? {

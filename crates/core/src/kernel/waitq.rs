@@ -21,15 +21,17 @@
 //! are ordinary waiters too: each parks on the wait queues of its
 //! connection's two streams and is pumped only when one of them changes.
 //!
-//! A read or write parks on the *stream* it found empty or full, not on the
-//! descriptor number it was called with: closing that number, or `dup2`ing
-//! over it, while the call is parked does not redirect it — it continues on
-//! the description it started on, as POSIX says.  The same waiter serves a
-//! call another shard shipped here; only its reply address differs
-//! (`ReplyTo::Shard`), and its liveness is the submitter's to manage (see
-//! `ShardMsg::CancelOp`).
+//! A read, write, `sendfile` or `splice` parks on the *stream* it found
+//! empty or full (and a `sendfile` holds the file description it reads), not
+//! on the descriptor numbers it was called with: closing a number, or
+//! `dup2`ing over it, while the call is parked does not redirect it — it
+//! continues on the descriptions it started on, as POSIX says.  The same
+//! waiter serves a call another shard shipped here; only its reply address
+//! differs (`ReplyTo::Shard`), and its liveness is the submitter's to manage
+//! (see `ShardMsg::CancelOp`).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 use crossbeam::channel::Sender;
@@ -37,7 +39,7 @@ use crossbeam::channel::Sender;
 use browsix_fs::Errno;
 use browsix_http::{parse_response, HttpResponse};
 
-use crate::fd::Fd;
+use crate::fd::{Fd, OpenFile};
 use crate::kernel::{KernelState, ReplyTo, ShardMsg};
 use crate::socket::StreamPair;
 use crate::streams::{Stream, StreamId};
@@ -368,10 +370,11 @@ pub(crate) enum WaitKind {
     },
     /// `sendfile` waiting for space in the output stream.
     Sendfile {
-        /// Stream-backed destination descriptor.
-        out_fd: Fd,
-        /// Regular-file source descriptor.
-        in_fd: Fd,
+        /// The locally-owned destination stream.
+        out: StreamId,
+        /// The source's description, a regular file (so it names no stream
+        /// end, and a waiter dropped with its process owes no release).
+        in_file: Arc<OpenFile>,
         /// Current read position in the source file.
         offset: u64,
         /// Bytes still to transfer.
@@ -384,10 +387,10 @@ pub(crate) enum WaitKind {
     },
     /// `splice` waiting for input bytes or output space.
     Splice {
-        /// Stream-backed source descriptor.
-        fd_in: Fd,
-        /// Stream-backed destination descriptor.
-        fd_out: Fd,
+        /// The locally-owned source stream.
+        input: StreamId,
+        /// The locally-owned destination stream.
+        output: StreamId,
         /// Maximum bytes to move.
         len: u64,
     },
@@ -519,37 +522,22 @@ impl KernelState {
                 }
                 _ => true,
             },
-            // Parked only because the output stream filled: mirror the Write
-            // arm, keyed on the destination descriptor.
-            WaitKind::Sendfile { out_fd, .. } => match self.write_wait_channel(waiter.pid, *out_fd) {
-                Some(WaitChannel::StreamWritable(id)) => self.streams().get(id).is_none_or(Stream::write_ready),
-                _ => true,
-            },
-            WaitKind::Splice { fd_in, fd_out, .. } => {
-                match (
-                    self.read_wait_channel(waiter.pid, *fd_in),
-                    self.write_wait_channel(waiter.pid, *fd_out),
-                ) {
-                    (Some(WaitChannel::StreamReadable(i)), Some(WaitChannel::StreamWritable(o))) => {
-                        match (self.streams().get(i), self.streams().get(o)) {
-                            // A missing input reads EOF, a missing output
-                            // raises EPIPE: either completes the retry.
-                            (None, _) | (_, None) => true,
-                            (Some(input), Some(output)) => {
-                                if output.read_end_closed() {
-                                    true
-                                } else if input.is_empty() {
-                                    input.write_end_closed()
-                                } else {
-                                    output.space() > 0
-                                }
-                            }
-                        }
+            // Parked only because the output stream filled: the Write arm.
+            WaitKind::Sendfile { out, .. } => self.streams().get(*out).is_none_or(Stream::write_ready),
+            WaitKind::Splice { input, output, .. } => match (self.streams().get(*input), self.streams().get(*output)) {
+                // A missing input reads EOF, a missing output raises EPIPE:
+                // either completes the retry.
+                (None, _) | (_, None) => true,
+                (Some(input), Some(output)) => {
+                    if output.read_end_closed() {
+                        true
+                    } else if input.is_empty() {
+                        input.write_end_closed()
+                    } else {
+                        output.space() > 0
                     }
-                    // No longer stream-backed: the retry will error out.
-                    _ => true,
                 }
-            }
+            },
             WaitKind::Poll { fds, .. } => self.poll_revents(waiter.pid, fds).iter().any(|&r| r != 0),
             WaitKind::HttpClient { side } => self.http_client_actionable(*side),
         }
@@ -617,22 +605,29 @@ impl KernelState {
                     self.repark_one(WaitChannel::StreamReadable(stream), Waiter { pid, reply, kind });
                 }
             },
-            WaitKind::Write { stream, data, written } => match self.try_write_stream(pid, stream, &data[written..]) {
-                Ok(accepted) if written + accepted >= data.len() => {
-                    self.finish_waiter(pid, reply, SysResult::Int(data.len() as i64));
-                }
-                Ok(accepted) => {
-                    if accepted == 0 {
-                        self.stats.spurious_wakeups += 1;
+            WaitKind::Write {
+                stream,
+                mut data,
+                written,
+            } => {
+                let len = data.len();
+                match self.try_write_stream(pid, stream, &mut data, written) {
+                    Ok(accepted) if written + accepted >= len => {
+                        self.finish_waiter(pid, reply, SysResult::Int(len as i64));
                     }
-                    let written = written + accepted;
-                    let kind = WaitKind::Write { stream, data, written };
-                    self.park_waiter_one(WaitChannel::StreamWritable(stream), Waiter { pid, reply, kind });
+                    Ok(accepted) => {
+                        if accepted == 0 {
+                            self.stats.spurious_wakeups += 1;
+                        }
+                        let written = written + accepted;
+                        let kind = WaitKind::Write { stream, data, written };
+                        self.park_waiter_one(WaitChannel::StreamWritable(stream), Waiter { pid, reply, kind });
+                    }
+                    // Mid-wait EPIPE: the error (and the SIGPIPE) wins over the
+                    // partial count.
+                    Err(errno) => self.finish_waiter(pid, reply, SysResult::Err(errno)),
                 }
-                // Mid-wait EPIPE: the error (and the SIGPIPE) wins over the
-                // partial count.
-                Err(errno) => self.finish_waiter(pid, reply, SysResult::Err(errno)),
-            },
+            }
             WaitKind::Wait4 { target, options } => match self.try_reap_child(pid, target, options) {
                 Ok(Some((child, status))) => self.finish_waiter(pid, reply, SysResult::Wait { pid: child, status }),
                 Ok(None) => self.repark_one(
@@ -661,55 +656,43 @@ impl KernelState {
                 Err(e) => self.finish_waiter(pid, reply, SysResult::Err(e)),
             },
             WaitKind::Sendfile {
-                out_fd,
-                in_fd,
+                out,
+                in_file,
                 mut offset,
                 mut remaining,
                 sent,
                 advance_cursor,
-            } => match self.pump_sendfile(pid, out_fd, in_fd, &mut offset, &mut remaining, advance_cursor) {
-                Ok((pushed, done)) => {
-                    let sent = sent + pushed;
-                    if done {
-                        self.finish_waiter(pid, reply, SysResult::Int(sent as i64));
-                    } else {
-                        match self.write_wait_channel(pid, out_fd) {
-                            Some(channel) => {
-                                if pushed == 0 {
-                                    self.stats.spurious_wakeups += 1;
-                                }
-                                let kind = WaitKind::Sendfile {
-                                    out_fd,
-                                    in_fd,
-                                    offset,
-                                    remaining,
-                                    sent,
-                                    advance_cursor,
-                                };
-                                self.park_waiter_one(channel, Waiter { pid, reply, kind });
-                            }
-                            None => self.finish_waiter(pid, reply, SysResult::Err(Errno::EIO)),
-                        }
+            } => match self.pump_sendfile(pid, out, &in_file, &mut offset, &mut remaining, advance_cursor) {
+                Ok((pushed, true)) => self.finish_waiter(pid, reply, SysResult::Int((sent + pushed) as i64)),
+                Ok((pushed, false)) => {
+                    if pushed == 0 {
+                        self.stats.spurious_wakeups += 1;
                     }
+                    let kind = WaitKind::Sendfile {
+                        out,
+                        in_file,
+                        offset,
+                        remaining,
+                        sent: sent + pushed,
+                        advance_cursor,
+                    };
+                    self.park_waiter_one(WaitChannel::StreamWritable(out), Waiter { pid, reply, kind });
                 }
                 // A transfer that already moved bytes reports them; the error
                 // will resurface on the next call.
                 Err(_) if sent > 0 => self.finish_waiter(pid, reply, SysResult::Int(sent as i64)),
                 Err(e) => self.finish_waiter(pid, reply, SysResult::Err(e)),
             },
-            WaitKind::Splice { fd_in, fd_out, len } => match self.try_splice(pid, fd_in, fd_out, len) {
+            WaitKind::Splice { input, output, len } => match self.try_splice(pid, input, output, len) {
                 Ok(Some(moved)) => self.finish_waiter(pid, reply, SysResult::Int(moved as i64)),
-                Ok(None) => match (self.read_wait_channel(pid, fd_in), self.write_wait_channel(pid, fd_out)) {
-                    (Some(a), Some(b)) => self.repark(
-                        vec![a, b],
-                        Waiter {
-                            pid,
-                            reply,
-                            kind: WaitKind::Splice { fd_in, fd_out, len },
-                        },
-                    ),
-                    _ => self.finish_waiter(pid, reply, SysResult::Err(Errno::EIO)),
-                },
+                Ok(None) => self.repark(
+                    vec![WaitChannel::StreamReadable(input), WaitChannel::StreamWritable(output)],
+                    Waiter {
+                        pid,
+                        reply,
+                        kind: WaitKind::Splice { input, output, len },
+                    },
+                ),
                 Err(e) => self.finish_waiter(pid, reply, SysResult::Err(e)),
             },
             WaitKind::Poll { fds, deadline } => {
@@ -806,9 +789,9 @@ impl KernelState {
         // request, which kills the exchange.
         let mut request_dead = false;
         if client.sent < client.to_send.len() {
-            match self.streams.get_mut(side.writes) {
-                Some(stream) if !stream.read_end_closed() => {
-                    let pushed = stream.push(&client.to_send[client.sent..]);
+            let pending = &client.to_send[client.sent..];
+            match self.with_stream(side.writes, |s| (!s.read_end_closed()).then(|| s.push(pending))) {
+                Some(Some(pushed)) => {
                     client.sent += pushed;
                     if pushed > 0 {
                         self.wake(WaitChannel::StreamReadable(side.writes));
@@ -820,9 +803,9 @@ impl KernelState {
         // Pull response bytes from the server.  A vanished stream counts as
         // closed: no more bytes can ever arrive.
         let mut server_closed = true;
-        if let Some(stream) = self.streams.get_mut(side.reads) {
-            let chunk = stream.pop(usize::MAX);
-            server_closed = stream.write_end_closed() && stream.is_empty();
+        let popped = self.with_stream(side.reads, |s| (s.pop(usize::MAX), s.write_end_closed()));
+        if let Some((chunk, closed)) = popped {
+            server_closed = closed;
             if !chunk.is_empty() {
                 client.received.extend_from_slice(&chunk);
                 self.wake(WaitChannel::StreamWritable(side.reads));

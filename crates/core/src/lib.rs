@@ -70,8 +70,8 @@ pub use stats::KernelStats;
 pub use streams::{Stream, StreamId, StreamTable};
 pub use syscall::{
     encode_stop_status, encode_wait_status, wait_status_exit_code, wait_status_signal, wait_status_stop_signal,
-    ByteSource, Completion, CompletionBatch, PollRequest, SysResult, Syscall, SyscallBatch, NONBLOCK, POLLERR, POLLHUP,
-    POLLIN, POLLNVAL, POLLOUT, WNOHANG, WUNTRACED,
+    ByteSource, Completion, CompletionBatch, PollRequest, SysResult, Syscall, SyscallBatch, DETACH_MIN_BYTES, NONBLOCK,
+    POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT, WNOHANG, WUNTRACED,
 };
 pub use task::{Pid, TaskState};
 pub use vm::{

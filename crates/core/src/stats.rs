@@ -33,8 +33,16 @@ pub struct KernelStats {
     pub batches: u64,
     /// Histogram of submission-batch sizes: entries-per-batch → batch count.
     pub batch_size_histogram: BTreeMap<u32, u64>,
-    /// Bytes of system-call arguments and results copied between heaps by the
-    /// asynchronous convention's structured clones.
+    /// Bytes the kernel's side of the data plane copied: every submission
+    /// frame that arrived as a message and every message posted to a worker
+    /// (both structured clones), plus the bytes copied into or out of a pipe
+    /// or socket buffer inside the kernel
+    /// ([`Stream::copied`](crate::Stream::copied): a copying push, a
+    /// `sendfile` page, a pop that could not hand its buffer over).  What
+    /// *moves* is not counted — a payload travelling in a transfer list
+    /// beside its frame, a buffer a pipe takes or gives whole — and neither
+    /// are the ring's reads and writes of shared memory or a file system's
+    /// own copies.
     pub bytes_copied: u64,
     /// Processes created (spawn + fork + host spawns).
     pub processes_spawned: u64,

@@ -2,12 +2,34 @@
 //! socket connections.
 //!
 //! Browsix pipes are "implemented as in-memory buffers with read-side wait
-//! queues": a bounded ring buffer living inside the kernel.  A [`Stream`] is
-//! that buffer plus the reader/writer endpoint counts that decide EOF and
+//! queues": a bounded byte queue living inside the kernel.  A [`Stream`] is
+//! that queue plus the reader/writer endpoint counts that decide EOF and
 //! EPIPE, and the readiness predicates (`read_ready`/`write_ready`) that the
 //! wait-queue subsystem and `poll` are built on.  Socket connections are two
 //! streams, one per direction, sharing exactly this code — there is no
 //! separate socket data path.
+//!
+//! # Who copies
+//!
+//! The queue is a deque of owned buffers, counted in bytes against
+//! `capacity` exactly as one flat buffer would be, so that a stream can keep
+//! what it is given:
+//!
+//! * [`Stream::push_owned`] takes a writer's buffer **by move** when it is
+//!   at least [`DETACH_MIN_BYTES`] and fits whole — the buffer a large
+//!   `write` arrived in beside its message frame;
+//! * [`Stream::push`] **copies**, filling the tail buffer's spare room
+//!   before opening a new one, so small writes and `sendfile`'s 4 KiB pages
+//!   pile up into one buffer a reader can take whole;
+//! * [`Stream::pop`] hands the front buffer out **by move** when the reader
+//!   takes exactly all of it (and it is at least half full — a reader is
+//!   never handed an allocation twice what it asked for), and otherwise
+//!   **copies** the bytes out, across buffers if need be.
+//!
+//! So a 64 KiB write read back by a 64 KiB read is the same allocation end
+//! to end, and anything else costs at most one copy in and one copy out, as
+//! the flat ring did.  [`Stream::copied`] counts the bytes the two copying
+//! paths moved, which is what the kernel reports as `bytes_copied`.
 //!
 //! Blocking lives elsewhere: a read on an empty stream or a write to a full
 //! one parks the calling system call on the stream's wait queue
@@ -25,7 +47,9 @@
 //! also all the lifetime a socket connection has: it is gone when its two
 //! streams are.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+
+use crate::syscall::DETACH_MIN_BYTES;
 
 /// Identifier of a kernel stream buffer.
 pub type StreamId = u64;
@@ -33,16 +57,21 @@ pub type StreamId = u64;
 /// Default stream capacity, matching the Linux pipe default of 64 KiB.
 pub const DEFAULT_STREAM_CAPACITY: usize = 64 * 1024;
 
-/// A single in-kernel bounded byte stream (ring buffer + endpoint counts).
+/// A single in-kernel bounded byte stream (buffer queue + endpoint counts).
 #[derive(Debug)]
 pub struct Stream {
-    /// Ring storage, allocated to `capacity` on first push.
-    ring: Vec<u8>,
-    /// Read position within `ring`.
+    /// The buffered bytes, oldest first.  Only the front buffer is ever
+    /// partly consumed (`head`), only the back one is ever appended to, and
+    /// an empty buffer is kept only as the sole one, for the next `push` to
+    /// fill.
+    bufs: VecDeque<Vec<u8>>,
+    /// Bytes of the front buffer already popped.
     head: usize,
-    /// Bytes currently buffered.
+    /// Bytes currently buffered, over all of `bufs`.
     buffered: usize,
     capacity: usize,
+    /// Bytes `push` and a copying `pop` have copied so far.
+    copied: u64,
     /// Number of live open-file descriptions referring to the read end.
     pub readers: usize,
     /// Number of live open-file descriptions referring to the write end.
@@ -95,10 +124,11 @@ impl Stream {
     /// Creates an empty stream with the given capacity.
     pub fn new(capacity: usize) -> Stream {
         Stream {
-            ring: Vec::new(),
+            bufs: VecDeque::new(),
             head: 0,
             buffered: 0,
             capacity: capacity.max(1),
+            copied: 0,
             readers: 0,
             writers: 0,
         }
@@ -158,32 +188,81 @@ impl Stream {
         }
     }
 
-    /// Appends as much of `data` as fits, returning the number of bytes
-    /// accepted.
+    /// Bytes copied by this stream so far: every byte [`Stream::push`]
+    /// accepted and every byte a [`Stream::pop`] could not hand out by move.
+    pub fn copied(&self) -> u64 {
+        self.copied
+    }
+
+    /// Appends as much of `data` as fits, by copy, returning the number of
+    /// bytes accepted.  The bytes go into the tail buffer's spare room first
+    /// and open a new buffer (allocated to `capacity`, touched as it fills)
+    /// only for what is left, so pushes of any size coalesce.
     pub fn push(&mut self, data: &[u8]) -> usize {
-        if self.ring.is_empty() {
-            self.ring = vec![0; self.capacity];
-        }
         let accept = data.len().min(self.space());
-        let tail = (self.head + self.buffered) % self.capacity;
-        let first = accept.min(self.capacity - tail);
-        self.ring[tail..tail + first].copy_from_slice(&data[..first]);
-        let rest = accept - first;
-        self.ring[..rest].copy_from_slice(&data[first..accept]);
+        let mut rest = &data[..accept];
+        if let Some(tail) = self.bufs.back_mut() {
+            let fits = rest.len().min(tail.capacity() - tail.len());
+            tail.extend_from_slice(&rest[..fits]);
+            rest = &rest[fits..];
+        }
+        if !rest.is_empty() {
+            let mut buf = Vec::with_capacity(self.capacity);
+            buf.extend_from_slice(rest);
+            self.bufs.push_back(buf);
+        }
         self.buffered += accept;
+        self.copied += accept as u64;
         accept
     }
 
-    /// Removes and returns up to `len` bytes.
+    /// [`Stream::push`] for a writer that owns its buffer, returning the
+    /// number of bytes accepted.  A buffer of at least
+    /// [`DETACH_MIN_BYTES`] that fits whole is taken by move — `data` is
+    /// left empty and nothing is copied; anything else is copied as `push`
+    /// copies it and `data` is left as it was.
+    pub fn push_owned(&mut self, data: &mut Vec<u8>) -> usize {
+        let len = data.len();
+        if len < DETACH_MIN_BYTES || len > self.space() {
+            return self.push(data);
+        }
+        if self.bufs.back().is_some_and(Vec::is_empty) {
+            self.bufs.pop_back();
+        }
+        self.bufs.push_back(std::mem::take(data));
+        self.buffered += len;
+        len
+    }
+
+    /// Removes and returns up to `len` bytes: the front buffer itself when
+    /// that is exactly what the reader takes, a copy otherwise.
     pub fn pop(&mut self, len: usize) -> Vec<u8> {
         let take = len.min(self.buffered);
-        let mut out = Vec::with_capacity(take);
-        let first = take.min(self.capacity - self.head);
-        out.extend_from_slice(&self.ring[self.head..self.head + first]);
-        let rest = take - first;
-        out.extend_from_slice(&self.ring[..rest]);
-        self.head = (self.head + take) % self.capacity;
+        if take == 0 {
+            return Vec::new();
+        }
         self.buffered -= take;
+        let whole = |front: &Vec<u8>| front.len() == take && take >= front.capacity() / 2;
+        if self.head == 0 && self.bufs.front().is_some_and(whole) {
+            return self.bufs.pop_front().expect("a front buffer was just seen");
+        }
+        let mut out = Vec::with_capacity(take);
+        while out.len() < take {
+            let sole = self.bufs.len() == 1;
+            let front = self.bufs.front_mut().expect("buffered bytes live in a buffer");
+            let n = (take - out.len()).min(front.len() - self.head);
+            out.extend_from_slice(&front[self.head..self.head + n]);
+            self.head += n;
+            if self.head == front.len() {
+                self.head = 0;
+                if sole {
+                    front.clear();
+                } else {
+                    self.bufs.pop_front();
+                }
+            }
+        }
+        self.copied += take as u64;
         out
     }
 }
@@ -306,6 +385,146 @@ impl StreamTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The flat byte ring `Stream` used to be, kept as the oracle for the
+    /// buffer queue: same bytes, same counts, whatever the buffers do.
+    struct ByteRing {
+        ring: Vec<u8>,
+        head: usize,
+        buffered: usize,
+    }
+
+    impl ByteRing {
+        fn new(capacity: usize) -> ByteRing {
+            ByteRing {
+                ring: vec![0; capacity],
+                head: 0,
+                buffered: 0,
+            }
+        }
+
+        fn push(&mut self, data: &[u8]) -> usize {
+            let capacity = self.ring.len();
+            let accept = data.len().min(capacity - self.buffered);
+            for &byte in &data[..accept] {
+                self.ring[(self.head + self.buffered) % capacity] = byte;
+                self.buffered += 1;
+            }
+            accept
+        }
+
+        fn pop(&mut self, len: usize) -> Vec<u8> {
+            let capacity = self.ring.len();
+            let take = len.min(self.buffered);
+            let out = (0..take).map(|i| self.ring[(self.head + i) % capacity]).collect();
+            self.head = (self.head + take) % capacity;
+            self.buffered -= take;
+            out
+        }
+    }
+
+    proptest! {
+        /// Random interleavings of copied pushes, owned pushes and pops of
+        /// 0…2×capacity bytes: the queue and the ring accept, hold and
+        /// return the same bytes at every step, an owned push never takes
+        /// the stream past its capacity, and `copied` counts exactly the
+        /// bytes that were not moved.
+        #[test]
+        fn the_buffer_queue_is_the_byte_ring(
+            (tiny, large) in (1usize..64, DETACH_MIN_BYTES..6 * DETACH_MIN_BYTES),
+            is_large in any::<bool>(),
+            ops in proptest::collection::vec((0u8..3, 0usize..1001, any::<u8>()), 1..64),
+        ) {
+            // Tiny streams wrap and fill constantly; large ones see moves.
+            let capacity = if is_large { large } else { tiny };
+            let mut stream = Stream::new(capacity);
+            stream.readers = 1;
+            stream.writers = 1;
+            let mut oracle = ByteRing::new(capacity);
+            let mut copied = 0u64;
+            for &(op, size, fill) in &ops {
+                let len = size * 2 * capacity / 1000;
+                match op {
+                    0 | 1 => {
+                        let mut data: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
+                        let expected = oracle.push(&data);
+                        let accepted = if op == 0 { stream.push(&data) } else { stream.push_owned(&mut data) };
+                        prop_assert_eq!(accepted, expected);
+                        if data.is_empty() && len > 0 {
+                            prop_assert!(len >= DETACH_MIN_BYTES && accepted == len, "only a large, whole push moves");
+                        } else {
+                            prop_assert_eq!(data.len(), len, "a copied push leaves its buffer alone");
+                            copied += accepted as u64;
+                        }
+                    }
+                    _ => {
+                        let staged = stream.bufs.front().filter(|_| stream.head == 0).map(|front| front.as_ptr());
+                        let data = stream.pop(len);
+                        prop_assert_eq!(&data, &oracle.pop(len));
+                        if data.is_empty() || Some(data.as_ptr()) != staged {
+                            copied += data.len() as u64;
+                        } else {
+                            prop_assert!(data.capacity() <= 2 * data.len() + 1, "a moved buffer is at least half full");
+                        }
+                    }
+                }
+                prop_assert_eq!(stream.len(), oracle.buffered);
+                prop_assert!(stream.len() <= capacity);
+                prop_assert_eq!(stream.space(), capacity - oracle.buffered);
+                prop_assert_eq!(stream.state(), StreamState {
+                    readable: oracle.buffered > 0,
+                    eof: false,
+                    writable: oracle.buffered < capacity,
+                    epipe: false,
+                    gone: false,
+                });
+                prop_assert_eq!(stream.copied(), copied);
+                prop_assert_eq!(stream.bufs.iter().map(Vec::len).sum::<usize>() - stream.head, stream.len());
+            }
+        }
+    }
+
+    #[test]
+    fn a_large_write_read_back_whole_is_the_same_allocation() {
+        let mut stream = Stream::new(DEFAULT_STREAM_CAPACITY);
+        let mut data = vec![0xA5u8; DEFAULT_STREAM_CAPACITY];
+        let staged = data.as_ptr();
+        assert_eq!(stream.push_owned(&mut data), DEFAULT_STREAM_CAPACITY);
+        assert!(data.is_empty() && stream.space() == 0);
+        let read = stream.pop(DEFAULT_STREAM_CAPACITY);
+        assert_eq!((read.as_ptr(), read.len()), (staged, DEFAULT_STREAM_CAPACITY));
+        assert_eq!(stream.copied(), 0);
+    }
+
+    #[test]
+    fn small_pushes_coalesce_into_one_buffer_a_reader_takes_whole() {
+        // `sendfile` pushes page by page; the reader still gets one 64 KiB
+        // read, by move, and each byte was copied exactly once on the way.
+        let mut stream = Stream::new(DEFAULT_STREAM_CAPACITY);
+        for page in 0..16u8 {
+            assert_eq!(stream.push(&[page; 4096]), 4096);
+        }
+        assert_eq!(stream.bufs.len(), 1);
+        let staged = stream.bufs[0].as_ptr();
+        let read = stream.pop(usize::MAX);
+        assert_eq!((read.as_ptr(), read.len()), (staged, DEFAULT_STREAM_CAPACITY));
+        assert_eq!(stream.copied(), DEFAULT_STREAM_CAPACITY as u64);
+    }
+
+    #[test]
+    fn small_traffic_reuses_one_buffer() {
+        // A 64-byte write answered by a 64-byte read must not cost a buffer
+        // per push: the copy-out leaves the (cleared) buffer in place.
+        let mut stream = Stream::new(DEFAULT_STREAM_CAPACITY);
+        stream.push(&[1; 64]);
+        let buffer = stream.bufs[0].as_ptr();
+        for _ in 0..100 {
+            assert_eq!(stream.pop(64), [1; 64]);
+            assert_eq!(stream.push(&[1; 64]), 64);
+            assert_eq!((stream.bufs.len(), stream.bufs[0].as_ptr()), (1, buffer));
+        }
+    }
 
     #[test]
     fn push_and_pop_preserve_fifo_order() {

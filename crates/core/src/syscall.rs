@@ -13,7 +13,13 @@
 //!   clone cost once per batch instead of once per call), and the encoded
 //!   completion batch comes back the same way, once every entry has
 //!   completed (entries that cannot finish immediately peel off into the
-//!   kernel's wait queues individually).
+//!   kernel's wait queues individually).  Bulk payloads do not ride inside
+//!   the frame: one of at least [`DETACH_MIN_BYTES`] is *detached* into the
+//!   message's transfer list before encoding
+//!   ([`SyscallBatch::detach_payloads`]) and re-attached after decoding
+//!   ([`SyscallBatch::attach_payloads`]), by move both times, so it is never
+//!   encoded, cloned or decoded — the frame carries an
+//!   `{index, len}` reference in its place.
 //! * **the ring** (synchronous convention, processes with a
 //!   `SharedArrayBuffer` heap) — each call is one bare `entry` in a
 //!   submission-queue slot and each result one bare `result` in a
@@ -104,11 +110,18 @@ pub struct PollRequest {
     pub events: u16,
 }
 
+/// The size from which a payload leaves its message frame and travels as a
+/// transfer-list item beside it.  A property of the codec, like a field
+/// width: below it a reference would save less than the list costs, and the
+/// frame stays byte-identical to what it always was.
+pub const DETACH_MIN_BYTES: usize = 1024;
+
 /// A source of bytes for data-carrying system calls (`write`, `pwrite`).
 ///
-/// The message transport inlines the bytes into the submission frame (and
-/// pays the structured-clone cost); a ring submission passes an offset into
-/// the process's shared heap and the kernel reads the bytes directly.
+/// The message transport inlines small payloads into the submission frame
+/// (and pays the structured-clone cost) and moves large ones beside it; a
+/// ring submission passes an offset into the process's shared heap and the
+/// kernel reads the bytes directly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ByteSource {
     /// Bytes carried inside the submission frame.
@@ -120,6 +133,16 @@ pub enum ByteSource {
         /// Length in bytes.
         len: u32,
     },
+    /// Bytes travelling beside the frame, as one item of the message's
+    /// transfer list.  Exists only between [`SyscallBatch::detach_payloads`]
+    /// and [`SyscallBatch::attach_payloads`]: a reference that reaches a
+    /// system-call handler named no (or the wrong) buffer and is `EINVAL`.
+    Transfer {
+        /// Index of the buffer in the transfer list.
+        index: u32,
+        /// Length of that buffer in bytes.
+        len: u32,
+    },
 }
 
 impl ByteSource {
@@ -127,7 +150,7 @@ impl ByteSource {
     pub fn len(&self) -> usize {
         match self {
             ByteSource::Inline(data) => data.len(),
-            ByteSource::SharedHeap { len, .. } => *len as usize,
+            ByteSource::SharedHeap { len, .. } | ByteSource::Transfer { len, .. } => *len as usize,
         }
     }
 
@@ -147,6 +170,11 @@ impl ByteSource {
                 wire::put_u32(out, *offset);
                 wire::put_u32(out, *len);
             }
+            ByteSource::Transfer { index, len } => {
+                wire::put_u8(out, 2);
+                wire::put_u32(out, *index);
+                wire::put_u32(out, *len);
+            }
         }
     }
 
@@ -157,8 +185,42 @@ impl ByteSource {
                 offset: r.u32()?,
                 len: r.u32()?,
             }),
+            2 => Some(ByteSource::Transfer {
+                index: r.u32()?,
+                len: r.u32()?,
+            }),
             _ => None,
         }
+    }
+}
+
+/// Moves `data` onto the end of `transfers` if it is large enough to leave
+/// its frame, returning the `(index, len)` reference to encode in its place.
+fn detach(data: &mut Vec<u8>, transfers: &mut Vec<Vec<u8>>) -> Option<(u32, u32)> {
+    if data.len() < DETACH_MIN_BYTES {
+        return None;
+    }
+    let reference = (transfers.len() as u32, data.len() as u32);
+    transfers.push(std::mem::take(data));
+    Some(reference)
+}
+
+/// A received transfer list, each item claimable once.  The list is as
+/// hostile as the frame it came beside: a reference that names no item, an
+/// item already claimed, or one of another length claims nothing.
+struct TransferList(Vec<Option<Vec<u8>>>);
+
+impl TransferList {
+    fn new(transfers: Vec<Vec<u8>>) -> TransferList {
+        TransferList(transfers.into_iter().map(Some).collect())
+    }
+
+    fn claim(&mut self, index: u32, len: u32) -> Option<Vec<u8>> {
+        let item = self.0.get_mut(index as usize)?;
+        if item.as_ref()?.len() != len as usize {
+            return None;
+        }
+        item.take()
     }
 }
 
@@ -212,6 +274,43 @@ impl SyscallBatch {
             entry.encode_into(&mut out);
         }
         out
+    }
+
+    /// Moves every inline payload of at least [`DETACH_MIN_BYTES`] out of
+    /// the batch, leaving a [`ByteSource::Transfer`] reference behind, and
+    /// returns the buffers in index order: the transfer list to post beside
+    /// the frame [`SyscallBatch::encode`] then produces.  Smaller payloads
+    /// stay where they are, so a batch without bulk data encodes exactly as
+    /// it always did.
+    pub fn detach_payloads(&mut self) -> Vec<Vec<u8>> {
+        let mut transfers = Vec::new();
+        for source in self.entries.iter_mut().filter_map(Syscall::byte_source_mut) {
+            if let ByteSource::Inline(data) = source {
+                if let Some((index, len)) = detach(data, &mut transfers) {
+                    *source = ByteSource::Transfer { index, len };
+                }
+            }
+        }
+        transfers
+    }
+
+    /// Moves the buffers of a received transfer list back into the entries
+    /// that reference them, as the [`ByteSource::Inline`] payloads they left
+    /// as.  A reference that claims nothing — index out of range, wrong
+    /// length, item already claimed — stays a reference, and its call fails
+    /// with `EINVAL` when dispatched; the other entries are unaffected.
+    pub fn attach_payloads(&mut self, transfers: Vec<Vec<u8>>) {
+        if transfers.is_empty() {
+            return;
+        }
+        let mut list = TransferList::new(transfers);
+        for source in self.entries.iter_mut().filter_map(Syscall::byte_source_mut) {
+            if let ByteSource::Transfer { index, len } = *source {
+                if let Some(data) = list.claim(index, len) {
+                    *source = ByteSource::Inline(data);
+                }
+            }
+        }
     }
 
     /// Decodes a wire frame back into a batch.
@@ -274,6 +373,39 @@ impl CompletionBatch {
         out
     }
 
+    /// The completion-side [`SyscallBatch::detach_payloads`]: every
+    /// [`SysResult::Data`] of at least [`DETACH_MIN_BYTES`] becomes a
+    /// [`SysResult::DataTransfer`] reference and its buffer a transfer-list
+    /// item.
+    pub fn detach_payloads(&mut self) -> Vec<Vec<u8>> {
+        let mut transfers = Vec::new();
+        for completion in &mut self.completions {
+            if let SysResult::Data(data) = &mut completion.result {
+                if let Some((index, len)) = detach(data, &mut transfers) {
+                    completion.result = SysResult::DataTransfer { index, len };
+                }
+            }
+        }
+        transfers
+    }
+
+    /// The completion-side [`SyscallBatch::attach_payloads`].  A reference
+    /// that claims nothing stays a [`SysResult::DataTransfer`], which no
+    /// caller accepts as the result of anything.
+    pub fn attach_payloads(&mut self, transfers: Vec<Vec<u8>>) {
+        if transfers.is_empty() {
+            return;
+        }
+        let mut list = TransferList::new(transfers);
+        for completion in &mut self.completions {
+            if let SysResult::DataTransfer { index, len } = completion.result {
+                if let Some(data) = list.claim(index, len) {
+                    completion.result = SysResult::Data(data);
+                }
+            }
+        }
+    }
+
     /// Decodes a wire frame back into a completion batch.
     ///
     /// Returns `None` on a bad magic/version byte, a truncated frame, or
@@ -328,7 +460,7 @@ impl SysResult {
             SysResult::Entries(entries) => entries.len() as i64,
             SysResult::Wait { pid, .. } => *pid as i64,
             SysResult::Poll(revents) => revents.iter().filter(|&&r| r != 0).count() as i64,
-            SysResult::DataFixed { len, .. } => *len as i64,
+            SysResult::DataFixed { len, .. } | SysResult::DataTransfer { len, .. } => *len as i64,
             SysResult::Err(errno) => errno.as_syscall_return(),
         }
     }
@@ -630,6 +762,10 @@ mod tests {
                 buf_count: 7,
                 buf_bytes: 64 * 1024,
             },
+            Syscall::Write {
+                fd: 1,
+                data: ByteSource::Transfer { index: 2, len: 65536 },
+            },
         ]
     }
 
@@ -653,6 +789,7 @@ mod tests {
             SysResult::Poll(vec![POLLIN, 0, POLLOUT | POLLHUP]),
             SysResult::Poll(Vec::new()),
             SysResult::DataFixed { buf: 3, len: 4096 },
+            SysResult::DataTransfer { index: 1, len: 65536 },
             SysResult::Err(Errno::ENOENT),
         ]
     }
@@ -724,8 +861,8 @@ mod tests {
         // carries two `poll` shapes (fd list and empty), two `kill` shapes
         // (process and group), three `sigaction` shapes, two `mmap` shapes
         // (anonymous and file-backed), two `vm_write` shapes (inline and
-        // shared-heap) and two `sendfile` shapes (cursor and explicit
-        // offset); all others unique.
+        // shared-heap), two `write` shapes (inline and transferred) and two
+        // `sendfile` shapes (cursor and explicit offset); all others unique.
         let unique: std::collections::HashSet<&&str> = names.iter().collect();
         assert!(unique.len() >= names.len() - 8);
     }
@@ -821,6 +958,7 @@ mod tests {
         assert!(ByteSource::Inline(vec![]).is_empty());
         assert_eq!(ByteSource::SharedHeap { offset: 0, len: 10 }.len(), 10);
         assert!(!ByteSource::SharedHeap { offset: 0, len: 10 }.is_empty());
+        assert_eq!(ByteSource::Transfer { index: 0, len: 10 }.len(), 10);
     }
 
     #[test]
@@ -837,6 +975,107 @@ mod tests {
         });
         assert!(big.encode().len() > 4096);
         assert!(small.encode().len() < 64);
+    }
+
+    fn write_of(data: Vec<u8>) -> Syscall {
+        Syscall::Write {
+            fd: 1,
+            data: ByteSource::Inline(data),
+        }
+    }
+
+    #[test]
+    fn small_payloads_stay_in_the_frame_byte_for_byte() {
+        let mut batch = SyscallBatch {
+            entries: vec![write_of(vec![7; DETACH_MIN_BYTES - 1]), Syscall::GetPid],
+        };
+        let before = batch.encode();
+        assert!(batch.detach_payloads().is_empty());
+        assert_eq!(batch.encode(), before);
+
+        let mut completions = CompletionBatch {
+            completions: vec![Completion {
+                index: 0,
+                result: SysResult::Data(vec![7; DETACH_MIN_BYTES - 1]),
+            }],
+        };
+        let before = completions.encode();
+        assert!(completions.detach_payloads().is_empty());
+        assert_eq!(completions.encode(), before);
+    }
+
+    #[test]
+    fn large_payloads_cross_beside_the_frame_by_move() {
+        let (first, second) = (vec![1u8; DETACH_MIN_BYTES], vec![2u8; 64 << 10]);
+        let staged = [first.as_ptr(), second.as_ptr()];
+        let original = SyscallBatch {
+            entries: vec![write_of(first), Syscall::GetPid, write_of(second)],
+        };
+        let mut batch = original.clone();
+        // `clone` copied; detach the originals so the pointers are the staged ones.
+        let mut sent = original;
+        let transfers = sent.detach_payloads();
+        assert_eq!(transfers.iter().map(|t| t.as_ptr()).collect::<Vec<_>>(), staged);
+        let frame = sent.encode();
+        assert!(frame.len() < 64, "the frame carries references, not bytes");
+
+        let mut received = SyscallBatch::decode(&frame).unwrap();
+        received.attach_payloads(transfers);
+        assert_eq!(received, batch);
+        let Some(ByteSource::Inline(data)) = received.entries[2].byte_source_mut() else {
+            panic!("re-attached inline");
+        };
+        assert_eq!(data.as_ptr(), staged[1], "the receiver holds the sender's buffer");
+        assert!(batch.entries[1].byte_source_mut().is_none());
+
+        let payload = vec![9u8; 4096];
+        let staged = payload.as_ptr();
+        let mut completions = CompletionBatch {
+            completions: vec![Completion {
+                index: 0,
+                result: SysResult::Data(payload),
+            }],
+        };
+        let transfers = completions.detach_payloads();
+        let mut received = CompletionBatch::decode(&completions.encode()).unwrap();
+        received.attach_payloads(transfers);
+        let SysResult::Data(data) = &received.completions[0].result else {
+            panic!("re-attached data");
+        };
+        assert_eq!((data.as_ptr(), data.len()), (staged, 4096));
+    }
+
+    #[test]
+    fn hostile_transfer_references_claim_nothing() {
+        let reference = |index, len| Syscall::Write {
+            fd: 1,
+            data: ByteSource::Transfer { index, len },
+        };
+        let mut batch = SyscallBatch {
+            entries: vec![
+                reference(2, 4096), // no such item
+                reference(0, 4095), // wrong length
+                reference(1, 2048), // fine
+                reference(1, 2048), // the same item again
+            ],
+        };
+        batch.attach_payloads(vec![vec![0; 4096], vec![1; 2048]]);
+        assert_eq!(batch.entries[0], reference(2, 4096));
+        assert_eq!(batch.entries[1], reference(0, 4095));
+        assert_eq!(batch.entries[2], write_of(vec![1; 2048]));
+        assert_eq!(batch.entries[3], reference(1, 2048));
+
+        let mut completions = CompletionBatch {
+            completions: vec![Completion {
+                index: 0,
+                result: SysResult::DataTransfer { index: 5, len: 1 },
+            }],
+        };
+        completions.attach_payloads(vec![vec![0]]);
+        assert_eq!(
+            completions.completions[0].result,
+            SysResult::DataTransfer { index: 5, len: 1 }
+        );
     }
 
     #[test]

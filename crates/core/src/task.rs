@@ -90,9 +90,9 @@ pub struct Task {
     /// Whether the current stop has been reported to a `WUNTRACED` waiter
     /// (each stop is reported at most once, like Linux).
     pub stop_reported: bool,
-    /// System-call frames `(seq, payload)` that arrived while the task was
-    /// stopped; replayed in arrival order on SIGCONT.
-    pub stashed_frames: Vec<(u64, Vec<u8>)>,
+    /// System-call frames `(seq, payload, transfers)` that arrived while the
+    /// task was stopped; replayed in arrival order on SIGCONT.
+    pub stashed_frames: Vec<(u64, Vec<u8>, Vec<Vec<u8>>)>,
     /// The shared heap the process registered, if it has one.
     pub sync_heap: Option<SharedArrayBuffer>,
     /// Persistent submission/completion ring mapped into the shared heap

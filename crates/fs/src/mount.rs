@@ -29,7 +29,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::backend::{FileSystem, FsResult, IoStats};
 use crate::errno::Errno;
 use crate::handle::FileHandle;
-use crate::path::{basename, dirname, normalize, starts_with, strip_prefix};
+use crate::path::{basename, dirname, normalize, starts_with_normalized, strip_prefix_normalized};
 use crate::types::{DirEntry, FileType, Metadata, OpenFlags};
 
 /// Upper bound on cached dentries; the cache is flushed wholesale when it
@@ -77,10 +77,10 @@ impl DentryCache {
         entries.insert(path, dentry);
     }
 
-    /// Drops `path` and everything beneath it.
+    /// Drops the normalised `path` and everything beneath it.  Keys are
+    /// normalised when they go in, so each is one comparison.
     fn invalidate_subtree(&self, path: &str) {
-        let normalized = normalize(path);
-        self.entries.lock().retain(|p, _| !starts_with(p, &normalized));
+        self.entries.lock().retain(|key, _| !starts_with_normalized(key, path));
     }
 
     fn clear(&self) {
@@ -177,10 +177,15 @@ impl MountedFs {
         self.dcache.counters()
     }
 
-    /// Resolves `path` to the responsible backend and the path within it,
-    /// consulting the dentry cache first.
+    /// Resolves `path` to the responsible backend and the path within it.
     fn route(&self, path: &str) -> (Arc<dyn FileSystem>, String) {
-        let normalized = normalize(path);
+        self.route_normalized(normalize(path))
+    }
+
+    /// [`MountedFs::route`] for a path that is already normalised — every
+    /// call normalises its argument once, here or before it looks at the
+    /// mount table itself — consulting the dentry cache first.
+    fn route_normalized(&self, normalized: String) -> (Arc<dyn FileSystem>, String) {
         if let Some(dentry) = self.dcache.get(&normalized) {
             return (dentry.fs, dentry.inner);
         }
@@ -192,10 +197,9 @@ impl MountedFs {
         let mounts = self.mounts.read();
         let resolved = mounts
             .iter()
-            .find(|mount| starts_with(&normalized, &mount.point))
-            .map(|mount| {
-                let inner = strip_prefix(&normalized, &mount.point).unwrap_or_else(|| "/".to_owned());
-                (Arc::clone(&mount.fs), inner)
+            .find_map(|mount| {
+                let inner = strip_prefix_normalized(&normalized, &mount.point)?;
+                Some((Arc::clone(&mount.fs), inner.to_owned()))
             })
             .unwrap_or_else(|| (Arc::clone(&self.root), normalized.clone()));
         self.dcache.insert(
@@ -208,10 +212,10 @@ impl MountedFs {
         resolved
     }
 
-    /// Mount points whose parent directory is `dir` — these must show up in
-    /// directory listings even if the underlying backend has no entry there.
+    /// Mount points whose parent directory is the normalised `dir` — these
+    /// must show up in directory listings even if the underlying backend has
+    /// no entry there.
     fn mounts_directly_under(&self, dir: &str) -> Vec<String> {
-        let dir = normalize(dir);
         self.mounts
             .read()
             .iter()
@@ -244,16 +248,19 @@ impl FileSystem for MountedFs {
         let normalized = normalize(path);
         // A mount point is always a directory, even if the root backend has
         // nothing at that path.
-        if self.mounts.read().iter().any(|m| m.point == normalized) {
-            let (fs, inner) = self.route(&normalized);
-            return fs.stat(&inner).or_else(|_| Ok(Metadata::directory()));
+        let is_mount_point = self.mounts.read().iter().any(|m| m.point == normalized);
+        let (fs, inner) = self.route_normalized(normalized);
+        let stat = fs.stat(&inner);
+        if is_mount_point {
+            return stat.or_else(|_| Ok(Metadata::directory()));
         }
-        let (fs, inner) = self.route(&normalized);
-        fs.stat(&inner)
+        stat
     }
 
     fn read_dir(&self, path: &str) -> FsResult<Vec<DirEntry>> {
-        let (fs, inner) = self.route(path);
+        let dir = normalize(path);
+        let mounted_here = self.mounts_directly_under(&dir);
+        let (fs, inner) = self.route_normalized(dir);
         let mut entries: BTreeMap<String, DirEntry> = BTreeMap::new();
         match fs.read_dir(&inner) {
             Ok(list) => {
@@ -263,12 +270,12 @@ impl FileSystem for MountedFs {
             }
             Err(e) => {
                 // The directory may exist purely as a parent of mount points.
-                if self.mounts_directly_under(path).is_empty() {
+                if mounted_here.is_empty() {
                     return Err(e);
                 }
             }
         }
-        for name in self.mounts_directly_under(path) {
+        for name in mounted_here {
             entries.insert(
                 name.clone(),
                 DirEntry {
@@ -290,7 +297,7 @@ impl FileSystem for MountedFs {
         if self.mounts.read().iter().any(|m| m.point == normalized) {
             return Err(Errno::EBUSY);
         }
-        let (fs, inner) = self.route(path);
+        let (fs, inner) = self.route_normalized(normalized.clone());
         let result = fs.rmdir(&inner);
         if result.is_ok() {
             self.dcache.invalidate_subtree(&normalized);
@@ -304,10 +311,11 @@ impl FileSystem for MountedFs {
     }
 
     fn unlink(&self, path: &str) -> FsResult<()> {
-        let (fs, inner) = self.route(path);
+        let normalized = normalize(path);
+        let (fs, inner) = self.route_normalized(normalized.clone());
         let result = fs.unlink(&inner);
         if result.is_ok() {
-            self.dcache.invalidate_subtree(path);
+            self.dcache.invalidate_subtree(&normalized);
         }
         result
     }
@@ -317,15 +325,16 @@ impl FileSystem for MountedFs {
     /// `rename(2)` does across device boundaries — callers that want the
     /// copy-then-unlink behaviour (like `mv`) must do it themselves.
     fn rename(&self, from: &str, to: &str) -> FsResult<()> {
-        let (from_fs, from_inner) = self.route(from);
-        let (to_fs, to_inner) = self.route(to);
+        let (from, to) = (normalize(from), normalize(to));
+        let (from_fs, from_inner) = self.route_normalized(from.clone());
+        let (to_fs, to_inner) = self.route_normalized(to.clone());
         if !Arc::ptr_eq(&from_fs, &to_fs) {
             return Err(Errno::EXDEV);
         }
         let result = from_fs.rename(&from_inner, &to_inner);
         if result.is_ok() {
-            self.dcache.invalidate_subtree(from);
-            self.dcache.invalidate_subtree(to);
+            self.dcache.invalidate_subtree(&from);
+            self.dcache.invalidate_subtree(&to);
         }
         result
     }

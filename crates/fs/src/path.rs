@@ -88,27 +88,33 @@ pub fn basename(path: &str) -> String {
 /// Whether `path` is `prefix` itself or lies underneath it.  Both sides are
 /// normalised first.
 pub fn starts_with(path: &str, prefix: &str) -> bool {
-    let path = normalize(path);
-    let prefix = normalize(prefix);
-    if prefix == "/" {
-        return true;
-    }
-    path == prefix || path.starts_with(&format!("{prefix}/"))
+    starts_with_normalized(&normalize(path), &normalize(prefix))
+}
+
+/// [`starts_with`] for two paths that are already normalised: a comparison,
+/// no allocation.
+pub fn starts_with_normalized(path: &str, prefix: &str) -> bool {
+    strip_prefix_normalized(path, prefix).is_some()
 }
 
 /// Rewrites `path` (which must be equal to or under `prefix`) so it becomes
 /// relative to `prefix`, returning an absolute path within that subtree.
 /// Returns `None` if `path` is not under `prefix`.
 pub fn strip_prefix(path: &str, prefix: &str) -> Option<String> {
-    let path = normalize(path);
-    let prefix = normalize(prefix);
+    strip_prefix_normalized(&normalize(path), &normalize(prefix)).map(str::to_owned)
+}
+
+/// [`strip_prefix`] for two paths that are already normalised: the answer
+/// is a suffix of `path` (or `"/"`), borrowed rather than built.
+pub fn strip_prefix_normalized<'a>(path: &'a str, prefix: &str) -> Option<&'a str> {
     if prefix == "/" {
         return Some(path);
     }
-    if path == prefix {
-        return Some("/".to_owned());
+    match path.strip_prefix(prefix)? {
+        "" => Some("/"),
+        rest if rest.starts_with('/') => Some(rest),
+        _ => None,
     }
-    path.strip_prefix(&format!("{prefix}/")).map(|rest| format!("/{rest}"))
 }
 
 /// The file extension of `path` (without the dot), if any.
@@ -192,6 +198,25 @@ mod tests {
         assert_eq!(strip_prefix("/usr", "/usr"), Some("/".into()));
         assert_eq!(strip_prefix("/var/log", "/usr"), None);
         assert_eq!(strip_prefix("/var/log", "/"), Some("/var/log".into()));
+    }
+
+    #[test]
+    fn normalized_variants_agree_with_the_normalizing_ones() {
+        let paths = ["/", "/usr", "/usr/bin", "/usr/bin/ls", "/usr2/bin", "/u", "/var/log"];
+        for path in paths {
+            for prefix in paths {
+                assert_eq!(
+                    starts_with_normalized(path, prefix),
+                    starts_with(path, prefix),
+                    "{path} under {prefix}"
+                );
+                assert_eq!(
+                    strip_prefix_normalized(path, prefix).map(str::to_owned),
+                    strip_prefix(path, prefix),
+                    "{path} minus {prefix}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -10,8 +10,12 @@
 //! * **messages** (asynchronous) — the encoded batch is posted to the kernel
 //!   inside a structured-clone message; the worker then waits for the single
 //!   response message carrying the encoded completion batch.  The clone cost
-//!   is paid once per batch instead of once per call.  Every client starts
-//!   here, and a browser without shared memory stays here.
+//!   is paid once per batch instead of once per call, and not at all for
+//!   bulk data: a payload of at least `DETACH_MIN_BYTES` travels *beside*
+//!   the frame, in the message's transfer list, by move in both directions
+//!   (see [`SyscallClient::stage_writes`] for the one copy a write makes).
+//!   Every client starts here, and a browser without shared memory stays
+//!   here.
 //! * **the ring** (synchronous) — at startup the client allocates a
 //!   `SharedArrayBuffer` heap, hands it to the kernel and asks, in one
 //!   ordinary message, for a syscall ring ([`browsix_core::ring`]) to be
@@ -34,7 +38,7 @@ use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
 
 use browsix_browser::time::precise_delay;
-use browsix_browser::{Message, PlatformConfig, SharedArrayBuffer, WorkerScope};
+use browsix_browser::{Message, PlatformConfig, SharedArrayBuffer, WorkerScope, TRANSFER_HANDLE_BYTES};
 use browsix_core::exec::{ForkImage, LaunchContext, ProcessStart};
 use browsix_core::ring::{Ring, RingGeometry};
 use browsix_core::wire::Reader;
@@ -247,7 +251,7 @@ impl SyscallClient {
     /// one more message.
     pub fn send_only(&mut self, call: Syscall) {
         let Some(ring) = &self.ring else {
-            let _ = self.post_frame(&SyscallBatch::single(call));
+            let _ = self.post_frame(SyscallBatch::single(call));
             return;
         };
         let mut frame = Vec::with_capacity(8);
@@ -269,6 +273,12 @@ impl SyscallClient {
     /// data-carrying entries submitted together.  Buffers that do not fit in
     /// the data area fall back to inline copies (which then travel through
     /// the spill area).
+    ///
+    /// Either way this is the one copy a guest's write makes on its way to
+    /// the kernel: out of the caller's slice, into the heap or into a buffer
+    /// of the call's own.  A message client's inline buffer is never copied
+    /// again — `post_frame` moves a large one into the transfer list, and
+    /// the kernel queues that same allocation on the pipe.
     pub fn stage_writes(&mut self, bufs: &[&[u8]]) -> Vec<browsix_core::ByteSource> {
         let heap = self.ring.as_ref().map(Ring::sab);
         let mut cursor = DATA_OFFSET;
@@ -291,20 +301,32 @@ impl SyscallClient {
         self.ring.as_ref().map_or(usize::MAX, |_| SYNC_DATA_CAPACITY)
     }
 
-    /// postMessage to the kernel: the whole batch crosses the worker boundary
-    /// as one structured clone, so that cost is paid once per batch, not per
-    /// call.  Returns the frame's sequence number (`None`: kernel gone).
-    fn post_frame(&mut self, batch: &SyscallBatch) -> Option<u64> {
+    /// `postMessage(frame, transfers)` to the kernel: the whole batch crosses
+    /// the worker boundary as one structured clone, so that cost is paid
+    /// once per batch, not per call — and only for the frame.  The batch is
+    /// consumed: every payload large enough to detach is moved out of it
+    /// into the transfer list, which changes hands without being encoded,
+    /// cloned or charged by length; what is left encodes as it always did.
+    /// Returns the frame's sequence number (`None`: kernel gone).
+    fn post_frame(&mut self, mut batch: SyscallBatch) -> Option<u64> {
         self.next_seq += 1;
-        let (pid, seq, payload) = (self.pid, self.next_seq, batch.encode());
-        precise_delay(self.config.post_cost(payload.len() + MESSAGE_ENVELOPE_BYTES));
-        let sent = self.kernel.send(KernelEvent::Syscall { pid, seq, payload });
+        let (pid, seq) = (self.pid, self.next_seq);
+        let transfers = batch.detach_payloads();
+        let payload = batch.encode();
+        let cloned_bytes = payload.len() + MESSAGE_ENVELOPE_BYTES + transfers.len() * TRANSFER_HANDLE_BYTES;
+        precise_delay(self.config.post_cost(cloned_bytes));
+        let sent = self.kernel.send(KernelEvent::Syscall {
+            pid,
+            seq,
+            payload,
+            transfers,
+        });
         sent.is_ok().then_some(seq)
     }
 
     fn submit_async(&mut self, batch: SyscallBatch) -> Vec<SysResult> {
         let n = batch.len();
-        match self.post_frame(&batch) {
+        match self.post_frame(batch) {
             Some(seq) => self.wait_for_completions(seq, n),
             None => {
                 self.terminated = true;
@@ -319,13 +341,17 @@ impl SyscallClient {
                 return results_from(batch, n);
             }
             match self.scope.recv() {
-                Ok(msg) => match msg.get_str("type") {
+                Ok(mut msg) => match msg.get_str("type") {
                     Some("syscall-response") => {
                         let response_seq = msg.get_int("seq").unwrap_or(-1) as u64;
-                        let batch = msg
+                        let transfers = msg.take_transfer();
+                        let mut batch = msg
                             .get_bytes("completions")
                             .and_then(CompletionBatch::decode)
                             .unwrap_or_default();
+                        // Bulk read data arrived beside the frame: the
+                        // caller gets the buffer the kernel's pipe held.
+                        batch.attach_payloads(transfers);
                         if response_seq == seq {
                             return results_from(batch, n);
                         }

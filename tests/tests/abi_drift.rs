@@ -23,8 +23,8 @@ use browsix_core::{
 };
 use browsix_fs::{DirEntry, Errno, FileType, Metadata, OpenFlags};
 
-/// One instance of every call variant (both `stat` spellings, both byte
-/// sources, …), in the order originally blessed.  Append-only.
+/// One instance of every call variant (both `stat` spellings, every byte
+/// source, …), in the order originally blessed.  Append-only.
 fn corpus_calls() -> Vec<Syscall> {
     vec![
         Syscall::Spawn {
@@ -252,6 +252,10 @@ fn corpus_calls() -> Vec<Syscall> {
             buf_bytes: 64 * 1024,
         },
         Syscall::Getrusage { who: 0 },
+        Syscall::Write {
+            fd: 1,
+            data: ByteSource::Transfer { index: 2, len: 65536 },
+        },
     ]
 }
 
@@ -278,6 +282,7 @@ fn corpus_results() -> Vec<SysResult> {
         SysResult::Poll(Vec::new()),
         SysResult::DataFixed { buf: 3, len: 4096 },
         SysResult::Err(Errno::ENOENT),
+        SysResult::DataTransfer { index: 1, len: 65536 },
     ]
 }
 
@@ -289,35 +294,46 @@ fn hex(bytes: &[u8]) -> String {
     s
 }
 
+/// How many of [`corpus_calls`] and [`corpus_results`] the two whole-frame
+/// lines cover.  Those lines are pinned like any other, so they stay the
+/// frames of the shapes that existed when they were blessed; shapes appended
+/// since are rendered after them, and the file only ever grows at its end.
+const FRAMED_CALLS: usize = 68;
+const FRAMED_RESULTS: usize = 13;
+
 /// Renders the whole corpus as stable `kind index name: hex` lines.
 fn render_corpus() -> String {
-    let mut out = String::new();
-    for (i, call) in corpus_calls().iter().enumerate() {
+    let (calls, results) = (corpus_calls(), corpus_results());
+    let call_line = |i: usize| {
         let mut buf = Vec::new();
-        call.encode_into(&mut buf);
-        out.push_str(&format!("call {i:03} {}: {}\n", call.name(), hex(&buf)));
-    }
-    for (i, res) in corpus_results().iter().enumerate() {
+        calls[i].encode_into(&mut buf);
+        format!("call {i:03} {}: {}\n", calls[i].name(), hex(&buf))
+    };
+    let result_line = |i: usize| {
         let mut buf = Vec::new();
-        res.encode_into(&mut buf);
-        out.push_str(&format!("result {i:03}: {}\n", hex(&buf)));
-    }
+        results[i].encode_into(&mut buf);
+        format!("result {i:03}: {}\n", hex(&buf))
+    };
+    let mut out: String = (0..FRAMED_CALLS).map(call_line).collect();
+    out.extend((0..FRAMED_RESULTS).map(result_line));
     // Whole-frame entries pin the batch headers (magic, version, counts) too.
     let batch = SyscallBatch {
-        entries: corpus_calls(),
+        entries: calls[..FRAMED_CALLS].to_vec(),
     };
     out.push_str(&format!("batch syscalls: {}\n", hex(&batch.encode())));
     let completions = CompletionBatch {
-        completions: corpus_results()
-            .into_iter()
+        completions: results[..FRAMED_RESULTS]
+            .iter()
             .enumerate()
             .map(|(i, result)| browsix_core::Completion {
                 index: i as u32,
-                result,
+                result: result.clone(),
             })
             .collect(),
     };
     out.push_str(&format!("batch completions: {}\n", hex(&completions.encode())));
+    out.extend((FRAMED_CALLS..calls.len()).map(call_line));
+    out.extend((FRAMED_RESULTS..results.len()).map(result_line));
     out
 }
 

@@ -56,9 +56,9 @@ proptest! {
         prop_assert_eq!(fs.stat("/file").unwrap().size as usize, expected.len());
     }
 
-    /// The kernel stream ring buffer is a faithful FIFO: bytes come out in
+    /// The kernel stream buffer is a faithful FIFO: bytes come out in
     /// order and none are lost or invented, under arbitrary interleavings of
-    /// push/pop (the ring wraps many times at this capacity).
+    /// push/pop (it fills and drains many times at this capacity).
     #[test]
     fn stream_preserves_fifo_byte_stream(ops in proptest::collection::vec((any::<bool>(), proptest::collection::vec(any::<u8>(), 0..64)), 1..40)) {
         let mut stream = browsix_core::Stream::new(1024);

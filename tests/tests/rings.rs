@@ -1,9 +1,11 @@
 //! End-to-end tests for the persistent syscall rings and the zero-copy data
-//! path: `httpd` serving a large file over `sendfile` without the bytes ever
+//! paths: `httpd` serving a large file over `sendfile` without the bytes ever
 //! entering guest memory; a shell pipeline whose every system call rides the
 //! shared-memory submission/completion rings instead of messages; calls and
-//! results too large for a ring slot; and a guest that writes garbage into
-//! its ring instead of submissions.
+//! results too large for a ring slot; a guest that writes garbage into its
+//! ring instead of submissions, or posts garbage beside its message frames
+//! instead of a transfer list; and a large write by message reaching its
+//! reader as the allocation the writer staged.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -614,17 +616,32 @@ impl RawRing {
 
     /// Sends one call as a message and waits for its response.
     fn call_by_message(&self, seq: u64, call: Syscall) -> SysResult {
-        let payload = SyscallBatch::single(call).encode();
-        let pid = self.ctx.pid;
+        self.post(seq, &SyscallBatch::single(call), Vec::new()).remove(0)
+    }
+
+    /// Posts `batch` exactly as it is, with `transfers` — whatever they are —
+    /// beside it, and waits for the response: one result per entry, in
+    /// submission order, bulk read data re-attached.
+    fn post(&self, seq: u64, batch: &SyscallBatch, transfers: Vec<Vec<u8>>) -> Vec<SysResult> {
+        let (pid, payload) = (self.ctx.pid, batch.encode());
         self.ctx
             .kernel
-            .send(KernelEvent::Syscall { pid, seq, payload })
+            .send(KernelEvent::Syscall {
+                pid,
+                seq,
+                payload,
+                transfers,
+            })
             .expect("kernel is up");
         loop {
-            let msg = self.ctx.scope.recv().expect("worker is alive");
+            let mut msg = self.ctx.scope.recv().expect("worker is alive");
             if msg.get_str("type") == Some("syscall-response") && msg.get_int("seq") == Some(seq as i64) {
+                let transfers = msg.take_transfer();
                 let batch = msg.get_bytes("completions").and_then(CompletionBatch::decode);
-                return batch.expect("response decodes").completions.remove(0).result;
+                let mut batch = batch.expect("response decodes");
+                batch.attach_payloads(transfers);
+                batch.completions.sort_by_key(|completion| completion.index);
+                return batch.completions.into_iter().map(|c| c.result).collect();
             }
         }
     }
@@ -895,5 +912,256 @@ fn a_parked_read_is_not_redirected_by_dup2_over_its_descriptor() {
     assert!(matches!(dup2, SysResult::Int(_)), "dup2: {dup2:?}");
     assert_eq!(*write, SysResult::Int(13));
     assert_eq!(*read, SysResult::Data(b"from the pipe".to_vec()));
+    kernel.shutdown();
+}
+
+/// Submits, in one batch, a `sendfile` of a file 100 bytes larger than a
+/// pipe — which parks with those 100 bytes to go — then a `dup2` of another
+/// pipe's write end over the descriptor it is sending to, then the read that
+/// makes room; afterwards drains both pipes without blocking.
+struct SendfileThenDup2 {
+    /// `[sendfile, dup2, read]`, then what was left in the pipe the call was
+    /// made on, then what a read of the other pipe said.
+    results: Arc<Mutex<Vec<SysResult>>>,
+}
+
+const PIPE_BYTES: usize = 64 * 1024;
+
+fn sendfile_source() -> Vec<u8> {
+    (0..PIPE_BYTES + 100).map(|i| (i % 251) as u8).collect()
+}
+
+impl ProgramLauncher for SendfileThenDup2 {
+    fn launch(&self, ctx: LaunchContext) {
+        let pid = ctx.pid;
+        let mut raw = RawRing::start(ctx);
+        let geo = *raw.ring.geometry();
+        assert_eq!(raw.call_by_message(1, ring_setup(geo)), SysResult::Ok);
+        let mut pipe = || match raw.call(&Syscall::Pipe2) {
+            SysResult::Pair(r, w) => (r as i32, w as i32),
+            other => panic!("pipe2 failed: {other:?}"),
+        };
+        let ((r, w), (other_r, other_w)) = (pipe(), pipe());
+        // A second descriptor on the write end, so that `dup2` closing `w`
+        // does not leave the pipe without a writer.
+        assert!(matches!(raw.call(&Syscall::Dup { fd: w }), SysResult::Int(_)));
+        let open = Syscall::Open {
+            path: "/source".to_owned(),
+            flags: OpenFlags::read_only(),
+            mode: 0,
+        };
+        let SysResult::Int(file) = raw.call(&open) else {
+            panic!("open failed");
+        };
+        let first = raw.next_user_data;
+        let sendfile = Syscall::Sendfile {
+            out_fd: w,
+            in_fd: file as i32,
+            offset: -1,
+            len: 1 << 20,
+        };
+        raw.push(first, &sendfile);
+        raw.push(first + 1, &Syscall::Dup2 { from: other_w, to: w });
+        raw.push(first + 2, &Syscall::Read { fd: r, len: 200 });
+        raw.next_user_data += 3;
+        let mut results = vec![SysResult::Ok; 3];
+        for _ in 0..3 {
+            let (user_data, result) = raw.next_completion();
+            results[(user_data - first) as usize] = result;
+        }
+        // Drain by message, where a read is not capped by the ring's buffers.
+        let nonblocking = |fd| Syscall::SetFlags {
+            fd,
+            flags: browsix_core::NONBLOCK,
+        };
+        let drain = SyscallBatch {
+            entries: vec![
+                nonblocking(r),
+                nonblocking(other_r),
+                Syscall::Read { fd: r, len: 1 << 20 },
+                Syscall::Read {
+                    fd: other_r,
+                    len: 1 << 20,
+                },
+            ],
+        };
+        results.extend(raw.post(2, &drain, Vec::new()).into_iter().skip(2));
+        *self.results.lock().unwrap() = results;
+        raw.exit(pid);
+    }
+}
+
+/// The same rule for `sendfile`: the transfer belongs to the stream and the
+/// file it found when it was called, and `dup2` over its output descriptor
+/// while it is parked sends not one byte elsewhere.
+#[test]
+fn a_parked_sendfile_is_not_redirected_by_dup2_over_its_descriptor() {
+    let results = Arc::new(Mutex::new(Vec::new()));
+    let config = browsix_core::BootConfig::in_memory();
+    let guest = SendfileThenDup2 {
+        results: Arc::clone(&results),
+    };
+    config.registry.register("/usr/bin/redirect", Arc::new(guest));
+    let kernel = Kernel::boot(config);
+    let source = sendfile_source();
+    kernel.fs().write_file("/source", &source).expect("stage /source");
+    let handle = kernel.spawn("/usr/bin/redirect", &["redirect"], &[]).expect("spawn");
+    let status = handle.wait_timeout(WATCHDOG).expect("the guest hung");
+    assert_eq!(status.code, Some(0));
+    let [sendfile, dup2, read, rest, other] = &results.lock().unwrap()[..] else {
+        panic!("five results were recorded");
+    };
+    assert!(matches!(dup2, SysResult::Int(_)), "dup2: {dup2:?}");
+    assert_eq!(*sendfile, SysResult::Int(source.len() as i64));
+    assert_eq!(*read, SysResult::Data(source[..200].to_vec()));
+    assert_eq!(*other, SysResult::Err(Errno::EAGAIN), "bytes reached the other pipe");
+    assert_eq!(*rest, SysResult::Data(source[200..].to_vec()));
+    kernel.shutdown();
+}
+
+// ---- the message transport's data path -----------------------------------------
+
+/// A 64 KiB `write` to a pipe and the `read` that takes it back, by message:
+/// the bytes are copied once, by the writer staging them, and never again —
+/// the buffer crosses to the kernel beside the frame, is queued on the pipe
+/// as it is, handed to the read as it is and crosses back beside the reply.
+#[test]
+fn a_large_write_by_message_reaches_its_reader_as_the_buffer_the_writer_staged() {
+    let config = browsix_core::BootConfig::in_memory();
+    let body = |client: &mut SyscallClient| {
+        let SysResult::Pair(r, w) = client.sys_pipe2() else {
+            return 2;
+        };
+        let data = vec![0x5Au8; PIPE_BYTES];
+        let staged = data.as_ptr();
+        let data = ByteSource::Inline(data);
+        if client.call(Syscall::Write { fd: w as i32, data }) != SysResult::Int(PIPE_BYTES as i64) {
+            return 3;
+        }
+        let read = Syscall::Read {
+            fd: r as i32,
+            len: 2 * PIPE_BYTES as u32,
+        };
+        match client.call(read) {
+            SysResult::Data(read) if read != vec![0x5Au8; PIPE_BYTES] => 4,
+            SysResult::Data(read) if read.as_ptr() != staged => 5,
+            SysResult::Data(_) => 0,
+            _ => 6,
+        }
+    };
+    let probe = ClientProbe {
+        prefer_sync: false,
+        body,
+    };
+    config.registry.register("/usr/bin/probe", Arc::new(probe));
+    let kernel = Kernel::boot(config);
+    let handle = kernel.spawn("/usr/bin/probe", &["probe"], &[]).expect("spawn probe");
+    let status = handle.wait_timeout(WATCHDOG).expect("the probe hung");
+    assert_eq!(status.code, Some(0), "4: wrong bytes, 5: right bytes in another buffer");
+    let stats = kernel.stats();
+    assert!(
+        stats.bytes_copied < 4096,
+        "frames and the init message only, not the payload: {}",
+        stats.bytes_copied
+    );
+    kernel.shutdown();
+}
+
+/// Posts frames whose transfer references name no buffer, the wrong buffer,
+/// or a buffer twice, and a reference through a ring slot, which has no list
+/// beside it at all; records what every call completed with.
+struct HostileTransfers {
+    /// `(case, result)` in submission order.
+    transcript: Arc<Mutex<Vec<(&'static str, SysResult)>>>,
+}
+
+impl ProgramLauncher for HostileTransfers {
+    fn launch(&self, ctx: LaunchContext) {
+        let pid = ctx.pid;
+        let mut raw = RawRing::start(ctx);
+        let SysResult::Pair(r, w) = raw.call_by_message(1, Syscall::Pipe2) else {
+            panic!("pipe2 failed");
+        };
+        let (r, w) = (r as i32, w as i32);
+        let reference = |index, len| Syscall::Write {
+            fd: w,
+            data: ByteSource::Transfer { index, len },
+        };
+        let hostile = SyscallBatch {
+            entries: vec![
+                reference(2, 4096),
+                reference(0, 4095),
+                reference(1, 2048),
+                reference(1, 2048),
+            ],
+        };
+        let mut results = raw.post(2, &hostile, vec![vec![0; 4096], vec![1; 2048]]);
+        results.extend(raw.post(3, &SyscallBatch::single(reference(0, 2048)), Vec::new()));
+        // The same process, the same pipe, a frame as a client makes it.
+        let mut honest = SyscallBatch::single(Syscall::Write {
+            fd: w,
+            data: ByteSource::Inline(vec![2; 4096]),
+        });
+        let transfers = honest.detach_payloads();
+        assert_eq!(transfers.len(), 1, "4 KiB is large enough to detach");
+        results.extend(raw.post(4, &honest, transfers));
+        results.push(raw.call_by_message(5, Syscall::Read { fd: r, len: 1 << 20 }));
+        let geo = *raw.ring.geometry();
+        results.push(raw.call_by_message(6, ring_setup(geo)));
+        results.push(raw.call(&reference(0, 2048)));
+        results.push(raw.call(&Syscall::GetPid));
+        let cases = [
+            "index past the end of the list",
+            "length that is not the buffer's",
+            "a reference that is right",
+            "the same item a second time",
+            "a reference with no list beside the frame",
+            "a well-formed detached write",
+            "reading it all back",
+            "ring_setup",
+            "a reference in a ring slot",
+            "getpid through the ring",
+        ];
+        *self.transcript.lock().unwrap() = cases.into_iter().zip(results).collect();
+        raw.exit(pid);
+    }
+}
+
+/// The transfer list is the guest's to fill, like the frame and the ring:
+/// a reference that does not name exactly one whole unclaimed buffer fails
+/// its own call with `EINVAL` — nothing panics, nothing else in the frame is
+/// affected, and the next well-formed frame goes through.
+#[test]
+fn hostile_transfer_references_get_einval_and_the_process_carries_on() {
+    let transcript = Arc::new(Mutex::new(Vec::new()));
+    let config = browsix_core::BootConfig::in_memory();
+    let guest = HostileTransfers {
+        transcript: Arc::clone(&transcript),
+    };
+    config.registry.register("/usr/bin/hostile", Arc::new(guest));
+    let kernel = Kernel::boot(config);
+    let handle = kernel
+        .spawn("/usr/bin/hostile", &["hostile"], &[])
+        .expect("spawn hostile");
+    let status = handle.wait_timeout(WATCHDOG).expect("the hostile guest hung");
+    assert_eq!(status.code, Some(0), "transcript: {:?}", transcript.lock().unwrap());
+    let einval = SysResult::Err(Errno::EINVAL);
+    let mut piped = vec![1u8; 2048];
+    piped.extend_from_slice(&[2; 4096]);
+    assert_eq!(
+        *transcript.lock().unwrap(),
+        [
+            ("index past the end of the list", einval.clone()),
+            ("length that is not the buffer's", einval.clone()),
+            ("a reference that is right", SysResult::Int(2048)),
+            ("the same item a second time", einval.clone()),
+            ("a reference with no list beside the frame", einval.clone()),
+            ("a well-formed detached write", SysResult::Int(4096)),
+            ("reading it all back", SysResult::Data(piped)),
+            ("ring_setup", SysResult::Ok),
+            ("a reference in a ring slot", einval),
+            ("getpid through the ring", SysResult::Int(handle.pid as i64)),
+        ]
+    );
     kernel.shutdown();
 }
