@@ -5,7 +5,7 @@
 //! any diff (`scripts/abigen_check.sh`), so it can never go stale the way
 //! a hand-written spec would.
 
-use crate::{Abi, ResultKind, SyscallDef};
+use crate::{Abi, ResultKind, SyscallDef, RETIRED_TAGS};
 
 /// Renders the full reference manual as Markdown.
 pub fn render(abi: &Abi) -> String {
@@ -134,11 +134,13 @@ pub fn render(abi: &Abi) -> String {
 
     // ---- result tags -------------------------------------------------------
     out.push_str("## Result tags\n\n");
-    out.push_str(
+    let retired: Vec<String> = RETIRED_TAGS.iter().map(u8::to_string).collect();
+    out.push_str(&format!(
         "A completion carries exactly one of these, identified by its leading\n\
          tag byte. Tag numbering is append-only, like opcodes; `255` is the\n\
-         error tag.\n\n",
-    );
+         error tag. Retired, never to be reused: {}.\n\n",
+        retired.join(", ")
+    ));
     for res in &abi.results {
         let layout: Vec<String> = res.fields.iter().map(|f| f.ty.layout(&f.name)).collect();
         let shape = match res.kind {

@@ -496,8 +496,11 @@ pub fn parse(text: &str) -> Result<Abi, ParseError> {
     Ok(abi)
 }
 
-/// Structural checks beyond syntax: unique/dense opcodes, unique tags,
-/// resolvable ring-cap and altname field references.
+/// Result tags once assigned and now reserved forever (9 was `DataFixed`).
+pub const RETIRED_TAGS: &[u8] = &[9];
+
+/// Structural checks beyond syntax: unique/dense opcodes, unique and
+/// unretired tags, resolvable ring-cap and altname field references.
 fn validate(abi: &Abi) -> Result<(), ParseError> {
     let mut seen = std::collections::BTreeSet::new();
     for sc in &abi.syscalls {
@@ -530,6 +533,9 @@ fn validate(abi: &Abi) -> Result<(), ParseError> {
     }
     let mut tags = std::collections::BTreeSet::new();
     for res in &abi.results {
+        if RETIRED_TAGS.contains(&res.tag) {
+            return Err(err(0, format!("result tag {} is retired ({})", res.tag, res.ident)));
+        }
         if !tags.insert(res.tag) {
             return Err(err(0, format!("duplicate result tag {} ({})", res.tag, res.ident)));
         }
@@ -559,4 +565,19 @@ pub fn manifest_line(abi: &Abi) -> String {
         abi.syscalls.iter().map(|s| s.opcode).max().unwrap_or(0),
         abi.results.len(),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const IDL: &str = include_str!("../../../abi/syscalls.abi");
+
+    #[test]
+    fn a_retired_result_tag_is_refused() {
+        assert!(parse(IDL).is_ok());
+        let revived = format!("{IDL}\nresult Revived = 9 {{\n  kind: unit\n}}\n");
+        let error = parse(&revived).expect_err("tag 9 is retired");
+        assert!(error.to_string().contains("retired"), "{error}");
+    }
 }

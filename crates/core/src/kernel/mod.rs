@@ -455,25 +455,28 @@ impl KernelState {
     }
 
     /// Posts one ring completion.  It queues behind any that overflowed
-    /// earlier — the completion queue was full, or no registered buffer was
-    /// free — so completions reach the process in the order they were made,
-    /// and stays in the task's overflow queue itself if it cannot go now.
+    /// earlier — the completion queue was full, or no run of registered
+    /// buffers was free — so completions reach the process in the order
+    /// they were made, and stays in the task's overflow queue itself if it
+    /// cannot go now.
     fn post_ring_completion(&mut self, pid: Pid, user_data: u32, result: SysResult) {
         self.flush_pending_cqes(pid, Some((user_data, result)));
     }
 
     /// Publishes the task's queued completions, `newest` last, in FIFO order
-    /// until one does not fit, and remembers that its ring is owed a notify.
+    /// until one does not fit ([`Ring::push_result`]: a full queue, or no
+    /// free run of the buffers a spill needs), and remembers that its ring
+    /// is owed a notify.
     fn flush_pending_cqes(&mut self, pid: Pid, newest: Option<(u32, SysResult)>) {
         let Some(task) = self.tasks.get_mut(&pid) else { return };
         task.pending_cqes.extend(newest);
         let Some(ring) = &task.ring else { return };
         let mut posted = 0;
-        while let Some((user_data, result)) = task.pending_cqes.pop_front() {
-            if let Err(result) = Self::try_post_cqe(ring, user_data, result) {
-                task.pending_cqes.push_front((user_data, result));
+        while let Some((user_data, result)) = task.pending_cqes.front() {
+            if !ring.push_result(*user_data, result) {
                 break;
             }
+            task.pending_cqes.pop_front();
             posted += 1;
         }
         if posted > 0 {
@@ -496,59 +499,6 @@ impl KernelState {
             if let Some(ring) = self.tasks.get(&pid).and_then(|t| t.ring.as_ref()) {
                 ring.notify_cq();
             }
-        }
-    }
-
-    /// Encodes one result into a completion-queue entry and publishes it.
-    ///
-    /// Bulk `Data` results that exceed a slot but fit one registered buffer
-    /// travel raw: the bytes go into a free buffer and the entry carries a
-    /// 12-byte [`SysResult::DataFixed`] reference.  Anything else too large
-    /// for a slot is spilled by [`Ring::push_cqe`] — or, if not even the
-    /// whole buffer table could hold it, completes with `EOVERFLOW`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the result back when it cannot be posted right now (queue
-    /// full, or the registered buffers it needs are not free); the caller
-    /// keeps it in the task's overflow queue.
-    fn try_post_cqe(ring: &Ring, user_data: u32, result: SysResult) -> Result<(), SysResult> {
-        if ring.cq_space() == 0 {
-            return Err(result);
-        }
-        let geo = ring.geometry();
-        let mut frame = Vec::with_capacity(16);
-        result.encode_into(&mut frame);
-        let mut fixed_buf = None;
-        if frame.len() > geo.slot_payload_bytes() {
-            match &result {
-                SysResult::Data(data) if data.len() <= geo.buf_bytes as usize => {
-                    let Some(buf) = ring.alloc_buf() else {
-                        return Err(result);
-                    };
-                    ring.write_buf(buf, data);
-                    frame.clear();
-                    SysResult::DataFixed {
-                        buf,
-                        len: data.len() as u32,
-                    }
-                    .encode_into(&mut frame);
-                    fixed_buf = Some(buf);
-                }
-                _ if frame.len() > geo.max_spill_bytes() => {
-                    frame.clear();
-                    SysResult::Err(Errno::EOVERFLOW).encode_into(&mut frame);
-                }
-                _ => {}
-            }
-        }
-        if ring.push_cqe(user_data, &frame) {
-            Ok(())
-        } else {
-            if let Some(buf) = fixed_buf {
-                ring.free_buf(buf);
-            }
-            Err(result)
         }
     }
 

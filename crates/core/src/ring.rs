@@ -65,6 +65,10 @@
 //! cannot travel at all; the kernel answers it `EOVERFLOW` and clamps ring
 //! reads ([`RingGeometry::max_read_bytes`]) so that a read never gets there.
 //!
+//! Spilling is the one way bulk read data comes back, and each byte is
+//! written into the buffers once and read out once ([`Ring::pop_result`]).
+//! A 64 KiB read and its header span two buffers.
+//!
 //! # Example
 //!
 //! A call crosses a ring slot in its ordinary wire encoding and comes back
@@ -88,6 +92,9 @@
 //! ```
 
 use browsix_browser::SharedArrayBuffer;
+
+use crate::wire::Reader;
+use crate::{Errno, SysResult};
 
 /// Number of slots in each queue (power of two).
 pub const RING_SLOTS: u32 = 64;
@@ -249,6 +256,13 @@ fn reference(a: u32, len: usize) -> [u8; REFERENCE_BYTES] {
     bytes
 }
 
+/// What the encoding of a `SysResult::Data` of `len` bytes puts before them.
+fn data_header(len: usize) -> [u8; DATA_HEADER_BYTES] {
+    let mut header = [SysResult::Data(Vec::new()).tag(); DATA_HEADER_BYTES];
+    header[1..].copy_from_slice(&(len as u32).to_le_bytes());
+    header
+}
+
 /// One side's handle to a ring pair mapped into a shared heap.
 ///
 /// Both the kernel and the `SyscallClient` hold one of these over the *same*
@@ -293,16 +307,17 @@ impl Ring {
         (head, if queued > self.geo.slots { 0 } else { queued })
     }
 
-    /// Writes one entry into the next free slot of the queue headed at
-    /// `queue`.  Returns the tail index that publishes it, or `None`
-    /// (without side effects) if the queue is full.
-    fn write_slot(&self, queue: u32, user_data: u32, length_word: u32, payload: &[u8]) -> Option<u32> {
+    /// Writes one entry, `head` followed by `body`, into the next free slot
+    /// of the queue headed at `queue`.  Returns the tail index that
+    /// publishes it, or `None` (without side effects) if the queue is full.
+    fn write_slot(&self, queue: u32, user_data: u32, length_word: u32, head: &[u8], body: &[u8]) -> Option<u32> {
         if self.queued(queue).1 == self.geo.slots {
             return None;
         }
         let tail = self.load(queue as usize + TAIL);
         let slot = self.geo.slot_off(queue, tail);
-        self.sab.write_bytes(slot + 8, payload).ok()?;
+        self.sab.write_bytes(slot + 8, head).ok()?;
+        self.sab.write_bytes(slot + 8 + head.len(), body).ok()?;
         self.store(slot, user_data);
         self.store(slot + 4, length_word);
         Some(tail.wrapping_add(1))
@@ -341,7 +356,7 @@ impl Ring {
     }
 
     fn publish_sqe(&self, user_data: u32, length_word: u32, payload: &[u8]) -> bool {
-        let tail = self.write_slot(self.geo.sq_offset, user_data, length_word, payload);
+        let tail = self.write_slot(self.geo.sq_offset, user_data, length_word, payload, &[]);
         tail.is_some_and(|tail| {
             self.store(self.geo.sq_offset as usize + TAIL, tail);
             true
@@ -429,17 +444,49 @@ impl Ring {
     /// the completion in an overflow queue and retry later.  A payload
     /// larger than [`RingGeometry::max_spill_bytes`] can never be pushed.
     pub fn push_cqe(&self, user_data: u32, payload: &[u8]) -> bool {
-        let cq = self.geo.cq_offset;
-        let tail = if payload.len() <= self.geo.slot_payload_bytes() {
-            self.write_slot(cq, user_data, payload.len() as u32, payload)
+        self.push_cqe_gather(user_data, payload, &[])
+    }
+
+    /// Kernel: [`Ring::push_cqe`] of a result's encoding, except that a
+    /// spilled `Data` result's bytes go into the buffers straight from the
+    /// result, after their header.  A result too large for the whole table
+    /// is posted as `EOVERFLOW` instead.
+    pub(crate) fn push_result(&self, user_data: u32, result: &SysResult) -> bool {
+        let mut head = Vec::with_capacity(16);
+        let body: &[u8] = match result {
+            SysResult::Data(data) if DATA_HEADER_BYTES + data.len() > self.geo.slot_payload_bytes() => {
+                head.extend_from_slice(&data_header(data.len()));
+                data
+            }
+            _ => {
+                result.encode_into(&mut head);
+                &[]
+            }
+        };
+        if head.len() + body.len() > self.geo.max_spill_bytes().max(self.geo.slot_payload_bytes()) {
+            head.clear();
+            SysResult::Err(Errno::EOVERFLOW).encode_into(&mut head);
+            return self.push_cqe(user_data, &head);
+        }
+        self.push_cqe_gather(user_data, &head, body)
+    }
+
+    /// [`Ring::push_cqe`] of `head` followed by `body`.
+    fn push_cqe_gather(&self, user_data: u32, head: &[u8], body: &[u8]) -> bool {
+        let (cq, len) = (self.geo.cq_offset, head.len() + body.len());
+        let tail = if len <= self.geo.slot_payload_bytes() {
+            self.write_slot(cq, user_data, len as u32, head, body)
         } else {
-            let run = self.geo.buf_run(payload.len());
+            let run = self.geo.buf_run(len);
             let Some(first) = self.alloc_bufs(run) else {
                 return false;
             };
-            let reference = reference(first, payload.len());
-            let spilled = self.sab.write_bytes(self.geo.buf_slot_off(first), payload).ok();
-            let tail = spilled.and_then(|()| self.write_slot(cq, user_data, INDIRECT | 8, &reference));
+            let at = self.geo.buf_slot_off(first);
+            let spilled = self.sab.write_bytes(at, head).is_ok() && self.sab.write_bytes(at + head.len(), body).is_ok();
+            let reference = reference(first, len);
+            let tail = spilled
+                .then(|| self.write_slot(cq, user_data, INDIRECT | 8, &reference, &[]))
+                .flatten();
             if tail.is_none() {
                 self.free_bufs(first, run);
             }
@@ -462,12 +509,40 @@ impl Ring {
     /// that is empty or names buffers outside the table pops as an empty
     /// payload and frees nothing.
     pub fn pop_cqe(&self) -> Option<(u32, Vec<u8>)> {
+        self.pop_cqe_reading(|at, len| self.sab.read_bytes(at, len).ok())
+    }
+
+    /// Process: pops the oldest completion as the result it encodes.  A
+    /// spilled `Data` result's bytes are read out of the buffers straight
+    /// into the `Vec` it carries.  An empty payload, which is what a bad
+    /// spill reference pops as, reads as `EFAULT`, and one that decodes to
+    /// nothing — an unknown or retired tag, say — as `EIO`.
+    pub fn pop_result(&self) -> Option<(u32, SysResult)> {
+        let mut data = false;
+        let (user_data, bytes) = self.pop_cqe_reading(|at, len| {
+            let header = data_header(len.saturating_sub(DATA_HEADER_BYTES));
+            let head = self.sab.read_bytes(at, len.min(DATA_HEADER_BYTES));
+            data = head.is_ok_and(|head| head == header);
+            let skip = if data { DATA_HEADER_BYTES } else { 0 };
+            self.sab.read_bytes(at + skip, len - skip).ok()
+        })?;
+        let result = match bytes {
+            bytes if data => SysResult::Data(bytes),
+            bytes if bytes.is_empty() => SysResult::Err(Errno::EFAULT),
+            bytes => SysResult::decode_from(&mut Reader::new(&bytes)).unwrap_or(SysResult::Err(Errno::EIO)),
+        };
+        Some((user_data, result))
+    }
+
+    /// Pops the oldest completion, reading a spilled one with `read(at,
+    /// len)` before freeing its buffers.
+    fn pop_cqe_reading(&self, read: impl FnOnce(usize, usize) -> Option<Vec<u8>>) -> Option<(u32, Vec<u8>)> {
         self.pop(self.geo.cq_offset, |first, len| {
             let run = self.geo.buf_run(len);
             if run == 0 || first >= self.geo.buf_count || run > self.geo.buf_count - first {
                 return None;
             }
-            let bytes = self.sab.read_bytes(self.geo.buf_slot_off(first), len).ok();
+            let bytes = read(self.geo.buf_slot_off(first), len);
             self.free_bufs(first, run);
             bytes
         })
@@ -502,37 +577,6 @@ impl Ring {
         let _ = self
             .sab
             .fetch_and_i32(self.geo.buf_offset as usize, !run_mask(first, n) as i32);
-    }
-
-    /// Kernel: claims a free registered buffer, marking it in the shared
-    /// allocation bitmap.  Returns its index, or `None` if all are in use.
-    pub fn alloc_buf(&self) -> Option<u32> {
-        self.alloc_bufs(1)
-    }
-
-    /// Process: releases a registered buffer after copying its bytes out.
-    pub fn free_buf(&self, index: u32) {
-        if index < self.geo.buf_count {
-            self.free_bufs(index, 1);
-        }
-    }
-
-    /// Kernel: fills a registered buffer with result bytes.
-    ///
-    /// Returns `false` if the index or length is out of range.
-    pub fn write_buf(&self, index: u32, data: &[u8]) -> bool {
-        if index >= self.geo.buf_count || data.len() > self.geo.buf_bytes as usize {
-            return false;
-        }
-        self.sab.write_bytes(self.geo.buf_slot_off(index), data).is_ok()
-    }
-
-    /// Process: copies result bytes out of a registered buffer.
-    pub fn read_buf(&self, index: u32, len: usize) -> Option<Vec<u8>> {
-        if index >= self.geo.buf_count || len > self.geo.buf_bytes as usize {
-            return None;
-        }
-        self.sab.read_bytes(self.geo.buf_slot_off(index), len).ok()
     }
 }
 
@@ -700,17 +744,23 @@ mod tests {
 
         // A completion of two and a bit buffers takes three adjacent ones,
         // and popping it hands all three back.
+        let buffers = |n: u32, byte: u8| vec![byte; (n * REG_BUF_BYTES) as usize];
         let result: Vec<u8> = (0..2 * REG_BUF_BYTES + 5).map(|i| i as u8).collect();
-        assert_eq!(ring.alloc_buf(), Some(0));
+        assert!(ring.push_cqe(8, &buffers(1, 8)));
         assert!(ring.push_cqe(9, &result));
-        assert_eq!(ring.alloc_buf(), Some(4), "buffers 1..=3 carry the spill");
+        assert_eq!(bitmap(&ring), 0b1111, "buffers 1..=3 carry the spill");
+        assert!(ring.push_cqe(10, &buffers(1, 10)));
+        assert_eq!(ring.pop_cqe(), Some((8, buffers(1, 8))));
         assert_eq!(ring.pop_cqe(), Some((9, result)));
-        assert_eq!(ring.alloc_buf(), Some(1));
+        assert_eq!(bitmap(&ring), 0b1_0000);
+        assert!(ring.push_cqe(11, &buffers(2, 11)));
+        assert_eq!(bitmap(&ring), 0b1_0011, "the first run that is free");
         // No run of free buffers, no push; nothing is left half-claimed.
-        assert!(!ring.push_cqe(10, &vec![0u8; 6 * REG_BUF_BYTES as usize]));
-        for index in [0, 1, 4] {
-            ring.free_buf(index);
-        }
+        assert!(!ring.push_cqe(12, &buffers(6, 12)));
+        assert_eq!(bitmap(&ring), 0b1_0011);
+        assert_eq!(ring.pop_cqe(), Some((10, buffers(1, 10))));
+        assert_eq!(ring.pop_cqe(), Some((11, buffers(2, 11))));
+        assert_eq!(bitmap(&ring), 0);
         let whole_table = vec![1u8; ring.geometry().max_spill_bytes()];
         assert!(ring.push_cqe(10, &whole_table));
         assert_eq!(ring.pop_cqe(), Some((10, whole_table)));
@@ -745,13 +795,15 @@ mod tests {
             reference(u32::MAX, u32::MAX as usize),
             reference(2, 0),
         ];
-        let claimed = ring.alloc_buf().unwrap();
+        // Buffers 0, 2 and 6 are busy, as far as the bitmap says.
+        let bitmap_word = ring.geometry().buf_offset as usize;
+        ring.sab().store_i32(bitmap_word, 0b100_0101).unwrap();
         for (i, case) in cq_cases.iter().enumerate() {
             assert!(ring.push_cqe(i as u32, b"placeholder"));
             scribble(&ring, 4096 + RING_BYTES, i as u32, INDIRECT | 8, case);
             assert_eq!(ring.pop_cqe(), Some((i as u32, Vec::new())), "case {i}");
         }
-        assert_eq!(ring.alloc_buf(), Some(claimed + 1), "a bad reference frees nothing");
+        assert_eq!(bitmap(&ring), 0b100_0101, "a bad reference frees nothing");
     }
 
     #[test]
@@ -776,6 +828,70 @@ mod tests {
         let mut frame = Vec::new();
         largest.encode_into(&mut frame);
         assert_eq!(frame.len(), geo.max_spill_bytes());
+        assert_eq!(frame[..DATA_HEADER_BYTES], data_header(geo.max_read_bytes() as usize));
+    }
+
+    #[test]
+    fn results_spill_and_a_data_result_pops_as_its_own_bytes() {
+        let ring = ring();
+        // A 64 KiB read and its header span two buffers, and what the
+        // buffers hold is the result's ordinary encoding.
+        let data: Vec<u8> = (0..REG_BUF_BYTES).map(|i| (i % 251) as u8).collect();
+        let read = SysResult::Data(data.clone());
+        assert!(ring.push_result(1, &read));
+        assert_eq!(bitmap(&ring), 0b11);
+        let mut encoded = Vec::new();
+        read.encode_into(&mut encoded);
+        assert_eq!(ring.pop_cqe(), Some((1, encoded)));
+        assert_eq!(bitmap(&ring), 0);
+        // Popped as a result, it is that `Data` again; so are a short read
+        // in a slot, a spilled result of another kind and an empty read.
+        let entries = SysResult::Entries(
+            (0..2000)
+                .map(|i| browsix_fs::DirEntry::file(&format!("f{i}")))
+                .collect(),
+        );
+        let cases = [
+            read,
+            SysResult::Data(b"short".to_vec()),
+            entries,
+            SysResult::Data(Vec::new()),
+        ];
+        for (i, result) in cases.iter().enumerate() {
+            assert!(ring.push_result(i as u32, result));
+        }
+        for (i, result) in cases.into_iter().enumerate() {
+            assert_eq!(ring.pop_result(), Some((i as u32, result)));
+        }
+        assert_eq!(bitmap(&ring), 0);
+        // A result no spill can carry is posted as `EOVERFLOW` instead.
+        let too_large = SysResult::Data(vec![0; ring.geometry().max_read_bytes() as usize + 1]);
+        assert!(ring.push_result(9, &too_large));
+        assert_eq!(ring.pop_result(), Some((9, SysResult::Err(Errno::EOVERFLOW))));
+    }
+
+    #[test]
+    fn a_result_waits_for_a_free_slot_and_a_free_run() {
+        let ring = ring();
+        let read = SysResult::Data(vec![7; REG_BUF_BYTES as usize]);
+        for i in 0..3 {
+            assert!(ring.push_result(i, &read), "{i}: two buffers each");
+        }
+        assert!(!ring.push_result(3, &read), "one buffer left");
+        assert!(
+            ring.push_result(3, &SysResult::Data(vec![7; 100])),
+            "a slot still takes it"
+        );
+        assert_eq!(ring.pop_result(), Some((0, read.clone())));
+        assert!(ring.push_result(4, &read));
+        for i in 5..=RING_SLOTS {
+            assert!(ring.push_result(i, &SysResult::Int(i.into())));
+        }
+        assert!(!ring.push_result(99, &SysResult::Ok), "the queue is full");
+        assert_eq!(ring.pop_result(), Some((1, read.clone())));
+        assert!(ring.push_result(RING_SLOTS + 1, &SysResult::Ok), "the slot it freed");
+        assert!(!ring.push_result(99, &read), "a free run, but no slot");
+        assert_eq!(bitmap(&ring), 0b11_0011, "and nothing claimed for it");
     }
 
     #[test]
@@ -796,19 +912,25 @@ mod tests {
     #[test]
     fn registered_buffers_allocate_fill_and_free() {
         let ring = ring();
-        let mut claimed = Vec::new();
-        for _ in 0..REG_BUF_COUNT {
-            claimed.push(ring.alloc_buf().unwrap());
+        let fill = |i: u32| vec![i as u8; REG_BUF_BYTES as usize];
+        let all = (1 << REG_BUF_COUNT) - 1;
+        for i in 0..REG_BUF_COUNT {
+            assert!(ring.push_cqe(i, &fill(i)));
         }
-        assert_eq!(ring.alloc_buf(), None, "pool exhausted");
-        let buf = claimed[2];
-        assert!(ring.write_buf(buf, b"bulk read payload"));
-        assert_eq!(ring.read_buf(buf, 17).unwrap(), b"bulk read payload");
-        ring.free_buf(buf);
-        assert_eq!(ring.alloc_buf(), Some(buf), "freed buffer is reused");
-        // Out-of-range indices and lengths are rejected.
-        assert!(!ring.write_buf(REG_BUF_COUNT, b"x"));
-        assert!(ring.read_buf(0, REG_BUF_BYTES as usize + 1).is_none());
-        assert!(!ring.write_buf(0, &vec![0u8; REG_BUF_BYTES as usize + 1]));
+        assert_eq!(bitmap(&ring), all);
+        assert!(!ring.push_cqe(99, &fill(99)), "pool exhausted");
+        assert_eq!(ring.pop_cqe(), Some((0, fill(0))));
+        assert_eq!(bitmap(&ring), all - 1, "popping frees the buffer");
+        assert!(ring.push_cqe(REG_BUF_COUNT, &fill(REG_BUF_COUNT)));
+        assert_eq!(bitmap(&ring), all, "freed buffer is reused");
+        for i in 1..=REG_BUF_COUNT {
+            assert_eq!(ring.pop_cqe(), Some((i, fill(i))));
+        }
+        assert_eq!(bitmap(&ring), 0);
+    }
+
+    /// The registered-buffer allocation bitmap.
+    fn bitmap(ring: &Ring) -> u32 {
+        ring.sab().load_u32(ring.geometry().buf_offset as usize).unwrap()
     }
 }

@@ -460,7 +460,7 @@ impl SysResult {
             SysResult::Entries(entries) => entries.len() as i64,
             SysResult::Wait { pid, .. } => *pid as i64,
             SysResult::Poll(revents) => revents.iter().filter(|&&r| r != 0).count() as i64,
-            SysResult::DataFixed { len, .. } | SysResult::DataTransfer { len, .. } => *len as i64,
+            SysResult::DataTransfer { len, .. } => *len as i64,
             SysResult::Err(errno) => errno.as_syscall_return(),
         }
     }
@@ -788,7 +788,6 @@ mod tests {
             SysResult::Wait { pid: 9, status: 256 },
             SysResult::Poll(vec![POLLIN, 0, POLLOUT | POLLHUP]),
             SysResult::Poll(Vec::new()),
-            SysResult::DataFixed { buf: 3, len: 4096 },
             SysResult::DataTransfer { index: 1, len: 65536 },
             SysResult::Err(Errno::ENOENT),
         ]

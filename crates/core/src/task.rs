@@ -99,7 +99,7 @@ pub struct Task {
     /// (set up once by `RingSetup` after heap registration).
     pub ring: Option<Ring>,
     /// Ring completions that could not be posted yet (completion queue full
-    /// or no registered buffer free); flushed on every ring drain pass.
+    /// or no run of registered buffers free); flushed on every ring drain pass.
     pub pending_cqes: std::collections::VecDeque<(u32, SysResult)>,
     /// The submission batch currently awaiting delivery of its completions.
     pub inflight: Option<InflightBatch>,

@@ -2,7 +2,9 @@
 //! guest program sees when it actually runs as a Browsix process inside a
 //! worker.
 
-use browsix_core::{Errno, PollRequest, SigAction, SigSet, Signal, SysResult, Syscall, SyscallBatch, NONBLOCK};
+use browsix_core::{
+    ByteSource, Errno, PollRequest, SigAction, SigSet, Signal, SysResult, Syscall, SyscallBatch, NONBLOCK,
+};
 use browsix_fs::{DirEntry, Metadata, OpenFlags};
 
 use crate::client::SyscallClient;
@@ -11,7 +13,7 @@ use crate::profile::ExecutionProfile;
 
 /// Stdout writes below this size are coalesced into one buffered syscall;
 /// once the buffer reaches it, the buffer is flushed.  Chosen well under the
-/// shared-heap data area so a flush always stages in one piece.
+/// shared-heap staging area so a flush always stages in one piece.
 const STDOUT_BUFFER_LIMIT: usize = 32 * 1024;
 
 /// Runs one guest program as a Browsix process: waits for the init message,
@@ -103,12 +105,23 @@ impl BrowsixEnv {
 
     /// Writes straight through to the kernel, bypassing the stdout buffer.
     fn write_through(&mut self, fd: Fd, data: &[u8]) -> Result<usize, Errno> {
+        self.write_staged(data, &|_, data| Syscall::Write { fd, data })
+    }
+
+    /// Writes `data` by one call per piece that fits the staging area, made
+    /// by `call` from the piece's offset in `data` and its staged bytes; a
+    /// call answering `Ok` took its whole piece.
+    fn write_staged(&mut self, data: &[u8], call: &dyn Fn(u64, ByteSource) -> Syscall) -> Result<usize, Errno> {
         let mut written = 0;
         while written < data.len() {
             let chunk_len = (data.len() - written).min(self.client.max_staged_write());
-            let chunk = &data[written..written + chunk_len];
-            let source = self.client.stage_write(chunk);
-            let count = self.expect_int(Syscall::Write { fd, data: source })? as usize;
+            let source = self.client.stage_write(&data[written..written + chunk_len]);
+            let count = match self.client.call(call(written as u64, source)) {
+                SysResult::Int(count) => count as usize,
+                SysResult::Ok => chunk_len,
+                SysResult::Err(e) => return Err(e),
+                _ => return Err(Errno::EIO),
+            };
             if count == 0 {
                 break;
             }
@@ -241,14 +254,22 @@ impl RuntimeEnv for BrowsixEnv {
         }
         // One submission per shared-heap-capacity's worth of buffers: every
         // write in a chunk is staged back to back and the whole chunk crosses
-        // to the kernel in a single round trip.
+        // to the kernel in a single round trip.  A buffer larger than that
+        // goes as several writes.
         let capacity = self.client.max_staged_write();
+        let pieces: Vec<&[u8]>;
+        let bufs = if bufs.iter().any(|buf| buf.len() > capacity) {
+            pieces = bufs.iter().flat_map(|buf| buf.chunks(capacity)).collect();
+            &pieces[..]
+        } else {
+            bufs
+        };
         let mut total = 0usize;
         let mut start = 0usize;
         while start < bufs.len() {
             let mut end = start;
             let mut staged = 0usize;
-            while end < bufs.len() && (end == start || staged + bufs[end].len() <= capacity) {
+            while end < bufs.len() && staged + bufs[end].len() <= capacity {
                 staged += bufs[end].len();
                 end += 1;
             }
@@ -292,13 +313,11 @@ impl RuntimeEnv for BrowsixEnv {
     }
 
     fn pwrite(&mut self, fd: Fd, data: &[u8], offset: u64) -> Result<usize, Errno> {
-        let source = self.client.stage_write(data);
-        self.expect_int(Syscall::Pwrite {
+        self.write_staged(data, &|at, data| Syscall::Pwrite {
             fd,
-            data: source,
-            offset,
+            data,
+            offset: offset + at,
         })
-        .map(|n| n as usize)
     }
 
     fn seek(&mut self, fd: Fd, offset: i64, whence: u32) -> Result<u64, Errno> {
@@ -715,8 +734,8 @@ impl RuntimeEnv for BrowsixEnv {
     }
 
     fn vm_write(&mut self, addr: u64, data: &[u8]) -> Result<(), Errno> {
-        let source = self.client.stage_write(data);
-        self.expect_ok(Syscall::VmWrite { addr, data: source })
+        self.write_staged(data, &|at, data| Syscall::VmWrite { addr: addr + at, data })
+            .map(drop)
     }
 
     fn charge_compute(&mut self, units: u64) {

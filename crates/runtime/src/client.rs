@@ -28,11 +28,14 @@
 //! by offsets the client hands it:
 //!
 //! ```text
-//! 0         spill area      submissions too large for a ring slot
-//! 256 KiB   write staging   bulk data of write-like calls (`ByteSource::SharedHeap`)
+//! 0         staging area    bulk data of write-like calls (`ByteSource::SharedHeap`),
+//!                           then submissions too large for a ring slot
 //! 512 KiB   ring region     submission queue, completion queue, registered buffers
 //! 1 MiB
 //! ```
+//!
+//! One bump cursor serves the staging area: a batch's staged data, then its
+//! spilled submissions; the next batch starts again from 0.
 
 use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
@@ -41,20 +44,15 @@ use browsix_browser::time::precise_delay;
 use browsix_browser::{Message, PlatformConfig, SharedArrayBuffer, WorkerScope, TRANSFER_HANDLE_BYTES};
 use browsix_core::exec::{ForkImage, LaunchContext, ProcessStart};
 use browsix_core::ring::{Ring, RingGeometry};
-use browsix_core::wire::Reader;
 use browsix_core::{CompletionBatch, Errno, KernelEvent, Signal, SysResult, Syscall, SyscallBatch};
 use crossbeam::channel::Sender;
 
 /// Size of the shared heap allocated for synchronous system calls.
 const SYNC_HEAP_BYTES: usize = 1024 * 1024;
-/// Offset of the outgoing-data area within the shared heap.  Everything
-/// below it is the spill area for submissions larger than a ring slot.
-const DATA_OFFSET: usize = 256 * 1024;
 /// Offset of the persistent syscall-ring region (submission and completion
-/// queues plus the registered-buffer table) within the shared heap.
+/// queues plus the registered-buffer table) within the shared heap, and the
+/// size of the staging area below it.
 const RING_REGION_OFFSET: usize = 512 * 1024;
-/// Capacity of the outgoing-data area.
-pub const SYNC_DATA_CAPACITY: usize = RING_REGION_OFFSET - DATA_OFFSET;
 /// Fixed per-message overhead charged on top of the encoded batch (the
 /// envelope fields of the structured-clone message).
 const MESSAGE_ENVELOPE_BYTES: usize = 24;
@@ -72,6 +70,8 @@ pub struct SyscallClient {
     /// The syscall ring over this process's shared heap, once the kernel
     /// has mapped it; `None` is the asynchronous convention.
     ring: Option<Ring>,
+    /// The staging area's bump cursor: the end of the next batch's data.
+    staged: usize,
     terminated: bool,
 }
 
@@ -108,6 +108,7 @@ impl SyscallClient {
             signals: VecDeque::new(),
             shared_maps: HashMap::new(),
             ring: None,
+            staged: 0,
             terminated: false,
         };
         let start = client.wait_for_init();
@@ -261,7 +262,7 @@ impl SyscallClient {
         }
     }
 
-    /// Copies `data` into the shared heap's outgoing-data area (synchronous
+    /// Copies `data` into the shared heap's staging area (synchronous
     /// convention) and returns the byte-source descriptor for it.  Falls back
     /// to an inline copy when running asynchronously.
     pub fn stage_write(&mut self, data: &[u8]) -> browsix_core::ByteSource {
@@ -269,10 +270,10 @@ impl SyscallClient {
     }
 
     /// Stages several buffers back to back in the shared heap, one
-    /// [`ByteSource`](browsix_core::ByteSource) per buffer, for a batch of
-    /// data-carrying entries submitted together.  Buffers that do not fit in
-    /// the data area fall back to inline copies (which then travel through
-    /// the spill area).
+    /// [`ByteSource`](browsix_core::ByteSource) per buffer, for the next
+    /// batch submitted.  Buffers that do not fit what is left of the staging
+    /// area fall back to inline copies (which then travel as spilled
+    /// submissions).
     ///
     /// Either way this is the one copy a guest's write makes on its way to
     /// the kernel: out of the caller's slice, into the heap or into a buffer
@@ -281,24 +282,23 @@ impl SyscallClient {
     /// the kernel queues that same allocation on the pipe.
     pub fn stage_writes(&mut self, bufs: &[&[u8]]) -> Vec<browsix_core::ByteSource> {
         let heap = self.ring.as_ref().map(Ring::sab);
-        let mut cursor = DATA_OFFSET;
         bufs.iter()
             .map(|data| {
-                let fits = cursor + data.len() <= RING_REGION_OFFSET;
-                if !heap.is_some_and(|heap| fits && heap.write_bytes(cursor, data).is_ok()) {
+                let fits = self.staged + data.len() <= RING_REGION_OFFSET;
+                if !heap.is_some_and(|heap| fits && heap.write_bytes(self.staged, data).is_ok()) {
                     return browsix_core::ByteSource::Inline(data.to_vec());
                 }
-                let (offset, len) = (cursor as u32, data.len() as u32);
-                cursor += data.len();
+                let (offset, len) = (self.staged as u32, data.len() as u32);
+                self.staged += data.len();
                 browsix_core::ByteSource::SharedHeap { offset, len }
             })
             .collect()
     }
 
     /// The maximum number of bytes [`SyscallClient::stage_write`] can place in
-    /// the shared heap at once.
+    /// the shared heap at once: the whole staging area.
     pub fn max_staged_write(&self) -> usize {
-        self.ring.as_ref().map_or(usize::MAX, |_| SYNC_DATA_CAPACITY)
+        self.ring.as_ref().map_or(usize::MAX, |_| RING_REGION_OFFSET)
     }
 
     /// `postMessage(frame, transfers)` to the kernel: the whole batch crosses
@@ -374,15 +374,18 @@ impl SyscallClient {
     /// every entry has completed.  No per-batch message or structured clone
     /// is paid anywhere on this path.
     ///
-    /// An entry larger than a slot goes into the spill area at a bump cursor
-    /// and is submitted by reference.  The kernel copies it out as it pops
-    /// it, so the area is free again once everything submitted so far has
-    /// completed; a wave that runs out of it waits for that.  An entry
-    /// larger than the whole area fails with `E2BIG`.
+    /// An entry larger than a slot goes into the staging area after the
+    /// batch's staged data and is submitted by reference.  The kernel copies
+    /// it out as it pops it, so that space is free again once everything
+    /// submitted so far has completed; a wave that runs out of it waits for
+    /// that.  An entry larger than the space left beside the data fails with
+    /// `E2BIG`.
     ///
     /// Returns `None`, having done nothing, if this process has no ring.
     fn pump_ring(&mut self, batch: &SyscallBatch) -> Option<Vec<SysResult>> {
         let ring = self.ring.as_ref()?;
+        // This batch owns what is staged; the next one starts from 0.
+        let staged = std::mem::take(&mut self.staged);
         let n = batch.len();
         // fork is incompatible with the synchronous convention (§3.2).
         if batch.entries.iter().any(|c| matches!(c, Syscall::Fork { .. })) {
@@ -392,33 +395,33 @@ impl SyscallClient {
         let mut results = vec![SysResult::Err(Errno::EIO); n];
         let mut submitted = 0usize;
         let mut completed = 0usize;
-        let mut spill_cursor = 0usize;
+        let mut cursor = staged;
         // The encoding of entry `submitted`, or empty if it is yet to be
         // made: one buffer serves the whole batch, and an entry the queue had
         // no room for keeps its encoding until the next wave.
         let mut frame = Vec::with_capacity(64);
         while completed < n {
             if submitted == completed {
-                spill_cursor = 0;
+                cursor = staged;
             }
             while submitted < n {
                 if frame.is_empty() {
                     batch.entries[submitted].encode_into(&mut frame);
                 }
-                if frame.len() > DATA_OFFSET {
-                    results[submitted] = SysResult::Err(Errno::E2BIG);
-                    completed += 1;
-                } else if frame.len() <= slot_payload {
+                if frame.len() <= slot_payload {
                     if !ring.push_sqe(submitted as u32, &frame) {
                         break;
                     }
+                } else if frame.len() > RING_REGION_OFFSET - staged {
+                    results[submitted] = SysResult::Err(Errno::E2BIG);
+                    completed += 1;
                 } else {
-                    if spill_cursor + frame.len() > DATA_OFFSET
-                        || !ring.push_sqe_spilled(submitted as u32, spill_cursor as u32, &frame)
+                    if cursor + frame.len() > RING_REGION_OFFSET
+                        || !ring.push_sqe_spilled(submitted as u32, cursor as u32, &frame)
                     {
                         break;
                     }
-                    spill_cursor += frame.len();
+                    cursor += frame.len();
                 }
                 submitted += 1;
                 frame.clear();
@@ -434,8 +437,7 @@ impl SyscallClient {
             }
             let seen_tail = ring.cq_tail();
             let mut progressed = false;
-            while let Some((user_data, frame)) = ring.pop_cqe() {
-                let result = resolve_cqe(ring, &frame);
+            while let Some((user_data, result)) = ring.pop_result() {
                 if let Some(slot) = results.get_mut(user_data as usize) {
                     *slot = result;
                 }
@@ -474,26 +476,6 @@ impl SyscallClient {
 }
 
 include!(concat!(env!("OUT_DIR"), "/client_gen.rs"));
-
-/// Decodes one completion entry, dereferencing (and freeing) a
-/// registered-buffer result.  An empty entry is how the ring reports a spill
-/// reference that points outside the buffer table.
-fn resolve_cqe(ring: &Ring, frame: &[u8]) -> SysResult {
-    let mut r = Reader::new(frame);
-    match SysResult::decode_from(&mut r) {
-        Some(SysResult::DataFixed { buf, len }) => {
-            let data = ring.read_buf(buf, len as usize);
-            ring.free_buf(buf);
-            match data {
-                Some(bytes) => SysResult::Data(bytes),
-                None => SysResult::Err(Errno::EFAULT),
-            }
-        }
-        Some(result) => result,
-        None if frame.is_empty() => SysResult::Err(Errno::EFAULT),
-        None => SysResult::Err(Errno::EIO),
-    }
-}
 
 /// Spreads a completion batch back into one result per submission entry.
 /// Entries the kernel never completed (which should not happen) read as I/O
@@ -584,35 +566,46 @@ mod tests {
 
     #[test]
     fn sync_layout_constants_are_consistent() {
-        // Spill area, write staging and ring region tile the heap in order.
-        const { assert!(DATA_OFFSET > 64 * 1024) };
-        const { assert!(SYNC_DATA_CAPACITY > 64 * 1024) };
-        const { assert!(DATA_OFFSET + SYNC_DATA_CAPACITY <= RING_REGION_OFFSET) };
+        // The staging area and the ring region tile the heap in order.
+        const { assert!(RING_REGION_OFFSET > 64 * 1024) };
         const { assert!(RING_REGION_OFFSET + browsix_core::ring::RING_REGION_BYTES as usize <= SYNC_HEAP_BYTES) };
         assert!(RingGeometry::standard(RING_REGION_OFFSET as u32).validate(SYNC_HEAP_BYTES));
     }
 
+    fn test_ring() -> Ring {
+        let sab = SharedArrayBuffer::new(browsix_core::ring::RING_REGION_BYTES as usize);
+        Ring::new(sab, RingGeometry::standard(0))
+    }
+
     #[test]
     fn a_completion_spilled_outside_the_buffer_table_reads_as_efault() {
-        use browsix_core::ring::{INDIRECT, RING_BYTES, RING_HEADER_BYTES, RING_REGION_BYTES};
-        let sab = SharedArrayBuffer::new(RING_REGION_BYTES as usize);
-        let ring = Ring::new(sab.clone(), RingGeometry::standard(0));
+        use browsix_core::ring::{INDIRECT, RING_BYTES, RING_HEADER_BYTES};
+        let ring = test_ring();
         // The kernel's side of the memory is the guest's to scribble on too:
         // turn a posted completion into a reference to buffers 6..=8 of 7.
         let mut frame = Vec::new();
         SysResult::Int(7).encode_into(&mut frame);
         assert!(ring.push_cqe(0, &frame));
-        let slot = (RING_BYTES + RING_HEADER_BYTES) as usize;
+        let (sab, slot) = (ring.sab(), (RING_BYTES + RING_HEADER_BYTES) as usize);
         let buf_bytes = ring.geometry().buf_bytes;
         sab.write_bytes(slot + 4, &(INDIRECT | 8).to_le_bytes()).unwrap();
         sab.write_bytes(slot + 8, &6u32.to_le_bytes()).unwrap();
         sab.write_bytes(slot + 12, &(2 * buf_bytes + 1).to_le_bytes()).unwrap();
-        let (_, popped) = ring.pop_cqe().unwrap();
-        assert_eq!(resolve_cqe(&ring, &popped), SysResult::Err(Errno::EFAULT));
-        // The same goes for a `DataFixed` naming a buffer that does not exist.
-        frame.clear();
-        SysResult::DataFixed { buf: 7, len: 1 }.encode_into(&mut frame);
-        assert_eq!(resolve_cqe(&ring, &frame), SysResult::Err(Errno::EFAULT));
+        assert_eq!(ring.pop_result(), Some((0, SysResult::Err(Errno::EFAULT))));
+    }
+
+    #[test]
+    fn a_completion_with_the_retired_tag_9_reads_as_an_error() {
+        let ring = test_ring();
+        // What a `DataFixed { buf: 3, len: 4096 }` used to encode to, in a
+        // slot, and the same tag at the head of a spilled completion.
+        let retired = [9, 3, 0, 0, 0, 0, 0x10, 0, 0];
+        let mut spilled = retired.to_vec();
+        spilled.resize(4096, 0);
+        assert!(ring.push_cqe(0, &retired));
+        assert!(ring.push_cqe(1, &spilled));
+        assert_eq!(ring.pop_result(), Some((0, SysResult::Err(Errno::EIO))));
+        assert_eq!(ring.pop_result(), Some((1, SysResult::Err(Errno::EIO))));
     }
 
     #[test]

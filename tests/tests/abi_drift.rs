@@ -12,6 +12,8 @@
 //!
 //! - Existing entries in [`corpus_calls`]/[`corpus_results`] must NEVER be
 //!   edited or reordered: each line of the golden file is keyed by position.
+//!   A shape whose tag is retired keeps its place and its bytes, pinned raw
+//!   as a `Shape::Retired`, and is checked to decode to nothing.
 //! - New syscalls/result shapes are APPENDED, then the corpus is re-blessed
 //!   with `BROWSIX_ABI_BLESS=1 cargo test -p browsix-tests --test abi_drift`.
 //!   The resulting `git diff` of `abi/golden_corpus.txt` must be append-only;
@@ -259,30 +261,54 @@ fn corpus_calls() -> Vec<Syscall> {
     ]
 }
 
+/// A result shape of the corpus: one the codec has, or the bytes a shape
+/// whose tag is now retired was blessed as — still pinned, where it was, and
+/// no longer decodable.
+enum Shape {
+    Live(SysResult),
+    Retired(&'static [u8]),
+}
+
+impl Shape {
+    fn bytes(&self) -> Vec<u8> {
+        match self {
+            Shape::Live(result) => {
+                let mut buf = Vec::new();
+                result.encode_into(&mut buf);
+                buf
+            }
+            Shape::Retired(bytes) => bytes.to_vec(),
+        }
+    }
+}
+
 /// One instance of every result shape, in the order originally blessed.
-/// Append-only, same rule as [`corpus_calls`].
-fn corpus_results() -> Vec<SysResult> {
+/// Append-only, same rule as [`corpus_calls`]; a shape whose tag is retired
+/// stays in place as [`Shape::Retired`].
+fn corpus_results() -> Vec<Shape> {
+    use Shape::{Live, Retired};
     vec![
-        SysResult::Ok,
-        SysResult::Int(42),
-        SysResult::Int(-1),
-        SysResult::Pair(3, 4),
-        SysResult::Data(vec![0, 1, 2, 250]),
-        SysResult::Path("/home/user".into()),
-        SysResult::Stat(Metadata {
+        Live(SysResult::Ok),
+        Live(SysResult::Int(42)),
+        Live(SysResult::Int(-1)),
+        Live(SysResult::Pair(3, 4)),
+        Live(SysResult::Data(vec![0, 1, 2, 250])),
+        Live(SysResult::Path("/home/user".into())),
+        Live(SysResult::Stat(Metadata {
             file_type: FileType::Directory,
             size: 0,
             mode: 0o755,
             mtime_ms: 1234,
             atime_ms: 5678,
-        }),
-        SysResult::Entries(vec![DirEntry::file("a.txt"), DirEntry::dir("sub")]),
-        SysResult::Wait { pid: 9, status: 256 },
-        SysResult::Poll(vec![POLLIN, 0, POLLOUT | POLLHUP]),
-        SysResult::Poll(Vec::new()),
-        SysResult::DataFixed { buf: 3, len: 4096 },
-        SysResult::Err(Errno::ENOENT),
-        SysResult::DataTransfer { index: 1, len: 65536 },
+        })),
+        Live(SysResult::Entries(vec![DirEntry::file("a.txt"), DirEntry::dir("sub")])),
+        Live(SysResult::Wait { pid: 9, status: 256 }),
+        Live(SysResult::Poll(vec![POLLIN, 0, POLLOUT | POLLHUP])),
+        Live(SysResult::Poll(Vec::new())),
+        // `DataFixed { buf: 3, len: 4096 }`, tag 9, retired.
+        Retired(&[0x09, 0x03, 0x00, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00]),
+        Live(SysResult::Err(Errno::ENOENT)),
+        Live(SysResult::DataTransfer { index: 1, len: 65536 }),
     ]
 }
 
@@ -309,11 +335,7 @@ fn render_corpus() -> String {
         calls[i].encode_into(&mut buf);
         format!("call {i:03} {}: {}\n", calls[i].name(), hex(&buf))
     };
-    let result_line = |i: usize| {
-        let mut buf = Vec::new();
-        results[i].encode_into(&mut buf);
-        format!("result {i:03}: {}\n", hex(&buf))
-    };
+    let result_line = |i: usize| format!("result {i:03}: {}\n", hex(&results[i].bytes()));
     let mut out: String = (0..FRAMED_CALLS).map(call_line).collect();
     out.extend((0..FRAMED_RESULTS).map(result_line));
     // Whole-frame entries pin the batch headers (magic, version, counts) too.
@@ -321,20 +343,25 @@ fn render_corpus() -> String {
         entries: calls[..FRAMED_CALLS].to_vec(),
     };
     out.push_str(&format!("batch syscalls: {}\n", hex(&batch.encode())));
-    let completions = CompletionBatch {
-        completions: results[..FRAMED_RESULTS]
-            .iter()
-            .enumerate()
-            .map(|(i, result)| browsix_core::Completion {
-                index: i as u32,
-                result: result.clone(),
-            })
-            .collect(),
-    };
-    out.push_str(&format!("batch completions: {}\n", hex(&completions.encode())));
+    out.push_str(&format!("batch completions: {}\n", hex(&framed_completions(&results))));
     out.extend((FRAMED_CALLS..calls.len()).map(call_line));
     out.extend((FRAMED_RESULTS..results.len()).map(result_line));
     out
+}
+
+/// The completion frame of the first [`FRAMED_RESULTS`] result shapes,
+/// written out by hand because a retired shape is among them and no
+/// [`CompletionBatch`] can hold one: the header of an empty batch with its
+/// count set, then `(u32 index | result)` per shape.
+fn framed_completions(results: &[Shape]) -> Vec<u8> {
+    let mut frame = CompletionBatch::default().encode();
+    frame.truncate(2);
+    frame.extend_from_slice(&(FRAMED_RESULTS as u32).to_le_bytes());
+    for (i, shape) in results[..FRAMED_RESULTS].iter().enumerate() {
+        frame.extend_from_slice(&(i as u32).to_le_bytes());
+        frame.extend(shape.bytes());
+    }
+    frame
 }
 
 fn corpus_path() -> std::path::PathBuf {
@@ -388,12 +415,20 @@ fn golden_corpus_decodes_to_the_corpus_values() {
         assert_eq!(&decoded, call, "call {i} changed under decode round-trip");
         assert!(r.is_empty(), "call {i} left trailing bytes");
     }
-    for (i, res) in corpus_results().iter().enumerate() {
-        let mut buf = Vec::new();
-        res.encode_into(&mut buf);
+    let results = corpus_results();
+    for (i, shape) in results.iter().enumerate() {
+        let buf = shape.bytes();
         let mut r = browsix_core::wire::Reader::new(&buf);
-        let decoded = SysResult::decode_from(&mut r).unwrap_or_else(|| panic!("result {i} failed to decode"));
+        let decoded = SysResult::decode_from(&mut r);
+        let Shape::Live(res) = shape else {
+            assert_eq!(decoded, None, "result {i} has a retired tag and must not decode");
+            continue;
+        };
+        let decoded = decoded.unwrap_or_else(|| panic!("result {i} failed to decode"));
         assert_eq!(&decoded, res, "result {i} changed under decode round-trip");
         assert!(r.is_empty(), "result {i} left trailing bytes");
     }
+    // The pinned completion frame holds a retired shape, so it no longer
+    // decodes as a whole either.
+    assert_eq!(CompletionBatch::decode(&framed_completions(&results)), None);
 }

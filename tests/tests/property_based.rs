@@ -720,37 +720,62 @@ proptest! {
         reap(&mut model_cq);
         prop_assert!(doorbells <= ops.len() as u32);
     }
+}
 
-    /// The registered-buffer table is a correct allocator: distinct live
-    /// indices, contents round-trip, and a freed buffer is reusable.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The registered-buffer table as the completion queue uses it:
+    /// completions of any size up to the whole table, pushed and popped in
+    /// random interleavings, come out in order and intact; a push is refused
+    /// exactly when the queue is full or no run of adjacent free buffers is
+    /// long enough, and a refused push claims nothing; the bitmap always
+    /// counts the buffers of the spills in flight, so it is back to 0 once
+    /// everything is popped.
     #[test]
     fn ring_registered_buffers_round_trip(
-        payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..512), 1..8),
+        ops in proptest::collection::vec((0u8..4, any::<u32>()), 1..48),
     ) {
-        use browsix_core::ring::{Ring, RingGeometry, RING_REGION_BYTES};
+        use browsix_core::ring::{Ring, RingGeometry, REG_BUF_COUNT, RING_REGION_BYTES, RING_SLOTS};
+        use std::collections::VecDeque;
 
-        let sab = browsix_browser::SharedArrayBuffer::new(RING_REGION_BYTES as usize);
-        let ring = Ring::new(sab, RingGeometry::standard(0));
-        let mut live: Vec<(u32, Vec<u8>)> = Vec::new();
-        for payload in &payloads {
-            let Some(index) = ring.alloc_buf() else {
-                // Table exhausted: every live index must still be distinct.
-                break;
-            };
-            prop_assert!(live.iter().all(|(i, _)| *i != index), "allocator handed out a live index");
-            prop_assert!(ring.write_buf(index, payload));
-            live.push((index, payload.clone()));
+        let geo = RingGeometry::standard(0);
+        let ring = Ring::new(browsix_browser::SharedArrayBuffer::new(RING_REGION_BYTES as usize), geo);
+        let bitmap = || ring.sab().load_u32(geo.buf_offset as usize).unwrap();
+        let (slot, buf) = (geo.slot_payload_bytes(), geo.buf_bytes as usize);
+        // The buffers a completion of `len` bytes spills into (none in a slot).
+        let run = |len: usize| if len <= slot { 0 } else { len.div_ceil(buf) as u32 };
+        let mut model: VecDeque<(u32, Vec<u8>)> = VecDeque::new();
+        for (seq, &(op, draw)) in ops.iter().enumerate() {
+            let seq = seq as u32;
+            if op == 0 {
+                prop_assert_eq!(ring.pop_cqe(), model.pop_front(), "FIFO order or bytes diverged");
+            } else {
+                let most = match op {
+                    1 => slot,
+                    2 => 2 * buf,
+                    _ => geo.max_spill_bytes(),
+                };
+                let len = draw as usize % (most + 1);
+                let payload: Vec<u8> = (0..len as u32).map(|i| i.wrapping_mul(31).wrapping_add(seq) as u8).collect();
+                let (before, n) = (bitmap(), run(len));
+                let free_run = n == 0 || (0..=REG_BUF_COUNT - n).any(|first| before & ((1 << n) - 1) << first == 0);
+                let fits = model.len() < RING_SLOTS as usize && free_run;
+                prop_assert_eq!(ring.push_cqe(seq, &payload), fits, "push acceptance diverged ({} bytes)", len);
+                if fits {
+                    model.push_back((seq, payload));
+                } else {
+                    prop_assert_eq!(bitmap(), before, "a refused push claimed buffers");
+                }
+            }
+            let in_flight: u32 = model.iter().map(|(_, payload)| run(payload.len())).sum();
+            prop_assert_eq!(bitmap().count_ones(), in_flight, "the bitmap disagrees with the spills in flight");
         }
-        for (index, expected) in &live {
-            prop_assert_eq!(ring.read_buf(*index, expected.len()).as_ref(), Some(expected));
-            ring.free_buf(*index);
+        while let Some(expected) = model.pop_front() {
+            prop_assert_eq!(ring.pop_cqe(), Some(expected));
         }
-        // Everything freed: the table serves the full complement again.
-        let mut again = Vec::new();
-        while let Some(index) = ring.alloc_buf() {
-            again.push(index);
-        }
-        prop_assert_eq!(again.len(), browsix_core::ring::REG_BUF_COUNT as usize);
+        prop_assert_eq!(ring.pop_cqe(), None);
+        prop_assert_eq!(bitmap(), 0, "buffers leaked at quiescence");
     }
 }
 

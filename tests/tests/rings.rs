@@ -458,6 +458,172 @@ fn an_oversized_read_is_short_and_leaves_the_ring_intact() {
     assert_rode_the_ring(&stats);
 }
 
+/// `pwrite`, `write_vectored` and `vm_write` of a buffer larger than the
+/// whole staging area below the ring: each must write all of it, on the ring
+/// exactly as over messages.  (On the ring each used to stage nothing,
+/// inline the buffer in its submission and fail that with `E2BIG`.)
+#[test]
+fn large_pwrite_write_vectored_and_vm_write_agree_across_conventions() {
+    const LEN: usize = 600 * 1024;
+    fn pattern() -> Vec<u8> {
+        (0..LEN).map(|i| (i % 233) as u8).collect()
+    }
+    let probe = || {
+        guest("probe", |env: &mut dyn RuntimeEnv| {
+            let data = pattern();
+            let create = OpenFlags::write_create_truncate();
+            let (Ok(pwritten), Ok(vectored)) = (env.open("/tmp/pwrite.bin", create), env.open("/tmp/vec.bin", create))
+            else {
+                return 2;
+            };
+            let pwrite = env.pwrite(pwritten, &data, 0);
+            let vectored = env.write_vectored(vectored, &[&data]);
+            let prot = browsix_runtime::PROT_READ | browsix_runtime::PROT_WRITE;
+            let flags = browsix_runtime::MAP_PRIVATE | browsix_runtime::MAP_ANONYMOUS;
+            let Ok(region) = env.mmap(0, LEN as u64, prot, flags, -1, 0) else {
+                return 3;
+            };
+            let vm_write = env.vm_write(region.addr, &data);
+            // Read back in pieces: a read by ring is capped at the table.
+            let mut mapped = Vec::new();
+            while mapped.len() < LEN {
+                match env.vm_read(region.addr + mapped.len() as u64, LEN - mapped.len()) {
+                    Ok(chunk) if !chunk.is_empty() => mapped.extend_from_slice(&chunk),
+                    _ => break,
+                }
+            }
+            let intact = |bytes: Result<Vec<u8>, Errno>| bytes.is_ok_and(|bytes| bytes == data);
+            let (in_pwritten, in_vectored) = (
+                intact(env.read_file("/tmp/pwrite.bin")),
+                intact(env.read_file("/tmp/vec.bin")),
+            );
+            env.print(&format!(
+                "pwrite {pwrite:?} {in_pwritten}\nwrite_vectored {vectored:?} {in_vectored}\nvm_write {vm_write:?} {}\n",
+                intact(Ok(mapped)),
+            ));
+            0
+        })
+    };
+    let (code, stdout, stats) = run_probe(SyscallConvention::Sync, &[], &|_| {}, probe(), no_child());
+    assert_eq!(code, Some(0), "stdout: {stdout}");
+    assert_eq!(
+        stdout,
+        format!("pwrite Ok({LEN}) true\nwrite_vectored Ok({LEN}) true\nvm_write Ok(()) true\n")
+    );
+    assert_rode_the_ring(&stats);
+    let (async_code, async_stdout, _) = run_probe(SyscallConvention::Async, &[], &|_| {}, probe(), no_child());
+    assert_eq!((async_code, async_stdout), (code, stdout), "the conventions disagree");
+}
+
+/// A batch's staged write data and its spilled submissions share the one
+/// staging area: a submission too large for a slot goes after the data,
+/// not over it.  The spilled call comes first in the batch, so its bytes
+/// are in the heap before the write that needs the data is even submitted.
+#[test]
+fn a_spilled_call_does_not_overwrite_the_write_data_staged_beside_it() {
+    let body = |client: &mut SyscallClient| {
+        let open = Syscall::Open {
+            path: "/out.bin".to_owned(),
+            flags: OpenFlags::write_create_truncate(),
+            mode: 0o644,
+        };
+        let SysResult::Int(fd) = client.call(open) else {
+            return 2;
+        };
+        let data = client.stage_write(&[b'a'; 4096]);
+        if !matches!(data, ByteSource::SharedHeap { offset: 0, .. }) {
+            return 3;
+        }
+        let stat = Syscall::Stat {
+            path: format!("/{}", "x".repeat(1000)),
+            lstat: false,
+        };
+        let batch = SyscallBatch {
+            entries: vec![stat, Syscall::Write { fd: fd as i32, data }],
+        };
+        match &client.submit(batch)[..] {
+            [SysResult::Err(_), SysResult::Int(4096)] => 0,
+            _ => 4,
+        }
+    };
+    let config = browsix_core::BootConfig::in_memory();
+    let probe = ClientProbe {
+        prefer_sync: true,
+        body,
+    };
+    config.registry.register("/usr/bin/probe", Arc::new(probe));
+    let kernel = Kernel::boot(config);
+    let handle = kernel.spawn("/usr/bin/probe", &["probe"], &[]).expect("spawn probe");
+    let status = handle.wait_timeout(WATCHDOG).expect("the probe hung");
+    let written = kernel.fs().read_file("/out.bin").expect("the write landed");
+    let stats = kernel.stats();
+    kernel.shutdown();
+    assert_eq!(status.code, Some(0));
+    assert!(written == [b'a'; 4096], "the staged bytes were overwritten");
+    assert_rode_the_ring(&stats);
+}
+
+/// One batch of eight 64 KiB `pread`s on the ring.  Each result and its
+/// header spans two registered buffers, so the batch outruns the table of
+/// seven and the rest of it waits in the kernel's overflow queue while the
+/// process pops.  Every byte must arrive, in order, and the next call must
+/// go through.
+#[test]
+fn a_batch_of_reads_larger_than_the_buffer_table_arrives_whole() {
+    const READS: usize = 8;
+    const CHUNK: usize = 64 * 1024;
+    fn pattern() -> Vec<u8> {
+        (0..READS * CHUNK).map(|i| (i % 229) as u8).collect()
+    }
+    let body = |client: &mut SyscallClient| {
+        let open = Syscall::Open {
+            path: "/big.bin".to_owned(),
+            flags: OpenFlags::read_only(),
+            mode: 0,
+        };
+        let SysResult::Int(fd) = client.call(open) else {
+            return 2;
+        };
+        let reads = (0..READS).map(|i| Syscall::Pread {
+            fd: fd as i32,
+            len: CHUNK as u32,
+            offset: (i * CHUNK) as u64,
+        });
+        let results = client.submit(SyscallBatch {
+            entries: reads.collect(),
+        });
+        let expected: Vec<SysResult> = pattern().chunks(CHUNK).map(|c| SysResult::Data(c.to_vec())).collect();
+        if results != expected {
+            return 3;
+        }
+        match client.call(Syscall::GetPid) {
+            SysResult::Int(pid) if pid > 0 => 0,
+            _ => 4,
+        }
+    };
+    let config = browsix_core::BootConfig::in_memory();
+    let probe = ClientProbe {
+        prefer_sync: true,
+        body,
+    };
+    config.registry.register("/usr/bin/probe", Arc::new(probe));
+    let kernel = Kernel::boot(config);
+    kernel.fs().write_file("/big.bin", &pattern()).expect("stage big.bin");
+    let handle = kernel.spawn("/usr/bin/probe", &["probe"], &[]).expect("spawn probe");
+    let status = handle.wait_timeout(WATCHDOG).expect("the probe hung");
+    let stats = kernel.stats();
+    kernel.shutdown();
+    assert_eq!(status.code, Some(0), "3: wrong bytes, 4: the next call failed");
+    let table = RingGeometry::standard(0);
+    assert_eq!(
+        CHUNK, table.buf_bytes as usize,
+        "a read and its header take two buffers"
+    );
+    assert!(READS * 2 > table.buf_count as usize);
+    assert_eq!(stats.count("pread"), READS as u64);
+    assert_rode_the_ring(&stats);
+}
+
 // ---- one notify per kernel event, on every completion path --------------------
 
 /// What a process pays for a completion it was not notified of: its
