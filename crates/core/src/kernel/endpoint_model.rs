@@ -7,9 +7,11 @@
 //! all endpoints from scratch and must agree with the incrementally kept
 //! counts.  Beside the oracle runs a deliberately dumb model — it only counts
 //! open descriptor slots per stream end — that predicts which parked reads
-//! must have seen EOF, which parked writers must have died of SIGPIPE, and
-//! that nothing else completed.  At the end every process exits and every
-//! table of every shard must be empty.
+//! must have seen EOF, which parked writers must have died of SIGPIPE, which
+//! parked polls must have seen input or a hang-up, and that nothing else
+//! completed.  At quiescence every shard's cached state of a foreign stream
+//! must equal the owner's.  At the end every process exits and every table
+//! of every shard must be empty.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -21,9 +23,10 @@ use browsix_browser::PlatformConfig;
 use browsix_fs::{Errno, MemFs, MountedFs};
 use browsix_http::{HttpRequest, HttpResponse, Method};
 
-use super::shard::shard_of;
+use super::shard::{shard_of, stream_shard};
 use super::*;
-use crate::syscall::ByteSource;
+use crate::streams::StreamState;
+use crate::syscall::{ByteSource, PollRequest, POLLERR, POLLHUP, POLLIN};
 
 const GUEST: &str = "/bin/guest";
 const PIPE_CAPACITY: usize = crate::streams::DEFAULT_STREAM_CAPACITY;
@@ -56,6 +59,9 @@ enum Parked {
     Read { index: u32, end: End },
     /// Blocked in `write` on a full pipe; dies of SIGPIPE when its readers go.
     Write { pipe: usize },
+    /// Blocked in `poll` for `POLLIN` on `end`; completes once
+    /// [`Fleet::poll_bits`] is non-zero.
+    Poll { index: u32, end: End },
 }
 
 #[derive(Debug)]
@@ -143,14 +149,14 @@ impl Fleet {
     }
 
     /// Runs every queued event on every shard until all queues are empty,
-    /// auditing the handling shard after each one.
-    fn settle(&mut self) {
+    /// passing the handling shard to `check` after each one.
+    pub(super) fn deliver(&mut self, check: fn(&KernelState)) {
         loop {
             let mut progressed = false;
             for i in 0..self.shards.len() {
                 while let Ok(event) = self.queues[i].try_recv() {
                     self.shards[i].handle_one(Some(event));
-                    self.shards[i].audit_endpoints();
+                    check(&self.shards[i]);
                     progressed = true;
                 }
             }
@@ -158,6 +164,13 @@ impl Fleet {
                 break;
             }
         }
+    }
+
+    /// Runs every queued event to quiescence, auditing the handling shard
+    /// after each one and the fleet's `poll` subscriptions at the end.
+    fn settle(&mut self) {
+        self.deliver(audit);
+        self.audit_poll_fleet();
         // Collect what parked calls completed with, leaving the collecting
         // batch open for the next ones.
         for shard in &mut self.shards {
@@ -190,7 +203,7 @@ impl Fleet {
             });
         }
         let outcome = call(kernel, ReplyTo::Batch { index });
-        kernel.audit_endpoints();
+        audit(kernel);
         self.settle();
         match outcome {
             Outcome::Complete(result) => Issued::Done(result),
@@ -201,8 +214,36 @@ impl Fleet {
 
     fn host(&mut self, shard: usize, request: HostRequest) {
         self.shards[shard].handle_event(KernelEvent::Host(request));
-        self.shards[shard].audit_endpoints();
+        audit(&self.shards[shard]);
         self.settle();
+    }
+
+    /// At quiescence every `poll` subscription holds its stream's state on
+    /// the owner — nothing cached is stale — and owner and subscriber agree
+    /// on who subscribes (a freed stream's owner keeps no entry).
+    fn audit_poll_fleet(&self) {
+        for (id, shard) in self.shards.iter().enumerate() {
+            for (&stream, subscription) in &shard.poll_subscriptions {
+                let owner = &self.shards[stream_shard(stream)];
+                let state = owner.streams.get(stream).map_or(StreamState::GONE, Stream::state);
+                assert_eq!(subscription.state, Some(state), "shard {id}: stream {stream}");
+                let subscribed = owner
+                    .poll_subscribers
+                    .get(&stream)
+                    .is_some_and(|s| s.shards & 1 << id != 0);
+                assert_eq!(subscribed, !state.gone, "shard {id}: stream {stream}");
+            }
+            for (&stream, subscribers) in &shard.poll_subscribers {
+                for (sub, peer) in self.shards.iter().enumerate() {
+                    let subscribed = subscribers.shards & 1 << sub != 0;
+                    assert_eq!(
+                        subscribed,
+                        peer.poll_subscriptions.contains_key(&stream),
+                        "stream {stream}"
+                    );
+                }
+            }
+        }
     }
 
     fn alive(&self, pid: Pid) -> bool {
@@ -242,6 +283,20 @@ impl Fleet {
             End::Server(conn) => self.client_refs(conn) == 0,
             _ => unreachable!("not a readable stream end"),
         }
+    }
+
+    /// What a `poll` for `POLLIN` on a readable `end` reports now.  A
+    /// socket end's two streams lose their peer together, so its hang-up
+    /// is also the error of the stream it writes.  Every bit, once set,
+    /// stays set: nothing the model reads drains a stream it polls.
+    fn poll_bits(&self, end: End) -> u16 {
+        let (data, hangup) = match end {
+            End::PipeR(pipe) => (self.pipes[pipe].written, POLLHUP),
+            End::Client(_) => (false, POLLHUP | POLLERR),
+            End::Server(conn) => (self.conns[conn].has_request, POLLHUP | POLLERR),
+            _ => unreachable!("not a readable stream end"),
+        };
+        (if data { POLLIN } else { 0 }) | (if self.eof(end) { hangup } else { 0 })
     }
 
     /// Removes a dead process from the model: its descriptor slots vanish
@@ -301,6 +356,23 @@ impl Fleet {
         // Readers at EOF completed — once, with an empty read; the rest
         // stay parked and have seen nothing.
         for i in 0..self.procs.len() {
+            if let Some(Parked::Poll { index, end }) = self.procs[i].parked {
+                // Ready polls completed once, with what was ready when
+                // they woke; the rest stay parked and have seen nothing.
+                let seen = self.completions.remove(&index).unwrap_or_default();
+                let now = self.poll_bits(end);
+                let pid = self.procs[i].pid;
+                if now == 0 {
+                    assert_eq!(seen, Vec::new(), "pid {pid} completed a poll early");
+                } else {
+                    assert!(
+                        matches!(&seen[..], [SysResult::Poll(r)] if r.len() == 1 && r[0] != 0 && r[0] & !now == 0),
+                        "pid {pid}: poll of {end:?} now {now:#x} saw {seen:?}"
+                    );
+                    self.procs[i].parked = None;
+                }
+                continue;
+            }
             let Some(Parked::Read { index, end }) = self.procs[i].parked else {
                 continue;
             };
@@ -467,6 +539,33 @@ impl Fleet {
                 let result = self.syscall(pid, |k, _| k.sys_exit(pid, 0));
                 assert!(matches!(result, Issued::Gone));
                 self.bury(pid);
+            }
+            9 if c % 2 == 1 => {
+                // poll a readable stream end for input, forever: done if
+                // anything is reported already, else park until it is
+                let readable = self.procs[p]
+                    .fds
+                    .iter()
+                    .filter(|(_, end)| matches!(end, End::PipeR(_) | End::Client(_) | End::Server(_)));
+                let Some((&fd, &end)) = readable.clone().nth(b as usize % readable.count().max(1)) else {
+                    return;
+                };
+                let fds = vec![PollRequest { fd, events: POLLIN }];
+                match self.syscall(pid, |k, reply| k.sys_poll(pid, reply, fds, -1)) {
+                    Issued::Done(result) => {
+                        let now = self.poll_bits(end);
+                        assert!(
+                            now != 0,
+                            "pid {pid}: poll of {end:?} returned {result:?} instead of parking"
+                        );
+                        assert_eq!(result, SysResult::Poll(vec![now]));
+                    }
+                    // A foreign stream's state is unknown until its owner's
+                    // first push: such polls park, and reconciliation below
+                    // checks what they completed with.
+                    Issued::Parked(index) => self.procs[p].parked = Some(Parked::Poll { index, end }),
+                    Issued::Gone => panic!("poll consumed the task"),
+                }
             }
             9 => {
                 // read from an empty stream end: EOF, or park until it is
@@ -675,11 +774,22 @@ impl Fleet {
             assert!(shard.remote_contribs.is_empty(), "shard {id}: peer contributions left");
             assert!(shard.remote_client_pins.is_empty() && shard.pinned_files.is_empty());
             assert!(shard.remote_ops.is_empty(), "shard {id}: remote ops left");
+            assert!(
+                shard.poll_subscriptions.is_empty(),
+                "shard {id}: poll subscriptions left"
+            );
+            assert!(shard.poll_subscribers.is_empty(), "shard {id}: poll subscribers left");
         }
         for conn in &self.conns {
             assert!(conn.http.is_none(), "an HTTP exchange never finished");
         }
     }
+}
+
+/// Every check a shard's state must pass after each event.
+fn audit(kernel: &KernelState) {
+    kernel.audit_endpoints();
+    kernel.audit_poll_subscriptions();
 }
 
 fn run(nshards: usize, ops: &[(u8, u8, u8, u8)]) {
@@ -874,4 +984,144 @@ fn an_interrupted_writer_cancels_only_its_own_remote_write() {
         "the other writer's write"
     );
     assert!(c.fleet.shards[0].waiters.is_empty());
+}
+
+/// A `poll` on a stream another shard owns subscribes once per shard, the
+/// owner pushes the changes, and every way a `poll` can end — ready, timed
+/// out, interrupted, killed — ends the subscription; no timer is armed for
+/// any of it, and nothing cached outlives the polls that needed it.
+#[test]
+fn a_foreign_poll_subscribes_once_and_the_owner_pushes_each_change() {
+    let mut c = Collision::stage(true);
+    let (root, fd) = (c.root, c.fd);
+    let stream = c.fleet.shards[0].tasks[&root]
+        .files
+        .get(fd)
+        .unwrap()
+        .kind()
+        .write_stream()
+        .unwrap();
+    let poll = |fleet: &mut Fleet, pid: Pid, timeout_ms: i32| {
+        let fds = vec![PollRequest { fd: 0, events: POLLIN }];
+        fleet.syscall(pid, |k, reply| k.sys_poll(pid, reply, fds, timeout_ms))
+    };
+    let sent = |fleet: &Fleet| fleet.shards.iter().map(|s| s.stats.shard_msgs_sent).collect::<Vec<_>>();
+    let idle = |fleet: &Fleet| {
+        fleet
+            .shards
+            .iter()
+            .all(|s| s.poll_subscriptions.is_empty() && s.poll_subscribers.is_empty())
+    };
+    let [a, b] = c.children;
+    let mut parked = Vec::new();
+
+    // Three polls from two shards — two of them one process's, as one ring
+    // batch would park them — and one subscription per shard.
+    for (pid, subscribe) in [(a, true), (a, false), (b, true)] {
+        let before = sent(&c.fleet);
+        let Issued::Parked(index) = poll(&mut c.fleet, pid, -1) else {
+            panic!("pid {pid}: a poll of an empty foreign pipe must park");
+        };
+        parked.push(index);
+        let shard = c.fleet.shard_index(pid);
+        let after = sent(&c.fleet);
+        assert_eq!(
+            after[shard] - before[shard],
+            u64::from(subscribe),
+            "pid {pid}: PollSubscribe"
+        );
+        assert_eq!(after[0] - before[0], u64::from(subscribe), "the owner's first push");
+        assert_eq!(
+            c.fleet.shards[shard].next_poll_deadline(),
+            None,
+            "no timer stands in for the owner"
+        );
+    }
+    assert_eq!(c.fleet.shards[1].poll_subscriptions[&stream].polls, 2);
+    assert_eq!(c.fleet.shards[0].poll_subscribers[&stream].shards, 0b110);
+
+    // One write: one push to each subscribed shard wakes all three polls,
+    // and each shard unsubscribes once.
+    let before = sent(&c.fleet);
+    let data = ByteSource::Inline(vec![b'x']);
+    assert_eq!(
+        Fleet::expect_int(c.fleet.syscall(root, |k, reply| k.sys_write(root, reply, fd, data))),
+        1
+    );
+    for index in &parked {
+        assert_eq!(
+            c.fleet.completions.remove(index),
+            Some(vec![SysResult::Poll(vec![POLLIN])])
+        );
+    }
+    assert_eq!(
+        sent(&c.fleet)[..3]
+            .iter()
+            .zip(&before)
+            .map(|(x, y)| x - y)
+            .collect::<Vec<_>>(),
+        [2, 1, 1]
+    );
+    assert!(idle(&c.fleet));
+
+    // Once the byte is read, a zero-timeout poll finds nothing ready: no
+    // state from the finished polls lingers to claim otherwise.
+    let read = c.fleet.syscall(a, |k, reply| k.sys_read(a, reply, 0, 16));
+    let Issued::Parked(index) = read else {
+        panic!("a foreign read parks")
+    };
+    assert_eq!(
+        c.fleet.completions.remove(&index),
+        Some(vec![SysResult::Data(vec![b'x'])])
+    );
+    assert!(matches!(poll(&mut c.fleet, a, 0), Issued::Done(SysResult::Poll(r)) if r == [0]));
+    assert!(idle(&c.fleet));
+
+    // A poll that times out.
+    let Issued::Parked(index) = poll(&mut c.fleet, a, 1) else {
+        panic!("parks")
+    };
+    std::thread::sleep(std::time::Duration::from_millis(2));
+    c.fleet.shards[1].handle_one(None);
+    c.fleet.settle();
+    assert_eq!(c.fleet.completions.remove(&index), Some(vec![SysResult::Poll(vec![0])]));
+    assert!(idle(&c.fleet));
+
+    // A poll interrupted by a handler without SA_RESTART.
+    let action = SigAction::Handler { restart: false };
+    let installed = c.fleet.syscall(a, |k, _| k.sys_sigaction(a, Signal::SIGUSR1, action));
+    assert!(matches!(installed, Issued::Done(SysResult::Ok)));
+    let Issued::Parked(index) = poll(&mut c.fleet, a, -1) else {
+        panic!("parks")
+    };
+    let (reply, outcome) = bounded(1);
+    c.fleet.host(
+        1,
+        HostRequest::Kill {
+            pid: a,
+            signal: Signal::SIGUSR1,
+            reply,
+        },
+    );
+    assert!(matches!(outcome.try_recv(), Ok(Ok(()))));
+    assert_eq!(
+        c.fleet.completions.remove(&index),
+        Some(vec![SysResult::Err(Errno::EINTR)])
+    );
+    assert!(idle(&c.fleet));
+
+    // A poll whose process is killed.
+    assert!(matches!(poll(&mut c.fleet, b, -1), Issued::Parked(_)));
+    assert!(!idle(&c.fleet));
+    let (reply, outcome) = bounded(1);
+    c.fleet.host(
+        2,
+        HostRequest::Kill {
+            pid: b,
+            signal: Signal::SIGKILL,
+            reply,
+        },
+    );
+    assert!(matches!(outcome.try_recv(), Ok(Ok(()))));
+    assert!(idle(&c.fleet));
 }

@@ -34,11 +34,12 @@ use crate::ring::{Ring, RingGeometry};
 use crate::signals::{SigAction, Signal, SignalDisposition};
 use crate::socket::{SocketTable, StreamPair};
 use crate::stats::{KernelStats, SyscallTally};
-use crate::streams::{Stream, StreamId, StreamState, StreamTable};
+use crate::streams::{Stream, StreamId, StreamTable};
 use crate::syscall::{encode_wait_status, Completion, CompletionBatch, SysResult, Syscall, SyscallBatch};
 use crate::task::{InflightBatch, Pid, Task, TaskState};
 use crate::wire::Reader;
 
+use poll::{PollSubscribers, PollSubscription};
 pub(crate) use shard::{PendingRemote, RouterState, ShardMsg};
 pub(crate) use waitq::{HttpClientState, WaitKind, Waiter};
 pub use waitq::{WaitChannel, WaitTable, WaiterId};
@@ -146,9 +147,11 @@ pub(crate) struct KernelState {
     /// The latest tally each peer shard reported for a stream this shard
     /// owns (already folded into that stream's counts).
     remote_contribs: HashMap<(usize, StreamId), (u32, u32)>,
-    /// Latest states of foreign streams local `poll`s watch, as their
-    /// owners last reported them.
-    remote_stream_states: HashMap<StreamId, StreamState>,
+    /// Foreign streams parked `poll`s here watch, and what each owner last
+    /// pushed; an entry lives exactly as long as one of those polls.
+    poll_subscriptions: HashMap<StreamId, PollSubscription>,
+    /// Owned streams other shards' `poll`s watch: who, and what was pushed.
+    poll_subscribers: HashMap<StreamId, PollSubscribers>,
     /// Client sides of connections created by a remote `connect`: this shard
     /// holds each until the connecting shard has counted its descriptor.
     remote_client_pins: HashSet<StreamPair>,
@@ -203,7 +206,8 @@ impl KernelState {
             remote_stops: HashMap::new(),
             foreign_endpoints: HashMap::new(),
             remote_contribs: HashMap::new(),
-            remote_stream_states: HashMap::new(),
+            poll_subscriptions: HashMap::new(),
+            poll_subscribers: HashMap::new(),
             remote_client_pins: HashSet::new(),
             pinned_files: HashMap::new(),
             exit_watchers: HashMap::new(),
@@ -218,8 +222,10 @@ impl KernelState {
     ///
     /// Every state change wakes exactly the wait queues it affects as part
     /// of handling the event, and ring submissions arrive as doorbell
-    /// events, so the loop itself does no retry work.  Two timer-driven
-    /// duties remain: expiring `poll` deadlines, which bound the sleep, and
+    /// events, and a foreign stream's owner pushes its state changes to
+    /// the shards whose `poll`s subscribed, so the loop itself does no
+    /// retry work.  Two timer-driven duties remain: expiring `poll`
+    /// deadlines — only those the calls asked for — which bound the sleep, and
     /// — only when the queue stayed empty for a whole tick (at most 20 ms) —
     /// a backstop drain of every mapped ring, which bounds the cost of a
     /// doorbell that was lost rather than letting it hang a process.
@@ -259,13 +265,16 @@ impl KernelState {
         // With the `scavenger` feature, prove after every event that the
         // wait queues lost no wakeup (retrying every parked waiter must
         // complete none), that no submission sits undrained, that the
-        // endpoint counts equal a from-scratch recount, and that no ring
-        // holds a completion published since it was last notified.
+        // endpoint counts equal a from-scratch recount, that every `poll`
+        // subscription is counted and every subscribed stream's last push
+        // is its state, and that no ring holds a completion published since
+        // it was last notified.
         #[cfg(feature = "scavenger")]
         {
             self.scavenge();
             self.scavenge_rings();
             self.audit_endpoints();
+            self.audit_poll_subscriptions();
             assert!(
                 self.cq_unnotified.is_empty(),
                 "completions were published to {:?} after the event's notify",
@@ -1179,7 +1188,7 @@ impl KernelState {
                     // never leave one parked.
                     #[cfg(feature = "scavenger")]
                     debug_assert_eq!(
-                        self.waiters.count_matching(|w| w.pid == target),
+                        self.waiters.iter().filter(|w| w.pid == target).count(),
                         0,
                         "signal delivery left a waiter of pid {target} parked without SA_RESTART"
                     );
@@ -1215,6 +1224,7 @@ impl KernelState {
             if let Some(reply) = waiter.reply {
                 self.complete(target, reply, SysResult::Err(Errno::EINTR));
             }
+            self.discard_waiter(waiter);
         }
         // Reads/writes executing on foreign shards take EINTR too: cancel
         // at the owner (a racing completion finds no token and is dropped)

@@ -6,23 +6,45 @@
 //! stream ends ([`FileKind::read_stream`] / [`FileKind::write_stream`]), so
 //! every readiness question reduces to one
 //! [`StreamState`] per end — read off
-//! the stream when this shard owns it, or the owner's last report when it
+//! the stream when this shard owns it, or the owner's last push when it
 //! does not (`KernelState::stream_state`) — and one mapping from that state
 //! to `revents` bits, [`KernelState::fd_revents`].  Blocking reads and
 //! writes, their `EAGAIN` short-circuits, and `poll` all rest on the
 //! stream's own `read_ready`/`write_ready`, so the three can never disagree
-//! about what "ready" means.
+//! about what "ready" means.  A foreign stream's state is known here
+//! exactly while a parked `poll` subscribes to it (the protocol is in
+//! `kernel::shard`'s module docs).
 
 use std::time::Instant;
 
 use browsix_fs::Errno;
 
 use crate::fd::{Fd, FileKind};
-use crate::kernel::waitq::{WaitChannel, WaiterId};
-use crate::kernel::{KernelState, Outcome, ReplyTo, WaitKind, Waiter};
-use crate::streams::{StreamId, StreamState};
+use crate::kernel::shard::stream_shard;
+use crate::kernel::waitq::{PollWait, WaitChannel, WaiterId};
+use crate::kernel::{KernelState, Outcome, ReplyTo, ShardMsg, WaitKind, Waiter};
+use crate::streams::{Stream, StreamId, StreamState};
 use crate::syscall::{PollRequest, SysResult, NONBLOCK, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 use crate::task::Pid;
+
+/// A foreign stream parked `poll`s on this shard watch.
+#[derive(Debug, Default)]
+pub(crate) struct PollSubscription {
+    /// The parked `poll`s watching it (each counts once, however many of
+    /// its descriptors name the stream).
+    pub polls: u32,
+    /// What the owner last pushed; `None` until its first push arrives.
+    pub state: Option<StreamState>,
+}
+
+/// The shards subscribed to a stream this shard owns.
+#[derive(Debug)]
+pub(crate) struct PollSubscribers {
+    /// One bit per subscribed shard.
+    pub shards: u64,
+    /// The state last pushed to them.
+    pub pushed: StreamState,
+}
 
 impl KernelState {
     /// The kind of the description behind `fd`, if it is open.
@@ -108,21 +130,103 @@ impl KernelState {
         channels
     }
 
-    /// The foreign streams a `poll` over `fds` watches, deduplicated — each
-    /// needs a readiness snapshot from its owner shard when the poll parks.
-    pub(crate) fn remote_poll_streams(&self, pid: Pid, fds: &[PollRequest]) -> Vec<StreamId> {
-        let mut remote: Vec<StreamId> = Vec::new();
+    /// Subscribes a parking `poll` over `fds` to every foreign stream they
+    /// name that it does not watch yet, adding each to `watched`.  Only the
+    /// first watcher of a stream on this shard asks its owner; the others
+    /// share the state that arrives.
+    pub(crate) fn watch_foreign_streams(&mut self, pid: Pid, fds: &[PollRequest], watched: &mut Vec<StreamId>) {
         for req in fds {
             let Some(kind) = self.fd_kind(pid, req.fd) else {
                 continue;
             };
-            for id in [kind.read_stream(), kind.write_stream()].into_iter().flatten() {
-                if self.stream_is_remote(id) && !remote.contains(&id) {
-                    remote.push(id);
+            for stream in [kind.read_stream(), kind.write_stream()].into_iter().flatten() {
+                if !self.stream_is_remote(stream) || watched.contains(&stream) {
+                    continue;
+                }
+                watched.push(stream);
+                let subscription = self.poll_subscriptions.entry(stream).or_default();
+                subscription.polls += 1;
+                if subscription.polls == 1 {
+                    let from_shard = self.shard_id;
+                    self.send_shard(stream_shard(stream), ShardMsg::PollSubscribe { stream, from_shard });
                 }
             }
         }
-        remote
+    }
+
+    /// Ends a `poll`'s watch of `watched`: the last watcher of a stream on
+    /// this shard drops its state and unsubscribes.
+    pub(crate) fn unwatch_foreign_streams(&mut self, watched: Vec<StreamId>) {
+        for stream in watched {
+            let Some(subscription) = self.poll_subscriptions.get_mut(&stream) else {
+                continue;
+            };
+            subscription.polls -= 1;
+            if subscription.polls == 0 {
+                self.poll_subscriptions.remove(&stream);
+                let from_shard = self.shard_id;
+                self.send_shard(stream_shard(stream), ShardMsg::PollUnsubscribe { stream, from_shard });
+            }
+        }
+    }
+
+    /// Owner side of a subscription, run for each channel a wake drains:
+    /// every change to a stream wakes one of its two queues, so comparing
+    /// its state with the last one pushed here sees every change.  A freed
+    /// stream never changes again, and its entry goes with the last push.
+    pub(crate) fn publish_stream_state(&mut self, channel: WaitChannel) {
+        let (WaitChannel::StreamReadable(stream) | WaitChannel::StreamWritable(stream)) = channel else {
+            return;
+        };
+        let Some(subscribers) = self.poll_subscribers.get_mut(&stream) else {
+            return;
+        };
+        let state = self.streams.get(stream).map_or(StreamState::GONE, Stream::state);
+        if subscribers.pushed == state {
+            return;
+        }
+        subscribers.pushed = state;
+        let mut shards = subscribers.shards;
+        if state.gone {
+            self.poll_subscribers.remove(&stream);
+        }
+        while shards != 0 {
+            let shard = shards.trailing_zeros() as usize;
+            shards &= shards - 1;
+            self.send_shard(shard, ShardMsg::PollState { stream, state });
+        }
+    }
+
+    /// Checks the subscriptions this shard keeps on both sides: each one
+    /// counts exactly the parked `poll`s that watch its stream, and each
+    /// state last pushed to subscribers is the stream's state now — a
+    /// change that woke neither of the stream's queues shows up here.
+    #[cfg(any(test, feature = "scavenger"))]
+    pub(crate) fn audit_poll_subscriptions(&self) {
+        use std::collections::HashMap;
+
+        let mut watching: HashMap<StreamId, u32> = HashMap::new();
+        for waiter in self.waiters.iter() {
+            if let WaitKind::Poll(poll) = &waiter.kind {
+                for &stream in &poll.watched {
+                    *watching.entry(stream).or_default() += 1;
+                }
+            }
+        }
+        let counted: HashMap<StreamId, u32> = self.poll_subscriptions.iter().map(|(&s, sub)| (s, sub.polls)).collect();
+        debug_assert_eq!(
+            counted, watching,
+            "shard {}: subscriptions != parked polls watching",
+            self.shard_id
+        );
+        for (&stream, subscribers) in &self.poll_subscribers {
+            debug_assert_eq!(
+                subscribers.pushed,
+                self.streams.get(stream).map_or(StreamState::GONE, Stream::state),
+                "shard {}: stream {stream} changed without waking its queues",
+                self.shard_id
+            );
+        }
     }
 
     pub(crate) fn sys_poll(&mut self, pid: Pid, reply: ReplyTo, fds: Vec<PollRequest>, timeout_ms: i32) -> Outcome {
@@ -143,7 +247,11 @@ impl KernelState {
             Waiter {
                 pid,
                 reply: Some(reply),
-                kind: WaitKind::Poll { fds, deadline },
+                kind: WaitKind::Poll(Box::new(PollWait {
+                    fds,
+                    deadline,
+                    watched: Vec::new(),
+                })),
             },
         );
         Outcome::Blocked
@@ -243,12 +351,11 @@ mod tests {
 
     /// One definition of readiness: for every state a stream can be in,
     /// `poll` answers the same whether the state is read off a stream this
-    /// shard owns or is what the owning shard last reported.
+    /// shard owns or is what the owning shard pushed to a subscription —
+    /// and without a subscription there is no foreign state to read.
     #[test]
     fn revents_are_the_same_from_a_local_stream_and_from_the_foreign_cache() {
         let mut fleet = Fleet::boot(2);
-        let (owner, peer) = fleet.shards.split_at_mut(1);
-        let (owner, peer) = (&mut owner[0], &mut peer[0]);
         // data/empty x writers/none x space/full x readers/none (an empty
         // stream is never full), and the stream that is gone.
         let mut states = vec![StreamState::GONE];
@@ -267,6 +374,7 @@ mod tests {
         assert_eq!(states.len(), 13);
         let mut words = Vec::new();
         for state in states {
+            let owner = &mut fleet.shards[0];
             let id = owner.streams.create_with_capacity(4);
             if state.gone {
                 owner.streams.remove(id);
@@ -282,15 +390,27 @@ mod tests {
                 stream.push(buffered);
                 assert_eq!(stream.state(), state);
             }
-            assert!(peer.stream_is_remote(id) && peer.stream_state(id).is_none());
-            peer.remote_stream_states.insert(id, state);
             watch(owner, 2, id);
+            let peer = &mut fleet.shards[1];
             watch(peer, 1, id);
+            assert!(peer.stream_is_remote(id) && peer.stream_state(id).is_none());
+            let mut watched = Vec::new();
+            peer.watch_foreign_streams(1, &[PollRequest { fd: 0, events: POLLIN }], &mut watched);
+            assert_eq!(watched, [id]);
+            fleet.deliver(|_| {});
+            let [owner, peer] = &fleet.shards[..] else {
+                unreachable!()
+            };
+            assert_eq!(peer.stream_state(id), Some(state), "the owner's push");
             for fd in 0..3 {
                 let word = owner.fd_revents(2, fd, POLLIN | POLLOUT);
                 assert_eq!(word, peer.fd_revents(1, fd, POLLIN | POLLOUT), "{state:?}, fd {fd}");
                 words.push(word);
             }
+            fleet.shards[1].unwatch_foreign_streams(watched);
+            fleet.deliver(|_| {});
+            assert_eq!(fleet.shards[1].stream_state(id), None, "ended with the subscription");
+            assert!(fleet.shards[0].poll_subscribers.is_empty());
         }
         // Reader, writer, socket — for the stream that is gone, for the last
         // state (data and space, but neither a writer nor a reader left) and

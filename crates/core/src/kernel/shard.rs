@@ -54,8 +54,9 @@
 //! | `Connect` | `sys_connect` to a port another shard listens on | `ConnectReply` | sender: `remote_ops[token]`; owner: two new streams, the backlog, `remote_client_pins` | never (the reply installs or disposes of the connection) |
 //! | `ConnectReply` | the listener's shard | `ConnectAck` | sender: the socket description gains the client's stream ends | — |
 //! | `ConnectAck` | the connecting shard, after its `RemoteEndpoints` | — | owner's `remote_client_pins` entry and the hold behind it | — |
-//! | `PollQuery` | a `poll` parking on a foreign stream | `PollAnswer` | none on the owner | — |
-//! | `PollAnswer` | the owner | — | sender's `remote_stream_states` cache; its stream queues wake if the state changed | — |
+//! | `PollSubscribe` | the first parked `poll` on this shard to watch a foreign stream | `PollState` at once, then one per change | owner: the sender's bit in `poll_subscribers[stream]`; sender: `poll_subscriptions[stream]` | `PollUnsubscribe` |
+//! | `PollUnsubscribe` | the last such `poll` ending (ready, timed out, interrupted, or its process gone) | — | owner's bit cleared, the entry dropped with the last one | — |
+//! | `PollState` | the owner, when a wake of the stream's queues finds its state changed (and on subscribing) | — | sender's cached state; its stream queues wake if it changed | — |
 //! | `RemoteEndpoints` | any change to a shard's references on a foreign stream | — | sender's `foreign_endpoints`; owner's `remote_contribs` and the stream's counts | — |
 //!
 //! Remote operations carry a `token` minted by the submitting shard; the
@@ -68,6 +69,14 @@
 //! alone.  Delivery is exactly-once by construction: a completed or
 //! cancelled token leaves the submitter's `remote_ops` and any late reply
 //! for it is dropped.
+//!
+//! Readiness of a foreign stream is pushed, never polled for.  The owner
+//! learns of every change to a stream the way its own waiters do — the change
+//! wakes one of the stream's two queues — and `KernelState::wake` then
+//! compares the stream's state with the one last pushed and sends subscribers
+//! the new one.  A subscriber's cache holds an entry only while a parked
+//! `poll` there watches the stream, so a `poll` never reads a state nobody
+//! keeps current, and no timer re-asks.
 //!
 //! Signals are raised by the shard that owns the process: a remote write
 //! that ends in `EPIPE` comes back as a plain error, and the submitter sends
@@ -86,6 +95,7 @@ use browsix_fs::Errno;
 use crate::events::KernelEvent;
 use crate::exec::ProgramLauncher;
 use crate::fd::{Fd, FileKind, OpenFile};
+use crate::kernel::poll::PollSubscribers;
 use crate::kernel::waitq::WaitChannel;
 use crate::kernel::{KernelState, Outcome, ReplyTo};
 use crate::signals::Signal;
@@ -315,15 +325,23 @@ pub enum ShardMsg {
         /// The client side whose pin to release.
         client: StreamPair,
     },
-    /// Ask the owner of `stream` for a readiness snapshot (remote `poll`).
-    PollQuery {
+    /// A `poll` on the sending shard watches `stream`: send its state now
+    /// and again whenever it changes, until [`ShardMsg::PollUnsubscribe`].
+    PollSubscribe {
         /// The stream being polled.
         stream: StreamId,
-        /// Where to send the [`ShardMsg::PollAnswer`].
+        /// Where to send the [`ShardMsg::PollState`]s.
         from_shard: usize,
     },
-    /// Readiness snapshot of an owned stream, for a remote poller's cache.
-    PollAnswer {
+    /// No `poll` on the sending shard watches `stream` any more.
+    PollUnsubscribe {
+        /// The stream.
+        stream: StreamId,
+        /// The shard that subscribed.
+        from_shard: usize,
+    },
+    /// The state of a stream a `poll` on the receiving shard subscribed to.
+    PollState {
         /// The stream.
         stream: StreamId,
         /// Its state on the owner ([`StreamState::GONE`] once freed).
@@ -391,10 +409,13 @@ impl fmt::Debug for ShardMsg {
             ShardMsg::Connect { token, port, .. } => write!(f, "Connect(token={token}, port={port})"),
             ShardMsg::ConnectReply { token, result } => write!(f, "ConnectReply(token={token}, {result:?})"),
             ShardMsg::ConnectAck { client } => write!(f, "ConnectAck({client:?})"),
-            ShardMsg::PollQuery { stream, from_shard } => {
-                write!(f, "PollQuery(stream={stream}, from={from_shard})")
+            ShardMsg::PollSubscribe { stream, from_shard } => {
+                write!(f, "PollSubscribe(stream={stream}, from={from_shard})")
             }
-            ShardMsg::PollAnswer { stream, state } => write!(f, "PollAnswer(stream={stream}, {state:?})"),
+            ShardMsg::PollUnsubscribe { stream, from_shard } => {
+                write!(f, "PollUnsubscribe(stream={stream}, from={from_shard})")
+            }
+            ShardMsg::PollState { stream, state } => write!(f, "PollState(stream={stream}, {state:?})"),
             ShardMsg::RemoteEndpoints {
                 from_shard,
                 stream,
@@ -430,11 +451,12 @@ impl KernelState {
 
     /// The one answer to "what state is this stream in": read off the
     /// [`Stream`] when this shard owns it (a freed one is
-    /// [`StreamState::GONE`]), else the owner's latest [`ShardMsg::PollAnswer`]
-    /// — `None` until the first one arrives.
+    /// [`StreamState::GONE`]), else the owner's latest [`ShardMsg::PollState`]
+    /// — `None` unless a parked `poll` here subscribes to the stream and the
+    /// owner's first push has arrived.
     pub(crate) fn stream_state(&self, stream: StreamId) -> Option<StreamState> {
         if self.stream_is_remote(stream) {
-            self.remote_stream_states.get(&stream).copied()
+            self.poll_subscriptions.get(&stream).and_then(|sub| sub.state)
         } else {
             Some(self.streams.get(stream).map_or(StreamState::GONE, Stream::state))
         }
@@ -656,7 +678,9 @@ impl KernelState {
                 token,
             } => {
                 let cancelled = Some(ReplyTo::Shard { shard, token });
-                drop(self.waiters.take_matching(|w| w.reply == cancelled));
+                for waiter in self.waiters.take_matching(|w| w.reply == cancelled) {
+                    self.discard_waiter(waiter);
+                }
             }
             ShardMsg::Connect {
                 token,
@@ -712,20 +736,37 @@ impl KernelState {
                     self.drop_connection_side(client);
                 }
             }
-            ShardMsg::PollQuery { stream, from_shard } => {
-                if let Some(state) = self.stream_state(stream) {
-                    self.send_shard(from_shard, ShardMsg::PollAnswer { stream, state });
+            ShardMsg::PollSubscribe { stream, from_shard } => {
+                let state = self.streams.get(stream).map_or(StreamState::GONE, Stream::state);
+                if !state.gone {
+                    self.poll_subscribers
+                        .entry(stream)
+                        .or_insert(PollSubscribers {
+                            shards: 0,
+                            pushed: state,
+                        })
+                        .shards |= 1 << from_shard;
+                }
+                self.send_shard(from_shard, ShardMsg::PollState { stream, state });
+            }
+            ShardMsg::PollUnsubscribe { stream, from_shard } => {
+                if let Some(subscribers) = self.poll_subscribers.get_mut(&stream) {
+                    subscribers.shards &= !(1 << from_shard);
+                    if subscribers.shards == 0 {
+                        self.poll_subscribers.remove(&stream);
+                    }
                 }
             }
-            ShardMsg::PollAnswer { stream, state } => {
-                // Wake local pollers of this stream only when the snapshot
-                // *changed*: an unconditional wake would re-query on repark
-                // and ping-pong with the owner forever, while a silent cache
-                // update would be a lost wakeup (the scavenger would find a
-                // completable poll nobody woke).  A retry triggered by a
-                // change either completes or reparks; the repark's re-query
-                // returns the same snapshot, so the exchange terminates.
-                if self.remote_stream_states.insert(stream, state) != Some(state) {
+            ShardMsg::PollState { stream, state } => {
+                // Only a live subscription keeps a state: a push that crossed
+                // this shard's unsubscribe finds none and is dropped.  Local
+                // pollers wake only when the state *changed* — a silent update
+                // would be a lost wakeup, and a push repeating what is known
+                // has nothing to tell them.
+                let Some(subscription) = self.poll_subscriptions.get_mut(&stream) else {
+                    return;
+                };
+                if subscription.state.replace(state) != Some(state) {
                     self.stats.cross_shard_wakeups += 1;
                     self.wake(WaitChannel::StreamReadable(stream));
                     self.wake(WaitChannel::StreamWritable(stream));

@@ -40,7 +40,7 @@ use browsix_fs::Errno;
 use browsix_http::{parse_response, HttpResponse};
 
 use crate::fd::{Fd, OpenFile};
-use crate::kernel::{KernelState, ReplyTo, ShardMsg};
+use crate::kernel::{KernelState, ReplyTo};
 use crate::socket::StreamPair;
 use crate::streams::{Stream, StreamId};
 use crate::syscall::{PollRequest, SysResult};
@@ -283,23 +283,9 @@ impl<T> WaitTable<T> {
         self.waiters.drain().map(|(_, (payload, _))| payload).collect()
     }
 
-    /// Keeps only the waiters whose payload satisfies `keep` (used to drop a
-    /// dead process's waiters).
-    pub fn retain<F: FnMut(&T) -> bool>(&mut self, mut keep: F) {
-        let dead: Vec<WaiterId> = self
-            .waiters
-            .iter()
-            .filter(|(_, (payload, _))| !keep(payload))
-            .map(|(&id, _)| id)
-            .collect();
-        for id in dead {
-            self.remove_registered(id, None);
-        }
-    }
-
     /// Removes and returns every waiter whose payload satisfies `matches`
     /// (used to interrupt a signalled process's blocked system calls with
-    /// `EINTR`).
+    /// `EINTR`, and to drop a dead process's).
     pub fn take_matching<F: FnMut(&T) -> bool>(&mut self, mut matches: F) -> Vec<T> {
         let ids: Vec<WaiterId> = self
             .waiters
@@ -312,10 +298,9 @@ impl<T> WaitTable<T> {
             .collect()
     }
 
-    /// Counts the waiters whose payload satisfies `matches` (scavenger-mode
-    /// assertions over signal interruption).
-    pub fn count_matching<F: FnMut(&T) -> bool>(&self, mut matches: F) -> usize {
-        self.waiters.values().filter(|(payload, _)| matches(payload)).count()
+    /// Every parked payload, in no particular order (audits).
+    pub fn iter(&self) -> impl Iterator<Item = &T> + '_ {
+        self.waiters.values().map(|(payload, _)| payload)
     }
 
     /// Removes `id` from the waiter map and from every channel list it is
@@ -394,18 +379,26 @@ pub(crate) enum WaitKind {
         /// Maximum bytes to move.
         len: u64,
     },
-    /// `poll` waiting for the first ready descriptor or its timeout.
-    Poll {
-        /// The descriptors and event masks being polled.
-        fds: Vec<PollRequest>,
-        /// When the poll times out (None = wait forever).
-        deadline: Option<Instant>,
-    },
+    /// `poll` waiting for the first ready descriptor or its timeout (boxed,
+    /// so the largest kind does not grow every waiter).
+    Poll(Box<PollWait>),
     /// A kernel-internal HTTP client waiting for its connection's streams.
     HttpClient {
         /// The client's side of the loopback connection.
         side: StreamPair,
     },
+}
+
+/// A parked `poll`.
+#[derive(Debug)]
+pub(crate) struct PollWait {
+    /// The descriptors and event masks being polled.
+    pub fds: Vec<PollRequest>,
+    /// When the poll times out (None = wait forever).
+    pub deadline: Option<Instant>,
+    /// The foreign streams it subscribed to, each once; the subscriptions
+    /// end with the poll.
+    pub watched: Vec<StreamId>,
 }
 
 /// A parked blocked operation.
@@ -464,32 +457,17 @@ impl KernelState {
         self.park_waiter_channels(Channels::One(channel), waiter);
     }
 
-    fn park_waiter_channels(&mut self, channels: Channels, waiter: Waiter) {
-        let mut deadline = match &waiter.kind {
-            WaitKind::Poll { deadline, .. } => *deadline,
+    fn park_waiter_channels(&mut self, channels: Channels, mut waiter: Waiter) {
+        // A polled descriptor owned by another shard never produces a local
+        // wake by itself: subscribe to its stream, and the owner's pushes
+        // land in the subscription and wake these channels when they change.
+        let deadline = match &mut waiter.kind {
+            WaitKind::Poll(poll) => {
+                self.watch_foreign_streams(waiter.pid, &poll.fds, &mut poll.watched);
+                poll.deadline
+            }
             _ => None,
         };
-        // A polled descriptor owned by another shard never produces a local
-        // wake by itself: ask the owner for a readiness snapshot now (the
-        // answer lands in the stream-state cache and wakes us if it changed) and
-        // arm a short tick as the fallback retry.  The tick fires the retry
-        // early; the poll's own deadline still decides the actual timeout.
-        if let WaitKind::Poll { fds, .. } = &waiter.kind {
-            let remote = self.remote_poll_streams(waiter.pid, fds);
-            if !remote.is_empty() {
-                for &stream in &remote {
-                    self.send_shard(
-                        crate::kernel::shard::stream_shard(stream),
-                        ShardMsg::PollQuery {
-                            stream,
-                            from_shard: self.shard_id(),
-                        },
-                    );
-                }
-                let tick = Instant::now() + std::time::Duration::from_millis(2);
-                deadline = Some(deadline.map_or(tick, |d| d.min(tick)));
-            }
-        }
         let actionable = self.waiter_actionable(&waiter);
         let id = self.waiters.park_channels(channels, waiter);
         if let Some(deadline) = deadline {
@@ -538,7 +516,7 @@ impl KernelState {
                     }
                 }
             },
-            WaitKind::Poll { fds, .. } => self.poll_revents(waiter.pid, fds).iter().any(|&r| r != 0),
+            WaitKind::Poll(poll) => self.poll_revents(waiter.pid, &poll.fds).iter().any(|&r| r != 0),
             WaitKind::HttpClient { side } => self.http_client_actionable(*side),
         }
     }
@@ -569,6 +547,9 @@ impl KernelState {
         }
         self.waking = true;
         while let Some(next) = self.wake_queue.pop_front() {
+            if !self.poll_subscribers.is_empty() {
+                self.publish_stream_state(next);
+            }
             for waiter in self.waiters.take_channel(next) {
                 self.retry_waiter(waiter);
             }
@@ -579,7 +560,9 @@ impl KernelState {
     /// Drops every waiter belonging to `pid` (the process exited; nobody is
     /// left to receive the completions).
     pub(crate) fn drop_waiters_of(&mut self, pid: Pid) {
-        self.waiters.retain(|w| w.pid != pid);
+        for waiter in self.waiters.take_matching(|w| w.pid == pid) {
+            self.discard_waiter(waiter);
+        }
         // Operations executing on foreign shards on this process's behalf:
         // tell the owner to drop its parked side too.
         self.cancel_remote_ops(pid, true);
@@ -588,15 +571,15 @@ impl KernelState {
     /// Retries one woken waiter: complete it, or re-park it on the channels
     /// it still needs.
     pub(crate) fn retry_waiter(&mut self, waiter: Waiter) {
-        let Waiter { pid, reply, kind } = waiter;
         // A waiter whose process died is dropped — if the process is this
         // shard's to know about.  One parked for a process on another shard
         // lives until its submitter cancels it (`CancelOp`), and the kernel's
         // own HTTP clients belong to no process at all.
-        let local = matches!(reply, Some(ReplyTo::Batch { .. } | ReplyTo::Ring { .. }));
-        if local && !self.tasks_contains(pid) {
-            return;
+        let local = matches!(waiter.reply, Some(ReplyTo::Batch { .. } | ReplyTo::Ring { .. }));
+        if local && !self.tasks_contains(waiter.pid) {
+            return self.discard_waiter(waiter);
         }
+        let Waiter { pid, reply, kind } = waiter;
         match kind {
             WaitKind::Read { stream, len } => match self.try_read_stream(stream, len) {
                 Some(data) => self.finish_waiter(pid, reply, SysResult::Data(data)),
@@ -695,27 +678,23 @@ impl KernelState {
                 ),
                 Err(e) => self.finish_waiter(pid, reply, SysResult::Err(e)),
             },
-            WaitKind::Poll { fds, deadline } => {
-                let revents = self.poll_revents(pid, &fds);
+            WaitKind::Poll(poll) => {
+                let revents = self.poll_revents(pid, &poll.fds);
                 if revents.iter().any(|&r| r != 0) {
+                    self.unwatch_foreign_streams(poll.watched);
                     self.finish_waiter(pid, reply, SysResult::Poll(revents));
-                } else if deadline.is_some_and(|d| Instant::now() >= d) {
+                } else if poll.deadline.is_some_and(|d| Instant::now() >= d) {
                     // Timer-driven, deliberately not counted as a wakeup (the
                     // scavenger asserts on the wakeup counter).
+                    self.unwatch_foreign_streams(poll.watched);
                     self.stats.poll_timeouts += 1;
                     if let Some(reply) = reply {
                         self.complete(pid, reply, SysResult::Poll(revents));
                     }
                 } else {
-                    let channels = self.poll_wait_channels(pid, &fds);
-                    self.repark(
-                        channels,
-                        Waiter {
-                            pid,
-                            reply,
-                            kind: WaitKind::Poll { fds, deadline },
-                        },
-                    );
+                    let channels = self.poll_wait_channels(pid, &poll.fds);
+                    let kind = WaitKind::Poll(poll);
+                    self.repark(channels, Waiter { pid, reply, kind });
                 }
             }
             WaitKind::HttpClient { side } => match self.pump_http_client(side) {
@@ -729,6 +708,14 @@ impl KernelState {
                     },
                 ),
             },
+        }
+    }
+
+    /// Drops a waiter that will never be retried, ending the subscriptions
+    /// a `poll` holds.
+    pub(crate) fn discard_waiter(&mut self, waiter: Waiter) {
+        if let WaitKind::Poll(poll) = waiter.kind {
+            self.unwatch_foreign_streams(poll.watched);
         }
     }
 
@@ -864,11 +851,12 @@ mod tests {
     }
 
     #[test]
-    fn retain_drops_waiters_and_their_registrations() {
+    fn take_matching_drops_waiters_and_their_registrations() {
         let mut table: WaitTable<u32> = WaitTable::new();
         table.park(vec![WaitChannel::ChildOf(1)], 1);
         table.park(vec![WaitChannel::ChildOf(1)], 2);
-        table.retain(|&v| v != 1);
+        assert_eq!(table.take_matching(|&v| v == 1), vec![1]);
+        assert_eq!(table.iter().collect::<Vec<_>>(), vec![&2]);
         assert_eq!(table.take_channel(WaitChannel::ChildOf(1)), vec![2]);
     }
 

@@ -118,8 +118,8 @@ pub struct KernelStats {
     pub steals: u64,
     /// Wakeups that crossed a shard boundary: a parked waiter completing to a
     /// `ReplyTo::Shard` address (`finish_waiter` — the cross-shard subset of
-    /// `wakeups`), and a `PollAnswer` that changed a cached stream state and
-    /// so woke local pollers.
+    /// `wakeups`), and a `PollState` push that changed a subscribed stream's
+    /// state and so woke local pollers.
     pub cross_shard_wakeups: u64,
 }
 

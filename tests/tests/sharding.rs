@@ -16,7 +16,9 @@ use proptest::prelude::*;
 use browsix_core::kernel::shard::shard_of;
 use browsix_core::{BootConfig, Kernel, ResourceCounts, Signal};
 use browsix_fs::FileSystem;
-use browsix_runtime::{guest, ExecutionProfile, NodeLauncher, RuntimeEnv, SpawnStdio, SyscallConvention};
+use browsix_runtime::{
+    guest, ExecutionProfile, NodeLauncher, PollFd, RuntimeEnv, SpawnStdio, SyscallConvention, POLLHUP, POLLIN,
+};
 
 fn instant_async() -> ExecutionProfile {
     ExecutionProfile::instant(SyscallConvention::Async)
@@ -246,6 +248,75 @@ fn blocked_cross_shard_writers_get_exactly_one_sigpipe_each() {
         handle.stderr_string()
     );
     kernel.shutdown();
+}
+
+// ---- cross-shard poll ---------------------------------------------------------
+
+#[test]
+fn a_poll_of_a_pipe_another_shard_owns_sees_each_change_and_nothing_stale() {
+    // The parent (shard 0) owns the pipe; the watcher, its first spawn, lands
+    // on shard 1 with the read end as stdin.  Its polls learn the pipe's
+    // state only from what shard 0 pushes: data, then — once that is read —
+    // nothing (a poll must not answer from what an earlier poll was told),
+    // then the hang-up.
+    for convention in [SyscallConvention::Async, SyscallConvention::Sync] {
+        let config = BootConfig::in_memory().with_shards(4);
+        let profile = ExecutionProfile::instant(convention);
+        let register = |name: &'static str, main: fn(&mut dyn RuntimeEnv) -> i32| {
+            let launcher = NodeLauncher::new(name, guest(name, main)).with_profile(profile.clone());
+            config
+                .registry
+                .register(&format!("/usr/bin/{name}"), Arc::new(launcher));
+        };
+        register("parent", |env| {
+            let (r, w) = env.pipe().unwrap();
+            let (back_r, back_w) = env.pipe().unwrap();
+            let stdio = SpawnStdio {
+                stdin: Some(r),
+                stdout: Some(back_w),
+                stderr: None,
+            };
+            let watcher = env.spawn("/usr/bin/watcher", &["watcher".to_owned()], stdio).unwrap();
+            env.close(r).unwrap();
+            env.close(back_w).unwrap();
+            let written = env.write(w, b"a");
+            // Once the watcher has read the byte and polled again, hang up.
+            let told = env.read(back_r, 8);
+            env.close(w).unwrap();
+            let code = env.wait(watcher as i32).unwrap().exit_code.unwrap_or(9);
+            match (written, told.as_deref()) {
+                (Ok(1), Ok(b"2")) => code,
+                _ => 10 + code,
+            }
+        });
+        register("watcher", |env| {
+            let mut pfds = [PollFd::readable(0)];
+            if env.poll(&mut pfds, -1) != Ok(1) || pfds[0].revents != POLLIN {
+                return 1;
+            }
+            if env.read(0, 8).as_deref() != Ok(b"a") {
+                return 2;
+            }
+            if env.poll(&mut pfds, 20) != Ok(0) {
+                return 3;
+            }
+            if env.write(1, b"2") != Ok(1) {
+                return 4;
+            }
+            if env.poll(&mut pfds, -1) != Ok(1) || pfds[0].revents != POLLHUP {
+                return 5;
+            }
+            0
+        });
+        let kernel = Kernel::boot(config);
+        let parent = kernel.spawn("/usr/bin/parent", &["parent"], &[]).unwrap();
+        assert_eq!(shard_of(parent.pid, 4), 0);
+        let status = parent
+            .wait_timeout(Duration::from_secs(30))
+            .expect("the watcher must finish");
+        assert_eq!(status.code, Some(0), "{convention:?}: {}", parent.stderr_string());
+        kernel.shutdown();
+    }
 }
 
 // ---- cross-shard sockets ----------------------------------------------------
