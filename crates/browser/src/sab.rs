@@ -372,13 +372,33 @@ impl SharedArrayBuffer {
         expected: i32,
         timeout: Option<Duration>,
     ) -> Result<AtomicsWaitResult, PlatformError> {
+        self.wait_unless(offset, expected, timeout, || false)
+    }
+
+    /// [`SharedArrayBuffer::wait`] that also returns `NotEqual` when `stop()`
+    /// holds on entry.  `stop` is read where the word is — under the table
+    /// lock, after the sleeper count went up — so a thread that makes it
+    /// true and *then* notifies `offset` ends the wait wherever it lands,
+    /// exactly as a store to the word would (see the module docs).  It must
+    /// be cheap and must not wait or notify on this buffer.
+    ///
+    /// # Errors
+    ///
+    /// As [`SharedArrayBuffer::store_i32`].
+    pub fn wait_unless(
+        &self,
+        offset: usize,
+        expected: i32,
+        timeout: Option<Duration>,
+        stop: impl Fn() -> bool,
+    ) -> Result<AtomicsWaitResult, PlatformError> {
         let word = self.word(offset)?;
         let inner = &*self.inner;
         let mut waits = inner.waits.lock();
         // Count, then read: see the module docs for why this order (and the
         // notifier's opposite one) cannot lose a wake.
         inner.sleepers.fetch_add(1, SeqCst);
-        let result = if word.load(SeqCst) as i32 != expected {
+        let result = if word.load(SeqCst) as i32 != expected || stop() {
             AtomicsWaitResult::NotEqual
         } else {
             let address = waits.entry(offset).or_insert(WaitAddress { seq: 0, waiters: 0 });

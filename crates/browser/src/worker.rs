@@ -82,7 +82,9 @@ impl WorkerScope {
     /// Whether the parent has called [`Worker::terminate`].
     ///
     /// Real workers are killed preemptively; in the simulation, scripts are
-    /// expected to poll this flag at message and system-call boundaries.
+    /// expected to check this flag at message and system-call boundaries,
+    /// and a worker asleep in `Atomics.wait` reads it with the word it
+    /// waits on ([`crate::SharedArrayBuffer::wait_unless`]).
     pub fn terminated(&self) -> bool {
         self.terminated.load(Ordering::SeqCst)
     }
@@ -103,21 +105,21 @@ impl WorkerScope {
     }
 
     /// Blocks until the next message from the parent arrives.
+    /// [`Worker::terminate`] sends one message of its own after raising the
+    /// flag, so the flag is read after each message too, and a termination
+    /// ends this wait whenever it lands.
     ///
     /// # Errors
     ///
     /// Returns [`PlatformError::WorkerTerminated`] if the parent side is gone
     /// or the worker has been terminated.
     pub fn recv(&self) -> Result<Message, PlatformError> {
-        loop {
-            if self.terminated() {
-                return Err(PlatformError::WorkerTerminated);
-            }
-            match self.from_parent.recv_timeout(Duration::from_millis(50)) {
-                Ok(msg) => return Ok(msg),
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return Err(PlatformError::WorkerTerminated),
-            }
+        if self.terminated() {
+            return Err(PlatformError::WorkerTerminated);
+        }
+        match self.from_parent.recv() {
+            Ok(msg) if !self.terminated() => Ok(msg),
+            _ => Err(PlatformError::WorkerTerminated),
         }
     }
 
@@ -262,9 +264,13 @@ impl Worker {
     /// Terminates the worker, mirroring `worker.terminate()`.
     ///
     /// The worker's script observes the termination flag at its next message
-    /// or system-call boundary and unwinds.  Termination is idempotent.
+    /// or system-call boundary and unwinds; one message after the flag wakes
+    /// a [`WorkerScope::recv`] that is already blocked.  Termination is
+    /// idempotent.
     pub fn terminate(&self) {
-        self.terminated.store(true, Ordering::SeqCst);
+        if !self.terminated.swap(true, Ordering::SeqCst) {
+            let _ = self.to_worker.send(Message::Null);
+        }
     }
 
     /// Terminates the worker and waits for its thread to finish.  Used by
@@ -343,6 +349,25 @@ mod tests {
             worker.post_message(Message::Null),
             Err(PlatformError::WorkerTerminated)
         ));
+    }
+
+    #[test]
+    fn terminate_ends_a_blocked_recv() {
+        let cfg = PlatformConfig::fast();
+        let (tx, rx) = unbounded();
+        let mut worker = Worker::spawn(
+            &cfg,
+            "blocked",
+            Box::new(move |scope: WorkerScope| {
+                tx.send(scope.recv().err()).unwrap();
+            }),
+        );
+        worker.terminate();
+        let ended = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("recv slept through terminate");
+        assert_eq!(ended, Some(PlatformError::WorkerTerminated));
+        worker.terminate_and_join();
     }
 
     #[test]

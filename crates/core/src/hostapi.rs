@@ -471,20 +471,21 @@ impl Kernel {
     /// Blocks until some process is listening on `port` (or `timeout`
     /// elapses).  This is how the meme-generator client knows its in-Browsix
     /// server is ready without polling.
+    ///
+    /// Subscribing first and then asking closes the race with a `listen` in
+    /// between: shard 0 registers the subscription before it answers the
+    /// question, so a port claimed after the answer is notified.
     pub fn wait_for_port(&self, port: u16, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let notifications = self.port_notifications();
+        if self.listening_ports().contains(&port) {
+            return true;
+        }
         loop {
-            if self.listening_ports().contains(&port) {
-                return true;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            match notifications.recv_timeout((deadline - now).min(Duration::from_millis(20))) {
+            match notifications.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
                 Ok(p) if p == port => return true,
-                _ => {}
+                Ok(_) => {}
+                Err(_) => return false,
             }
         }
     }

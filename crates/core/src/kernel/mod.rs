@@ -20,7 +20,7 @@ pub mod waitq;
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 
@@ -221,58 +221,49 @@ impl KernelState {
     /// The kernel's main loop: process events until shutdown.
     ///
     /// Every state change wakes exactly the wait queues it affects as part
-    /// of handling the event, and ring submissions arrive as doorbell
-    /// events, and a foreign stream's owner pushes its state changes to
-    /// the shards whose `poll`s subscribed, so the loop itself does no
-    /// retry work.  Two timer-driven duties remain: expiring `poll`
-    /// deadlines — only those the calls asked for — which bound the sleep, and
-    /// — only when the queue stayed empty for a whole tick (at most 20 ms) —
-    /// a backstop drain of every mapped ring, which bounds the cost of a
-    /// doorbell that was lost rather than letting it hang a process.
+    /// of handling the event, ring submissions arrive as doorbell events,
+    /// and a foreign stream's owner pushes its state changes to the shards
+    /// whose `poll`s subscribed, so the loop itself does no retry work and
+    /// sleeps until an event arrives.  The one deadline it keeps is the
+    /// earliest a parked `poll` asked for: only while there is one does the
+    /// loop wait with a timeout, and expire it when that runs out.
     pub(crate) fn run(mut self, events: Receiver<KernelEvent>) {
         loop {
-            let timeout = self
-                .next_poll_deadline()
-                .map(|deadline| deadline.saturating_duration_since(Instant::now()))
-                .unwrap_or(Duration::from_millis(20))
-                .min(Duration::from_millis(20));
-            match events.recv_timeout(timeout) {
-                Ok(KernelEvent::Shutdown) => break,
+            let event = match self.next_poll_deadline() {
+                Some(deadline) => events.recv_timeout(deadline.saturating_duration_since(Instant::now())),
+                None => events.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            };
+            match event {
+                Ok(KernelEvent::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
                 Ok(event) => self.handle_one(Some(event)),
                 Err(RecvTimeoutError::Timeout) => self.handle_one(None),
-                Err(RecvTimeoutError::Disconnected) => break,
             }
         }
         // Terminate every remaining worker so their threads exit.
         for task in self.tasks.values_mut() {
-            if let Some(worker) = task.worker.take() {
-                worker.terminate();
-            }
+            task.terminate_worker();
         }
     }
 
     /// One turn of the event loop, with or without a thread around it:
-    /// handles `event` — `None` is the idle tick, which sweeps the rings
-    /// once — expires due `poll` deadlines, and then wakes every process
-    /// whose completion queue any of that filled, once each.
+    /// handles `event` — `None` means a `poll` deadline came due — expires
+    /// due `poll` deadlines, and then wakes every process whose completion
+    /// queue any of that filled, once each.
     pub(crate) fn handle_one(&mut self, event: Option<KernelEvent>) {
-        match event {
-            Some(event) => self.handle_event(event),
-            None => self.drain_rings(),
+        if let Some(event) = event {
+            self.handle_event(event);
         }
         self.expire_poll_deadlines();
         self.notify_rings();
         // With the `scavenger` feature, prove after every event that the
         // wait queues lost no wakeup (retrying every parked waiter must
-        // complete none), that no submission sits undrained, that the
-        // endpoint counts equal a from-scratch recount, that every `poll`
-        // subscription is counted and every subscribed stream's last push
-        // is its state, and that no ring holds a completion published since
-        // it was last notified.
+        // complete none), that the endpoint counts equal a from-scratch
+        // recount, that every `poll` subscription is counted and every
+        // subscribed stream's last push is its state, and that no ring holds
+        // a completion published since it was last notified.
         #[cfg(feature = "scavenger")]
         {
             self.scavenge();
-            self.scavenge_rings();
             self.audit_endpoints();
             self.audit_poll_subscriptions();
             assert!(
@@ -342,35 +333,19 @@ impl KernelState {
         Outcome::Complete(SysResult::Ok)
     }
 
-    /// The running tasks that have a ring mapped.
-    fn ring_tasks(&self) -> impl Iterator<Item = &Task> + '_ {
-        self.tasks
-            .values()
-            .map(|t| &**t)
-            .filter(|t| t.is_running() && t.ring.is_some())
-    }
-
-    /// The idle-tick backstop that bounds a lost doorbell to one tick:
-    /// drains every running task's ring that holds submissions, or owes
-    /// completions that overflowed.  On an idle tick that is almost always
-    /// none of them, and collecting none allocates nothing.
-    fn drain_rings(&mut self) {
-        let backlog = |t: &&Task| !t.pending_cqes.is_empty() || t.ring.as_ref().is_some_and(|ring| !ring.sq_is_empty());
-        let pids: Vec<Pid> = self.ring_tasks().filter(backlog).map(|t| t.pid).collect();
-        for pid in pids {
-            self.drain_ring(pid);
-        }
-    }
-
     /// Drains one task's submission queue dry, dispatching each entry and
     /// posting its completion (or parking a waiter) as it goes, then
-    /// notifies the task of those completions, once, and parks the queue by
-    /// setting `NEED_WAKEUP`.
+    /// notifies the task of those completions, once, and parks the queue
+    /// ([`Ring::park`]).
     ///
-    /// The park re-checks for entries that raced in after the flag was set:
-    /// their submitter saw the flag still clear and suppressed its doorbell,
-    /// so they must be consumed by this pass — this loop is what guarantees
-    /// a non-empty queue never goes undrained.
+    /// The park sets `NEED_WAKEUP` and then re-checks both queues: entries
+    /// that raced in after the pass saw the queue empty, and completions
+    /// that overflowed and now fit, because the process popped while the
+    /// flag was still clear.  Either way the process rang no doorbell, so
+    /// this loop goes round again — it is what guarantees that no
+    /// submission goes undrained and no completion stays stranded in the
+    /// overflow queue while the process sleeps.  The same park wakes a
+    /// process that waits for the queue space this pass made.
     ///
     /// A stopped task's queue is left exactly as it is — entries unpopped,
     /// flag untouched — like the message frames `handle_syscall` stashes:
@@ -431,36 +406,10 @@ impl KernelState {
                 self.cq_unnotified.swap_remove(at);
                 ring.notify_cq();
             }
-            ring.set_need_wakeup();
-            if ring.sq_is_empty() {
+            if ring.park(|| self.flush_pending_cqes(pid, None)) {
                 break;
             }
-            ring.clear_need_wakeup();
         }
-    }
-
-    /// Scavenger-mode enforcement that a non-empty submission queue never
-    /// goes undrained: re-drain every ring until it is observed empty.
-    ///
-    /// An entry visible here either has its doorbell still in flight
-    /// (consuming it early is harmless) or would have waited for the idle
-    /// tick; the loop guarantees neither survives to the next sleep, so the
-    /// scavenger suite never depends on the tick.  No flag/emptiness
-    /// assertion is made against shared state: submitters publish entries
-    /// and consult the doorbell flag in two separate steps, so a transient
-    /// "non-empty with `NEED_WAKEUP` set" is legal mid-publish.  The strict
-    /// single-threaded invariant (a drained queue is empty with the flag
-    /// set) is asserted by the deterministic ring model property test.
-    #[cfg(feature = "scavenger")]
-    fn scavenge_rings(&mut self) {
-        let pids: Vec<Pid> = self.ring_tasks().map(|t| t.pid).collect();
-        for pid in pids {
-            while self.task_running(pid) && self.tasks[&pid].ring.as_ref().is_some_and(|ring| !ring.sq_is_empty()) {
-                self.drain_ring(pid);
-            }
-        }
-        // What those drains completed belongs to no event: notify it here.
-        self.notify_rings();
     }
 
     /// Posts one ring completion.  It queues behind any that overflowed
@@ -475,11 +424,13 @@ impl KernelState {
     /// Publishes the task's queued completions, `newest` last, in FIFO order
     /// until one does not fit ([`Ring::push_result`]: a full queue, or no
     /// free run of the buffers a spill needs), and remembers that its ring
-    /// is owed a notify.
-    fn flush_pending_cqes(&mut self, pid: Pid, newest: Option<(u32, SysResult)>) {
-        let Some(task) = self.tasks.get_mut(&pid) else { return };
+    /// is owed a notify.  Returns whether it published any.
+    fn flush_pending_cqes(&mut self, pid: Pid, newest: Option<(u32, SysResult)>) -> bool {
+        let Some(task) = self.tasks.get_mut(&pid) else {
+            return false;
+        };
         task.pending_cqes.extend(newest);
-        let Some(ring) = &task.ring else { return };
+        let Some(ring) = &task.ring else { return false };
         let mut posted = 0;
         while let Some((user_data, result)) = task.pending_cqes.front() {
             if !ring.push_result(*user_data, result) {
@@ -494,6 +445,7 @@ impl KernelState {
                 self.cq_unnotified.push(pid);
             }
         }
+        posted > 0
     }
 
     /// Wakes every process whose completion queue was published to and that
@@ -947,9 +899,7 @@ impl KernelState {
             return;
         }
         task.state = TaskState::Zombie { status };
-        if let Some(worker) = task.worker.take() {
-            worker.terminate();
-        }
+        task.terminate_worker();
         // The ring dies with the process: nobody is left to consume its
         // completion queue.
         task.ring = None;

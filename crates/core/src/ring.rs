@@ -31,10 +31,10 @@
 //!
 //! | word                  | written by | ordering          | who waits on it |
 //! |-----------------------|------------|-------------------|-----------------|
-//! | SQ head               | kernel     | `SeqCst` store    | nobody (the process polls it for space) |
+//! | SQ head               | kernel     | `SeqCst` store    | nobody (a process out of space sets `NEED_SPACE` and waits on the CQ tail) |
 //! | SQ tail               | process    | `SeqCst` store    | nobody (a doorbell event stands in for `Atomics.notify`) |
-//! | SQ flags (`NEED_WAKEUP`) | both    | `SeqCst` `or`/`and` | nobody |
-//! | CQ head               | process    | `SeqCst` store    | nobody (the kernel retries overflow on the next drain) |
+//! | SQ flags (`NEED_WAKEUP`, `NEED_SPACE`) | both | `SeqCst` `or`/`and` | nobody |
+//! | CQ head               | process    | `SeqCst` store    | nobody (the kernel retries overflow as it parks, and on the next drain) |
 //! | CQ tail               | kernel     | `SeqCst` store    | the process, in `Atomics.wait` with the tail it last saw |
 //! | slot header, reference | producer  | `SeqCst` stores, before the tail | nobody |
 //! | buffer bitmap         | both       | `SeqCst` compare-exchange / `and` | nobody |
@@ -44,6 +44,29 @@
 //! any other kernel event, published to the ring.  Nothing is lost in between: the process re-reads the CQ
 //! tail and passes that value as `Atomics.wait`'s expected one, so a
 //! completion published before it sleeps makes the wait return `NotEqual`.
+//!
+//! # Parking: which side wakes the other
+//!
+//! Nothing on either side polls or sleeps on a timer, so each hand-off is a
+//! Dekker pair of `SeqCst` steps in which whichever side comes second sees
+//! what the first one did:
+//!
+//! * **A submission** needs the kernel.  The process publishes, then takes
+//!   `NEED_WAKEUP`; the kernel sets the flag, then re-checks the queue
+//!   ([`Ring::park`]).  Flag already set: the process rings the doorbell.
+//!   Not yet: the re-check finds the entry.
+//! * **An overflowed completion** (a full queue, or no free run of buffers)
+//!   needs the process to pop.  The process pops, then takes the flag; the
+//!   kernel sets it, then retries the overflow ([`Ring::park`] again).
+//! * **A full submission queue** needs the kernel to pop.  The process sets
+//!   `NEED_SPACE`, then sleeps on the CQ tail unless [`Ring::sq_space`] is
+//!   no longer 0 — checked under the wait's lock
+//!   ([`SharedArrayBuffer::wait_unless`]); the kernel pops, then reads the
+//!   flag as it parks and notifies the CQ tail while it is set.  Only the
+//!   process clears it, once it is awake.
+//! * **Termination** needs the process to stop waiting.  Its wait reads the
+//!   worker's termination flag the same way; the kernel terminates the
+//!   worker, then notifies the CQ tail.
 //!
 //! Slot payloads are the exact wire encoding of [`crate::Syscall`] and
 //! [`crate::syscall::SysResult`], the same bytes the message transport puts
@@ -120,6 +143,10 @@ pub const RING_REGION_BYTES: u32 = 2 * RING_BYTES + REG_BUF_TABLE_BYTES;
 /// SQ header flag: the kernel has drained the queue dry and parked; the next
 /// submission must ring the doorbell.
 pub const NEED_WAKEUP: i32 = 1;
+
+/// SQ header flag: the process waits for a free SQ slot; every drain pass
+/// that parks while it is set notifies the CQ tail.
+pub const NEED_SPACE: i32 = 2;
 
 /// Maximum payload bytes one slot can carry.
 pub const SLOT_PAYLOAD_BYTES: u32 = RING_SLOT_BYTES - 8;
@@ -409,6 +436,39 @@ impl Ring {
         let _ = self
             .sab
             .fetch_and_i32(self.geo.sq_offset as usize + FLAGS, !NEED_WAKEUP);
+    }
+
+    /// Kernel: ends a drain pass.  Sets `NEED_WAKEUP`, notifies the CQ tail
+    /// if the process waits for the SQ space the pass's pops made
+    /// (`NEED_SPACE`), then re-checks both queues: `flush` retries the
+    /// completions that overflowed and says whether it posted any, and the
+    /// SQ may hold entries that raced in.  A process that submitted or
+    /// popped while the flag was still clear rang no doorbell, so only this
+    /// re-check finds either.  Returns `true` once parked, or `false`, with
+    /// the flag cleared again, when the kernel must notify and drain once
+    /// more.
+    pub fn park(&self, flush: impl FnOnce() -> bool) -> bool {
+        let flags = self.sab.fetch_or_i32(self.geo.sq_offset as usize + FLAGS, NEED_WAKEUP);
+        if matches!(flags, Ok(flags) if flags & NEED_SPACE != 0) {
+            self.notify_cq();
+        }
+        if !flush() && self.sq_is_empty() {
+            return true;
+        }
+        self.clear_need_wakeup();
+        false
+    }
+
+    /// Process: sets (or, once awake, clears) `NEED_SPACE`, the request to be
+    /// woken when the kernel pops from a full SQ.  Set it before the last
+    /// look at [`Ring::sq_space`] before sleeping.
+    pub fn need_sq_space(&self, on: bool) {
+        let flags = self.geo.sq_offset as usize + FLAGS;
+        let _ = if on {
+            self.sab.fetch_or_i32(flags, NEED_SPACE)
+        } else {
+            self.sab.fetch_and_i32(flags, !NEED_SPACE)
+        };
     }
 
     /// Process: atomically consumes the `NEED_WAKEUP` flag.  Returns whether
@@ -907,6 +967,101 @@ mod tests {
         ring.set_need_wakeup();
         ring.clear_need_wakeup();
         assert!(!ring.take_doorbell());
+    }
+
+    /// A drain pass ends with one completion in the kernel's overflow queue
+    /// — the CQ was full — while the process pops.  Every interleaving of
+    /// the kernel's flush → set `NEED_WAKEUP` → re-check ([`Ring::park`])
+    /// with the process's pop → take the doorbell → sleep check is played:
+    /// in none may the process go to sleep on a tail that never moves again
+    /// while that completion stays in the overflow queue, unless it rang the
+    /// doorbell, whose drain flushes it first.  Every word involved is one
+    /// `SeqCst` operation, so sequential schedules of the six steps are
+    /// exact at this granularity.
+    #[test]
+    fn no_interleaving_of_park_and_pop_strands_an_overflowed_completion() {
+        use std::cell::Cell;
+
+        #[derive(Debug, Clone, Copy)]
+        enum Step {
+            Pop,
+            TakeDoorbell,
+            SleepCheck,
+        }
+        const CLIENT: [Step; 3] = [Step::Pop, Step::TakeDoorbell, Step::SleepCheck];
+        let mut schedules = 0;
+        // Bit `i` of `kernel_at` set: the `i`-th of the six steps is the
+        // kernel's.  A client step runs in gap `g`, after `g` kernel steps.
+        for kernel_at in (0u32..1 << 6).filter(|bits| bits.count_ones() == 3) {
+            schedules += 1;
+            let mut gaps = [[None; 3]; 4];
+            let (mut kernel_steps, mut client_steps) = (0, 0);
+            for i in 0..6 {
+                if kernel_at & 1 << i != 0 {
+                    kernel_steps += 1;
+                } else {
+                    gaps[kernel_steps][client_steps] = Some(CLIENT[client_steps]);
+                    client_steps += 1;
+                }
+            }
+            let ring = ring();
+            for user_data in 0..RING_SLOTS {
+                assert!(ring.push_cqe(user_data, b"done"));
+            }
+            // The kernel's overflow queue, and what the process did and saw.
+            let overflowed = Cell::new(true);
+            let (popped, rang, asleep_on) = (Cell::new(0), Cell::new(false), Cell::new(None));
+            let flush = || overflowed.get() && ring.push_cqe(RING_SLOTS, b"late") && overflowed.replace(false);
+            let client = |gap: usize| {
+                for step in gaps[gap].iter().flatten() {
+                    match step {
+                        Step::Pop => {
+                            while ring.pop_cqe().is_some() {
+                                popped.set(popped.get() + 1);
+                            }
+                        }
+                        Step::TakeDoorbell => rang.set(rang.get() | ring.take_doorbell()),
+                        Step::SleepCheck => {
+                            let (tail, empty) = (ring.cq_tail(), ring.queued(ring.geo.cq_offset).1 == 0);
+                            asleep_on.set(empty.then_some(tail));
+                        }
+                    }
+                }
+            };
+            // The submitter took the flag to ring the doorbell that started
+            // this drain, so it is clear.
+            client(0);
+            flush();
+            client(1);
+            let rechecked = Cell::new(false);
+            let mut parked = ring.park(|| {
+                client(2);
+                rechecked.set(true);
+                flush()
+            });
+            // A park that skips the re-check still ran its steps after the
+            // flag went up.
+            if !rechecked.get() {
+                client(2);
+            }
+            client(3);
+            // Parked, or it notifies and passes again (nothing more to pop).
+            while !parked {
+                parked = ring.park(flush);
+            }
+            let in_cq = ring.queued(ring.geo.cq_offset).1;
+            assert_eq!(
+                popped.get() + in_cq + overflowed.get() as u32,
+                RING_SLOTS + 1,
+                "a completion was lost or duplicated: {gaps:?}"
+            );
+            let sleeps_for_good = asleep_on.get() == Some(ring.cq_tail()) && !rang.get();
+            assert!(
+                !(sleeps_for_good && overflowed.get()),
+                "the process sleeps while a completion stays stranded: {gaps:?}"
+            );
+        }
+        assert_eq!(schedules, 20);
     }
 
     #[test]

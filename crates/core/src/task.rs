@@ -99,7 +99,8 @@ pub struct Task {
     /// (set up once by `RingSetup` after heap registration).
     pub ring: Option<Ring>,
     /// Ring completions that could not be posted yet (completion queue full
-    /// or no run of registered buffers free); flushed on every ring drain pass.
+    /// or no run of registered buffers free); flushed when a drain starts and as
+    /// each of its passes parks.
     pub pending_cqes: std::collections::VecDeque<(u32, SysResult)>,
     /// The submission batch currently awaiting delivery of its completions.
     pub inflight: Option<InflightBatch>,
@@ -159,6 +160,19 @@ impl Task {
             launcher: None,
             address_space: AddressSpace::new(),
             syscall_count: 0,
+        }
+    }
+
+    /// Terminates the task's worker, if it still has one, and ends the wait
+    /// of a process asleep on its ring.  That wait reads the termination
+    /// flag under its lock, beside the completion-queue tail, so a notify
+    /// sent after the flag went up cannot miss it.
+    pub fn terminate_worker(&mut self) {
+        if let Some(worker) = self.worker.take() {
+            worker.terminate();
+            if let Some(ring) = &self.ring {
+                ring.notify_cq();
+            }
         }
     }
 

@@ -38,10 +38,11 @@
 //! spilled submissions; the next batch starts again from 0.
 
 use std::collections::{HashMap, VecDeque};
-use std::time::Duration;
 
 use browsix_browser::time::precise_delay;
-use browsix_browser::{Message, PlatformConfig, SharedArrayBuffer, WorkerScope, TRANSFER_HANDLE_BYTES};
+use browsix_browser::{
+    AtomicsWaitResult, Message, PlatformConfig, PlatformError, SharedArrayBuffer, WorkerScope, TRANSFER_HANDLE_BYTES,
+};
 use browsix_core::exec::{ForkImage, LaunchContext, ProcessStart};
 use browsix_core::ring::{Ring, RingGeometry};
 use browsix_core::{CompletionBatch, Errno, KernelEvent, Signal, SysResult, Syscall, SyscallBatch};
@@ -370,9 +371,11 @@ impl SyscallClient {
     /// Drives one batch through the ring, one entry per call: write
     /// submission entries in place (in waves when the batch outgrows the queue),
     /// ring the doorbell only on an observed kernel park, and drain the
-    /// completion queue — blocking in `Atomics.wait` on its tail — until
-    /// every entry has completed.  No per-batch message or structured clone
-    /// is paid anywhere on this path.
+    /// completion queue — blocking in `Atomics.wait` on its tail, with no
+    /// timeout — until every entry has completed.  A wave stopped by a full
+    /// submission queue sleeps the same way until the kernel pops from it,
+    /// since the entries it holds may all park until a later one runs.  No
+    /// per-batch message or structured clone is paid anywhere on this path.
     ///
     /// An entry larger than a slot goes into the staging area after the
     /// batch's staged data and is submitted by reference.  The kernel copies
@@ -404,21 +407,27 @@ impl SyscallClient {
             if submitted == completed {
                 cursor = staged;
             }
+            // Whether this wave stopped at a full submission queue, rather
+            // than at the end of the batch or of the staging area.
+            let mut sq_full = false;
             while submitted < n {
                 if frame.is_empty() {
                     batch.entries[submitted].encode_into(&mut frame);
                 }
                 if frame.len() <= slot_payload {
                     if !ring.push_sqe(submitted as u32, &frame) {
+                        sq_full = true;
                         break;
                     }
                 } else if frame.len() > RING_REGION_OFFSET - staged {
                     results[submitted] = SysResult::Err(Errno::E2BIG);
                     completed += 1;
                 } else {
-                    if cursor + frame.len() > RING_REGION_OFFSET
-                        || !ring.push_sqe_spilled(submitted as u32, cursor as u32, &frame)
-                    {
+                    if cursor + frame.len() > RING_REGION_OFFSET {
+                        break;
+                    }
+                    if !ring.push_sqe_spilled(submitted as u32, cursor as u32, &frame) {
+                        sq_full = true;
                         break;
                     }
                     cursor += frame.len();
@@ -452,27 +461,45 @@ impl SyscallClient {
                 // the next wave before sleeping.
                 continue;
             }
+            // Woken by a notify, or the tail had already moved on, or the
+            // queue has room again: re-check everything whichever it was.
+            let woke = sleep(ring, &self.scope, seen_tail, sq_full);
             if self.scope.terminated() {
                 self.terminated = true;
                 return Some(vec![SysResult::Err(Errno::EINTR); n]);
             }
-            match ring.sab().wait(
-                ring.geometry().cq_tail_off(),
-                seen_tail as i32,
-                Some(Duration::from_millis(100)),
-            ) {
-                // Timed out, woken by the kernel's once-per-event notify, or
-                // the tail had already moved on: re-check the queue whichever
-                // it was.  The loop re-offers the doorbell each time round,
-                // and the kernel's idle-tick sweep of all rings (only when
-                // its event queue stayed empty, so by at most 20 ms) picks
-                // up an entry whose doorbell was lost outright.
-                Ok(_) => {}
-                Err(_) => return Some(vec![SysResult::Err(Errno::EFAULT); n]),
+            if woke.is_err() {
+                return Some(vec![SysResult::Err(Errno::EFAULT); n]);
             }
         }
         Some(results)
     }
+}
+
+/// Sleeps on the ring's CQ tail until the kernel notifies it, unless the
+/// tail is no longer `seen_tail`, the worker is terminated or — `for_space`,
+/// with `NEED_SPACE` set meanwhile — the submission queue has room again.
+/// The last two are read under the wait's lock, like the tail, and the
+/// kernel notifies the tail after it terminates the worker and after it
+/// pops from a full queue, so neither wake can slip in between a look and
+/// the sleep (see [`browsix_core::ring`]).  Nothing else ends the wait.
+fn sleep(
+    ring: &Ring,
+    scope: &WorkerScope,
+    seen_tail: u32,
+    for_space: bool,
+) -> Result<AtomicsWaitResult, PlatformError> {
+    if for_space {
+        ring.need_sq_space(true);
+    }
+    let tail_off = ring.geometry().cq_tail_off();
+    let woke = ring.sab().wait_unless(tail_off, seen_tail as i32, None, || {
+        scope.terminated() || for_space && ring.sq_space() > 0
+    });
+    if for_space {
+        ring.need_sq_space(false);
+    }
+    woke
 }
 
 include!(concat!(env!("OUT_DIR"), "/client_gen.rs"));
@@ -575,6 +602,39 @@ mod tests {
     fn test_ring() -> Ring {
         let sab = SharedArrayBuffer::new(browsix_core::ring::RING_REGION_BYTES as usize);
         Ring::new(sab, RingGeometry::standard(0))
+    }
+
+    /// The kernel terminates the worker after the process last looked and
+    /// before it sleeps, and sends its one notify of the CQ tail
+    /// (`Task::terminate_worker`) while nobody sleeps yet.  The sleep must
+    /// end all the same.
+    #[test]
+    fn a_termination_between_the_last_look_and_the_sleep_ends_the_sleep() {
+        use browsix_browser::Worker;
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let ring = test_ring();
+        let (looked_tx, looked_rx) = mpsc::channel();
+        let (go_tx, go_rx) = mpsc::channel::<()>();
+        let (woke_tx, woke_rx) = mpsc::channel();
+        let sleeper = ring.clone();
+        let script = move |scope: WorkerScope| {
+            // The client's last look: nothing to pop, not terminated.
+            let seen_tail = sleeper.cq_tail();
+            looked_tx.send(scope.terminated()).unwrap();
+            go_rx.recv().unwrap();
+            woke_tx.send(sleep(&sleeper, &scope, seen_tail, false)).unwrap();
+        };
+        let worker = Worker::spawn(&PlatformConfig::fast(), "sleeper", Box::new(script));
+        assert!(!looked_rx.recv().unwrap());
+        worker.terminate();
+        assert_eq!(ring.notify_cq(), 0, "nobody sleeps yet");
+        go_tx.send(()).unwrap();
+        let woke = woke_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the sleep missed the termination");
+        assert_eq!(woke.unwrap(), AtomicsWaitResult::NotEqual);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use browsix_browser::SharedArrayBuffer;
-use browsix_core::ring::{Ring, RingGeometry, INDIRECT, RING_HEADER_BYTES};
+use browsix_core::ring::{Ring, RingGeometry, INDIRECT, RING_HEADER_BYTES, RING_SLOTS};
 use browsix_core::{
     ByteSource, CompletionBatch, Errno, Kernel, KernelEvent, KernelStats, LaunchContext, ProgramLauncher, SysResult,
     Syscall, SyscallBatch,
@@ -624,13 +624,74 @@ fn a_batch_of_reads_larger_than_the_buffer_table_arrives_whole() {
     assert_rode_the_ring(&stats);
 }
 
+/// One batch of 65: 64 one-byte `read`s of an empty pipe, then the `write`
+/// that feeds them.  On the ring the reads fill the submission queue and all
+/// park, so nothing completes until the write is submitted — into the space
+/// their pops made, with no completion to wake the process for it.  Both
+/// conventions must give the same results, and on the ring under the
+/// watchdog.  Which read gets which byte is the order of the pipe's wait
+/// queue, which the scavenger's retries reshuffle, so the reads' bytes are
+/// compared sorted.
+#[test]
+fn a_full_submission_queue_of_parked_reads_gets_the_write_that_feeds_them() {
+    let body = |client: &mut SyscallClient| {
+        let SysResult::Pair(r, w) = client.sys_pipe2() else {
+            return 2;
+        };
+        let (r, w) = (r as i32, w as i32);
+        let data = client.stage_write(&(0..RING_SLOTS as u8).collect::<Vec<u8>>());
+        let reads = (0..RING_SLOTS).map(|_| Syscall::Read { fd: r, len: 1 });
+        let write = Syscall::Write { fd: w, data };
+        let mut results = client.submit(SyscallBatch {
+            entries: reads.chain([write]).collect(),
+        });
+        let written = results.pop();
+        let mut read: Vec<Vec<u8>> = results
+            .into_iter()
+            .map(|result| match result {
+                SysResult::Data(bytes) => bytes,
+                _ => Vec::new(),
+            })
+            .collect();
+        read.sort();
+        let transcript = ByteSource::Inline(format!("{read:?} {written:?}").into_bytes());
+        match client.sys_write(1, transcript) {
+            SysResult::Int(_) => 0,
+            _ => 3,
+        }
+    };
+    let run = |prefer_sync: bool| {
+        let config = browsix_core::BootConfig::in_memory();
+        config
+            .registry
+            .register("/usr/bin/probe", Arc::new(ClientProbe { prefer_sync, body }));
+        let kernel = Kernel::boot(config);
+        let handle = kernel.spawn("/usr/bin/probe", &["probe"], &[]).expect("spawn probe");
+        let status = handle.wait_timeout(WATCHDOG).unwrap_or_else(|| {
+            panic!("the batch hung (sync convention: {prefer_sync})");
+        });
+        let stats = kernel.stats();
+        kernel.shutdown();
+        assert_eq!(status.code, Some(0));
+        (handle.stdout_string(), stats)
+    };
+    let (on_the_ring, stats) = run(true);
+    let (by_message, _) = run(false);
+    assert_eq!(on_the_ring, by_message);
+    let each_byte_once: Vec<Vec<u8>> = (0..RING_SLOTS as u8).map(|byte| vec![byte]).collect();
+    let written = Some(SysResult::Int(RING_SLOTS as i64));
+    assert_eq!(on_the_ring, format!("{each_byte_once:?} {written:?}"));
+    assert_eq!(stats.count("read"), RING_SLOTS as u64);
+    assert_rode_the_ring(&stats);
+}
+
 // ---- one notify per kernel event, on every completion path --------------------
 
-/// What a process pays for a completion it was not notified of: its
-/// `Atomics.wait` runs into the client's 100 ms re-check.  The guests below
-/// block a hundred times or more on completions that no drain of their own
-/// ring produces; were that path to publish without a notify, they would
-/// take ten seconds and more instead of a fraction of one.
+/// A bound on each blocking loop below.  Its guests block a hundred times
+/// or more on completions that no drain of their own ring produces, and the
+/// client's `Atomics.wait` has no timeout: were that path to publish
+/// without a notify, the first such wait would never end and the guest
+/// would run into the watchdog instead.
 const NOTIFIED_WITHIN: Duration = Duration::from_secs(2);
 
 /// Runs `probe` (beside `child`) under the sync convention and returns the
