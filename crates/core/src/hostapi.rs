@@ -517,33 +517,13 @@ impl Kernel {
     /// counters show how work spread across the fleet; the file-system
     /// counters are global and deliberately left out (see [`Kernel::stats`]).
     pub fn stats_per_shard(&self) -> Vec<KernelStats> {
-        let mut snapshots = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            let (tx, rx) = bounded(1);
-            if shard
-                .send(KernelEvent::Host(HostRequest::ReadStats { reply: tx }))
-                .is_err()
-            {
-                snapshots.push(KernelStats::default());
-                continue;
-            }
-            snapshots.push(rx.recv_timeout(Duration::from_secs(5)).unwrap_or_default());
-        }
-        snapshots
+        self.ask_each_shard(|reply| HostRequest::ReadStats { reply })
     }
 
     /// Counts the kernel objects that are live right now, across all shards.
     pub fn resources(&self) -> ResourceCounts {
         let mut total = ResourceCounts::default();
-        for shard in &self.shards {
-            let (tx, rx) = bounded(1);
-            if shard
-                .send(KernelEvent::Host(HostRequest::ReadResources { reply: tx }))
-                .is_err()
-            {
-                continue;
-            }
-            let counts = rx.recv_timeout(Duration::from_secs(5)).unwrap_or_default();
+        for counts in self.ask_each_shard(|reply| HostRequest::ReadResources { reply }) {
             total.tasks += counts.tasks;
             total.streams += counts.streams;
             total.waiters += counts.waiters;
@@ -554,19 +534,29 @@ impl Kernel {
     /// Lists live tasks as `(pid, ppid, name, state)`, for terminal-style
     /// inspection of kernel state.  Tasks from every shard, sorted by pid.
     pub fn tasks(&self) -> Vec<(Pid, Pid, String, String)> {
-        let mut all: Vec<(Pid, Pid, String, String)> = Vec::new();
-        for shard in &self.shards {
-            let (tx, rx) = bounded(1);
-            if shard
-                .send(KernelEvent::Host(HostRequest::ListTasks { reply: tx }))
-                .is_err()
-            {
-                continue;
-            }
-            all.extend(rx.recv_timeout(Duration::from_secs(5)).unwrap_or_default());
-        }
+        let mut all: Vec<(Pid, Pid, String, String)> = self
+            .ask_each_shard(|reply| HostRequest::ListTasks { reply })
+            .into_iter()
+            .flatten()
+            .collect();
         all.sort_by_key(|(pid, ..)| *pid);
         all
+    }
+
+    /// Puts the same question to every shard in turn: one answer per shard,
+    /// in shard order, the default for a shard that is gone or has not
+    /// answered within 5 s.
+    fn ask_each_shard<T: Default>(&self, request: impl Fn(Sender<T>) -> HostRequest) -> Vec<T> {
+        self.shards
+            .iter()
+            .map(|shard| {
+                let (tx, rx) = bounded(1);
+                if shard.send(KernelEvent::Host(request(tx))).is_err() {
+                    return T::default();
+                }
+                rx.recv_timeout(Duration::from_secs(5)).unwrap_or_default()
+            })
+            .collect()
     }
 
     /// Stops the kernel: terminates every process and joins every shard's

@@ -15,7 +15,7 @@ use browsix_fs::{Errno, FileSystem, FileType, Metadata, OpenFlags};
 
 use crate::fd::{Fd, FileKind, OpenFile};
 use crate::kernel::waitq::WaitChannel;
-use crate::kernel::{KernelState, Outcome, ReplyTo, WaitKind, Waiter};
+use crate::kernel::{KernelState, Outcome, ReplyTo, WaitKind};
 use crate::signals::Signal;
 use crate::streams::{Stream, StreamId};
 use crate::syscall::{ByteSource, SysResult};
@@ -152,31 +152,6 @@ impl KernelState {
         }
     }
 
-    /// The one read of a stream this shard owns — pipe or socket, on behalf
-    /// of a local process (`sys_read`) or one whose shard shipped the call
-    /// here (`ShardMsg::RemoteRead`); only the reply address differs.
-    pub(crate) fn read_stream(
-        &mut self,
-        pid: Pid,
-        reply: ReplyTo,
-        stream: StreamId,
-        len: usize,
-        nonblocking: bool,
-    ) -> Outcome {
-        if let Some(data) = self.try_read_stream(stream, len) {
-            return Outcome::Complete(SysResult::Data(data));
-        }
-        if nonblocking {
-            self.stats.eagain_returns += 1;
-            return Outcome::Complete(SysResult::Err(Errno::EAGAIN));
-        }
-        self.stats.waiters_parked += 1;
-        let kind = WaitKind::Read { stream, len };
-        let reply = Some(reply);
-        self.park_waiter_one(WaitChannel::StreamReadable(stream), Waiter { pid, reply, kind });
-        Outcome::Blocked
-    }
-
     pub(crate) fn sys_read(&mut self, pid: Pid, reply: ReplyTo, fd: Fd, len: usize) -> Outcome {
         let file = match self.task(pid).and_then(|t| t.files.get(fd)) {
             Ok(file) => file,
@@ -195,7 +170,7 @@ impl KernelState {
             // Another shard's buffer: ship the read to its owner.
             return self.remote_read(pid, reply, stream, len, file.nonblocking());
         }
-        self.read_stream(pid, reply, stream, len, file.nonblocking())
+        self.block(pid, Some(reply), WaitKind::Read { stream, len }, file.nonblocking())
     }
 
     pub(crate) fn sys_pread(&mut self, pid: Pid, fd: Fd, len: usize, offset: u64) -> Outcome {
@@ -315,37 +290,6 @@ impl KernelState {
         }
     }
 
-    /// The one write to a stream this shard owns (the mirror of
-    /// [`KernelState::read_stream`]).
-    pub(crate) fn write_stream(
-        &mut self,
-        pid: Pid,
-        reply: ReplyTo,
-        stream: StreamId,
-        mut data: Vec<u8>,
-        nonblocking: bool,
-    ) -> Outcome {
-        let len = data.len();
-        let written = match self.try_write_stream(pid, stream, &mut data, 0) {
-            Ok(written) => written,
-            Err(e) => return Outcome::Complete(SysResult::Err(e)),
-        };
-        if written == len || (nonblocking && written > 0) {
-            // A non-blocking write reports whatever it managed to push;
-            // EAGAIN only when not a single byte fit.
-            return Outcome::Complete(SysResult::Int(written as i64));
-        }
-        if nonblocking {
-            self.stats.eagain_returns += 1;
-            return Outcome::Complete(SysResult::Err(Errno::EAGAIN));
-        }
-        self.stats.waiters_parked += 1;
-        let kind = WaitKind::Write { stream, data, written };
-        let reply = Some(reply);
-        self.park_waiter_one(WaitChannel::StreamWritable(stream), Waiter { pid, reply, kind });
-        Outcome::Blocked
-    }
-
     pub(crate) fn sys_write(&mut self, pid: Pid, reply: ReplyTo, fd: Fd, data: ByteSource) -> Outcome {
         let bytes = match self.resolve_bytes(pid, data) {
             Ok(bytes) => bytes,
@@ -370,7 +314,12 @@ impl KernelState {
             // Another shard's buffer: ship the write to its owner.
             return self.remote_write(pid, reply, stream, bytes, nonblocking);
         }
-        self.write_stream(pid, reply, stream, bytes, nonblocking)
+        let kind = WaitKind::Write {
+            stream,
+            data: bytes,
+            written: 0,
+        };
+        self.block(pid, Some(reply), kind, nonblocking)
     }
 
     /// Resolves `sendfile`'s two descriptors into what the transfer runs on:
@@ -490,42 +439,21 @@ impl KernelState {
             Ok(ends) => ends,
             Err(e) => return Outcome::Complete(SysResult::Err(e)),
         };
-        let mut pos = if advance_cursor {
+        let offset = if advance_cursor {
             in_file.offset()
         } else {
             offset as u64
         };
-        let mut remaining = len;
-        match self.pump_sendfile(pid, out, &in_file, &mut pos, &mut remaining, advance_cursor) {
-            Ok((sent, true)) => Outcome::Complete(SysResult::Int(sent as i64)),
-            Ok((sent, false)) => {
-                if self.fd_nonblocking(pid, out_fd) {
-                    if sent > 0 {
-                        return Outcome::Complete(SysResult::Int(sent as i64));
-                    }
-                    self.stats.eagain_returns += 1;
-                    return Outcome::Complete(SysResult::Err(Errno::EAGAIN));
-                }
-                self.stats.waiters_parked += 1;
-                self.park_waiter_one(
-                    WaitChannel::StreamWritable(out),
-                    Waiter {
-                        pid,
-                        reply: Some(reply),
-                        kind: WaitKind::Sendfile {
-                            out,
-                            in_file,
-                            offset: pos,
-                            remaining,
-                            sent,
-                            advance_cursor,
-                        },
-                    },
-                );
-                Outcome::Blocked
-            }
-            Err(e) => Outcome::Complete(SysResult::Err(e)),
-        }
+        let kind = WaitKind::Sendfile {
+            out,
+            in_file,
+            offset,
+            remaining: len,
+            sent: 0,
+            advance_cursor,
+        };
+        let nonblocking = self.fd_nonblocking(pid, out_fd);
+        self.block(pid, Some(reply), kind, nonblocking)
     }
 
     /// Attempts one stream-to-stream move of up to `len` bytes between two
@@ -593,26 +521,8 @@ impl KernelState {
             Ok(ends) => ends,
             Err(e) => return Outcome::Complete(SysResult::Err(e)),
         };
-        match self.try_splice(pid, input, output, len) {
-            Ok(Some(moved)) => Outcome::Complete(SysResult::Int(moved as i64)),
-            Ok(None) => {
-                if self.fd_nonblocking(pid, fd_in) || self.fd_nonblocking(pid, fd_out) {
-                    self.stats.eagain_returns += 1;
-                    return Outcome::Complete(SysResult::Err(Errno::EAGAIN));
-                }
-                self.stats.waiters_parked += 1;
-                self.park_waiter(
-                    vec![WaitChannel::StreamReadable(input), WaitChannel::StreamWritable(output)],
-                    Waiter {
-                        pid,
-                        reply: Some(reply),
-                        kind: WaitKind::Splice { input, output, len },
-                    },
-                );
-                Outcome::Blocked
-            }
-            Err(e) => Outcome::Complete(SysResult::Err(e)),
-        }
+        let nonblocking = self.fd_nonblocking(pid, fd_in) || self.fd_nonblocking(pid, fd_out);
+        self.block(pid, Some(reply), WaitKind::Splice { input, output, len }, nonblocking)
     }
 
     pub(crate) fn sys_pwrite(&mut self, pid: Pid, fd: Fd, data: ByteSource, offset: u64) -> Outcome {

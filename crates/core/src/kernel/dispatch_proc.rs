@@ -7,8 +7,7 @@ use browsix_fs::{Errno, FileSystem};
 
 use crate::exec::ForkImage;
 use crate::fd::{FileKind, OpenFile};
-use crate::kernel::waitq::WaitChannel;
-use crate::kernel::{KernelState, Outcome, ReplyTo, ShardMsg, WaitKind, Waiter};
+use crate::kernel::{KernelState, Outcome, ReplyTo, ShardMsg, WaitKind};
 use crate::signals::{SigAction, SigSet, Signal};
 use crate::syscall::{encode_stop_status, encode_wait_status, SysResult, WNOHANG, WUNTRACED};
 use crate::task::Pid;
@@ -187,28 +186,8 @@ impl KernelState {
     }
 
     pub(crate) fn sys_wait4(&mut self, pid: Pid, reply: ReplyTo, target: i32, options: u32) -> Outcome {
-        match self.try_reap_child(pid, target, options) {
-            Err(e) => Outcome::Complete(SysResult::Err(e)),
-            Ok(Some((child, status))) => Outcome::Complete(SysResult::Wait { pid: child, status }),
-            Ok(None) => {
-                if options & WNOHANG != 0 {
-                    Outcome::Complete(SysResult::Wait { pid: 0, status: 0 })
-                } else {
-                    // Park on this process's own child-exit queue; only a
-                    // child of ours exiting (or stopping) wakes it.
-                    self.stats.waiters_parked += 1;
-                    self.park_waiter_one(
-                        WaitChannel::ChildOf(pid),
-                        Waiter {
-                            pid,
-                            reply: Some(reply),
-                            kind: WaitKind::Wait4 { target, options },
-                        },
-                    );
-                    Outcome::Blocked
-                }
-            }
-        }
+        let kind = WaitKind::Wait4 { target, options };
+        self.block(pid, Some(reply), kind, options & WNOHANG != 0)
     }
 
     pub(crate) fn sys_exit(&mut self, pid: Pid, code: i32) -> Outcome {

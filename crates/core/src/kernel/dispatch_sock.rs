@@ -7,8 +7,8 @@ use browsix_fs::Errno;
 use browsix_http::{HttpRequest, HttpResponse};
 
 use crate::fd::{Fd, FileKind, OpenFile};
-use crate::kernel::waitq::{HttpPump, WaitChannel};
-use crate::kernel::{HttpClientState, KernelState, Outcome, ReplyTo, WaitKind, Waiter};
+use crate::kernel::waitq::{Attempt, WaitChannel};
+use crate::kernel::{HttpClientState, KernelState, Outcome, ReplyTo, WaitKind};
 use crate::syscall::SysResult;
 use crate::task::Pid;
 
@@ -93,23 +93,23 @@ impl KernelState {
         }
     }
 
-    /// Attempts to accept a pending connection on the listener behind `fd`.
-    /// Returns the new descriptor, or `None` if nothing is pending.
-    pub(crate) fn try_accept(&mut self, pid: Pid, fd: Fd) -> Result<Option<Fd>, Errno> {
-        let file = self.task(pid)?.files.get(fd)?;
-        let port = match file.kind() {
-            FileKind::SocketListener { port } => port,
-            FileKind::Socket { .. } => return Err(Errno::EINVAL),
-            _ => return Err(Errno::ENOTSOCK),
+    /// Attempts to accept a pending connection on the listener behind `fd`:
+    /// the new descriptor, or blocked on the listener's queue.
+    pub(crate) fn try_accept(&mut self, pid: Pid, fd: Fd) -> Attempt {
+        let port = match self.task(pid).and_then(|t| t.files.get(fd)).map(|file| file.kind()) {
+            Ok(FileKind::SocketListener { port }) => port,
+            Ok(FileKind::Socket { .. }) => return Attempt::Done(SysResult::Err(Errno::EINVAL)),
+            Ok(_) => return Attempt::Done(SysResult::Err(Errno::ENOTSOCK)),
+            Err(e) => return Attempt::Done(SysResult::Err(e)),
         };
         if !self.sockets().port_in_use(port) {
             // The listener was closed (another holder of this description,
             // or the owner exiting).  Error out rather than waiting on a
             // port that can never queue a connection again.
-            return Err(Errno::EINVAL);
+            return Attempt::Done(SysResult::Err(Errno::EINVAL));
         }
         let Some(server) = self.sockets_mut().accept(port) else {
-            return Ok(None);
+            return Attempt::blocked_on(WaitChannel::Listener(port), WaitKind::Accept { fd }, false);
         };
         // The server side now belongs to the new description; the backlog's
         // hold on it (taken at connect) is dropped after, so the count never
@@ -120,34 +120,15 @@ impl KernelState {
             port,
         });
         self.drop_connection_side(server);
-        let new_fd = self.task_mut(pid)?.files.insert(stream, 0);
-        Ok(Some(new_fd))
+        Attempt::Done(match self.task_mut(pid) {
+            Ok(task) => SysResult::Int(task.files.insert(stream, 0) as i64),
+            Err(e) => SysResult::Err(e),
+        })
     }
 
     pub(crate) fn sys_accept(&mut self, pid: Pid, reply: ReplyTo, fd: Fd) -> Outcome {
-        match self.try_accept(pid, fd) {
-            Ok(Some(new_fd)) => Outcome::Complete(SysResult::Int(new_fd as i64)),
-            Ok(None) => {
-                if self.fd_nonblocking(pid, fd) {
-                    self.stats.eagain_returns += 1;
-                    return Outcome::Complete(SysResult::Err(Errno::EAGAIN));
-                }
-                let Some(channel) = self.accept_wait_channel(pid, fd) else {
-                    return Outcome::Complete(SysResult::Err(Errno::EBADF));
-                };
-                self.stats.waiters_parked += 1;
-                self.park_waiter_one(
-                    channel,
-                    Waiter {
-                        pid,
-                        reply: Some(reply),
-                        kind: WaitKind::Accept { fd },
-                    },
-                );
-                Outcome::Blocked
-            }
-            Err(e) => Outcome::Complete(SysResult::Err(e)),
-        }
+        let nonblocking = self.fd_nonblocking(pid, fd);
+        self.block(pid, Some(reply), WaitKind::Accept { fd }, nonblocking)
     }
 
     pub(crate) fn sys_connect(&mut self, pid: Pid, reply: ReplyTo, fd: Fd, port: u16) -> Outcome {
@@ -217,20 +198,7 @@ impl KernelState {
                 // Pump once; if the exchange is still in flight the client
                 // parks on its connection's stream queues like any other
                 // blocked operation.
-                match self.pump_http_client(side) {
-                    HttpPump::Done => {}
-                    HttpPump::Blocked(channels) => {
-                        self.stats.waiters_parked += 1;
-                        self.park_waiter(
-                            channels,
-                            Waiter {
-                                pid: 0,
-                                reply: None,
-                                kind: WaitKind::HttpClient { side },
-                            },
-                        );
-                    }
-                }
+                self.block(0, None, WaitKind::HttpClient { side }, false);
             }
             Err(e) => {
                 let _ = reply.send(Err(e));

@@ -1125,3 +1125,49 @@ fn a_foreign_poll_subscribes_once_and_the_owner_pushes_each_change() {
     assert!(matches!(outcome.try_recv(), Ok(Ok(()))));
     assert!(idle(&c.fleet));
 }
+
+/// A write of twice a pipe's capacity to a process parked reading all of
+/// it: the first half wakes the reader, whose read empties the pipe before
+/// the writer has parked.  The wake that read raises must still reach the
+/// writer, which then finishes before its call returns; were it lost, the
+/// writer and the reader's next read would both sleep on an empty pipe.
+#[test]
+fn a_write_of_twice_the_pipe_to_a_parked_reader_completes() {
+    for nshards in [1, 4] {
+        let mut fleet = Fleet::boot(nshards);
+        fleet.spawn_root();
+        let root = fleet.procs[0].pid;
+        let Issued::Done(SysResult::Pair(r, w)) = fleet.syscall(root, |k, _| k.sys_pipe2(root)) else {
+            panic!("pipe2 failed");
+        };
+        let (r, w) = (r as Fd, w as Fd);
+        fleet.pipes.push(Pipe::default());
+        fleet.procs[0].fds.extend([(r, End::PipeR(0)), (w, End::PipeW(0))]);
+        let reader = Fleet::expect_int(fleet.syscall(root, |k, _| k.sys_fork(root, Vec::new(), 0))) as Pid;
+        let fds = fleet.procs[0].fds.clone();
+        fleet.procs.push(Proc {
+            pid: reader,
+            fds,
+            parked: None,
+        });
+
+        let len = 2 * PIPE_CAPACITY;
+        let Issued::Parked(read) = fleet.syscall(reader, |k, reply| k.sys_read(reader, reply, r, len)) else {
+            panic!("a read of an empty pipe must park");
+        };
+        let data = ByteSource::Inline(vec![7; len]);
+        let written = match fleet.syscall(root, |k, reply| k.sys_write(root, reply, w, data)) {
+            Issued::Parked(write) => fleet.completions.remove(&write),
+            Issued::Done(result) => Some(vec![result]),
+            Issued::Gone => None,
+        };
+        assert_eq!(written, Some(vec![SysResult::Int(len as i64)]), "{nshards} shards");
+        assert_eq!(
+            fleet.completions.remove(&read),
+            Some(vec![SysResult::Data(vec![7; PIPE_CAPACITY])])
+        );
+        let rest = fleet.syscall(reader, |k, reply| k.sys_read(reader, reply, r, len));
+        assert!(matches!(rest, Issued::Done(SysResult::Data(d)) if d == vec![7; PIPE_CAPACITY]));
+        fleet.drain();
+    }
+}

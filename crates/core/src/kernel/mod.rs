@@ -121,9 +121,11 @@ pub(crate) struct KernelState {
     /// Blocked system calls (and kernel HTTP clients), parked on the wait
     /// queues of exactly the resources they wait for.
     waiters: WaitTable<Waiter>,
-    /// Channels whose wakeup is queued while another wake is draining.
+    /// Channels whose wakeup is queued while another wake is draining, or
+    /// while `block` holds the wakes of its attempt.
     wake_queue: VecDeque<WaitChannel>,
-    /// Re-entrancy guard for [`KernelState::wake`].
+    /// Set while wakes queue instead of running: the re-entrancy guard for
+    /// [`KernelState::wake`], which `block` also holds.
     waking: bool,
     /// `(deadline, waiter)` pairs for parked `poll`s with timeouts.
     poll_deadlines: Vec<(Instant, WaiterId)>,

@@ -22,7 +22,7 @@ use browsix_fs::Errno;
 use crate::fd::{Fd, FileKind};
 use crate::kernel::shard::stream_shard;
 use crate::kernel::waitq::{PollWait, WaitChannel, WaiterId};
-use crate::kernel::{KernelState, Outcome, ReplyTo, ShardMsg, WaitKind, Waiter};
+use crate::kernel::{KernelState, Outcome, ReplyTo, ShardMsg, WaitKind};
 use crate::streams::{Stream, StreamId, StreamState};
 use crate::syscall::{PollRequest, SysResult, NONBLOCK, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 use crate::task::Pid;
@@ -50,14 +50,6 @@ impl KernelState {
     /// The kind of the description behind `fd`, if it is open.
     fn fd_kind(&self, pid: Pid, fd: Fd) -> Option<FileKind> {
         Some(self.task(pid).ok()?.files.get(fd).ok()?.kind())
-    }
-
-    /// The channel a blocked accept on `fd` should park on.
-    pub(crate) fn accept_wait_channel(&self, pid: Pid, fd: Fd) -> Option<WaitChannel> {
-        match self.fd_kind(pid, fd)? {
-            FileKind::SocketListener { port } => Some(WaitChannel::Listener(port)),
-            _ => None,
-        }
     }
 
     /// Whether `fd`'s open-file description has `O_NONBLOCK` set.
@@ -230,31 +222,13 @@ impl KernelState {
     }
 
     pub(crate) fn sys_poll(&mut self, pid: Pid, reply: ReplyTo, fds: Vec<PollRequest>, timeout_ms: i32) -> Outcome {
-        let revents = self.poll_revents(pid, &fds);
-        if revents.iter().any(|&r| r != 0) || timeout_ms == 0 {
-            return Outcome::Complete(SysResult::Poll(revents));
-        }
-        let channels = self.poll_wait_channels(pid, &fds);
         let deadline = (timeout_ms > 0).then(|| Instant::now() + std::time::Duration::from_millis(timeout_ms as u64));
-        if channels.is_empty() && deadline.is_none() {
-            // No waitable resource and no timeout: this poll could never
-            // complete.  Refuse rather than park forever.
-            return Outcome::Complete(SysResult::Err(Errno::EINVAL));
-        }
-        self.stats.waiters_parked += 1;
-        self.park_waiter(
-            channels,
-            Waiter {
-                pid,
-                reply: Some(reply),
-                kind: WaitKind::Poll(Box::new(PollWait {
-                    fds,
-                    deadline,
-                    watched: Vec::new(),
-                })),
-            },
-        );
-        Outcome::Blocked
+        let kind = WaitKind::Poll(Box::new(PollWait {
+            fds,
+            deadline,
+            watched: Vec::new(),
+        }));
+        self.block(pid, Some(reply), kind, timeout_ms == 0)
     }
 
     pub(crate) fn sys_setflags(&mut self, pid: Pid, fd: Fd, flags: u32) -> Outcome {

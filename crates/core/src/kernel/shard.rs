@@ -60,8 +60,8 @@
 //! | `RemoteEndpoints` | any change to a shard's references on a foreign stream | — | sender's `foreign_endpoints`; owner's `remote_contribs` and the stream's counts | — |
 //!
 //! Remote operations carry a `token` minted by the submitting shard; the
-//! owner runs the very code a local call runs (`read_stream` /
-//! `write_stream`) with the reply address `ReplyTo::Shard { shard, token }`,
+//! owner runs the very code a local call runs (`KernelState::block` with a
+//! read or write) with the reply address `ReplyTo::Shard { shard, token }`,
 //! so it completes at once or parks an ordinary waiter, and completing that
 //! address *is* sending [`ShardMsg::RemoteOpDone`].  Tokens are per-shard
 //! counters, so the same number is live on several shards at once: an owner
@@ -97,7 +97,7 @@ use crate::exec::ProgramLauncher;
 use crate::fd::{Fd, FileKind, OpenFile};
 use crate::kernel::poll::PollSubscribers;
 use crate::kernel::waitq::WaitChannel;
-use crate::kernel::{KernelState, Outcome, ReplyTo};
+use crate::kernel::{KernelState, Outcome, ReplyTo, WaitKind};
 use crate::signals::Signal;
 use crate::socket::StreamPair;
 use crate::streams::{Stream, StreamId, StreamState};
@@ -642,7 +642,9 @@ impl KernelState {
                 // The local read, with a reply address on the submitter's shard.
                 self.stats.steals += 1;
                 let reply = ReplyTo::Shard { shard, token };
-                if let Outcome::Complete(result) = self.read_stream(pid, reply, stream, len, nonblocking) {
+                if let Outcome::Complete(result) =
+                    self.block(pid, Some(reply), WaitKind::Read { stream, len }, nonblocking)
+                {
                     self.complete(pid, reply, result);
                 }
             }
@@ -656,7 +658,12 @@ impl KernelState {
             } => {
                 self.stats.steals += 1;
                 let reply = ReplyTo::Shard { shard, token };
-                if let Outcome::Complete(result) = self.write_stream(pid, reply, stream, data, nonblocking) {
+                let kind = WaitKind::Write {
+                    stream,
+                    data,
+                    written: 0,
+                };
+                if let Outcome::Complete(result) = self.block(pid, Some(reply), kind, nonblocking) {
                     self.complete(pid, reply, result);
                 }
             }

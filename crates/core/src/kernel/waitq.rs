@@ -17,6 +17,16 @@
 //! proves no wakeup is ever lost survives behind the `scavenger` cargo
 //! feature (see `KernelState::scavenge`).
 //!
+//! Each `WaitKind` states its would-block rule once, in
+//! `KernelState::attempt`, which finishes the call or says it is blocked
+//! and on which channels.  That one attempt serves the call's first try,
+//! every retry after a wake, and the answer of a call that may not wait
+//! (`O_NONBLOCK`, `WNOHANG`, a zero-timeout `poll`) or a `poll` whose
+//! deadline passed.  Every blocking call enters through
+//! `KernelState::block`, which holds the wakes its attempt raises until the
+//! waiter is parked (a `sendfile`'s pump needs no hold; see there); a
+//! parked waiter is never re-checked.
+//!
 //! The kernel's internal HTTP clients (the `XMLHttpRequest`-like host API)
 //! are ordinary waiters too: each parks on the wait queues of its
 //! connection's two streams and is pumped only when one of them changes.
@@ -40,9 +50,9 @@ use browsix_fs::Errno;
 use browsix_http::{parse_response, HttpResponse};
 
 use crate::fd::{Fd, OpenFile};
-use crate::kernel::{KernelState, ReplyTo};
+use crate::kernel::{KernelState, Outcome, ReplyTo};
 use crate::socket::StreamPair;
-use crate::streams::{Stream, StreamId};
+use crate::streams::StreamId;
 use crate::syscall::{PollRequest, SysResult};
 use crate::task::Pid;
 
@@ -429,108 +439,208 @@ pub(crate) struct HttpClientState {
     pub reply: Sender<Result<HttpResponse, Errno>>,
 }
 
-/// Outcome of pumping a kernel HTTP client.
-pub(crate) enum HttpPump {
-    /// The exchange finished (successfully or not); the client is gone.
-    Done,
-    /// Still in progress; park on these channels.
-    Blocked(Vec<WaitChannel>),
+/// What one attempt at a blocking call came to: the single would-block
+/// decision for its [`WaitKind`], shared by the call's first try, every
+/// retry after a wake, and the answer a call that may not wait returns.
+pub(crate) enum Attempt {
+    /// The call finished with this result.
+    Done(SysResult),
+    /// The call would block: `kind`, advanced past whatever this attempt
+    /// moved, waits on `channels`.  `progressed` says it moved something
+    /// all the same, so a retry that ends here was no spurious wakeup.
+    Blocked {
+        kind: WaitKind,
+        channels: Channels,
+        progressed: bool,
+    },
+}
+
+impl Attempt {
+    /// Blocked, on the one channel a read, write, accept, `wait4` or
+    /// `sendfile` waits on.
+    pub(crate) fn blocked_on(channel: WaitChannel, kind: WaitKind, progressed: bool) -> Attempt {
+        let channels = Channels::One(channel);
+        Attempt::Blocked {
+            kind,
+            channels,
+            progressed,
+        }
+    }
+}
+
+impl WaitKind {
+    /// When a parked `poll` stops waiting (no other kind times out).
+    fn deadline(&self) -> Option<Instant> {
+        match self {
+            WaitKind::Poll(poll) => poll.deadline,
+            _ => None,
+        }
+    }
 }
 
 impl KernelState {
-    /// Parks a blocked operation on the given channels, tracking any `poll`
-    /// deadline it carries.
-    ///
-    /// Parking re-checks the waiter's condition *after* it is registered:
-    /// attempting the operation can itself cascade nested wakeups (a partial
-    /// write wakes a reader, which drains the stream and frees space) that
-    /// fire before this waiter is on any queue.  Without the re-check such a
-    /// waiter would sleep on a state change that already happened — the
-    /// classic lost-wakeup race, just single-threaded.
-    pub(crate) fn park_waiter(&mut self, channels: Vec<WaitChannel>, waiter: Waiter) {
-        self.park_waiter_channels(Channels::from_vec(channels), waiter);
-    }
-
-    /// Single-channel [`KernelState::park_waiter`]: the hot path for blocked
-    /// reads, writes, accepts and sendfiles, free of channel-list allocation.
-    pub(crate) fn park_waiter_one(&mut self, channel: WaitChannel, waiter: Waiter) {
-        self.park_waiter_channels(Channels::One(channel), waiter);
-    }
-
-    fn park_waiter_channels(&mut self, channels: Channels, mut waiter: Waiter) {
-        // A polled descriptor owned by another shard never produces a local
-        // wake by itself: subscribe to its stream, and the owner's pushes
-        // land in the subscription and wake these channels when they change.
-        let deadline = match &mut waiter.kind {
-            WaitKind::Poll(poll) => {
-                self.watch_foreign_streams(waiter.pid, &poll.fds, &mut poll.watched);
-                poll.deadline
+    /// Tries the blocking operation `kind` once on behalf of `pid`: the one
+    /// would-block decision of each wait kind.
+    fn attempt(&mut self, pid: Pid, kind: WaitKind) -> Attempt {
+        match kind {
+            WaitKind::Read { stream, len } => match self.try_read_stream(stream, len) {
+                Some(data) => Attempt::Done(SysResult::Data(data)),
+                None => Attempt::blocked_on(WaitChannel::StreamReadable(stream), kind, false),
+            },
+            WaitKind::Write {
+                stream,
+                mut data,
+                written,
+            } => {
+                let len = data.len();
+                match self.try_write_stream(pid, stream, &mut data, written) {
+                    Ok(accepted) if written + accepted >= len => Attempt::Done(SysResult::Int(len as i64)),
+                    Ok(accepted) => {
+                        let written = written + accepted;
+                        let kind = WaitKind::Write { stream, data, written };
+                        Attempt::blocked_on(WaitChannel::StreamWritable(stream), kind, accepted > 0)
+                    }
+                    // Mid-wait EPIPE: the error (and the SIGPIPE) wins over
+                    // the partial count.
+                    Err(errno) => Attempt::Done(SysResult::Err(errno)),
+                }
             }
-            _ => None,
+            WaitKind::Wait4 { target, options } => match self.try_reap_child(pid, target, options) {
+                Ok(Some((child, status))) => Attempt::Done(SysResult::Wait { pid: child, status }),
+                // Only a child of ours exiting (or stopping) wakes it.
+                Ok(None) => Attempt::blocked_on(WaitChannel::ChildOf(pid), kind, false),
+                Err(e) => Attempt::Done(SysResult::Err(e)),
+            },
+            WaitKind::Accept { fd } => self.try_accept(pid, fd),
+            WaitKind::Sendfile {
+                out,
+                in_file,
+                mut offset,
+                mut remaining,
+                sent,
+                advance_cursor,
+            } => match self.pump_sendfile(pid, out, &in_file, &mut offset, &mut remaining, advance_cursor) {
+                Ok((pushed, true)) => Attempt::Done(SysResult::Int((sent + pushed) as i64)),
+                Ok((pushed, false)) => {
+                    let kind = WaitKind::Sendfile {
+                        out,
+                        in_file,
+                        offset,
+                        remaining,
+                        sent: sent + pushed,
+                        advance_cursor,
+                    };
+                    Attempt::blocked_on(WaitChannel::StreamWritable(out), kind, pushed > 0)
+                }
+                // A transfer that already moved bytes reports them; the error
+                // will resurface on the next call.
+                Err(_) if sent > 0 => Attempt::Done(SysResult::Int(sent as i64)),
+                Err(e) => Attempt::Done(SysResult::Err(e)),
+            },
+            WaitKind::Splice { input, output, len } => match self.try_splice(pid, input, output, len) {
+                Ok(Some(moved)) => Attempt::Done(SysResult::Int(moved as i64)),
+                Ok(None) => Attempt::Blocked {
+                    kind,
+                    channels: Channels::Many(vec![
+                        WaitChannel::StreamReadable(input),
+                        WaitChannel::StreamWritable(output),
+                    ]),
+                    progressed: false,
+                },
+                Err(e) => Attempt::Done(SysResult::Err(e)),
+            },
+            WaitKind::Poll(mut poll) => {
+                let revents = self.poll_revents(pid, &poll.fds);
+                if revents.iter().any(|&r| r != 0) {
+                    self.unwatch_foreign_streams(std::mem::take(&mut poll.watched));
+                    return Attempt::Done(SysResult::Poll(revents));
+                }
+                let channels = Channels::from_vec(self.poll_wait_channels(pid, &poll.fds));
+                Attempt::Blocked {
+                    kind: WaitKind::Poll(poll),
+                    channels,
+                    progressed: false,
+                }
+            }
+            WaitKind::HttpClient { side } => self.pump_http_client(side),
+        }
+    }
+
+    /// The one entry for a blocking call: attempt it, and if it would block,
+    /// park it — or, when it may not wait (`O_NONBLOCK`, `WNOHANG`, a
+    /// zero-timeout `poll`), return what it has instead.
+    ///
+    /// The wakes the attempt raises are held until its waiter is parked.  An
+    /// attempt can set off a state change that concerns its own waiter (a
+    /// partial write wakes a reader, which frees space in the stream being
+    /// written); run at once, that wake would find nobody on the queue and
+    /// the waiter would sleep through a change that already happened — the
+    /// classic lost wakeup, single-threaded.  Held, it reaches the waiter,
+    /// and all of them run before this returns, just as they would have
+    /// inside the attempt, so completions keep their order.  A `sendfile`
+    /// needs no hold: its pump re-checks the stream after each page's wake,
+    /// and running those wakes at once lets the reader drain the stream
+    /// between pages, so one call can move more than a streamful.
+    pub(crate) fn block(&mut self, pid: Pid, reply: Option<ReplyTo>, kind: WaitKind, nonblocking: bool) -> Outcome {
+        let holding = !self.waking && !matches!(kind, WaitKind::Sendfile { .. });
+        self.waking |= holding;
+        let outcome = match self.attempt(pid, kind) {
+            Attempt::Done(result) => Outcome::Complete(result),
+            Attempt::Blocked { kind, .. } if nonblocking => Outcome::Complete(self.would_block(kind)),
+            // No queue to wake it and no deadline: it could never complete.
+            // Refuse rather than park forever.
+            Attempt::Blocked {
+                channels: Channels::None,
+                kind,
+                ..
+            } if kind.deadline().is_none() => Outcome::Complete(SysResult::Err(Errno::EINVAL)),
+            Attempt::Blocked { kind, channels, .. } => {
+                self.stats.waiters_parked += 1;
+                self.park_waiter(channels, Waiter { pid, reply, kind });
+                Outcome::Blocked
+            }
         };
-        let actionable = self.waiter_actionable(&waiter);
+        if holding {
+            self.drain_wakes();
+        }
+        outcome
+    }
+
+    /// What a call that would block returns when it may not wait, or a
+    /// `poll` whose deadline passed: the bytes a write or `sendfile` moved
+    /// so far, no child for `WNOHANG`, no events for a `poll`, and
+    /// otherwise `EAGAIN`.
+    fn would_block(&mut self, kind: WaitKind) -> SysResult {
+        match kind {
+            WaitKind::Write { written, .. } if written > 0 => SysResult::Int(written as i64),
+            WaitKind::Sendfile { sent, .. } if sent > 0 => SysResult::Int(sent as i64),
+            WaitKind::Wait4 { .. } => SysResult::Wait { pid: 0, status: 0 },
+            WaitKind::Poll(poll) => {
+                let revents = vec![0; poll.fds.len()];
+                self.unwatch_foreign_streams(poll.watched);
+                SysResult::Poll(revents)
+            }
+            _ => {
+                self.stats.eagain_returns += 1;
+                SysResult::Err(Errno::EAGAIN)
+            }
+        }
+    }
+
+    /// Parks a blocked operation on `channels`.  A `poll` also subscribes to
+    /// the foreign streams it names — a polled descriptor owned by another
+    /// shard never produces a local wake by itself, but the owner's pushes
+    /// land in the subscription and wake these channels — and has its
+    /// deadline tracked.
+    fn park_waiter(&mut self, channels: Channels, mut waiter: Waiter) {
+        if let WaitKind::Poll(poll) = &mut waiter.kind {
+            self.watch_foreign_streams(waiter.pid, &poll.fds, &mut poll.watched);
+        }
+        let deadline = waiter.kind.deadline();
         let id = self.waiters.park_channels(channels, waiter);
         if let Some(deadline) = deadline {
             self.poll_deadlines.push((deadline, id));
         }
-        if actionable {
-            if let Some(waiter) = self.waiters.remove(id) {
-                self.retry_waiter(waiter);
-            }
-        }
-    }
-
-    /// Whether retrying `waiter` right now would make progress (complete,
-    /// error out, or move bytes).  Must agree exactly with the would-block
-    /// decisions in the corresponding `try_*` paths: an "actionable" waiter
-    /// that re-parks unchanged would spin forever.
-    fn waiter_actionable(&self, waiter: &Waiter) -> bool {
-        match &waiter.kind {
-            // A missing stream completes immediately (EOF / EPIPE).
-            WaitKind::Read { stream, .. } => self.streams().get(*stream).is_none_or(Stream::read_ready),
-            WaitKind::Write { stream, .. } => self.streams().get(*stream).is_none_or(Stream::write_ready),
-            // Nothing that runs between a failed reap and the park can
-            // produce a zombie child; exits always arrive as later events.
-            WaitKind::Wait4 { .. } => false,
-            WaitKind::Accept { fd } => match self.accept_wait_channel(waiter.pid, *fd) {
-                Some(WaitChannel::Listener(port)) => {
-                    // A connection is waiting, or the listener itself is gone
-                    // (the retry then fails with EINVAL instead of parking).
-                    self.sockets().has_pending(port) || !self.sockets().port_in_use(port)
-                }
-                _ => true,
-            },
-            // Parked only because the output stream filled: the Write arm.
-            WaitKind::Sendfile { out, .. } => self.streams().get(*out).is_none_or(Stream::write_ready),
-            WaitKind::Splice { input, output, .. } => match (self.streams().get(*input), self.streams().get(*output)) {
-                // A missing input reads EOF, a missing output raises EPIPE:
-                // either completes the retry.
-                (None, _) | (_, None) => true,
-                (Some(input), Some(output)) => {
-                    if output.read_end_closed() {
-                        true
-                    } else if input.is_empty() {
-                        input.write_end_closed()
-                    } else {
-                        output.space() > 0
-                    }
-                }
-            },
-            WaitKind::Poll(poll) => self.poll_revents(waiter.pid, &poll.fds).iter().any(|&r| r != 0),
-            WaitKind::HttpClient { side } => self.http_client_actionable(*side),
-        }
-    }
-
-    /// Whether pumping the given HTTP client would make progress, mirroring
-    /// the would-block decision in [`KernelState::pump_http_client`].
-    fn http_client_actionable(&self, side: StreamPair) -> bool {
-        let Some(client) = self.http_clients.iter().find(|c| c.side == side) else {
-            return false;
-        };
-        let response_ready = self.streams().get(side.reads).is_none_or(Stream::read_ready);
-        let request_sendable =
-            client.sent < client.to_send.len() && self.streams().get(side.writes).is_none_or(Stream::write_ready);
-        response_ready || request_sendable
     }
 
     /// Wakes every waiter parked on `channel`: each is removed from the
@@ -542,10 +652,14 @@ impl KernelState {
     /// drained iteratively rather than recursing.
     pub(crate) fn wake(&mut self, channel: WaitChannel) {
         self.wake_queue.push_back(channel);
-        if self.waking {
-            return;
+        if !self.waking {
+            self.waking = true;
+            self.drain_wakes();
         }
-        self.waking = true;
+    }
+
+    /// Runs the queued wakes in order, then releases the guard.
+    fn drain_wakes(&mut self) {
         while let Some(next) = self.wake_queue.pop_front() {
             if !self.poll_subscribers.is_empty() {
                 self.publish_stream_state(next);
@@ -569,7 +683,9 @@ impl KernelState {
     }
 
     /// Retries one woken waiter: complete it, or re-park it on the channels
-    /// it still needs.
+    /// it still needs.  A `poll` whose deadline passed completes empty,
+    /// counted as a timeout rather than a wakeup (the scavenger asserts on
+    /// the wakeup counter).
     pub(crate) fn retry_waiter(&mut self, waiter: Waiter) {
         // A waiter whose process died is dropped — if the process is this
         // shard's to know about.  One parked for a process on another shard
@@ -580,134 +696,25 @@ impl KernelState {
             return self.discard_waiter(waiter);
         }
         let Waiter { pid, reply, kind } = waiter;
-        match kind {
-            WaitKind::Read { stream, len } => match self.try_read_stream(stream, len) {
-                Some(data) => self.finish_waiter(pid, reply, SysResult::Data(data)),
-                None => {
-                    let kind = WaitKind::Read { stream, len };
-                    self.repark_one(WaitChannel::StreamReadable(stream), Waiter { pid, reply, kind });
+        match self.attempt(pid, kind) {
+            Attempt::Done(result) => self.finish_waiter(pid, reply, result),
+            Attempt::Blocked { kind, .. } if kind.deadline().is_some_and(|d| Instant::now() >= d) => {
+                self.stats.poll_timeouts += 1;
+                let result = self.would_block(kind);
+                if let Some(reply) = reply {
+                    self.complete(pid, reply, result);
                 }
-            },
-            WaitKind::Write {
-                stream,
-                mut data,
-                written,
+            }
+            Attempt::Blocked {
+                kind,
+                channels,
+                progressed,
             } => {
-                let len = data.len();
-                match self.try_write_stream(pid, stream, &mut data, written) {
-                    Ok(accepted) if written + accepted >= len => {
-                        self.finish_waiter(pid, reply, SysResult::Int(len as i64));
-                    }
-                    Ok(accepted) => {
-                        if accepted == 0 {
-                            self.stats.spurious_wakeups += 1;
-                        }
-                        let written = written + accepted;
-                        let kind = WaitKind::Write { stream, data, written };
-                        self.park_waiter_one(WaitChannel::StreamWritable(stream), Waiter { pid, reply, kind });
-                    }
-                    // Mid-wait EPIPE: the error (and the SIGPIPE) wins over the
-                    // partial count.
-                    Err(errno) => self.finish_waiter(pid, reply, SysResult::Err(errno)),
+                if !progressed {
+                    self.stats.spurious_wakeups += 1;
                 }
+                self.park_waiter(channels, Waiter { pid, reply, kind });
             }
-            WaitKind::Wait4 { target, options } => match self.try_reap_child(pid, target, options) {
-                Ok(Some((child, status))) => self.finish_waiter(pid, reply, SysResult::Wait { pid: child, status }),
-                Ok(None) => self.repark_one(
-                    WaitChannel::ChildOf(pid),
-                    Waiter {
-                        pid,
-                        reply,
-                        kind: WaitKind::Wait4 { target, options },
-                    },
-                ),
-                Err(e) => self.finish_waiter(pid, reply, SysResult::Err(e)),
-            },
-            WaitKind::Accept { fd } => match self.try_accept(pid, fd) {
-                Ok(Some(new_fd)) => self.finish_waiter(pid, reply, SysResult::Int(new_fd as i64)),
-                Ok(None) => match self.accept_wait_channel(pid, fd) {
-                    Some(channel) => self.repark_one(
-                        channel,
-                        Waiter {
-                            pid,
-                            reply,
-                            kind: WaitKind::Accept { fd },
-                        },
-                    ),
-                    None => self.finish_waiter(pid, reply, SysResult::Err(Errno::EBADF)),
-                },
-                Err(e) => self.finish_waiter(pid, reply, SysResult::Err(e)),
-            },
-            WaitKind::Sendfile {
-                out,
-                in_file,
-                mut offset,
-                mut remaining,
-                sent,
-                advance_cursor,
-            } => match self.pump_sendfile(pid, out, &in_file, &mut offset, &mut remaining, advance_cursor) {
-                Ok((pushed, true)) => self.finish_waiter(pid, reply, SysResult::Int((sent + pushed) as i64)),
-                Ok((pushed, false)) => {
-                    if pushed == 0 {
-                        self.stats.spurious_wakeups += 1;
-                    }
-                    let kind = WaitKind::Sendfile {
-                        out,
-                        in_file,
-                        offset,
-                        remaining,
-                        sent: sent + pushed,
-                        advance_cursor,
-                    };
-                    self.park_waiter_one(WaitChannel::StreamWritable(out), Waiter { pid, reply, kind });
-                }
-                // A transfer that already moved bytes reports them; the error
-                // will resurface on the next call.
-                Err(_) if sent > 0 => self.finish_waiter(pid, reply, SysResult::Int(sent as i64)),
-                Err(e) => self.finish_waiter(pid, reply, SysResult::Err(e)),
-            },
-            WaitKind::Splice { input, output, len } => match self.try_splice(pid, input, output, len) {
-                Ok(Some(moved)) => self.finish_waiter(pid, reply, SysResult::Int(moved as i64)),
-                Ok(None) => self.repark(
-                    vec![WaitChannel::StreamReadable(input), WaitChannel::StreamWritable(output)],
-                    Waiter {
-                        pid,
-                        reply,
-                        kind: WaitKind::Splice { input, output, len },
-                    },
-                ),
-                Err(e) => self.finish_waiter(pid, reply, SysResult::Err(e)),
-            },
-            WaitKind::Poll(poll) => {
-                let revents = self.poll_revents(pid, &poll.fds);
-                if revents.iter().any(|&r| r != 0) {
-                    self.unwatch_foreign_streams(poll.watched);
-                    self.finish_waiter(pid, reply, SysResult::Poll(revents));
-                } else if poll.deadline.is_some_and(|d| Instant::now() >= d) {
-                    // Timer-driven, deliberately not counted as a wakeup (the
-                    // scavenger asserts on the wakeup counter).
-                    self.unwatch_foreign_streams(poll.watched);
-                    self.stats.poll_timeouts += 1;
-                    if let Some(reply) = reply {
-                        self.complete(pid, reply, SysResult::Poll(revents));
-                    }
-                } else {
-                    let channels = self.poll_wait_channels(pid, &poll.fds);
-                    let kind = WaitKind::Poll(poll);
-                    self.repark(channels, Waiter { pid, reply, kind });
-                }
-            }
-            WaitKind::HttpClient { side } => match self.pump_http_client(side) {
-                HttpPump::Done => self.stats.wakeups += 1,
-                HttpPump::Blocked(channels) => self.repark(
-                    channels,
-                    Waiter {
-                        pid,
-                        reply,
-                        kind: WaitKind::HttpClient { side },
-                    },
-                ),
-            },
         }
     }
 
@@ -728,18 +735,6 @@ impl KernelState {
         if let Some(reply) = reply {
             self.complete(pid, reply, result);
         }
-    }
-
-    /// Re-parks a waiter that was woken but could not make progress.
-    fn repark(&mut self, channels: Vec<WaitChannel>, waiter: Waiter) {
-        self.stats.spurious_wakeups += 1;
-        self.park_waiter(channels, waiter);
-    }
-
-    /// Single-channel [`KernelState::repark`].
-    fn repark_one(&mut self, channel: WaitChannel, waiter: Waiter) {
-        self.stats.spurious_wakeups += 1;
-        self.park_waiter_one(channel, waiter);
     }
 
     /// Retries every parked waiter, asserting that none of them completes —
@@ -765,10 +760,12 @@ impl KernelState {
 
     /// Advances one host HTTP client: push pending request bytes, pull
     /// whatever the server has produced, and complete the request once a
-    /// full response has been parsed (or the connection dies).
-    pub(crate) fn pump_http_client(&mut self, side: StreamPair) -> HttpPump {
+    /// full response has been parsed (or the connection dies).  Its waiter
+    /// completes with no reply of its own: the outcome goes down the
+    /// client's channel.
+    fn pump_http_client(&mut self, side: StreamPair) -> Attempt {
         let Some(index) = self.http_clients.iter().position(|c| c.side == side) else {
-            return HttpPump::Done;
+            return Attempt::Done(SysResult::Ok);
         };
         let mut client = self.http_clients.swap_remove(index);
         // Push request bytes towards the server.  A vanished or reader-less
@@ -808,7 +805,11 @@ impl KernelState {
                     channels.push(WaitChannel::StreamWritable(side.writes));
                 }
                 self.http_clients.push(client);
-                return HttpPump::Blocked(channels);
+                return Attempt::Blocked {
+                    kind: WaitKind::HttpClient { side },
+                    channels: Channels::from_vec(channels),
+                    progressed: false,
+                };
             }
             Err(_) => Err(Errno::EIO),
         };
@@ -817,7 +818,7 @@ impl KernelState {
         // peer closing — EOF on its reads, EPIPE on further writes.
         let _ = client.reply.send(verdict);
         self.drop_connection_side(side);
-        HttpPump::Done
+        Attempt::Done(SysResult::Ok)
     }
 }
 

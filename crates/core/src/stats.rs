@@ -70,8 +70,8 @@ pub struct KernelStats {
     /// Files materialised in overlay writable layers by copy-up.
     pub overlay_copy_ups: u64,
     /// Blocked system calls parked on a wait queue.  Counted where the call
-    /// first parks — for a read or write, in `read_stream`/`write_stream` on
-    /// the shard that owns the stream, so a call another shard shipped here
+    /// first parks (`KernelState::block`) — for a read or write, on the
+    /// shard that owns the stream, so a call another shard shipped here
     /// counts on the owner, like a local one.
     pub waiters_parked: u64,
     /// Parked waiters woken by a targeted wait-queue wakeup that then

@@ -65,7 +65,6 @@ pub struct SyscallClient {
     kernel: Sender<KernelEvent>,
     scope: WorkerScope,
     next_seq: u64,
-    stashed: HashMap<u64, CompletionBatch>,
     signals: VecDeque<Signal>,
     shared_maps: HashMap<u64, SharedArrayBuffer>,
     /// The syscall ring over this process's shared heap, once the kernel
@@ -105,7 +104,6 @@ impl SyscallClient {
             kernel,
             scope,
             next_seq: 0,
-            stashed: HashMap::new(),
             signals: VecDeque::new(),
             shared_maps: HashMap::new(),
             ring: None,
@@ -338,13 +336,17 @@ impl SyscallClient {
 
     fn wait_for_completions(&mut self, seq: u64, n: usize) -> Vec<SysResult> {
         loop {
-            if let Some(batch) = self.stashed.remove(&seq) {
-                return results_from(batch, n);
-            }
             match self.scope.recv() {
                 Ok(mut msg) => match msg.get_str("type") {
                     Some("syscall-response") => {
+                        // The kernel keeps one in-flight frame per process,
+                        // and this one waits for its reply before posting
+                        // another: a response can only be for `seq`.
                         let response_seq = msg.get_int("seq").unwrap_or(-1) as u64;
+                        debug_assert_eq!(response_seq, seq, "a response for a frame not outstanding");
+                        if response_seq != seq {
+                            continue;
+                        }
                         let transfers = msg.take_transfer();
                         let mut batch = msg
                             .get_bytes("completions")
@@ -353,10 +355,7 @@ impl SyscallClient {
                         // Bulk read data arrived beside the frame: the
                         // caller gets the buffer the kernel's pipe held.
                         batch.attach_payloads(transfers);
-                        if response_seq == seq {
-                            return results_from(batch, n);
-                        }
-                        self.stashed.insert(response_seq, batch);
+                        return results_from(batch, n);
                     }
                     _ => self.handle_out_of_band(&msg),
                 },

@@ -6,7 +6,7 @@ use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use browsix_core::{BootConfig, Errno, Kernel, Signal};
-use browsix_fs::FileSystem;
+use browsix_fs::{FileSystem, OpenFlags};
 use browsix_http::{HttpRequest, Method};
 use browsix_runtime::{
     guest, ExecutionProfile, NodeLauncher, PollFd, RuntimeEnv, SpawnStdio, SyscallConvention, POLLHUP, POLLIN, POLLOUT,
@@ -84,9 +84,22 @@ fn nonblocking_pipe_reads_and_writes_return_eagain() {
             let mut pfds = [PollFd::writable(w)];
             assert_eq!(env.poll(&mut pfds, 0).unwrap(), 1);
             assert_eq!(pfds[0].revents, POLLOUT);
+
+            // splice out of the empty pipe would block: EAGAIN.
+            let (_r2, w2) = env.pipe().unwrap();
+            assert_eq!(env.splice(r, w2, 16).unwrap_err(), Errno::EAGAIN);
+
+            // sendfile into it moves what fits and reports that count; the
+            // next call, into the full pipe, gets EAGAIN.
+            let blob = vec![3u8; 96 * 1024];
+            env.write_file("/blob.bin", &blob).unwrap();
+            let file = env.open("/blob.bin", OpenFlags::read_only()).unwrap();
+            assert_eq!(env.sendfile(w, file, 0, 96 * 1024).unwrap(), 64 * 1024);
+            assert_eq!(env.sendfile(w, file, 64 * 1024, 32 * 1024).unwrap_err(), Errno::EAGAIN);
             0
         }),
     );
+    let before = kernel.stats().eagain_returns;
     let handle = kernel.spawn("/usr/bin/nonblock", &["nonblock"], &[]).unwrap();
     let status = handle.wait();
     assert!(
@@ -94,6 +107,11 @@ fn nonblocking_pipe_reads_and_writes_return_eagain() {
         "status: {status:?}, stderr: {}",
         handle.stderr_string()
     );
+    // Five calls got EAGAIN — the first read, the write into the full pipe,
+    // the read that found it drained, the splice and the second sendfile —
+    // and each counts once; the partial sendfile and the zero-timeout polls
+    // answer without one.
+    assert_eq!(kernel.stats().eagain_returns - before, 5);
     kernel.shutdown();
 }
 
