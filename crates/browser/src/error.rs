@@ -6,8 +6,8 @@ use std::fmt;
 /// Errors surfaced by the simulated browser platform.
 ///
 /// These map onto the failure modes a real web application would observe:
-/// a worker that has been terminated, a network request that failed, a blob
-/// URL that does not resolve, or an out-of-bounds shared-memory access.
+/// a worker that has been terminated, a network request that failed, or an
+/// out-of-bounds shared-memory access.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlatformError {
     /// The worker on the other end of a message port is gone.
@@ -16,8 +16,6 @@ pub enum PlatformError {
     NetworkUnavailable,
     /// The simulated remote server answered with a non-success status code.
     HttpStatus(u16),
-    /// A blob URL did not resolve to a registered blob.
-    UnknownBlobUrl(String),
     /// A `SharedArrayBuffer` access was out of bounds.
     OutOfBounds { offset: usize, len: usize, capacity: usize },
     /// An `Atomics`-style word operation named a byte offset that is not a
@@ -35,7 +33,6 @@ impl fmt::Display for PlatformError {
             PlatformError::WorkerTerminated => write!(f, "worker has been terminated"),
             PlatformError::NetworkUnavailable => write!(f, "network is unavailable"),
             PlatformError::HttpStatus(code) => write!(f, "remote server returned status {code}"),
-            PlatformError::UnknownBlobUrl(url) => write!(f, "unknown blob url: {url}"),
             PlatformError::OutOfBounds { offset, len, capacity } => write!(
                 f,
                 "shared buffer access out of bounds: offset {offset} len {len} capacity {capacity}"
@@ -62,7 +59,6 @@ mod tests {
             PlatformError::WorkerTerminated,
             PlatformError::NetworkUnavailable,
             PlatformError::HttpStatus(503),
-            PlatformError::UnknownBlobUrl("blob:browsix/1".into()),
             PlatformError::OutOfBounds {
                 offset: 10,
                 len: 4,

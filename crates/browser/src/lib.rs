@@ -2,8 +2,8 @@
 //!
 //! The Browsix paper builds a Unix kernel *inside* a web browser, on top of the
 //! handful of primitives the web platform offers: Web Workers, `postMessage`
-//! with structured-clone copy semantics, `SharedArrayBuffer` + `Atomics`, blob
-//! URLs, and `XMLHttpRequest`-style access to remote servers.
+//! with structured-clone copy semantics, `SharedArrayBuffer` + `Atomics`, and
+//! `XMLHttpRequest`-style access to remote servers.
 //!
 //! This crate recreates that platform as a Rust substrate so the rest of the
 //! repository can faithfully reproduce the paper's architecture and its
@@ -17,8 +17,6 @@
 //!   transfer list, which change owner.
 //! * [`sab`] — `SharedArrayBuffer` plus `Atomics::wait`/`Atomics::notify`,
 //!   which the synchronous system-call convention depends on.
-//! * [`blob`] — blob URLs, used by the kernel to start workers from files that
-//!   only exist inside the Browsix file system.
 //! * [`net`] — a simulated remote HTTP endpoint with a configurable
 //!   round-trip-time and bandwidth model (the "TeX Live over HTTP" and
 //!   "meme server on EC2" substitutes).
@@ -49,7 +47,6 @@
 //! worker.terminate();
 //! ```
 
-pub mod blob;
 pub mod config;
 pub mod error;
 pub mod message;
@@ -58,7 +55,6 @@ pub mod sab;
 pub mod time;
 pub mod worker;
 
-pub use blob::BlobRegistry;
 pub use config::{BrowserKind, PlatformConfig, TRANSFER_HANDLE_BYTES};
 pub use error::PlatformError;
 pub use message::Message;

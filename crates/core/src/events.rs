@@ -40,6 +40,9 @@ pub enum HostRequest {
         stdout: OutputSink,
         /// Callback receiving the process's standard error.
         stderr: OutputSink,
+        /// Receives the process's wait status when it exits (the `onExit`
+        /// of `kernel.system`); subscribed before the process can run.
+        exit: Option<Sender<i32>>,
         /// Receives the new pid, or the reason the spawn failed.
         reply: Sender<Result<Pid, Errno>>,
     },
@@ -64,8 +67,12 @@ pub enum HostRequest {
     WatchExit {
         /// The process to watch.
         pid: Pid,
-        /// Receives the wait status; fires immediately if the process has
-        /// already exited.
+        /// Receives the wait status; fires immediately for an unreaped
+        /// zombie whose parent is on its own shard.  Any other pid that is
+        /// no longer live — never started, reaped, a zombie shipped to its
+        /// parent's shard, or a host-started process that already exited —
+        /// gets the unknown-pid status at once (exit code 127): to learn a
+        /// host process's status, watch it from its spawn.
         reply: Sender<i32>,
     },
     /// Issue an HTTP request to an in-Browsix server (the paper's

@@ -63,9 +63,6 @@ pub struct ProcessStart {
     pub env: Vec<(String, String)>,
     /// Working directory.
     pub cwd: String,
-    /// Blob URL of the executable's bytes, when the executable came from the
-    /// shared file system.
-    pub blob_url: Option<String>,
     /// Fork snapshot, present only for children created by `fork`.
     pub fork_image: Option<ForkImage>,
 }
@@ -174,9 +171,6 @@ pub struct ResolvedExecutable {
     /// Arguments to insert before the caller's argv (for shebang scripts the
     /// interpreter name and the script path).
     pub prepend_args: Vec<String>,
-    /// The executable's bytes, if they were read from the file system (used
-    /// to create the blob URL).
-    pub file_bytes: Option<Vec<u8>>,
 }
 
 impl std::fmt::Debug for ResolvedExecutable {
@@ -226,7 +220,6 @@ pub fn resolve_executable(
         return Ok(ResolvedExecutable {
             launcher,
             prepend_args: Vec::new(),
-            file_bytes: None,
         });
     }
     let meta = fs.stat(path)?;
@@ -249,7 +242,6 @@ pub fn resolve_executable(
         return Ok(ResolvedExecutable {
             launcher,
             prepend_args: prepend,
-            file_bytes: Some(contents),
         });
     }
     Err(Errno::EACCES)
@@ -354,7 +346,6 @@ mod tests {
             resolved.prepend_args,
             vec!["/bin/sh".to_string(), "/scripts/build.sh".to_string()]
         );
-        assert!(resolved.file_bytes.is_some());
     }
 
     #[test]

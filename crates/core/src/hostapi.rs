@@ -314,6 +314,20 @@ impl Kernel {
         stdout: OutputSink,
         stderr: OutputSink,
     ) -> Result<Pid, Errno> {
+        self.spawn_watched(path, args, env, stdout, stderr, None)
+    }
+
+    /// [`Kernel::spawn_with_sinks`], telling `exit` the wait status when the
+    /// process exits.
+    fn spawn_watched(
+        &self,
+        path: &str,
+        args: &[&str],
+        env: &[(&str, &str)],
+        stdout: OutputSink,
+        stderr: OutputSink,
+        exit: Option<Sender<i32>>,
+    ) -> Result<Pid, Errno> {
         let (reply_tx, reply_rx) = bounded(1);
         let request = HostRequest::Spawn {
             path: path.to_owned(),
@@ -322,6 +336,7 @@ impl Kernel {
             cwd: "/".to_owned(),
             stdout,
             stderr,
+            exit,
             reply: reply_tx,
         };
         // Spawns enter at shard 0; the kernel's round-robin placement may
@@ -348,8 +363,8 @@ impl Kernel {
             let stderr = Arc::clone(&stderr);
             Arc::new(move |data: &[u8]| stderr.lock().extend_from_slice(data))
         };
-        let pid = self.spawn_with_sinks(path, args, env, stdout_sink, stderr_sink)?;
-        let exit = self.watch_exit(pid);
+        let (exit_tx, exit) = bounded(1);
+        let pid = self.spawn_watched(path, args, env, stdout_sink, stderr_sink, Some(exit_tx))?;
         Ok(ProcessHandle {
             pid,
             stdout,
@@ -378,10 +393,14 @@ impl Kernel {
     }
 
     /// Registers interest in a process's exit; the returned channel receives
-    /// the raw wait status exactly once.
+    /// the raw wait status exactly once.  An unreaped zombie whose parent is
+    /// on its own shard reports its status at once; any other process that
+    /// is no longer live (a zombie shipped to its parent's shard among them)
+    /// reports the unknown-pid status (exit code 127).  Only a watch made at
+    /// spawn ([`Kernel::spawn`]) is sure to see a quick exit.
     pub fn watch_exit(&self, pid: Pid) -> Receiver<i32> {
         let (tx, rx) = bounded(1);
-        // Exit records live on the shard that owned the task.
+        // A live task's watchers live on the shard that owns it.
         let _ = self
             .shard_for_pid(pid)
             .send(KernelEvent::Host(HostRequest::WatchExit { pid, reply: tx }));

@@ -403,6 +403,11 @@ impl KernelState {
             if pushed == 0 {
                 break;
             }
+            // One wake per pass: it runs when the call returns, and the
+            // reader takes every page of the pass in one read.
+            if pushed_total == 0 {
+                self.wake(WaitChannel::StreamReadable(out));
+            }
             self.stats.sendfile_bytes += pushed as u64;
             self.stats.zero_copy_pages += 1;
             *offset += pushed as u64;
@@ -411,10 +416,6 @@ impl KernelState {
             if advance_cursor {
                 in_file.set_offset(*offset);
             }
-            // Waking readers inside the loop lets a blocked consumer drain
-            // the stream between pages, so one sendfile pass can move more
-            // than a streamful.
-            self.wake(WaitChannel::StreamReadable(out));
         }
         Ok((pushed_total, *remaining == 0 || *offset >= size))
     }

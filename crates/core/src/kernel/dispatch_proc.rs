@@ -51,7 +51,7 @@ impl KernelState {
         // supplied one explicitly.
         let child_env = if env.is_empty() { parent_env } else { env };
 
-        match self.spawn_process(pid, &exe_path, args, child_env, &child_cwd, stdio_arr, None, None) {
+        match self.spawn_process(pid, &exe_path, args, child_env, &child_cwd, stdio_arr, None, None, None) {
             Ok(child) => Outcome::Complete(SysResult::Int(child as i64)),
             Err(e) => Outcome::Complete(SysResult::Err(e)),
         }
@@ -83,7 +83,17 @@ impl KernelState {
         // `sys_vm_write`.
         let (address_space, vm_delta) = parent.address_space.fork_clone();
         let fork_image = ForkImage { image, resume_point };
-        match self.spawn_process(pid, &exe_path, args, env, &cwd, stdio, Some(fork_image), Some(launcher)) {
+        match self.spawn_process(
+            pid,
+            &exe_path,
+            args,
+            env,
+            &cwd,
+            stdio,
+            Some(fork_image),
+            Some(launcher),
+            None,
+        ) {
             Ok(child) => {
                 // Copy the rest of the parent's descriptors (beyond stdio)
                 // into the child, preserving numbers.
@@ -145,7 +155,7 @@ impl KernelState {
             // Local zombie?
             let status = self.task(child).ok().and_then(|t| t.wait_status());
             if let Some(status) = status {
-                self.remove_task(child);
+                self.tasks.remove(&child);
                 if let Ok(parent) = self.task_mut(pid) {
                     parent.children.retain(|&c| c != child);
                 }

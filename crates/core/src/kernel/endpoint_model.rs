@@ -106,6 +106,8 @@ pub(super) struct Fleet {
     listeners: Vec<Listener>,
     /// Completions of parked calls, by the index they were issued under.
     completions: HashMap<u32, Vec<SysResult>>,
+    /// The exit watchers of the processes the host started.
+    exits: HashMap<Pid, Receiver<i32>>,
 }
 
 enum Issued {
@@ -141,6 +143,7 @@ impl Fleet {
             conns: Vec::new(),
             listeners: Vec::new(),
             completions: HashMap::new(),
+            exits: HashMap::new(),
         }
     }
 
@@ -189,6 +192,19 @@ impl Fleet {
 
     /// Issues one system call of `pid` on its owning shard, then settles.
     fn syscall(&mut self, pid: Pid, call: impl FnOnce(&mut KernelState, ReplyTo) -> Outcome) -> Issued {
+        let (index, outcome) = self.issue(pid, call);
+        self.settle();
+        match outcome {
+            Outcome::Complete(result) => Issued::Done(result),
+            Outcome::Blocked => Issued::Parked(index),
+            Outcome::NoReply => Issued::Gone,
+        }
+    }
+
+    /// Runs one system call of `pid` on its owning shard as the kernel's
+    /// loops do — the call, then its wakes — leaving the messages it sent
+    /// queued; returns the index its completion is collected under.
+    fn issue(&mut self, pid: Pid, call: impl FnOnce(&mut KernelState, ReplyTo) -> Outcome) -> (u32, Outcome) {
         let index = self.next_index;
         self.next_index += 1;
         let shard = self.shard_index(pid);
@@ -203,17 +219,14 @@ impl Fleet {
             });
         }
         let outcome = call(kernel, ReplyTo::Batch { index });
+        kernel.drain_wakes();
         audit(kernel);
-        self.settle();
-        match outcome {
-            Outcome::Complete(result) => Issued::Done(result),
-            Outcome::Blocked => Issued::Parked(index),
-            Outcome::NoReply => Issued::Gone,
-        }
+        (index, outcome)
     }
 
     fn host(&mut self, shard: usize, request: HostRequest) {
         self.shards[shard].handle_event(KernelEvent::Host(request));
+        self.shards[shard].drain_wakes();
         audit(&self.shards[shard]);
         self.settle();
     }
@@ -244,6 +257,20 @@ impl Fleet {
                 }
             }
         }
+    }
+
+    /// Has the host watch a live process's exit on its owning shard.
+    fn watch(&mut self, pid: Pid) {
+        let (reply, exited) = bounded(1);
+        self.host(self.shard_index(pid), HostRequest::WatchExit { pid, reply });
+        self.exits.insert(pid, exited);
+    }
+
+    /// The wait status `pid` exited with, from the host's watch on it.
+    fn exit_status(&mut self, pid: Pid) -> i32 {
+        let exit = self.exits.remove(&pid);
+        let status = exit.and_then(|exit| exit.try_recv().ok());
+        status.unwrap_or_else(|| panic!("pid {pid}: the host was not told of the exit"))
     }
 
     fn alive(&self, pid: Pid) -> bool {
@@ -342,10 +369,8 @@ impl Fleet {
                     !self.alive(pid),
                     "pid {pid}: parked writer survived losing its last reader"
                 );
-                let status = self.shards[self.shard_index(pid)].exit_records.get(&pid).copied();
-                if let Some(status) = status {
-                    assert_eq!(status, encode_wait_status(None, Some(Signal::SIGPIPE)), "pid {pid}");
-                }
+                let status = self.exit_status(pid);
+                assert_eq!(status, encode_wait_status(None, Some(Signal::SIGPIPE)), "pid {pid}");
             }
         }
         assert_eq!(
@@ -414,6 +439,7 @@ impl Fleet {
     fn spawn_root(&mut self) {
         let sink: OutputSink = Arc::new(|_: &[u8]| {});
         let (reply, pid) = bounded(1);
+        let (exit, exited) = bounded(1);
         self.host(
             0,
             HostRequest::Spawn {
@@ -423,10 +449,12 @@ impl Fleet {
                 cwd: "/".to_owned(),
                 stdout: Arc::clone(&sink),
                 stderr: sink,
+                exit: Some(exit),
                 reply,
             },
         );
         let pid = pid.try_recv().expect("spawn replied").expect("spawn succeeded");
+        self.exits.insert(pid, exited);
         let fds = (0..3).map(|fd| (fd, End::Other)).collect();
         self.procs.push(Proc { pid, fds, parked: None });
     }
@@ -505,6 +533,7 @@ impl Fleet {
             }
             6 if self.procs.len() < MAX_PROCS => {
                 let child = Self::expect_int(self.syscall(pid, |k, _| k.sys_fork(pid, Vec::new(), 0))) as Pid;
+                self.watch(child);
                 let mut fds = self.procs[p].fds.clone();
                 for fd in 0..3 {
                     fds.entry(fd).or_insert(End::Other);
@@ -527,6 +556,7 @@ impl Fleet {
                 let child = Self::expect_int(self.syscall(pid, |k, _| {
                     k.sys_spawn(pid, GUEST.to_owned(), vec!["guest".to_owned()], Vec::new(), None, stdio)
                 })) as Pid;
+                self.watch(child);
                 let fds = picks.iter().enumerate().map(|(fd, pick)| (fd as Fd, pick.1)).collect();
                 self.procs.push(Proc {
                     pid: child,
@@ -1126,11 +1156,45 @@ fn a_foreign_poll_subscribes_once_and_the_owner_pushes_each_change() {
     assert!(idle(&c.fleet));
 }
 
+/// The owner's half of a remote write is one call: the push of the state
+/// it left reaches the submitting shard before the write's reply, so a
+/// process there that sees its write return and then polls reads the new
+/// state from a live subscription, not the one before the write.
+#[test]
+fn a_remote_write_pushes_its_state_before_it_replies() {
+    let mut c = Collision::stage(false);
+    let writer = c.children[0];
+    // A poll for input on the write end never completes: it keeps the
+    // writer's shard subscribed across the write.
+    let fds = vec![PollRequest { fd: 1, events: POLLIN }];
+    c.park(0, |k, pid, reply| k.sys_poll(pid, reply, fds, -1));
+    let data = ByteSource::Inline(vec![b'x']);
+    let (index, outcome) = c.fleet.issue(writer, |k, reply| k.sys_write(writer, reply, 1, data));
+    assert!(
+        matches!(outcome, Outcome::Blocked),
+        "a foreign write waits for its owner"
+    );
+    let remote_write = c.fleet.queues[0].try_recv().expect("the write went to the owner");
+    c.fleet.shards[0].handle_one(Some(remote_write));
+    let replies: Vec<KernelEvent> = c.fleet.queues[1].try_iter().collect();
+    let names: Vec<String> = replies.iter().map(|event| format!("{event:?}")).collect();
+    assert!(
+        matches!(&names[..], [push, done] if push.starts_with("Shard(PollState") && done.starts_with("Shard(RemoteOpDone")),
+        "{names:?}"
+    );
+    for event in replies {
+        c.fleet.shards[1].handle_one(Some(event));
+    }
+    c.fleet.settle();
+    assert_eq!(c.fleet.completions.remove(&index), Some(vec![SysResult::Int(1)]));
+}
+
 /// A write of twice a pipe's capacity to a process parked reading all of
-/// it: the first half wakes the reader, whose read empties the pipe before
-/// the writer has parked.  The wake that read raises must still reach the
-/// writer, which then finishes before its call returns; were it lost, the
-/// writer and the reader's next read would both sleep on an empty pipe.
+/// it: the first half fills the pipe and the writer parks; the reader's wake
+/// runs when the write returns, and its read empties the pipe.  The wake
+/// that read raises must reach the writer, which then finishes in the same
+/// drain; were it lost, the writer and the reader's next read would both
+/// sleep on an empty pipe.
 #[test]
 fn a_write_of_twice_the_pipe_to_a_parked_reader_completes() {
     for nshards in [1, 4] {
@@ -1168,6 +1232,71 @@ fn a_write_of_twice_the_pipe_to_a_parked_reader_completes() {
         );
         let rest = fleet.syscall(reader, |k, reply| k.sys_read(reader, reply, r, len));
         assert!(matches!(rest, Issued::Done(SysResult::Data(d)) if d == vec![7; PIPE_CAPACITY]));
+        fleet.drain();
+    }
+}
+
+/// A blocking `sendfile` of four streamfuls into a pipe a process is parked
+/// reading.  Its wake runs when the call has pushed all it can, so the
+/// reader's first read takes a whole streamful, not the first page; the
+/// reads that follow take the rest, and the transfer completes.
+#[test]
+fn a_sendfile_to_a_parked_reader_hands_it_a_streamful() {
+    use browsix_fs::{FileSystem, OpenFlags};
+    let len = 4 * PIPE_CAPACITY;
+    let file: Vec<u8> = (0..len).map(|i| (i / crate::vm::PAGE_SIZE) as u8).collect();
+    for nshards in [1, 4] {
+        let mut fleet = Fleet::boot(nshards);
+        fleet.shards[0].fs().write_file("/file", &file).expect("stage the file");
+        fleet.spawn_root();
+        let root = fleet.procs[0].pid;
+        let Issued::Done(SysResult::Pair(r, w)) = fleet.syscall(root, |k, _| k.sys_pipe2(root)) else {
+            panic!("pipe2 failed");
+        };
+        let (r, w) = (r as Fd, w as Fd);
+        fleet.pipes.push(Pipe::default());
+        fleet.procs[0].fds.extend([(r, End::PipeR(0)), (w, End::PipeW(0))]);
+        let opened = fleet.syscall(root, |k, _| {
+            k.sys_open(root, "/file".to_owned(), OpenFlags::read_only(), 0)
+        });
+        let input = Fleet::expect_int(opened) as Fd;
+        fleet.procs[0].fds.insert(input, End::Other);
+        let reader = Fleet::expect_int(fleet.syscall(root, |k, _| k.sys_fork(root, Vec::new(), 0))) as Pid;
+        let fds = fleet.procs[0].fds.clone();
+        fleet.procs.push(Proc {
+            pid: reader,
+            fds,
+            parked: None,
+        });
+
+        let Issued::Parked(first) = fleet.syscall(reader, |k, reply| k.sys_read(reader, reply, r, PIPE_CAPACITY))
+        else {
+            panic!("a read of an empty pipe must park");
+        };
+        let Issued::Parked(sent) =
+            fleet.syscall(root, |k, reply| k.sys_sendfile(root, reply, w, input, -1, len as u64))
+        else {
+            panic!("a sendfile of four streamfuls must park");
+        };
+        let mut received = match fleet.completions.remove(&first).as_deref() {
+            Some([SysResult::Data(data)]) => data.clone(),
+            other => panic!("{nshards} shards: the parked read saw {other:?}"),
+        };
+        assert_eq!(received.len(), PIPE_CAPACITY, "{nshards} shards: the first read");
+        while received.len() < len {
+            let read = fleet.syscall(reader, |k, reply| k.sys_read(reader, reply, r, PIPE_CAPACITY));
+            let Issued::Done(SysResult::Data(data)) = read else {
+                panic!("{nshards} shards: a read after {} bytes parked", received.len());
+            };
+            assert!(!data.is_empty(), "{nshards} shards: EOF after {} bytes", received.len());
+            received.extend(data);
+        }
+        assert!(received == file, "{nshards} shards: the bytes arrive in order");
+        assert_eq!(
+            fleet.completions.remove(&sent),
+            Some(vec![SysResult::Int(len as i64)]),
+            "{nshards} shards"
+        );
         fleet.drain();
     }
 }

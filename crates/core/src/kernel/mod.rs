@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 
-use browsix_browser::{BlobRegistry, Message, PlatformConfig, Worker, WorkerScope};
+use browsix_browser::{Message, PlatformConfig, Worker, WorkerScope};
 use browsix_fs::{Errno, MountedFs};
 
 use crate::events::{HostRequest, KernelEvent, OutputSink};
@@ -98,7 +98,6 @@ pub(crate) struct KernelState {
     config: PlatformConfig,
     fs: Arc<MountedFs>,
     registry: ExecutableRegistry,
-    blobs: BlobRegistry,
     default_env: Vec<(String, String)>,
 
     /// This shard's index (`pid % nshards` names the owner of a task).
@@ -121,12 +120,9 @@ pub(crate) struct KernelState {
     /// Blocked system calls (and kernel HTTP clients), parked on the wait
     /// queues of exactly the resources they wait for.
     waiters: WaitTable<Waiter>,
-    /// Channels whose wakeup is queued while another wake is draining, or
-    /// while `block` holds the wakes of its attempt.
+    /// Channels woken by the current system call (or event), run when it
+    /// returns ([`KernelState::drain_wakes`]).
     wake_queue: VecDeque<WaitChannel>,
-    /// Set while wakes queue instead of running: the re-entrancy guard for
-    /// [`KernelState::wake`], which `block` also holds.
-    waking: bool,
     /// `(deadline, waiter)` pairs for parked `poll`s with timeouts.
     poll_deadlines: Vec<(Instant, WaiterId)>,
     http_clients: Vec<HttpClientState>,
@@ -161,8 +157,8 @@ pub(crate) struct KernelState {
     /// like any other) until the owning shard acks the task exists.
     pinned_files: HashMap<u64, Vec<Arc<OpenFile>>>,
 
+    /// Host channels told a live process's wait status when it exits.
     exit_watchers: HashMap<Pid, Vec<Sender<i32>>>,
-    exit_records: HashMap<Pid, i32>,
 
     /// Tasks whose completion queue received entries while the current event
     /// was being handled and that have not been notified since: each is
@@ -187,7 +183,6 @@ impl KernelState {
             config: config.platform,
             fs: config.fs,
             registry: config.registry,
-            blobs: BlobRegistry::new(),
             default_env: config.default_env,
             shard_id,
             nshards: router.nshards(),
@@ -199,7 +194,6 @@ impl KernelState {
             sockets: SocketTable::new(),
             waiters: WaitTable::new(),
             wake_queue: VecDeque::new(),
-            waking: false,
             poll_deadlines: Vec::new(),
             http_clients: Vec::new(),
             next_remote_token: 1,
@@ -213,7 +207,6 @@ impl KernelState {
             remote_client_pins: HashSet::new(),
             pinned_files: HashMap::new(),
             exit_watchers: HashMap::new(),
-            exit_records: HashMap::new(),
             cq_unnotified: Vec::new(),
             stats: KernelStats::default(),
             syscall_tally: SyscallTally::default(),
@@ -249,13 +242,15 @@ impl KernelState {
 
     /// One turn of the event loop, with or without a thread around it:
     /// handles `event` — `None` means a `poll` deadline came due — expires
-    /// due `poll` deadlines, and then wakes every process whose completion
-    /// queue any of that filled, once each.
+    /// due `poll` deadlines, runs the wakes raised outside any system call,
+    /// and then wakes every process whose completion queue any of that
+    /// filled, once each.
     pub(crate) fn handle_one(&mut self, event: Option<KernelEvent>) {
         if let Some(event) = event {
             self.handle_event(event);
         }
         self.expire_poll_deadlines();
+        self.drain_wakes();
         self.notify_rings();
         // With the `scavenger` feature, prove after every event that the
         // wait queues lost no wakeup (retrying every parked waiter must
@@ -383,12 +378,7 @@ impl KernelState {
                     continue;
                 };
                 crate::abi::cap_ring_read(&mut call, ring.geometry().max_read_bytes());
-                self.syscall_tally.record_syscall(&call, true);
-                if let Some(task) = self.tasks.get_mut(&pid) {
-                    task.syscall_count += 1;
-                }
-                let reply = ReplyTo::Ring { user_data };
-                match self.dispatch(pid, reply, call) {
+                match self.run_entry(pid, ReplyTo::Ring { user_data }, call) {
                     Outcome::Complete(result) => self.post_ring_completion(pid, user_data, result),
                     Outcome::Blocked => {}
                     // `exit` tears the task down; nothing further to drain.
@@ -517,12 +507,8 @@ impl KernelState {
             if !self.tasks.get(&pid).is_some_and(|t| t.is_alive()) {
                 return;
             }
-            self.syscall_tally.record_syscall(&call, false);
-            if let Some(task) = self.tasks.get_mut(&pid) {
-                task.syscall_count += 1;
-            }
             let reply = ReplyTo::Batch { index: index as u32 };
-            match self.dispatch(pid, reply, call) {
+            match self.run_entry(pid, reply, call) {
                 Outcome::Complete(result) => self.record_completion(pid, reply, result),
                 // Blocked entries peel off into the pending list and complete
                 // individually; `exit` consumes the rest of the batch.
@@ -531,6 +517,27 @@ impl KernelState {
             }
         }
         self.maybe_deliver_batch(pid);
+    }
+
+    /// Runs one submitted entry, from a message frame or the ring alike:
+    /// counts it and runs it as one step ([`KernelState::run_call`]).
+    fn run_entry(&mut self, pid: Pid, reply: ReplyTo, call: Syscall) -> Outcome {
+        self.syscall_tally
+            .record_syscall(&call, matches!(reply, ReplyTo::Ring { .. }));
+        if let Some(task) = self.tasks.get_mut(&pid) {
+            task.syscall_count += 1;
+        }
+        self.run_call(|kernel| kernel.dispatch(pid, reply, call))
+    }
+
+    /// Runs one system call — a submitted entry, or the owner's half of a
+    /// read or write submitted on another shard — and then the wakes it
+    /// raised.  Each call is one step: other processes are woken as soon as
+    /// it is done, and its wakes run before its completion is sent.
+    fn run_call(&mut self, call: impl FnOnce(&mut Self) -> Outcome) -> Outcome {
+        let outcome = call(self);
+        self.drain_wakes();
+        outcome
     }
 
     // ---- reply paths ---------------------------------------------------------
@@ -621,9 +628,10 @@ impl KernelState {
                 cwd,
                 stdout,
                 stderr,
+                exit,
                 reply,
             } => {
-                let result = self.host_spawn(&path, args, env, &cwd, stdout, stderr);
+                let result = self.host_spawn(&path, args, env, &cwd, stdout, stderr, exit);
                 let _ = reply.send(result);
             }
             HostRequest::Kill { pid, signal, reply } => {
@@ -634,20 +642,17 @@ impl KernelState {
                 let result = self.signal_foreground(signal);
                 let _ = reply.send(result);
             }
-            HostRequest::WatchExit { pid, reply } => {
-                if let Some(&status) = self.exit_records.get(&pid) {
+            HostRequest::WatchExit { pid, reply } => match self.tasks.get(&pid).map(|t| t.wait_status()) {
+                Some(None) => self.exit_watchers.entry(pid).or_default().push(reply),
+                Some(Some(status)) => {
                     let _ = reply.send(status);
-                } else if self.tasks.get(&pid).map(|t| t.wait_status()).unwrap_or(None).is_some() {
-                    let status = self.tasks[&pid].wait_status().unwrap_or(0);
-                    let _ = reply.send(status);
-                } else if self.tasks.contains_key(&pid) {
-                    self.exit_watchers.entry(pid).or_default().push(reply);
-                } else {
-                    // Unknown pid: report a generic failure status so callers
-                    // do not hang.
+                }
+                // Unknown or reaped pid: report a generic failure status so
+                // callers do not hang.
+                None => {
                     let _ = reply.send(encode_wait_status(Some(127), None));
                 }
-            }
+            },
             HostRequest::HttpRequest { port, request, reply } => {
                 self.host_http_request(port, request, reply);
             }
@@ -690,6 +695,7 @@ impl KernelState {
         }
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn host_spawn(
         &mut self,
         path: &str,
@@ -698,6 +704,7 @@ impl KernelState {
         cwd: &str,
         stdout: OutputSink,
         stderr: OutputSink,
+        exit: Option<Sender<i32>>,
     ) -> Result<Pid, Errno> {
         let stdout_fd = OpenFile::new(FileKind::HostSink { sink: stdout });
         let stderr_fd = OpenFile::new(FileKind::HostSink { sink: stderr });
@@ -718,6 +725,7 @@ impl KernelState {
             [stdin, stdout_fd, stderr_fd],
             None,
             None,
+            exit,
         )
     }
 
@@ -732,6 +740,8 @@ impl KernelState {
     /// shared), pre-allocates the pid, pins the stdio descriptors until the
     /// owner acks, and returns the pid immediately — exactly like a local
     /// spawn, whose worker also has not run yet when `spawn` returns.
+    /// `exit`, if given, is told the process's wait status when it exits; it
+    /// is subscribed where the task is installed, before the process runs.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn spawn_process(
         &mut self,
@@ -743,10 +753,11 @@ impl KernelState {
         stdio: [Arc<OpenFile>; 3],
         fork_image: Option<ForkImage>,
         forced_launcher: Option<Arc<dyn ProgramLauncher>>,
+        exit: Option<Sender<i32>>,
     ) -> Result<Pid, Errno> {
         let keep_local = fork_image.is_some() || forced_launcher.is_some();
-        let (launcher, file_bytes) = match forced_launcher {
-            Some(launcher) => (launcher, None),
+        let launcher = match forced_launcher {
+            Some(launcher) => launcher,
             None => {
                 let resolved = resolve_executable(self.fs.as_ref(), &self.registry, path)?;
                 if !resolved.prepend_args.is_empty() {
@@ -754,7 +765,7 @@ impl KernelState {
                     new_args.extend(args.into_iter().skip(1));
                     args = new_args;
                 }
-                (resolved.launcher, resolved.file_bytes)
+                resolved.launcher
             }
         };
 
@@ -771,9 +782,8 @@ impl KernelState {
         let name = browsix_fs::path::basename(path);
 
         if target == self.shard_id {
-            let blob_url = file_bytes.map(|bytes| self.blobs.create_url(bytes));
             self.install_task(
-                pid, ppid, pgid, &name, path, cwd, args, env, stdio, blob_url, fork_image, launcher,
+                pid, ppid, pgid, &name, path, cwd, args, env, stdio, fork_image, launcher, exit,
             );
         } else {
             let token = self.next_remote_token();
@@ -805,8 +815,8 @@ impl KernelState {
                     args,
                     env,
                     launcher,
-                    file_bytes,
                     stdio: exported.try_into().expect("one handle per stdio slot"),
+                    exit,
                 },
             );
         }
@@ -820,7 +830,7 @@ impl KernelState {
     /// worker thread and init message.  The stdio references are already
     /// counted (shared with the parent, or adopted from another shard); the
     /// caller pushes the child onto its parent's `children` (the parent may
-    /// live on another shard).
+    /// live on another shard).  `exit` starts watching the task's exit.
     #[allow(clippy::too_many_arguments)]
     fn install_task(
         &mut self,
@@ -833,9 +843,9 @@ impl KernelState {
         args: Vec<String>,
         env: Vec<(String, String)>,
         stdio: [Arc<OpenFile>; 3],
-        blob_url: Option<String>,
         fork_image: Option<ForkImage>,
         launcher: Arc<dyn ProgramLauncher>,
+        exit: Option<Sender<i32>>,
     ) {
         let mut task = Task::new(pid, ppid, name, path, cwd);
         task.pgid = pgid;
@@ -869,10 +879,11 @@ impl KernelState {
         );
         task.worker = Some(worker);
         self.tasks.insert(pid, Box::new(task));
+        self.exit_watchers.extend(exit.map(|exit| (pid, vec![exit])));
         self.stats.processes_spawned += 1;
 
-        // Init message: argument vector, environment, cwd, blob URL and (for
-        // fork) the guest memory snapshot.
+        // Init message: argument vector, environment, cwd and (for fork) the
+        // guest memory snapshot.
         let env_msgs: Vec<Message> = env
             .iter()
             .map(|(k, v)| Message::Array(vec![Message::from(k.as_str()), Message::from(v.as_str())]))
@@ -882,9 +893,6 @@ impl KernelState {
             .with("args", Message::from(args))
             .with("env", Message::Array(env_msgs))
             .with("cwd", cwd);
-        if let Some(url) = blob_url {
-            init = init.with("blob_url", url.as_str());
-        }
         if let Some(image) = fork_image {
             init = init
                 .with("fork_image", image.image)
@@ -914,7 +922,6 @@ impl KernelState {
         let ppid = task.ppid;
         let children: Vec<Pid> = task.children.clone();
         self.stats.processes_exited += 1;
-        self.exit_records.insert(pid, status);
         // A finished pid disappears from the router registry: signals and
         // getpgid from any shard now report ESRCH, matching the local
         // zombie rules.
@@ -945,7 +952,7 @@ impl KernelState {
                 if let Some(child_task) = self.tasks.get_mut(&child) {
                     child_task.ppid = 0;
                     if child_task.is_zombie() {
-                        self.remove_task(child);
+                        self.tasks.remove(&child);
                     }
                 }
             } else if self.router.process_shard(child).is_some() {
@@ -973,8 +980,7 @@ impl KernelState {
                 // Remote parent: ship the zombie.  The wait status travels
                 // in the message and the parent's shard reaps from its
                 // `remote_zombies` table; this shard is done with the task
-                // either way (a dead remote parent just drops the record —
-                // the exit status survives in `exit_records`).
+                // either way (a dead remote parent just drops the record).
                 self.tasks.remove(&pid);
                 self.send_shard(s, ShardMsg::ChildExited { pid, ppid, status });
             }
@@ -1292,15 +1298,6 @@ impl KernelState {
     pub(crate) fn resolve_path(&self, pid: Pid, path: &str) -> String {
         let cwd = self.tasks.get(&pid).map(|t| t.cwd.as_str()).unwrap_or("/");
         browsix_fs::path::resolve(cwd, path)
-    }
-
-    /// Removes a reaped zombie from the table, and its exit record with it:
-    /// once `wait4` (or the parent's own exit) has consumed the status, the
-    /// pid is gone for the host too.  Only processes nobody reaps — the ones
-    /// the host started — keep a record for a late `WatchExit`.
-    pub(crate) fn remove_task(&mut self, pid: Pid) {
-        self.tasks.remove(&pid);
-        self.exit_records.remove(&pid);
     }
 }
 

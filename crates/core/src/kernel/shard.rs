@@ -72,11 +72,15 @@
 //!
 //! Readiness of a foreign stream is pushed, never polled for.  The owner
 //! learns of every change to a stream the way its own waiters do — the change
-//! wakes one of the stream's two queues — and `KernelState::wake` then
-//! compares the stream's state with the one last pushed and sends subscribers
-//! the new one.  A subscriber's cache holds an entry only while a parked
-//! `poll` there watches the stream, so a `poll` never reads a state nobody
-//! keeps current, and no timer re-asks.
+//! wakes one of the stream's two queues — and `KernelState::drain_wakes`
+//! then compares the stream's state with the one last pushed and sends
+//! subscribers the new one.  A subscriber's cache holds an entry only while a
+//! parked `poll` there watches the stream, so a `poll` never reads a state
+//! nobody keeps current, and no timer re-asks.  The owner's half of a remote
+//! read or write is one call (`KernelState::run_call`): when it completes at
+//! once, its pushes go out before its `RemoteOpDone`.  A parked one that a
+//! later wake completes sends its `RemoteOpDone` from inside that drain, so
+//! the push of the change it made may follow the reply.
 //!
 //! Signals are raised by the shard that owns the process: a remote write
 //! that ends in `EPIPE` comes back as a plain error, and the submitter sends
@@ -170,8 +174,7 @@ pub(crate) struct PendingRemote {
 /// with that shard's syscalls in a single total order.
 pub enum ShardMsg {
     /// Create a task on the receiving shard (the spawn side of round-robin
-    /// placement).  The executable is already resolved; `file_bytes` (if
-    /// any) become a blob URL in the owner's registry.
+    /// placement).  The executable is already resolved.
     SpawnTask {
         /// Completion token, minted by the origin shard.
         token: u64,
@@ -195,11 +198,12 @@ pub enum ShardMsg {
         env: Vec<(String, String)>,
         /// The resolved launcher.
         launcher: Arc<dyn ProgramLauncher>,
-        /// Script bytes for interpreted executables.
-        file_bytes: Option<Vec<u8>>,
         /// stdin/stdout/stderr: handles exported for the receiving shard
         /// ([`OpenFile::export`]) on the parent's descriptions.
         stdio: [Arc<OpenFile>; 3],
+        /// The host's exit watcher of a host-started process, subscribed
+        /// as the task is installed.
+        exit: Option<Sender<i32>>,
     },
     /// The spawned task exists; the origin drops its stdio pins.
     SpawnAck {
@@ -572,10 +576,9 @@ impl KernelState {
                 args,
                 env,
                 launcher,
-                file_bytes,
                 stdio,
+                exit,
             } => {
-                let blob_url = file_bytes.map(|bytes| self.blobs.create_url(bytes));
                 // The handles were exported for this shard: count each once
                 // (stdout and stderr are often one description).  The origin
                 // keeps its own references pinned until the ack, so the
@@ -586,7 +589,7 @@ impl KernelState {
                     }
                 }
                 self.install_task(
-                    pid, ppid, pgid, &name, &path, &cwd, args, env, stdio, blob_url, None, launcher,
+                    pid, ppid, pgid, &name, &path, &cwd, args, env, stdio, None, launcher, exit,
                 );
                 self.send_shard(origin, ShardMsg::SpawnAck { token });
             }
@@ -619,7 +622,7 @@ impl KernelState {
                 if let Some(task) = self.tasks.get_mut(&child) {
                     task.ppid = 0;
                     if task.is_zombie() {
-                        self.remove_task(child);
+                        self.tasks.remove(&child);
                     }
                 }
             }
@@ -642,9 +645,8 @@ impl KernelState {
                 // The local read, with a reply address on the submitter's shard.
                 self.stats.steals += 1;
                 let reply = ReplyTo::Shard { shard, token };
-                if let Outcome::Complete(result) =
-                    self.block(pid, Some(reply), WaitKind::Read { stream, len }, nonblocking)
-                {
+                let kind = WaitKind::Read { stream, len };
+                if let Outcome::Complete(result) = self.run_call(|k| k.block(pid, Some(reply), kind, nonblocking)) {
                     self.complete(pid, reply, result);
                 }
             }
@@ -663,7 +665,7 @@ impl KernelState {
                     data,
                     written: 0,
                 };
-                if let Outcome::Complete(result) = self.block(pid, Some(reply), kind, nonblocking) {
+                if let Outcome::Complete(result) = self.run_call(|k| k.block(pid, Some(reply), kind, nonblocking)) {
                     self.complete(pid, reply, result);
                 }
             }

@@ -23,9 +23,16 @@
 //! every retry after a wake, and the answer of a call that may not wait
 //! (`O_NONBLOCK`, `WNOHANG`, a zero-timeout `poll`) or a `poll` whose
 //! deadline passed.  Every blocking call enters through
-//! `KernelState::block`, which holds the wakes its attempt raises until the
-//! waiter is parked (a `sendfile`'s pump needs no hold; see there); a
-//! parked waiter is never re-checked.
+//! `KernelState::block`; a parked waiter is never re-checked.
+//!
+//! A wake runs when the call that raised it returns.  `KernelState::wake`
+//! only queues its channel; `KernelState::drain_wakes` runs the queue
+//! after each dispatched system call, and once more when the kernel has
+//! finished an event that is not one (a host request, a peer shard's
+//! message, a `poll` deadline), before the rings are notified.  A call is
+//! therefore one atomic step: whatever it changes, the waiters it wakes see
+//! the state it left, never a half-done one — and a call that parks is on
+//! its queue before any wake it raised runs.
 //!
 //! The kernel's internal HTTP clients (the `XMLHttpRequest`-like host API)
 //! are ordinary waiters too: each parks on the wait queues of its
@@ -570,21 +577,12 @@ impl KernelState {
     /// park it — or, when it may not wait (`O_NONBLOCK`, `WNOHANG`, a
     /// zero-timeout `poll`), return what it has instead.
     ///
-    /// The wakes the attempt raises are held until its waiter is parked.  An
-    /// attempt can set off a state change that concerns its own waiter (a
-    /// partial write wakes a reader, which frees space in the stream being
-    /// written); run at once, that wake would find nobody on the queue and
-    /// the waiter would sleep through a change that already happened — the
-    /// classic lost wakeup, single-threaded.  Held, it reaches the waiter,
-    /// and all of them run before this returns, just as they would have
-    /// inside the attempt, so completions keep their order.  A `sendfile`
-    /// needs no hold: its pump re-checks the stream after each page's wake,
-    /// and running those wakes at once lets the reader drain the stream
-    /// between pages, so one call can move more than a streamful.
+    /// The wakes the attempt raises run after the call returns, so a waiter
+    /// is parked before any of them can look for it: a partial write that
+    /// wakes a reader, which frees space in the stream being written, finds
+    /// the writer on its queue.
     pub(crate) fn block(&mut self, pid: Pid, reply: Option<ReplyTo>, kind: WaitKind, nonblocking: bool) -> Outcome {
-        let holding = !self.waking && !matches!(kind, WaitKind::Sendfile { .. });
-        self.waking |= holding;
-        let outcome = match self.attempt(pid, kind) {
+        match self.attempt(pid, kind) {
             Attempt::Done(result) => Outcome::Complete(result),
             Attempt::Blocked { kind, .. } if nonblocking => Outcome::Complete(self.would_block(kind)),
             // No queue to wake it and no deadline: it could never complete.
@@ -599,11 +597,7 @@ impl KernelState {
                 self.park_waiter(channels, Waiter { pid, reply, kind });
                 Outcome::Blocked
             }
-        };
-        if holding {
-            self.drain_wakes();
         }
-        outcome
     }
 
     /// What a call that would block returns when it may not wait, or a
@@ -643,23 +637,18 @@ impl KernelState {
         }
     }
 
-    /// Wakes every waiter parked on `channel`: each is removed from the
-    /// table and retried; waiters that still cannot make progress re-park
-    /// themselves (counted as spurious wakeups).
-    ///
-    /// Retrying a waiter can itself change kernel state (a completed write
-    /// fills a stream someone is reading), so nested wakes are queued and
-    /// drained iteratively rather than recursing.
+    /// Queues a wake of every waiter parked on `channel`, to run when the
+    /// current system call (or, outside one, the current event) is done.
     pub(crate) fn wake(&mut self, channel: WaitChannel) {
         self.wake_queue.push_back(channel);
-        if !self.waking {
-            self.waking = true;
-            self.drain_wakes();
-        }
     }
 
-    /// Runs the queued wakes in order, then releases the guard.
-    fn drain_wakes(&mut self) {
+    /// Runs the queued wakes in order: each waiter on a woken channel is
+    /// removed from the table and retried, and one that still cannot make
+    /// progress re-parks itself (counted as a spurious wakeup).  A retry can
+    /// itself change state (a completed write fills a stream someone is
+    /// reading); the wakes it raises join the queue and run in this drain.
+    pub(crate) fn drain_wakes(&mut self) {
         while let Some(next) = self.wake_queue.pop_front() {
             if !self.poll_subscribers.is_empty() {
                 self.publish_stream_state(next);
@@ -668,7 +657,6 @@ impl KernelState {
                 self.retry_waiter(waiter);
             }
         }
-        self.waking = false;
     }
 
     /// Drops every waiter belonging to `pid` (the process exited; nobody is
@@ -737,8 +725,9 @@ impl KernelState {
         }
     }
 
-    /// Retries every parked waiter, asserting that none of them completes —
-    /// if one does, a state change somewhere forgot to wake its channel.
+    /// Retries every parked waiter, asserting that none of them completes or
+    /// moves anything (which queues a wake) — if one does, a state change
+    /// somewhere forgot to wake its channel.
     ///
     /// Compiled only under the `scavenger` cargo feature; the assertion is a
     /// `debug_assert`, so a release build with the feature merely repairs the
@@ -750,8 +739,8 @@ impl KernelState {
         for waiter in self.waiters.drain_all() {
             self.retry_waiter(waiter);
         }
-        debug_assert_eq!(
-            self.stats.wakeups, completed_before,
+        debug_assert!(
+            self.stats.wakeups == completed_before && self.wake_queue.is_empty(),
             "wait-queue scavenger found a lost wakeup: a kernel state change did not wake the channel a waiter was parked on"
         );
     }
@@ -772,12 +761,14 @@ impl KernelState {
         // request stream means the server will never see the rest of the
         // request, which kills the exchange.
         let mut request_dead = false;
+        let mut progressed = false;
         if client.sent < client.to_send.len() {
             let pending = &client.to_send[client.sent..];
             match self.with_stream(side.writes, |s| (!s.read_end_closed()).then(|| s.push(pending))) {
                 Some(Some(pushed)) => {
                     client.sent += pushed;
                     if pushed > 0 {
+                        progressed = true;
                         self.wake(WaitChannel::StreamReadable(side.writes));
                     }
                 }
@@ -791,6 +782,7 @@ impl KernelState {
         if let Some((chunk, closed)) = popped {
             server_closed = closed;
             if !chunk.is_empty() {
+                progressed = true;
                 client.received.extend_from_slice(&chunk);
                 self.wake(WaitChannel::StreamWritable(side.reads));
             }
@@ -808,7 +800,7 @@ impl KernelState {
                 return Attempt::Blocked {
                     kind: WaitKind::HttpClient { side },
                     channels: Channels::from_vec(channels),
-                    progressed: false,
+                    progressed,
                 };
             }
             Err(_) => Err(Errno::EIO),

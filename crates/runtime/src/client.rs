@@ -536,7 +536,6 @@ fn decode_init(msg: &Message) -> ProcessStart {
         })
         .unwrap_or_default();
     let cwd = msg.get_str("cwd").unwrap_or("/").to_owned();
-    let blob_url = msg.get_str("blob_url").map(|s| s.to_owned());
     let fork_image = msg.get_bytes("fork_image").map(|bytes| ForkImage {
         image: bytes.to_vec(),
         resume_point: msg.get_int("fork_resume").unwrap_or(0) as u64,
@@ -545,7 +544,6 @@ fn decode_init(msg: &Message) -> ProcessStart {
         args,
         env,
         cwd,
-        blob_url,
         fork_image,
     }
 }
@@ -567,14 +565,12 @@ mod tests {
                 ])]),
             )
             .with("cwd", "/home")
-            .with("blob_url", "blob:browsix/1")
             .with("fork_image", vec![1u8, 2, 3])
             .with("fork_resume", 7i64);
         let start = decode_init(&msg);
         assert_eq!(start.args, vec!["ls", "-l"]);
         assert_eq!(start.env, vec![("PATH".to_string(), "/usr/bin".to_string())]);
         assert_eq!(start.cwd, "/home");
-        assert_eq!(start.blob_url.as_deref(), Some("blob:browsix/1"));
         let image = start.fork_image.unwrap();
         assert_eq!(image.image, vec![1, 2, 3]);
         assert_eq!(image.resume_point, 7);
@@ -586,7 +582,6 @@ mod tests {
         assert!(start.args.is_empty());
         assert!(start.env.is_empty());
         assert_eq!(start.cwd, "/");
-        assert!(start.blob_url.is_none());
         assert!(start.fork_image.is_none());
     }
 

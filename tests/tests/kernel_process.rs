@@ -22,6 +22,57 @@ fn instant_async() -> ExecutionProfile {
     ExecutionProfile::instant(SyscallConvention::Async)
 }
 
+fn boot_quick() -> Kernel {
+    let quick = NodeLauncher::new("quick", guest("quick", |_: &mut dyn RuntimeEnv| 3)).with_profile(instant_async());
+    boot_with("quick", Arc::new(quick))
+}
+
+/// Blocks until no task is left on any shard.
+fn wait_until_no_task(kernel: &Kernel) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while kernel.resources().tasks > 0 {
+        assert!(std::time::Instant::now() < deadline, "the processes never exited");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// `Kernel::spawn` watches the exit from the spawn on, so a process that is
+/// gone before anyone waits still reports its own status.
+#[test]
+fn a_spawned_process_reports_an_exit_that_precedes_the_wait() {
+    let kernel = boot_quick();
+    let handles: Vec<_> = (0..8)
+        .map(|_| kernel.spawn("/usr/bin/quick", &["quick"], &[]).unwrap())
+        .collect();
+    wait_until_no_task(&kernel);
+    for handle in handles {
+        assert_eq!(handle.wait().code, Some(3), "pid {}", handle.pid);
+    }
+    kernel.shutdown();
+}
+
+/// The kernel keeps nothing of an exited process the host started: a watch
+/// made after the exit gets the unknown-pid status, as for any pid that is
+/// not live.
+#[test]
+fn an_exited_host_process_leaves_no_exit_record() {
+    let kernel = boot_quick();
+    let pids: Vec<_> = (0..8)
+        .map(|_| {
+            let sink: browsix_core::OutputSink = Arc::new(|_: &[u8]| {});
+            kernel
+                .spawn_with_sinks("/usr/bin/quick", &["quick"], &[], Arc::clone(&sink), sink)
+                .unwrap()
+        })
+        .collect();
+    wait_until_no_task(&kernel);
+    for pid in pids {
+        let late = kernel.wait(pid, Duration::from_secs(10)).expect("an answer at once");
+        assert_eq!(late.code, Some(127), "pid {pid}");
+    }
+    kernel.shutdown();
+}
+
 #[test]
 fn getrusage_reports_per_task_counters() {
     let launcher = NodeLauncher::new(

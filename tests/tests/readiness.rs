@@ -411,6 +411,40 @@ fn httpd_serves_shell_driven_concurrent_curl_clients() {
     kernel.shutdown();
 }
 
+/// The kernel's HTTP client is woken for each chunk of a streamed response
+/// and takes every one: a retry that moved bytes is progress, so a whole
+/// 1 MiB exchange counts no spurious wakeup.
+#[test]
+fn a_large_host_request_counts_no_spurious_wakeup() {
+    const LEN: usize = 1 << 20;
+    let kernel = boot_full();
+    let body: Vec<u8> = (0..LEN).map(|i| (i % 253) as u8).collect();
+    let path = format!("{}/large.bin", browsix_apps::HTTPD_ROOT);
+    kernel.fs().write_file(&path, &body).unwrap();
+    let server = kernel
+        .spawn("/usr/bin/httpd", &["httpd", "--max-requests", "1"], &[])
+        .unwrap();
+    assert!(kernel.wait_for_port(browsix_apps::HTTPD_PORT, Duration::from_secs(10)));
+
+    let before = kernel.stats().spurious_wakeups;
+    let response = kernel
+        .http_request(
+            browsix_apps::HTTPD_PORT,
+            HttpRequest::new(Method::Get, "/large.bin"),
+            Duration::from_secs(10),
+        )
+        .unwrap();
+    let spurious = kernel.stats().spurious_wakeups - before;
+    assert!(response.body == body, "the body arrives whole");
+    // The scavenger retries every parked waiter after each event, and counts
+    // each retry as spurious: the count means something only without it.
+    if !cfg!(feature = "scavenger") {
+        assert_eq!(spurious, 0, "spurious wakeups during one 1 MiB request");
+    }
+    assert!(server.wait_timeout(Duration::from_secs(10)).is_some());
+    kernel.shutdown();
+}
+
 #[test]
 fn httpd_serves_files_and_404s() {
     let kernel = boot_full();
