@@ -67,12 +67,13 @@ pub enum HostRequest {
     WatchExit {
         /// The process to watch.
         pid: Pid,
-        /// Receives the wait status; fires immediately for an unreaped
-        /// zombie whose parent is on its own shard.  Any other pid that is
-        /// no longer live — never started, reaped, a zombie shipped to its
-        /// parent's shard, or a host-started process that already exited —
-        /// gets the unknown-pid status at once (exit code 127): to learn a
-        /// host process's status, watch it from its spawn.
+        /// Receives the wait status; fires immediately for an exited,
+        /// unreaped child whose exit record is on this shard (its parent
+        /// lives here).  Any other pid that is no longer live — never
+        /// started, reaped, a child whose parent is on another shard, or a
+        /// host-started process that already exited — gets the unknown-pid
+        /// status at once (exit code 127): to learn a host process's status,
+        /// watch it from its spawn.
         reply: Sender<i32>,
     },
     /// Issue an HTTP request to an in-Browsix server (the paper's

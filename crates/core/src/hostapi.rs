@@ -140,7 +140,9 @@ impl ExitStatus {
 /// idle kernel with no processes reports all zeros.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResourceCounts {
-    /// Task-table entries: running, stopped and zombie processes.
+    /// Processes: live ones (running or stopped), plus exited children whose
+    /// parent has not reaped them yet — one exit record each, kept on the
+    /// parent's shard.  An unreaped child counts once, at any shard count.
     pub tasks: usize,
     /// Stream buffers: one per pipe, two per socket connection (which is
     /// nothing but its two streams, so there is no separate count of those).
@@ -393,9 +395,9 @@ impl Kernel {
     }
 
     /// Registers interest in a process's exit; the returned channel receives
-    /// the raw wait status exactly once.  An unreaped zombie whose parent is
-    /// on its own shard reports its status at once; any other process that
-    /// is no longer live (a zombie shipped to its parent's shard among them)
+    /// the raw wait status exactly once.  An exited, unreaped child whose
+    /// parent is on the child's own shard reports its status at once (its
+    /// exit record is there); any other process that is no longer live
     /// reports the unknown-pid status (exit code 127).  Only a watch made at
     /// spawn ([`Kernel::spawn`]) is sure to see a quick exit.
     pub fn watch_exit(&self, pid: Pid) -> Receiver<i32> {
@@ -550,8 +552,10 @@ impl Kernel {
         total
     }
 
-    /// Lists live tasks as `(pid, ppid, name, state)`, for terminal-style
-    /// inspection of kernel state.  Tasks from every shard, sorted by pid.
+    /// Lists live tasks as `(pid, ppid, name, state)` — state `"running"`
+    /// or `"stopped"` — for terminal-style inspection of kernel state.  Tasks
+    /// from every shard, sorted by pid; a process that exited is not listed,
+    /// reaped or not.
     pub fn tasks(&self) -> Vec<(Pid, Pid, String, String)> {
         let mut all: Vec<(Pid, Pid, String, String)> = self
             .ask_each_shard(|reply| HostRequest::ListTasks { reply })

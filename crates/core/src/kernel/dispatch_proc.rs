@@ -130,69 +130,60 @@ impl KernelState {
     }
 
     /// Looks for a reportable child of `pid` matching `target` (-1 = any
-    /// child): a reapable zombie, or — under `WUNTRACED` — a child stopped by
-    /// a job-control signal whose stop has not been reported yet.  Returns
-    /// `Err(ECHILD)` if `pid` has no children at all matching the request.
+    /// child): an exited one, or — under `WUNTRACED` — a stopped one whose
+    /// stop has not been reported yet.  Returns `Err(ECHILD)` if `pid` has
+    /// no children at all matching the request.
     ///
-    /// Membership is the parent's `children` list, which may name tasks that
-    /// live on other shards.  A remote child's exit or stop arrives here as a
-    /// shipped record (`remote_zombies` / `remote_stops`, see
-    /// `ShardMsg::ChildExited`); reaping consumes the record, so every exit
-    /// and stop is reported exactly once regardless of placement.
+    /// Membership is the parent's `children` list, in spawn order, which may
+    /// name tasks that live on other shards.  Every child's exit and stop
+    /// arrives here as a record (`zombies` / `stops`, see
+    /// `ShardMsg::ChildExited`), wherever the child lived; taking the record
+    /// is the report, so each exit and each stop is reported exactly once.
     pub(crate) fn try_reap_child(&mut self, pid: Pid, target: i32, options: u32) -> Result<Option<(Pid, i32)>, Errno> {
-        let children: Vec<Pid> = match self.task(pid) {
-            Ok(task) => task.children.clone(),
-            Err(e) => return Err(e),
-        };
-        let candidates: Vec<Pid> = children
-            .into_iter()
+        let candidates: Vec<Pid> = self
+            .task(pid)?
+            .children
+            .iter()
+            .copied()
             .filter(|&child| target < 0 || child == target as Pid)
             .collect();
         if candidates.is_empty() {
             return Err(Errno::ECHILD);
         }
         for &child in &candidates {
-            // Local zombie?
-            let status = self.task(child).ok().and_then(|t| t.wait_status());
-            if let Some(status) = status {
-                self.tasks.remove(&child);
-                if let Ok(parent) = self.task_mut(pid) {
-                    parent.children.retain(|&c| c != child);
-                }
-                return Ok(Some((child, status)));
-            }
-            // Zombie shipped from the child's shard?
-            if let Some(status) = self.remote_zombies.remove(&child) {
-                self.remote_stops.remove(&child);
-                if let Ok(parent) = self.task_mut(pid) {
-                    parent.children.retain(|&c| c != child);
-                }
+            if let Some(status) = self.zombies.remove(&child) {
+                self.task_mut(pid)?.children.retain(|&c| c != child);
                 return Ok(Some((child, status)));
             }
         }
         if options & WUNTRACED != 0 {
             for &child in &candidates {
-                if let Ok(task) = self.task_mut(child) {
-                    if let Some(signal) = task.stop_signal() {
-                        if !task.stop_reported {
-                            // Each stop is reported to wait4 at most once;
-                            // the child stays in the task table (it is not a
-                            // zombie and can be continued).
-                            task.stop_reported = true;
-                            return Ok(Some((child, encode_stop_status(signal))));
-                        }
-                    }
-                }
-            }
-            for &child in &candidates {
-                // Stops shipped from remote shards are one-shot by
-                // construction: consuming the record is the report.
-                if let Some(signal) = self.remote_stops.remove(&child) {
+                if let Some(signal) = self.stops.remove(&child) {
                     return Ok(Some((child, encode_stop_status(signal))));
                 }
             }
         }
         Ok(None)
+    }
+
+    /// Checks the exit and stop records: each belongs to a child of a live
+    /// task on this shard, and no child has both (an exit replaces the stop
+    /// record).
+    #[cfg(any(test, feature = "scavenger"))]
+    pub(crate) fn audit_exit_records(&self) {
+        let parented = |child: &Pid| self.tasks.values().any(|t| t.children.contains(child));
+        for child in self.zombies.keys().chain(self.stops.keys()) {
+            debug_assert!(
+                parented(child),
+                "shard {}: pid {child}'s record outlived its parent",
+                self.shard_id
+            );
+            debug_assert!(
+                !(self.zombies.contains_key(child) && self.stops.contains_key(child)),
+                "shard {}: pid {child} is recorded both exited and stopped",
+                self.shard_id
+            );
+        }
     }
 
     pub(crate) fn sys_wait4(&mut self, pid: Pid, reply: ReplyTo, target: i32, options: u32) -> Outcome {
@@ -293,14 +284,13 @@ impl KernelState {
         }
         let sharded = self.nshards() > 1;
         match self.task_mut(target) {
-            Ok(task) if task.is_alive() => {
+            Ok(task) => {
                 task.pgid = group;
                 // Keep the fleet-wide membership registry in step: group
                 // signals resolve members through the router.
                 self.router.set_pgid(target, group);
                 Outcome::Complete(SysResult::Ok)
             }
-            Ok(_) => Outcome::Complete(SysResult::Err(Errno::ESRCH)),
             Err(_) if sharded => {
                 // A remote child (membership came from our `children` list).
                 // Update the authoritative registry first, then tell the

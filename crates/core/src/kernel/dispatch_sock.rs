@@ -190,7 +190,6 @@ impl KernelState {
                 };
                 // The client holds the client side of the connection, like a
                 // descriptor would, until the exchange finishes.
-                self.http_clients.push(client);
                 self.hold_connection_side(side);
                 // The server's blocked accept (or poll) can take the
                 // connection now.
@@ -198,7 +197,7 @@ impl KernelState {
                 // Pump once; if the exchange is still in flight the client
                 // parks on its connection's stream queues like any other
                 // blocked operation.
-                self.block(0, None, WaitKind::HttpClient { side }, false);
+                self.block(0, None, WaitKind::HttpClient(client), false);
             }
             Err(e) => {
                 let _ = reply.send(Err(e));

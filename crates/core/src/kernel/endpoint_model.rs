@@ -274,10 +274,7 @@ impl Fleet {
     }
 
     fn alive(&self, pid: Pid) -> bool {
-        self.shards[self.shard_index(pid)]
-            .tasks
-            .get(&pid)
-            .is_some_and(|t| t.is_alive())
+        self.shards[self.shard_index(pid)].tasks.contains_key(&pid)
     }
 
     fn terminations(&self) -> u64 {
@@ -798,7 +795,6 @@ impl Fleet {
                 shard.streams.ids()
             );
             assert!(shard.sockets.listening_ports().is_empty(), "shard {id}: listeners left");
-            assert!(shard.http_clients.is_empty(), "shard {id}: HTTP clients left");
             assert!(shard.waiters.is_empty(), "shard {id}: waiters left");
             assert!(shard.foreign_endpoints.is_empty(), "shard {id}: foreign tallies left");
             assert!(shard.remote_contribs.is_empty(), "shard {id}: peer contributions left");
@@ -809,6 +805,8 @@ impl Fleet {
                 "shard {id}: poll subscriptions left"
             );
             assert!(shard.poll_subscribers.is_empty(), "shard {id}: poll subscribers left");
+            assert!(shard.zombies.is_empty(), "shard {id}: exit records left");
+            assert!(shard.stops.is_empty(), "shard {id}: stop records left");
         }
         for conn in &self.conns {
             assert!(conn.http.is_none(), "an HTTP exchange never finished");
@@ -820,6 +818,7 @@ impl Fleet {
 fn audit(kernel: &KernelState) {
     kernel.audit_endpoints();
     kernel.audit_poll_subscriptions();
+    kernel.audit_exit_records();
 }
 
 fn run(nshards: usize, ops: &[(u8, u8, u8, u8)]) {
@@ -877,6 +876,78 @@ fn scripted_corner_cases() {
         for &(op, a, b, c) in script {
             fleet.step(op, a, b, c);
         }
+        fleet.drain();
+    }
+}
+
+/// An exit record lives on the parent's shard from the child's exit until
+/// the parent reaps it or dies.  A child beside its parent (always at 1
+/// shard, for one of the children at 2) has its `ChildExited` handled in
+/// place, one on another shard sends it to the parent's; the two read the
+/// same.  A `ChildExited` that arrives after its parent died is dropped,
+/// leaving nothing behind.
+#[test]
+fn exit_records_live_with_the_parent_at_every_shard_count() {
+    for nshards in [1, 2, 4] {
+        let mut fleet = Fleet::boot(nshards);
+        fleet.spawn_root();
+        let root = fleet.procs[0].pid;
+        let spawn = |fleet: &mut Fleet| {
+            let args = vec!["guest".to_owned()];
+            let call = |k: &mut KernelState, _| k.sys_spawn(root, GUEST.to_owned(), args, Vec::new(), None, [None; 3]);
+            Fleet::expect_int(fleet.syscall(root, call)) as Pid
+        };
+        let [reaped, orphaned, late] = [(); 3].map(|()| spawn(&mut fleet));
+        for child in [reaped, orphaned] {
+            assert!(matches!(
+                fleet.syscall(child, |k, _| k.sys_exit(child, 3)),
+                Issued::Gone
+            ));
+        }
+        let tasks = |fleet: &mut Fleet| {
+            (0..nshards)
+                .map(|shard| {
+                    let (reply, counts) = bounded(1);
+                    fleet.host(shard, HostRequest::ReadResources { reply });
+                    counts.try_recv().expect("resources replied").tasks
+                })
+                .sum::<usize>()
+        };
+        let parent = fleet.shard_index(root);
+        for child in [reaped, orphaned] {
+            assert!(
+                fleet.shards.iter().all(|s| !s.tasks.contains_key(&child)),
+                "{nshards}: {child}"
+            );
+            assert_eq!(
+                fleet.shards[parent].zombies.get(&child),
+                Some(&encode_wait_status(Some(3), None))
+            );
+        }
+        assert_eq!(tasks(&mut fleet), 4, "{nshards} shard(s): root, `late` and two records");
+
+        let wait =
+            |fleet: &mut Fleet, child: Pid| fleet.syscall(root, |k, reply| k.sys_wait4(root, reply, child as i32, 0));
+        let status = encode_wait_status(Some(3), None);
+        assert!(
+            matches!(wait(&mut fleet, reaped), Issued::Done(SysResult::Wait { pid, status: s }) if pid == reaped && s == status)
+        );
+        assert!(matches!(
+            wait(&mut fleet, reaped),
+            Issued::Done(SysResult::Err(Errno::ECHILD))
+        ));
+        assert_eq!(tasks(&mut fleet), 3, "{nshards} shard(s): reaping took one record");
+
+        // `late` exits, and its root is killed before the exit is delivered
+        // when `late` lives on another shard (the `ChildExited` is still
+        // queued).
+        fleet.issue(late, |k, _| k.sys_exit(late, 0));
+        fleet.kill(0);
+        assert_eq!(
+            tasks(&mut fleet),
+            0,
+            "{nshards} shard(s): the records died with the root"
+        );
         fleet.drain();
     }
 }

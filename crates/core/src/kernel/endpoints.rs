@@ -18,7 +18,7 @@
 //!   connection, keyed by that side's [`StreamPair`] and taken and dropped
 //!   where the reference itself appears and disappears: a listener's backlog
 //!   *is* the list of server sides it holds until `accept` (or the listener
-//!   closing); an in-kernel HTTP client (`HttpClientState::side`) and a
+//!   closing); a parked in-kernel HTTP client (`HttpClientState::side`) and a
 //!   not-yet-acknowledged remote `connect` (`remote_client_pins`) hold the
 //!   client side ([`KernelState::hold_connection_side`] /
 //!   [`KernelState::drop_connection_side`]).
@@ -262,6 +262,8 @@ impl KernelState {
     pub(crate) fn audit_endpoints(&self) {
         use std::collections::{HashMap, HashSet};
 
+        use crate::kernel::WaitKind;
+
         let mut counts: HashMap<StreamId, (usize, usize)> = HashMap::new();
         let mut count = |reads: Option<StreamId>, writes: Option<StreamId>| {
             if let Some(stream) = reads {
@@ -282,9 +284,13 @@ impl KernelState {
                 count(kind.read_stream(), kind.write_stream());
             }
         }
-        // Kernel holds: HTTP clients and unacknowledged remote connects hold
-        // the client side, backlog entries the server side.
-        let clients = self.http_clients.iter().map(|c| c.side);
+        // Kernel holds: HTTP clients (each parked in its waiter) and
+        // unacknowledged remote connects hold the client side, backlog
+        // entries the server side.
+        let clients = self.waiters.iter().filter_map(|w| match &w.kind {
+            WaitKind::HttpClient(client) => Some(client.side),
+            _ => None,
+        });
         let pins = self.remote_client_pins.iter().copied();
         for side in clients.chain(pins).chain(self.sockets.pending_connections()) {
             count(Some(side.reads), Some(side.writes));

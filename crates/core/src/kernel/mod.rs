@@ -125,7 +125,6 @@ pub(crate) struct KernelState {
     wake_queue: VecDeque<WaitChannel>,
     /// `(deadline, waiter)` pairs for parked `poll`s with timeouts.
     poll_deadlines: Vec<(Instant, WaiterId)>,
-    http_clients: Vec<HttpClientState>,
 
     /// Monotonic token counter for cross-shard operations this shard
     /// submits.  Every shard counts from 1, so a token names an operation
@@ -133,12 +132,12 @@ pub(crate) struct KernelState {
     next_remote_token: u64,
     /// Syscalls executing on a foreign shard, keyed by token.
     remote_ops: HashMap<u64, PendingRemote>,
-    /// Wait statuses of exited children that lived on foreign shards (the
-    /// cross-shard form of a zombie, shipped here for this shard's wait4).
-    remote_zombies: HashMap<Pid, i32>,
-    /// Stop signals of remotely-stopped children not yet reported by a
-    /// `WUNTRACED` wait.
-    remote_stops: HashMap<Pid, Signal>,
+    /// Wait statuses of exited, unreaped children of this shard's tasks,
+    /// wherever the child lived: `wait4` reaps by taking the record.
+    zombies: HashMap<Pid, i32>,
+    /// Stop signals of stopped children of this shard's tasks that no
+    /// `WUNTRACED` wait has reported yet: reporting takes the record.
+    stops: HashMap<Pid, Signal>,
     /// `(readers, writers)` references this shard holds on streams owned by
     /// other shards; each change is reported to the owner, per stream.
     foreign_endpoints: HashMap<StreamId, (u32, u32)>,
@@ -195,11 +194,10 @@ impl KernelState {
             waiters: WaitTable::new(),
             wake_queue: VecDeque::new(),
             poll_deadlines: Vec::new(),
-            http_clients: Vec::new(),
             next_remote_token: 1,
             remote_ops: HashMap::new(),
-            remote_zombies: HashMap::new(),
-            remote_stops: HashMap::new(),
+            zombies: HashMap::new(),
+            stops: HashMap::new(),
             foreign_endpoints: HashMap::new(),
             remote_contribs: HashMap::new(),
             poll_subscriptions: HashMap::new(),
@@ -256,13 +254,15 @@ impl KernelState {
         // wait queues lost no wakeup (retrying every parked waiter must
         // complete none), that the endpoint counts equal a from-scratch
         // recount, that every `poll` subscription is counted and every
-        // subscribed stream's last push is its state, and that no ring holds
+        // subscribed stream's last push is its state, that every exit and
+        // stop record belongs to a live task's child, and that no ring holds
         // a completion published since it was last notified.
         #[cfg(feature = "scavenger")]
         {
             self.scavenge();
             self.audit_endpoints();
             self.audit_poll_subscriptions();
+            self.audit_exit_records();
             assert!(
                 self.cq_unnotified.is_empty(),
                 "completions were published to {:?} after the event's notify",
@@ -504,7 +504,7 @@ impl KernelState {
             // abandoning them would leave the batch incomplete and the
             // worker waiting for its reply even after SIGCONT.  Only exit
             // (which consumes the batch via `NoReply`) ends it early.
-            if !self.tasks.get(&pid).is_some_and(|t| t.is_alive()) {
+            if !self.tasks.contains_key(&pid) {
                 return;
             }
             let reply = ReplyTo::Batch { index: index as u32 };
@@ -642,17 +642,17 @@ impl KernelState {
                 let result = self.signal_foreground(signal);
                 let _ = reply.send(result);
             }
-            HostRequest::WatchExit { pid, reply } => match self.tasks.get(&pid).map(|t| t.wait_status()) {
-                Some(None) => self.exit_watchers.entry(pid).or_default().push(reply),
-                Some(Some(status)) => {
-                    let _ = reply.send(status);
+            HostRequest::WatchExit { pid, reply } => {
+                if self.tasks.contains_key(&pid) {
+                    self.exit_watchers.entry(pid).or_default().push(reply);
+                } else {
+                    // An exited child's record, if its parent is here; else
+                    // (unknown, reaped, or its record elsewhere) a generic
+                    // failure status, so callers do not hang.
+                    let unknown = encode_wait_status(Some(127), None);
+                    let _ = reply.send(self.zombies.get(&pid).copied().unwrap_or(unknown));
                 }
-                // Unknown or reaped pid: report a generic failure status so
-                // callers do not hang.
-                None => {
-                    let _ = reply.send(encode_wait_status(Some(127), None));
-                }
-            },
+            }
             HostRequest::HttpRequest { port, request, reply } => {
                 self.host_http_request(port, request, reply);
             }
@@ -671,7 +671,7 @@ impl KernelState {
             }
             HostRequest::ReadResources { reply } => {
                 let _ = reply.send(crate::hostapi::ResourceCounts {
-                    tasks: self.tasks.len(),
+                    tasks: self.tasks.len() + self.zombies.len(),
                     streams: self.streams.len(),
                     waiters: self.waiters.len(),
                 });
@@ -684,7 +684,6 @@ impl KernelState {
                         let state = match t.state {
                             TaskState::Running => "running".to_owned(),
                             TaskState::Stopped { .. } => "stopped".to_owned(),
-                            TaskState::Zombie { .. } => "zombie".to_owned(),
                         };
                         (t.pid, t.ppid, t.name.clone(), state)
                     })
@@ -901,30 +900,24 @@ impl KernelState {
         self.post_to_worker(pid, init, Vec::new());
     }
 
-    /// Marks a task as exited: zombie state, worker termination, descriptor
-    /// cleanup, SIGCHLD, exit notifications and wait-queue wakeups.
+    /// Ends a process.  Its task leaves the table first, so nothing that
+    /// runs during the teardown (a signal, a wake, a peer's message) can find
+    /// it.  The teardown works on the removed value: worker, address space,
+    /// parked calls, listeners, children and, last, descriptors.  The wait
+    /// status goes to host watchers and becomes a record on the parent's
+    /// shard ([`KernelState::tell_parent`]).
     pub(crate) fn finish_task(&mut self, pid: Pid, status: i32) {
-        let Some(task) = self.tasks.get_mut(&pid) else { return };
-        if task.is_zombie() {
+        let Some(mut task) = self.tasks.remove(&pid) else {
             return;
-        }
-        task.state = TaskState::Zombie { status };
+        };
         task.terminate_worker();
-        // The ring dies with the process: nobody is left to consume its
-        // completion queue.
-        task.ring = None;
-        task.pending_cqes.clear();
-        let files = task.files.clear();
-        // Tear down the address space: COW pages shared with live siblings
-        // survive (their Arc count stays positive); sole-owner pages are
-        // freed, and the scavenger feature asserts both directions.
+        // COW pages shared with live siblings survive (their Arc count stays
+        // positive); sole-owner pages are freed, and the scavenger feature
+        // asserts both directions.
         task.address_space.release();
-        let ppid = task.ppid;
-        let children: Vec<Pid> = task.children.clone();
         self.stats.processes_exited += 1;
         // A finished pid disappears from the router registry: signals and
-        // getpgid from any shard now report ESRCH, matching the local
-        // zombie rules.
+        // getpgid from any shard now report ESRCH.
         self.router.remove_process(pid);
 
         // The dead process's own blocked system calls have nobody left to
@@ -943,23 +936,20 @@ impl KernelState {
             self.close_listener(port);
         }
 
-        // Reparent children to the kernel (pid 0) and reap any that are
-        // already zombies — there is no init process to do it.  Children on
-        // other shards get an explicit reparent message; their shipped
-        // zombie/stop records die with this parent.
-        for child in children {
-            if shard::shard_of(child, self.nshards) == self.shard_id {
-                if let Some(child_task) = self.tasks.get_mut(&child) {
-                    child_task.ppid = 0;
-                    if child_task.is_zombie() {
-                        self.tasks.remove(&child);
+        // Reparent children to the kernel (pid 0) — there is no init process
+        // to reap them.  The records of those that exited or stopped die with
+        // this parent; one on another shard is told by message.
+        for &child in &task.children {
+            self.zombies.remove(&child);
+            self.stops.remove(&child);
+            match self.tasks.get_mut(&child) {
+                Some(child_task) => child_task.ppid = 0,
+                None => {
+                    if let Some(shard) = self.router.process_shard(child) {
+                        self.send_shard(shard, ShardMsg::Reparent { child });
                     }
                 }
-            } else if self.router.process_shard(child).is_some() {
-                self.send_shard(shard::shard_of(child, self.nshards), ShardMsg::Reparent { child });
             }
-            self.remote_zombies.remove(&child);
-            self.remote_stops.remove(&child);
         }
 
         // Wake host watchers.
@@ -969,41 +959,44 @@ impl KernelState {
             }
         }
 
-        // Notify the parent.
-        let parent_shard = if ppid == 0 {
-            None
-        } else {
-            Some(shard::shard_of(ppid, self.nshards))
-        };
-        match parent_shard {
-            Some(s) if s != self.shard_id => {
-                // Remote parent: ship the zombie.  The wait status travels
-                // in the message and the parent's shard reaps from its
-                // `remote_zombies` table; this shard is done with the task
-                // either way (a dead remote parent just drops the record).
-                self.tasks.remove(&pid);
-                self.send_shard(s, ShardMsg::ChildExited { pid, ppid, status });
-            }
-            Some(_) if self.tasks.contains_key(&ppid) => {
-                let _ = self.send_signal(ppid, Signal::SIGCHLD);
-            }
-            _ => {
-                // Host-owned process (or local parent already gone): nobody
-                // will call wait4, reap immediately.
-                self.tasks.remove(&pid);
-            }
-        }
-
         // Let go of the descriptor table: each description this process held
         // the last reference to closes its stream endpoints and wakes exactly
-        // the EOF/EPIPE waiters that affects.  A parent blocked in wait4
-        // parks on its own ChildOf queue, so only that queue is woken for
-        // the exit itself.
-        for file in files {
+        // the EOF/EPIPE waiters that affects.  The parent's exit record comes
+        // first, so a parent that read its child's output to EOF can reap it:
+        // a parent on another shard is sent it ahead of the endpoint changes;
+        // one here has it written after them, in this same step, so the
+        // readers they wake run before its `wait4` (fewer parks for a shell
+        // waiting on its pipeline's stages in turn).
+        let ppid = task.ppid;
+        let exited = ShardMsg::ChildExited { pid, ppid, status };
+        let exited = if shard::shard_of(ppid, self.nshards) == self.shard_id {
+            Some(exited)
+        } else {
+            self.tell_parent(ppid, exited);
+            None
+        };
+        for file in task.files.clear() {
             self.release_file(file);
         }
-        if parent_shard == Some(self.shard_id) {
-            self.wake(WaitChannel::ChildOf(ppid));
+        if let Some(exited) = exited {
+            self.tell_parent(ppid, exited);
+        }
+    }
+
+    /// Tells a task's parent that it exited, stopped or continued: `msg` is
+    /// one of [`ShardMsg::ChildExited`], [`ShardMsg::ChildStopped`] and
+    /// [`ShardMsg::ChildContinued`], handled here when the parent lives on
+    /// this shard and sent to its shard otherwise — one path at every shard
+    /// count.  Host-started processes (`ppid` 0) have nobody to tell.
+    fn tell_parent(&mut self, ppid: Pid, msg: ShardMsg) {
+        if ppid == 0 {
+            return;
+        }
+        let shard = shard::shard_of(ppid, self.nshards);
+        if shard == self.shard_id {
+            self.handle_shard_msg(msg);
+        } else if self.router.process_shard(ppid).is_some() {
+            self.send_shard(shard, msg);
         }
     }
 
@@ -1022,9 +1015,6 @@ impl KernelState {
         let Some(task) = self.tasks.get_mut(&target) else {
             return Err(Errno::ESRCH);
         };
-        if task.is_zombie() {
-            return Err(Errno::ESRCH);
-        }
         self.stats.signals_sent += 1;
         // Stop signals and SIGCONT discard each other from the pending set.
         let mut resumes = false;
@@ -1059,12 +1049,7 @@ impl KernelState {
     /// [`Errno::ESRCH`] if the group has no live members.
     pub(crate) fn signal_pgroup(&mut self, pgid: Pid, signal: Signal) -> Result<(), Errno> {
         if self.nshards == 1 {
-            let targets: Vec<Pid> = self
-                .tasks
-                .values()
-                .filter(|t| t.is_alive() && t.pgid == pgid)
-                .map(|t| t.pid)
-                .collect();
+            let targets: Vec<Pid> = self.tasks.values().filter(|t| t.pgid == pgid).map(|t| t.pid).collect();
             if targets.is_empty() {
                 return Err(Errno::ESRCH);
             }
@@ -1120,9 +1105,6 @@ impl KernelState {
         let Some(task) = self.tasks.get_mut(&target) else {
             return;
         };
-        if task.is_zombie() {
-            return;
-        }
         match task.signals.action(signal) {
             SigAction::Ignore => return,
             SigAction::Handler { restart } => {
@@ -1205,23 +1187,13 @@ impl KernelState {
             return;
         }
         task.state = TaskState::Stopped { signal };
-        task.stop_reported = false;
         let ppid = task.ppid;
-        if ppid != 0 && shard::shard_of(ppid, self.nshards) != self.shard_id {
-            if self.router.process_shard(ppid).is_some() {
-                self.send_shard(
-                    shard::shard_of(ppid, self.nshards),
-                    ShardMsg::ChildStopped {
-                        pid: target,
-                        ppid,
-                        signal,
-                    },
-                );
-            }
-        } else if ppid != 0 && self.tasks.contains_key(&ppid) {
-            let _ = self.send_signal(ppid, Signal::SIGCHLD);
-            self.wake(WaitChannel::ChildOf(ppid));
-        }
+        let msg = ShardMsg::ChildStopped {
+            pid: target,
+            ppid,
+            signal,
+        };
+        self.tell_parent(ppid, msg);
     }
 
     /// Resumes a stopped task (SIGCONT): replays the system-call frames
@@ -1235,20 +1207,10 @@ impl KernelState {
             return;
         }
         task.state = TaskState::Running;
-        task.stop_reported = false;
         let ppid = task.ppid;
         let stashed = std::mem::take(&mut task.stashed_frames);
-        // A remote parent's not-yet-reported stop record is withdrawn (the
-        // local equivalent is the running state clearing `stop_signal`).
-        if ppid != 0
-            && shard::shard_of(ppid, self.nshards) != self.shard_id
-            && self.router.process_shard(ppid).is_some()
-        {
-            self.send_shard(
-                shard::shard_of(ppid, self.nshards),
-                ShardMsg::ChildContinued { pid: target, ppid },
-            );
-        }
+        // The parent's not-yet-reported stop record is withdrawn.
+        self.tell_parent(ppid, ShardMsg::ChildContinued { pid: target, ppid });
         for (seq, payload, transfers) in stashed {
             self.handle_syscall(target, seq, payload, transfers);
         }
@@ -1257,7 +1219,7 @@ impl KernelState {
 
     // ---- shared helpers --------------------------------------------------------
 
-    /// Whether `pid` names a task that is neither stopped nor a zombie.
+    /// Whether `pid` names a live task that is not stopped.
     fn task_running(&self, pid: Pid) -> bool {
         self.tasks.get(&pid).is_some_and(|t| t.is_running())
     }

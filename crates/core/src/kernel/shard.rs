@@ -45,7 +45,7 @@
 //! |---|---|---|---|---|
 //! | `SpawnTask` | `spawn_process`, when placement picks another shard | `SpawnAck` | sender: `pinned_files[token]`; receiver: task table, endpoint counts of the adopted stdio | — (the ack always comes) |
 //! | `SpawnAck` | the shard that installed the task | — | sender's pins released like any descriptor | — |
-//! | `ChildExited` / `ChildStopped` / `ChildContinued` | the child's shard, on the state change | — | parent's `remote_zombies` / `remote_stops`, its `ChildOf` queue | the parent exiting (records dropped) |
+//! | `ChildExited` / `ChildStopped` / `ChildContinued` | the child's shard, on the state change (handled in place when the parent lives there too) | — | the parent's shard: `zombies` / `stops`, its `ChildOf` queue | the parent exiting (records dropped) |
 //! | `Reparent` | a dying parent's shard | — | the child's `ppid` | — |
 //! | `SignalPid`, `SetPgid` | `kill` / `setpgid` / group signals naming a foreign pid | — | the target task | — |
 //! | `RemoteRead` / `RemoteWrite` | `sys_read` / `sys_write` on a descriptor whose stream another shard owns | `RemoteOpDone`, exactly once | sender: `remote_ops[token]`; owner: the stream, and a waiter whose reply address is `ReplyTo::Shard` if it parks | `CancelOp` |
@@ -210,9 +210,9 @@ pub enum ShardMsg {
         /// Token from the corresponding [`ShardMsg::SpawnTask`].
         token: u64,
     },
-    /// A child on this shard exited and its parent lives on the receiving
-    /// shard: the zombie's wait status ships to the parent (the child's
-    /// shard has already dropped the task).
+    /// A child exited and its parent lives on the receiving shard: the wait
+    /// status becomes the record the parent's `wait4` reaps (the child's
+    /// task has already left its shard's table).
     ChildExited {
         /// The exited child.
         pid: Pid,
@@ -221,7 +221,8 @@ pub enum ShardMsg {
         /// Encoded wait status.
         status: i32,
     },
-    /// A child stopped (job control) and its parent is remote.
+    /// A child stopped (job control); the parent's shard records the stop
+    /// for one `WUNTRACED` report.
     ChildStopped {
         /// The stopped child.
         pid: Pid,
@@ -598,32 +599,29 @@ impl KernelState {
                     self.release_file(file);
                 }
             }
+            // A parent that is gone already took its children's records
+            // with it, and nobody is left to reap or be told.
             ShardMsg::ChildExited { pid, ppid, status } => {
-                if self.tasks.get(&ppid).map(|t| !t.is_zombie()).unwrap_or(false) {
-                    self.remote_zombies.insert(pid, status);
+                if self.tasks.contains_key(&ppid) {
+                    self.stops.remove(&pid);
+                    self.zombies.insert(pid, status);
                     let _ = self.send_signal(ppid, Signal::SIGCHLD);
                     self.wake(WaitChannel::ChildOf(ppid));
                 }
-                // Parent died concurrently: the child's shard already
-                // dropped the task and recorded the exit status for host
-                // watchers; nothing to reap here.
             }
             ShardMsg::ChildStopped { pid, ppid, signal } => {
-                if self.tasks.get(&ppid).map(|t| !t.is_zombie()).unwrap_or(false) {
-                    self.remote_stops.insert(pid, signal);
+                if self.tasks.contains_key(&ppid) {
+                    self.stops.insert(pid, signal);
                     let _ = self.send_signal(ppid, Signal::SIGCHLD);
                     self.wake(WaitChannel::ChildOf(ppid));
                 }
             }
             ShardMsg::ChildContinued { pid, .. } => {
-                self.remote_stops.remove(&pid);
+                self.stops.remove(&pid);
             }
             ShardMsg::Reparent { child } => {
                 if let Some(task) = self.tasks.get_mut(&child) {
                     task.ppid = 0;
-                    if task.is_zombie() {
-                        self.tasks.remove(&child);
-                    }
                 }
             }
             ShardMsg::SignalPid { pid, signal } => {
@@ -819,7 +817,7 @@ pub(crate) struct RouterState {
     next_spawn: AtomicUsize,
     /// pid → owning shard + process group, registered at spawn, updated by
     /// `setpgid`, removed when the task finishes (so a finished pid reports
-    /// `ESRCH` everywhere, matching the single-shard zombie/missing rules).
+    /// `ESRCH` everywhere, as it does on its own shard).
     processes: Mutex<HashMap<Pid, ProcessEntry>>,
     /// Listening ports → owning shard, claimed by `listen`.
     ports: Mutex<PortTable>,

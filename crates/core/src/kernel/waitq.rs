@@ -2,7 +2,7 @@
 //!
 //! The kernel never blocks its event loop.  A system call that cannot finish
 //! immediately — a read on an empty stream, a write to a full one, `wait4`
-//! with no zombie children, `accept` with no pending connections, a `poll`
+//! with no exited children, `accept` with no pending connections, a `poll`
 //! with nothing ready — is parked as a `Waiter` on the wait queue of
 //! exactly the resource(s) it is waiting for (a [`WaitChannel`]).  When that
 //! resource changes state (bytes pushed or popped, an endpoint closed, a
@@ -35,8 +35,9 @@
 //! its queue before any wake it raised runs.
 //!
 //! The kernel's internal HTTP clients (the `XMLHttpRequest`-like host API)
-//! are ordinary waiters too: each parks on the wait queues of its
-//! connection's two streams and is pumped only when one of them changes.
+//! are ordinary waiters too: each parks, carrying its whole exchange, on the
+//! wait queues of its connection's two streams and is pumped only when one
+//! of them changes.
 //!
 //! A read, write, `sendfile` or `splice` parks on the *stream* it found
 //! empty or full (and a `sendfile` holds the file description it reads), not
@@ -400,10 +401,10 @@ pub(crate) enum WaitKind {
     /// so the largest kind does not grow every waiter).
     Poll(Box<PollWait>),
     /// A kernel-internal HTTP client waiting for its connection's streams.
-    HttpClient {
-        /// The client's side of the loopback connection.
-        side: StreamPair,
-    },
+    /// Not boxed, unlike `Poll`: a box per request moved `httpd_mix`'s peak
+    /// RSS up 0.9 MiB (allocator placement around its 1 MiB responses),
+    /// and the wider kind did not.
+    HttpClient(HttpClientState),
 }
 
 /// A parked `poll`.
@@ -432,6 +433,7 @@ pub(crate) struct Waiter {
 }
 
 /// State of one host-initiated HTTP request to an in-Browsix server.
+#[derive(Debug)]
 pub(crate) struct HttpClientState {
     /// The client's side of the loopback connection carrying the exchange,
     /// which this state holds like a descriptor would.
@@ -569,7 +571,7 @@ impl KernelState {
                     progressed: false,
                 }
             }
-            WaitKind::HttpClient { side } => self.pump_http_client(side),
+            WaitKind::HttpClient(client) => self.pump_http_client(client),
         }
     }
 
@@ -752,11 +754,8 @@ impl KernelState {
     /// full response has been parsed (or the connection dies).  Its waiter
     /// completes with no reply of its own: the outcome goes down the
     /// client's channel.
-    fn pump_http_client(&mut self, side: StreamPair) -> Attempt {
-        let Some(index) = self.http_clients.iter().position(|c| c.side == side) else {
-            return Attempt::Done(SysResult::Ok);
-        };
-        let mut client = self.http_clients.swap_remove(index);
+    fn pump_http_client(&mut self, mut client: HttpClientState) -> Attempt {
+        let side = client.side;
         // Push request bytes towards the server.  A vanished or reader-less
         // request stream means the server will never see the rest of the
         // request, which kills the exchange.
@@ -796,9 +795,8 @@ impl KernelState {
                 if client.sent < client.to_send.len() {
                     channels.push(WaitChannel::StreamWritable(side.writes));
                 }
-                self.http_clients.push(client);
                 return Attempt::Blocked {
-                    kind: WaitKind::HttpClient { side },
+                    kind: WaitKind::HttpClient(client),
                     channels: Channels::from_vec(channels),
                     progressed,
                 };

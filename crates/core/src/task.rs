@@ -4,9 +4,11 @@
 //! kernel that contains its process ID, parent's process ID, Web Worker
 //! object, current working directory, and map of open file descriptors."
 //! [`Task`] is that structure, extended with the bookkeeping the kernel needs
-//! for signals, `wait4` (the zombie state), synchronous system calls (the
-//! registered shared heap and the ring mapped into it) and `fork` (the
-//! launcher used to start it).
+//! for signals, job control (the stopped state), synchronous system calls
+//! (the registered shared heap and the ring mapped into it) and `fork` (the
+//! launcher used to start it).  A task lives exactly as long as its process:
+//! at exit it leaves the task table, and what `wait4` still needs — the
+//! wait status — is a record its parent's shard holds.
 
 use std::sync::Arc;
 
@@ -22,7 +24,7 @@ use crate::vm::AddressSpace;
 /// A process identifier.
 pub type Pid = u32;
 
-/// The lifecycle state of a task.
+/// The lifecycle state of a live task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskState {
     /// The process is running (its worker is alive).
@@ -33,11 +35,6 @@ pub enum TaskState {
     Stopped {
         /// The stop signal that suspended it.
         signal: Signal,
-    },
-    /// The process has exited but has not yet been reaped by `wait4`.
-    Zombie {
-        /// The encoded wait status (exit code or terminating signal).
-        status: i32,
     },
 }
 
@@ -87,9 +84,6 @@ pub struct Task {
     pub worker: Option<Worker>,
     /// Signal state: installed actions, blocked mask, pending set.
     pub signals: SignalState,
-    /// Whether the current stop has been reported to a `WUNTRACED` waiter
-    /// (each stop is reported at most once, like Linux).
-    pub stop_reported: bool,
     /// System-call frames `(seq, payload, transfers)` that arrived while the
     /// task was stopped; replayed in arrival order on SIGCONT.
     pub stashed_frames: Vec<(u64, Vec<u8>, Vec<Vec<u8>>)>,
@@ -104,7 +98,7 @@ pub struct Task {
     pub pending_cqes: std::collections::VecDeque<(u32, SysResult)>,
     /// The submission batch currently awaiting delivery of its completions.
     pub inflight: Option<InflightBatch>,
-    /// Child process ids (live or zombie).
+    /// Child process ids: live, or exited and not yet reaped.
     pub children: Vec<Pid>,
     /// Argument vector the task was started with.
     pub args: Vec<String>,
@@ -148,7 +142,6 @@ impl Task {
             files: FdTable::new(),
             worker: None,
             signals: SignalState::new(),
-            stop_reported: false,
             stashed_frames: Vec::new(),
             sync_heap: None,
             ring: None,
@@ -181,35 +174,16 @@ impl Task {
         matches!(self.state, TaskState::Running)
     }
 
-    /// Whether the task is alive (running or stopped) — i.e. a valid signal
-    /// target.
-    pub fn is_alive(&self) -> bool {
-        !self.is_zombie()
-    }
-
     /// Whether the task is suspended by a stop signal.
     pub fn is_stopped(&self) -> bool {
         matches!(self.state, TaskState::Stopped { .. })
-    }
-
-    /// Whether the task is a zombie awaiting `wait4`.
-    pub fn is_zombie(&self) -> bool {
-        matches!(self.state, TaskState::Zombie { .. })
-    }
-
-    /// The zombie's wait status, if it has one.
-    pub fn wait_status(&self) -> Option<i32> {
-        match self.state {
-            TaskState::Zombie { status } => Some(status),
-            TaskState::Running | TaskState::Stopped { .. } => None,
-        }
     }
 
     /// The stop signal currently suspending the task, if any.
     pub fn stop_signal(&self) -> Option<Signal> {
         match self.state {
             TaskState::Stopped { signal } => Some(signal),
-            _ => None,
+            TaskState::Running => None,
         }
     }
 
@@ -227,20 +201,10 @@ mod tests {
     fn new_task_is_running_with_no_fds() {
         let task = Task::new(3, 1, "cat", "/usr/bin/cat", "/home");
         assert!(task.is_running());
-        assert!(!task.is_zombie());
-        assert_eq!(task.wait_status(), None);
         assert_eq!(task.files.len(), 0);
         assert_eq!(task.cwd, "/home");
         assert_eq!(task.pid, 3);
         assert_eq!(task.ppid, 1);
-    }
-
-    #[test]
-    fn zombie_state_carries_status() {
-        let mut task = Task::new(5, 1, "ls", "/usr/bin/ls", "/");
-        task.state = TaskState::Zombie { status: 0x100 };
-        assert!(task.is_zombie());
-        assert_eq!(task.wait_status(), Some(0x100));
     }
 
     #[test]
@@ -264,9 +228,7 @@ mod tests {
         };
         assert!(!task.is_running());
         assert!(task.is_stopped());
-        assert!(task.is_alive());
         assert_eq!(task.stop_signal(), Some(Signal::SIGTSTP));
-        assert_eq!(task.wait_status(), None);
     }
 
     #[test]

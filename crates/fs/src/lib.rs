@@ -20,8 +20,6 @@
 //!   copy-up, whiteouts and the lazy-vs-eager initialisation choice the paper
 //!   calls out as a key optimisation.
 //! * [`mount`] — a mount table composing backends into one hierarchy.
-//! * [`locks`] — advisory multi-process locks, Browsix's addition to the
-//!   overlay so concurrent processes do not interleave destructively.
 //!
 //! # Example
 //!
@@ -43,7 +41,6 @@ pub mod bundle;
 pub mod errno;
 pub mod handle;
 pub mod httpfs;
-pub mod locks;
 pub mod memfs;
 pub mod mount;
 pub mod overlay;
@@ -55,7 +52,6 @@ pub use bundle::{Bundle, BundleFs};
 pub use errno::Errno;
 pub use handle::{read_full, FileHandle};
 pub use httpfs::{HttpFs, HttpFsStats};
-pub use locks::{LockKind, PathLocks};
 pub use memfs::{detached_handle, MemFs};
 pub use mount::MountedFs;
 pub use overlay::{OverlayFs, OverlayMode};

@@ -8,10 +8,12 @@
 //! a small subset of files are required".  Browsix also added locking so
 //! operations from different processes do not interleave.
 //!
-//! [`OverlayFs`] reproduces both: [`OverlayMode::Lazy`] (Browsix behaviour)
-//! versus [`OverlayMode::Eager`] (original BrowserFS behaviour, kept for the
-//! ablation experiment), copy-up on first write, whiteouts for deletions of
-//! underlay files, and an internal [`PathLocks`] table.
+//! [`OverlayFs`] reproduces the first: [`OverlayMode::Lazy`] (Browsix
+//! behaviour) versus [`OverlayMode::Eager`] (original BrowserFS behaviour,
+//! kept for the ablation experiment), copy-up on first write and whiteouts
+//! for deletions of underlay files.  It does not reproduce the locking:
+//! there are no cross-process path locks, only each memfs node's own lock
+//! around a single read or write.
 
 use std::collections::BTreeMap;
 use std::collections::HashSet;
@@ -23,7 +25,6 @@ use parking_lot::Mutex;
 use crate::backend::{make_parent_dirs, FileSystem, FsResult, IoStats};
 use crate::errno::Errno;
 use crate::handle::FileHandle;
-use crate::locks::PathLocks;
 use crate::memfs::MemFs;
 use crate::path::normalize;
 use crate::types::{DirEntry, Metadata, OpenFlags};
@@ -106,7 +107,6 @@ pub struct OverlayFs {
     upper: Arc<MemFs>,
     lower: Arc<dyn FileSystem>,
     whiteouts: Mutex<HashSet<String>>,
-    locks: PathLocks,
     mode: OverlayMode,
     copy_ups: Arc<AtomicU64>,
     ns_log: Arc<Mutex<NsLog>>,
@@ -133,7 +133,6 @@ impl OverlayFs {
             upper: Arc::new(MemFs::new()),
             lower,
             whiteouts: Mutex::new(HashSet::new()),
-            locks: PathLocks::new(),
             mode,
             copy_ups: Arc::new(AtomicU64::new(0)),
             ns_log: Arc::new(Mutex::new(NsLog::default())),
@@ -153,12 +152,6 @@ impl OverlayFs {
     /// eager initialisation and copy-up-on-first-write).
     pub fn copy_up_count(&self) -> u64 {
         self.copy_ups.load(Ordering::Relaxed)
-    }
-
-    /// The per-path advisory lock table shared by all processes using this
-    /// overlay (Browsix's multi-process addition).
-    pub fn locks(&self) -> &PathLocks {
-        &self.locks
     }
 
     /// Number of whiteout entries (underlay files deleted by the upper layer).

@@ -250,6 +250,96 @@ fn blocked_cross_shard_writers_get_exactly_one_sigpipe_each() {
     kernel.shutdown();
 }
 
+// ---- exited children ---------------------------------------------------------
+
+#[test]
+fn an_exited_child_leaves_the_task_table_at_every_shard_count() {
+    // A dead process is no task, wherever it lived.  The parent reads its
+    // spawned child's output to EOF, which the child's exit raises after its
+    // exit record is written.  Before its parent reaps it, the child is ESRCH
+    // to `getpgid`, `kill` and `setpgid`, is missing from `Kernel::tasks()`
+    // and counts once in `resources().tasks` (as the record its parent
+    // holds).  The child shares the parent's shard at 1 shard and is placed
+    // on another at 2 and 4.  Killing the parent takes the record with it.
+    for shards in [1, 2, 4] {
+        let config = BootConfig::in_memory().with_shards(shards);
+        let brief = guest("brief", |env: &mut dyn RuntimeEnv| {
+            env.write(1, b"bye").unwrap();
+            0
+        });
+        let parent = guest("parent", |env: &mut dyn RuntimeEnv| {
+            let (r, w) = env.pipe().unwrap();
+            let stdio = SpawnStdio {
+                stdout: Some(w),
+                ..SpawnStdio::default()
+            };
+            let child = env.spawn("/usr/bin/brief", &["brief".to_string()], stdio).unwrap();
+            env.close(w).unwrap();
+            let mut output = Vec::new();
+            loop {
+                let chunk = env.read(r, 4096).unwrap();
+                if chunk.is_empty() {
+                    break;
+                }
+                output.extend(chunk);
+            }
+            env.close(r).unwrap();
+            let output = String::from_utf8_lossy(&output);
+            let pgid = env.getpgid(child);
+            let kill = env.kill(child, Signal::SIGTERM);
+            let setpgid = env.setpgid(child, 0);
+            let line = format!("{child} {output} {pgid:?} {kill:?} {setpgid:?}\n");
+            env.write(1, line.as_bytes()).unwrap();
+            env.flush_stdout().unwrap();
+            // Never reaps: the host kills it.
+            loop {
+                let _ = env.poll(&mut [], 1_000);
+            }
+        });
+        for (name, program) in [("brief", brief), ("parent", parent)] {
+            config.registry.register(
+                &format!("/usr/bin/{name}"),
+                Arc::new(NodeLauncher::new(name, program).with_profile(instant_async())),
+            );
+        }
+        let kernel = Kernel::boot(config);
+        let handle = kernel.spawn("/usr/bin/parent", &["parent"], &[]).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !handle.stdout_string().ends_with('\n') {
+            assert!(
+                Instant::now() < deadline,
+                "{shards} shard(s): the parent never saw EOF; stderr: {}",
+                handle.stderr_string()
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let line = handle.stdout_string();
+        let (child, rest) = line.trim_end().split_once(' ').unwrap();
+        assert_eq!(
+            rest, "bye Err(ESRCH) Err(ESRCH) Err(ESRCH)",
+            "{shards} shard(s): getpgid, kill and setpgid of exited child {child}"
+        );
+        let pids: Vec<u32> = kernel.tasks().iter().map(|(pid, ..)| *pid).collect();
+        assert_eq!(
+            pids,
+            vec![handle.pid],
+            "{shards} shard(s): exited child {child} is listed"
+        );
+        assert_eq!(
+            kernel.resources().tasks,
+            2,
+            "{shards} shard(s): the parent and its child's exit record"
+        );
+        kernel.kill(handle.pid, Signal::SIGKILL).unwrap();
+        let status = handle
+            .wait_timeout(Duration::from_secs(20))
+            .unwrap_or_else(|| panic!("{shards} shard(s): SIGKILL did not end the parent"));
+        assert_eq!(status.signal, Some(Signal::SIGKILL), "{shards} shard(s)");
+        await_resources(&kernel, ResourceCounts::default(), &format!("{shards} shard(s)"));
+        kernel.shutdown();
+    }
+}
+
 // ---- cross-shard poll ---------------------------------------------------------
 
 #[test]

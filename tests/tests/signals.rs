@@ -225,45 +225,66 @@ fn wait4_reports_a_sigtstp_stopped_child_instead_of_hanging() {
     // Regression for the WUNTRACED satellite: a parent waiting with
     // WUNTRACED on a child stopped by SIGTSTP must get the stop status (and
     // must NOT hang forever); after SIGCONT + SIGKILL it reaps the real
-    // termination status.
-    let kernel = boot_with(
-        "parent",
-        guest("parent", |env: &mut dyn RuntimeEnv| {
-            let child = env
-                .spawn("/usr/bin/dawdler", &["dawdler".to_string()], Default::default())
-                .unwrap();
-            env.kill(child, Signal::SIGTSTP).unwrap();
-            let stopped = env.wait_options(child as i32, WUNTRACED).unwrap().unwrap();
-            assert_eq!(stopped.pid, child);
-            assert_eq!(stopped.stop_signal(), Some(Signal::SIGTSTP));
-            assert_eq!(stopped.exit_code, None);
-            // The same stop is reported only once.
-            assert!(env.wait_options(child as i32, WUNTRACED | WNOHANG).unwrap().is_none());
-            env.kill(child, Signal::SIGCONT).unwrap();
-            env.kill(child, Signal::SIGKILL).unwrap();
-            let dead = env.wait(child as i32).unwrap();
-            assert_eq!(dead.term_signal(), Some(Signal::SIGKILL));
-            0
-        }),
-    );
-    kernel.registry().register(
-        "/usr/bin/dawdler",
-        Arc::new(
-            NodeLauncher::new(
-                "dawdler",
-                guest("dawdler", |env: &mut dyn RuntimeEnv| loop {
-                    let _ = env.poll(&mut [], 1_000);
-                }),
-            )
-            .with_profile(instant_async()),
-        ),
-    );
-    let handle = kernel.spawn("/usr/bin/parent", &["parent"], &[]).unwrap();
-    let status = handle
-        .wait_timeout(Duration::from_secs(20))
-        .expect("parent hung: WUNTRACED wait4 never saw the stopped child");
-    assert_eq!(status.code, Some(0), "stderr: {}", handle.stderr_string());
-    kernel.shutdown();
+    // termination status.  The same at 1 and 4 shards, for a forked child
+    // (on its parent's shard) and a spawned one (placed on another shard
+    // once there are 4).
+    fn dawdle(env: &mut dyn RuntimeEnv) -> ! {
+        loop {
+            let _ = env.poll(&mut [], 1_000);
+        }
+    }
+    for shards in [1, 4] {
+        for how in ["fork", "spawn"] {
+            let config = BootConfig::in_memory().with_shards(shards);
+            let launcher =
+                |name: &'static str, program| Arc::new(NodeLauncher::new(name, program).with_profile(instant_async()));
+            config.registry.register(
+                "/usr/bin/parent",
+                launcher(
+                    "parent",
+                    guest("parent", |env: &mut dyn RuntimeEnv| {
+                        if env.fork_image().is_some() {
+                            dawdle(env);
+                        }
+                        let child = if env.args()[1] == "fork" {
+                            env.fork(b"child".to_vec()).unwrap()
+                        } else {
+                            env.spawn("/usr/bin/dawdler", &["dawdler".to_string()], Default::default())
+                                .unwrap()
+                        };
+                        env.kill(child, Signal::SIGTSTP).unwrap();
+                        let stopped = env.wait_options(child as i32, WUNTRACED).unwrap().unwrap();
+                        assert_eq!(stopped.pid, child);
+                        assert_eq!(stopped.stop_signal(), Some(Signal::SIGTSTP));
+                        assert_eq!(stopped.exit_code, None);
+                        // The same stop is reported only once.
+                        assert!(env.wait_options(child as i32, WUNTRACED | WNOHANG).unwrap().is_none());
+                        env.kill(child, Signal::SIGCONT).unwrap();
+                        env.kill(child, Signal::SIGKILL).unwrap();
+                        let dead = env.wait(child as i32).unwrap();
+                        assert_eq!(dead.term_signal(), Some(Signal::SIGKILL));
+                        0
+                    }),
+                ),
+            );
+            config.registry.register(
+                "/usr/bin/dawdler",
+                launcher("dawdler", guest("dawdler", |env: &mut dyn RuntimeEnv| dawdle(env))),
+            );
+            let kernel = Kernel::boot(config);
+            let handle = kernel.spawn("/usr/bin/parent", &["parent", how], &[]).unwrap();
+            let status = handle
+                .wait_timeout(Duration::from_secs(20))
+                .unwrap_or_else(|| panic!("{how}, {shards} shard(s): WUNTRACED wait4 never saw the stopped child"));
+            assert_eq!(
+                status.code,
+                Some(0),
+                "{how}, {shards} shard(s): stderr: {}",
+                handle.stderr_string()
+            );
+            kernel.shutdown();
+        }
+    }
 }
 
 #[test]
@@ -681,7 +702,7 @@ fn background_jobs_bg_and_group_kill_through_the_shell() {
     let leader = term
         .ps()
         .into_iter()
-        .find(|(_, _, name, state)| name == "sleep" && state != "zombie")
+        .find(|(_, _, name, _)| name == "sleep")
         .map(|(pid, ..)| pid);
     if let Some(pid) = leader {
         let _ = term.kernel().kill(pid, Signal::SIGKILL);
