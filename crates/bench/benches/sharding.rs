@@ -16,8 +16,8 @@
 //! * `cross_shard_pipe_pingpong` — protocol overhead, not scaling: a parent
 //!   and its child land on different shards of a 2-shard kernel
 //!   (round-robin placement makes consecutive spawns alternate), and every
-//!   write/read round trip over their two pipes is a RemoteWrite/RemoteRead
-//!   `ShardMsg` exchange plus a cross-shard wakeup.  Runs on the delay-free
+//!   write/read round trip over their two pipes is a pair of `RemoteOp`
+//!   `ShardMsg` exchanges plus a cross-shard wakeup.  Runs on the delay-free
 //!   platform so the message passing itself is what's measured.
 
 use std::sync::Arc;

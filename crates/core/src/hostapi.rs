@@ -555,7 +555,7 @@ impl Kernel {
     /// Lists live tasks as `(pid, ppid, name, state)` — state `"running"`
     /// or `"stopped"` — for terminal-style inspection of kernel state.  Tasks
     /// from every shard, sorted by pid; a process that exited is not listed,
-    /// reaped or not.
+    /// reaped or not, and its children's `ppid` reads 0, as `getppid` does.
     pub fn tasks(&self) -> Vec<(Pid, Pid, String, String)> {
         let mut all: Vec<(Pid, Pid, String, String)> = self
             .ask_each_shard(|reply| HostRequest::ListTasks { reply })

@@ -15,7 +15,7 @@ use browsix_fs::{Errno, FileSystem, FileType, Metadata, OpenFlags};
 
 use crate::fd::{Fd, FileKind, OpenFile};
 use crate::kernel::waitq::WaitChannel;
-use crate::kernel::{KernelState, Outcome, ReplyTo, WaitKind};
+use crate::kernel::{KernelState, Outcome, ReplyTo, StreamIo, WaitKind};
 use crate::signals::Signal;
 use crate::streams::{Stream, StreamId};
 use crate::syscall::{ByteSource, SysResult};
@@ -113,7 +113,7 @@ impl KernelState {
                 // since the terminal has no input source.
                 if let Some(fg) = self.foreground_pgid() {
                     let task = self.task(pid)?;
-                    if task.pgid != fg {
+                    if self.router.process_pgid(pid) != Some(fg) {
                         let shrugged = task.signals.blocked().contains(Signal::SIGTTIN)
                             || matches!(task.signals.action(Signal::SIGTTIN), crate::signals::SigAction::Ignore);
                         if shrugged {
@@ -166,11 +166,7 @@ impl KernelState {
                 Err(e) => SysResult::Err(e),
             });
         };
-        if self.stream_is_remote(stream) {
-            // Another shard's buffer: ship the read to its owner.
-            return self.remote_read(pid, reply, stream, len, file.nonblocking());
-        }
-        self.block(pid, Some(reply), WaitKind::Read { stream, len }, file.nonblocking())
+        self.stream_io(pid, reply, stream, StreamIo::Read(len), file.nonblocking())
     }
 
     pub(crate) fn sys_pread(&mut self, pid: Pid, fd: Fd, len: usize, offset: u64) -> Outcome {
@@ -310,16 +306,7 @@ impl KernelState {
         // The write can end in SIGPIPE killing the caller, and the exit must
         // see the table's reference as the last one.
         drop(file);
-        if self.stream_is_remote(stream) {
-            // Another shard's buffer: ship the write to its owner.
-            return self.remote_write(pid, reply, stream, bytes, nonblocking);
-        }
-        let kind = WaitKind::Write {
-            stream,
-            data: bytes,
-            written: 0,
-        };
-        self.block(pid, Some(reply), kind, nonblocking)
+        self.stream_io(pid, reply, stream, StreamIo::Write(bytes), nonblocking)
     }
 
     /// Resolves `sendfile`'s two descriptors into what the transfer runs on:

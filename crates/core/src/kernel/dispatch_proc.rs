@@ -186,6 +186,21 @@ impl KernelState {
         }
     }
 
+    /// Checks that every task in this shard's table is in the router's
+    /// registry, on this shard: the registry is what every shard reads a
+    /// live process's group and a parent's liveness from.
+    #[cfg(any(test, feature = "scavenger"))]
+    pub(crate) fn audit_process_registry(&self) {
+        for &pid in self.tasks.keys() {
+            debug_assert_eq!(
+                self.router.process_shard(pid),
+                Some(self.shard_id),
+                "shard {}: task {pid} is not registered here",
+                self.shard_id
+            );
+        }
+    }
+
     pub(crate) fn sys_wait4(&mut self, pid: Pid, reply: ReplyTo, target: i32, options: u32) -> Outcome {
         let kind = WaitKind::Wait4 { target, options };
         self.block(pid, Some(reply), kind, options & WNOHANG != 0)
@@ -219,9 +234,9 @@ impl KernelState {
             }
         } else {
             let pgid = if target == 0 {
-                match self.task(caller) {
-                    Ok(task) => task.pgid,
-                    Err(e) => return Outcome::Complete(SysResult::Err(e)),
+                match self.router.process_pgid(caller) {
+                    Some(pgid) => pgid,
+                    None => return Outcome::Complete(SysResult::Err(Errno::ESRCH)),
                 }
             } else {
                 match u32::try_from(-(target as i64)) {
@@ -270,7 +285,8 @@ impl KernelState {
 
     /// `setpgid`: moves `target` (0 = the caller) into group `pgid` (0 = a
     /// new group led by the target).  Only the caller itself or its children
-    /// may be moved, as on Unix.
+    /// may be moved, as on Unix.  The move is made in the router's registry,
+    /// so every shard sees it when the call returns.
     pub(crate) fn sys_setpgid(&mut self, caller: Pid, target: Pid, pgid: Pid) -> Outcome {
         let target = if target == 0 { caller } else { target };
         let group = if pgid == 0 { target } else { pgid };
@@ -282,36 +298,11 @@ impl KernelState {
         if !allowed {
             return Outcome::Complete(SysResult::Err(Errno::EPERM));
         }
-        let sharded = self.nshards() > 1;
-        match self.task_mut(target) {
-            Ok(task) => {
-                task.pgid = group;
-                // Keep the fleet-wide membership registry in step: group
-                // signals resolve members through the router.
-                self.router.set_pgid(target, group);
-                Outcome::Complete(SysResult::Ok)
-            }
-            Err(_) if sharded => {
-                // A remote child (membership came from our `children` list).
-                // Update the authoritative registry first, then tell the
-                // owning shard so the task's own view follows.
-                match self.router.process_shard(target) {
-                    Some(shard) => {
-                        self.router.set_pgid(target, group);
-                        self.send_shard(
-                            shard,
-                            ShardMsg::SetPgid {
-                                pid: target,
-                                pgid: group,
-                            },
-                        );
-                        Outcome::Complete(SysResult::Ok)
-                    }
-                    None => Outcome::Complete(SysResult::Err(Errno::ESRCH)),
-                }
-            }
-            Err(e) => Outcome::Complete(SysResult::Err(e)),
-        }
+        Outcome::Complete(if self.router.set_pgid(target, group) {
+            SysResult::Ok
+        } else {
+            SysResult::Err(Errno::ESRCH)
+        })
     }
 
     /// `getrusage`: resource-usage counters for the caller, pair-encoded as
@@ -345,13 +336,9 @@ impl KernelState {
 
     pub(crate) fn sys_getpgid(&mut self, caller: Pid, target: Pid) -> Outcome {
         let target = if target == 0 { caller } else { target };
-        Outcome::Complete(match self.task(target) {
-            Ok(task) => SysResult::Int(task.pgid as i64),
-            // Not local: the router registry knows every live process.
-            Err(e) => match self.router.process_pgid(target) {
-                Some(pgid) => SysResult::Int(pgid as i64),
-                None => SysResult::Err(e),
-            },
+        Outcome::Complete(match self.router.process_pgid(target) {
+            Some(pgid) => SysResult::Int(pgid as i64),
+            None => SysResult::Err(Errno::ESRCH),
         })
     }
 
@@ -366,7 +353,7 @@ impl KernelState {
 
     pub(crate) fn sys_getppid(&mut self, pid: Pid) -> Outcome {
         Outcome::Complete(match self.task(pid) {
-            Ok(task) => SysResult::Int(task.ppid as i64),
+            Ok(task) => SysResult::Int(self.router.live_parent(task.ppid) as i64),
             Err(e) => SysResult::Err(e),
         })
     }

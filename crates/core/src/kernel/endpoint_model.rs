@@ -26,7 +26,7 @@ use browsix_http::{HttpRequest, HttpResponse, Method};
 use super::shard::{shard_of, stream_shard};
 use super::*;
 use crate::streams::StreamState;
-use crate::syscall::{ByteSource, PollRequest, POLLERR, POLLHUP, POLLIN};
+use crate::syscall::{ByteSource, PollRequest, POLLERR, POLLHUP, POLLIN, POLLOUT};
 
 const GUEST: &str = "/bin/guest";
 const PIPE_CAPACITY: usize = crate::streams::DEFAULT_STREAM_CAPACITY;
@@ -456,6 +456,19 @@ impl Fleet {
         self.procs.push(Proc { pid, fds, parked: None });
     }
 
+    /// What a settled call answered: at once, or — parked until a message
+    /// came back — through its completion.
+    fn answer(&mut self, issued: Issued) -> SysResult {
+        match issued {
+            Issued::Done(result) => result,
+            Issued::Parked(index) => match self.completions.remove(&index).as_deref() {
+                Some([result]) => result.clone(),
+                other => panic!("call {index} completed with {other:?}"),
+            },
+            Issued::Gone => panic!("the call consumed the task"),
+        }
+    }
+
     fn expect_int(issued: Issued) -> i64 {
         match issued {
             Issued::Done(SysResult::Int(value)) => value,
@@ -819,6 +832,7 @@ fn audit(kernel: &KernelState) {
     kernel.audit_endpoints();
     kernel.audit_poll_subscriptions();
     kernel.audit_exit_records();
+    kernel.audit_process_registry();
 }
 
 fn run(nshards: usize, ops: &[(u8, u8, u8, u8)]) {
@@ -1166,7 +1180,8 @@ fn a_foreign_poll_subscribes_once_and_the_owner_pushes_each_change() {
     assert!(idle(&c.fleet));
 
     // Once the byte is read, a zero-timeout poll finds nothing ready: no
-    // state from the finished polls lingers to claim otherwise.
+    // state from the finished polls lingers to claim otherwise, and the one
+    // it asks the owner for ends with it.
     let read = c.fleet.syscall(a, |k, reply| k.sys_read(a, reply, 0, 16));
     let Issued::Parked(index) = read else {
         panic!("a foreign read parks")
@@ -1175,7 +1190,8 @@ fn a_foreign_poll_subscribes_once_and_the_owner_pushes_each_change() {
         c.fleet.completions.remove(&index),
         Some(vec![SysResult::Data(vec![b'x'])])
     );
-    assert!(matches!(poll(&mut c.fleet, a, 0), Issued::Done(SysResult::Poll(r)) if r == [0]));
+    let polled = poll(&mut c.fleet, a, 0);
+    assert_eq!(c.fleet.answer(polled), SysResult::Poll(vec![0]));
     assert!(idle(&c.fleet));
 
     // A poll that times out.
@@ -1368,6 +1384,133 @@ fn a_sendfile_to_a_parked_reader_hands_it_a_streamful() {
             Some(vec![SysResult::Int(len as i64)]),
             "{nshards} shards"
         );
+        fleet.drain();
+    }
+}
+
+/// A zero-timeout `poll` reports a foreign stream's state as a local one
+/// does: it asks the owner, parks until the first push, and completes with
+/// what that push says — a pipe holding data reads `POLLIN` and a write end
+/// whose readers are gone `POLLERR`, at every shard count.
+#[test]
+fn a_zero_timeout_poll_of_a_foreign_stream_reports_its_state() {
+    for nshards in [1, 2, 4] {
+        let mut fleet = Fleet::boot(nshards);
+        fleet.spawn_root();
+        let root = fleet.procs[0].pid;
+        let mut pipe = || {
+            let Issued::Done(SysResult::Pair(r, w)) = fleet.syscall(root, |k, _| k.sys_pipe2(root)) else {
+                panic!("pipe2 failed");
+            };
+            (r as Fd, w as Fd)
+        };
+        let ((full, fill), (unread, unheard)) = (pipe(), pipe());
+        let data = ByteSource::Inline(vec![b'x']);
+        assert_eq!(
+            Fleet::expect_int(fleet.syscall(root, |k, reply| k.sys_write(root, reply, fill, data))),
+            1
+        );
+        let stdio = [Some(full), Some(unheard), None];
+        let child = Fleet::expect_int(fleet.syscall(root, |k, _| {
+            k.sys_spawn(
+                root,
+                GUEST.to_owned(),
+                vec!["guest".to_owned()],
+                Vec::new(),
+                None,
+                stdio,
+            )
+        })) as Pid;
+        if nshards > 1 {
+            assert_ne!(fleet.shard_index(child), fleet.shard_index(root), "{nshards} shards");
+        }
+        assert!(matches!(
+            fleet.syscall(root, |k, _| k.sys_close(root, unread)),
+            Issued::Done(SysResult::Ok)
+        ));
+        let fds = vec![
+            PollRequest { fd: 0, events: POLLIN },
+            PollRequest { fd: 1, events: POLLOUT },
+        ];
+        let polled = fleet.syscall(child, |k, reply| k.sys_poll(child, reply, fds, 0));
+        assert_eq!(
+            fleet.answer(polled),
+            SysResult::Poll(vec![POLLIN, POLLERR]),
+            "{nshards} shard(s)"
+        );
+        assert!(fleet
+            .shards
+            .iter()
+            .all(|s| s.poll_subscriptions.is_empty() && s.poll_subscribers.is_empty()));
+        fleet.procs.push(Proc {
+            pid: child,
+            fds: BTreeMap::new(),
+            parked: None,
+        });
+        fleet.drain();
+    }
+}
+
+/// A process's group and parent are read from the router's registry, so
+/// what `setpgid` and an exit change is what every shard sees the moment
+/// the call returns — before any message is delivered, as at one shard.
+#[test]
+fn group_and_parent_changes_are_seen_before_any_message_is_delivered() {
+    for nshards in [1, 2, 4] {
+        let mut fleet = Fleet::boot(nshards);
+        fleet.spawn_root();
+        let root = fleet.procs[0].pid;
+        let child = Fleet::expect_int(fleet.syscall(root, |k, _| {
+            k.sys_spawn(
+                root,
+                GUEST.to_owned(),
+                vec!["guest".to_owned()],
+                Vec::new(),
+                None,
+                [None; 3],
+            )
+        })) as Pid;
+        if nshards > 1 {
+            assert_ne!(fleet.shard_index(child), fleet.shard_index(root), "{nshards} shards");
+        }
+        fleet.procs.push(Proc {
+            pid: child,
+            fds: BTreeMap::new(),
+            parked: None,
+        });
+        // The child ignores SIGUSR1; the parent takes its default action and
+        // dies if the signal reaches it.
+        let ignored = fleet.syscall(child, |k, _| k.sys_sigaction(child, Signal::SIGUSR1, SigAction::Ignore));
+        assert!(matches!(ignored, Issued::Done(SysResult::Ok)));
+
+        let done = |(_, outcome): (u32, Outcome)| match outcome {
+            Outcome::Complete(result) => Some(result),
+            _ => None,
+        };
+        let moved = fleet.issue(root, |k, _| k.sys_setpgid(root, child, child));
+        assert_eq!(done(moved), Some(SysResult::Ok));
+        let group = fleet.issue(child, |k, _| k.sys_getpgid(child, 0));
+        assert_eq!(done(group), Some(SysResult::Int(child.into())), "{nshards} shard(s)");
+        let killed = fleet.issue(child, |k, _| k.sys_kill(child, 0, Signal::SIGUSR1));
+        assert_eq!(done(killed), Some(SysResult::Ok));
+        fleet.settle();
+        assert!(
+            fleet.alive(root),
+            "{nshards} shard(s): kill(0) reached the parent's group"
+        );
+
+        assert!(matches!(
+            fleet.issue(root, |k, _| k.sys_exit(root, 0)).1,
+            Outcome::NoReply
+        ));
+        fleet.bury(root);
+        let parent = fleet.issue(child, |k, _| k.sys_getppid(child));
+        assert_eq!(
+            done(parent),
+            Some(SysResult::Int(0)),
+            "{nshards} shard(s): the orphan's parent"
+        );
+        fleet.settle();
         fleet.drain();
     }
 }

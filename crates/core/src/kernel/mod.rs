@@ -40,7 +40,7 @@ use crate::task::{InflightBatch, Pid, Task, TaskState};
 use crate::wire::Reader;
 
 use poll::{PollSubscribers, PollSubscription};
-pub(crate) use shard::{PendingRemote, RouterState, ShardMsg};
+pub(crate) use shard::{PendingRemote, RouterState, ShardMsg, StreamIo};
 pub(crate) use waitq::{HttpClientState, WaitKind, Waiter};
 pub use waitq::{WaitChannel, WaitTable, WaiterId};
 
@@ -255,14 +255,16 @@ impl KernelState {
         // complete none), that the endpoint counts equal a from-scratch
         // recount, that every `poll` subscription is counted and every
         // subscribed stream's last push is its state, that every exit and
-        // stop record belongs to a live task's child, and that no ring holds
-        // a completion published since it was last notified.
+        // stop record belongs to a live task's child, that every task here is
+        // registered here, and that no ring holds a completion published
+        // since it was last notified.
         #[cfg(feature = "scavenger")]
         {
             self.scavenge();
             self.audit_endpoints();
             self.audit_poll_subscriptions();
             self.audit_exit_records();
+            self.audit_process_registry();
             assert!(
                 self.cq_unnotified.is_empty(),
                 "completions were published to {:?} after the event's notify",
@@ -685,7 +687,7 @@ impl KernelState {
                             TaskState::Running => "running".to_owned(),
                             TaskState::Stopped { .. } => "stopped".to_owned(),
                         };
-                        (t.pid, t.ppid, t.name.clone(), state)
+                        (t.pid, self.router.live_parent(t.ppid), t.name.clone(), state)
                     })
                     .collect();
                 tasks.sort_by_key(|(pid, ..)| *pid);
@@ -768,21 +770,18 @@ impl KernelState {
             }
         };
 
-        let target = if keep_local || self.nshards == 1 {
+        let target = if keep_local {
             self.shard_id
         } else {
             self.router.place_spawn()
         };
         let pid = self.router.allocate_pid(target);
-        // Children join their parent's process group; host-started processes
-        // lead a fresh group of their own.
-        let pgid = self.tasks.get(&ppid).map(|p| p.pgid).unwrap_or(pid);
-        self.router.register_process(pid, target, pgid);
+        self.router.register_process(pid, target, ppid);
         let name = browsix_fs::path::basename(path);
 
         if target == self.shard_id {
             self.install_task(
-                pid, ppid, pgid, &name, path, cwd, args, env, stdio, fork_image, launcher, exit,
+                pid, ppid, &name, path, cwd, args, env, stdio, fork_image, launcher, exit,
             );
         } else {
             let token = self.next_remote_token();
@@ -807,7 +806,6 @@ impl KernelState {
                     origin: self.shard_id,
                     pid,
                     ppid,
-                    pgid,
                     name,
                     path: path.to_owned(),
                     cwd: cwd.to_owned(),
@@ -835,7 +833,6 @@ impl KernelState {
         &mut self,
         pid: Pid,
         ppid: Pid,
-        pgid: Pid,
         name: &str,
         path: &str,
         cwd: &str,
@@ -847,7 +844,6 @@ impl KernelState {
         exit: Option<Sender<i32>>,
     ) {
         let mut task = Task::new(pid, ppid, name, path, cwd);
-        task.pgid = pgid;
         task.args = args.clone();
         task.env = env.clone();
         task.launcher = Some(Arc::clone(&launcher));
@@ -917,7 +913,8 @@ impl KernelState {
         task.address_space.release();
         self.stats.processes_exited += 1;
         // A finished pid disappears from the router registry: signals and
-        // getpgid from any shard now report ESRCH.
+        // getpgid from any shard now report ESRCH, and its children's
+        // getppid 0.
         self.router.remove_process(pid);
 
         // The dead process's own blocked system calls have nobody left to
@@ -936,20 +933,11 @@ impl KernelState {
             self.close_listener(port);
         }
 
-        // Reparent children to the kernel (pid 0) — there is no init process
-        // to reap them.  The records of those that exited or stopped die with
-        // this parent; one on another shard is told by message.
+        // The records of children that exited or stopped die with this
+        // parent; there is no init process to reap them.
         for &child in &task.children {
             self.zombies.remove(&child);
             self.stops.remove(&child);
-            match self.tasks.get_mut(&child) {
-                Some(child_task) => child_task.ppid = 0,
-                None => {
-                    if let Some(shard) = self.router.process_shard(child) {
-                        self.send_shard(shard, ShardMsg::Reparent { child });
-                    }
-                }
-            }
         }
 
         // Wake host watchers.
@@ -1042,25 +1030,14 @@ impl KernelState {
         Ok(())
     }
 
-    /// Sends `signal` to every live member of process group `pgid`.
+    /// Sends `signal` to every live member of process group `pgid`, in pid
+    /// order.  The router's registry says who they are; members on other
+    /// shards get the signal by message.
     ///
     /// # Errors
     ///
     /// [`Errno::ESRCH`] if the group has no live members.
     pub(crate) fn signal_pgroup(&mut self, pgid: Pid, signal: Signal) -> Result<(), Errno> {
-        if self.nshards == 1 {
-            let targets: Vec<Pid> = self.tasks.values().filter(|t| t.pgid == pgid).map(|t| t.pid).collect();
-            if targets.is_empty() {
-                return Err(Errno::ESRCH);
-            }
-            for pid in targets {
-                let _ = self.send_signal(pid, signal);
-            }
-            return Ok(());
-        }
-        // The group may span shards: the router registry (live processes
-        // only) is the membership authority; remote members get the signal
-        // by message, in deterministic pid order.
         let members = self.router.group_members(pgid);
         if members.is_empty() {
             return Err(Errno::ESRCH);

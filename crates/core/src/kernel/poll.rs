@@ -8,7 +8,8 @@
 //! [`StreamState`] per end — read off
 //! the stream when this shard owns it, or the owner's last push when it
 //! does not (`KernelState::stream_state`) — and one mapping from that state
-//! to `revents` bits, [`KernelState::fd_revents`].  Blocking reads and
+//! to `revents` bits, [`KernelState::fd_revents`], which has no answer for a
+//! foreign stream before that first push.  Blocking reads and
 //! writes, their `EAGAIN` short-circuits, and `poll` all rest on the
 //! stream's own `read_ready`/`write_ready`, so the three can never disagree
 //! about what "ready" means.  A foreign stream's state is known here
@@ -62,10 +63,13 @@ impl KernelState {
 
     /// Computes one descriptor's `revents` word for `poll`.  `POLLERR`,
     /// `POLLHUP` and `POLLNVAL` are reported whether requested or not, as on
-    /// Linux.
-    pub(crate) fn fd_revents(&self, pid: Pid, fd: Fd, events: u16) -> u16 {
+    /// Linux.  `None` while it names a foreign stream whose owner has not
+    /// pushed its state here yet: until then `poll` reports nothing about
+    /// it — not that it is ready, not that it is not — so it answers at
+    /// every shard count as it does at one.
+    pub(crate) fn fd_revents(&self, pid: Pid, fd: Fd, events: u16) -> Option<u16> {
         let Some(kind) = self.fd_kind(pid, fd) else {
-            return POLLNVAL;
+            return Some(POLLNVAL);
         };
         let revents = match &kind {
             // Regular files, directories, /dev/null, the terminal and host
@@ -80,19 +84,25 @@ impl KernelState {
             FileKind::Socket { .. } => 0,
             FileKind::SocketListener { port } if self.sockets().has_pending(*port) => POLLIN,
             FileKind::SocketListener { .. } => 0,
-            // A stream end, or a socket's two.  A foreign stream its owner
-            // has not reported on yet is not ready for anything.
+            // A stream end, or a socket's two.
             FileKind::PipeReader { .. } | FileKind::PipeWriter { .. } | FileKind::SocketStream { .. } => {
-                let state = |stream| self.stream_state(stream);
-                kind.read_stream().and_then(state).map_or(0, read_revents)
-                    | kind.write_stream().and_then(state).map_or(0, write_revents)
+                let read = match kind.read_stream() {
+                    Some(stream) => read_revents(self.stream_state(stream)?),
+                    None => 0,
+                };
+                let write = match kind.write_stream() {
+                    Some(stream) => write_revents(self.stream_state(stream)?),
+                    None => 0,
+                };
+                read | write
             }
         };
-        revents & (events | POLLERR | POLLHUP | POLLNVAL)
+        Some(revents & (events | POLLERR | POLLHUP | POLLNVAL))
     }
 
-    /// One `revents` word per polled descriptor, in submission order.
-    pub(crate) fn poll_revents(&self, pid: Pid, fds: &[PollRequest]) -> Vec<u16> {
+    /// One `revents` word per polled descriptor, in submission order, or
+    /// `None` until every one of them is known.
+    pub(crate) fn poll_revents(&self, pid: Pid, fds: &[PollRequest]) -> Option<Vec<u16>> {
         fds.iter().map(|req| self.fd_revents(pid, req.fd, req.events)).collect()
     }
 
@@ -222,7 +232,9 @@ impl KernelState {
     }
 
     pub(crate) fn sys_poll(&mut self, pid: Pid, reply: ReplyTo, fds: Vec<PollRequest>, timeout_ms: i32) -> Outcome {
-        let deadline = (timeout_ms > 0).then(|| Instant::now() + std::time::Duration::from_millis(timeout_ms as u64));
+        // A zero timeout is a deadline already due: one that still awaits an
+        // owner's first push parks, and that push completes it.
+        let deadline = (timeout_ms >= 0).then(|| Instant::now() + std::time::Duration::from_millis(timeout_ms as u64));
         let kind = WaitKind::Poll(Box::new(PollWait {
             fds,
             deadline,
@@ -379,11 +391,16 @@ mod tests {
             for fd in 0..3 {
                 let word = owner.fd_revents(2, fd, POLLIN | POLLOUT);
                 assert_eq!(word, peer.fd_revents(1, fd, POLLIN | POLLOUT), "{state:?}, fd {fd}");
-                words.push(word);
+                words.push(word.expect("known on both sides"));
             }
             fleet.shards[1].unwatch_foreign_streams(watched);
             fleet.deliver(|_| {});
             assert_eq!(fleet.shards[1].stream_state(id), None, "ended with the subscription");
+            assert_eq!(
+                fleet.shards[1].fd_revents(1, 0, POLLIN),
+                None,
+                "nothing to report without it"
+            );
             assert!(fleet.shards[0].poll_subscribers.is_empty());
         }
         // Reader, writer, socket — for the stream that is gone, for the last

@@ -26,9 +26,15 @@
 //! # The router
 //!
 //! `RouterState` is the only state shared between shards, and it is never
-//! touched on the byte-moving data path: pid allocation and process-group
-//! membership, the port table (which shard owns a listener), the `shm_open`
+//! touched on the byte-moving data path: pid allocation, the process
+//! registry, the port table (which shard owns a listener), the `shm_open`
 //! registry, the foreground process group and port-listen subscribers.
+//! The process registry is the one record of a live process's shard and
+//! group: `getpgid`, `setpgid`, group signals and the terminal's `SIGTTIN`
+//! check read or write it directly, from any shard, so a change is seen
+//! everywhere as soon as the call that made it returns.  A parent's death
+//! is the removal of its entry — a task's `ppid` names its parent only
+//! while the registry still lists it.
 //! Everything else is per-shard, and cross-shard effects are explicit
 //! messages with completions routed back to the submitting shard —
 //! no lock is held across shards while bytes move.
@@ -46,9 +52,8 @@
 //! | `SpawnTask` | `spawn_process`, when placement picks another shard | `SpawnAck` | sender: `pinned_files[token]`; receiver: task table, endpoint counts of the adopted stdio | — (the ack always comes) |
 //! | `SpawnAck` | the shard that installed the task | — | sender's pins released like any descriptor | — |
 //! | `ChildExited` / `ChildStopped` / `ChildContinued` | the child's shard, on the state change (handled in place when the parent lives there too) | — | the parent's shard: `zombies` / `stops`, its `ChildOf` queue | the parent exiting (records dropped) |
-//! | `Reparent` | a dying parent's shard | — | the child's `ppid` | — |
-//! | `SignalPid`, `SetPgid` | `kill` / `setpgid` / group signals naming a foreign pid | — | the target task | — |
-//! | `RemoteRead` / `RemoteWrite` | `sys_read` / `sys_write` on a descriptor whose stream another shard owns | `RemoteOpDone`, exactly once | sender: `remote_ops[token]`; owner: the stream, and a waiter whose reply address is `ReplyTo::Shard` if it parks | `CancelOp` |
+//! | `SignalPid` | `kill` / group signals naming a foreign pid | — | the target task | — |
+//! | `RemoteOp` | `sys_read` / `sys_write` on a descriptor whose stream another shard owns | `RemoteOpDone`, exactly once | sender: `remote_ops[token]`; owner: the stream, and a waiter whose reply address is `ReplyTo::Shard` if it parks | `CancelOp` |
 //! | `RemoteOpDone` | the owner, through `KernelState::complete` | — | sender's `remote_ops[token]` removed; a missing token drops the reply | — |
 //! | `CancelOp` | the submitter, when the process dies or takes `EINTR` | — | owner's waiter with reply address `(from_shard, token)` | — |
 //! | `Connect` | `sys_connect` to a port another shard listens on | `ConnectReply` | sender: `remote_ops[token]`; owner: two new streams, the backlog, `remote_client_pins` | never (the reply installs or disposes of the connection) |
@@ -60,8 +65,9 @@
 //! | `RemoteEndpoints` | any change to a shard's references on a foreign stream | — | sender's `foreign_endpoints`; owner's `remote_contribs` and the stream's counts | — |
 //!
 //! Remote operations carry a `token` minted by the submitting shard; the
-//! owner runs the very code a local call runs (`KernelState::block` with a
-//! read or write) with the reply address `ReplyTo::Shard { shard, token }`,
+//! owner runs the very code a local call runs (`KernelState::block` with the
+//! read or write its [`StreamIo`] names) with the reply address
+//! `ReplyTo::Shard { shard, token }`,
 //! so it completes at once or parks an ordinary waiter, and completing that
 //! address *is* sending [`ShardMsg::RemoteOpDone`].  Tokens are per-shard
 //! counters, so the same number is live on several shards at once: an owner
@@ -76,7 +82,10 @@
 //! then compares the stream's state with the one last pushed and sends
 //! subscribers the new one.  A subscriber's cache holds an entry only while a
 //! parked `poll` there watches the stream, so a `poll` never reads a state
-//! nobody keeps current, and no timer re-asks.  The owner's half of a remote
+//! nobody keeps current, and no timer re-asks.  A `poll` answers only once
+//! every foreign stream it names has had its first push — a zero-timeout
+//! one too, which parks subscribed until then — so it reports what it
+//! would at one shard.  The owner's half of a remote
 //! read or write is one call (`KernelState::run_call`): when it completes at
 //! once, its pushes go out before its `RemoteOpDone`.  A parked one that a
 //! later wake completes sends its `RemoteOpDone` from inside that drain, so
@@ -143,6 +152,30 @@ pub fn resolve_shards(configured: usize) -> usize {
     n.clamp(1, MAX_SHARDS)
 }
 
+/// What a read or write of a stream does: the one shape a local call parks
+/// as and a [`ShardMsg::RemoteOp`] carries to the stream's owner.
+#[derive(Debug)]
+pub enum StreamIo {
+    /// Read up to this many bytes.
+    Read(usize),
+    /// Write these bytes.
+    Write(Vec<u8>),
+}
+
+impl StreamIo {
+    /// The wait the call is, on `stream`.
+    fn on(self, stream: StreamId) -> WaitKind {
+        match self {
+            StreamIo::Read(len) => WaitKind::Read { stream, len },
+            StreamIo::Write(data) => WaitKind::Write {
+                stream,
+                data,
+                written: 0,
+            },
+        }
+    }
+}
+
 /// What a pending remote operation was, so its reply installs the right
 /// state on the submitting shard.
 #[derive(Debug, Clone, Copy)]
@@ -184,8 +217,6 @@ pub enum ShardMsg {
         pid: Pid,
         /// Parent pid (lives on `origin`).
         ppid: Pid,
-        /// Process group the child joins.
-        pgid: Pid,
         /// Task name (basename of the path).
         name: String,
         /// Executable path.
@@ -238,12 +269,6 @@ pub enum ShardMsg {
         /// The remote parent.
         ppid: Pid,
     },
-    /// The parent of `child` exited; the receiving shard reparents it to
-    /// the kernel (ppid 0).
-    Reparent {
-        /// The orphaned child (owned by the receiving shard).
-        child: Pid,
-    },
     /// Deliver a signal to a task owned by the receiving shard.
     SignalPid {
         /// The target task.
@@ -251,42 +276,20 @@ pub enum ShardMsg {
         /// The signal.
         signal: Signal,
     },
-    /// Apply a `setpgid` to a task owned by the receiving shard (the router
-    /// registry was already updated by the caller).
-    SetPgid {
-        /// The target task.
-        pid: Pid,
-        /// Its new process group.
-        pgid: Pid,
-    },
-    /// Read from a stream owned by the receiving shard.
-    RemoteRead {
+    /// Read or write a stream owned by the receiving shard.
+    RemoteOp {
         /// Completion token.
         token: u64,
         /// The submitting shard ([`ShardMsg::RemoteOpDone`] goes back there).
         from_shard: usize,
-        /// The reading process (lives on `from_shard`).
+        /// The calling process (lives on `from_shard`).
         pid: Pid,
-        /// The stream to read.
+        /// The stream to read or write.
         stream: StreamId,
-        /// Maximum bytes.
-        len: usize,
-        /// `O_NONBLOCK`: reply `EAGAIN` instead of parking.
-        nonblocking: bool,
-    },
-    /// Write to a stream owned by the receiving shard.
-    RemoteWrite {
-        /// Completion token.
-        token: u64,
-        /// The submitting shard.
-        from_shard: usize,
-        /// The writing process.
-        pid: Pid,
-        /// The stream to write.
-        stream: StreamId,
-        /// The bytes.
-        data: Vec<u8>,
-        /// `O_NONBLOCK`: reply `EAGAIN`/partial instead of parking.
+        /// The read's length or the write's bytes.
+        io: StreamIo,
+        /// `O_NONBLOCK`: reply `EAGAIN` (or a write's partial count)
+        /// instead of parking.
         nonblocking: bool,
     },
     /// A remote read or write finished; the submitter completes the
@@ -384,31 +387,17 @@ impl fmt::Debug for ShardMsg {
                 write!(f, "ChildStopped(pid={pid}, ppid={ppid}, {signal:?})")
             }
             ShardMsg::ChildContinued { pid, ppid } => write!(f, "ChildContinued(pid={pid}, ppid={ppid})"),
-            ShardMsg::Reparent { child } => write!(f, "Reparent({child})"),
             ShardMsg::SignalPid { pid, signal } => write!(f, "SignalPid(pid={pid}, {signal:?})"),
-            ShardMsg::SetPgid { pid, pgid } => write!(f, "SetPgid(pid={pid}, pgid={pgid})"),
-            ShardMsg::RemoteRead {
-                token,
-                pid,
-                stream,
-                len,
-                ..
-            } => {
-                write!(f, "RemoteRead(token={token}, pid={pid}, stream={stream}, len={len})")
-            }
-            ShardMsg::RemoteWrite {
-                token,
-                pid,
-                stream,
-                data,
-                ..
-            } => {
-                write!(
+            ShardMsg::RemoteOp {
+                token, pid, stream, io, ..
+            } => match io {
+                StreamIo::Read(len) => write!(f, "RemoteOp(token={token}, pid={pid}, stream={stream}, read {len})"),
+                StreamIo::Write(data) => write!(
                     f,
-                    "RemoteWrite(token={token}, pid={pid}, stream={stream}, {} bytes)",
+                    "RemoteOp(token={token}, pid={pid}, stream={stream}, write {} bytes)",
                     data.len()
-                )
-            }
+                ),
+            },
             ShardMsg::RemoteOpDone { token, result } => write!(f, "RemoteOpDone(token={token}, {result:?})"),
             ShardMsg::CancelOp { from_shard, token } => write!(f, "CancelOp(from={from_shard}, token={token})"),
             ShardMsg::Connect { token, port, .. } => write!(f, "Connect(token={token}, port={port})"),
@@ -481,45 +470,32 @@ impl KernelState {
         token
     }
 
-    /// Submits a read of a foreign stream to its owner; the syscall stays in
+    /// Reads or writes a stream: through [`KernelState::block`] when this
+    /// shard owns it, else by shipping the call to the owner, which runs
+    /// that same code ([`ShardMsg::RemoteOp`]); the syscall then stays in
     /// `remote_ops` until [`ShardMsg::RemoteOpDone`] comes back.
-    pub(crate) fn remote_read(
+    pub(crate) fn stream_io(
         &mut self,
         pid: Pid,
         reply: ReplyTo,
         stream: StreamId,
-        len: usize,
+        io: StreamIo,
         nonblocking: bool,
     ) -> Outcome {
         let owner = stream_shard(stream);
-        let msg = ShardMsg::RemoteRead {
-            token: self.park_remote(pid, reply, RemoteKind::Read, owner),
-            from_shard: self.shard_id,
-            pid,
-            stream,
-            len,
-            nonblocking,
+        if owner == self.shard_id {
+            return self.block(pid, Some(reply), io.on(stream), nonblocking);
+        }
+        let kind = match io {
+            StreamIo::Read(_) => RemoteKind::Read,
+            StreamIo::Write(_) => RemoteKind::Write,
         };
-        self.send_shard(owner, msg);
-        Outcome::Blocked
-    }
-
-    /// Submits a write to a foreign stream to its owner.
-    pub(crate) fn remote_write(
-        &mut self,
-        pid: Pid,
-        reply: ReplyTo,
-        stream: StreamId,
-        data: Vec<u8>,
-        nonblocking: bool,
-    ) -> Outcome {
-        let owner = stream_shard(stream);
-        let msg = ShardMsg::RemoteWrite {
-            token: self.park_remote(pid, reply, RemoteKind::Write, owner),
+        let msg = ShardMsg::RemoteOp {
+            token: self.park_remote(pid, reply, kind, owner),
             from_shard: self.shard_id,
             pid,
             stream,
-            data,
+            io,
             nonblocking,
         };
         self.send_shard(owner, msg);
@@ -570,7 +546,6 @@ impl KernelState {
                 origin,
                 pid,
                 ppid,
-                pgid,
                 name,
                 path,
                 cwd,
@@ -589,9 +564,7 @@ impl KernelState {
                         self.adopt_file(file);
                     }
                 }
-                self.install_task(
-                    pid, ppid, pgid, &name, &path, &cwd, args, env, stdio, None, launcher, exit,
-                );
+                self.install_task(pid, ppid, &name, &path, &cwd, args, env, stdio, None, launcher, exit);
                 self.send_shard(origin, ShardMsg::SpawnAck { token });
             }
             ShardMsg::SpawnAck { token } => {
@@ -619,50 +592,22 @@ impl KernelState {
             ShardMsg::ChildContinued { pid, .. } => {
                 self.stops.remove(&pid);
             }
-            ShardMsg::Reparent { child } => {
-                if let Some(task) = self.tasks.get_mut(&child) {
-                    task.ppid = 0;
-                }
-            }
             ShardMsg::SignalPid { pid, signal } => {
                 let _ = self.send_signal(pid, signal);
             }
-            ShardMsg::SetPgid { pid, pgid } => {
-                if let Some(task) = self.tasks.get_mut(&pid) {
-                    task.pgid = pgid;
-                }
-            }
-            ShardMsg::RemoteRead {
+            ShardMsg::RemoteOp {
                 token,
                 from_shard: shard,
                 pid,
                 stream,
-                len,
+                io,
                 nonblocking,
             } => {
-                // The local read, with a reply address on the submitter's shard.
+                // The local read or write, with a reply address on the
+                // submitter's shard.
                 self.stats.steals += 1;
                 let reply = ReplyTo::Shard { shard, token };
-                let kind = WaitKind::Read { stream, len };
-                if let Outcome::Complete(result) = self.run_call(|k| k.block(pid, Some(reply), kind, nonblocking)) {
-                    self.complete(pid, reply, result);
-                }
-            }
-            ShardMsg::RemoteWrite {
-                token,
-                from_shard: shard,
-                pid,
-                stream,
-                data,
-                nonblocking,
-            } => {
-                self.stats.steals += 1;
-                let reply = ReplyTo::Shard { shard, token };
-                let kind = WaitKind::Write {
-                    stream,
-                    data,
-                    written: 0,
-                };
+                let kind = io.on(stream);
                 if let Outcome::Complete(result) = self.run_call(|k| k.block(pid, Some(reply), kind, nonblocking)) {
                     self.complete(pid, reply, result);
                 }
@@ -815,9 +760,10 @@ pub(crate) struct RouterState {
     pid_pools: Vec<AtomicU32>,
     /// Round-robin spawn placement counter (deterministic in spawn order).
     next_spawn: AtomicUsize,
-    /// pid → owning shard + process group, registered at spawn, updated by
-    /// `setpgid`, removed when the task finishes (so a finished pid reports
-    /// `ESRCH` everywhere, as it does on its own shard).
+    /// pid → owning shard + process group: the one record of a live
+    /// process's shard and group.  Registered at spawn, written by
+    /// `setpgid`, removed when the task finishes — so a finished pid reports
+    /// `ESRCH` everywhere at once, and its children's `ppid` stops naming it.
     processes: Mutex<HashMap<Pid, ProcessEntry>>,
     /// Listening ports → owning shard, claimed by `listen`.
     ports: Mutex<PortTable>,
@@ -867,8 +813,13 @@ impl RouterState {
 
     // ---- process registry ------------------------------------------------
 
-    pub(crate) fn register_process(&self, pid: Pid, shard: usize, pgid: Pid) {
-        self.processes.lock().unwrap().insert(pid, ProcessEntry { shard, pgid });
+    /// Registers a new process of `ppid`'s on `shard`.  It joins its
+    /// parent's group, read under the same lock; a host-started process
+    /// (`ppid` 0) leads a fresh group of its own.
+    pub(crate) fn register_process(&self, pid: Pid, shard: usize, ppid: Pid) {
+        let mut processes = self.processes.lock().unwrap();
+        let pgid = processes.get(&ppid).map_or(pid, |parent| parent.pgid);
+        processes.insert(pid, ProcessEntry { shard, pgid });
     }
 
     pub(crate) fn remove_process(&self, pid: Pid) {
@@ -885,9 +836,20 @@ impl RouterState {
         self.processes.lock().unwrap().get(&pid).map(|e| e.pgid)
     }
 
-    pub(crate) fn set_pgid(&self, pid: Pid, pgid: Pid) {
-        if let Some(entry) = self.processes.lock().unwrap().get_mut(&pid) {
-            entry.pgid = pgid;
+    /// Moves a live process into group `pgid`; `false` if it is gone.
+    pub(crate) fn set_pgid(&self, pid: Pid, pgid: Pid) -> bool {
+        let mut processes = self.processes.lock().unwrap();
+        processes.get_mut(&pid).map(|entry| entry.pgid = pgid).is_some()
+    }
+
+    /// What `getppid` reports for a task whose recorded parent is `ppid`:
+    /// that pid while the process lives, else 0 — an orphan's parent is the
+    /// kernel.  Pids are never reused, so a dead parent's names nobody else.
+    pub(crate) fn live_parent(&self, ppid: Pid) -> Pid {
+        if self.process_shard(ppid).is_some() {
+            ppid
+        } else {
+            0
         }
     }
 
@@ -1074,16 +1036,20 @@ mod tests {
     #[test]
     fn process_registry_tracks_groups() {
         let router = RouterState::new(2);
-        router.register_process(1, 1, 1);
+        // Host-started processes lead their own group; a child joins its
+        // parent's.
+        router.register_process(1, 1, 0);
         router.register_process(2, 0, 1);
-        router.register_process(3, 1, 3);
+        router.register_process(3, 1, 0);
         assert_eq!(router.process_shard(2), Some(0));
         assert_eq!(router.group_members(1), vec![(1, 1), (2, 0)]);
-        router.set_pgid(3, 1);
+        assert!(router.set_pgid(3, 1));
         assert_eq!(router.group_members(1), vec![(1, 1), (2, 0), (3, 1)]);
         router.remove_process(2);
         assert_eq!(router.group_members(1), vec![(1, 1), (3, 1)]);
         assert_eq!(router.process_shard(2), None);
+        assert!(!router.set_pgid(2, 2), "a finished process has no group to change");
+        assert_eq!((router.live_parent(1), router.live_parent(2)), (1, 0));
     }
 
     #[test]

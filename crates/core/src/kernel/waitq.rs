@@ -560,7 +560,7 @@ impl KernelState {
             },
             WaitKind::Poll(mut poll) => {
                 let revents = self.poll_revents(pid, &poll.fds);
-                if revents.iter().any(|&r| r != 0) {
+                if let Some(revents) = revents.filter(|words| words.iter().any(|&r| r != 0)) {
                     self.unwatch_foreign_streams(std::mem::take(&mut poll.watched));
                     return Attempt::Done(SysResult::Poll(revents));
                 }
@@ -577,7 +577,8 @@ impl KernelState {
 
     /// The one entry for a blocking call: attempt it, and if it would block,
     /// park it — or, when it may not wait (`O_NONBLOCK`, `WNOHANG`, a
-    /// zero-timeout `poll`), return what it has instead.
+    /// zero-timeout `poll`), return what it has instead, as soon as it knows
+    /// what that is ([`KernelState::answerable`]).
     ///
     /// The wakes the attempt raises run after the call returns, so a waiter
     /// is parked before any of them can look for it: a partial write that
@@ -586,7 +587,9 @@ impl KernelState {
     pub(crate) fn block(&mut self, pid: Pid, reply: Option<ReplyTo>, kind: WaitKind, nonblocking: bool) -> Outcome {
         match self.attempt(pid, kind) {
             Attempt::Done(result) => Outcome::Complete(result),
-            Attempt::Blocked { kind, .. } if nonblocking => Outcome::Complete(self.would_block(kind)),
+            Attempt::Blocked { kind, .. } if nonblocking && self.answerable(pid, &kind) => {
+                Outcome::Complete(self.would_block(kind))
+            }
             // No queue to wake it and no deadline: it could never complete.
             // Refuse rather than park forever.
             Attempt::Blocked {
@@ -599,6 +602,22 @@ impl KernelState {
                 self.park_waiter(channels, Waiter { pid, reply, kind });
                 Outcome::Blocked
             }
+        }
+    }
+
+    /// Whether a blocked call can say now what it would report if it
+    /// stopped waiting: always, except a `poll` whose foreign streams' owners
+    /// have not all pushed their state here yet.  Such a `poll` waits for
+    /// those first pushes even when it may not wait for anything else — a
+    /// zero-timeout `poll` asks the owners, as an `O_NONBLOCK` remote read
+    /// does.
+    fn answerable(&self, pid: Pid, kind: &WaitKind) -> bool {
+        match kind {
+            WaitKind::Poll(poll) => poll
+                .fds
+                .iter()
+                .all(|req| self.fd_revents(pid, req.fd, req.events).is_some()),
+            _ => true,
         }
     }
 
@@ -627,12 +646,16 @@ impl KernelState {
     /// the foreign streams it names — a polled descriptor owned by another
     /// shard never produces a local wake by itself, but the owner's pushes
     /// land in the subscription and wake these channels — and has its
-    /// deadline tracked.
+    /// deadline tracked once it is answerable: until then the owners' first
+    /// pushes wake it, and a deadline that has passed would only spin.
     fn park_waiter(&mut self, channels: Channels, mut waiter: Waiter) {
         if let WaitKind::Poll(poll) = &mut waiter.kind {
             self.watch_foreign_streams(waiter.pid, &poll.fds, &mut poll.watched);
         }
-        let deadline = waiter.kind.deadline();
+        let deadline = waiter
+            .kind
+            .deadline()
+            .filter(|_| self.answerable(waiter.pid, &waiter.kind));
         let id = self.waiters.park_channels(channels, waiter);
         if let Some(deadline) = deadline {
             self.poll_deadlines.push((deadline, id));
@@ -673,9 +696,9 @@ impl KernelState {
     }
 
     /// Retries one woken waiter: complete it, or re-park it on the channels
-    /// it still needs.  A `poll` whose deadline passed completes empty,
-    /// counted as a timeout rather than a wakeup (the scavenger asserts on
-    /// the wakeup counter).
+    /// it still needs.  A `poll` whose deadline passed completes empty once
+    /// it is answerable, counted as a timeout rather than a wakeup (the
+    /// scavenger asserts on the wakeup counter).
     pub(crate) fn retry_waiter(&mut self, waiter: Waiter) {
         // A waiter whose process died is dropped — if the process is this
         // shard's to know about.  One parked for a process on another shard
@@ -688,7 +711,9 @@ impl KernelState {
         let Waiter { pid, reply, kind } = waiter;
         match self.attempt(pid, kind) {
             Attempt::Done(result) => self.finish_waiter(pid, reply, result),
-            Attempt::Blocked { kind, .. } if kind.deadline().is_some_and(|d| Instant::now() >= d) => {
+            Attempt::Blocked { kind, .. }
+                if kind.deadline().is_some_and(|d| Instant::now() >= d) && self.answerable(pid, &kind) =>
+            {
                 self.stats.poll_timeouts += 1;
                 let result = self.would_block(kind);
                 if let Some(reply) = reply {

@@ -113,8 +113,7 @@ pub struct KernelStats {
     /// snapshots...).  Zero with one shard.
     pub shard_msgs_sent: u64,
     /// Operations this shard executed on behalf of a peer: one per
-    /// `RemoteRead`, `RemoteWrite` and `Connect` message it handled
-    /// (`handle_shard_msg`).
+    /// `RemoteOp` and `Connect` message it handled (`handle_shard_msg`).
     pub steals: u64,
     /// Wakeups that crossed a shard boundary: a parked waiter completing to a
     /// `ReplyTo::Shard` address (`finish_waiter` — the cross-shard subset of

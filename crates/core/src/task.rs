@@ -8,7 +8,10 @@
 //! (the registered shared heap and the ring mapped into it) and `fork` (the
 //! launcher used to start it).  A task lives exactly as long as its process:
 //! at exit it leaves the task table, and what `wait4` still needs — the
-//! wait status — is a record its parent's shard holds.
+//! wait status — is a record its parent's shard holds.  Its process group,
+//! and whether the parent it names still lives, are not kept here: the
+//! router's process registry is their one record, read alike from every
+//! shard.
 
 use std::sync::Arc;
 
@@ -64,12 +67,12 @@ impl InflightBatch {
 pub struct Task {
     /// Process id.
     pub pid: Pid,
-    /// Parent process id (0 for processes started by the embedding web
-    /// application through the host API).
+    /// Parent process id at spawn (0 for processes started by the embedding
+    /// web application through the host API).  It names the parent only
+    /// while the router's registry lists it — `getppid` reports 0 after the
+    /// parent's exit.  The process group is not kept here: the registry is
+    /// its one record.
     pub ppid: Pid,
-    /// Process-group id (initially the parent's group; host-started
-    /// processes lead their own group).
-    pub pgid: Pid,
     /// Executable name, for diagnostics (`ps`-style listings).
     pub name: String,
     /// Path of the executable the task was started from.
@@ -134,7 +137,6 @@ impl Task {
         Task {
             pid,
             ppid,
-            pgid: pid,
             name: name.to_owned(),
             exe_path: exe_path.to_owned(),
             cwd: cwd.to_owned(),
@@ -222,7 +224,6 @@ mod tests {
     #[test]
     fn stopped_state_is_alive_but_not_running() {
         let mut task = Task::new(6, 1, "cat", "/usr/bin/cat", "/");
-        assert_eq!(task.pgid, 6);
         task.state = TaskState::Stopped {
             signal: Signal::SIGTSTP,
         };
