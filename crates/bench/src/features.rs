@@ -131,24 +131,13 @@ pub fn environment_feature_table() -> Vec<FeatureRow> {
 
 /// Checks the Browsix rows of the table against what the code in this
 /// repository actually provides, by exercising each feature end to end.
-/// Returns the list of verified feature names.
-pub fn verify_browsix_row() -> Vec<&'static str> {
-    verify_browsix_row_with_stats().0
-}
-
-/// Like [`verify_browsix_row`], additionally returning the kernel-statistics
-/// snapshot taken after the probe ran, so drivers can report the per-class
-/// syscall counters and the submission batch-size histogram.
-pub fn verify_browsix_row_with_stats() -> (Vec<&'static str>, browsix_core::KernelStats) {
-    let (verified, stats, _) = verify_browsix_row_with_shard_stats();
-    (verified, stats)
-}
-
-/// Like [`verify_browsix_row_with_stats`], additionally returning the raw
-/// per-shard statistics snapshots, so drivers can report how the run's work
-/// (and the cross-shard message traffic) spread over the kernel's event
-/// loops.  The shard count honours `BROWSIX_SHARDS`; the fleet-wide snapshot
-/// is the merge of the per-shard ones.
+/// Returns the list of verified feature names, the fleet-wide statistics
+/// snapshot taken after the probe ran and the raw per-shard snapshots, so
+/// drivers can report the per-class syscall counters, the submission
+/// batch-size histogram and how the run's work (and the cross-shard message
+/// traffic) spread over the kernel's event loops.  The shard count honours
+/// `BROWSIX_SHARDS`; the fleet-wide snapshot is the merge of the per-shard
+/// ones.
 pub fn verify_browsix_row_with_shard_stats() -> (
     Vec<&'static str>,
     browsix_core::KernelStats,
@@ -391,7 +380,7 @@ mod tests {
 
     #[test]
     fn the_browsix_row_is_backed_by_running_code() {
-        let (verified, stats) = verify_browsix_row_with_stats();
+        let (verified, stats, _) = verify_browsix_row_with_shard_stats();
         assert_eq!(verified.len(), 6, "verified: {verified:?}");
         // The ring probe ran under the sync convention: its syscalls went
         // through the shared-memory ring and its file bytes moved kernel-side.

@@ -1,26 +1,20 @@
-//! # browsix-bench — the harness that regenerates every table and figure
+//! # browsix-bench — the binaries that regenerate the paper's tables and figures
 //!
-//! Each experiment from the paper's evaluation (see DESIGN.md's experiment
-//! index and EXPERIMENTS.md for results) has two entry points:
-//!
-//! * a **report binary** under `src/bin/` that prints the same rows the paper
-//!   reports, runnable with `cargo run -p browsix-bench --bin <name>`;
-//! * a **Criterion bench** under `benches/` for statistically sound timings,
-//!   runnable with `cargo bench -p browsix-bench`.
-//!
-//! The functions here build the workloads and environments shared by both.
+//! Each experiment from the paper's evaluation has a **report binary** under
+//! `src/bin/` that prints the same rows the paper reports, runnable with
+//! `cargo run -p browsix-bench --bin <name>`.  The functions here build the
+//! workloads and environments those binaries share.  Performance is measured
+//! end to end and layer by layer by `perfbench/`, a package of its own.
 
 pub mod features;
 pub mod loc;
 pub mod syscalls;
 pub mod utilities;
-pub mod workloads;
+mod workloads;
 
-pub use features::{environment_feature_table, FeatureRow};
-pub use loc::{count_workspace_lines, ComponentLines};
+pub use features::environment_feature_table;
+pub use loc::count_workspace_lines;
 pub use syscalls::syscall_inventory;
-pub use utilities::{run_utility_benchmark, UtilityEnvironment, UtilityMeasurement};
-pub use workloads::{figure9_fs, stage_figure9_files, LS_DIR_ENTRIES, SHA1_FILE_BYTES};
 
 /// Formats a duration in seconds with millisecond precision, as the paper's
 /// tables do.

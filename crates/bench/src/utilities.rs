@@ -1,7 +1,6 @@
 //! Experiment E5 (Figure 9): utility execution time under Native, Node.js on
 //! Linux, and Browsix.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use browsix_core::{BootConfig, Kernel};
@@ -48,8 +47,8 @@ pub struct UtilityMeasurement {
 /// bundled utilities) once under `environment` and measures it.
 ///
 /// `with_compute` selects whether the calibrated JavaScript-execution cost is
-/// injected; benchmarks enable it, functional tests disable it.
-pub fn run_utility_benchmark(environment: UtilityEnvironment, command: &str, with_compute: bool) -> UtilityMeasurement {
+/// injected; the Figure 9 binary enables it, functional tests disable it.
+fn run_utility_benchmark(environment: UtilityEnvironment, command: &str, with_compute: bool) -> UtilityMeasurement {
     let words: Vec<&str> = command.split_whitespace().collect();
     let fs = figure9_fs();
     match environment {
@@ -146,11 +145,6 @@ pub fn browsix_run_with_stats(command: &str) -> (UtilityMeasurement, browsix_cor
     let stats = kernel.stats();
     kernel.shutdown();
     (measurement, stats)
-}
-
-/// The `Arc<MountedFs>` the measurements run against, exposed for tests.
-pub fn workload_fs() -> Arc<browsix_fs::MountedFs> {
-    figure9_fs()
 }
 
 #[cfg(test)]

@@ -559,7 +559,11 @@ impl KernelState {
             },
             _ => return Outcome::Complete(SysResult::Err(Errno::EINVAL)),
         };
-        let target = base + offset;
+        // The guest picks `offset`: a sum past `i64::MAX` is its error, as
+        // on Linux, and leaves the descriptor's offset where it was.
+        let Some(target) = base.checked_add(offset) else {
+            return Outcome::Complete(SysResult::Err(Errno::EOVERFLOW));
+        };
         if target < 0 {
             return Outcome::Complete(SysResult::Err(Errno::EINVAL));
         }

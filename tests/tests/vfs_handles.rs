@@ -83,6 +83,25 @@ fn o_append_reads_start_at_zero_but_writes_go_to_the_end() {
 }
 
 #[test]
+fn seek_past_i64_max_is_eoverflow_and_keeps_the_offset() {
+    let kernel = boot_with("far-seeker", |env| {
+        env.write_file("/data", b"abc").unwrap();
+        let fd = env.open("/data", OpenFlags::read_only()).unwrap();
+        assert_eq!(env.read(fd, 1).unwrap(), b"a");
+        // 1 + i64::MAX and 3 + i64::MAX do not fit the offset type.
+        assert_eq!(env.seek(fd, i64::MAX, 1), Err(Errno::EOVERFLOW));
+        assert_eq!(env.seek(fd, i64::MAX, 2), Err(Errno::EOVERFLOW));
+        // The descriptor is untouched: still at 1, still readable.
+        assert_eq!(env.seek(fd, 0, 1).unwrap(), 1);
+        assert_eq!(env.read(fd, 2).unwrap(), b"bc");
+        env.close(fd).unwrap();
+        0
+    });
+    run(&kernel, "far-seeker");
+    kernel.shutdown();
+}
+
+#[test]
 fn rename_across_mounts_is_exdev() {
     let kernel = boot_with("mover", |env| {
         env.write_file("/file.txt", b"payload").unwrap();
