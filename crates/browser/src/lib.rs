@@ -9,8 +9,9 @@
 //! repository can faithfully reproduce the paper's architecture and its
 //! performance characteristics:
 //!
-//! * [`worker`] — Web Workers as OS threads that can *only* communicate with
-//!   the context that spawned them via message passing.
+//! * [`worker`] — Web Workers as OS threads (new, or reused from a pool) that
+//!   can *only* communicate with the context that spawned them via message
+//!   passing.
 //! * [`message`] — the structured-clone value model; every message crossing a
 //!   worker boundary is deep-copied, and the copy cost is charged according to
 //!   the configured [`PlatformConfig`] — except the buffers named in its
@@ -60,4 +61,4 @@ pub use error::PlatformError;
 pub use message::Message;
 pub use net::{NetworkProfile, RemoteEndpoint, RemoteService, StaticFiles};
 pub use sab::{AtomicsWaitResult, SharedArrayBuffer};
-pub use worker::{Worker, WorkerScope, WorkerScript};
+pub use worker::{Worker, WorkerPool, WorkerScope, WorkerScript};

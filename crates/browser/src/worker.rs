@@ -6,11 +6,21 @@
 //! the browsers the paper targets) cannot spawn nested workers, which is why
 //! the Browsix kernel — living in the main context — must broker everything.
 //!
-//! This module maps that model onto OS threads: [`Worker::spawn`] starts a
-//! thread running a [`WorkerScript`]; the parent keeps a [`Worker`] handle and
-//! the script receives a [`WorkerScope`].  All communication flows through the
-//! pair of message queues, and every message is deep-copied and charged with
-//! the platform's `postMessage` cost model.
+//! This module maps that model onto OS threads: a [`WorkerScript`] runs on a
+//! thread of its own; the parent keeps a [`Worker`] handle and the script
+//! receives a [`WorkerScope`].  All communication flows through the pair of
+//! message queues, and every message is deep-copied and charged with the
+//! platform's `postMessage` cost model.
+//!
+//! Where the thread comes from: [`Worker::spawn`] creates one, which exits
+//! when the script returns.  [`WorkerPool::spawn`] hands the script to an
+//! idle thread of the pool, the one parked last, and creates a thread only
+//! when none is idle; when the script returns, its thread parks again unless
+//! [`IDLE_WORKERS_KEPT`] already wait.  Creating a thread is real work on the
+//! spawning thread (tens of microseconds) that no browser cost model asks
+//! for, so the kernel starts its processes through a pool.  A parked thread
+//! holds nothing of its last script: the script, its scope and every value
+//! either captured are dropped before it parks.
 //!
 //! Who copies: `post_message(msg)` clones all of `msg`, every byte buffer in
 //! it included, once, on the sender's side, and drops the original — the
@@ -21,11 +31,10 @@
 //! whatever its length.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::{Arc, Weak};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError};
+use parking_lot::Mutex;
 
 use crate::config::{PlatformConfig, TRANSFER_HANDLE_BYTES};
 use crate::error::PlatformError;
@@ -35,8 +44,8 @@ use crate::time::precise_delay;
 /// The entry point of a worker: the analogue of the JavaScript file passed to
 /// the `Worker` constructor.
 pub trait WorkerScript: Send + 'static {
-    /// Runs the worker body.  Returning ends the worker's thread, although —
-    /// exactly as in the browser — the parent cannot observe that directly and
+    /// Runs the worker body.  Returning ends the worker, although — exactly
+    /// as in the browser — the parent cannot observe that directly and
     /// Browsix runtimes must issue an explicit `exit` system call.
     fn run(self: Box<Self>, scope: WorkerScope);
 }
@@ -148,34 +157,56 @@ pub struct Worker {
     to_worker: Sender<Message>,
     from_worker: Receiver<Message>,
     terminated: Arc<AtomicBool>,
-    join: Option<JoinHandle<()>>,
+    /// Never sent on: its sender is dropped once the script has returned (or
+    /// unwound) and its captures are gone, which ends a `recv` here.
+    done: Receiver<()>,
 }
 
 impl Worker {
-    /// Spawns a new worker running `script`, mirroring `new Worker(url)`.
+    /// Spawns a new worker running `script` on a thread of its own, which
+    /// exits when the script returns; mirrors `new Worker(url)`.
     pub fn spawn(config: &PlatformConfig, name: &str, script: Box<dyn WorkerScript>) -> Worker {
+        Worker::start(None, config, name, script)
+    }
+
+    /// Starts `script` on an idle thread of `pool` if there is one, and on a
+    /// new thread otherwise (which joins `pool` when the script returns, if
+    /// there is a `pool`).
+    fn start(pool: Option<&WorkerPool>, config: &PlatformConfig, name: &str, script: Box<dyn WorkerScript>) -> Worker {
         let (to_worker, from_parent) = unbounded();
         let (to_parent, from_worker) = unbounded();
+        let (done, finished) = bounded(1);
         let terminated = Arc::new(AtomicBool::new(false));
-        let scope = WorkerScope {
-            config: config.clone(),
-            name: name.to_owned(),
-            to_parent,
-            from_parent,
-            terminated: Arc::clone(&terminated),
+        let job = Job {
+            script,
+            scope: WorkerScope {
+                config: config.clone(),
+                name: name.to_owned(),
+                to_parent,
+                from_parent,
+                terminated: Arc::clone(&terminated),
+            },
+            done,
         };
-        let thread_name = format!("worker-{name}");
-        let join = std::thread::Builder::new()
-            .name(thread_name)
-            .spawn(move || script.run(scope))
-            .expect("failed to spawn worker thread");
+        match pool.and_then(|pool| pool.idle.lock().pop()) {
+            Some(idle) => {
+                assert!(idle.send(job).is_ok(), "an idle pooled thread waits on its channel");
+            }
+            None => {
+                let pool = pool.map_or_else(Weak::new, |pool| Arc::downgrade(&pool.idle));
+                std::thread::Builder::new()
+                    .name(WORKER_THREAD_NAME.to_owned())
+                    .spawn(move || serve(job, &pool))
+                    .expect("failed to spawn worker thread");
+            }
+        }
         Worker {
             config: config.clone(),
             name: name.to_owned(),
             to_worker,
             from_worker,
             terminated,
-            join: Some(join),
+            done: finished,
         }
     }
 
@@ -226,36 +257,6 @@ impl Worker {
         self.from_worker.recv().map_err(|_| PlatformError::WorkerTerminated)
     }
 
-    /// Receives a message from the worker if one is queued.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlatformError::WorkerTerminated`] if the worker has exited
-    /// and the queue is drained.
-    pub fn try_recv(&self) -> Result<Option<Message>, PlatformError> {
-        match self.from_worker.try_recv() {
-            Ok(msg) => Ok(Some(msg)),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(PlatformError::WorkerTerminated),
-        }
-    }
-
-    /// Blocks for at most `timeout` waiting for a message from the worker.
-    ///
-    /// Returns `Ok(None)` on timeout.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlatformError::WorkerTerminated`] if the worker has exited
-    /// and the queue is drained.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Option<Message>, PlatformError> {
-        match self.from_worker.recv_timeout(timeout) {
-            Ok(msg) => Ok(Some(msg)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(PlatformError::WorkerTerminated),
-        }
-    }
-
     /// Whether [`Worker::terminate`] has been called.
     pub fn is_terminated(&self) -> bool {
         self.terminated.load(Ordering::SeqCst)
@@ -273,13 +274,12 @@ impl Worker {
         }
     }
 
-    /// Terminates the worker and waits for its thread to finish.  Used by
-    /// tests and kernel shutdown; a real browser offers no equivalent join.
+    /// Terminates the worker and waits for its script to return (or unwind)
+    /// and drop what it captured.  Its thread may live on in a pool.  Used by
+    /// tests; a real browser offers no equivalent join.
     pub fn terminate_and_join(&mut self) {
         self.terminate();
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
+        let _ = self.done.recv();
     }
 }
 
@@ -291,8 +291,80 @@ impl Drop for Worker {
     }
 }
 
+/// The most idle threads a [`WorkerPool`] keeps; a thread whose script
+/// returns while this many wait exits instead of parking.  Each parked thread
+/// keeps glibc's per-thread malloc cache (~160 KiB resident), which it gives
+/// back only when it exits, so this trades resident memory for thread
+/// creations; see `CHANGES.md` for the measured curve.
+pub const IDLE_WORKERS_KEPT: usize = 3;
+
+/// The name of every worker thread, pooled or not: a thread serves one
+/// process after another, so it carries no process's name
+/// ([`WorkerScope::name`] does).
+pub const WORKER_THREAD_NAME: &str = "browsix-worker";
+
+/// One script to run, with its scope, and the sender whose drop tells the
+/// [`Worker`] handle that the script is done.
+struct Job {
+    script: Box<dyn WorkerScript>,
+    scope: WorkerScope,
+    done: Sender<()>,
+}
+
+/// The channels of a pool's idle threads, the most recently parked last.
+type IdleThreads = Mutex<Vec<Sender<Job>>>;
+
+/// Threads to run workers on, owned by whoever starts the workers (each
+/// kernel loop has one).  Idle threads park on a channel of their own, and
+/// only this pool holds the sending ends, so dropping the pool ends every
+/// idle thread; a busy thread, which holds the pool only weakly, exits when
+/// its script returns.
+#[derive(Debug, Default)]
+pub struct WorkerPool {
+    idle: Arc<IdleThreads>,
+}
+
+impl WorkerPool {
+    /// An empty pool: its first worker starts a thread.
+    pub fn new() -> WorkerPool {
+        WorkerPool::default()
+    }
+
+    /// Spawns a worker running `script`, like [`Worker::spawn`], on the
+    /// most recently parked idle thread, or on a new thread that joins this
+    /// pool if none is idle.  A job never waits for a busy thread.
+    pub fn spawn(&self, config: &PlatformConfig, name: &str, script: Box<dyn WorkerScript>) -> Worker {
+        Worker::start(Some(self), config, name, script)
+    }
+}
+
+/// A worker thread's body: runs `job`, then — while `pool` lives and has
+/// room — parks on a fresh channel and runs whatever arrives there.  A
+/// panicking script unwinds out of here, dropping its `done` sender.
+fn serve(mut job: Job, pool: &Weak<IdleThreads>) {
+    loop {
+        let Job { script, scope, done } = job;
+        script.run(scope);
+        drop(done);
+        let (home, jobs) = bounded(1);
+        {
+            let Some(idle) = pool.upgrade() else { return };
+            let mut idle = idle.lock();
+            if idle.len() >= IDLE_WORKERS_KEPT {
+                return;
+            }
+            idle.push(home);
+        }
+        let Ok(next) = jobs.recv() else { return };
+        job = next;
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use std::sync::Barrier;
+    use std::time::{Duration, Instant};
+
     use super::*;
 
     struct Doubler;
@@ -373,17 +445,28 @@ mod tests {
     #[test]
     fn try_recv_returns_none_when_empty() {
         let cfg = PlatformConfig::fast();
+        let (report, reports) = unbounded();
+        let (go, gate) = unbounded();
         let mut worker = Worker::spawn(
             &cfg,
             "quiet",
-            Box::new(|scope: WorkerScope| {
-                while !scope.terminated() {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
+            Box::new(move |scope: WorkerScope| {
+                report.send(scope.try_recv()).unwrap();
+                gate.recv().unwrap();
+                report.send(scope.try_recv()).unwrap();
+                report.send(scope.try_recv()).unwrap();
+                gate.recv().unwrap();
+                report.send(scope.try_recv()).unwrap();
             }),
         );
-        assert!(worker.try_recv().unwrap().is_none());
-        assert!(worker.recv_timeout(Duration::from_millis(10)).unwrap().is_none());
+        assert_eq!(reports.recv().unwrap(), Ok(None), "nothing posted yet");
+        worker.post_message(Message::Int(1)).unwrap();
+        go.send(()).unwrap();
+        assert_eq!(reports.recv().unwrap(), Ok(Some(Message::Int(1))));
+        assert_eq!(reports.recv().unwrap(), Ok(None), "the queue is empty again");
+        worker.terminate();
+        go.send(()).unwrap();
+        assert_eq!(reports.recv().unwrap(), Err(PlatformError::WorkerTerminated));
         worker.terminate_and_join();
     }
 
@@ -445,5 +528,153 @@ mod tests {
         assert_eq!(worker.name(), "named");
         assert_eq!(worker.recv().unwrap().as_str(), Some("ok"));
         worker.terminate_and_join();
+    }
+
+    /// Waits until `pool` has `idle` parked threads and `live` threads in
+    /// all (each holds the pool weakly), or fails after ten seconds.
+    fn settle(pool: &WorkerPool, idle: usize, live: usize) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while pool.idle.lock().len() != idle || Arc::weak_count(&pool.idle) != live {
+            assert!(
+                Instant::now() < deadline,
+                "the pool never settled at {idle} idle of {live}"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// The thread a script runs on, and what it sees of itself: its name,
+    /// its config's `inject_delays` and whether it is terminated.
+    fn whoami(scope: &WorkerScope) -> (std::thread::ThreadId, String, bool, bool) {
+        let config = scope.config();
+        (
+            std::thread::current().id(),
+            scope.name().to_owned(),
+            config.inject_delays,
+            scope.terminated(),
+        )
+    }
+
+    #[test]
+    fn a_pool_runs_the_next_worker_on_the_parked_thread() {
+        let pool = WorkerPool::new();
+        let (tx, rx) = unbounded();
+        let report = tx.clone();
+        let mut first = pool.spawn(
+            &PlatformConfig::fast(),
+            "first",
+            Box::new(move |scope: WorkerScope| report.send(whoami(&scope)).unwrap()),
+        );
+        let (first_thread, name, delays, terminated) = rx.recv().unwrap();
+        assert_eq!((name.as_str(), delays, terminated), ("first", false, false));
+        first.terminate_and_join();
+        settle(&pool, 1, 1);
+
+        let mut second = pool.spawn(
+            &PlatformConfig::chrome(),
+            "second",
+            Box::new(move |scope: WorkerScope| tx.send(whoami(&scope)).unwrap()),
+        );
+        let (second_thread, name, delays, terminated) = rx.recv().unwrap();
+        assert_eq!(second_thread, first_thread, "the parked thread ran the second worker");
+        assert_eq!(
+            (name.as_str(), delays, terminated),
+            ("second", true, false),
+            "nothing of the first worker shows"
+        );
+        second.terminate_and_join();
+    }
+
+    #[test]
+    fn a_parked_thread_holds_nothing_of_its_last_script() {
+        let pool = WorkerPool::new();
+        let held = Arc::new(());
+        let captured = Arc::clone(&held);
+        let mut worker = pool.spawn(
+            &PlatformConfig::fast(),
+            "holder",
+            Box::new(move |scope: WorkerScope| {
+                assert_eq!(Arc::strong_count(&captured), 2);
+                let _ = scope.recv();
+            }),
+        );
+        worker.terminate_and_join();
+        assert_eq!(Arc::strong_count(&held), 1, "the script's captures outlived the join");
+        settle(&pool, 1, 1);
+        assert_eq!(Arc::strong_count(&held), 1, "the parked thread keeps a capture");
+    }
+
+    #[test]
+    fn a_panicking_script_ends_its_thread_and_the_pool_carries_on() {
+        let pool = WorkerPool::new();
+        let mut doomed = pool.spawn(
+            &PlatformConfig::fast(),
+            "doomed",
+            Box::new(|_scope: WorkerScope| panic!("a script fails (expected by this test)")),
+        );
+        doomed.terminate_and_join();
+        settle(&pool, 0, 0);
+
+        let mut next = pool.spawn(
+            &PlatformConfig::fast(),
+            "next",
+            Box::new(|scope: WorkerScope| {
+                scope.post_message(Message::from("ran")).unwrap();
+            }),
+        );
+        assert_eq!(next.recv().unwrap().as_str(), Some("ran"));
+        next.terminate_and_join();
+        settle(&pool, 1, 1);
+    }
+
+    #[test]
+    fn a_pool_keeps_at_most_its_limit_of_idle_threads() {
+        let pool = WorkerPool::new();
+        let workers = IDLE_WORKERS_KEPT + 2;
+        // Every script waits for all the others, so each has a thread of its own.
+        let all_started = Arc::new(Barrier::new(workers + 1));
+        let mut running: Vec<Worker> = (0..workers)
+            .map(|i| {
+                let all_started = Arc::clone(&all_started);
+                pool.spawn(
+                    &PlatformConfig::fast(),
+                    &format!("w{i}"),
+                    Box::new(move |_scope: WorkerScope| {
+                        all_started.wait();
+                    }),
+                )
+            })
+            .collect();
+        all_started.wait();
+        for worker in &mut running {
+            worker.terminate_and_join();
+        }
+        settle(&pool, IDLE_WORKERS_KEPT, IDLE_WORKERS_KEPT);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn dropping_the_pool_ends_its_idle_threads() {
+        let pool = WorkerPool::new();
+        let mut worker = pool.spawn(
+            &PlatformConfig::fast(),
+            "where",
+            Box::new(|scope: WorkerScope| {
+                let task = std::fs::read_link("/proc/thread-self").expect("/proc/thread-self");
+                scope
+                    .post_message(Message::from(task.to_string_lossy().as_ref()))
+                    .unwrap();
+            }),
+        );
+        let task = std::path::Path::new("/proc").join(worker.recv().unwrap().as_str().unwrap());
+        worker.terminate_and_join();
+        settle(&pool, 1, 1);
+        assert!(task.exists(), "the parked thread is alive");
+        drop(pool);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while task.exists() {
+            assert!(Instant::now() < deadline, "{} outlived its pool", task.display());
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 }

@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 
-use browsix_browser::{Message, PlatformConfig, Worker, WorkerScope};
+use browsix_browser::{Message, PlatformConfig, WorkerPool, WorkerScope};
 use browsix_fs::{Errno, MountedFs};
 
 use crate::events::{HostRequest, KernelEvent, OutputSink};
@@ -165,6 +165,11 @@ pub(crate) struct KernelState {
     /// when the event is done ([`KernelState::notify_rings`]).
     cq_unnotified: Vec<Pid>,
 
+    /// The threads this loop's processes run on: a spawn or fork takes an
+    /// idle one rather than creating a thread.  Dropped with the loop, which
+    /// ends every idle one.
+    workers: WorkerPool,
+
     stats: KernelStats,
     /// The per-call counters, folded into `stats` when a snapshot is taken.
     syscall_tally: SyscallTally,
@@ -206,6 +211,7 @@ impl KernelState {
             pinned_files: HashMap::new(),
             exit_watchers: HashMap::new(),
             cq_unnotified: Vec::new(),
+            workers: WorkerPool::new(),
             stats: KernelStats::default(),
             syscall_tally: SyscallTally::default(),
         }
@@ -232,7 +238,8 @@ impl KernelState {
                 Err(RecvTimeoutError::Timeout) => self.handle_one(None),
             }
         }
-        // Terminate every remaining worker so their threads exit.
+        // Terminate every remaining worker.  The loop's pool goes with
+        // `self`, so every thread exits once its script has unwound.
         for task in self.tasks.values_mut() {
             task.terminate_worker();
         }
@@ -824,10 +831,11 @@ impl KernelState {
     }
 
     /// Installs a fully-resolved task on this shard: task-table entry,
-    /// worker thread and init message.  The stdio references are already
-    /// counted (shared with the parent, or adopted from another shard); the
-    /// caller pushes the child onto its parent's `children` (the parent may
-    /// live on another shard).  `exit` starts watching the task's exit.
+    /// worker (on a pooled thread) and init message.  The stdio references
+    /// are already counted (shared with the parent, or adopted from another
+    /// shard); the caller pushes the child onto its parent's `children` (the
+    /// parent may live on another shard).  `exit` starts watching the task's
+    /// exit.
     #[allow(clippy::too_many_arguments)]
     fn install_task(
         &mut self,
@@ -859,7 +867,7 @@ impl KernelState {
         let kernel_tx = self.events_tx.clone();
         let config = self.config.clone();
         let launcher_for_worker = Arc::clone(&launcher);
-        let worker = Worker::spawn(
+        let worker = self.workers.spawn(
             &self.config,
             &format!("pid{pid}-{name}"),
             Box::new(move |scope: WorkerScope| {
