@@ -27,7 +27,7 @@ use browsix_runtime::{
 
 /// Compute units charged by one `pdflatex` pass over the sample document
 /// (calibrated so the native build lands near 0.1 s and the Browsix builds
-/// near 3 s / 12 s; see EXPERIMENTS.md).
+/// near 3 s / 12 s, the paper's own LaTeX timings).
 pub const PDFLATEX_COMPUTE_UNITS: u64 = 120_000;
 /// Compute units charged by one `bibtex` run.
 pub const BIBTEX_COMPUTE_UNITS: u64 = 15_000;

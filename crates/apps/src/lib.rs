@@ -17,8 +17,8 @@
 //! (`poll`/`O_NONBLOCK`) end to end: one loop multiplexing a listener and
 //! many non-blocking connections.
 //!
-//! The module-level documentation of each case study describes exactly which
-//! experiment of EXPERIMENTS.md it backs.
+//! The module-level documentation of each case study describes the
+//! experiment it backs.
 
 pub mod httpd;
 pub mod latex;

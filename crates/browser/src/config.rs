@@ -24,7 +24,7 @@ pub enum BrowserKind {
 }
 
 impl BrowserKind {
-    /// Human-readable name, as used in the tables of EXPERIMENTS.md.
+    /// Human-readable name, as printed in the paper-figure tables.
     pub fn name(&self) -> &'static str {
         match self {
             BrowserKind::Chrome => "Google Chrome",

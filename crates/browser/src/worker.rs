@@ -12,11 +12,12 @@
 //! message queues, and every message is deep-copied and charged with the
 //! platform's `postMessage` cost model.
 //!
-//! Where the thread comes from: [`Worker::spawn`] creates one, which exits
-//! when the script returns.  [`WorkerPool::spawn`] hands the script to an
+//! Where the thread comes from: [`WorkerPool::spawn`] hands the script to an
 //! idle thread of the pool, the one parked last, and creates a thread only
 //! when none is idle; when the script returns, its thread parks again unless
-//! [`IDLE_WORKERS_KEPT`] already wait.  Creating a thread is real work on the
+//! [`IDLE_WORKERS_KEPT`] already wait or the pool is gone.  [`Worker::spawn`]
+//! starts on a pool of its own that it drops at once, so its thread exits
+//! when the script returns.  Creating a thread is real work on the
 //! spawning thread (tens of microseconds) that no browser cost model asks
 //! for, so the kernel starts its processes through a pool.  A parked thread
 //! holds nothing of its last script: the script, its scope and every value
@@ -166,13 +167,12 @@ impl Worker {
     /// Spawns a new worker running `script` on a thread of its own, which
     /// exits when the script returns; mirrors `new Worker(url)`.
     pub fn spawn(config: &PlatformConfig, name: &str, script: Box<dyn WorkerScript>) -> Worker {
-        Worker::start(None, config, name, script)
+        WorkerPool::new().spawn(config, name, script)
     }
 
     /// Starts `script` on an idle thread of `pool` if there is one, and on a
-    /// new thread otherwise (which joins `pool` when the script returns, if
-    /// there is a `pool`).
-    fn start(pool: Option<&WorkerPool>, config: &PlatformConfig, name: &str, script: Box<dyn WorkerScript>) -> Worker {
+    /// new thread otherwise (which joins `pool` when the script returns).
+    fn start(pool: &WorkerPool, config: &PlatformConfig, name: &str, script: Box<dyn WorkerScript>) -> Worker {
         let (to_worker, from_parent) = unbounded();
         let (to_parent, from_worker) = unbounded();
         let (done, finished) = bounded(1);
@@ -188,12 +188,15 @@ impl Worker {
             },
             done,
         };
-        match pool.and_then(|pool| pool.idle.lock().pop()) {
+        // Popped in its own statement: the lock is released before a thread
+        // is created.
+        let idle = pool.idle.lock().pop();
+        match idle {
             Some(idle) => {
                 assert!(idle.send(job).is_ok(), "an idle pooled thread waits on its channel");
             }
             None => {
-                let pool = pool.map_or_else(Weak::new, |pool| Arc::downgrade(&pool.idle));
+                let pool = Arc::downgrade(&pool.idle);
                 std::thread::Builder::new()
                     .name(WORKER_THREAD_NAME.to_owned())
                     .spawn(move || serve(job, &pool))
@@ -334,7 +337,7 @@ impl WorkerPool {
     /// most recently parked idle thread, or on a new thread that joins this
     /// pool if none is idle.  A job never waits for a busy thread.
     pub fn spawn(&self, config: &PlatformConfig, name: &str, script: Box<dyn WorkerScript>) -> Worker {
-        Worker::start(Some(self), config, name, script)
+        Worker::start(self, config, name, script)
     }
 }
 

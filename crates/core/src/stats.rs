@@ -14,112 +14,153 @@ use std::collections::BTreeMap;
 use crate::abi;
 use crate::syscall::Syscall;
 
-/// A snapshot of kernel activity since boot.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct KernelStats {
-    /// System calls by name.
-    pub syscalls_by_name: BTreeMap<String, u64>,
-    /// System calls by Figure 3 class ("File IO", "Process Management", ...).
-    pub syscalls_by_class: BTreeMap<String, u64>,
-    /// Total system calls.
-    pub total_syscalls: u64,
-    /// Calls that arrived in a message frame (the asynchronous convention).
-    pub async_syscalls: u64,
-    /// Calls that arrived through a syscall ring (the synchronous,
-    /// shared-memory convention).
-    pub sync_syscalls: u64,
-    /// Submission batches received as messages (each carries one or more
-    /// calls).
-    pub batches: u64,
-    /// Histogram of submission-batch sizes: entries-per-batch → batch count.
-    pub batch_size_histogram: BTreeMap<u32, u64>,
-    /// Bytes the kernel's side of the data plane copied: every submission
-    /// frame that arrived as a message and every message posted to a worker
-    /// (both structured clones), plus the bytes copied into or out of a pipe
-    /// or socket buffer inside the kernel
-    /// ([`Stream::copied`](crate::Stream::copied): a copying push, a
-    /// `sendfile` page, a pop that could not hand its buffer over).  What
-    /// *moves* is not counted — a payload travelling in a transfer list
-    /// beside its frame, a buffer a pipe takes or gives whole — and neither
-    /// are the ring's reads and writes of shared memory or a file system's
-    /// own copies.
-    pub bytes_copied: u64,
-    /// Processes created (spawn + fork + host spawns).
-    pub processes_spawned: u64,
-    /// Processes that have exited.
-    pub processes_exited: u64,
-    /// Signals sent (accepted by the kernel for a live target, whether
-    /// dispatched immediately or parked in a pending set).
-    pub signals_sent: u64,
-    /// Signals delivered (handler ran or a default disposition acted);
-    /// ignored and coalesced-pending signals are not counted.
-    pub signals_delivered: u64,
-    /// Blocked system calls completed early with `EINTR` because a signal
-    /// handler interrupted their process.
-    pub eintr_wakeups: u64,
-    /// Messages posted from the kernel to workers (responses, signals, init).
-    pub messages_to_workers: u64,
-    /// Dentry-cache hits in the mount table (paths resolved without a scan).
-    pub dentry_cache_hits: u64,
-    /// Dentry-cache misses in the mount table.
-    pub dentry_cache_misses: u64,
-    /// Pages served from `httpfs` page caches without touching the network.
-    pub page_cache_hits: u64,
-    /// Pages fetched from remote servers (page-cache misses).
-    pub page_cache_misses: u64,
-    /// Files materialised in overlay writable layers by copy-up.
-    pub overlay_copy_ups: u64,
-    /// Blocked system calls parked on a wait queue.  Counted where the call
-    /// first parks (`KernelState::block`) — for a read or write, on the
-    /// shard that owns the stream, so a call another shard shipped here
-    /// counts on the owner, like a local one.
-    pub waiters_parked: u64,
-    /// Parked waiters woken by a targeted wait-queue wakeup that then
-    /// completed.
-    pub wakeups: u64,
-    /// Parked waiters woken whose retry still could not make progress (they
-    /// re-parked).  A healthy wait-queue design keeps this near zero.
-    pub spurious_wakeups: u64,
-    /// Non-blocking operations (`O_NONBLOCK` reads/writes/accepts) that
-    /// returned `EAGAIN` instead of parking.
-    pub eagain_returns: u64,
-    /// `poll` calls completed by their timeout rather than a readiness
-    /// wakeup.
-    pub poll_timeouts: u64,
-    /// Copy-on-write faults serviced (a `VmWrite` hit a page shared with a
-    /// forked sibling or a page cache).
-    pub cow_faults: u64,
-    /// Pages shared by reference instead of copied (fork, file-backed
-    /// `mmap`).
-    pub pages_shared: u64,
-    /// Pages physically copied by COW faults.
-    pub pages_copied: u64,
-    /// Named shared-memory objects created by `shm_open`.
-    pub shm_objects: u64,
-    /// Submission-queue entries the kernel consumed from syscall rings.
-    pub sq_polled: u64,
-    /// Doorbell events received (empty→non-empty SQ transitions; every other
-    /// submission was picked up by an already-awake kernel).
-    pub doorbells: u64,
-    /// Completion-queue entries the kernel posted to syscall rings.
-    pub cq_posted: u64,
-    /// Bytes moved by `sendfile`/`splice` without entering guest memory.
-    pub sendfile_bytes: u64,
-    /// Page-cache pages streamed to a socket or pipe by reference (`sendfile`
-    /// from a mapped page) rather than copied through the guest.
-    pub zero_copy_pages: u64,
-    /// Cross-shard [`ShardMsg`](crate::kernel::shard::ShardMsg)s this shard
-    /// sent to peers (remote reads/writes, spawns, signals, endpoint
-    /// snapshots...).  Zero with one shard.
-    pub shard_msgs_sent: u64,
-    /// Operations this shard executed on behalf of a peer: one per
-    /// `RemoteOp` and `Connect` message it handled (`handle_shard_msg`).
-    pub steals: u64,
-    /// Wakeups that crossed a shard boundary: a parked waiter completing to a
-    /// `ReplyTo::Shard` address (`finish_waiter` — the cross-shard subset of
-    /// `wakeups`), and a `PollState` push that changed a subscribed stream's
-    /// state and so woke local pollers.
-    pub cross_shard_wakeups: u64,
+/// Declares [`KernelStats`] with its scalar counters listed once each: every
+/// `u64` field sits under the report group it is printed in, with its doc
+/// comment, and from this one list come the field, its term in
+/// [`KernelStats::merge`] and its entry in [`KernelStats::counters`].
+macro_rules! kernel_stats {
+    ($($group:literal { $($(#[doc = $doc:literal])+ $field:ident,)+ })+) => {
+        /// A snapshot of kernel activity since boot.
+        #[derive(Debug, Clone, Default, PartialEq)]
+        pub struct KernelStats {
+            /// System calls by name.
+            pub syscalls_by_name: BTreeMap<String, u64>,
+            /// System calls by Figure 3 class ("File IO", "Process Management", ...).
+            pub syscalls_by_class: BTreeMap<String, u64>,
+            /// Histogram of submission-batch sizes: entries-per-batch → batch count.
+            pub batch_size_histogram: BTreeMap<u32, u64>,
+            $($($(#[doc = $doc])+ pub $field: u64,)+)+
+        }
+
+        impl KernelStats {
+            /// Adds every scalar counter of `other` to this snapshot's.
+            fn add_counters(&mut self, other: &KernelStats) {
+                $($(self.$field += other.$field;)+)+
+            }
+
+            /// Every scalar counter as `(group, field name, value)`, in
+            /// declaration order: a group's counters come one after another.
+            pub fn counters(&self) -> impl Iterator<Item = (&'static str, &'static str, u64)> {
+                [$($(($group, stringify!($field), self.$field),)+)+].into_iter()
+            }
+        }
+    };
+}
+
+kernel_stats! {
+    "system calls" {
+        /// Total system calls.
+        total_syscalls,
+        /// Calls that arrived in a message frame (the asynchronous convention).
+        async_syscalls,
+        /// Calls that arrived through a syscall ring (the synchronous,
+        /// shared-memory convention).
+        sync_syscalls,
+        /// Submission batches received as messages (each carries one or more
+        /// calls).
+        batches,
+    }
+    "processes & messages" {
+        /// Processes created (spawn + fork + host spawns).
+        processes_spawned,
+        /// Processes that have exited.
+        processes_exited,
+        /// Messages posted from the kernel to workers (responses, signals, init).
+        messages_to_workers,
+        /// Bytes the kernel's side of the data plane copied: every submission
+        /// frame that arrived as a message and every message posted to a worker
+        /// (both structured clones), plus the bytes copied into or out of a pipe
+        /// or socket buffer inside the kernel
+        /// ([`Stream::copied`](crate::Stream::copied): a copying push, a
+        /// `sendfile` page, a pop that could not hand its buffer over).  What
+        /// *moves* is not counted — a payload travelling in a transfer list
+        /// beside its frame, a buffer a pipe takes or gives whole — and neither
+        /// are the ring's reads and writes of shared memory or a file system's
+        /// own copies.
+        bytes_copied,
+    }
+    "signals" {
+        /// Signals sent (accepted by the kernel for a live target, whether
+        /// dispatched immediately or parked in a pending set).
+        signals_sent,
+        /// Signals delivered (handler ran or a default disposition acted);
+        /// ignored and coalesced-pending signals are not counted.
+        signals_delivered,
+        /// Blocked system calls completed early with `EINTR` because a signal
+        /// handler interrupted their process.
+        eintr_wakeups,
+    }
+    "VFS caches" {
+        /// Dentry-cache hits in the mount table (paths resolved without a scan).
+        dentry_cache_hits,
+        /// Dentry-cache misses in the mount table.
+        dentry_cache_misses,
+        /// Pages served from `httpfs` page caches without touching the network.
+        page_cache_hits,
+        /// Pages fetched from remote servers (page-cache misses).
+        page_cache_misses,
+        /// Files materialised in overlay writable layers by copy-up.
+        overlay_copy_ups,
+    }
+    "wait queues & readiness" {
+        /// Blocked system calls parked on a wait queue.  Counted where the call
+        /// first parks (`KernelState::block`) — for a read or write, on the
+        /// shard that owns the stream, so a call another shard shipped here
+        /// counts on the owner, like a local one.
+        waiters_parked,
+        /// Parked waiters woken by a targeted wait-queue wakeup that then
+        /// completed.
+        wakeups,
+        /// Parked waiters woken whose retry still could not make progress (they
+        /// re-parked).  A healthy wait-queue design keeps this near zero.
+        spurious_wakeups,
+        /// Non-blocking operations (`O_NONBLOCK` reads/writes/accepts) that
+        /// returned `EAGAIN` instead of parking.
+        eagain_returns,
+        /// `poll` calls completed by their timeout rather than a readiness
+        /// wakeup.
+        poll_timeouts,
+    }
+    "virtual memory" {
+        /// Copy-on-write faults serviced (a `VmWrite` hit a page shared with a
+        /// forked sibling or a page cache).
+        cow_faults,
+        /// Pages shared by reference instead of copied (fork, file-backed
+        /// `mmap`).
+        pages_shared,
+        /// Pages physically copied by COW faults.
+        pages_copied,
+        /// Named shared-memory objects created by `shm_open`.
+        shm_objects,
+    }
+    "syscall rings & zero-copy" {
+        /// Submission-queue entries the kernel consumed from syscall rings.
+        sq_polled,
+        /// Doorbell events received (empty→non-empty SQ transitions; every other
+        /// submission was picked up by an already-awake kernel).
+        doorbells,
+        /// Completion-queue entries the kernel posted to syscall rings.
+        cq_posted,
+        /// Bytes moved by `sendfile`/`splice` without entering guest memory.
+        sendfile_bytes,
+        /// Page-cache pages streamed to a socket or pipe by reference (`sendfile`
+        /// from a mapped page) rather than copied through the guest.
+        zero_copy_pages,
+    }
+    "sharding" {
+        /// Cross-shard [`ShardMsg`](crate::kernel::shard::ShardMsg)s this shard
+        /// sent to peers (remote reads/writes, spawns, signals, endpoint
+        /// snapshots...).  Zero with one shard.
+        shard_msgs_sent,
+        /// Operations this shard executed on behalf of a peer: one per
+        /// `RemoteOp` and `Connect` message it handled (`handle_shard_msg`).
+        steals,
+        /// Wakeups that crossed a shard boundary: a parked waiter completing to a
+        /// `ReplyTo::Shard` address (`finish_waiter` — the cross-shard subset of
+        /// `wakeups`), and a `PollState` push that changed a subscribed stream's
+        /// state and so woke local pollers.
+        cross_shard_wakeups,
+    }
 }
 
 /// One counter per opcode, with slot 0 (never a valid opcode) unused.
@@ -213,88 +254,16 @@ impl KernelStats {
     /// summed too — per-shard snapshots carry them as zero (the shared
     /// mount table's counters are absorbed exactly once, after the merge).
     pub fn merge(&mut self, other: &KernelStats) {
-        // Destructured without `..`: a field added to the struct and not
-        // merged here does not compile.
-        let KernelStats {
-            syscalls_by_name,
-            syscalls_by_class,
-            total_syscalls,
-            async_syscalls,
-            sync_syscalls,
-            batches,
-            batch_size_histogram,
-            bytes_copied,
-            processes_spawned,
-            processes_exited,
-            signals_sent,
-            signals_delivered,
-            eintr_wakeups,
-            messages_to_workers,
-            dentry_cache_hits,
-            dentry_cache_misses,
-            page_cache_hits,
-            page_cache_misses,
-            overlay_copy_ups,
-            waiters_parked,
-            wakeups,
-            spurious_wakeups,
-            eagain_returns,
-            poll_timeouts,
-            cow_faults,
-            pages_shared,
-            pages_copied,
-            shm_objects,
-            sq_polled,
-            doorbells,
-            cq_posted,
-            sendfile_bytes,
-            zero_copy_pages,
-            shard_msgs_sent,
-            steals,
-            cross_shard_wakeups,
-        } = other;
-        for (name, count) in syscalls_by_name {
+        for (name, count) in &other.syscalls_by_name {
             *self.syscalls_by_name.entry(name.clone()).or_insert(0) += count;
         }
-        for (class, count) in syscalls_by_class {
+        for (class, count) in &other.syscalls_by_class {
             *self.syscalls_by_class.entry(class.clone()).or_insert(0) += count;
         }
-        for (size, count) in batch_size_histogram {
+        for (size, count) in &other.batch_size_histogram {
             *self.batch_size_histogram.entry(*size).or_insert(0) += count;
         }
-        self.total_syscalls += total_syscalls;
-        self.async_syscalls += async_syscalls;
-        self.sync_syscalls += sync_syscalls;
-        self.batches += batches;
-        self.bytes_copied += bytes_copied;
-        self.processes_spawned += processes_spawned;
-        self.processes_exited += processes_exited;
-        self.signals_sent += signals_sent;
-        self.signals_delivered += signals_delivered;
-        self.eintr_wakeups += eintr_wakeups;
-        self.messages_to_workers += messages_to_workers;
-        self.dentry_cache_hits += dentry_cache_hits;
-        self.dentry_cache_misses += dentry_cache_misses;
-        self.page_cache_hits += page_cache_hits;
-        self.page_cache_misses += page_cache_misses;
-        self.overlay_copy_ups += overlay_copy_ups;
-        self.waiters_parked += waiters_parked;
-        self.wakeups += wakeups;
-        self.spurious_wakeups += spurious_wakeups;
-        self.eagain_returns += eagain_returns;
-        self.poll_timeouts += poll_timeouts;
-        self.cow_faults += cow_faults;
-        self.pages_shared += pages_shared;
-        self.pages_copied += pages_copied;
-        self.shm_objects += shm_objects;
-        self.sq_polled += sq_polled;
-        self.doorbells += doorbells;
-        self.cq_posted += cq_posted;
-        self.sendfile_bytes += sendfile_bytes;
-        self.zero_copy_pages += zero_copy_pages;
-        self.shard_msgs_sent += shard_msgs_sent;
-        self.steals += steals;
-        self.cross_shard_wakeups += cross_shard_wakeups;
+        self.add_counters(other);
     }
 
     /// The count for a particular system call.
@@ -313,12 +282,20 @@ impl KernelStats {
         self.syscalls_by_name.keys().cloned().collect()
     }
 
-    /// Mean entries per submission batch (0.0 before any batch arrives).
+    /// Mean entries per submission batch (0.0 before any batch arrives),
+    /// from the batch-size histogram: ring entries, which never travel in a
+    /// batch, do not count.
     pub fn mean_batch_size(&self) -> f64 {
-        if self.batches == 0 {
+        let (entries, batches) = self
+            .batch_size_histogram
+            .iter()
+            .fold((0, 0), |(entries, batches), (size, count)| {
+                (entries + u64::from(*size) * count, batches + count)
+            });
+        if batches == 0 {
             0.0
         } else {
-            self.total_syscalls as f64 / self.batches as f64
+            entries as f64 / batches as f64
         }
     }
 
@@ -391,6 +368,9 @@ mod tests {
         for _ in 0..10 {
             tally.record_syscall(&read(), false);
         }
+        // A ring entry travels in no batch, so it moves neither the
+        // histogram nor the mean.
+        tally.record_syscall(&read(), true);
         let stats = snapshot(&stats, &tally);
         assert_eq!(stats.batches, 3);
         assert_eq!(stats.batch_size_histogram.get(&1), Some(&2));
@@ -464,5 +444,19 @@ mod tests {
         assert_eq!(stats.mean_batch_size(), 0.0);
         assert_eq!(stats.max_batch_size(), 0);
         assert!(stats.observed_syscalls().is_empty());
+        // Every scalar counter is listed: each name once, each group's
+        // names in one run, every value zero.
+        let mut names = std::collections::BTreeSet::new();
+        let mut groups: Vec<&str> = Vec::new();
+        for (group, name, value) in stats.counters() {
+            assert!(names.insert(name), "{name} listed twice");
+            if groups.last() != Some(&group) {
+                assert!(!groups.contains(&group), "group {group} split around {name}");
+                groups.push(group);
+            }
+            assert_eq!(value, 0, "{name}");
+        }
+        assert!(names.contains("total_syscalls") && names.contains("cross_shard_wakeups"));
+        assert!(groups.contains(&"sharding"));
     }
 }

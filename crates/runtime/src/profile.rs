@@ -15,8 +15,8 @@
 //! An [`ExecutionProfile`] captures the first effect as a cost per abstract
 //! "compute unit" charged by guest programs through
 //! [`RuntimeEnv::charge_compute`](crate::RuntimeEnv::charge_compute); the
-//! second is real, produced by the simulated kernel.  Calibration constants
-//! are documented in EXPERIMENTS.md.
+//! second is real, produced by the simulated kernel.  The calibration
+//! constants are set in the profile constructors below.
 
 use std::time::Duration;
 
