@@ -16,7 +16,8 @@
 //! The `Arc` *is* the reference count the kernel's pipe and socket
 //! bookkeeping hangs off: a description's stream ends are counted once
 //! when it is created (or becomes a connected socket) and dropped once when
-//! its last `Arc` goes away.  Every table operation that can let go of a
+//! its last `Arc` goes away, and a listening socket stops listening then —
+//! not when some one process that holds it exits.  Every table operation that can let go of a
 //! description — [`FdTable::remove`], [`FdTable::insert_at`],
 //! [`FdTable::clear`] — therefore hands it back to the caller, and the
 //! kernel passes it to its one release point (`KernelState::release_file`),
@@ -302,8 +303,8 @@ impl FdTable {
         self.entries.iter().map(|(fd, file)| (*fd, file))
     }
 
-    /// Clones the table, sharing every description — what `fork`/`spawn`
-    /// inheritance does.
+    /// Clones the table, sharing every description — what `fork` hands the
+    /// child.
     pub fn inherit(&self) -> FdTable {
         FdTable {
             entries: self.entries.clone(),
@@ -315,6 +316,15 @@ impl FdTable {
     #[must_use = "the removed descriptions must be released"]
     pub fn clear(&mut self) -> Vec<Arc<OpenFile>> {
         std::mem::take(&mut self.entries).into_values().collect()
+    }
+}
+
+impl FromIterator<(Fd, Arc<OpenFile>)> for FdTable {
+    /// A table holding each description at its number.
+    fn from_iter<I: IntoIterator<Item = (Fd, Arc<OpenFile>)>>(entries: I) -> FdTable {
+        FdTable {
+            entries: entries.into_iter().collect(),
+        }
     }
 }
 

@@ -294,14 +294,6 @@ impl Kernel {
         &self.platform
     }
 
-    /// The raw event channel of shard 0.  Worker syscall clients are wired to
-    /// their owning shard's queue by the kernel at launch (via
-    /// `LaunchContext`); this accessor exists for embedders that inject
-    /// events by hand and is correct only for shard-0-owned state.
-    pub fn event_sender(&self) -> Sender<KernelEvent> {
-        self.shards[0].clone()
-    }
-
     /// Starts a program with explicit output callbacks, returning its pid.
     ///
     /// # Errors

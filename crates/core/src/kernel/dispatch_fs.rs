@@ -73,15 +73,8 @@ impl KernelState {
     }
 
     pub(crate) fn sys_close(&mut self, pid: Pid, fd: Fd) -> Outcome {
-        let removed = match self.task_mut(pid) {
-            Ok(task) => task.files.remove(fd),
-            Err(e) => return Outcome::Complete(SysResult::Err(e)),
-        };
-        match removed {
+        match self.task_mut(pid).and_then(|task| task.files.remove(fd)) {
             Ok(file) => {
-                if let FileKind::SocketListener { port } = file.kind() {
-                    self.close_listener(port);
-                }
                 self.release_file(file);
                 Outcome::Complete(SysResult::Ok)
             }
@@ -595,13 +588,10 @@ impl KernelState {
             Ok(file) => {
                 // The description that was open at `to` is closed, as by
                 // `close`; `from` itself only gains a reference.
-                let displaced = if from != to {
-                    task.files.insert_at(to, file)
-                } else {
-                    None
-                };
-                if let Some(displaced) = displaced {
-                    self.release_file(displaced);
+                if from != to {
+                    if let Some(displaced) = task.files.insert_at(to, file) {
+                        self.release_file(displaced);
+                    }
                 }
                 Outcome::Complete(SysResult::Int(to as i64))
             }

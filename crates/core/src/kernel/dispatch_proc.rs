@@ -1,8 +1,6 @@
 //! Process-management system-call handlers: spawn, fork, pipe2, wait4, exit,
 //! kill, signal registration and the process-metadata calls.
 
-use std::sync::Arc;
-
 use browsix_fs::{Errno, FileSystem};
 
 use crate::exec::ForkImage;
@@ -35,23 +33,19 @@ impl KernelState {
 
         // Assemble the child's stdin/stdout/stderr: an explicit parent fd, or
         // inherit the parent's descriptor of the same number, or /dev/null.
-        let mut child_stdio: Vec<Arc<OpenFile>> = Vec::with_capacity(3);
-        for (i, slot) in stdio.iter().enumerate() {
-            let source_fd = slot.unwrap_or(i as i32);
-            let file = self
-                .task(pid)
-                .ok()
-                .and_then(|t| t.files.get(source_fd).ok())
-                .unwrap_or_else(|| OpenFile::new(FileKind::Null));
-            child_stdio.push(file);
-        }
-        let stdio_arr: [Arc<OpenFile>; 3] = [child_stdio[0].clone(), child_stdio[1].clone(), child_stdio[2].clone()];
+        let files = (0..3)
+            .zip(stdio)
+            .map(|(fd, slot)| {
+                let file = parent.files.get(slot.unwrap_or(fd));
+                (fd, file.unwrap_or_else(|_| OpenFile::new(FileKind::Null)))
+            })
+            .collect();
 
         // The child environment: parent's environment unless the caller
         // supplied one explicitly.
         let child_env = if env.is_empty() { parent_env } else { env };
 
-        match self.spawn_process(pid, &exe_path, args, child_env, &child_cwd, stdio_arr, None, None, None) {
+        match self.spawn_process(pid, &exe_path, args, child_env, &child_cwd, files, None, None, None) {
             Ok(child) => Outcome::Complete(SysResult::Int(child as i64)),
             Err(e) => Outcome::Complete(SysResult::Err(e)),
         }
@@ -72,11 +66,6 @@ impl KernelState {
         // The child inherits the parent's descriptor table (shared
         // descriptions, exactly like fork on Unix).
         let files = parent.files.inherit();
-        let stdio: [Arc<OpenFile>; 3] = [
-            files.get(0).unwrap_or_else(|_| OpenFile::new(FileKind::Null)),
-            files.get(1).unwrap_or_else(|_| OpenFile::new(FileKind::Null)),
-            files.get(2).unwrap_or_else(|_| OpenFile::new(FileKind::Null)),
-        ];
         // Clone the parent's address space copy-on-write: O(regions) work,
         // every materialised page shared by reference.  The first post-fork
         // write to a shared page (parent or child) COW-faults in
@@ -89,24 +78,13 @@ impl KernelState {
             args,
             env,
             &cwd,
-            stdio,
+            files,
             Some(fork_image),
             Some(launcher),
             None,
         ) {
             Ok(child) => {
-                // Copy the rest of the parent's descriptors (beyond stdio)
-                // into the child, preserving numbers.
-                let extra: Vec<(i32, Arc<OpenFile>)> = files
-                    .iter()
-                    .filter(|(fd, _)| *fd > 2)
-                    .map(|(fd, file)| (fd, Arc::clone(file)))
-                    .collect();
                 if let Ok(child_task) = self.task_mut(child) {
-                    for (fd, file) in extra {
-                        let displaced = child_task.files.insert_at(fd, file);
-                        debug_assert!(displaced.is_none(), "a fresh child holds only stdio");
-                    }
                     child_task.address_space = address_space;
                 }
                 self.stats.record_vm(vm_delta);

@@ -77,7 +77,7 @@ impl KernelState {
                 if let Err(e) = self.router.claim_port(port, self.shard_id) {
                     return Outcome::Complete(SysResult::Err(e));
                 }
-                if let Err(e) = self.sockets_mut().listen(port, pid, backlog as usize) {
+                if let Err(e) = self.sockets_mut().listen(port, backlog as usize) {
                     self.router.release_port(port, self.shard_id);
                     return Outcome::Complete(SysResult::Err(e));
                 }
@@ -103,9 +103,9 @@ impl KernelState {
             Err(e) => return Attempt::Done(SysResult::Err(e)),
         };
         if !self.sockets().port_in_use(port) {
-            // The listener was closed (another holder of this description,
-            // or the owner exiting).  Error out rather than waiting on a
-            // port that can never queue a connection again.
+            // Only a handle on a shard that does not own the listener (the
+            // stdio of a cross-shard spawn) gets here: error out rather than
+            // wait for a connection this shard can never queue.
             return Attempt::Done(SysResult::Err(Errno::EINVAL));
         }
         let Some(server) = self.sockets_mut().accept(port) else {
@@ -175,10 +175,6 @@ impl KernelState {
         request: HttpRequest,
         reply: Sender<Result<HttpResponse, Errno>>,
     ) {
-        if !self.sockets().port_in_use(port) {
-            let _ = reply.send(Err(Errno::ECONNREFUSED));
-            return;
-        }
         match self.open_connection(port) {
             Ok(side) => {
                 let client = HttpClientState {

@@ -25,6 +25,7 @@ use browsix_http::{HttpRequest, HttpResponse, Method};
 
 use super::shard::{shard_of, stream_shard};
 use super::*;
+use crate::fd::Fd;
 use crate::streams::StreamState;
 use crate::syscall::{ByteSource, PollRequest, POLLERR, POLLHUP, POLLIN, POLLOUT};
 
@@ -90,7 +91,6 @@ struct Conn {
 #[derive(Debug)]
 struct Listener {
     port: u16,
-    owner: Pid,
     shard: usize,
     open: bool,
     backlog: VecDeque<usize>,
@@ -323,21 +323,28 @@ impl Fleet {
         (if data { POLLIN } else { 0 }) | (if self.eof(end) { hangup } else { 0 })
     }
 
-    /// Removes a dead process from the model: its descriptor slots vanish
-    /// and the listeners it owned close.
+    /// Removes a dead process from the model: its descriptor slots vanish.
     fn bury(&mut self, pid: Pid) {
         self.procs.retain(|p| p.pid != pid);
-        for listener in 0..self.listeners.len() {
-            if self.listeners[listener].owner == pid {
-                self.close_listener(listener);
-            }
-        }
     }
 
-    fn close_listener(&mut self, listener: usize) {
-        self.listeners[listener].open = false;
-        for conn in std::mem::take(&mut self.listeners[listener].backlog) {
-            self.conns[conn].backlog = false;
+    /// Closes every open listener that no descriptor slot on its own shard
+    /// names any more — whether the last one was closed, displaced by `dup2`
+    /// or died with its process.  Slots on other shards (the stdio of a
+    /// spawn placed there) do not keep it open.
+    fn close_unreferenced_listeners(&mut self) {
+        for listener in 0..self.listeners.len() {
+            let Listener { shard, open, .. } = self.listeners[listener];
+            let held = self
+                .procs
+                .iter()
+                .any(|p| self.shard_index(p.pid) == shard && p.fds.values().any(|&end| end == End::Listener(listener)));
+            if open && !held {
+                self.listeners[listener].open = false;
+                for conn in std::mem::take(&mut self.listeners[listener].backlog) {
+                    self.conns[conn].backlog = false;
+                }
+            }
         }
     }
 
@@ -349,6 +356,7 @@ impl Fleet {
         // closing can orphan further writers.
         let mut sigpipes = 0;
         loop {
+            self.close_unreferenced_listeners();
             self.reconcile_http();
             let doomed: Vec<Pid> = self
                 .procs
@@ -528,26 +536,16 @@ impl Fleet {
                 self.procs[p].fds.insert(to, end);
             }
             4 | 5 => {
-                if let Some((fd, end)) = nth_fd(self, b) {
+                if let Some((fd, _)) = nth_fd(self, b) {
                     let result = self.syscall(pid, |k, _| k.sys_close(pid, fd));
                     assert!(matches!(result, Issued::Done(SysResult::Ok)));
                     self.procs[p].fds.remove(&fd);
-                    if let End::Listener(listener) = end {
-                        // Any close of a listening descriptor on the
-                        // listener's own shard stops the listening.
-                        if self.listeners[listener].shard == self.shard_index(pid) {
-                            self.close_listener(listener);
-                        }
-                    }
                 }
             }
             6 if self.procs.len() < MAX_PROCS => {
                 let child = Self::expect_int(self.syscall(pid, |k, _| k.sys_fork(pid, Vec::new(), 0))) as Pid;
                 self.watch(child);
-                let mut fds = self.procs[p].fds.clone();
-                for fd in 0..3 {
-                    fds.entry(fd).or_insert(End::Other);
-                }
+                let fds = self.procs[p].fds.clone();
                 self.procs.push(Proc {
                     pid: child,
                     fds,
@@ -667,7 +665,6 @@ impl Fleet {
                 self.procs[p].fds.insert(fd, End::Listener(self.listeners.len()));
                 self.listeners.push(Listener {
                     port,
-                    owner: pid,
                     shard: self.shard_index(pid),
                     open: true,
                     backlog: VecDeque::new(),
@@ -830,6 +827,7 @@ impl Fleet {
 /// Every check a shard's state must pass after each event.
 fn audit(kernel: &KernelState) {
     kernel.audit_endpoints();
+    kernel.audit_listeners();
     kernel.audit_poll_subscriptions();
     kernel.audit_exit_records();
     kernel.audit_process_registry();

@@ -13,7 +13,9 @@
 //!   description carries everything there is to know), and dropped once,
 //!   when its last `Arc<OpenFile>` reaches [`KernelState::release_file`] —
 //!   the one place every descriptor-table removal, `dup2` displacement,
-//!   process exit and pin release feeds;
+//!   process exit and pin release feeds.  A listening description's listener
+//!   closes there too, so a port is listened on exactly as long as some
+//!   process on the listener's shard holds the description;
 //! * the kernel's own references are explicit holds on one side of a
 //!   connection, keyed by that side's [`StreamPair`] and taken and dropped
 //!   where the reference itself appears and disappears: a listener's backlog
@@ -79,10 +81,14 @@ impl KernelState {
 
     /// The single release point for descriptor references: if `file` was the
     /// last reference to its description, the description's stream endpoints
-    /// go with it — waking EOF/EPIPE waiters and freeing streams as needed.
+    /// go with it — waking EOF/EPIPE waiters and freeing streams as needed —
+    /// and so does the listener of a listening socket.
     pub(crate) fn release_file(&mut self, file: Arc<OpenFile>) {
         if let Some(file) = Arc::into_inner(file) {
             let kind = file.kind();
+            if let FileKind::SocketListener { port } = kind {
+                self.close_listener(port);
+            }
             self.drop_stream_ends(kind.read_stream(), kind.write_stream());
         }
     }
@@ -115,8 +121,9 @@ impl KernelState {
         }
     }
 
-    /// Stops listening on `port`.  Connections still in the backlog lose
-    /// their future server side: their clients read EOF and write into EPIPE.
+    /// Stops listening on `port`, once its description's last reference has
+    /// gone.  Connections still in the backlog lose their future server
+    /// side: their clients read EOF and write into EPIPE.
     pub(crate) fn close_listener(&mut self, port: u16) {
         let orphans = self.sockets.close_listener(port);
         self.router.release_port(port, self.shard_id);
@@ -321,6 +328,30 @@ impl KernelState {
         debug_assert_eq!(
             self.foreign_endpoints, foreign,
             "shard {}: foreign tallies != recount",
+            self.shard_id
+        );
+    }
+
+    /// Checks that a listener lives exactly as long as its description on
+    /// this shard: the ports listened on here are exactly those named by a
+    /// live listening description here (a task's table or a pin) that the
+    /// router assigns to this shard.  A handle exported to another shard
+    /// names a port that shard does not own.
+    #[cfg(any(test, feature = "scavenger"))]
+    pub(crate) fn audit_listeners(&self) {
+        let tables = self.tasks.values().flat_map(|t| t.files.iter().map(|(_, file)| file));
+        let described: std::collections::BTreeSet<u16> = tables
+            .chain(self.pinned_files.values().flatten())
+            .filter_map(|file| match file.kind() {
+                FileKind::SocketListener { port } => Some(port),
+                _ => None,
+            })
+            .filter(|&port| self.router.port_owner(port) == Some(self.shard_id))
+            .collect();
+        debug_assert_eq!(
+            Vec::from_iter(described),
+            self.sockets.listening_ports(),
+            "shard {}: listeners != listening descriptions",
             self.shard_id
         );
     }

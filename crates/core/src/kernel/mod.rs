@@ -29,7 +29,7 @@ use browsix_fs::{Errno, MountedFs};
 
 use crate::events::{HostRequest, KernelEvent, OutputSink};
 use crate::exec::{resolve_executable, ExecutableRegistry, ForkImage, LaunchContext, ProgramLauncher};
-use crate::fd::{Fd, FileKind, OpenFile};
+use crate::fd::{FdTable, FileKind, OpenFile};
 use crate::ring::{Ring, RingGeometry};
 use crate::signals::{SigAction, Signal, SignalDisposition};
 use crate::socket::{SocketTable, StreamPair};
@@ -152,8 +152,8 @@ pub(crate) struct KernelState {
     /// Client sides of connections created by a remote `connect`: this shard
     /// holds each until the connecting shard has counted its descriptor.
     remote_client_pins: HashSet<StreamPair>,
-    /// stdio of in-flight cross-shard spawns: references kept (and released
-    /// like any other) until the owning shard acks the task exists.
+    /// Descriptions of in-flight cross-shard spawns: references kept (and
+    /// released like any other) until the owning shard acks the task exists.
     pinned_files: HashMap<u64, Vec<Arc<OpenFile>>>,
 
     /// Host channels told a live process's wait status when it exits.
@@ -260,7 +260,8 @@ impl KernelState {
         // With the `scavenger` feature, prove after every event that the
         // wait queues lost no wakeup (retrying every parked waiter must
         // complete none), that the endpoint counts equal a from-scratch
-        // recount, that every `poll` subscription is counted and every
+        // recount, that every listener lives exactly as long as its
+        // description, that every `poll` subscription is counted and every
         // subscribed stream's last push is its state, that every exit and
         // stop record belongs to a live task's child, that every task here is
         // registered here, and that no ring holds a completion published
@@ -269,6 +270,7 @@ impl KernelState {
         {
             self.scavenge();
             self.audit_endpoints();
+            self.audit_listeners();
             self.audit_poll_subscriptions();
             self.audit_exit_records();
             self.audit_process_registry();
@@ -730,7 +732,7 @@ impl KernelState {
             args,
             merged_env,
             cwd,
-            [stdin, stdout_fd, stderr_fd],
+            [(0, stdin), (1, stdout_fd), (2, stderr_fd)].into_iter().collect(),
             None,
             None,
             exit,
@@ -745,8 +747,8 @@ impl KernelState {
     /// table and COW image stay local); everything else round-robins across
     /// shards via the router, deterministically in spawn order.  A
     /// cross-shard spawn resolves the executable here (the mount table is
-    /// shared), pre-allocates the pid, pins the stdio descriptors until the
-    /// owner acks, and returns the pid immediately — exactly like a local
+    /// shared), pre-allocates the pid, pins the child's descriptions until
+    /// the owner acks, and returns the pid immediately — exactly like a local
     /// spawn, whose worker also has not run yet when `spawn` returns.
     /// `exit`, if given, is told the process's wait status when it exits; it
     /// is subscribed where the task is installed, before the process runs.
@@ -758,7 +760,7 @@ impl KernelState {
         mut args: Vec<String>,
         env: Vec<(String, String)>,
         cwd: &str,
-        stdio: [Arc<OpenFile>; 3],
+        mut files: FdTable,
         fork_image: Option<ForkImage>,
         forced_launcher: Option<Arc<dyn ProgramLauncher>>,
         exit: Option<Sender<i32>>,
@@ -788,24 +790,24 @@ impl KernelState {
 
         if target == self.shard_id {
             self.install_task(
-                pid, ppid, &name, path, cwd, args, env, stdio, fork_image, launcher, exit,
+                pid, ppid, &name, path, cwd, args, env, files, fork_image, launcher, exit,
             );
         } else {
             let token = self.next_remote_token();
-            // The child gets handles of its own on the stdio descriptions
-            // (an `Arc<OpenFile>` never spans shards), one per distinct
+            // The child gets handles of its own on its descriptions (an
+            // `Arc<OpenFile>` never spans shards), one per distinct
             // description.  This shard's references stay pinned until the
             // owner has counted those handles and acks, so the streams behind
             // them never look unreferenced in between.
-            let mut exported: Vec<Arc<OpenFile>> = Vec::with_capacity(stdio.len());
-            for (i, file) in stdio.iter().enumerate() {
-                let handle = match stdio[..i].iter().position(|earlier| Arc::ptr_eq(earlier, file)) {
-                    Some(earlier) => Arc::clone(&exported[earlier]),
-                    None => file.export(),
-                };
-                exported.push(handle);
-            }
-            self.pinned_files.insert(token, stdio.into());
+            let mut handles: HashMap<*const OpenFile, Arc<OpenFile>> = HashMap::new();
+            let exported = files
+                .iter()
+                .map(|(fd, file)| {
+                    let handle = handles.entry(Arc::as_ptr(file)).or_insert_with(|| file.export());
+                    (fd, Arc::clone(handle))
+                })
+                .collect();
+            self.pinned_files.insert(token, files.clear());
             self.send_shard(
                 target,
                 ShardMsg::SpawnTask {
@@ -819,7 +821,7 @@ impl KernelState {
                     args,
                     env,
                     launcher,
-                    stdio: exported.try_into().expect("one handle per stdio slot"),
+                    files: exported,
                     exit,
                 },
             );
@@ -831,11 +833,11 @@ impl KernelState {
     }
 
     /// Installs a fully-resolved task on this shard: task-table entry,
-    /// worker (on a pooled thread) and init message.  The stdio references
-    /// are already counted (shared with the parent, or adopted from another
-    /// shard); the caller pushes the child onto its parent's `children` (the
-    /// parent may live on another shard).  `exit` starts watching the task's
-    /// exit.
+    /// worker (on a pooled thread) and init message.  The descriptor table's
+    /// references are already counted (shared with the parent, or adopted
+    /// from another shard); the caller pushes the child onto its parent's
+    /// `children` (the parent may live on another shard).  `exit` starts
+    /// watching the task's exit.
     #[allow(clippy::too_many_arguments)]
     fn install_task(
         &mut self,
@@ -846,7 +848,7 @@ impl KernelState {
         cwd: &str,
         args: Vec<String>,
         env: Vec<(String, String)>,
-        stdio: [Arc<OpenFile>; 3],
+        files: FdTable,
         fork_image: Option<ForkImage>,
         launcher: Arc<dyn ProgramLauncher>,
         exit: Option<Sender<i32>>,
@@ -855,10 +857,7 @@ impl KernelState {
         task.args = args.clone();
         task.env = env.clone();
         task.launcher = Some(Arc::clone(&launcher));
-        for (i, file) in stdio.into_iter().enumerate() {
-            let displaced = task.files.insert_at(i as Fd, file);
-            debug_assert!(displaced.is_none(), "a fresh task has no descriptors");
-        }
+        task.files = files;
 
         // The worker script: hand the scope and kernel channel to the
         // launcher, which will wait for the init message before running
@@ -907,9 +906,9 @@ impl KernelState {
     /// Ends a process.  Its task leaves the table first, so nothing that
     /// runs during the teardown (a signal, a wake, a peer's message) can find
     /// it.  The teardown works on the removed value: worker, address space,
-    /// parked calls, listeners, children and, last, descriptors.  The wait
-    /// status goes to host watchers and becomes a record on the parent's
-    /// shard ([`KernelState::tell_parent`]).
+    /// parked calls, children and descriptors.  The wait status becomes a
+    /// record on the parent's shard ([`KernelState::tell_parent`]) and, last,
+    /// goes to host watchers.
     pub(crate) fn finish_task(&mut self, pid: Pid, status: i32) {
         let Some(mut task) = self.tasks.remove(&pid) else {
             return;
@@ -929,30 +928,11 @@ impl KernelState {
         // receive their completions: drop them before any wakeups run.
         self.drop_waiters_of(pid);
 
-        // Close any listeners the process owned, waking their accept queues
-        // so foreign waiters (dup'd listeners) retry against the closed port.
-        let owned_ports: Vec<u16> = self
-            .sockets
-            .listening_ports()
-            .into_iter()
-            .filter(|port| self.sockets.listener_owner(*port) == Some(pid))
-            .collect();
-        for port in owned_ports {
-            self.close_listener(port);
-        }
-
         // The records of children that exited or stopped die with this
         // parent; there is no init process to reap them.
         for &child in &task.children {
             self.zombies.remove(&child);
             self.stops.remove(&child);
-        }
-
-        // Wake host watchers.
-        if let Some(watchers) = self.exit_watchers.remove(&pid) {
-            for watcher in watchers {
-                let _ = watcher.send(status);
-            }
         }
 
         // Let go of the descriptor table: each description this process held
@@ -976,6 +956,14 @@ impl KernelState {
         }
         if let Some(exited) = exited {
             self.tell_parent(ppid, exited);
+        }
+
+        // Wake host watchers last: a host that sees the exit finds every
+        // listener the process held the last reference to already closed.
+        if let Some(watchers) = self.exit_watchers.remove(&pid) {
+            for watcher in watchers {
+                let _ = watcher.send(status);
+            }
         }
     }
 

@@ -49,7 +49,7 @@
 //!
 //! | message | sent by | answered by | per-shard state | cancelled by |
 //! |---|---|---|---|---|
-//! | `SpawnTask` | `spawn_process`, when placement picks another shard | `SpawnAck` | sender: `pinned_files[token]`; receiver: task table, endpoint counts of the adopted stdio | — (the ack always comes) |
+//! | `SpawnTask` | `spawn_process`, when placement picks another shard | `SpawnAck` | sender: `pinned_files[token]`; receiver: task table, endpoint counts of the adopted descriptions | — (the ack always comes) |
 //! | `SpawnAck` | the shard that installed the task | — | sender's pins released like any descriptor | — |
 //! | `ChildExited` / `ChildStopped` / `ChildContinued` | the child's shard, on the state change (handled in place when the parent lives there too) | — | the parent's shard: `zombies` / `stops`, its `ChildOf` queue | the parent exiting (records dropped) |
 //! | `SignalPid` | `kill` / group signals naming a foreign pid | — | the target task | — |
@@ -96,7 +96,7 @@
 //! its process `SIGPIPE` before completing the call — the same
 //! signal-then-error order as a local write.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -107,7 +107,7 @@ use browsix_fs::Errno;
 
 use crate::events::KernelEvent;
 use crate::exec::ProgramLauncher;
-use crate::fd::{Fd, FileKind, OpenFile};
+use crate::fd::{Fd, FdTable, FileKind};
 use crate::kernel::poll::PollSubscribers;
 use crate::kernel::waitq::WaitChannel;
 use crate::kernel::{KernelState, Outcome, ReplyTo, WaitKind};
@@ -229,14 +229,15 @@ pub enum ShardMsg {
         env: Vec<(String, String)>,
         /// The resolved launcher.
         launcher: Arc<dyn ProgramLauncher>,
-        /// stdin/stdout/stderr: handles exported for the receiving shard
-        /// ([`OpenFile::export`]) on the parent's descriptions.
-        stdio: [Arc<OpenFile>; 3],
+        /// The child's descriptor table: handles exported for the receiving
+        /// shard ([`OpenFile::export`](crate::fd::OpenFile::export)) on the
+        /// parent's descriptions.
+        files: FdTable,
         /// The host's exit watcher of a host-started process, subscribed
         /// as the task is installed.
         exit: Option<Sender<i32>>,
     },
-    /// The spawned task exists; the origin drops its stdio pins.
+    /// The spawned task exists; the origin drops its pins.
     SpawnAck {
         /// Token from the corresponding [`ShardMsg::SpawnTask`].
         token: u64,
@@ -552,19 +553,20 @@ impl KernelState {
                 args,
                 env,
                 launcher,
-                stdio,
+                files,
                 exit,
             } => {
                 // The handles were exported for this shard: count each once
                 // (stdout and stderr are often one description).  The origin
                 // keeps its own references pinned until the ack, so the
                 // streams cannot see a gap.
-                for (i, file) in stdio.iter().enumerate() {
-                    if !stdio[..i].iter().any(|earlier| Arc::ptr_eq(earlier, file)) {
+                let mut adopted = HashSet::new();
+                for (_, file) in files.iter() {
+                    if adopted.insert(Arc::as_ptr(file)) {
                         self.adopt_file(file);
                     }
                 }
-                self.install_task(pid, ppid, &name, &path, &cwd, args, env, stdio, None, launcher, exit);
+                self.install_task(pid, ppid, &name, &path, &cwd, args, env, files, None, launcher, exit);
                 self.send_shard(origin, ShardMsg::SpawnAck { token });
             }
             ShardMsg::SpawnAck { token } => {

@@ -14,14 +14,16 @@
 //! lives exactly as long as its two streams are referenced.  What this
 //! module keeps is the part that is not a stream: which ports are listened
 //! on, and each listener's backlog — the *server's* side of every connection
-//! made but not yet accepted.
+//! made but not yet accepted.  A listener belongs to no process: it closes
+//! with the last reference to its description on its shard (a `close`, a
+//! `dup2` over it or its last holder's exit), so `dup`ed and inherited
+//! copies keep accepting.
 
 use std::collections::{HashMap, VecDeque};
 
 use browsix_fs::Errno;
 
 use crate::streams::StreamId;
-use crate::task::Pid;
 
 /// One side of a connection: the stream it reads from and the stream it
 /// writes to.  Both are owned by the shard of the listener connected to.
@@ -46,8 +48,6 @@ impl StreamPair {
 /// A socket listening on a port.
 #[derive(Debug)]
 pub struct Listener {
-    /// The owning process.
-    pub owner: Pid,
     /// Maximum number of not-yet-accepted connections.
     pub backlog: usize,
     /// The server's side of each connection waiting to be accepted.
@@ -75,15 +75,14 @@ impl SocketTable {
     ///
     /// # Errors
     ///
-    /// [`Errno::EADDRINUSE`] if another listener owns the port.
-    pub fn listen(&mut self, port: u16, owner: Pid, backlog: usize) -> Result<(), Errno> {
+    /// [`Errno::EADDRINUSE`] if the port already has a listener.
+    pub fn listen(&mut self, port: u16, backlog: usize) -> Result<(), Errno> {
         if self.port_in_use(port) {
             return Err(Errno::EADDRINUSE);
         }
         self.listeners.insert(
             port,
             Listener {
-                owner,
                 backlog: backlog.max(1),
                 pending: VecDeque::new(),
             },
@@ -91,7 +90,7 @@ impl SocketTable {
         Ok(())
     }
 
-    /// Stops listening on `port` (listener fd closed or owner exited).
+    /// Stops listening on `port` (its description's last reference went).
     /// Returns the server sides that were still waiting to be accepted.
     pub fn close_listener(&mut self, port: u16) -> Vec<StreamPair> {
         self.listeners
@@ -101,15 +100,11 @@ impl SocketTable {
     }
 
     /// Ports with active listeners, sorted.
+    #[cfg(any(test, feature = "scavenger"))]
     pub fn listening_ports(&self) -> Vec<u16> {
         let mut ports: Vec<u16> = self.listeners.keys().copied().collect();
         ports.sort_unstable();
         ports
-    }
-
-    /// The pid that owns the listener on `port`.
-    pub fn listener_owner(&self, port: u16) -> Option<Pid> {
-        self.listeners.get(&port).map(|l| l.owner)
     }
 
     /// Queues the server's side of a new connection to `port` for `accept`.
@@ -165,9 +160,8 @@ mod tests {
     #[test]
     fn listen_connect_accept_flow() {
         let mut table = SocketTable::new();
-        table.listen(8080, 1, 16).unwrap();
+        table.listen(8080, 16).unwrap();
         assert!(table.port_in_use(8080));
-        assert_eq!(table.listener_owner(8080), Some(1));
         assert!(!table.has_pending(8080));
 
         let server = pair(10, 11);
@@ -190,14 +184,14 @@ mod tests {
     #[test]
     fn double_listen_is_eaddrinuse() {
         let mut table = SocketTable::new();
-        table.listen(80, 1, 4).unwrap();
-        assert_eq!(table.listen(80, 2, 4), Err(Errno::EADDRINUSE));
+        table.listen(80, 4).unwrap();
+        assert_eq!(table.listen(80, 4), Err(Errno::EADDRINUSE));
     }
 
     #[test]
     fn full_backlog_refuses_connections_instead_of_parking() {
         let mut table = SocketTable::new();
-        table.listen(80, 1, 2).unwrap();
+        table.listen(80, 2).unwrap();
         table.connect(80, pair(0, 1)).unwrap();
         table.connect(80, pair(2, 3)).unwrap();
         // A full backlog must refuse outright: a parked connect would wait
@@ -210,7 +204,7 @@ mod tests {
     #[test]
     fn close_listener_returns_unaccepted_connections() {
         let mut table = SocketTable::new();
-        table.listen(80, 1, 4).unwrap();
+        table.listen(80, 4).unwrap();
         table.connect(80, pair(0, 1)).unwrap();
         table.connect(80, pair(2, 3)).unwrap();
         let orphans = table.close_listener(80);
@@ -222,8 +216,8 @@ mod tests {
     #[test]
     fn listening_ports_are_sorted() {
         let mut table = SocketTable::new();
-        table.listen(9000, 1, 1).unwrap();
-        table.listen(80, 2, 1).unwrap();
+        table.listen(9000, 1).unwrap();
+        table.listen(80, 1).unwrap();
         assert_eq!(table.listening_ports(), vec![80, 9000]);
     }
 }

@@ -136,8 +136,10 @@ kernel_stats! {
     "syscall rings & zero-copy" {
         /// Submission-queue entries the kernel consumed from syscall rings.
         sq_polled,
-        /// Doorbell events received (empty→non-empty SQ transitions; every other
-        /// submission was picked up by an already-awake kernel).
+        /// Doorbell events received: a submission that found the kernel parked
+        /// on a drained queue (every other one was picked up by an already-awake
+        /// kernel), or a pop of completions that found it parked on an
+        /// overflowed one.
         doorbells,
         /// Completion-queue entries the kernel posted to syscall rings.
         cq_posted,

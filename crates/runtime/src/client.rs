@@ -402,6 +402,7 @@ impl SyscallClient {
         // made: one buffer serves the whole batch, and an entry the queue had
         // no room for keeps its encoding until the next wave.
         let mut frame = Vec::with_capacity(64);
+        let mut progressed = false;
         while completed < n {
             if submitted == completed {
                 cursor = staged;
@@ -409,6 +410,7 @@ impl SyscallClient {
             // Whether this wave stopped at a full submission queue, rather
             // than at the end of the batch or of the staging area.
             let mut sq_full = false;
+            let mut published = false;
             while submitted < n {
                 if frame.is_empty() {
                     batch.entries[submitted].encode_into(&mut frame);
@@ -418,6 +420,7 @@ impl SyscallClient {
                         sq_full = true;
                         break;
                     }
+                    published = true;
                 } else if frame.len() > RING_REGION_OFFSET - staged {
                     results[submitted] = SysResult::Err(Errno::E2BIG);
                     completed += 1;
@@ -429,6 +432,7 @@ impl SyscallClient {
                         sq_full = true;
                         break;
                     }
+                    published = true;
                     cursor += frame.len();
                 }
                 submitted += 1;
@@ -438,13 +442,18 @@ impl SyscallClient {
             // kernel's NEED_WAKEUP flag is consumed.  Flag set → the kernel
             // parked after draining the queue dry and needs the (free,
             // Atomics.notify-style) wake event; flag clear → it is already
-            // draining and will observe the new tail itself.
-            if ring.take_doorbell() && self.kernel.send(KernelEvent::Doorbell { pid: self.pid }).is_err() {
+            // draining and will observe the new tail itself.  A wave that
+            // follows a pop takes it too: a kernel parked on an overflowed
+            // completion waits for that.  Any other wave leaves it alone.
+            if (published || progressed)
+                && ring.take_doorbell()
+                && self.kernel.send(KernelEvent::Doorbell { pid: self.pid }).is_err()
+            {
                 self.terminated = true;
                 return Some(vec![SysResult::Err(Errno::EINTR); n]);
             }
             let seen_tail = ring.cq_tail();
-            let mut progressed = false;
+            progressed = false;
             while let Some((user_data, result)) = ring.pop_result() {
                 if let Some(slot) = results.get_mut(user_data as usize) {
                     *slot = result;

@@ -366,6 +366,32 @@ fn fork_creates_a_child_with_the_parent_image() {
     kernel.shutdown();
 }
 
+/// A forked child gets its parent's descriptor table as it is: a descriptor
+/// the parent closed is closed in the child too, not `/dev/null`.
+#[test]
+fn fork_leaves_a_descriptor_the_parent_closed_closed() {
+    let forker = guest("forker", |env: &mut dyn RuntimeEnv| {
+        if env.fork_image().is_some() {
+            return match env.read(0, 1) {
+                Err(browsix_core::Errno::EBADF) => 0,
+                other => {
+                    env.eprint(&format!("child read of fd 0: {other:?}\n"));
+                    1
+                }
+            };
+        }
+        env.close(0).unwrap();
+        let child = env.fork(b"closed".to_vec()).unwrap();
+        env.wait(child as i32).ok().and_then(|w| w.exit_code).unwrap_or(2)
+    });
+    let launcher = EmscriptenLauncher::new("forker", forker, EmscriptenMode::Emterpreter).with_profile(instant_async());
+    let kernel = boot_with("forker", Arc::new(launcher));
+    let handle = kernel.spawn("/usr/bin/forker", &["forker"], &[]).unwrap();
+    let status = handle.wait_timeout(Duration::from_secs(30)).expect("forker hung");
+    assert_eq!(status.code, Some(0), "stderr: {}", handle.stderr_string());
+    kernel.shutdown();
+}
+
 #[test]
 fn wait_reports_child_exit_codes_and_echild_when_no_children() {
     let kernel = Kernel::boot(BootConfig::in_memory());

@@ -191,51 +191,228 @@ fn nonblocking_accept_returns_eagain_and_full_backlog_refuses() {
     kernel.shutdown();
 }
 
-#[test]
-fn accept_parked_on_a_closed_listener_errors_instead_of_hanging() {
+/// Boots a kernel with `program` at `/usr/bin/{name}` under a runtime that
+/// can fork.
+fn boot_forking(name: &'static str, program: browsix_runtime::GuestFactory) -> Kernel {
     use browsix_runtime::{EmscriptenLauncher, EmscriptenMode};
     let config = BootConfig::in_memory();
-    config.registry.register(
-        "/usr/bin/closer",
-        Arc::new(
-            EmscriptenLauncher::new(
-                "closer",
-                guest("closer", |env: &mut dyn RuntimeEnv| {
-                    if let Some(image) = env.fork_image() {
-                        // Child: block in accept on the inherited listener;
-                        // the parent closing its (shared) description must
-                        // error this accept out, not strand it forever.
-                        let listener = image[0] as i32;
-                        return match env.accept(listener) {
-                            Err(Errno::EINVAL) => 0,
-                            other => {
-                                env.eprint(&format!("child accept: {other:?}\n"));
-                                1
-                            }
-                        };
-                    }
-                    let listener = env.socket().unwrap();
-                    env.bind(listener, 7200).unwrap();
-                    env.listen(listener, 4).unwrap();
-                    let child = env.fork(vec![listener as u8]).unwrap();
-                    // Give the child time to park in accept, then close the
-                    // shared listener description, tearing the port down.
-                    std::thread::sleep(Duration::from_millis(100));
-                    env.close(listener).unwrap();
-                    let waited = env.wait(child as i32).unwrap();
-                    waited.exit_code.unwrap_or(1)
-                }),
-                EmscriptenMode::Emterpreter,
-            )
-            .with_profile(instant_async()),
-        ),
-    );
-    let kernel = Kernel::boot(config);
-    let handle = kernel.spawn("/usr/bin/closer", &["closer"], &[]).unwrap();
-    let status = handle
-        .wait_timeout(Duration::from_secs(30))
-        .expect("parent (and the parked child accept) must finish");
+    let launcher = EmscriptenLauncher::new(name, program, EmscriptenMode::Emterpreter).with_profile(instant_async());
+    config
+        .registry
+        .register(&format!("/usr/bin/{name}"), Arc::new(launcher));
+    Kernel::boot(config)
+}
+
+/// A socket listening on `port`.
+fn listen_on(env: &mut dyn RuntimeEnv, port: u16) -> Result<i32, Errno> {
+    let listener = env.socket()?;
+    env.bind(listener, port)?;
+    env.listen(listener, 4)?;
+    Ok(listener)
+}
+
+/// Reads one HTTP request from `conn`, answers it with `body` and closes it.
+fn answer(env: &mut dyn RuntimeEnv, conn: i32, body: &str) -> Result<(), Errno> {
+    let mut request = Vec::new();
+    while !request.windows(4).any(|w| w == b"\r\n\r\n") {
+        let chunk = env.read(conn, 4096)?;
+        if chunk.is_empty() {
+            return Err(Errno::ECONNRESET);
+        }
+        request.extend(chunk);
+    }
+    let response = format!("HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n{body}", body.len());
+    env.write(conn, response.as_bytes())?;
+    env.close(conn)
+}
+
+/// Runs the program at `/usr/bin/{name}` to completion and asserts it
+/// exited 0.
+fn expect_success(kernel: &Kernel, name: &str) {
+    let handle = kernel.spawn(&format!("/usr/bin/{name}"), &[name], &[]).unwrap();
+    let status = handle.wait_timeout(Duration::from_secs(30)).expect("the program hung");
     assert_eq!(status.code, Some(0), "stderr: {}", handle.stderr_string());
+}
+
+/// A listener stays open while any descriptor of it does: the child parked
+/// in `accept` on the copy it inherited takes the connection its parent
+/// makes after closing its own copy.
+#[test]
+fn accept_parked_on_a_listener_the_parent_closed_takes_the_next_connection() {
+    let kernel = boot_forking(
+        "closer",
+        guest("closer", |env: &mut dyn RuntimeEnv| {
+            if let Some(image) = env.fork_image() {
+                // Child: block in accept on the inherited listener.
+                let listener = image[0] as i32;
+                return match env.accept(listener).and_then(|conn| env.read(conn, 2)) {
+                    Ok(data) if data == b"hi" => 0,
+                    other => {
+                        env.eprint(&format!("child accept: {other:?}\n"));
+                        1
+                    }
+                };
+            }
+            let listener = listen_on(env, 7200).unwrap();
+            let child = env.fork(vec![listener as u8]).unwrap();
+            // Give the child time to park in accept, then close this copy
+            // of the shared description: the child's keeps the port open.
+            std::thread::sleep(Duration::from_millis(100));
+            env.close(listener).unwrap();
+            let client = env.socket().unwrap();
+            if let Err(e) = env.connect(client, 7200).and_then(|()| env.write(client, b"hi")) {
+                env.eprint(&format!("parent connect: {e:?}\n"));
+                return 2;
+            }
+            let waited = env.wait(child as i32).unwrap();
+            waited.exit_code.unwrap_or(1)
+        }),
+    );
+    expect_success(&kernel, "closer");
+    kernel.shutdown();
+}
+
+/// `dup` a listener and close the original: the copy still accepts.
+#[test]
+fn a_dup_of_a_listener_accepts_after_the_original_closes() {
+    let kernel = boot_forking(
+        "dupper",
+        guest("dupper", |env: &mut dyn RuntimeEnv| {
+            if env.fork_image().is_some() {
+                let client = env.socket().unwrap();
+                return match env.connect(client, 7201).and_then(|()| env.write(client, b"hi")) {
+                    Ok(2) => 0,
+                    other => {
+                        env.eprint(&format!("child connect: {other:?}\n"));
+                        1
+                    }
+                };
+            }
+            let listener = listen_on(env, 7201).unwrap();
+            env.dup2(listener, 10).unwrap();
+            env.close(listener).unwrap();
+            let child = env.fork(vec![0]).unwrap();
+            let accepted = env.accept(10).and_then(|conn| env.read(conn, 2));
+            let code = env.wait(child as i32).ok().and_then(|w| w.exit_code).unwrap_or(1);
+            match accepted {
+                Ok(data) if data == b"hi" => code,
+                other => {
+                    env.eprint(&format!("accept on the copy: {other:?}\n"));
+                    2
+                }
+            }
+        }),
+    );
+    expect_success(&kernel, "dupper");
+    kernel.shutdown();
+}
+
+/// The pre-fork server: the parent listens, forks a worker and exits; the
+/// worker's inherited descriptor keeps the port, and it answers the host.
+#[test]
+fn a_pre_forked_worker_serves_after_the_listening_parent_exits() {
+    const PORT: u16 = 7202;
+    let kernel = boot_forking(
+        "prefork",
+        guest("prefork", |env: &mut dyn RuntimeEnv| {
+            if let Some(image) = env.fork_image() {
+                let served = env
+                    .accept(image[0] as i32)
+                    .and_then(|conn| answer(env, conn, "from the worker"));
+                return i32::from(served.is_err());
+            }
+            let listener = listen_on(env, PORT).unwrap();
+            let worker = env.fork(vec![listener as u8]).unwrap();
+            env.print(&format!("{worker}\n"));
+            0
+        }),
+    );
+    let parent = kernel.spawn("/usr/bin/prefork", &["prefork"], &[]).unwrap();
+    let status = parent.wait_timeout(Duration::from_secs(30)).expect("the parent hung");
+    assert_eq!(status.code, Some(0), "stderr: {}", parent.stderr_string());
+    let worker = parent
+        .stdout_string()
+        .trim()
+        .parse()
+        .expect("the parent prints its worker");
+    assert!(
+        kernel.listening_ports().contains(&PORT),
+        "the worker's copy keeps the port"
+    );
+    let response = kernel
+        .http_request(PORT, HttpRequest::new(Method::Get, "/"), Duration::from_secs(10))
+        .expect("the worker answers");
+    assert_eq!(response.body, b"from the worker");
+    kernel.wait(worker, Duration::from_secs(10)).expect("the worker exits");
+    assert!(!kernel.listening_ports().contains(&PORT), "the last holder exited");
+    kernel.shutdown();
+}
+
+/// `dup2` over the only descriptor of a listener closes it, as `close`
+/// would: the port is free at once and can be listened on again.
+#[test]
+fn dup2_over_the_only_listener_descriptor_frees_its_port() {
+    const PORT: u16 = 7203;
+    const CONTROL: u16 = 7204;
+    let kernel = boot_forking(
+        "displacer",
+        guest("displacer", |env: &mut dyn RuntimeEnv| {
+            if env.fork_image().is_none() {
+                let child = env.fork(vec![0]).unwrap();
+                return env.wait(child as i32).ok().and_then(|w| w.exit_code).unwrap_or(1);
+            }
+            let listener = listen_on(env, PORT).unwrap();
+            env.dup2(0, listener).unwrap();
+            // Listening on a second port tells the host the first is
+            // displaced; a request there asks for the port to be taken again.
+            let control = listen_on(env, CONTROL).unwrap();
+            let served = env.accept(control).and_then(|conn| {
+                let relistened = listen_on(env, PORT).map(|_| ());
+                answer(env, conn, &format!("{relistened:?}"))
+            });
+            i32::from(served.is_err())
+        }),
+    );
+    let handle = kernel.spawn("/usr/bin/displacer", &["displacer"], &[]).unwrap();
+    assert!(kernel.wait_for_port(CONTROL, Duration::from_secs(10)));
+    assert!(
+        !kernel.listening_ports().contains(&PORT),
+        "dup2 displaced the last reference"
+    );
+    let response = kernel
+        .http_request(CONTROL, HttpRequest::new(Method::Get, "/"), Duration::from_secs(10))
+        .expect("the child answers");
+    assert_eq!(
+        String::from_utf8_lossy(&response.body),
+        "Ok(())",
+        "listening on the freed port again"
+    );
+    let status = handle.wait_timeout(Duration::from_secs(30)).expect("the program hung");
+    assert_eq!(status.code, Some(0), "stderr: {}", handle.stderr_string());
+    kernel.shutdown();
+}
+
+/// By the time the host sees a killed server's exit, its port is free and
+/// a request to it is refused.
+#[test]
+fn a_killed_servers_port_is_free_when_its_exit_is_seen() {
+    const PORT: u16 = 7205;
+    let kernel = boot_with(
+        "server",
+        guest("server", |env: &mut dyn RuntimeEnv| {
+            let listener = listen_on(env, PORT).unwrap();
+            loop {
+                let _ = env.accept(listener);
+            }
+        }),
+    );
+    let server = kernel.spawn("/usr/bin/server", &["server"], &[]).unwrap();
+    assert!(kernel.wait_for_port(PORT, Duration::from_secs(10)));
+    kernel.kill(server.pid, Signal::SIGKILL).unwrap();
+    server.wait_timeout(Duration::from_secs(10)).expect("the server dies");
+    assert!(!kernel.listening_ports().contains(&PORT));
+    let refused = kernel.http_request(PORT, HttpRequest::new(Method::Get, "/"), Duration::from_secs(10));
+    assert_eq!(refused.unwrap_err(), Errno::ECONNREFUSED);
     kernel.shutdown();
 }
 

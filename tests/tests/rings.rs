@@ -776,6 +776,38 @@ fn completions_posted_by_a_child_exit_are_notified() {
     assert!(elapsed < NOTIFIED_WITHIN, "{CHILDREN} waits took {elapsed:?}");
 }
 
+/// A doorbell wakes a kernel parked on a drained submission queue, or on a
+/// completion the full queue overflowed.  A `poll` that parks in the kernel
+/// until its deadline leaves neither behind when it completes: its process
+/// rings one doorbell for the entry and none as it wakes, so the kernel
+/// never drains an empty ring.  The pause between calls lets the kernel go
+/// idle, so each call finds it parked.
+#[test]
+fn calls_that_park_in_the_kernel_ring_no_more_doorbells_than_entries() {
+    const POLLS: usize = 20;
+    let probe = guest("probe", |env: &mut dyn RuntimeEnv| {
+        let Ok((idle_r, _idle_w)) = env.pipe() else {
+            return 2;
+        };
+        for _ in 0..POLLS {
+            if env.poll(&mut [PollFd::readable(idle_r)], 1) != Ok(0) {
+                return 3;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        0
+    });
+    let (code, stdout, stats) = run_probe(SyscallConvention::Sync, &[], &|_| {}, probe, no_child());
+    assert_eq!(code, Some(0), "stdout: {stdout}");
+    assert_rode_the_ring(&stats);
+    assert!(
+        stats.doorbells <= stats.sq_polled,
+        "{} doorbells for {} entries",
+        stats.doorbells,
+        stats.sq_polled
+    );
+}
+
 /// A `poll` on a pipe nobody writes to parks until its deadline; the
 /// completion is posted by the kernel's deadline sweep, on no event at all.
 #[test]
