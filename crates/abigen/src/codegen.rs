@@ -1,6 +1,6 @@
 //! Rust code generation from the parsed [`Abi`] model.
 //!
-//! Five artefacts, each written into `OUT_DIR` by a `build.rs` and spliced
+//! Four artefacts, each written into `OUT_DIR` by a `build.rs` and spliced
 //! into its crate with `include!`:
 //!
 //! | generator           | consumer                                  |
@@ -8,14 +8,13 @@
 //! | [`gen_core`]        | `crates/core/src/syscall.rs` (enums+codec)|
 //! | [`gen_dispatch`]    | `crates/core/src/kernel/mod.rs`           |
 //! | [`gen_abi_mod`]     | `crates/core/src/abi.rs` (manifest, clamp)|
-//! | [`gen_client`]      | `crates/runtime/src/client.rs` (stubs)    |
 //! | [`gen_shapes`]      | integration tests (fuzz shape builders)   |
 //!
 //! The generated codec must stay byte-identical to the blessed corpus in
 //! `abi/golden_corpus.txt`; `tests/tests/abi_drift.rs` enforces that, so
 //! any change to the encode emitters here is an ABI event, not a refactor.
 
-use crate::{Abi, FieldDef, ResultDef, ResultKind, StubKind, SyscallDef, Ty};
+use crate::{Abi, FieldDef, ResultDef, ResultKind, Ty};
 
 const BANNER: &str = "// @generated by browsix-abigen from abi/syscalls.abi — do not edit.\n\
                       // Regenerate by rebuilding (build.rs) or via scripts/abigen_check.sh.\n";
@@ -615,90 +614,6 @@ pub fn gen_abi_mod(abi: &Abi) -> String {
         }
     }
     out.push_str("        _ => {}\n    }\n}\n");
-    out
-}
-
-/// Stub parameter type and the expression converting it into the owned enum
-/// field.
-fn stub_param(ty: &Ty, name: &str) -> (String, String) {
-    match ty {
-        Ty::Str => ("&str".to_string(), format!("{name}.to_owned()")),
-        Ty::Bytes => ("&[u8]".to_string(), format!("{name}.to_vec()")),
-        Ty::ByteSrc => ("browsix_core::ByteSource".to_string(), name.to_string()),
-        Ty::Signal => ("browsix_core::Signal".to_string(), name.to_string()),
-        Ty::SigAction => ("browsix_core::SigAction".to_string(), name.to_string()),
-        Ty::OpenFlags => ("browsix_fs::OpenFlags".to_string(), name.to_string()),
-        Ty::Pid => ("browsix_core::Pid".to_string(), name.to_string()),
-        Ty::OptionStr => ("Option<&str>".to_string(), format!("{name}.map(str::to_owned)")),
-        Ty::ListStr => ("&[String]".to_string(), format!("{name}.to_vec()")),
-        Ty::ListPair => ("&[(String, String)]".to_string(), format!("{name}.to_vec()")),
-        Ty::Stdio3 => ("[Option<i32>; 3]".to_string(), name.to_string()),
-        Ty::ListPollFd => ("&[browsix_core::PollRequest]".to_string(), format!("{name}.to_vec()")),
-        other => (rust_type(other).to_string(), name.to_string()),
-    }
-}
-
-/// Sanitised `sys_<wire name>` stub identifier.
-fn stub_name(sc: &SyscallDef) -> String {
-    let mut name = String::from("sys_");
-    for ch in sc.wire_name.chars() {
-        name.push(if ch.is_ascii_alphanumeric() { ch } else { '_' });
-    }
-    name
-}
-
-/// Typed `SyscallClient` submission stubs, included into
-/// `crates/runtime/src/client.rs`.
-pub fn gen_client(abi: &Abi) -> String {
-    let mut out = String::from(BANNER);
-    out.push_str("// Spliced into crates/runtime/src/client.rs.\n\n");
-    out.push_str(
-        "/// Generated typed submission stubs, one `sys_*` method per syscall in\n\
-         /// `abi/syscalls.abi`.  Each stub builds the call value and submits it\n\
-         /// through [`SyscallClient::call`], over whichever transport the client\n\
-         /// negotiated at start-up.\n\
-         impl SyscallClient {\n",
-    );
-    for sc in &abi.syscalls {
-        if sc.stub == StubKind::None {
-            continue;
-        }
-        let first_doc = sc.docs.first().map(String::as_str).unwrap_or("");
-        let mut params = vec!["&mut self".to_string()];
-        let mut inits: Vec<String> = Vec::new();
-        for arg in &sc.args {
-            let (ptype, conv) = stub_param(&arg.ty, &arg.name);
-            params.push(format!("{}: {}", arg.name, ptype));
-            if conv == arg.name {
-                inits.push(arg.name.clone());
-            } else {
-                inits.push(format!("{}: {}", arg.name, conv));
-            }
-        }
-        out.push_str(&format!(
-            "    /// {first_doc}\n\
-             \x20   ///\n\
-             \x20   /// Generated stub for [`browsix_core::Syscall::{}`] (opcode {}).\n",
-            sc.ident, sc.opcode
-        ));
-        let body = if sc.args.is_empty() {
-            format!("self.call(browsix_core::Syscall::{})", sc.ident)
-        } else {
-            format!(
-                "self.call(browsix_core::Syscall::{} {{ {} }})",
-                sc.ident,
-                inits.join(", ")
-            )
-        };
-        out.push_str(&format!(
-            "    pub fn {}({}) -> browsix_core::SysResult {{\n\
-             \x20       {body}\n\
-             \x20   }}\n\n",
-            stub_name(sc),
-            params.join(", "),
-        ));
-    }
-    out.push_str("}\n");
     out
 }
 

@@ -20,9 +20,9 @@ pub fn render(abi: &Abi) -> String {
          This file is rendered from [`abi/syscalls.abi`](../abi/syscalls.abi), the\n\
          single definition point for the syscall surface. Everything below —\n\
          opcode numbers, wire layouts, ring read caps, errno sets — is the\n\
-         same data the build generates the Rust codec, kernel dispatch, client\n\
-         stubs and fuzz shapes from, so this document cannot drift from the\n\
-         implementation (CI re-renders it and fails on any diff).\n\n",
+         same data the build generates the Rust codec, kernel dispatch and fuzz\n\
+         shapes from, so this document cannot drift from the implementation\n\
+         (CI re-renders it and fails on any diff).\n\n",
         abi.version,
         abi.syscalls.len(),
         abi.results.len()

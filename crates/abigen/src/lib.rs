@@ -11,7 +11,6 @@
 //! * the kernel dispatch match ([`codegen::gen_dispatch`]),
 //! * the ABI manifest plus the ring read clamp
 //!   ([`codegen::gen_abi_mod`]),
-//! * typed `SyscallClient` submission stubs ([`codegen::gen_client`]),
 //! * the proptest shape builders ([`codegen::gen_shapes`]), and
 //! * the human-readable reference `docs/ABI.md` ([`docs::render`]).
 //!
@@ -190,16 +189,6 @@ impl FieldDef {
     }
 }
 
-/// Whether the generator emits a typed `SyscallClient` stub for a call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StubKind {
-    /// Emit the standard `sys_<name>` submission stub.
-    Default,
-    /// No stub: the call needs bespoke client handling (e.g. `exit` is
-    /// fire-and-forget, `ring_setup` is part of the transport bring-up).
-    None,
-}
-
 /// One system call: everything the generators and the reference manual know
 /// about it.
 #[derive(Debug, Clone)]
@@ -232,8 +221,6 @@ pub struct SyscallDef {
     pub dispatch: String,
     /// Verbatim match-pattern override (defaults to binding every arg).
     pub bindpat: Option<String>,
-    /// Client stub policy.
-    pub stub: StubKind,
 }
 
 /// Shape of a result variant's payload.
@@ -394,7 +381,6 @@ pub fn parse(text: &str) -> Result<Abi, ParseError> {
         let mut errnos = Vec::new();
         let mut dispatch = None;
         let mut bindpat = None;
-        let mut stub = StubKind::Default;
         let mut kind = None;
         let mut fields: Vec<FieldDef> = Vec::new();
         let mut closed = false;
@@ -439,12 +425,6 @@ pub fn parse(text: &str) -> Result<Abi, ParseError> {
                 "errno" => errnos = value.split_whitespace().map(str::to_string).collect(),
                 "dispatch" => dispatch = Some(value.to_string()),
                 "bindpat" => bindpat = Some(value.to_string()),
-                "stub" => {
-                    stub = match value {
-                        "none" => StubKind::None,
-                        other => return Err(err(bln, format!("unknown stub policy `{other}`"))),
-                    }
-                }
                 "kind" => {
                     kind = Some(match value {
                         "unit" => ResultKind::Unit,
@@ -474,7 +454,6 @@ pub fn parse(text: &str) -> Result<Abi, ParseError> {
                 args: fields,
                 dispatch: dispatch.ok_or_else(|| err(ln, format!("syscall `{ident}` missing `dispatch:`")))?,
                 bindpat,
-                stub,
             });
         } else {
             results.push(ResultDef {

@@ -181,7 +181,11 @@ pub fn verify_browsix_row_with_shard_stats() -> (
                     // Signals: install a handler, have a child signal us
                     // while we are parked in a timer poll, and observe both
                     // the EINTR interruption and the delivered signal.
-                    env.register_signal_handler(browsix_core::Signal::SIGUSR1).unwrap();
+                    env.sigaction(
+                        browsix_core::Signal::SIGUSR1,
+                        browsix_core::SigAction::Handler { restart: false },
+                    )
+                    .unwrap();
                     let my_pid = env.getpid();
                     let pinger = env
                         .spawn(

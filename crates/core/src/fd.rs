@@ -74,6 +74,10 @@ pub enum FileKind {
     SocketListener {
         /// The port being listened on.
         port: u16,
+        /// The listener this description made, unique across the fleet: a
+        /// handle on another shard, or after the port is listened on anew,
+        /// names the port but not the listener there.
+        id: u64,
     },
     /// One side of an established connection: two stream ends.
     SocketStream {
@@ -135,7 +139,11 @@ impl fmt::Debug for FileKind {
             FileKind::PipeReader { stream } => f.debug_struct("PipeReader").field("stream", stream).finish(),
             FileKind::PipeWriter { stream } => f.debug_struct("PipeWriter").field("stream", stream).finish(),
             FileKind::Socket { bound_port } => f.debug_struct("Socket").field("bound_port", bound_port).finish(),
-            FileKind::SocketListener { port } => f.debug_struct("SocketListener").field("port", port).finish(),
+            FileKind::SocketListener { port, id } => f
+                .debug_struct("SocketListener")
+                .field("port", port)
+                .field("id", id)
+                .finish(),
             FileKind::SocketStream { reads, writes, port } => f
                 .debug_struct("SocketStream")
                 .field("reads", reads)

@@ -57,7 +57,7 @@ impl KernelState {
         };
         match file.kind() {
             FileKind::Socket { bound_port: Some(port) }
-            | FileKind::SocketListener { port }
+            | FileKind::SocketListener { port, .. }
             | FileKind::SocketStream { port, .. } => Outcome::Complete(SysResult::Int(port as i64)),
             FileKind::Socket { bound_port: None } => Outcome::Complete(SysResult::Int(0)),
             _ => Outcome::Complete(SysResult::Err(Errno::ENOTSOCK)),
@@ -74,14 +74,15 @@ impl KernelState {
                 // Claim the port fleet-wide first: the router is the one
                 // arbiter of the namespace, so two shards racing to listen on
                 // the same port see exactly one winner.
-                if let Err(e) = self.router.claim_port(port, self.shard_id) {
-                    return Outcome::Complete(SysResult::Err(e));
-                }
-                if let Err(e) = self.sockets_mut().listen(port, backlog as usize) {
+                let id = match self.router.claim_port(port, self.shard_id) {
+                    Ok(id) => id,
+                    Err(e) => return Outcome::Complete(SysResult::Err(e)),
+                };
+                if let Err(e) = self.sockets_mut().listen(port, backlog as usize, id) {
                     self.router.release_port(port, self.shard_id);
                     return Outcome::Complete(SysResult::Err(e));
                 }
-                file.set_kind(FileKind::SocketListener { port });
+                file.set_kind(FileKind::SocketListener { port, id });
                 // Socket notification: tell the embedding application a server
                 // is ready, so it never needs to poll (§4.1 of the paper).
                 self.notify_port_listen(port);
@@ -96,16 +97,17 @@ impl KernelState {
     /// Attempts to accept a pending connection on the listener behind `fd`:
     /// the new descriptor, or blocked on the listener's queue.
     pub(crate) fn try_accept(&mut self, pid: Pid, fd: Fd) -> Attempt {
-        let port = match self.task(pid).and_then(|t| t.files.get(fd)).map(|file| file.kind()) {
-            Ok(FileKind::SocketListener { port }) => port,
+        let (port, id) = match self.task(pid).and_then(|t| t.files.get(fd)).map(|file| file.kind()) {
+            Ok(FileKind::SocketListener { port, id }) => (port, id),
             Ok(FileKind::Socket { .. }) => return Attempt::Done(SysResult::Err(Errno::EINVAL)),
             Ok(_) => return Attempt::Done(SysResult::Err(Errno::ENOTSOCK)),
             Err(e) => return Attempt::Done(SysResult::Err(e)),
         };
-        if !self.sockets().port_in_use(port) {
+        if !self.sockets().is_listening(port, id) {
             // Only a handle on a shard that does not own the listener (the
             // stdio of a cross-shard spawn) gets here: error out rather than
-            // wait for a connection this shard can never queue.
+            // wait for a connection this shard can never queue, or take one
+            // queued for a later listener on the same port.
             return Attempt::Done(SysResult::Err(Errno::EINVAL));
         }
         let Some(server) = self.sockets_mut().accept(port) else {

@@ -86,8 +86,8 @@ impl KernelState {
     pub(crate) fn release_file(&mut self, file: Arc<OpenFile>) {
         if let Some(file) = Arc::into_inner(file) {
             let kind = file.kind();
-            if let FileKind::SocketListener { port } = kind {
-                self.close_listener(port);
+            if let FileKind::SocketListener { port, id } = kind {
+                self.close_listener(port, id);
             }
             self.drop_stream_ends(kind.read_stream(), kind.write_stream());
         }
@@ -121,11 +121,16 @@ impl KernelState {
         }
     }
 
-    /// Stops listening on `port`, once its description's last reference has
-    /// gone.  Connections still in the backlog lose their future server
+    /// Stops listening on `port`, once the last reference to the listening
+    /// description `id` has gone — if the listener here is that
+    /// description's: a handle exported to another shard names a listener
+    /// that lives elsewhere, and the port may since have been listened on
+    /// anew.  Connections still in the backlog lose their future server
     /// side: their clients read EOF and write into EPIPE.
-    pub(crate) fn close_listener(&mut self, port: u16) {
-        let orphans = self.sockets.close_listener(port);
+    pub(crate) fn close_listener(&mut self, port: u16, id: u64) {
+        let Some(orphans) = self.sockets.close_listener(port, id) else {
+            return;
+        };
         self.router.release_port(port, self.shard_id);
         for server in orphans {
             self.drop_connection_side(server);
@@ -343,7 +348,7 @@ impl KernelState {
         let described: std::collections::BTreeSet<u16> = tables
             .chain(self.pinned_files.values().flatten())
             .filter_map(|file| match file.kind() {
-                FileKind::SocketListener { port } => Some(port),
+                FileKind::SocketListener { port, .. } => Some(port),
                 _ => None,
             })
             .filter(|&port| self.router.port_owner(port) == Some(self.shard_id))

@@ -82,7 +82,7 @@ impl KernelState {
             | FileKind::HostSink { .. } => POLLIN | POLLOUT,
             // An unconnected socket is never ready for anything.
             FileKind::Socket { .. } => 0,
-            FileKind::SocketListener { port } if self.sockets().has_pending(*port) => POLLIN,
+            FileKind::SocketListener { port, id } if self.sockets().has_pending(*port, *id) => POLLIN,
             FileKind::SocketListener { .. } => 0,
             // A stream end, or a socket's two.
             FileKind::PipeReader { .. } | FileKind::PipeWriter { .. } | FileKind::SocketStream { .. } => {
@@ -119,7 +119,7 @@ impl KernelState {
             let Some(kind) = self.fd_kind(pid, req.fd) else {
                 continue;
             };
-            if let FileKind::SocketListener { port } = kind {
+            if let FileKind::SocketListener { port, .. } = kind {
                 push(&mut channels, WaitChannel::Listener(port));
             }
             if let Some(id) = kind.read_stream() {

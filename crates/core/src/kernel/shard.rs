@@ -744,11 +744,12 @@ struct ProcessEntry {
 }
 
 /// Port-table state: which shard owns each listening port, plus the global
-/// ephemeral-port counter.
+/// ephemeral-port and listener-id counters.
 #[derive(Debug, Default)]
 struct PortTable {
     claims: HashMap<u16, usize>,
     next_ephemeral: u16,
+    last_listener: u64,
 }
 
 /// The only state shared between shards.  Every member is a small registry
@@ -791,6 +792,7 @@ impl RouterState {
             ports: Mutex::new(PortTable {
                 claims: HashMap::new(),
                 next_ephemeral: 49152,
+                last_listener: 0,
             }),
             shm: Mutex::new(HashMap::new()),
             foreground_pgid: Mutex::new(None),
@@ -872,18 +874,20 @@ impl RouterState {
 
     // ---- port table ------------------------------------------------------
 
-    /// Claims `port` for `shard` (the cross-shard half of `listen`).
+    /// Claims `port` for `shard` (the cross-shard half of `listen`),
+    /// returning the new listener's id, never handed out before.
     ///
     /// # Errors
     ///
     /// [`Errno::EADDRINUSE`] if any shard already owns the port.
-    pub(crate) fn claim_port(&self, port: u16, shard: usize) -> Result<(), Errno> {
+    pub(crate) fn claim_port(&self, port: u16, shard: usize) -> Result<u64, Errno> {
         let mut ports = self.ports.lock().unwrap();
         if ports.claims.contains_key(&port) {
             return Err(Errno::EADDRINUSE);
         }
         ports.claims.insert(port, shard);
-        Ok(())
+        ports.last_listener += 1;
+        Ok(ports.last_listener)
     }
 
     /// Releases `port` if `shard` owns it (listener closed or owner exited).
@@ -1023,13 +1027,14 @@ mod tests {
     #[test]
     fn port_claims_are_exclusive_and_owner_released() {
         let router = RouterState::new(2);
-        router.claim_port(80, 1).unwrap();
+        let first = router.claim_port(80, 1).unwrap();
         assert_eq!(router.claim_port(80, 0), Err(Errno::EADDRINUSE));
         assert_eq!(router.port_owner(80), Some(1));
         router.release_port(80, 0); // not the owner: no-op
         assert!(router.port_claimed(80));
         router.release_port(80, 1);
         assert!(!router.port_claimed(80));
+        assert_ne!(router.claim_port(80, 0), Ok(first), "a listener id is never reused");
         let p = router.allocate_ephemeral_port();
         assert!(p >= 49152);
         assert_ne!(router.allocate_ephemeral_port(), p);

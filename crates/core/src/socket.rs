@@ -48,6 +48,9 @@ impl StreamPair {
 /// A socket listening on a port.
 #[derive(Debug)]
 pub struct Listener {
+    /// The listening description's id
+    /// ([`FileKind::SocketListener`](crate::fd::FileKind::SocketListener)).
+    pub id: u64,
     /// Maximum number of not-yet-accepted connections.
     pub backlog: usize,
     /// The server's side of each connection waiting to be accepted.
@@ -71,18 +74,24 @@ impl SocketTable {
         self.listeners.contains_key(&port)
     }
 
-    /// Starts listening on `port`.
+    /// Whether `port`'s listener here is the one with `id`.
+    pub fn is_listening(&self, port: u16, id: u64) -> bool {
+        self.listeners.get(&port).is_some_and(|l| l.id == id)
+    }
+
+    /// Starts listening on `port` as listener `id`.
     ///
     /// # Errors
     ///
     /// [`Errno::EADDRINUSE`] if the port already has a listener.
-    pub fn listen(&mut self, port: u16, backlog: usize) -> Result<(), Errno> {
+    pub fn listen(&mut self, port: u16, backlog: usize, id: u64) -> Result<(), Errno> {
         if self.port_in_use(port) {
             return Err(Errno::EADDRINUSE);
         }
         self.listeners.insert(
             port,
             Listener {
+                id,
                 backlog: backlog.max(1),
                 pending: VecDeque::new(),
             },
@@ -90,13 +99,14 @@ impl SocketTable {
         Ok(())
     }
 
-    /// Stops listening on `port` (its description's last reference went).
-    /// Returns the server sides that were still waiting to be accepted.
-    pub fn close_listener(&mut self, port: u16) -> Vec<StreamPair> {
-        self.listeners
-            .remove(&port)
-            .map(|l| l.pending.into_iter().collect())
-            .unwrap_or_default()
+    /// Stops listening on `port` if its listener is `id` (that description's
+    /// last reference went).  Returns the server sides that were still
+    /// waiting to be accepted, or `None` if `id` is not listening here.
+    pub fn close_listener(&mut self, port: u16, id: u64) -> Option<Vec<StreamPair>> {
+        if !self.is_listening(port, id) {
+            return None;
+        }
+        self.listeners.remove(&port).map(|l| l.pending.into())
     }
 
     /// Ports with active listeners, sorted.
@@ -129,12 +139,12 @@ impl SocketTable {
         self.listeners.get_mut(&port).and_then(|l| l.pending.pop_front())
     }
 
-    /// Whether `port` has at least one connection waiting to be accepted.
-    pub fn has_pending(&self, port: u16) -> bool {
+    /// Whether listener `id` on `port` has at least one connection waiting
+    /// to be accepted.
+    pub fn has_pending(&self, port: u16, id: u64) -> bool {
         self.listeners
             .get(&port)
-            .map(|l| !l.pending.is_empty())
-            .unwrap_or(false)
+            .is_some_and(|l| l.id == id && !l.pending.is_empty())
     }
 
     /// The server side of every connection made but not yet accepted, across
@@ -160,13 +170,14 @@ mod tests {
     #[test]
     fn listen_connect_accept_flow() {
         let mut table = SocketTable::new();
-        table.listen(8080, 16).unwrap();
+        table.listen(8080, 16, 1).unwrap();
         assert!(table.port_in_use(8080));
-        assert!(!table.has_pending(8080));
+        assert!(!table.has_pending(8080, 1));
 
         let server = pair(10, 11);
         table.connect(8080, server).unwrap();
-        assert!(table.has_pending(8080));
+        assert!(table.has_pending(8080, 1));
+        assert!(!table.has_pending(8080, 2), "another listener's handle");
         assert_eq!(table.pending_connections(), vec![server]);
         assert_eq!(table.accept(8080), Some(server));
         assert_eq!(table.accept(8080), None);
@@ -184,14 +195,14 @@ mod tests {
     #[test]
     fn double_listen_is_eaddrinuse() {
         let mut table = SocketTable::new();
-        table.listen(80, 4).unwrap();
-        assert_eq!(table.listen(80, 4), Err(Errno::EADDRINUSE));
+        table.listen(80, 4, 1).unwrap();
+        assert_eq!(table.listen(80, 4, 2), Err(Errno::EADDRINUSE));
     }
 
     #[test]
     fn full_backlog_refuses_connections_instead_of_parking() {
         let mut table = SocketTable::new();
-        table.listen(80, 2).unwrap();
+        table.listen(80, 2, 1).unwrap();
         table.connect(80, pair(0, 1)).unwrap();
         table.connect(80, pair(2, 3)).unwrap();
         // A full backlog must refuse outright: a parked connect would wait
@@ -204,20 +215,23 @@ mod tests {
     #[test]
     fn close_listener_returns_unaccepted_connections() {
         let mut table = SocketTable::new();
-        table.listen(80, 4).unwrap();
+        table.listen(80, 4, 1).unwrap();
         table.connect(80, pair(0, 1)).unwrap();
         table.connect(80, pair(2, 3)).unwrap();
-        let orphans = table.close_listener(80);
-        assert_eq!(orphans, vec![pair(0, 1), pair(2, 3)]);
+        // A handle on another listener of the port closes nothing here.
+        assert_eq!(table.close_listener(80, 2), None);
+        assert!(table.is_listening(80, 1));
+        let orphans = table.close_listener(80, 1);
+        assert_eq!(orphans, Some(vec![pair(0, 1), pair(2, 3)]));
         assert!(!table.port_in_use(80));
-        assert!(table.close_listener(80).is_empty());
+        assert_eq!(table.close_listener(80, 1), None);
     }
 
     #[test]
     fn listening_ports_are_sorted() {
         let mut table = SocketTable::new();
-        table.listen(9000, 1).unwrap();
-        table.listen(80, 1).unwrap();
+        table.listen(9000, 1, 1).unwrap();
+        table.listen(80, 1, 2).unwrap();
         assert_eq!(table.listening_ports(), vec![80, 9000]);
     }
 }

@@ -45,8 +45,8 @@ pub struct BrowsixEnv {
     fork_image: Option<Vec<u8>>,
     exited: Option<i32>,
     /// Small stdout writes accumulate here and go to the kernel as one write
-    /// syscall, flushed at the buffer limit, before operations whose ordering
-    /// could observe stdout (reads, spawns, waits, fd-1 plumbing) and at exit.
+    /// syscall: at the buffer limit, and ahead of every other system call
+    /// (see [`BrowsixEnv::submit`]), `exit` included.
     stdout_buf: Vec<u8>,
 }
 
@@ -88,7 +88,7 @@ impl BrowsixEnv {
 
     /// Issues the final `exit` system call, as Browsix runtimes must do
     /// explicitly because the worker cannot otherwise signal completion.
-    /// Buffered stdout is flushed first so no output is lost.
+    /// Buffered stdout goes first, as before any call, so no output is lost.
     pub fn exit_process(&mut self, code: i32) {
         if self.finished() {
             return;
@@ -98,9 +98,25 @@ impl BrowsixEnv {
         self.client.send_only(Syscall::Exit { code });
     }
 
-    /// The underlying client (used by tests to inspect the convention).
-    pub fn client(&self) -> &SyscallClient {
-        &self.client
+    /// Submits the batch `make` builds — every system call this environment
+    /// makes goes through here or [`BrowsixEnv::call`] — after sending what
+    /// the stdout buffer holds, so buffered output reaches the kernel before
+    /// anything that could observe it: a read of a pipe a child feeds, a
+    /// write to a descriptor `dup2`ed onto stdout, a `kill` of the process
+    /// itself.  The batch is built after the flush because write data staged
+    /// in the shared heap belongs to the next batch submitted.  A flush
+    /// failure (stdout's pipe gone, say) is stdout's problem, not this call's.
+    fn submit(&mut self, make: impl FnOnce(&mut SyscallClient) -> SyscallBatch) -> Vec<SysResult> {
+        let _ = self.flush_stdout();
+        let batch = make(&mut self.client);
+        self.client.submit(batch)
+    }
+
+    /// One system call through [`BrowsixEnv::submit`].
+    fn call(&mut self, call: Syscall) -> SysResult {
+        self.submit(|_| SyscallBatch::single(call))
+            .pop()
+            .unwrap_or(SysResult::Err(Errno::EIO))
     }
 
     /// Writes straight through to the kernel, bypassing the stdout buffer.
@@ -115,11 +131,13 @@ impl BrowsixEnv {
         let mut written = 0;
         while written < data.len() {
             let chunk_len = (data.len() - written).min(self.client.max_staged_write());
-            let source = self.client.stage_write(&data[written..written + chunk_len]);
-            let count = match self.client.call(call(written as u64, source)) {
-                SysResult::Int(count) => count as usize,
-                SysResult::Ok => chunk_len,
-                SysResult::Err(e) => return Err(e),
+            let piece = &data[written..written + chunk_len];
+            let staged =
+                |client: &mut SyscallClient| SyscallBatch::single(call(written as u64, client.stage_write(piece)));
+            let count = match self.submit(staged).pop() {
+                Some(SysResult::Int(count)) => count as usize,
+                Some(SysResult::Ok) => chunk_len,
+                Some(SysResult::Err(e)) => return Err(e),
                 _ => return Err(Errno::EIO),
             };
             if count == 0 {
@@ -131,7 +149,7 @@ impl BrowsixEnv {
     }
 
     fn expect_int(&mut self, call: Syscall) -> Result<i64, Errno> {
-        match self.client.call(call) {
+        match self.call(call) {
             SysResult::Int(v) => Ok(v),
             SysResult::Ok => Ok(0),
             SysResult::Err(e) => Err(e),
@@ -140,7 +158,7 @@ impl BrowsixEnv {
     }
 
     fn expect_ok(&mut self, call: Syscall) -> Result<(), Errno> {
-        match self.client.call(call) {
+        match self.call(call) {
             SysResult::Ok | SysResult::Int(_) => Ok(()),
             SysResult::Err(e) => Err(e),
             _ => Err(Errno::EIO),
@@ -148,7 +166,7 @@ impl BrowsixEnv {
     }
 
     fn expect_data(&mut self, call: Syscall) -> Result<Vec<u8>, Errno> {
-        match self.client.call(call) {
+        match self.call(call) {
             SysResult::Data(data) => Ok(data),
             SysResult::Err(e) => Err(e),
             _ => Err(Errno::EIO),
@@ -188,7 +206,7 @@ impl RuntimeEnv for BrowsixEnv {
     }
 
     fn getcwd(&mut self) -> String {
-        match self.client.call(Syscall::GetCwd) {
+        match self.call(Syscall::GetCwd) {
             SysResult::Path(path) => {
                 self.cwd = path.clone();
                 path
@@ -213,44 +231,29 @@ impl RuntimeEnv for BrowsixEnv {
     }
 
     fn close(&mut self, fd: Fd) -> Result<(), Errno> {
-        if fd == 1 {
-            let _ = self.flush_stdout();
-        }
         self.expect_ok(Syscall::Close { fd })
     }
 
     fn read(&mut self, fd: Fd, len: usize) -> Result<Vec<u8>, Errno> {
-        // Anything read may depend on output we have buffered (a pipe fed by
-        // a child of ours, for example), so reads flush first.  A flush
-        // failure (stdout's pipe gone, say) is stdout's problem, not this
-        // read's.
-        let _ = self.flush_stdout();
         self.expect_data(Syscall::Read { fd, len: len as u32 })
     }
 
     fn write(&mut self, fd: Fd, data: &[u8]) -> Result<usize, Errno> {
         // Small stdout writes coalesce in the buffer; large ones (and every
-        // other descriptor) go straight through.
-        if fd == 1 {
-            if data.len() >= STDOUT_BUFFER_LIMIT {
-                self.flush_stdout()?;
-                return self.write_through(fd, data);
-            }
-            self.stdout_buf.extend_from_slice(data);
-            if self.stdout_buf.len() >= STDOUT_BUFFER_LIMIT {
-                self.flush_stdout()?;
-            }
-            return Ok(data.len());
+        // other descriptor) go straight through, after what is buffered.
+        if fd != 1 || data.len() >= STDOUT_BUFFER_LIMIT {
+            return self.write_through(fd, data);
         }
-        self.write_through(fd, data)
+        self.stdout_buf.extend_from_slice(data);
+        if self.stdout_buf.len() >= STDOUT_BUFFER_LIMIT {
+            self.flush_stdout()?;
+        }
+        Ok(data.len())
     }
 
     fn write_vectored(&mut self, fd: Fd, bufs: &[&[u8]]) -> Result<usize, Errno> {
         if bufs.is_empty() {
             return Ok(0);
-        }
-        if fd == 1 {
-            self.flush_stdout()?;
         }
         // One submission per shared-heap-capacity's worth of buffers: every
         // write in a chunk is staged back to back and the whole chunk crosses
@@ -273,12 +276,14 @@ impl RuntimeEnv for BrowsixEnv {
                 staged += bufs[end].len();
                 end += 1;
             }
-            let sources = self.client.stage_writes(&bufs[start..end]);
-            let mut batch = SyscallBatch::new();
-            for source in sources {
-                batch.push(Syscall::Write { fd, data: source });
-            }
-            for result in self.client.submit(batch) {
+            let staged = |client: &mut SyscallClient| {
+                let mut batch = SyscallBatch::new();
+                for source in client.stage_writes(&bufs[start..end]) {
+                    batch.push(Syscall::Write { fd, data: source });
+                }
+                batch
+            };
+            for result in self.submit(staged) {
                 match result {
                     SysResult::Int(count) => total += count as usize,
                     SysResult::Ok => {}
@@ -321,21 +326,15 @@ impl RuntimeEnv for BrowsixEnv {
     }
 
     fn seek(&mut self, fd: Fd, offset: i64, whence: u32) -> Result<u64, Errno> {
-        if fd == 1 {
-            let _ = self.flush_stdout();
-        }
         self.expect_int(Syscall::Seek { fd, offset, whence }).map(|n| n as u64)
     }
 
     fn dup2(&mut self, from: Fd, to: Fd) -> Result<(), Errno> {
-        if from == 1 || to == 1 {
-            let _ = self.flush_stdout();
-        }
         self.expect_ok(Syscall::Dup2 { from, to })
     }
 
     fn fstat(&mut self, fd: Fd) -> Result<Metadata, Errno> {
-        match self.client.call(Syscall::Fstat { fd }) {
+        match self.call(Syscall::Fstat { fd }) {
             SysResult::Stat(meta) => Ok(meta),
             SysResult::Err(e) => Err(e),
             _ => Err(Errno::EIO),
@@ -343,18 +342,10 @@ impl RuntimeEnv for BrowsixEnv {
     }
 
     fn fsync(&mut self, fd: Fd) -> Result<(), Errno> {
-        if fd == 1 {
-            // Buffered stdout must reach the kernel before it can be synced.
-            let _ = self.flush_stdout();
-        }
         self.expect_ok(Syscall::Fsync { fd })
     }
 
     fn sendfile(&mut self, out_fd: Fd, in_fd: Fd, offset: i64, len: u64) -> Result<u64, Errno> {
-        if out_fd == 1 {
-            // Anything already buffered must reach the descriptor first.
-            let _ = self.flush_stdout();
-        }
         self.expect_int(Syscall::Sendfile {
             out_fd,
             in_fd,
@@ -365,17 +356,11 @@ impl RuntimeEnv for BrowsixEnv {
     }
 
     fn splice(&mut self, fd_in: Fd, fd_out: Fd, len: u64) -> Result<u64, Errno> {
-        if fd_out == 1 {
-            let _ = self.flush_stdout();
-        }
         self.expect_int(Syscall::Splice { fd_in, fd_out, len })
             .map(|n| n as u64)
     }
 
     fn poll(&mut self, fds: &mut [PollFd], timeout_ms: i32) -> Result<usize, Errno> {
-        // Readiness downstream of us (a child reading the pipe we feed) can
-        // depend on output still sitting in the stdout buffer.
-        let _ = self.flush_stdout();
         let requests: Vec<PollRequest> = fds
             .iter()
             .map(|p| PollRequest {
@@ -383,7 +368,7 @@ impl RuntimeEnv for BrowsixEnv {
                 events: p.events,
             })
             .collect();
-        match self.client.call(Syscall::Poll {
+        match self.call(Syscall::Poll {
             fds: requests,
             timeout_ms,
         }) {
@@ -410,7 +395,7 @@ impl RuntimeEnv for BrowsixEnv {
     }
 
     fn stat(&mut self, path: &str) -> Result<Metadata, Errno> {
-        match self.client.call(Syscall::Stat {
+        match self.call(Syscall::Stat {
             path: path.to_owned(),
             lstat: false,
         }) {
@@ -421,7 +406,7 @@ impl RuntimeEnv for BrowsixEnv {
     }
 
     fn readdir(&mut self, path: &str) -> Result<Vec<DirEntry>, Errno> {
-        match self.client.call(Syscall::Readdir { path: path.to_owned() }) {
+        match self.call(Syscall::Readdir { path: path.to_owned() }) {
             SysResult::Entries(entries) => Ok(entries),
             SysResult::Err(e) => Err(e),
             _ => Err(Errno::EIO),
@@ -473,9 +458,6 @@ impl RuntimeEnv for BrowsixEnv {
     }
 
     fn spawn(&mut self, path: &str, args: &[String], stdio: SpawnStdio) -> Result<u32, Errno> {
-        // Children may share our stdout; anything we printed must precede
-        // anything they print.
-        let _ = self.flush_stdout();
         self.expect_int(Syscall::Spawn {
             path: path.to_owned(),
             args: args.to_vec(),
@@ -486,35 +468,8 @@ impl RuntimeEnv for BrowsixEnv {
         .map(|pid| pid as u32)
     }
 
-    fn wait(&mut self, pid: i32) -> Result<WaitedChild, Errno> {
-        let _ = self.flush_stdout();
-        match self.client.call(Syscall::Wait4 { pid, options: 0 }) {
-            SysResult::Wait { pid, status } => Ok(WaitedChild {
-                pid,
-                status,
-                exit_code: browsix_core::syscall::wait_status_exit_code(status),
-            }),
-            SysResult::Err(e) => Err(e),
-            _ => Err(Errno::EIO),
-        }
-    }
-
-    fn wait_nohang(&mut self, pid: i32) -> Result<Option<WaitedChild>, Errno> {
-        let _ = self.flush_stdout();
-        match self.client.call(Syscall::Wait4 { pid, options: 1 }) {
-            SysResult::Wait { pid: 0, .. } => Ok(None),
-            SysResult::Wait { pid, status } => Ok(Some(WaitedChild {
-                pid,
-                status,
-                exit_code: browsix_core::syscall::wait_status_exit_code(status),
-            })),
-            SysResult::Err(e) => Err(e),
-            _ => Err(Errno::EIO),
-        }
-    }
-
     fn pipe(&mut self) -> Result<(Fd, Fd), Errno> {
-        match self.client.call(Syscall::Pipe2) {
+        match self.call(Syscall::Pipe2) {
             SysResult::Pair(read_fd, write_fd) => Ok((read_fd as Fd, write_fd as Fd)),
             SysResult::Err(e) => Err(e),
             _ => Err(Errno::EIO),
@@ -525,15 +480,12 @@ impl RuntimeEnv for BrowsixEnv {
         if fds.is_empty() {
             return Ok(());
         }
-        if fds.contains(&1) {
-            let _ = self.flush_stdout();
-        }
         let mut batch = SyscallBatch::new();
         for &fd in fds {
             batch.push(Syscall::Close { fd });
         }
         let mut first_error = Ok(());
-        for result in self.client.submit(batch) {
+        for result in self.submit(|_| batch) {
             if let SysResult::Err(e) = result {
                 if first_error.is_ok() {
                     first_error = Err(e);
@@ -552,7 +504,7 @@ impl RuntimeEnv for BrowsixEnv {
             batch.push(Syscall::Pipe2);
         }
         let mut pairs = Vec::with_capacity(count);
-        for result in self.client.submit(batch) {
+        for result in self.submit(|_| batch) {
             match result {
                 SysResult::Pair(read_fd, write_fd) => pairs.push((read_fd as Fd, write_fd as Fd)),
                 SysResult::Err(e) => return Err(e),
@@ -573,8 +525,7 @@ impl RuntimeEnv for BrowsixEnv {
                 lstat: false,
             });
         }
-        self.client
-            .submit(batch)
+        self.submit(|_| batch)
             .into_iter()
             .map(|result| match result {
                 SysResult::Stat(meta) => Ok(meta),
@@ -596,10 +547,6 @@ impl RuntimeEnv for BrowsixEnv {
             pid: -(pgid as i64) as i32,
             signal,
         })
-    }
-
-    fn register_signal_handler(&mut self, signal: Signal) -> Result<(), Errno> {
-        self.sigaction(signal, SigAction::Handler { restart: false })
     }
 
     fn sigaction(&mut self, signal: Signal, action: SigAction) -> Result<(), Errno> {
@@ -624,8 +571,7 @@ impl RuntimeEnv for BrowsixEnv {
     }
 
     fn wait_options(&mut self, pid: i32, options: u32) -> Result<Option<WaitedChild>, Errno> {
-        let _ = self.flush_stdout();
-        match self.client.call(Syscall::Wait4 { pid, options }) {
+        match self.call(Syscall::Wait4 { pid, options }) {
             SysResult::Wait { pid: 0, .. } => Ok(None),
             SysResult::Wait { pid, status } => Ok(Some(WaitedChild {
                 pid,
@@ -642,7 +588,6 @@ impl RuntimeEnv for BrowsixEnv {
     }
 
     fn fork(&mut self, image: Vec<u8>) -> Result<u32, Errno> {
-        let _ = self.flush_stdout();
         self.expect_int(Syscall::Fork { image, resume_point: 0 })
             .map(|pid| pid as u32)
     }

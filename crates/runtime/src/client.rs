@@ -510,8 +510,6 @@ fn sleep(
     woke
 }
 
-include!(concat!(env!("OUT_DIR"), "/client_gen.rs"));
-
 /// Spreads a completion batch back into one result per submission entry.
 /// Entries the kernel never completed (which should not happen) read as I/O
 /// errors rather than hanging or panicking.

@@ -69,11 +69,6 @@ impl EmscriptenLauncher {
         self.profile = profile;
         self
     }
-
-    /// The launcher's compilation mode.
-    pub fn mode(&self) -> EmscriptenMode {
-        self.mode
-    }
 }
 
 impl ProgramLauncher for EmscriptenLauncher {
@@ -102,7 +97,7 @@ mod tests {
             factory(|| FnProgram::new("pdflatex", |_| 0)),
             EmscriptenMode::AsmJs,
         );
-        assert_eq!(asmjs.mode(), EmscriptenMode::AsmJs);
+        assert_eq!(asmjs.mode, EmscriptenMode::AsmJs);
         assert_eq!(asmjs.runtime_name(), "emscripten (asm.js)");
         assert_eq!(asmjs.profile.convention, crate::SyscallConvention::Sync);
 

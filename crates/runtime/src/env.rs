@@ -240,9 +240,9 @@ pub trait RuntimeEnv {
 
     /// Flushes any buffered standard output.  Environments that buffer stdout
     /// (to batch many small writes into one syscall) override this; the
-    /// default is an unbuffered no-op.  Buffering environments flush
-    /// automatically on exit, reads, spawns and waits, so guests only need an
-    /// explicit flush when output must be visible mid-computation.
+    /// default is an unbuffered no-op.  Buffering environments send what is
+    /// buffered ahead of every other system call and at exit, so guests only
+    /// need an explicit flush when output must be visible mid-computation.
     fn flush_stdout(&mut self) -> Result<(), Errno> {
         Ok(())
     }
@@ -406,23 +406,15 @@ pub trait RuntimeEnv {
     /// Spawns a child process from an executable path.
     fn spawn(&mut self, path: &str, args: &[String], stdio: SpawnStdio) -> Result<u32, Errno>;
 
-    /// Blocks until a child exits (`pid` = -1 waits for any child).
-    fn wait(&mut self, pid: i32) -> Result<WaitedChild, Errno>;
-
-    /// Non-blocking wait (`WNOHANG`); `Ok(None)` means no child has exited.
-    fn wait_nohang(&mut self, pid: i32) -> Result<Option<WaitedChild>, Errno>;
-
     /// `wait4` with explicit option bits ([`WNOHANG`] | [`WUNTRACED`]):
     /// `Ok(None)` means `WNOHANG` found nothing.  With `WUNTRACED` the
     /// returned child may be stopped rather than dead — check
-    /// [`WaitedChild::stop_signal`].  The default degrades to the plain
-    /// wait/wait-nohang pair (stop reporting needs a kernel).
-    fn wait_options(&mut self, pid: i32, options: u32) -> Result<Option<WaitedChild>, Errno> {
-        if options & WNOHANG != 0 {
-            self.wait_nohang(pid)
-        } else {
-            self.wait(pid).map(Some)
-        }
+    /// [`WaitedChild::stop_signal`] (stop reporting needs a kernel).
+    fn wait_options(&mut self, pid: i32, options: u32) -> Result<Option<WaitedChild>, Errno>;
+
+    /// Blocks until a child exits (`pid` = -1 waits for any child).
+    fn wait(&mut self, pid: i32) -> Result<WaitedChild, Errno> {
+        self.wait_options(pid, 0)?.ok_or(Errno::ECHILD)
     }
 
     /// Creates a pipe, returning `(read_fd, write_fd)`.
@@ -436,21 +428,11 @@ pub trait RuntimeEnv {
         Err(Errno::ESRCH)
     }
 
-    /// Installs a handler for a signal: delivered signals are then queued and
-    /// visible through [`RuntimeEnv::pending_signals`] rather than applying
-    /// their default disposition.
-    fn register_signal_handler(&mut self, signal: Signal) -> Result<(), Errno>;
-
-    /// Full `sigaction`: install a handler (optionally with `SA_RESTART`),
-    /// ignore the signal, or restore the default disposition.  The default
-    /// implementation degrades to [`RuntimeEnv::register_signal_handler`]
-    /// for handlers and ignores the rest.
-    fn sigaction(&mut self, signal: Signal, action: SigAction) -> Result<(), Errno> {
-        match action {
-            SigAction::Handler { .. } => self.register_signal_handler(signal),
-            SigAction::Default | SigAction::Ignore => Ok(()),
-        }
-    }
+    /// Full `sigaction`: install a handler (optionally with `SA_RESTART`) —
+    /// delivered signals are then queued and visible through
+    /// [`RuntimeEnv::pending_signals`] rather than applying their default
+    /// disposition — ignore the signal, or restore the default disposition.
+    fn sigaction(&mut self, signal: Signal, action: SigAction) -> Result<(), Errno>;
 
     /// `sigprocmask`: applies `how` ([`browsix_core::SIG_BLOCK`] and
     /// friends) with `mask`, returning the previous mask.  Kernel-less

@@ -15,7 +15,7 @@ use parking_lot::Mutex;
 
 use browsix_browser::SharedArrayBuffer;
 use browsix_core::vm::{page_align, AddressSpace, ShmObject};
-use browsix_core::{Errno, Signal, MAP_ANONYMOUS, MAP_SHARED, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
+use browsix_core::{Errno, SigAction, Signal, MAP_ANONYMOUS, MAP_SHARED, POLLHUP, POLLIN, POLLNVAL, POLLOUT, WNOHANG};
 use browsix_fs::{DirEntry, FileHandle, FileSystem, Metadata, MountedFs, OpenFlags};
 
 use crate::env::{Fd, MappedRegion, PollFd, RuntimeEnv, SpawnStdio, WaitedChild};
@@ -175,7 +175,6 @@ pub struct NativeEnv {
     nonblocking: HashSet<Fd>,
     reaped: Vec<WaitedChild>,
     exit_code: Option<i32>,
-    handled_signals: Vec<Signal>,
     /// The process's address space, same model the kernel keeps per task.
     address_space: AddressSpace,
 }
@@ -203,7 +202,6 @@ impl NativeEnv {
             nonblocking: HashSet::new(),
             reaped: Vec::new(),
             exit_code: None,
-            handled_signals: Vec::new(),
             address_space: AddressSpace::new(),
         }
     }
@@ -571,20 +569,13 @@ impl RuntimeEnv for NativeEnv {
         Ok(child_pid)
     }
 
-    fn wait(&mut self, pid: i32) -> Result<WaitedChild, Errno> {
-        let index = self
-            .reaped
-            .iter()
-            .position(|child| pid < 0 || child.pid == pid as u32)
-            .ok_or(Errno::ECHILD)?;
-        Ok(self.reaped.remove(index))
-    }
-
-    fn wait_nohang(&mut self, pid: i32) -> Result<Option<WaitedChild>, Errno> {
-        match self.wait(pid) {
-            Ok(child) => Ok(Some(child)),
-            Err(Errno::ECHILD) => Ok(None),
-            Err(e) => Err(e),
+    fn wait_options(&mut self, pid: i32, options: u32) -> Result<Option<WaitedChild>, Errno> {
+        // Children run to completion inside `spawn`, so none is ever stopped
+        // or still running: a wait finds an exit record or nothing.
+        match self.reaped.iter().position(|child| pid < 0 || child.pid == pid as u32) {
+            Some(index) => Ok(Some(self.reaped.remove(index))),
+            None if options & WNOHANG != 0 => Ok(None),
+            None => Err(Errno::ECHILD),
         }
     }
 
@@ -610,8 +601,8 @@ impl RuntimeEnv for NativeEnv {
         }
     }
 
-    fn register_signal_handler(&mut self, signal: Signal) -> Result<(), Errno> {
-        self.handled_signals.push(signal);
+    fn sigaction(&mut self, _signal: Signal, _action: SigAction) -> Result<(), Errno> {
+        // Nothing can signal a native process, so no disposition is ever used.
         Ok(())
     }
 
@@ -884,7 +875,12 @@ mod tests {
         env.close(write_fd).unwrap();
         assert_eq!(env.read(read_fd, 64).unwrap(), b"from child\n");
         assert_eq!(env.wait(-1), Err(Errno::ECHILD));
-        assert_eq!(env.wait_nohang(-1).unwrap(), None);
+        assert_eq!(env.wait_options(-1, WNOHANG).unwrap(), None);
+        let pid = env
+            .spawn("/usr/bin/child", &["child".to_string()], SpawnStdio::default())
+            .unwrap();
+        let child = env.wait_options(-1, WNOHANG).unwrap().expect("an exited child");
+        assert_eq!((child.pid, child.exit_code), (pid, Some(7)));
     }
 
     #[test]

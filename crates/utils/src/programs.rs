@@ -17,6 +17,7 @@ use std::ops::ControlFlow;
 use std::time::Duration;
 
 use browsix_fs::{FileType, OpenFlags};
+use browsix_runtime::env::WNOHANG;
 use browsix_runtime::{guest, GuestFactory, RuntimeEnv, SharedArrayBuffer, SpawnStdio};
 
 use crate::common::{charge_for_bytes, flag_value, for_each_chunk, has_flag, lines, split_args, LineSplitter, CHUNK};
@@ -1134,7 +1135,7 @@ fn run_timeout(env: &mut dyn RuntimeEnv) -> i32 {
     // lifetime to park on, so the kernel's poll timeout is the clock.
     let started = std::time::Instant::now();
     loop {
-        match env.wait_nohang(pid as i32) {
+        match env.wait_options(pid as i32, WNOHANG) {
             Ok(Some(child)) => return child.exit_code.unwrap_or(128 + (child.status & 0x7f)),
             Ok(None) => {}
             Err(_) => return 125,

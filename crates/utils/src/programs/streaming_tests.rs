@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use browsix_core::{Errno, Signal};
+use browsix_core::{Errno, SigAction, Signal};
 use browsix_fs::{DirEntry, Metadata, OpenFlags};
 use browsix_runtime::env::Fd;
 use browsix_runtime::{ExecutionProfile, PollFd, RuntimeEnv, SpawnStdio, SyscallConvention, WaitedChild};
@@ -425,10 +425,7 @@ impl RuntimeEnv for ScriptedEnv {
     fn spawn(&mut self, _: &str, _: &[String], _: SpawnStdio) -> Result<u32, Errno> {
         unimplemented!()
     }
-    fn wait(&mut self, _: i32) -> Result<WaitedChild, Errno> {
-        unimplemented!()
-    }
-    fn wait_nohang(&mut self, _: i32) -> Result<Option<WaitedChild>, Errno> {
+    fn wait_options(&mut self, _: i32, _: u32) -> Result<Option<WaitedChild>, Errno> {
         unimplemented!()
     }
     fn pipe(&mut self) -> Result<(Fd, Fd), Errno> {
@@ -437,7 +434,7 @@ impl RuntimeEnv for ScriptedEnv {
     fn kill(&mut self, _: u32, _: Signal) -> Result<(), Errno> {
         unimplemented!()
     }
-    fn register_signal_handler(&mut self, _: Signal) -> Result<(), Errno> {
+    fn sigaction(&mut self, _: Signal, _: SigAction) -> Result<(), Errno> {
         unimplemented!()
     }
     fn getpgid(&mut self, _: u32) -> Result<u32, Errno> {

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Hand-written non-test lines added and removed since a base commit: every
 # file under crates/*/src (cut at its `#[cfg(test)] mod tests`, and without
-# the test-only endpoint_model.rs), abi/syscalls.abi and scripts/.  Comment
-# lines count.  The working tree is compared, so it runs before the commit.
+# the test-only endpoint_model.rs), each crate's build.rs, abi/syscalls.abi
+# and scripts/.  Comment lines count.  The working tree is compared, so it runs before the commit.
 #
 # Usage: scripts/loc_delta.sh <base-commit>
 set -euo pipefail
@@ -23,5 +23,5 @@ while read -r file; do
     removed=$((removed + $(grep -c '^<' <<<"$delta" || true)))
 done < <({ git diff --name-only "$base" -- crates abi/syscalls.abi scripts
            git ls-files --others --exclude-standard -- crates scripts; } |
-         grep -E '^(crates/[^/]+/src/|abi/|scripts/)' | grep -v endpoint_model.rs | sort -u)
+         grep -E '^(crates/[^/]+/(src/|build\.rs$)|abi/|scripts/)' | grep -v endpoint_model.rs | sort -u)
 echo "added $added  removed $removed  net $((added - removed))"

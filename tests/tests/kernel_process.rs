@@ -4,7 +4,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use browsix_core::{BootConfig, Kernel, Signal};
+use browsix_core::{BootConfig, Kernel, SigAction, Signal};
 use browsix_fs::{FileSystem, OpenFlags};
 use browsix_runtime::{
     guest, EmscriptenLauncher, EmscriptenMode, ExecutionProfile, NodeLauncher, RuntimeEnv, SpawnStdio,
@@ -261,6 +261,46 @@ fn pipes_connect_parent_and_child_processes() {
     kernel.shutdown();
 }
 
+/// Buffered stdout reaches the kernel ahead of every other system call, so
+/// output keeps program order whatever call comes next: a write to stderr
+/// after `dup2(1, 2)`, or a `kill` that ends the process before its `exit`.
+#[test]
+fn buffered_stdout_goes_out_before_any_other_call() {
+    let merged = |env: &mut dyn RuntimeEnv| {
+        env.dup2(1, 2).unwrap();
+        env.print("out\n");
+        env.eprint("err\n");
+        0
+    };
+    let doomed = |env: &mut dyn RuntimeEnv| {
+        let me = env.getpid();
+        env.print("last words\n");
+        let _ = env.kill(me, Signal::SIGKILL);
+        0
+    };
+    for mode in [EmscriptenMode::Emterpreter, EmscriptenMode::AsmJs] {
+        let profile = ExecutionProfile::instant(match mode {
+            EmscriptenMode::AsmJs => SyscallConvention::Sync,
+            EmscriptenMode::Emterpreter => SyscallConvention::Async,
+        });
+        let config = BootConfig::in_memory();
+        for (name, main) in [("merged", merged as fn(&mut dyn RuntimeEnv) -> i32), ("doomed", doomed)] {
+            let launcher = EmscriptenLauncher::new(name, guest(name, main), mode).with_profile(profile.clone());
+            config
+                .registry
+                .register(&format!("/usr/bin/{name}"), Arc::new(launcher));
+        }
+        let kernel = Kernel::boot(config);
+        let handle = kernel.spawn("/usr/bin/merged", &["merged"], &[]).unwrap();
+        assert_eq!(handle.wait().code, Some(0), "{mode:?}");
+        assert_eq!(handle.stdout_string(), "out\nerr\n", "{mode:?}");
+        let handle = kernel.spawn("/usr/bin/doomed", &["doomed"], &[]).unwrap();
+        assert_eq!(handle.wait().signal, Some(Signal::SIGKILL), "{mode:?}");
+        assert_eq!(handle.stdout_string(), "last words\n", "{mode:?}");
+        kernel.shutdown();
+    }
+}
+
 #[test]
 fn sigkill_terminates_a_looping_process() {
     let kernel = Kernel::boot(BootConfig::in_memory());
@@ -300,7 +340,8 @@ fn sigterm_with_handler_is_caught_not_fatal() {
             NodeLauncher::new(
                 "trap",
                 guest("trap", |env: &mut dyn RuntimeEnv| {
-                    env.register_signal_handler(Signal::SIGTERM).unwrap();
+                    env.sigaction(Signal::SIGTERM, SigAction::Handler { restart: false })
+                        .unwrap();
                     env.print("ready\n");
                     // Poll for the signal at "syscall boundaries".
                     for _ in 0..500 {

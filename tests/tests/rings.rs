@@ -376,7 +376,9 @@ impl ProgramLauncher for ClientProbe {
 fn readlink_rides_the_ring() {
     let run = |prefer_sync: bool| {
         let config = browsix_core::BootConfig::in_memory();
-        let body = |client: &mut SyscallClient| match client.sys_readlink("/tmp/not-a-link") {
+        let body = |client: &mut SyscallClient| match client.call(Syscall::Readlink {
+            path: "/tmp/not-a-link".to_owned(),
+        }) {
             SysResult::Err(errno) => errno.code(),
             _ => 0,
         };
@@ -635,7 +637,7 @@ fn a_batch_of_reads_larger_than_the_buffer_table_arrives_whole() {
 #[test]
 fn a_full_submission_queue_of_parked_reads_gets_the_write_that_feeds_them() {
     let body = |client: &mut SyscallClient| {
-        let SysResult::Pair(r, w) = client.sys_pipe2() else {
+        let SysResult::Pair(r, w) = client.call(Syscall::Pipe2) else {
             return 2;
         };
         let (r, w) = (r as i32, w as i32);
@@ -655,7 +657,10 @@ fn a_full_submission_queue_of_parked_reads_gets_the_write_that_feeds_them() {
             .collect();
         read.sort();
         let transcript = ByteSource::Inline(format!("{read:?} {written:?}").into_bytes());
-        match client.sys_write(1, transcript) {
+        match client.call(Syscall::Write {
+            fd: 1,
+            data: transcript,
+        }) {
             SysResult::Int(_) => 0,
             _ => 3,
         }
@@ -1288,7 +1293,7 @@ fn a_parked_sendfile_is_not_redirected_by_dup2_over_its_descriptor() {
 fn a_large_write_by_message_reaches_its_reader_as_the_buffer_the_writer_staged() {
     let config = browsix_core::BootConfig::in_memory();
     let body = |client: &mut SyscallClient| {
-        let SysResult::Pair(r, w) = client.sys_pipe2() else {
+        let SysResult::Pair(r, w) = client.call(Syscall::Pipe2) else {
             return 2;
         };
         let data = vec![0x5Au8; PIPE_BYTES];

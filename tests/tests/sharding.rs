@@ -517,6 +517,65 @@ fn an_accepted_connection_serves_from_a_child_on_another_shard() {
     kernel.shutdown();
 }
 
+#[test]
+fn a_listener_handle_released_on_another_shard_leaves_that_shards_new_listener_alone() {
+    // The root (shard 0) listens on a port and hands the listener to its
+    // first spawn (shard 1) as stdin, then closes its own copy: the port's
+    // listener closes with the last reference on its shard.  The child then
+    // listens on the same port itself, on shard 1, and closes the handle it
+    // was given.  That handle names the port, not the child's listener,
+    // which must go on accepting.
+    const PORT: u16 = 8000;
+    let config = BootConfig::in_memory().with_shards(2);
+    let register = |name: &'static str, main: fn(&mut dyn RuntimeEnv) -> i32| {
+        let launcher = NodeLauncher::new(name, guest(name, main)).with_profile(instant_async());
+        config
+            .registry
+            .register(&format!("/usr/bin/{name}"), Arc::new(launcher));
+    };
+    register("root", |env| {
+        let listener = env.socket().unwrap();
+        env.bind(listener, PORT).unwrap();
+        env.listen(listener, 4).unwrap();
+        let stdio = SpawnStdio {
+            stdin: Some(listener),
+            ..SpawnStdio::default()
+        };
+        let child = env.spawn("/usr/bin/relisten", &["relisten".to_owned()], stdio).unwrap();
+        env.close(listener).unwrap();
+        if shard_of(child, 2) != 1 {
+            return 20;
+        }
+        env.wait(child as i32).unwrap().exit_code.unwrap_or(9)
+    });
+    register("relisten", |env| {
+        let listener = env.socket().unwrap();
+        // The root's listener holds the port until the root's close lands.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while env.bind(listener, PORT).is_err() {
+            if Instant::now() > deadline {
+                return 1;
+            }
+            let _ = env.poll(&mut [], 1);
+        }
+        env.listen(listener, 4).unwrap();
+        env.close(0).unwrap();
+        let client = env.socket().unwrap();
+        if env.connect(client, PORT).is_err() {
+            return 2;
+        }
+        match env.accept(listener) {
+            Ok(_) => 0,
+            Err(_) => 3,
+        }
+    });
+    let kernel = Kernel::boot(config);
+    let root = kernel.spawn("/usr/bin/root", &["root"], &[]).unwrap();
+    let status = root.wait_timeout(Duration::from_secs(30)).expect("the root must exit");
+    assert_eq!(status.code, Some(0), "stderr: {}", root.stderr_string());
+    kernel.shutdown();
+}
+
 // ---- multi-shard vs single-shard oracle -------------------------------------
 
 /// Runs `command` through the shell on a fresh kernel with `shards` shards
