@@ -5,7 +5,7 @@
 //! any diff (`scripts/abigen_check.sh`), so it can never go stale the way
 //! a hand-written spec would.
 
-use crate::{Abi, ResultKind, SyscallDef, RETIRED_TAGS};
+use crate::{Abi, ResultKind, SyscallDef, RETIRED_OPCODES, RETIRED_TAGS};
 
 /// Renders the full reference manual as Markdown.
 pub fn render(abi: &Abi) -> String {
@@ -31,8 +31,9 @@ pub fn render(abi: &Abi) -> String {
     out.push_str(
         "## Compatibility rules\n\n\
          * **Opcodes and result tags are append-only.** A number, once assigned,\n\
-         \x20 is never reused or renumbered — a retired call would keep its opcode\n\
-         \x20 reserved forever. New calls take `max opcode + 1`.\n\
+         \x20 is never reused or renumbered — a retired call keeps its opcode\n\
+         \x20 reserved forever (listed below the opcode table). New calls take\n\
+         \x20 `max opcode + 1`.\n\
          * **Existing wire layouts are frozen.** Changing the fields of a shipped\n\
          \x20 call requires a new opcode (e.g. an `openat` next to `open`), not an\n\
          \x20 edit; the pinned golden corpus (`abi/golden_corpus.txt`) enforces\n\
@@ -76,12 +77,14 @@ pub fn render(abi: &Abi) -> String {
          either tag arriving where there is no transfer list (a ring slot)\n\
          is `EINVAL` for that call alone.\n\n\
          ### The ring carries every call\n\n\
-         A process sends `ring_setup` as an ordinary message; from then on every\n\
-         call it makes, `exit` included, is a ring entry. An entry that does not\n\
-         fit its slot is **spilled**: bit 31 of the length word (`INDIRECT`)\n\
-         makes the payload a `(u32 a, u32 len)` reference — for a submission a\n\
-         byte offset into the process's heap, for a completion the first of\n\
-         ⌈len / buf_bytes⌉ adjacent registered buffers. A reference that fails\n\
+         A process hands the kernel its heap, one event with no reply, and the\n\
+         kernel maps the ring at its fixed place in it (`browsix_core::ring`;\n\
+         the process chooses no part of the layout). From then on every call it\n\
+         makes, `exit` included, is a ring entry; it sends no message frame. An\n\
+         entry that does not fit its slot is **spilled**: bit 31 of the length\n\
+         word (`INDIRECT`) makes the payload a `(u32 a, u32 len)` reference — for\n\
+         a submission a byte offset into the process's heap, for a completion the\n\
+         first of ⌈len / 64 KiB⌉ adjacent registered buffers. A reference that fails\n\
          its bounds check reads as `EFAULT`; a result larger than the whole\n\
          buffer table completes with `EOVERFLOW`, so calls with a **read cap**\n\
          below have that length clamped when they arrive by ring (a short read;\n\
@@ -115,7 +118,11 @@ pub fn render(abi: &Abi) -> String {
             }
         ));
     }
-    out.push('\n');
+    let retired: Vec<String> = RETIRED_OPCODES.iter().map(u8::to_string).collect();
+    out.push_str(&format!(
+        "\nRetired opcodes, never to be reused: {}.\n\n",
+        retired.join(", ")
+    ));
 
     // ---- per-class sections ------------------------------------------------
     out.push_str("## Syscalls by class\n\n");

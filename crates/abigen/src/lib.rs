@@ -475,14 +475,21 @@ pub fn parse(text: &str) -> Result<Abi, ParseError> {
     Ok(abi)
 }
 
+/// Opcodes once assigned and now reserved forever (56 was `ring_setup`).
+pub const RETIRED_OPCODES: &[u8] = &[56];
+
 /// Result tags once assigned and now reserved forever (9 was `DataFixed`).
 pub const RETIRED_TAGS: &[u8] = &[9];
 
-/// Structural checks beyond syntax: unique/dense opcodes, unique and
-/// unretired tags, resolvable ring-cap and altname field references.
+/// Structural checks beyond syntax: unique, unretired and dense opcodes,
+/// unique and unretired tags, resolvable ring-cap and altname field
+/// references.
 fn validate(abi: &Abi) -> Result<(), ParseError> {
-    let mut seen = std::collections::BTreeSet::new();
+    let mut seen: std::collections::BTreeSet<u8> = RETIRED_OPCODES.iter().copied().collect();
     for sc in &abi.syscalls {
+        if RETIRED_OPCODES.contains(&sc.opcode) {
+            return Err(err(0, format!("opcode {} is retired ({})", sc.opcode, sc.ident)));
+        }
         if !seen.insert(sc.opcode) {
             return Err(err(0, format!("duplicate opcode {} ({})", sc.opcode, sc.ident)));
         }
@@ -504,8 +511,9 @@ fn validate(abi: &Abi) -> Result<(), ParseError> {
             }
         }
     }
-    // Opcodes must be dense from 1: a gap means a number was skipped or
-    // retired, which the append-only compat rule forbids.
+    // Opcodes, the retired ones counted as taken, must be dense from 1: a
+    // gap means a number was skipped, which the append-only compat rule
+    // forbids.
     let max = seen.iter().next_back().copied().unwrap_or(0);
     if seen.len() != max as usize {
         return Err(err(0, format!("opcodes must be dense 1..={max} with no gaps")));
@@ -558,5 +566,24 @@ mod tests {
         let revived = format!("{IDL}\nresult Revived = 9 {{\n  kind: unit\n}}\n");
         let error = parse(&revived).expect_err("tag 9 is retired");
         assert!(error.to_string().contains("retired"), "{error}");
+    }
+
+    #[test]
+    fn a_retired_opcode_is_refused() {
+        // The IDL itself parses with 56 missing: a retired opcode is taken.
+        assert!(parse(IDL).is_ok());
+        let revived = format!(
+            "{IDL}\nsyscall Revived = 56 {{\n  name: \"revived\"\n  class: \"Syscall Rings\"\n  dispatch: self.sys_revived(pid)\n}}\n"
+        );
+        let error = parse(&revived).expect_err("opcode 56 is retired");
+        assert!(error.to_string().contains("opcode 56 is retired"), "{error}");
+    }
+
+    #[test]
+    fn the_reference_lists_the_retired_numbers() {
+        let reference = docs::render(&parse(IDL).unwrap());
+        assert!(reference.contains("Retired opcodes, never to be reused: 56."));
+        assert!(reference.contains("Retired, never to be reused: 9."));
+        assert!(!reference.contains("ring_setup"));
     }
 }

@@ -160,15 +160,6 @@ pub fn representative_syscalls() -> Vec<Syscall> {
             fd_out: 4,
             len: 65536,
         },
-        Syscall::RingSetup {
-            sq_offset: 0,
-            cq_offset: 16400,
-            slots: 64,
-            slot_bytes: 256,
-            buf_offset: 32800,
-            buf_count: 7,
-            buf_bytes: 65536,
-        },
     ]
 }
 
@@ -193,7 +184,7 @@ mod tests {
     fn figure3_calls_are_all_present() {
         let inventory = syscall_inventory();
         let classes: Vec<&String> = inventory.keys().collect();
-        assert_eq!(classes.len(), 8);
+        assert_eq!(classes.len(), 7);
         let all: Vec<String> = inventory.values().flatten().cloned().collect();
         for expected in [
             "fork",
@@ -236,7 +227,6 @@ mod tests {
             "vm_write",
             "sendfile",
             "splice",
-            "ring_setup",
         ] {
             assert!(all.contains(&expected.to_string()), "missing {expected}");
         }

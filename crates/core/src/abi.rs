@@ -13,7 +13,7 @@
 //! ```
 //! use browsix_core::abi;
 //!
-//! // Every opcode is described, in order, and the manifest counts agree.
+//! // Every live opcode is described, in order, and the manifest counts agree.
 //! assert_eq!(abi::SYSCALLS.len() as u32, abi::MANIFEST.syscall_count);
 //! assert_eq!(abi::SYSCALLS[0].name, "spawn");
 //!
@@ -49,8 +49,8 @@ pub struct AbiManifest {
     pub wire_version: u8,
     /// Number of system calls.
     pub syscall_count: u32,
-    /// Highest assigned opcode (equals `syscall_count` while the space stays
-    /// dense; a retired call would leave a permanent gap).
+    /// Highest assigned opcode: `syscall_count` plus the retired opcodes,
+    /// each a permanent gap.
     pub max_opcode: u32,
     /// Number of result tags.
     pub result_count: u32,

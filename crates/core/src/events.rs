@@ -3,8 +3,8 @@
 //! Everything that happens to the kernel arrives as a [`KernelEvent`] on a
 //! single queue, mirroring the way every interaction with the real Browsix
 //! kernel arrives as a `postMessage` on the main browser thread: system calls
-//! from processes, registrations of shared heaps, and calls made by the
-//! embedding web application through the host API.
+//! from processes, the shared heaps their rings are mapped in, and calls made
+//! by the embedding web application through the host API.
 
 use std::sync::Arc;
 
@@ -153,15 +153,17 @@ pub enum KernelEvent {
         /// ([`SyscallBatch::attach_payloads`](crate::SyscallBatch::attach_payloads)).
         transfers: Vec<Vec<u8>>,
     },
-    /// A process handing the kernel its shared heap (sent once at runtime
-    /// startup, like the `personality` call of §3.2): the memory shared-heap
-    /// write sources are read from and a following `ring_setup` maps the
-    /// syscall ring into.
-    RegisterSyncHeap {
-        /// The registering process.
+    /// A process handing the kernel its shared heap, which maps its syscall
+    /// ring (sent once at runtime startup, like the `personality` call of
+    /// §3.2; no reply).  The ring sits at its fixed place in the heap
+    /// ([`Ring::map`](crate::ring::Ring::map)), and shared-heap write
+    /// sources are read from the heap.  A task that already has a ring, or
+    /// a heap too short for one, maps nothing.
+    MapRing {
+        /// The process.
         pid: Pid,
-        /// The shared memory.
-        sab: SharedArrayBuffer,
+        /// Its shared heap.
+        heap: SharedArrayBuffer,
     },
     /// A process ringing its submission-ring doorbell: its SQ went from
     /// empty to non-empty while the kernel had the `NEED_WAKEUP` flag set.
@@ -184,7 +186,7 @@ impl std::fmt::Debug for KernelEvent {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             KernelEvent::Syscall { pid, seq, .. } => write!(f, "Syscall(pid={pid}, seq={seq})"),
-            KernelEvent::RegisterSyncHeap { pid, .. } => write!(f, "RegisterSyncHeap(pid={pid})"),
+            KernelEvent::MapRing { pid, .. } => write!(f, "MapRing(pid={pid})"),
             KernelEvent::Doorbell { pid } => write!(f, "Doorbell(pid={pid})"),
             KernelEvent::Host(req) => write!(f, "Host({req:?})"),
             KernelEvent::Shard(msg) => write!(f, "Shard({msg:?})"),

@@ -184,18 +184,20 @@ impl KernelState {
 
     /// Materialises a [`ByteSource`]: an inline payload is moved out (the
     /// caller pushes, writes or parks that very buffer), shared-heap
-    /// references are copied directly out of the process's registered heap.
-    /// A transfer reference that is still one here claimed no buffer: it
-    /// named none, the wrong one or one already taken, or it came through a
-    /// ring slot, which has no transfer list beside it.
+    /// references are copied directly out of the heap the process's ring is
+    /// mapped in (`EFAULT` without one).  A transfer reference that is still
+    /// one here claimed no buffer: it named none, the wrong one or one
+    /// already taken, or it came through a ring slot, which has no transfer
+    /// list beside it.
     pub(crate) fn resolve_bytes(&self, pid: Pid, data: ByteSource) -> Result<Vec<u8>, Errno> {
         match data {
             ByteSource::Inline(bytes) => Ok(bytes),
             ByteSource::Transfer { .. } => Err(Errno::EINVAL),
             ByteSource::SharedHeap { offset, len } => {
                 let task = self.task(pid)?;
-                let heap = task.sync_heap.as_ref().ok_or(Errno::EFAULT)?;
-                heap.read_bytes(offset as usize, len as usize)
+                let ring = task.ring.as_ref().ok_or(Errno::EFAULT)?;
+                ring.sab()
+                    .read_bytes(offset as usize, len as usize)
                     .map_err(|_| Errno::EFAULT)
             }
         }

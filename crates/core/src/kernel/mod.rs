@@ -30,7 +30,7 @@ use browsix_fs::{Errno, MountedFs};
 use crate::events::{HostRequest, KernelEvent, OutputSink};
 use crate::exec::{resolve_executable, ExecutableRegistry, ForkImage, LaunchContext, ProgramLauncher};
 use crate::fd::{FdTable, FileKind, OpenFile};
-use crate::ring::{Ring, RingGeometry};
+use crate::ring::{Ring, MAX_READ_BYTES};
 use crate::signals::{SigAction, Signal, SignalDisposition};
 use crate::socket::{SocketTable, StreamPair};
 use crate::stats::{KernelStats, SyscallTally};
@@ -290,9 +290,12 @@ impl KernelState {
                 payload,
                 transfers,
             } => self.handle_syscall(pid, seq, payload, transfers),
-            KernelEvent::RegisterSyncHeap { pid, sab } => {
-                if let Some(task) = self.tasks.get_mut(&pid) {
-                    task.sync_heap = Some(sab);
+            KernelEvent::MapRing { pid, heap } => {
+                // One ring per task, for good: a second heap, or one too
+                // short for the ring region, maps nothing.  The process set
+                // `NEED_WAKEUP` before it sent the heap.
+                if let Some(task) = self.tasks.get_mut(&pid).filter(|task| task.ring.is_none()) {
+                    task.ring = Ring::map(heap);
                 }
             }
             KernelEvent::Doorbell { pid } => {
@@ -316,30 +319,6 @@ impl KernelState {
     }
 
     // ---- syscall rings -------------------------------------------------------
-
-    /// Registers a persistent ring pair for `pid`, validating the geometry
-    /// against the shared heap the task registered earlier.  A task maps one
-    /// ring, once, whichever transport brings a second request.
-    fn sys_ring_setup(&mut self, pid: Pid, geo: RingGeometry) -> Outcome {
-        let Some(task) = self.tasks.get_mut(&pid) else {
-            return Outcome::Complete(SysResult::Err(Errno::ESRCH));
-        };
-        if task.ring.is_some() {
-            return Outcome::Complete(SysResult::Err(Errno::EEXIST));
-        }
-        let Some(heap) = task.sync_heap.as_ref() else {
-            return Outcome::Complete(SysResult::Err(Errno::EINVAL));
-        };
-        if !geo.validate(heap.len()) {
-            return Outcome::Complete(SysResult::Err(Errno::EINVAL));
-        }
-        let ring = Ring::new(heap.clone(), geo);
-        // The queue starts out parked: the very first submission must ring
-        // the doorbell, because nothing else will look at this ring.
-        ring.set_need_wakeup();
-        task.ring = Some(ring);
-        Outcome::Complete(SysResult::Ok)
-    }
 
     /// Drains one task's submission queue dry, dispatching each entry and
     /// posting its completion (or parking a waiter) as it goes, then
@@ -388,7 +367,7 @@ impl KernelState {
                     self.post_ring_completion(pid, user_data, SysResult::Err(errno));
                     continue;
                 };
-                crate::abi::cap_ring_read(&mut call, ring.geometry().max_read_bytes());
+                crate::abi::cap_ring_read(&mut call, MAX_READ_BYTES);
                 match self.run_entry(pid, ReplyTo::Ring { user_data }, call) {
                     Outcome::Complete(result) => self.post_ring_completion(pid, user_data, result),
                     Outcome::Blocked => {}

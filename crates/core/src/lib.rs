@@ -14,11 +14,12 @@
 //! * Each process is a worker created through `browsix-browser`.  Processes
 //!   issue system calls over two transports: asynchronous
 //!   [messages](KernelEvent::Syscall) (structured-clone frames, works
-//!   everywhere) and, for a process that registered a `SharedArrayBuffer`
-//!   heap, the synchronous [`ring`] mapped into it (submission and
-//!   completion queues plus `Atomics.wait`; Chrome-only at publication time
-//!   but much faster).  A process bootstraps its ring with one message and
-//!   from then on the ring carries every call it makes.
+//!   everywhere) and, for a process that handed the kernel a
+//!   `SharedArrayBuffer` heap, the synchronous [`ring`] mapped into it
+//!   (submission and completion queues plus `Atomics.wait`; Chrome-only at
+//!   publication time but much faster).  Handing over the heap
+//!   ([`KernelEvent::MapRing`], no reply) maps the ring, and from then on the
+//!   ring carries every call the process makes.
 //! * The file system is a [`browsix_fs::MountedFs`] shared by every process.
 //! * Pipes, sockets and signals live in kernel tables and are reference
 //!   counted across `spawn`/`fork`/`dup`/process exit.

@@ -20,9 +20,24 @@
 //!
 //! The doorbell protocol avoids a kernel wake-up per submission: the kernel
 //! sets the `NEED_WAKEUP` flag in the SQ header only once it has drained the
-//! queue dry, and the process rings the doorbell (a kernel event, modelling
+//! queue dry (a new ring starts with it set: see the next section), and the
+//! process rings the doorbell (a kernel event, modelling
 //! `Atomics.notify` on the kernel's wait address) only when it observes the
 //! flag set — i.e. only on empty→non-empty transitions.
+//!
+//! # Mapping: one layout, one event
+//!
+//! The layout is fixed here, not chosen by the process: a process's ring
+//! region starts at [`RING_REGION_OFFSET`] of its [`SYNC_HEAP_BYTES`] heap,
+//! below it sits the process's staging area, and the queues and the buffer
+//! table follow back to back, sized by the constants below.  A process
+//! maps its ring with one event and no reply, by handing the kernel its
+//! heap ([`crate::KernelEvent::MapRing`], the `personality` call of §3.2).
+//! It sets `NEED_WAKEUP` itself before it does, so its first submission
+//! rings the doorbell, and uses the ring at once: the doorbell travels on
+//! the same channel behind the heap, so the kernel has mapped the ring by
+//! the time it sees it.  A task maps one ring, once; a second heap, or one
+//! too short for the region ([`Ring::map`]), maps nothing.
 //!
 //! Every word of the protocol is read and written with one sequentially
 //! consistent `Atomics` operation ([`SharedArrayBuffer::load_i32`] and
@@ -79,14 +94,14 @@
 //! says the payload is an 8-byte `(u32 a, u32 len)` reference to the `len`
 //! encoded bytes.  For a submission ([`Ring::push_sqe_spilled`]) `a` is a
 //! byte offset into the heap, chosen by the process; for a completion
-//! ([`Ring::push_cqe`]) it is the first of ⌈`len` / `buf_bytes`⌉ adjacent
+//! ([`Ring::push_cqe`]) it is the first of ⌈`len` / [`REG_BUF_BYTES`]⌉ adjacent
 //! registered buffers, which the consumer frees as it pops the entry.
 //! [`Ring::pop_sqe`] and [`Ring::pop_cqe`] follow the reference — after
 //! checking it, because the process can scribble on every byte of this
 //! memory: a bad one pops as an empty payload, which nothing decodes from.
-//! A result larger than the whole table ([`RingGeometry::max_spill_bytes`])
+//! A result larger than the whole table ([`MAX_SPILL_BYTES`])
 //! cannot travel at all; the kernel answers it `EOVERFLOW` and clamps ring
-//! reads ([`RingGeometry::max_read_bytes`]) so that a read never gets there.
+//! reads ([`MAX_READ_BYTES`]) so that a read never gets there.
 //!
 //! Spilling is the one way bulk read data comes back, and each byte is
 //! written into the buffers once and read out once ([`Ring::pop_result`]).
@@ -149,7 +164,7 @@ pub const NEED_WAKEUP: i32 = 1;
 pub const NEED_SPACE: i32 = 2;
 
 /// Maximum payload bytes one slot can carry.
-pub const SLOT_PAYLOAD_BYTES: u32 = RING_SLOT_BYTES - 8;
+pub const SLOT_PAYLOAD_BYTES: usize = RING_SLOT_BYTES as usize - 8;
 
 /// Bit 31 of a slot's length word: the payload is an 8-byte `(u32 a, u32
 /// len)` reference to a spilled entry, not the entry (see the module docs).
@@ -164,109 +179,66 @@ const FLAGS: usize = 8;
 /// the `u32` length prefix.
 const DATA_HEADER_BYTES: usize = 5;
 
-/// Where the two queues and the buffer table sit inside the shared heap.
-///
-/// Carried by [`crate::Syscall::RingSetup`]; the kernel validates a geometry
-/// against the registered heap before accepting it.
+/// The largest completion the registered buffers can carry: the whole
+/// table, as one run.
+pub const MAX_SPILL_BYTES: usize = (REG_BUF_COUNT * REG_BUF_BYTES) as usize;
+/// The most bytes a `read` submitted through a ring can return: what is left
+/// of the largest completion after the `Data` result's header.
+pub const MAX_READ_BYTES: u32 = (MAX_SPILL_BYTES - DATA_HEADER_BYTES) as u32;
+
+/// Byte offset of the ring region within a process's shared heap, and the
+/// size of the staging area below it (bulk data of write-like calls, then
+/// submissions too large for a slot).
+pub const RING_REGION_OFFSET: usize = 512 * 1024;
+/// Byte size of the shared heap a process hands the kernel: the staging
+/// area, then the ring region.
+pub const SYNC_HEAP_BYTES: usize = 1024 * 1024;
+
+/// Where a ring sits inside its heap: the one layout — SQ, CQ and buffer
+/// table back to back, sized by the constants above — starting at one
+/// offset.  A process's ring starts at [`RING_REGION_OFFSET`]
+/// ([`Ring::map`]); a ring built directly may start anywhere on the word
+/// grid, since the protocol's words are reached through `Atomics`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RingGeometry {
-    /// Byte offset of the SQ header.
-    pub sq_offset: u32,
-    /// Byte offset of the CQ header.
-    pub cq_offset: u32,
-    /// Slots per queue (power of two).
-    pub slots: u32,
-    /// Byte size of one slot.
-    pub slot_bytes: u32,
-    /// Byte offset of the registered-buffer table.
-    pub buf_offset: u32,
-    /// Number of registered buffers.
-    pub buf_count: u32,
-    /// Byte size of one registered buffer.
-    pub buf_bytes: u32,
+    /// Byte offset of the SQ header, where the region starts.
+    sq: u32,
 }
 
 impl RingGeometry {
-    /// The standard layout: SQ, CQ and buffer table packed back to back
-    /// starting at `region_offset` within the shared heap.
+    /// The layout starting at `region_offset` (a multiple of 4) within the
+    /// shared heap.
     pub fn standard(region_offset: u32) -> RingGeometry {
-        RingGeometry {
-            sq_offset: region_offset,
-            cq_offset: region_offset + RING_BYTES,
-            slots: RING_SLOTS,
-            slot_bytes: RING_SLOT_BYTES,
-            buf_offset: region_offset + 2 * RING_BYTES,
-            buf_count: REG_BUF_COUNT,
-            buf_bytes: REG_BUF_BYTES,
-        }
+        RingGeometry { sq: region_offset }
     }
 
-    /// Whether this geometry is sane and fits a heap of `heap_len` bytes: a
-    /// slot holds at least a spill reference, the buffer table is no larger
-    /// than its one-word allocation bitmap, every offset into a region fits
-    /// the `u32` arithmetic that computes it, and every header, slot and
-    /// buffer starts on a word boundary — the protocol's words are reached
-    /// through `Atomics`, which cannot name an unaligned one.
-    pub fn validate(&self, heap_len: usize) -> bool {
-        let fits = |offset: u32, header: u32, count: u32, each: u32| {
-            let end = offset as u64 + header as u64 + count as u64 * each as u64;
-            end <= heap_len as u64 && end <= u32::MAX as u64
-        };
-        let aligned = [
-            self.sq_offset,
-            self.cq_offset,
-            self.buf_offset,
-            self.slot_bytes,
-            self.buf_bytes,
-        ];
-        aligned.iter().all(|bytes| bytes.is_multiple_of(4))
-            && self.slots.is_power_of_two()
-            && self.slot_bytes as usize >= 8 + REFERENCE_BYTES
-            && self.buf_count <= 32
-            && fits(self.sq_offset, RING_HEADER_BYTES, self.slots, self.slot_bytes)
-            && fits(self.cq_offset, RING_HEADER_BYTES, self.slots, self.slot_bytes)
-            && fits(
-                self.buf_offset,
-                REG_BUF_TABLE_HEADER_BYTES,
-                self.buf_count,
-                self.buf_bytes,
-            )
+    /// Byte offset of the CQ header.
+    fn cq(&self) -> u32 {
+        self.sq + RING_BYTES
+    }
+
+    /// Byte offset of the registered-buffer table.
+    fn bufs(&self) -> usize {
+        (self.sq + 2 * RING_BYTES) as usize
     }
 
     /// Byte offset of the CQ tail word — the address the process blocks on
     /// with `Atomics.wait` while expecting completions.
     pub fn cq_tail_off(&self) -> usize {
-        self.cq_offset as usize + TAIL
+        self.cq() as usize + TAIL
     }
-    /// Byte offset of slot `index % slots` of the queue headed at `queue`.
+    /// Byte offset of slot `index % RING_SLOTS` of the queue headed at `queue`.
     fn slot_off(&self, queue: u32, index: u32) -> usize {
-        (queue + RING_HEADER_BYTES + index % self.slots * self.slot_bytes) as usize
+        (queue + RING_HEADER_BYTES + index % RING_SLOTS * RING_SLOT_BYTES) as usize
     }
     fn buf_slot_off(&self, index: u32) -> usize {
-        self.buf_offset as usize + REG_BUF_TABLE_HEADER_BYTES as usize + (index * self.buf_bytes) as usize
+        self.bufs() + (REG_BUF_TABLE_HEADER_BYTES + index * REG_BUF_BYTES) as usize
     }
+}
 
-    /// Maximum payload bytes one slot of this geometry can carry.
-    pub fn slot_payload_bytes(&self) -> usize {
-        self.slot_bytes as usize - 8
-    }
-
-    /// The largest completion the registered buffers can carry: the whole
-    /// table, as one run.
-    pub fn max_spill_bytes(&self) -> usize {
-        self.buf_count as usize * self.buf_bytes as usize
-    }
-
-    /// The most bytes a `read` submitted through this ring can return: what
-    /// is left of the largest completion after the `Data` result's header.
-    pub fn max_read_bytes(&self) -> u32 {
-        (self.max_spill_bytes().max(self.slot_payload_bytes()) - DATA_HEADER_BYTES) as u32
-    }
-
-    /// How many adjacent buffers a spilled completion of `len` bytes covers.
-    fn buf_run(&self, len: usize) -> u32 {
-        len.div_ceil(self.buf_bytes.max(1) as usize) as u32
-    }
+/// How many adjacent buffers a spilled completion of `len` bytes covers.
+fn buf_run(len: usize) -> u32 {
+    len.div_ceil(REG_BUF_BYTES as usize) as u32
 }
 
 /// The allocation-bitmap bits of `n` adjacent buffers starting at `first`
@@ -302,9 +274,16 @@ pub struct Ring {
 }
 
 impl Ring {
-    /// Wraps a shared heap and a validated geometry.
+    /// Wraps a shared heap that holds the region `geo` places.
     pub fn new(sab: SharedArrayBuffer, geo: RingGeometry) -> Ring {
         Ring { sab, geo }
+    }
+
+    /// The ring at [`RING_REGION_OFFSET`] of a process's shared heap, or
+    /// `None` if the heap is too short to hold the region.
+    pub fn map(heap: SharedArrayBuffer) -> Option<Ring> {
+        let holds_region = heap.len() >= RING_REGION_OFFSET + RING_REGION_BYTES as usize;
+        holds_region.then(|| Ring::new(heap, RingGeometry::standard(RING_REGION_OFFSET as u32)))
     }
 
     /// The geometry this ring was mapped with.
@@ -315,6 +294,11 @@ impl Ring {
     /// The shared heap backing this ring.
     pub fn sab(&self) -> &SharedArrayBuffer {
         &self.sab
+    }
+
+    /// Byte offset of the SQ flags word.
+    fn flags_off(&self) -> usize {
+        self.geo.sq as usize + FLAGS
     }
 
     fn load(&self, off: usize) -> u32 {
@@ -331,14 +315,14 @@ impl Ring {
     fn queued(&self, queue: u32) -> (u32, u32) {
         let head = self.load(queue as usize);
         let queued = self.load(queue as usize + TAIL).wrapping_sub(head);
-        (head, if queued > self.geo.slots { 0 } else { queued })
+        (head, if queued > RING_SLOTS { 0 } else { queued })
     }
 
     /// Writes one entry, `head` followed by `body`, into the next free slot
     /// of the queue headed at `queue`.  Returns the tail index that
     /// publishes it, or `None` (without side effects) if the queue is full.
     fn write_slot(&self, queue: u32, user_data: u32, length_word: u32, head: &[u8], body: &[u8]) -> Option<u32> {
-        if self.queued(queue).1 == self.geo.slots {
+        if self.queued(queue).1 == RING_SLOTS {
             return None;
         }
         let tail = self.load(queue as usize + TAIL);
@@ -361,7 +345,7 @@ impl Ring {
         let slot = self.geo.slot_off(queue, head);
         let (user_data, length_word) = (self.load(slot), self.load(slot + 4));
         let payload = if length_word & INDIRECT == 0 {
-            let len = (length_word as usize).min(self.geo.slot_payload_bytes());
+            let len = (length_word as usize).min(SLOT_PAYLOAD_BYTES);
             self.sab.read_bytes(slot + 8, len).ok()?
         } else {
             resolve(self.load(slot + 8), self.load(slot + 12) as usize).unwrap_or_default()
@@ -374,18 +358,18 @@ impl Ring {
 
     /// Free SQ slots from the producer's point of view.
     pub fn sq_space(&self) -> u32 {
-        self.geo.slots - self.queued(self.geo.sq_offset).1
+        RING_SLOTS - self.queued(self.geo.sq).1
     }
 
     /// Whether the SQ currently holds no published entries.
     pub fn sq_is_empty(&self) -> bool {
-        self.queued(self.geo.sq_offset).1 == 0
+        self.queued(self.geo.sq).1 == 0
     }
 
     fn publish_sqe(&self, user_data: u32, length_word: u32, payload: &[u8]) -> bool {
-        let tail = self.write_slot(self.geo.sq_offset, user_data, length_word, payload, &[]);
+        let tail = self.write_slot(self.geo.sq, user_data, length_word, payload, &[]);
         tail.is_some_and(|tail| {
-            self.store(self.geo.sq_offset as usize + TAIL, tail);
+            self.store(self.geo.sq as usize + TAIL, tail);
             true
         })
     }
@@ -396,7 +380,7 @@ impl Ring {
     /// payload exceeds the slot capacity — spill that one with
     /// [`Ring::push_sqe_spilled`].
     pub fn push_sqe(&self, user_data: u32, payload: &[u8]) -> bool {
-        payload.len() <= self.geo.slot_payload_bytes() && self.publish_sqe(user_data, payload.len() as u32, payload)
+        payload.len() <= SLOT_PAYLOAD_BYTES && self.publish_sqe(user_data, payload.len() as u32, payload)
     }
 
     /// Producer: writes an entry of any size at byte `offset` of the heap
@@ -415,27 +399,26 @@ impl Ring {
     /// the heap.  A spill reference that is empty or not inside the heap
     /// pops as an empty payload.
     pub fn pop_sqe(&self) -> Option<(u32, Vec<u8>)> {
-        self.pop(self.geo.sq_offset, |offset, len| {
+        self.pop(self.geo.sq, |offset, len| {
             self.sab.read_bytes(offset as usize, len).ok()
         })
     }
 
     /// Current SQ flags word.
     pub fn sq_flags(&self) -> i32 {
-        self.sab.load_i32(self.geo.sq_offset as usize + FLAGS).unwrap_or(0)
+        self.sab.load_i32(self.flags_off()).unwrap_or(0)
     }
 
-    /// Kernel: parks the queue — sets `NEED_WAKEUP` so the next submission
-    /// rings the doorbell.
+    /// Parks the queue — sets `NEED_WAKEUP` so the next submission rings the
+    /// doorbell.  The process does it once, before it hands the kernel its
+    /// heap; the kernel on every drain, as it parks ([`Ring::park`]).
     pub fn set_need_wakeup(&self) {
-        let _ = self.sab.fetch_or_i32(self.geo.sq_offset as usize + FLAGS, NEED_WAKEUP);
+        let _ = self.sab.fetch_or_i32(self.flags_off(), NEED_WAKEUP);
     }
 
     /// Kernel: clears `NEED_WAKEUP` before re-draining.
     pub fn clear_need_wakeup(&self) {
-        let _ = self
-            .sab
-            .fetch_and_i32(self.geo.sq_offset as usize + FLAGS, !NEED_WAKEUP);
+        let _ = self.sab.fetch_and_i32(self.flags_off(), !NEED_WAKEUP);
     }
 
     /// Kernel: ends a drain pass.  Sets `NEED_WAKEUP`, notifies the CQ tail
@@ -448,7 +431,7 @@ impl Ring {
     /// the flag cleared again, when the kernel must notify and drain once
     /// more.
     pub fn park(&self, flush: impl FnOnce() -> bool) -> bool {
-        let flags = self.sab.fetch_or_i32(self.geo.sq_offset as usize + FLAGS, NEED_WAKEUP);
+        let flags = self.sab.fetch_or_i32(self.flags_off(), NEED_WAKEUP);
         if matches!(flags, Ok(flags) if flags & NEED_SPACE != 0) {
             self.notify_cq();
         }
@@ -463,7 +446,7 @@ impl Ring {
     /// woken when the kernel pops from a full SQ.  Set it before the last
     /// look at [`Ring::sq_space`] before sleeping.
     pub fn need_sq_space(&self, on: bool) {
-        let flags = self.geo.sq_offset as usize + FLAGS;
+        let flags = self.flags_off();
         let _ = if on {
             self.sab.fetch_or_i32(flags, NEED_SPACE)
         } else {
@@ -475,7 +458,7 @@ impl Ring {
     /// it was set, i.e. whether the doorbell must ring for this submission.
     pub fn take_doorbell(&self) -> bool {
         matches!(
-            self.sab.fetch_and_i32(self.geo.sq_offset as usize + FLAGS, !NEED_WAKEUP),
+            self.sab.fetch_and_i32(self.flags_off(), !NEED_WAKEUP),
             Ok(old) if old & NEED_WAKEUP != 0
         )
     }
@@ -484,7 +467,7 @@ impl Ring {
 
     /// Free CQ slots from the producer's (kernel's) point of view.
     pub fn cq_space(&self) -> u32 {
-        self.geo.slots - self.queued(self.geo.cq_offset).1
+        RING_SLOTS - self.queued(self.geo.cq()).1
     }
 
     /// The CQ tail index, which the process also uses as the `Atomics.wait`
@@ -502,7 +485,7 @@ impl Ring {
     /// Returns `false` (without side effects) if the queue is full or the
     /// buffers a spill needs are not free; the caller is expected to hold
     /// the completion in an overflow queue and retry later.  A payload
-    /// larger than [`RingGeometry::max_spill_bytes`] can never be pushed.
+    /// larger than [`MAX_SPILL_BYTES`] can never be pushed.
     pub fn push_cqe(&self, user_data: u32, payload: &[u8]) -> bool {
         self.push_cqe_gather(user_data, payload, &[])
     }
@@ -514,7 +497,7 @@ impl Ring {
     pub(crate) fn push_result(&self, user_data: u32, result: &SysResult) -> bool {
         let mut head = Vec::with_capacity(16);
         let body: &[u8] = match result {
-            SysResult::Data(data) if DATA_HEADER_BYTES + data.len() > self.geo.slot_payload_bytes() => {
+            SysResult::Data(data) if DATA_HEADER_BYTES + data.len() > SLOT_PAYLOAD_BYTES => {
                 head.extend_from_slice(&data_header(data.len()));
                 data
             }
@@ -523,7 +506,7 @@ impl Ring {
                 &[]
             }
         };
-        if head.len() + body.len() > self.geo.max_spill_bytes().max(self.geo.slot_payload_bytes()) {
+        if head.len() + body.len() > MAX_SPILL_BYTES {
             head.clear();
             SysResult::Err(Errno::EOVERFLOW).encode_into(&mut head);
             return self.push_cqe(user_data, &head);
@@ -533,11 +516,11 @@ impl Ring {
 
     /// [`Ring::push_cqe`] of `head` followed by `body`.
     fn push_cqe_gather(&self, user_data: u32, head: &[u8], body: &[u8]) -> bool {
-        let (cq, len) = (self.geo.cq_offset, head.len() + body.len());
-        let tail = if len <= self.geo.slot_payload_bytes() {
+        let (cq, len) = (self.geo.cq(), head.len() + body.len());
+        let tail = if len <= SLOT_PAYLOAD_BYTES {
             self.write_slot(cq, user_data, len as u32, head, body)
         } else {
-            let run = self.geo.buf_run(len);
+            let run = buf_run(len);
             let Some(first) = self.alloc_bufs(run) else {
                 return false;
             };
@@ -597,9 +580,9 @@ impl Ring {
     /// Pops the oldest completion, reading a spilled one with `read(at,
     /// len)` before freeing its buffers.
     fn pop_cqe_reading(&self, read: impl FnOnce(usize, usize) -> Option<Vec<u8>>) -> Option<(u32, Vec<u8>)> {
-        self.pop(self.geo.cq_offset, |first, len| {
-            let run = self.geo.buf_run(len);
-            if run == 0 || first >= self.geo.buf_count || run > self.geo.buf_count - first {
+        self.pop(self.geo.cq(), |first, len| {
+            let run = buf_run(len);
+            if run == 0 || first >= REG_BUF_COUNT || run > REG_BUF_COUNT - first {
                 return None;
             }
             let bytes = read(self.geo.buf_slot_off(first), len);
@@ -616,13 +599,13 @@ impl Ring {
     /// against the bitmap as it then stands if the process changed it in
     /// between, so a run is only ever claimed while it is free.
     fn alloc_bufs(&self, n: u32) -> Option<u32> {
-        if n == 0 || n > self.geo.buf_count {
+        if n == 0 || n > REG_BUF_COUNT {
             return None;
         }
-        let word = self.geo.buf_offset as usize;
+        let word = self.geo.bufs();
         let mut bitmap = self.load(word);
         loop {
-            let first = (0..=self.geo.buf_count - n).find(|&first| bitmap & run_mask(first, n) == 0)?;
+            let first = (0..=REG_BUF_COUNT - n).find(|&first| bitmap & run_mask(first, n) == 0)?;
             let claimed = (bitmap | run_mask(first, n)) as i32;
             let now = self.sab.compare_exchange_i32(word, bitmap as i32, claimed).ok()? as u32;
             if now == bitmap {
@@ -634,9 +617,7 @@ impl Ring {
 
     /// Releases `n` adjacent buffers starting at `first` (in range).
     fn free_bufs(&self, first: u32, n: u32) {
-        let _ = self
-            .sab
-            .fetch_and_i32(self.geo.buf_offset as usize, !run_mask(first, n) as i32);
+        let _ = self.sab.fetch_and_i32(self.geo.bufs(), !run_mask(first, n) as i32);
     }
 }
 
@@ -651,43 +632,16 @@ mod tests {
     }
 
     #[test]
-    fn standard_geometry_is_valid_and_packed() {
-        let geo = RingGeometry::standard(512 * 1024);
-        assert!(geo.validate(1024 * 1024));
-        assert_eq!(geo.cq_offset - geo.sq_offset, RING_BYTES);
-        assert_eq!(geo.buf_offset - geo.cq_offset, RING_BYTES);
-        assert!(geo.buf_offset + REG_BUF_TABLE_BYTES <= 1024 * 1024);
-        // Too small a heap is rejected.
-        assert!(!geo.validate(512 * 1024));
-        // Non-power-of-two slot counts are rejected.
-        let mut bad = geo;
-        bad.slots = 48;
-        assert!(!bad.validate(1024 * 1024));
-        // So are slots too small for a spill reference, and more buffers
-        // than the one-word allocation bitmap can track.
-        let mut bad = geo;
-        bad.slot_bytes = 12;
-        assert!(!bad.validate(1024 * 1024));
-        let mut bad = geo;
-        (bad.buf_count, bad.buf_bytes) = (33, 16);
-        assert!(!bad.validate(1024 * 1024));
-    }
-
-    #[test]
-    fn geometry_off_the_word_grid_is_rejected() {
-        let geo = RingGeometry::standard(512 * 1024);
-        let knock: [fn(&mut RingGeometry); 5] = [
-            |geo| geo.sq_offset += 2,
-            |geo| geo.cq_offset += 1,
-            |geo| geo.buf_offset += 3,
-            |geo| geo.slot_bytes = 18,
-            |geo| geo.buf_bytes -= 2,
-        ];
-        for (i, knock) in knock.iter().enumerate() {
-            let mut bad = geo;
-            knock(&mut bad);
-            assert!(!bad.validate(1024 * 1024), "case {i}");
-        }
+    fn a_heap_maps_its_ring_only_if_it_holds_the_region() {
+        // The staging area and the ring region tile a process heap in order.
+        const { assert!(RING_REGION_OFFSET > 64 * 1024) };
+        const { assert!(RING_REGION_OFFSET + RING_REGION_BYTES as usize <= SYNC_HEAP_BYTES) };
+        let ring = Ring::map(SharedArrayBuffer::new(SYNC_HEAP_BYTES)).expect("a process heap holds its ring");
+        assert_eq!(ring.geometry(), &RingGeometry::standard(RING_REGION_OFFSET as u32));
+        let region_end = RING_REGION_OFFSET + RING_REGION_BYTES as usize;
+        assert!(Ring::map(SharedArrayBuffer::new(region_end)).is_some());
+        assert!(Ring::map(SharedArrayBuffer::new(region_end - 4)).is_none());
+        assert!(Ring::map(SharedArrayBuffer::new(0)).is_none());
     }
 
     #[test]
@@ -712,9 +666,9 @@ mod tests {
         assert!(!ring.push_sqe(99, b"full"));
         assert!(ring.pop_sqe().is_some());
         assert!(ring.push_sqe(99, b"now fits"));
-        let oversized = vec![0u8; SLOT_PAYLOAD_BYTES as usize + 1];
+        let oversized = vec![0u8; SLOT_PAYLOAD_BYTES + 1];
         assert!(!ring.push_sqe(100, &oversized));
-        let exactly = vec![0u8; SLOT_PAYLOAD_BYTES as usize];
+        let exactly = vec![0u8; SLOT_PAYLOAD_BYTES];
         assert!(ring.pop_sqe().is_some());
         assert!(ring.push_sqe(100, &exactly));
     }
@@ -821,10 +775,10 @@ mod tests {
         assert_eq!(ring.pop_cqe(), Some((10, buffers(1, 10))));
         assert_eq!(ring.pop_cqe(), Some((11, buffers(2, 11))));
         assert_eq!(bitmap(&ring), 0);
-        let whole_table = vec![1u8; ring.geometry().max_spill_bytes()];
+        let whole_table = vec![1u8; MAX_SPILL_BYTES];
         assert!(ring.push_cqe(10, &whole_table));
         assert_eq!(ring.pop_cqe(), Some((10, whole_table)));
-        assert!(!ring.push_cqe(11, &vec![0u8; ring.geometry().max_spill_bytes() + 1]));
+        assert!(!ring.push_cqe(11, &vec![0u8; MAX_SPILL_BYTES + 1]));
     }
 
     #[test]
@@ -846,7 +800,7 @@ mod tests {
         // An inline length word larger than the slot is clamped to it.
         assert!(ring.push_sqe(7, b"x"));
         scribble(&ring, 4096, sq_cases.len() as u32, !INDIRECT, b"x");
-        assert_eq!(ring.pop_sqe().unwrap().1.len(), SLOT_PAYLOAD_BYTES as usize);
+        assert_eq!(ring.pop_sqe().unwrap().1.len(), SLOT_PAYLOAD_BYTES);
 
         let cq_cases = [
             reference(REG_BUF_COUNT, 1),
@@ -856,7 +810,7 @@ mod tests {
             reference(2, 0),
         ];
         // Buffers 0, 2 and 6 are busy, as far as the bitmap says.
-        let bitmap_word = ring.geometry().buf_offset as usize;
+        let bitmap_word = ring.geo.bufs();
         ring.sab().store_i32(bitmap_word, 0b100_0101).unwrap();
         for (i, case) in cq_cases.iter().enumerate() {
             assert!(ring.push_cqe(i as u32, b"placeholder"));
@@ -883,12 +837,11 @@ mod tests {
 
     #[test]
     fn read_cap_leaves_room_for_the_data_header() {
-        let geo = RingGeometry::standard(0);
-        let largest = crate::SysResult::Data(vec![0u8; geo.max_read_bytes() as usize]);
+        let largest = crate::SysResult::Data(vec![0u8; MAX_READ_BYTES as usize]);
         let mut frame = Vec::new();
         largest.encode_into(&mut frame);
-        assert_eq!(frame.len(), geo.max_spill_bytes());
-        assert_eq!(frame[..DATA_HEADER_BYTES], data_header(geo.max_read_bytes() as usize));
+        assert_eq!(frame.len(), MAX_SPILL_BYTES);
+        assert_eq!(frame[..DATA_HEADER_BYTES], data_header(MAX_READ_BYTES as usize));
     }
 
     #[test]
@@ -925,7 +878,7 @@ mod tests {
         }
         assert_eq!(bitmap(&ring), 0);
         // A result no spill can carry is posted as `EOVERFLOW` instead.
-        let too_large = SysResult::Data(vec![0; ring.geometry().max_read_bytes() as usize + 1]);
+        let too_large = SysResult::Data(vec![0; MAX_READ_BYTES as usize + 1]);
         assert!(ring.push_result(9, &too_large));
         assert_eq!(ring.pop_result(), Some((9, SysResult::Err(Errno::EOVERFLOW))));
     }
@@ -1022,7 +975,7 @@ mod tests {
                         }
                         Step::TakeDoorbell => rang.set(rang.get() | ring.take_doorbell()),
                         Step::SleepCheck => {
-                            let (tail, empty) = (ring.cq_tail(), ring.queued(ring.geo.cq_offset).1 == 0);
+                            let (tail, empty) = (ring.cq_tail(), ring.queued(ring.geo.cq()).1 == 0);
                             asleep_on.set(empty.then_some(tail));
                         }
                     }
@@ -1049,7 +1002,7 @@ mod tests {
             while !parked {
                 parked = ring.park(flush);
             }
-            let in_cq = ring.queued(ring.geo.cq_offset).1;
+            let in_cq = ring.queued(ring.geo.cq()).1;
             assert_eq!(
                 popped.get() + in_cq + overflowed.get() as u32,
                 RING_SLOTS + 1,
@@ -1086,6 +1039,6 @@ mod tests {
 
     /// The registered-buffer allocation bitmap.
     fn bitmap(ring: &Ring) -> u32 {
-        ring.sab().load_u32(ring.geometry().buf_offset as usize).unwrap()
+        ring.sab().load_u32(ring.geo.bufs()).unwrap()
     }
 }

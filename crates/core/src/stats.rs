@@ -165,8 +165,20 @@ kernel_stats! {
     }
 }
 
-/// One counter per opcode, with slot 0 (never a valid opcode) unused.
+/// One counter per opcode, with slot 0 (never a valid opcode) and the
+/// retired opcodes unused.
 const OPCODE_SLOTS: usize = abi::MANIFEST.max_opcode as usize + 1;
+
+/// Each opcode's primary name, indexed by opcode (an unused slot is empty).
+const PRIMARY_NAMES: [&str; OPCODE_SLOTS] = {
+    let mut names = [""; OPCODE_SLOTS];
+    let mut i = 0;
+    while i < abi::SYSCALLS.len() {
+        names[abi::SYSCALLS[i].opcode as usize] = abi::SYSCALLS[i].name;
+        i += 1;
+    }
+    names
+};
 
 /// The per-call counters of one kernel shard: what the dispatch path bumps
 /// for every system call, folded into a [`KernelStats`] snapshot on demand.
@@ -192,7 +204,7 @@ impl SyscallTally {
     /// Records one dispatched system call and the transport it arrived by.
     pub(crate) fn record_syscall(&mut self, call: &Syscall, via_ring: bool) {
         let opcode = call.opcode() as usize;
-        let alternate = call.name() != abi::SYSCALLS[opcode - 1].name;
+        let alternate = call.name() != PRIMARY_NAMES[opcode];
         self.by_opcode[opcode][alternate as usize] += 1;
         self.by_transport[via_ring as usize] += 1;
     }
@@ -342,10 +354,13 @@ mod tests {
             let path = "/etc".into();
             tally.record_syscall(&Syscall::Stat { path, lstat }, true);
         }
+        // Opcode 57 follows the retired 56, so it is not its index in
+        // `abi::SYSCALLS` plus one.
+        tally.record_syscall(&Syscall::Getrusage { who: 0 }, true);
         let stats = snapshot(&stats, &tally);
-        assert_eq!(stats.total_syscalls, 6);
+        assert_eq!(stats.total_syscalls, 7);
         assert_eq!(stats.async_syscalls, 2);
-        assert_eq!(stats.sync_syscalls, 4);
+        assert_eq!(stats.sync_syscalls, 5);
         assert_eq!(
             stats.bytes_copied, 120,
             "only message frames are structured-clone copied"
@@ -357,7 +372,12 @@ mod tests {
         assert_eq!(stats.class_count("File IO"), 3);
         assert_eq!(stats.class_count("File Metadata"), 3);
         assert_eq!(stats.class_count("Sockets"), 0);
-        assert_eq!(stats.observed_syscalls(), ["lstat", "open", "read", "stat"]);
+        assert_eq!(stats.count("getrusage"), 1);
+        assert_eq!(stats.class_count("Process Metadata"), 1);
+        assert_eq!(
+            stats.observed_syscalls(),
+            ["getrusage", "lstat", "open", "read", "stat"]
+        );
     }
 
     #[test]

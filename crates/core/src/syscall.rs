@@ -753,15 +753,7 @@ mod tests {
                 fd_out: 4,
                 len: 65536,
             },
-            Syscall::RingSetup {
-                sq_offset: 512 * 1024,
-                cq_offset: 512 * 1024 + 16 + 64 * 256,
-                slots: 64,
-                slot_bytes: 256,
-                buf_offset: 512 * 1024 + 2 * (16 + 64 * 256),
-                buf_count: 7,
-                buf_bytes: 64 * 1024,
-            },
+            Syscall::Getrusage { who: 0 },
             Syscall::Write {
                 fd: 1,
                 data: ByteSource::Transfer { index: 2, len: 65536 },

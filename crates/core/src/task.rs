@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use browsix_browser::{SharedArrayBuffer, Worker};
+use browsix_browser::Worker;
 
 use crate::exec::ProgramLauncher;
 use crate::fd::FdTable;
@@ -90,10 +90,9 @@ pub struct Task {
     /// System-call frames `(seq, payload, transfers)` that arrived while the
     /// task was stopped; replayed in arrival order on SIGCONT.
     pub stashed_frames: Vec<(u64, Vec<u8>, Vec<Vec<u8>>)>,
-    /// The shared heap the process registered, if it has one.
-    pub sync_heap: Option<SharedArrayBuffer>,
-    /// Persistent submission/completion ring mapped into the shared heap
-    /// (set up once by `RingSetup` after heap registration).
+    /// Persistent submission/completion ring mapped into the shared heap the
+    /// process handed over (once, by `KernelEvent::MapRing`); shared-heap
+    /// write sources are read from that heap.
     pub ring: Option<Ring>,
     /// Ring completions that could not be posted yet (completion queue full
     /// or no run of registered buffers free); flushed when a drain starts and as
@@ -145,7 +144,6 @@ impl Task {
             worker: None,
             signals: SignalState::new(),
             stashed_frames: Vec::new(),
-            sync_heap: None,
             ring: None,
             pending_cqes: std::collections::VecDeque::new(),
             inflight: None,

@@ -17,15 +17,14 @@
 //!   Every client starts here, and a browser without shared memory stays
 //!   here.
 //! * **the ring** (synchronous) — at startup the client allocates a
-//!   `SharedArrayBuffer` heap, hands it to the kernel and asks, in one
-//!   ordinary message, for a syscall ring ([`browsix_core::ring`]) to be
-//!   mapped into it.  Once the kernel agrees, every call — `exit` included —
-//!   is written into a submission-queue slot in place, and the worker blocks
-//!   in `Atomics.wait` on the completion queue.  If the kernel refuses, the
-//!   client simply remains a message client.
+//!   `SharedArrayBuffer` heap and hands it to the kernel, one event with no
+//!   reply, which maps the syscall ring ([`browsix_core::ring`]) at its
+//!   fixed place in it.  From then on every call — `exit` included — is
+//!   written into a submission-queue slot in place, and the worker blocks in
+//!   `Atomics.wait` on the completion queue.  Not one message frame is sent.
 //!
-//! The heap, which the client lays out and the kernel only ever addresses
-//! by offsets the client hands it:
+//! The heap, laid out by [`browsix_core::ring`]; the kernel reads the
+//! staging area only at offsets the client hands it:
 //!
 //! ```text
 //! 0         staging area    bulk data of write-like calls (`ByteSource::SharedHeap`),
@@ -44,16 +43,10 @@ use browsix_browser::{
     AtomicsWaitResult, Message, PlatformConfig, PlatformError, SharedArrayBuffer, WorkerScope, TRANSFER_HANDLE_BYTES,
 };
 use browsix_core::exec::{ForkImage, LaunchContext, ProcessStart};
-use browsix_core::ring::{Ring, RingGeometry};
+use browsix_core::ring::{Ring, RING_REGION_OFFSET, SLOT_PAYLOAD_BYTES, SYNC_HEAP_BYTES};
 use browsix_core::{CompletionBatch, Errno, KernelEvent, Signal, SysResult, Syscall, SyscallBatch};
 use crossbeam::channel::Sender;
 
-/// Size of the shared heap allocated for synchronous system calls.
-const SYNC_HEAP_BYTES: usize = 1024 * 1024;
-/// Offset of the persistent syscall-ring region (submission and completion
-/// queues plus the registered-buffer table) within the shared heap, and the
-/// size of the staging area below it.
-const RING_REGION_OFFSET: usize = 512 * 1024;
 /// Fixed per-message overhead charged on top of the encoded batch (the
 /// envelope fields of the structured-clone message).
 const MESSAGE_ENVELOPE_BYTES: usize = 24;
@@ -112,33 +105,21 @@ impl SyscallClient {
         };
         let start = client.wait_for_init();
         if prefer_sync && client.config.shared_memory {
-            client.setup_ring();
+            client.ring = client.map_ring();
         }
         (client, start)
     }
 
-    /// Allocates the shared heap, hands it to the kernel and asks, by an
-    /// ordinary message, for a ring to be mapped over it.  Anything but `Ok`
-    /// leaves this an asynchronous client.
-    fn setup_ring(&mut self) {
-        let sab = SharedArrayBuffer::new(SYNC_HEAP_BYTES);
-        let geo = RingGeometry::standard(RING_REGION_OFFSET as u32);
-        let _ = self.kernel.send(KernelEvent::RegisterSyncHeap {
-            pid: self.pid,
-            sab: sab.clone(),
-        });
-        let accepted = self.call(Syscall::RingSetup {
-            sq_offset: geo.sq_offset,
-            cq_offset: geo.cq_offset,
-            slots: geo.slots,
-            slot_bytes: geo.slot_bytes,
-            buf_offset: geo.buf_offset,
-            buf_count: geo.buf_count,
-            buf_bytes: geo.buf_bytes,
-        }) == SysResult::Ok;
-        if accepted {
-            self.ring = Some(Ring::new(sab, geo));
-        }
+    /// Allocates the shared heap and hands it to the kernel, which maps the
+    /// ring in it; nothing comes back.  The queue starts out parked, so the
+    /// first submission rings the doorbell — an event behind the heap on
+    /// this worker's channel, so the kernel has mapped the ring by then.
+    fn map_ring(&self) -> Option<Ring> {
+        let heap = SharedArrayBuffer::new(SYNC_HEAP_BYTES);
+        let ring = Ring::map(heap.clone())?;
+        ring.set_need_wakeup();
+        self.kernel.send(KernelEvent::MapRing { pid: self.pid, heap }).ok()?;
+        Some(ring)
     }
 
     /// Whether system calls are travelling over a persistent ring (the
@@ -393,7 +374,6 @@ impl SyscallClient {
         if batch.entries.iter().any(|c| matches!(c, Syscall::Fork { .. })) {
             return Some(vec![SysResult::Err(Errno::ENOSYS); n]);
         }
-        let slot_payload = ring.geometry().slot_payload_bytes();
         let mut results = vec![SysResult::Err(Errno::EIO); n];
         let mut submitted = 0usize;
         let mut completed = 0usize;
@@ -415,7 +395,7 @@ impl SyscallClient {
                 if frame.is_empty() {
                     batch.entries[submitted].encode_into(&mut frame);
                 }
-                if frame.len() <= slot_payload {
+                if frame.len() <= SLOT_PAYLOAD_BYTES {
                     if !ring.push_sqe(submitted as u32, &frame) {
                         sq_full = true;
                         break;
@@ -592,17 +572,9 @@ mod tests {
         assert!(start.fork_image.is_none());
     }
 
-    #[test]
-    fn sync_layout_constants_are_consistent() {
-        // The staging area and the ring region tile the heap in order.
-        const { assert!(RING_REGION_OFFSET > 64 * 1024) };
-        const { assert!(RING_REGION_OFFSET + browsix_core::ring::RING_REGION_BYTES as usize <= SYNC_HEAP_BYTES) };
-        assert!(RingGeometry::standard(RING_REGION_OFFSET as u32).validate(SYNC_HEAP_BYTES));
-    }
-
     fn test_ring() -> Ring {
         let sab = SharedArrayBuffer::new(browsix_core::ring::RING_REGION_BYTES as usize);
-        Ring::new(sab, RingGeometry::standard(0))
+        Ring::new(sab, browsix_core::ring::RingGeometry::standard(0))
     }
 
     /// The kernel terminates the worker after the process last looked and
@@ -640,7 +612,7 @@ mod tests {
 
     #[test]
     fn a_completion_spilled_outside_the_buffer_table_reads_as_efault() {
-        use browsix_core::ring::{INDIRECT, RING_BYTES, RING_HEADER_BYTES};
+        use browsix_core::ring::{INDIRECT, REG_BUF_BYTES, RING_BYTES, RING_HEADER_BYTES};
         let ring = test_ring();
         // The kernel's side of the memory is the guest's to scribble on too:
         // turn a posted completion into a reference to buffers 6..=8 of 7.
@@ -648,10 +620,10 @@ mod tests {
         SysResult::Int(7).encode_into(&mut frame);
         assert!(ring.push_cqe(0, &frame));
         let (sab, slot) = (ring.sab(), (RING_BYTES + RING_HEADER_BYTES) as usize);
-        let buf_bytes = ring.geometry().buf_bytes;
         sab.write_bytes(slot + 4, &(INDIRECT | 8).to_le_bytes()).unwrap();
         sab.write_bytes(slot + 8, &6u32.to_le_bytes()).unwrap();
-        sab.write_bytes(slot + 12, &(2 * buf_bytes + 1).to_le_bytes()).unwrap();
+        sab.write_bytes(slot + 12, &(2 * REG_BUF_BYTES + 1).to_le_bytes())
+            .unwrap();
         assert_eq!(ring.pop_result(), Some((0, SysResult::Err(Errno::EFAULT))));
     }
 

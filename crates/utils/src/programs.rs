@@ -811,15 +811,13 @@ fn run_sort(env: &mut dyn RuntimeEnv) -> i32 {
     if reverse {
         all.reverse();
     }
-    // The sorted lines leave the process as one batched submission instead of
-    // being copied into a single giant string first.
-    let mut bufs: Vec<&[u8]> = Vec::with_capacity(all.len() * 2);
+    // The sorted lines leave the process as one `write`, not one per line
+    // and newline.
+    let mut out = Vec::with_capacity(data.len() + all.len());
     for line in &all {
-        bufs.push(line.as_bytes());
-        bufs.push(b"\n");
+        push_line(&mut out, line.as_bytes());
     }
-    let _ = env.write_vectored(1, &bufs);
-    let _ = env.flush_stdout();
+    let _ = emit(env, &out);
     code
 }
 

@@ -12,8 +12,9 @@
 //!
 //! - Existing entries in [`corpus_calls`]/[`corpus_results`] must NEVER be
 //!   edited or reordered: each line of the golden file is keyed by position.
-//!   A shape whose tag is retired keeps its place and its bytes, pinned raw
-//!   as a `Shape::Retired`, and is checked to decode to nothing.
+//!   A call whose opcode or a shape whose tag is retired keeps its place and
+//!   its bytes, pinned raw as a `Call::Retired` or `Shape::Retired`, and is
+//!   checked to decode to nothing.
 //! - New syscalls/result shapes are APPENDED, then the corpus is re-blessed
 //!   with `BROWSIX_ABI_BLESS=1 cargo test -p browsix-tests --test abi_drift`.
 //!   The resulting `git diff` of `abi/golden_corpus.txt` must be append-only;
@@ -26,106 +27,108 @@ use browsix_core::{
 use browsix_fs::{DirEntry, Errno, FileType, Metadata, OpenFlags};
 
 /// One instance of every call variant (both `stat` spellings, every byte
-/// source, …), in the order originally blessed.  Append-only.
-fn corpus_calls() -> Vec<Syscall> {
+/// source, …), in the order originally blessed.  Append-only; a call whose
+/// opcode is retired stays in place as [`Call::Retired`].
+fn corpus_calls() -> Vec<Call> {
+    use Call::{Live, Retired};
     vec![
-        Syscall::Spawn {
+        Live(Syscall::Spawn {
             path: "/usr/bin/pdflatex".into(),
             args: vec!["pdflatex".into(), "main.tex".into()],
             env: vec![("HOME".into(), "/home".into())],
             cwd: Some("/home".into()),
             stdio: [None, Some(4), Some(5)],
-        },
-        Syscall::Fork {
+        }),
+        Live(Syscall::Fork {
             image: vec![1, 2, 3],
             resume_point: 42,
-        },
-        Syscall::Pipe2,
-        Syscall::Wait4 { pid: -1, options: 1 },
-        Syscall::Exit { code: 3 },
-        Syscall::Kill {
+        }),
+        Live(Syscall::Pipe2),
+        Live(Syscall::Wait4 { pid: -1, options: 1 }),
+        Live(Syscall::Exit { code: 3 }),
+        Live(Syscall::Kill {
             pid: 7,
             signal: Signal::SIGTERM,
-        },
-        Syscall::Kill {
+        }),
+        Live(Syscall::Kill {
             pid: -5,
             signal: Signal::SIGINT,
-        },
-        Syscall::SignalAction {
+        }),
+        Live(Syscall::SignalAction {
             signal: Signal::SIGCHLD,
             action: SigAction::Handler { restart: false },
-        },
-        Syscall::SignalAction {
+        }),
+        Live(Syscall::SignalAction {
             signal: Signal::SIGINT,
             action: SigAction::Handler { restart: true },
-        },
-        Syscall::SignalAction {
+        }),
+        Live(Syscall::SignalAction {
             signal: Signal::SIGTTIN,
             action: SigAction::Ignore,
-        },
-        Syscall::SignalAction {
+        }),
+        Live(Syscall::SignalAction {
             signal: Signal::SIGUSR1,
             action: SigAction::Default,
-        },
-        Syscall::Sigprocmask {
+        }),
+        Live(Syscall::Sigprocmask {
             how: SIG_BLOCK,
             mask: 0x4200,
-        },
-        Syscall::Setpgid { pid: 3, pgid: 3 },
-        Syscall::Getpgid { pid: 0 },
-        Syscall::Tcsetpgrp { pgid: 3 },
-        Syscall::GetPid,
-        Syscall::GetPPid,
-        Syscall::GetCwd,
-        Syscall::Chdir { path: "/tmp".into() },
-        Syscall::Open {
+        }),
+        Live(Syscall::Setpgid { pid: 3, pgid: 3 }),
+        Live(Syscall::Getpgid { pid: 0 }),
+        Live(Syscall::Tcsetpgrp { pgid: 3 }),
+        Live(Syscall::GetPid),
+        Live(Syscall::GetPPid),
+        Live(Syscall::GetCwd),
+        Live(Syscall::Chdir { path: "/tmp".into() }),
+        Live(Syscall::Open {
             path: "/etc/passwd".into(),
             flags: OpenFlags::read_only(),
             mode: 0,
-        },
-        Syscall::Open {
+        }),
+        Live(Syscall::Open {
             path: "/tmp/out".into(),
             flags: OpenFlags::write_create_truncate(),
             mode: 0o644,
-        },
-        Syscall::Close { fd: 3 },
-        Syscall::Read { fd: 3, len: 4096 },
-        Syscall::Pread {
+        }),
+        Live(Syscall::Close { fd: 3 }),
+        Live(Syscall::Read { fd: 3, len: 4096 }),
+        Live(Syscall::Pread {
             fd: 3,
             len: 16,
             offset: 100,
-        },
-        Syscall::Write {
+        }),
+        Live(Syscall::Write {
             fd: 1,
             data: ByteSource::Inline(b"hello".to_vec()),
-        },
-        Syscall::Write {
+        }),
+        Live(Syscall::Write {
             fd: 1,
             data: ByteSource::SharedHeap { offset: 4096, len: 17 },
-        },
-        Syscall::Pwrite {
+        }),
+        Live(Syscall::Pwrite {
             fd: 1,
             data: ByteSource::SharedHeap { offset: 64, len: 10 },
             offset: 0,
-        },
-        Syscall::Seek {
+        }),
+        Live(Syscall::Seek {
             fd: 3,
             offset: -10,
             whence: 2,
-        },
-        Syscall::Dup { fd: 1 },
-        Syscall::Dup2 { from: 4, to: 1 },
-        Syscall::Unlink { path: "/tmp/x".into() },
-        Syscall::Truncate {
+        }),
+        Live(Syscall::Dup { fd: 1 }),
+        Live(Syscall::Dup2 { from: 4, to: 1 }),
+        Live(Syscall::Unlink { path: "/tmp/x".into() }),
+        Live(Syscall::Truncate {
             path: "/tmp/x".into(),
             size: 10,
-        },
-        Syscall::Rename {
+        }),
+        Live(Syscall::Rename {
             from: "/a".into(),
             to: "/b".into(),
-        },
-        Syscall::Fsync { fd: 3 },
-        Syscall::Poll {
+        }),
+        Live(Syscall::Fsync { fd: 3 }),
+        Live(Syscall::Poll {
             fds: vec![
                 PollRequest { fd: 3, events: POLLIN },
                 PollRequest {
@@ -134,78 +137,78 @@ fn corpus_calls() -> Vec<Syscall> {
                 },
             ],
             timeout_ms: -1,
-        },
-        Syscall::Poll {
+        }),
+        Live(Syscall::Poll {
             fds: Vec::new(),
             timeout_ms: 250,
-        },
-        Syscall::SetFlags { fd: 4, flags: NONBLOCK },
-        Syscall::Readdir {
+        }),
+        Live(Syscall::SetFlags { fd: 4, flags: NONBLOCK }),
+        Live(Syscall::Readdir {
             path: "/usr/bin".into(),
-        },
-        Syscall::Mkdir {
+        }),
+        Live(Syscall::Mkdir {
             path: "/tmp/d".into(),
             mode: 0o755,
-        },
-        Syscall::Rmdir { path: "/tmp/d".into() },
-        Syscall::Stat {
+        }),
+        Live(Syscall::Rmdir { path: "/tmp/d".into() }),
+        Live(Syscall::Stat {
             path: "/etc".into(),
             lstat: false,
-        },
-        Syscall::Stat {
+        }),
+        Live(Syscall::Stat {
             path: "/etc".into(),
             lstat: true,
-        },
-        Syscall::Fstat { fd: 0 },
-        Syscall::Access {
+        }),
+        Live(Syscall::Fstat { fd: 0 }),
+        Live(Syscall::Access {
             path: "/bin/sh".into(),
             mode: 1,
-        },
-        Syscall::Readlink {
+        }),
+        Live(Syscall::Readlink {
             path: "/proc/self".into(),
-        },
-        Syscall::Utimes {
+        }),
+        Live(Syscall::Utimes {
             path: "/tmp/x".into(),
             atime_ms: 1,
             mtime_ms: 2,
-        },
-        Syscall::Socket,
-        Syscall::Bind { fd: 3, port: 8080 },
-        Syscall::GetSockName { fd: 3 },
-        Syscall::Listen { fd: 3, backlog: 16 },
-        Syscall::Accept { fd: 3 },
-        Syscall::Connect { fd: 4, port: 8080 },
-        Syscall::Ftruncate { fd: 5, size: 8192 },
-        Syscall::Mmap {
+        }),
+        Live(Syscall::Socket),
+        Live(Syscall::Bind { fd: 3, port: 8080 }),
+        Live(Syscall::GetSockName { fd: 3 }),
+        Live(Syscall::Listen { fd: 3, backlog: 16 }),
+        Live(Syscall::Accept { fd: 3 }),
+        Live(Syscall::Connect { fd: 4, port: 8080 }),
+        Live(Syscall::Ftruncate { fd: 5, size: 8192 }),
+        Live(Syscall::Mmap {
             addr: 0,
             len: 1 << 20,
             prot: 3,
             flags: 0x22,
             fd: -1,
             offset: 0,
-        },
-        Syscall::Mmap {
+        }),
+        Live(Syscall::Mmap {
             addr: 0x2000_0000,
             len: 4096,
             prot: 1,
             flags: 1,
             fd: 5,
             offset: 4096,
-        },
-        Syscall::Munmap {
+        }),
+        Live(Syscall::Munmap {
             addr: 0x1000_0000,
             len: 1 << 20,
-        },
-        Syscall::Msync {
+        }),
+        Live(Syscall::Msync {
             addr: 0x2000_0000,
             len: 0,
-        },
-        Syscall::Mprotect {
+        }),
+        Live(Syscall::Mprotect {
             addr: 0x1000_0000,
             len: 4096,
             prot: 1,
-        },
-        Syscall::ShmOpen {
+        }),
+        Live(Syscall::ShmOpen {
             name: "/ring".into(),
             flags: OpenFlags {
                 create: true,
@@ -213,52 +216,80 @@ fn corpus_calls() -> Vec<Syscall> {
             }
             .to_bits(),
             mode: 0o600,
-        },
-        Syscall::ShmUnlink { name: "/ring".into() },
-        Syscall::VmRead {
+        }),
+        Live(Syscall::ShmUnlink { name: "/ring".into() }),
+        Live(Syscall::VmRead {
             addr: 0x1000_0040,
             len: 64,
-        },
-        Syscall::VmWrite {
+        }),
+        Live(Syscall::VmWrite {
             addr: 0x1000_0040,
             data: ByteSource::Inline(b"cow me".to_vec()),
-        },
-        Syscall::VmWrite {
+        }),
+        Live(Syscall::VmWrite {
             addr: 0x1000_0080,
             data: ByteSource::SharedHeap { offset: 128, len: 32 },
-        },
-        Syscall::Sendfile {
+        }),
+        Live(Syscall::Sendfile {
             out_fd: 4,
             in_fd: 3,
             offset: -1,
             len: 1 << 20,
-        },
-        Syscall::Sendfile {
+        }),
+        Live(Syscall::Sendfile {
             out_fd: 5,
             in_fd: 3,
             offset: 8192,
             len: 4096,
-        },
-        Syscall::Splice {
+        }),
+        Live(Syscall::Splice {
             fd_in: 3,
             fd_out: 4,
             len: 65536,
-        },
-        Syscall::RingSetup {
-            sq_offset: 512 * 1024,
-            cq_offset: 512 * 1024 + 16 + 64 * 256,
-            slots: 64,
-            slot_bytes: 256,
-            buf_offset: 512 * 1024 + 2 * (16 + 64 * 256),
-            buf_count: 7,
-            buf_bytes: 64 * 1024,
-        },
-        Syscall::Getrusage { who: 0 },
-        Syscall::Write {
+        }),
+        // `ring_setup`, opcode 56, retired: the standard ring layout at
+        // 512 KiB, as seven `u32`s.
+        Retired(
+            "ring_setup",
+            &[
+                0x38, 0x00, 0x00, 0x08, 0x00, 0x10, 0x40, 0x08, 0x00, 0x40, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+                0x20, 0x80, 0x08, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
+            ],
+        ),
+        Live(Syscall::Getrusage { who: 0 }),
+        Live(Syscall::Write {
             fd: 1,
             data: ByteSource::Transfer { index: 2, len: 65536 },
-        },
+        }),
     ]
+}
+
+/// A call of the corpus: one the codec has, or the name and the bytes a call
+/// whose opcode is now retired was blessed as — still pinned, where it was,
+/// and no longer decodable.
+enum Call {
+    Live(Syscall),
+    Retired(&'static str, &'static [u8]),
+}
+
+impl Call {
+    fn name(&self) -> &'static str {
+        match self {
+            Call::Live(call) => call.name(),
+            Call::Retired(name, _) => name,
+        }
+    }
+
+    fn bytes(&self) -> Vec<u8> {
+        match self {
+            Call::Live(call) => {
+                let mut buf = Vec::new();
+                call.encode_into(&mut buf);
+                buf
+            }
+            Call::Retired(_, bytes) => bytes.to_vec(),
+        }
+    }
 }
 
 /// A result shape of the corpus: one the codec has, or the bytes a shape
@@ -330,38 +361,46 @@ const FRAMED_RESULTS: usize = 13;
 /// Renders the whole corpus as stable `kind index name: hex` lines.
 fn render_corpus() -> String {
     let (calls, results) = (corpus_calls(), corpus_results());
-    let call_line = |i: usize| {
-        let mut buf = Vec::new();
-        calls[i].encode_into(&mut buf);
-        format!("call {i:03} {}: {}\n", calls[i].name(), hex(&buf))
-    };
+    let call_line = |i: usize| format!("call {i:03} {}: {}\n", calls[i].name(), hex(&calls[i].bytes()));
     let result_line = |i: usize| format!("result {i:03}: {}\n", hex(&results[i].bytes()));
     let mut out: String = (0..FRAMED_CALLS).map(call_line).collect();
     out.extend((0..FRAMED_RESULTS).map(result_line));
     // Whole-frame entries pin the batch headers (magic, version, counts) too.
-    let batch = SyscallBatch {
-        entries: calls[..FRAMED_CALLS].to_vec(),
-    };
-    out.push_str(&format!("batch syscalls: {}\n", hex(&batch.encode())));
+    out.push_str(&format!("batch syscalls: {}\n", hex(&framed_calls(&calls))));
     out.push_str(&format!("batch completions: {}\n", hex(&framed_completions(&results))));
     out.extend((FRAMED_CALLS..calls.len()).map(call_line));
     out.extend((FRAMED_RESULTS..results.len()).map(result_line));
     out
 }
 
-/// The completion frame of the first [`FRAMED_RESULTS`] result shapes,
-/// written out by hand because a retired shape is among them and no
-/// [`CompletionBatch`] can hold one: the header of an empty batch with its
-/// count set, then `(u32 index | result)` per shape.
-fn framed_completions(results: &[Shape]) -> Vec<u8> {
-    let mut frame = CompletionBatch::default().encode();
+/// A whole frame written out by hand, because a retired call or shape is
+/// among its entries and no batch can hold one: the header of `empty` (an
+/// empty batch's encoding) with its count set, then the entries.
+fn framed(empty: Vec<u8>, entries: Vec<Vec<u8>>) -> Vec<u8> {
+    let mut frame = empty;
     frame.truncate(2);
-    frame.extend_from_slice(&(FRAMED_RESULTS as u32).to_le_bytes());
-    for (i, shape) in results[..FRAMED_RESULTS].iter().enumerate() {
-        frame.extend_from_slice(&(i as u32).to_le_bytes());
-        frame.extend(shape.bytes());
-    }
+    frame.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+    frame.extend(entries.concat());
     frame
+}
+
+/// The syscall frame of the first [`FRAMED_CALLS`] calls.
+fn framed_calls(calls: &[Call]) -> Vec<u8> {
+    framed(
+        SyscallBatch::default().encode(),
+        calls[..FRAMED_CALLS].iter().map(Call::bytes).collect(),
+    )
+}
+
+/// The completion frame of the first [`FRAMED_RESULTS`] result shapes:
+/// `(u32 index | result)` per shape.
+fn framed_completions(results: &[Shape]) -> Vec<u8> {
+    let entries = results[..FRAMED_RESULTS]
+        .iter()
+        .enumerate()
+        .map(|(i, shape)| [(i as u32).to_le_bytes().to_vec(), shape.bytes()].concat())
+        .collect();
+    framed(CompletionBatch::default().encode(), entries)
 }
 
 fn corpus_path() -> std::path::PathBuf {
@@ -407,11 +446,16 @@ fn wire_encoding_matches_pinned_golden_corpus() {
 /// decoder as well as the encoder.
 #[test]
 fn golden_corpus_decodes_to_the_corpus_values() {
-    for (i, call) in corpus_calls().iter().enumerate() {
-        let mut buf = Vec::new();
-        call.encode_into(&mut buf);
+    let calls = corpus_calls();
+    for (i, shape) in calls.iter().enumerate() {
+        let buf = shape.bytes();
         let mut r = browsix_core::wire::Reader::new(&buf);
-        let decoded = Syscall::decode_from(&mut r).unwrap_or_else(|| panic!("call {i} failed to decode"));
+        let decoded = Syscall::decode_from(&mut r);
+        let Call::Live(call) = shape else {
+            assert_eq!(decoded, None, "call {i} has a retired opcode and must not decode");
+            continue;
+        };
+        let decoded = decoded.unwrap_or_else(|| panic!("call {i} failed to decode"));
         assert_eq!(&decoded, call, "call {i} changed under decode round-trip");
         assert!(r.is_empty(), "call {i} left trailing bytes");
     }
@@ -428,7 +472,8 @@ fn golden_corpus_decodes_to_the_corpus_values() {
         assert_eq!(&decoded, res, "result {i} changed under decode round-trip");
         assert!(r.is_empty(), "result {i} left trailing bytes");
     }
-    // The pinned completion frame holds a retired shape, so it no longer
-    // decodes as a whole either.
+    // The pinned frames hold a retired call and a retired shape, so they no
+    // longer decode as a whole either.
+    assert_eq!(SyscallBatch::decode(&framed_calls(&calls)), None);
     assert_eq!(CompletionBatch::decode(&framed_completions(&results)), None);
 }

@@ -599,7 +599,9 @@ proptest! {
     fn ring_matches_fifo_model(
         ops in proptest::collection::vec((0u8..3, any::<u8>(), any::<u8>()), 1..160),
     ) {
-        use browsix_core::ring::{Ring, RingGeometry, NEED_WAKEUP, REG_BUF_COUNT, RING_REGION_BYTES, RING_SLOTS};
+        use browsix_core::ring::{
+            Ring, RingGeometry, NEED_WAKEUP, REG_BUF_COUNT, RING_REGION_BYTES, RING_SLOTS, SLOT_PAYLOAD_BYTES,
+        };
         use std::collections::VecDeque;
 
         // One spill cell per slot below the ring region: at most RING_SLOTS
@@ -609,13 +611,12 @@ proptest! {
         let spill_area = RING_SLOTS * SPILL_CELL;
         let sab = browsix_browser::SharedArrayBuffer::new((spill_area + RING_REGION_BYTES) as usize);
         let geo = RingGeometry::standard(spill_area);
-        prop_assert!(geo.validate(sab.len()));
         // Two views of the same shared memory, exactly as in the real system:
         // the client's and the kernel's.
         let client = Ring::new(sab.clone(), geo);
         let kernel = Ring::new(sab, geo);
         kernel.set_need_wakeup();
-        let spilled = |payload: &[u8]| payload.len() > geo.slot_payload_bytes();
+        let spilled = |payload: &[u8]| payload.len() > SLOT_PAYLOAD_BYTES;
 
         let mut next_user: u32 = 0;
         // Submitted but not yet drained by the kernel.
@@ -657,9 +658,9 @@ proptest! {
                     // Client submit: a payload of fuzzed length, one time in
                     // four too long for a slot.
                     let len = if shape % 4 == 0 {
-                        geo.slot_payload_bytes() + 1 + size as usize * 3
+                        SLOT_PAYLOAD_BYTES + 1 + size as usize * 3
                     } else {
-                        size as usize % (geo.slot_payload_bytes() + 1)
+                        size as usize % (SLOT_PAYLOAD_BYTES + 1)
                     };
                     let payload: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_add(size)).collect();
                     let was_empty = client.sq_is_empty();
@@ -736,13 +737,19 @@ proptest! {
     fn ring_registered_buffers_round_trip(
         ops in proptest::collection::vec((0u8..4, any::<u32>()), 1..48),
     ) {
-        use browsix_core::ring::{Ring, RingGeometry, REG_BUF_COUNT, RING_REGION_BYTES, RING_SLOTS};
+        use browsix_core::ring::{
+            Ring, RingGeometry, MAX_SPILL_BYTES, REG_BUF_BYTES, REG_BUF_COUNT, RING_BYTES, RING_REGION_BYTES, RING_SLOTS,
+            SLOT_PAYLOAD_BYTES,
+        };
         use std::collections::VecDeque;
 
-        let geo = RingGeometry::standard(0);
-        let ring = Ring::new(browsix_browser::SharedArrayBuffer::new(RING_REGION_BYTES as usize), geo);
-        let bitmap = || ring.sab().load_u32(geo.buf_offset as usize).unwrap();
-        let (slot, buf) = (geo.slot_payload_bytes(), geo.buf_bytes as usize);
+        let ring = Ring::new(
+            browsix_browser::SharedArrayBuffer::new(RING_REGION_BYTES as usize),
+            RingGeometry::standard(0),
+        );
+        // The buffer table follows the two queues; its first word is the bitmap.
+        let bitmap = || ring.sab().load_u32(2 * RING_BYTES as usize).unwrap();
+        let (slot, buf) = (SLOT_PAYLOAD_BYTES, REG_BUF_BYTES as usize);
         // The buffers a completion of `len` bytes spills into (none in a slot).
         let run = |len: usize| if len <= slot { 0 } else { len.div_ceil(buf) as u32 };
         let mut model: VecDeque<(u32, Vec<u8>)> = VecDeque::new();
@@ -754,7 +761,7 @@ proptest! {
                 let most = match op {
                     1 => slot,
                     2 => 2 * buf,
-                    _ => geo.max_spill_bytes(),
+                    _ => MAX_SPILL_BYTES,
                 };
                 let len = draw as usize % (most + 1);
                 let payload: Vec<u8> = (0..len as u32).map(|i| i.wrapping_mul(31).wrapping_add(seq) as u8).collect();

@@ -11,7 +11,10 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use browsix_browser::SharedArrayBuffer;
-use browsix_core::ring::{Ring, RingGeometry, INDIRECT, RING_HEADER_BYTES, RING_SLOTS};
+use browsix_core::ring::{
+    Ring, INDIRECT, MAX_SPILL_BYTES, REG_BUF_BYTES, REG_BUF_COUNT, RING_HEADER_BYTES, RING_REGION_BYTES,
+    RING_REGION_OFFSET, RING_SLOTS, RING_SLOT_BYTES, SYNC_HEAP_BYTES,
+};
 use browsix_core::{
     ByteSource, CompletionBatch, Errno, Kernel, KernelEvent, KernelStats, LaunchContext, ProgramLauncher, SysResult,
     Syscall, SyscallBatch,
@@ -178,7 +181,7 @@ fn boot_sync_world() -> browsix_core::Kernel {
     kernel
 }
 
-/// A real shell pipeline under the Sync convention: every process sets up a
+/// A real shell pipeline under the Sync convention: every process maps a
 /// ring at startup and submits its system calls through it.  The pipeline's
 /// output must be correct AND the kernel's ring counters must show the
 /// transport actually carried the traffic (SQEs drained, doorbells rung,
@@ -199,27 +202,20 @@ fn shell_pipeline_runs_over_the_ring_transport() {
     assert!(stats.sq_polled > 0, "no SQEs were drained — rings never engaged");
     assert!(stats.cq_posted > 0, "no CQEs were posted");
     assert!(stats.doorbells > 0, "no doorbells were rung");
-    // The shell, echo and cat all submitted real work through the rings: far
-    // more entries than the handful of ring_setup calls themselves.
-    assert!(
-        stats.sq_polled > stats.count("ring_setup"),
-        "rings carried only their own setup traffic"
-    );
     assert_rode_the_ring(&stats);
     kernel.shutdown();
 }
 
-/// Every call of a sync-convention process except the one message that
-/// bootstraps its ring is a ring entry, `exit` included.
+/// Every call of a sync-convention process is a ring entry, `exit`
+/// included: mapping the ring takes no message frame either.
 fn assert_rode_the_ring(stats: &KernelStats) {
     assert_eq!(
         stats.sync_syscalls, stats.sq_polled,
         "a ring entry was not a system call"
     );
     assert_eq!(
-        stats.async_syscalls,
-        stats.count("ring_setup"),
-        "a call other than ring_setup travelled as a message: {:?}",
+        stats.async_syscalls, 0,
+        "a call travelled as a message: {:?}",
         stats.syscalls_by_name
     );
 }
@@ -450,7 +446,7 @@ fn an_oversized_read_is_short_and_leaves_the_ring_intact() {
     assert_eq!(code, Some(0), "stdout: {stdout}");
     let words: Vec<&str> = stdout.split_whitespace().collect();
     let first: usize = words[2].parse().expect("first read length");
-    let table = RingGeometry::standard(0).max_spill_bytes();
+    let table = MAX_SPILL_BYTES;
     assert!(first > 0 && first <= table, "first read returned {first} bytes");
     assert!(
         first < FIRST_READ,
@@ -616,12 +612,8 @@ fn a_batch_of_reads_larger_than_the_buffer_table_arrives_whole() {
     let stats = kernel.stats();
     kernel.shutdown();
     assert_eq!(status.code, Some(0), "3: wrong bytes, 4: the next call failed");
-    let table = RingGeometry::standard(0);
-    assert_eq!(
-        CHUNK, table.buf_bytes as usize,
-        "a read and its header take two buffers"
-    );
-    assert!(READS * 2 > table.buf_count as usize);
+    assert_eq!(CHUNK, REG_BUF_BYTES as usize, "a read and its header take two buffers");
+    assert!(READS * 2 > REG_BUF_COUNT as usize);
     assert_eq!(stats.count("pread"), READS as u64);
     assert_rode_the_ring(&stats);
 }
@@ -842,15 +834,15 @@ fn completions_posted_by_a_poll_deadline_are_notified() {
 // ---- the guest is hostile ------------------------------------------------------
 
 /// A process that speaks the ring protocol by hand, so it can write what no
-/// client would: it bootstraps like `SyscallClient` (heap, then `ring_setup`
-/// by message), then plants raw slots in its submission queue and records
-/// the completion each one gets.
+/// client would: it hands the kernel heaps no client would, maps its ring
+/// like `SyscallClient`, then plants raw slots in its submission queue and
+/// records the completion each one gets.
 struct RawRingGuest {
     /// `(case, result)` in submission order.
     transcript: Arc<Mutex<Vec<(&'static str, SysResult)>>>,
 }
 
-const HEAP_BYTES: u32 = 1024 * 1024;
+const HEAP_BYTES: u32 = SYNC_HEAP_BYTES as u32;
 
 struct RawRing {
     ctx: LaunchContext,
@@ -860,22 +852,34 @@ struct RawRing {
 }
 
 impl RawRing {
-    /// Bootstraps like `SyscallClient`: waits for the init message and
-    /// registers a heap.  `ring_setup` is left to the caller.
+    /// Waits for the init message and allocates a heap with the ring at its
+    /// fixed place; the kernel hears of neither until [`RawRing::map`].
     fn start(ctx: LaunchContext) -> RawRing {
         while ctx.scope.recv().expect("init arrives").get_str("type") != Some("init") {}
-        let sab = SharedArrayBuffer::new(HEAP_BYTES as usize);
-        let heap = KernelEvent::RegisterSyncHeap {
-            pid: ctx.pid,
-            sab: sab.clone(),
-        };
-        ctx.kernel.send(heap).expect("kernel is up");
+        let sab = SharedArrayBuffer::new(SYNC_HEAP_BYTES);
         RawRing {
             ctx,
-            ring: Ring::new(sab.clone(), RingGeometry::standard(HEAP_BYTES / 2)),
+            ring: Ring::map(sab.clone()).expect("a process heap holds its ring"),
             sab,
             next_user_data: 0,
         }
+    }
+
+    /// Maps the ring like `SyscallClient`: parks the queue, so that the first
+    /// submission rings the doorbell, then hands the heap over.
+    fn map(&self) {
+        self.ring.set_need_wakeup();
+        self.hand_over(self.sab.clone());
+    }
+
+    /// Hands the kernel `heap`, which maps a ring in it if it can; nothing
+    /// comes back.
+    fn hand_over(&self, heap: SharedArrayBuffer) {
+        let pid = self.ctx.pid;
+        self.ctx
+            .kernel
+            .send(KernelEvent::MapRing { pid, heap })
+            .expect("kernel is up");
     }
 
     /// Sends one call as a message and waits for its response.
@@ -912,10 +916,10 @@ impl RawRing {
 
     /// Plants one submission slot, header and payload exactly as given.
     fn plant(&mut self, length_word: u32, payload: &[u8]) -> SysResult {
-        let geo = *self.ring.geometry();
-        let tail_word = geo.sq_offset as usize + 4;
+        let sq = RING_REGION_OFFSET as u32;
+        let tail_word = sq as usize + 4;
         let tail = self.sab.load_u32(tail_word).expect("tail in bounds");
-        let slot = geo.sq_offset + RING_HEADER_BYTES + tail % geo.slots * geo.slot_bytes;
+        let slot = sq + RING_HEADER_BYTES + tail % RING_SLOTS * RING_SLOT_BYTES;
         let mut entry = self.next_user_data.to_le_bytes().to_vec();
         entry.extend_from_slice(&length_word.to_le_bytes());
         entry.extend_from_slice(payload);
@@ -986,18 +990,6 @@ impl RawRing {
     }
 }
 
-fn ring_setup(geo: RingGeometry) -> Syscall {
-    Syscall::RingSetup {
-        sq_offset: geo.sq_offset,
-        cq_offset: geo.cq_offset,
-        slots: geo.slots,
-        slot_bytes: geo.slot_bytes,
-        buf_offset: geo.buf_offset,
-        buf_count: geo.buf_count,
-        buf_bytes: geo.buf_bytes,
-    }
-}
-
 fn encoded(call: &Syscall) -> Vec<u8> {
     let mut frame = Vec::new();
     call.encode_into(&mut frame);
@@ -1008,23 +1000,27 @@ impl ProgramLauncher for RawRingGuest {
     fn launch(&self, ctx: LaunchContext) {
         let pid = ctx.pid;
         let mut raw = RawRing::start(ctx);
-        let geo = *raw.ring.geometry();
-        let setup = ring_setup(geo);
-        // Geometries off the word grid: `Atomics` could not reach their words.
-        let odd_cq = ring_setup(RingGeometry {
-            cq_offset: geo.cq_offset + 1,
-            ..geo
-        });
-        let slots_of_18 = ring_setup(RingGeometry { slot_bytes: 18, ..geo });
-        let results = vec![
-            ("ring_setup with an odd cq_offset", raw.call_by_message(1, odd_cq)),
-            ("ring_setup with 18-byte slots", raw.call_by_message(2, slots_of_18)),
-            ("ring_setup by message", raw.call_by_message(3, setup.clone())),
+        // A heap one word too short for the ring region maps nothing: a
+        // write from it has no heap to be read from, and calls by message go
+        // on as before.
+        let region_end = RING_REGION_OFFSET + RING_REGION_BYTES as usize;
+        raw.hand_over(SharedArrayBuffer::new(region_end - 4));
+        let from_heap = Syscall::Write {
+            fd: 1,
+            data: ByteSource::SharedHeap { offset: 0, len: 4 },
+        };
+        let mut results = vec![
             (
-                "ring_setup a second time by message",
-                raw.call_by_message(4, setup.clone()),
+                "a write from a heap too short for the ring",
+                raw.call_by_message(1, from_heap),
             ),
-            ("ring_setup through the mapped ring", raw.call(&setup)),
+            (
+                "getpid by message beside that heap",
+                raw.call_by_message(2, Syscall::GetPid),
+            ),
+        ];
+        raw.map();
+        results.extend([
             (
                 "reference past the end of the heap",
                 raw.plant_reference(HEAP_BYTES, 16),
@@ -1047,7 +1043,12 @@ impl ProgramLauncher for RawRingGuest {
                     .push_sqe_spilled(raw.next_user_data, 4096, &encoded(&Syscall::GetPid)));
                 raw.completion()
             }),
-        ];
+            // Ignored: the kernel keeps draining the first heap's ring.
+            ("getpid after a second heap was handed over", {
+                raw.hand_over(SharedArrayBuffer::new(SYNC_HEAP_BYTES));
+                raw.call(&Syscall::GetPid)
+            }),
+        ]);
         *self.transcript.lock().unwrap() = results;
         raw.exit(pid);
     }
@@ -1076,11 +1077,8 @@ fn malformed_ring_entries_get_an_errno_and_the_ring_survives() {
     assert_eq!(
         *transcript.lock().unwrap(),
         [
-            ("ring_setup with an odd cq_offset", err(Errno::EINVAL)),
-            ("ring_setup with 18-byte slots", err(Errno::EINVAL)),
-            ("ring_setup by message", SysResult::Ok),
-            ("ring_setup a second time by message", err(Errno::EEXIST)),
-            ("ring_setup through the mapped ring", err(Errno::EEXIST)),
+            ("a write from a heap too short for the ring", err(Errno::EFAULT)),
+            ("getpid by message beside that heap", pid.clone()),
             ("reference past the end of the heap", err(Errno::EFAULT)),
             ("reference longer than the heap", err(Errno::EFAULT)),
             ("reference whose end overflows u32", err(Errno::EFAULT)),
@@ -1089,7 +1087,8 @@ fn malformed_ring_entries_get_an_errno_and_the_ring_survives() {
             ("reference of garbage", err(Errno::EFAULT)),
             ("inline length larger than the slot", err(Errno::EINVAL)),
             ("getpid, inline", pid.clone()),
-            ("getpid, spilled", pid),
+            ("getpid, spilled", pid.clone()),
+            ("getpid after a second heap was handed over", pid),
         ]
     );
     let stats = kernel.stats();
@@ -1112,8 +1111,7 @@ impl ProgramLauncher for ReadThenDup2 {
     fn launch(&self, ctx: LaunchContext) {
         let pid = ctx.pid;
         let mut raw = RawRing::start(ctx);
-        let geo = *raw.ring.geometry();
-        assert_eq!(raw.call_by_message(1, ring_setup(geo)), SysResult::Ok);
+        raw.map();
         let SysResult::Pair(r, w) = raw.call(&Syscall::Pipe2) else {
             panic!("pipe2 failed");
         };
@@ -1199,8 +1197,7 @@ impl ProgramLauncher for SendfileThenDup2 {
     fn launch(&self, ctx: LaunchContext) {
         let pid = ctx.pid;
         let mut raw = RawRing::start(ctx);
-        let geo = *raw.ring.geometry();
-        assert_eq!(raw.call_by_message(1, ring_setup(geo)), SysResult::Ok);
+        raw.map();
         let mut pipe = || match raw.call(&Syscall::Pipe2) {
             SysResult::Pair(r, w) => (r as i32, w as i32),
             other => panic!("pipe2 failed: {other:?}"),
@@ -1370,8 +1367,7 @@ impl ProgramLauncher for HostileTransfers {
         assert_eq!(transfers.len(), 1, "4 KiB is large enough to detach");
         results.extend(raw.post(4, &honest, transfers));
         results.push(raw.call_by_message(5, Syscall::Read { fd: r, len: 1 << 20 }));
-        let geo = *raw.ring.geometry();
-        results.push(raw.call_by_message(6, ring_setup(geo)));
+        raw.map();
         results.push(raw.call(&reference(0, 2048)));
         results.push(raw.call(&Syscall::GetPid));
         let cases = [
@@ -1382,7 +1378,6 @@ impl ProgramLauncher for HostileTransfers {
             "a reference with no list beside the frame",
             "a well-formed detached write",
             "reading it all back",
-            "ring_setup",
             "a reference in a ring slot",
             "getpid through the ring",
         ];
@@ -1422,7 +1417,6 @@ fn hostile_transfer_references_get_einval_and_the_process_carries_on() {
             ("a reference with no list beside the frame", einval.clone()),
             ("a well-formed detached write", SysResult::Int(4096)),
             ("reading it all back", SysResult::Data(piped)),
-            ("ring_setup", SysResult::Ok),
             ("a reference in a ring slot", einval),
             ("getpid through the ring", SysResult::Int(handle.pid as i64)),
         ]

@@ -43,19 +43,21 @@ fn no_worker_thread_outlives_a_shut_down_kernel() {
     }
     let kernel = Kernel::boot(config);
 
-    // More processes than the pool keeps idle, and then one that is still
-    // running at shutdown.
-    let quick: Vec<_> = (0..IDLE_WORKERS_KEPT + 2)
-        .map(|_| kernel.spawn("/usr/bin/quick", &["quick"], &[]).expect("spawn"))
-        .collect();
-    for handle in quick {
-        assert_eq!(handle.wait().code, Some(3), "pid {}", handle.pid);
-    }
+    // One process still running at shutdown, parked first so that its
+    // thread is busy, and then more processes than the pool keeps idle: they
+    // need a thread of their own, which stays idle once they are done.  (The
+    // quick ones alone may all run one after another on one thread.)
     let _parked = kernel.spawn("/usr/bin/parked", &["parked"], &[]).expect("spawn");
     let deadline = Instant::now() + Duration::from_secs(10);
     while kernel.resources().waiters < 1 {
         assert!(Instant::now() < deadline, "the parked process never parked");
         std::thread::sleep(Duration::from_millis(5));
+    }
+    let quick: Vec<_> = (0..IDLE_WORKERS_KEPT + 2)
+        .map(|_| kernel.spawn("/usr/bin/quick", &["quick"], &[]).expect("spawn"))
+        .collect();
+    for handle in quick {
+        assert_eq!(handle.wait().code, Some(3), "pid {}", handle.pid);
     }
     assert!(worker_threads() >= 2, "the kernel runs no worker threads");
 
