@@ -552,7 +552,9 @@ pub fn gen_dispatch(abi: &Abi) -> String {
         "impl KernelState {\n\
          \x20   /// Routes one decoded call to its handler.  Generated from the\n\
          \x20   /// `dispatch:` line of each syscall's IDL entry; handler bodies\n\
-         \x20   /// live in the per-class `dispatch_*.rs` modules.\n\
+         \x20   /// live in the per-class `dispatch_*.rs` modules.  Every handler\n\
+         \x20   /// returns a `Result` whose error completes the call, so each\n\
+         \x20   /// arm converts through `Outcome::from`.\n\
          \x20   fn dispatch(&mut self, pid: Pid, reply: ReplyTo, call: Syscall) -> Outcome {\n\
          \x20       match call {\n",
     );
@@ -561,7 +563,7 @@ pub fn gen_dispatch(abi: &Abi) -> String {
             Some(p) => format!("Syscall::{} {}", sc.ident, p),
             None => variant_pattern("Syscall", &sc.ident, &sc.args, true),
         };
-        out.push_str(&format!("            {pat} => {},\n", sc.dispatch));
+        out.push_str(&format!("            {pat} => Outcome::from({}),\n", sc.dispatch));
     }
     out.push_str("        }\n    }\n}\n");
     out

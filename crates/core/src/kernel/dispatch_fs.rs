@@ -22,64 +22,41 @@ use crate::syscall::{ByteSource, SysResult};
 use crate::task::Pid;
 
 impl KernelState {
-    pub(crate) fn sys_open(&mut self, pid: Pid, path: String, flags: OpenFlags, mode: u32) -> Outcome {
+    pub(crate) fn sys_open(&mut self, pid: Pid, path: String, flags: OpenFlags, mode: u32) -> Result<SysResult, Errno> {
         let path = self.resolve_path(pid, &path);
-        let meta = match self.fs().stat(&path) {
-            Ok(meta) => {
-                if flags.create && flags.exclusive {
-                    return Outcome::Complete(SysResult::Err(Errno::EEXIST));
-                }
-                Some(meta)
-            }
+        let is_dir = match self.fs.stat(&path) {
+            Ok(_) if flags.create && flags.exclusive => return Err(Errno::EEXIST),
+            Ok(meta) => meta.is_dir(),
             Err(Errno::ENOENT) if flags.create => {
-                if let Err(e) = self.fs().create(&path, mode & 0o7777) {
-                    return Outcome::Complete(SysResult::Err(e));
-                }
-                None
+                self.fs.create(&path, mode & 0o7777)?;
+                false
             }
-            Err(e) => return Outcome::Complete(SysResult::Err(e)),
+            Err(e) => return Err(e),
         };
-        let is_dir = meta.map(|m| m.is_dir()).unwrap_or(false);
-        if is_dir {
+        let kind = if is_dir {
             if flags.write {
-                return Outcome::Complete(SysResult::Err(Errno::EISDIR));
+                return Err(Errno::EISDIR);
             }
-            let file = OpenFile::new(FileKind::Directory { path });
-            let fd = match self.task_mut(pid) {
-                Ok(task) => task.files.insert(file, 0),
-                Err(e) => return Outcome::Complete(SysResult::Err(e)),
-            };
-            return Outcome::Complete(SysResult::Int(fd as i64));
-        }
-        // The single point where a descriptor's path is resolved: from here
-        // on, all I/O goes through the handle.
-        let handle = match self.fs().open_handle(&path, flags) {
-            Ok(handle) => handle,
-            Err(e) => return Outcome::Complete(SysResult::Err(e)),
-        };
-        if flags.truncate && flags.write {
-            if let Err(e) = handle.truncate(0) {
-                return Outcome::Complete(SysResult::Err(e));
+            FileKind::Directory { path }
+        } else {
+            // The single point where a descriptor's path is resolved: from
+            // here on, all I/O goes through the handle.
+            let handle = self.fs.open_handle(&path, flags)?;
+            if flags.truncate && flags.write {
+                handle.truncate(0)?;
             }
-        }
-        // POSIX: the offset starts at 0 even with O_APPEND; append writes
-        // seek-to-end atomically at the handle layer instead.
-        let file = OpenFile::new(FileKind::File { handle, flags });
-        let fd = match self.task_mut(pid) {
-            Ok(task) => task.files.insert(file, 0),
-            Err(e) => return Outcome::Complete(SysResult::Err(e)),
+            // POSIX: the offset starts at 0 even with O_APPEND; append writes
+            // seek-to-end atomically at the handle layer instead.
+            FileKind::File { handle, flags }
         };
-        Outcome::Complete(SysResult::Int(fd as i64))
+        let fd = self.task_mut(pid)?.files.insert(OpenFile::new(kind), 0);
+        Ok(SysResult::Int(fd as i64))
     }
 
-    pub(crate) fn sys_close(&mut self, pid: Pid, fd: Fd) -> Outcome {
-        match self.task_mut(pid).and_then(|task| task.files.remove(fd)) {
-            Ok(file) => {
-                self.release_file(file);
-                Outcome::Complete(SysResult::Ok)
-            }
-            Err(e) => Outcome::Complete(SysResult::Err(e)),
-        }
+    pub(crate) fn sys_close(&mut self, pid: Pid, fd: Fd) -> Result<SysResult, Errno> {
+        let file = self.task_mut(pid)?.files.remove(fd)?;
+        self.release_file(file);
+        Ok(SysResult::Ok)
     }
 
     /// Reads a descriptor that is not a stream end.  None of these block:
@@ -104,7 +81,7 @@ impl KernelState {
                 // retry-on-EINTR loop raise SIGTTIN forever.  The foreground
                 // group (or a terminal with no foreground set) reads EOF,
                 // since the terminal has no input source.
-                if let Some(fg) = self.foreground_pgid() {
+                if let Some(fg) = self.router.foreground_pgid() {
                     let task = self.task(pid)?;
                     if self.router.process_pgid(pid) != Some(fg) {
                         let shrugged = task.signals.blocked().contains(Signal::SIGTTIN)
@@ -145,40 +122,24 @@ impl KernelState {
         }
     }
 
-    pub(crate) fn sys_read(&mut self, pid: Pid, reply: ReplyTo, fd: Fd, len: usize) -> Outcome {
-        let file = match self.task(pid).and_then(|t| t.files.get(fd)) {
-            Ok(file) => file,
-            Err(e) => return Outcome::Complete(SysResult::Err(e)),
-        };
+    pub(crate) fn sys_read(&mut self, pid: Pid, reply: ReplyTo, fd: Fd, len: usize) -> Result<Outcome, Errno> {
         // The descriptor is resolved here, once: whatever happens to the
         // number while the call is parked, it reads the stream it found.
+        let file = self.file(pid, fd)?;
         let kind = file.kind();
         let Some(stream) = kind.read_stream() else {
-            return Outcome::Complete(match self.read_unstreamed(pid, &file, kind, len) {
-                Ok(data) => SysResult::Data(data),
-                Err(e) => SysResult::Err(e),
-            });
+            let data = self.read_unstreamed(pid, &file, kind, len)?;
+            return Ok(Outcome::Complete(SysResult::Data(data)));
         };
         self.stream_io(pid, reply, stream, StreamIo::Read(len), file.nonblocking())
     }
 
-    pub(crate) fn sys_pread(&mut self, pid: Pid, fd: Fd, len: usize, offset: u64) -> Outcome {
-        let file = match self.task(pid).and_then(|t| t.files.get(fd)) {
-            Ok(file) => file,
-            Err(e) => return Outcome::Complete(SysResult::Err(e)),
-        };
-        match file.kind() {
-            FileKind::File { handle, flags } => {
-                if !flags.read {
-                    return Outcome::Complete(SysResult::Err(Errno::EBADF));
-                }
-                match handle.read_at(offset, len) {
-                    Ok(data) => Outcome::Complete(SysResult::Data(data)),
-                    Err(e) => Outcome::Complete(SysResult::Err(e)),
-                }
-            }
-            FileKind::Directory { .. } => Outcome::Complete(SysResult::Err(Errno::EISDIR)),
-            _ => Outcome::Complete(SysResult::Err(Errno::ESPIPE)),
+    pub(crate) fn sys_pread(&mut self, pid: Pid, fd: Fd, len: usize, offset: u64) -> Result<SysResult, Errno> {
+        match self.file(pid, fd)?.kind() {
+            FileKind::File { handle, flags } if flags.read => Ok(SysResult::Data(handle.read_at(offset, len)?)),
+            FileKind::File { .. } => Err(Errno::EBADF),
+            FileKind::Directory { .. } => Err(Errno::EISDIR),
+            _ => Err(Errno::ESPIPE),
         }
     }
 
@@ -281,21 +242,13 @@ impl KernelState {
         }
     }
 
-    pub(crate) fn sys_write(&mut self, pid: Pid, reply: ReplyTo, fd: Fd, data: ByteSource) -> Outcome {
-        let bytes = match self.resolve_bytes(pid, data) {
-            Ok(bytes) => bytes,
-            Err(e) => return Outcome::Complete(SysResult::Err(e)),
-        };
-        let file = match self.task(pid).and_then(|t| t.files.get(fd)) {
-            Ok(file) => file,
-            Err(e) => return Outcome::Complete(SysResult::Err(e)),
-        };
+    pub(crate) fn sys_write(&mut self, pid: Pid, reply: ReplyTo, fd: Fd, data: ByteSource) -> Result<Outcome, Errno> {
+        let bytes = self.resolve_bytes(pid, data)?;
+        let file = self.file(pid, fd)?;
         let kind = file.kind();
         let Some(stream) = kind.write_stream() else {
-            return Outcome::Complete(match Self::write_unstreamed(&file, kind, &bytes) {
-                Ok(()) => SysResult::Int(bytes.len() as i64),
-                Err(e) => SysResult::Err(e),
-            });
+            Self::write_unstreamed(&file, kind, &bytes)?;
+            return Ok(Outcome::Complete(SysResult::Int(bytes.len() as i64)));
         };
         let nonblocking = file.nonblocking();
         // The write can end in SIGPIPE killing the caller, and the exit must
@@ -309,16 +262,14 @@ impl KernelState {
     /// the call is made — whatever happens to either number while the call is
     /// parked, it keeps moving the file it found into the stream it found.
     fn sendfile_ends(&self, pid: Pid, out_fd: Fd, in_fd: Fd) -> Result<(StreamId, Arc<OpenFile>), Errno> {
-        let in_file = self.task(pid)?.files.get(in_fd)?;
+        let in_file = self.file(pid, in_fd)?;
         match in_file.kind() {
             FileKind::File { flags, .. } if flags.read => {}
             FileKind::File { .. } => return Err(Errno::EBADF),
             FileKind::Directory { .. } => return Err(Errno::EISDIR),
             _ => return Err(Errno::EINVAL),
         }
-        let Some(out) = self.task(pid)?.files.get(out_fd)?.kind().write_stream() else {
-            return Err(Errno::EINVAL);
-        };
+        let out = self.file(pid, out_fd)?.kind().write_stream().ok_or(Errno::EINVAL)?;
         if self.stream_is_remote(out) {
             // Zero-copy page pushes need the destination buffer in this
             // address space; callers fall back to a buffered read/write
@@ -358,7 +309,7 @@ impl KernelState {
             if *remaining == 0 || *offset >= size {
                 break;
             }
-            let (space, read_closed) = match self.streams().get(out) {
+            let (space, read_closed) = match self.streams.get(out) {
                 Some(s) => (s.space(), s.read_end_closed()),
                 None if pushed_total > 0 => break,
                 None => return Err(Errno::EPIPE),
@@ -410,18 +361,15 @@ impl KernelState {
         in_fd: Fd,
         offset: i64,
         len: u64,
-    ) -> Outcome {
+    ) -> Result<Outcome, Errno> {
         // offset -1 means "use (and advance) the descriptor's cursor", like
         // passing NULL to Linux sendfile(2); an explicit offset leaves it
         // untouched.
         if offset < -1 {
-            return Outcome::Complete(SysResult::Err(Errno::EINVAL));
+            return Err(Errno::EINVAL);
         }
         let advance_cursor = offset < 0;
-        let (out, in_file) = match self.sendfile_ends(pid, out_fd, in_fd) {
-            Ok(ends) => ends,
-            Err(e) => return Outcome::Complete(SysResult::Err(e)),
-        };
+        let (out, in_file) = self.sendfile_ends(pid, out_fd, in_fd)?;
         let offset = if advance_cursor {
             in_file.offset()
         } else {
@@ -452,7 +400,7 @@ impl KernelState {
         output: StreamId,
         len: u64,
     ) -> Result<Option<u64>, Errno> {
-        match self.streams().get(output) {
+        match self.streams.get(output) {
             Some(s) if s.read_end_closed() => {
                 let _ = self.send_signal(pid, Signal::SIGPIPE);
                 return Err(Errno::EPIPE);
@@ -460,7 +408,7 @@ impl KernelState {
             Some(_) => {}
             None => return Err(Errno::EPIPE),
         }
-        let (buffered, eof) = match self.streams().get(input) {
+        let (buffered, eof) = match self.streams.get(input) {
             Some(s) => (s.len(), s.write_end_closed()),
             // Input stream gone entirely: end of input.
             None => return Ok(Some(0)),
@@ -468,7 +416,7 @@ impl KernelState {
         if buffered == 0 {
             return if eof { Ok(Some(0)) } else { Ok(None) };
         }
-        let space = self.streams().get(output).map(Stream::space).unwrap_or(0);
+        let space = self.streams.get(output).map(Stream::space).unwrap_or(0);
         if space == 0 {
             return Ok(None);
         }
@@ -487,58 +435,43 @@ impl KernelState {
         Ok(Some(moved as u64))
     }
 
-    pub(crate) fn sys_splice(&mut self, pid: Pid, reply: ReplyTo, fd_in: Fd, fd_out: Fd, len: u64) -> Outcome {
+    pub(crate) fn sys_splice(
+        &mut self,
+        pid: Pid,
+        reply: ReplyTo,
+        fd_in: Fd,
+        fd_out: Fd,
+        len: u64,
+    ) -> Result<Outcome, Errno> {
         // Both descriptors are resolved here, once; a parked splice keeps
         // moving bytes between the streams it found.
-        let ends = self.task(pid).and_then(|task| {
-            let input = task.files.get(fd_in)?.kind().read_stream().ok_or(Errno::EINVAL)?;
-            let output = task.files.get(fd_out)?.kind().write_stream().ok_or(Errno::EINVAL)?;
-            Ok((input, output))
-        });
-        let (input, output) = match ends {
-            // Splice moves bytes between two different local buffers; with a
-            // foreign endpoint callers fall back to the buffered loop.
-            Ok((i, o)) if i == o || self.stream_is_remote(i) || self.stream_is_remote(o) => {
-                return Outcome::Complete(SysResult::Err(Errno::EINVAL));
-            }
-            Ok(ends) => ends,
-            Err(e) => return Outcome::Complete(SysResult::Err(e)),
-        };
+        let input = self.file(pid, fd_in)?.kind().read_stream().ok_or(Errno::EINVAL)?;
+        let output = self.file(pid, fd_out)?.kind().write_stream().ok_or(Errno::EINVAL)?;
+        // Splice moves bytes between two different local buffers; with a
+        // foreign endpoint callers fall back to the buffered loop.
+        if input == output || self.stream_is_remote(input) || self.stream_is_remote(output) {
+            return Err(Errno::EINVAL);
+        }
         let nonblocking = self.fd_nonblocking(pid, fd_in) || self.fd_nonblocking(pid, fd_out);
         self.block(pid, Some(reply), WaitKind::Splice { input, output, len }, nonblocking)
     }
 
-    pub(crate) fn sys_pwrite(&mut self, pid: Pid, fd: Fd, data: ByteSource, offset: u64) -> Outcome {
-        let bytes = match self.resolve_bytes(pid, data) {
-            Ok(bytes) => bytes,
-            Err(e) => return Outcome::Complete(SysResult::Err(e)),
-        };
-        let file = match self.task(pid).and_then(|t| t.files.get(fd)) {
-            Ok(file) => file,
-            Err(e) => return Outcome::Complete(SysResult::Err(e)),
-        };
-        match file.kind() {
-            FileKind::File { handle, flags } => {
-                if !flags.write {
-                    return Outcome::Complete(SysResult::Err(Errno::EBADF));
-                }
-                match handle.write_at(offset, &bytes) {
-                    Ok(written) => Outcome::Complete(SysResult::Int(written as i64)),
-                    Err(e) => Outcome::Complete(SysResult::Err(e)),
-                }
+    pub(crate) fn sys_pwrite(&mut self, pid: Pid, fd: Fd, data: ByteSource, offset: u64) -> Result<SysResult, Errno> {
+        let bytes = self.resolve_bytes(pid, data)?;
+        match self.file(pid, fd)?.kind() {
+            FileKind::File { handle, flags } if flags.write => {
+                Ok(SysResult::Int(handle.write_at(offset, &bytes)? as i64))
             }
-            _ => Outcome::Complete(SysResult::Err(Errno::ESPIPE)),
+            FileKind::File { .. } => Err(Errno::EBADF),
+            _ => Err(Errno::ESPIPE),
         }
     }
 
-    pub(crate) fn sys_seek(&mut self, pid: Pid, fd: Fd, offset: i64, whence: u32) -> Outcome {
-        let file = match self.task(pid).and_then(|t| t.files.get(fd)) {
-            Ok(file) => file,
-            Err(e) => return Outcome::Complete(SysResult::Err(e)),
-        };
+    pub(crate) fn sys_seek(&mut self, pid: Pid, fd: Fd, offset: i64, whence: u32) -> Result<SysResult, Errno> {
+        let file = self.file(pid, fd)?;
         let kind = file.kind();
         if !matches!(kind, FileKind::File { .. } | FileKind::Directory { .. }) {
-            return Outcome::Complete(SysResult::Err(Errno::ESPIPE));
+            return Err(Errno::ESPIPE);
         }
         let base: i64 = match whence {
             0 => 0,
@@ -546,132 +479,82 @@ impl KernelState {
             // Only SEEK_END needs the current size: from the handle for
             // files, zero for open directories.
             2 => match &kind {
-                FileKind::File { handle, .. } => match handle.metadata() {
-                    Ok(meta) => meta.size as i64,
-                    Err(e) => return Outcome::Complete(SysResult::Err(e)),
-                },
+                FileKind::File { handle, .. } => handle.metadata()?.size as i64,
                 _ => 0,
             },
-            _ => return Outcome::Complete(SysResult::Err(Errno::EINVAL)),
+            _ => return Err(Errno::EINVAL),
         };
         // The guest picks `offset`: a sum past `i64::MAX` is its error, as
         // on Linux, and leaves the descriptor's offset where it was.
-        let Some(target) = base.checked_add(offset) else {
-            return Outcome::Complete(SysResult::Err(Errno::EOVERFLOW));
-        };
+        let target = base.checked_add(offset).ok_or(Errno::EOVERFLOW)?;
         if target < 0 {
-            return Outcome::Complete(SysResult::Err(Errno::EINVAL));
+            return Err(Errno::EINVAL);
         }
         file.set_offset(target as u64);
-        Outcome::Complete(SysResult::Int(target))
+        Ok(SysResult::Int(target))
     }
 
-    pub(crate) fn sys_dup(&mut self, pid: Pid, fd: Fd) -> Outcome {
-        let task = match self.task_mut(pid) {
-            Ok(task) => task,
-            Err(e) => return Outcome::Complete(SysResult::Err(e)),
-        };
-        match task.files.get(fd) {
-            // Another reference to the same description: nothing to count.
-            Ok(file) => Outcome::Complete(SysResult::Int(task.files.insert(file, 0) as i64)),
-            Err(e) => Outcome::Complete(SysResult::Err(e)),
-        }
+    pub(crate) fn sys_dup(&mut self, pid: Pid, fd: Fd) -> Result<SysResult, Errno> {
+        let files = &mut self.task_mut(pid)?.files;
+        // Another reference to the same description: nothing to count.
+        let file = files.get(fd)?;
+        Ok(SysResult::Int(files.insert(file, 0) as i64))
     }
 
-    pub(crate) fn sys_dup2(&mut self, pid: Pid, from: Fd, to: Fd) -> Outcome {
+    pub(crate) fn sys_dup2(&mut self, pid: Pid, from: Fd, to: Fd) -> Result<SysResult, Errno> {
         if to < 0 {
-            return Outcome::Complete(SysResult::Err(Errno::EBADF));
+            return Err(Errno::EBADF);
         }
-        let task = match self.task_mut(pid) {
-            Ok(task) => task,
-            Err(e) => return Outcome::Complete(SysResult::Err(e)),
-        };
-        match task.files.get(from) {
-            Ok(file) => {
-                // The description that was open at `to` is closed, as by
-                // `close`; `from` itself only gains a reference.
-                if from != to {
-                    if let Some(displaced) = task.files.insert_at(to, file) {
-                        self.release_file(displaced);
-                    }
-                }
-                Outcome::Complete(SysResult::Int(to as i64))
+        let files = &mut self.task_mut(pid)?.files;
+        let file = files.get(from)?;
+        // The description that was open at `to` is closed, as by `close`;
+        // `from` itself only gains a reference.
+        if from != to {
+            if let Some(displaced) = files.insert_at(to, file) {
+                self.release_file(displaced);
             }
-            Err(e) => Outcome::Complete(SysResult::Err(e)),
         }
+        Ok(SysResult::Int(to as i64))
     }
 
-    pub(crate) fn sys_unlink(&mut self, pid: Pid, path: String) -> Outcome {
-        let path = self.resolve_path(pid, &path);
-        Outcome::Complete(match self.fs().unlink(&path) {
-            Ok(()) => SysResult::Ok,
-            Err(e) => SysResult::Err(e),
-        })
+    pub(crate) fn sys_unlink(&mut self, pid: Pid, path: String) -> Result<SysResult, Errno> {
+        self.fs.unlink(&self.resolve_path(pid, &path))?;
+        Ok(SysResult::Ok)
     }
 
-    pub(crate) fn sys_truncate(&mut self, pid: Pid, path: String, size: u64) -> Outcome {
-        let path = self.resolve_path(pid, &path);
-        Outcome::Complete(match self.fs().truncate(&path, size) {
-            Ok(()) => SysResult::Ok,
-            Err(e) => SysResult::Err(e),
-        })
+    pub(crate) fn sys_truncate(&mut self, pid: Pid, path: String, size: u64) -> Result<SysResult, Errno> {
+        self.fs.truncate(&self.resolve_path(pid, &path), size)?;
+        Ok(SysResult::Ok)
     }
 
-    pub(crate) fn sys_rename(&mut self, pid: Pid, from: String, to: String) -> Outcome {
-        let from = self.resolve_path(pid, &from);
-        let to = self.resolve_path(pid, &to);
-        Outcome::Complete(match self.fs().rename(&from, &to) {
-            Ok(()) => SysResult::Ok,
-            Err(e) => SysResult::Err(e),
-        })
+    pub(crate) fn sys_rename(&mut self, pid: Pid, from: String, to: String) -> Result<SysResult, Errno> {
+        self.fs
+            .rename(&self.resolve_path(pid, &from), &self.resolve_path(pid, &to))?;
+        Ok(SysResult::Ok)
     }
 
-    pub(crate) fn sys_readdir(&mut self, pid: Pid, path: String) -> Outcome {
-        let path = self.resolve_path(pid, &path);
-        Outcome::Complete(match self.fs().read_dir(&path) {
-            Ok(entries) => SysResult::Entries(entries),
-            Err(e) => SysResult::Err(e),
-        })
+    pub(crate) fn sys_readdir(&mut self, pid: Pid, path: String) -> Result<SysResult, Errno> {
+        Ok(SysResult::Entries(self.fs.read_dir(&self.resolve_path(pid, &path))?))
     }
 
-    pub(crate) fn sys_mkdir(&mut self, pid: Pid, path: String, _mode: u32) -> Outcome {
-        let path = self.resolve_path(pid, &path);
-        Outcome::Complete(match self.fs().mkdir(&path) {
-            Ok(()) => SysResult::Ok,
-            Err(e) => SysResult::Err(e),
-        })
+    pub(crate) fn sys_mkdir(&mut self, pid: Pid, path: String, _mode: u32) -> Result<SysResult, Errno> {
+        self.fs.mkdir(&self.resolve_path(pid, &path))?;
+        Ok(SysResult::Ok)
     }
 
-    pub(crate) fn sys_rmdir(&mut self, pid: Pid, path: String) -> Outcome {
-        let path = self.resolve_path(pid, &path);
-        Outcome::Complete(match self.fs().rmdir(&path) {
-            Ok(()) => SysResult::Ok,
-            Err(e) => SysResult::Err(e),
-        })
+    pub(crate) fn sys_rmdir(&mut self, pid: Pid, path: String) -> Result<SysResult, Errno> {
+        self.fs.rmdir(&self.resolve_path(pid, &path))?;
+        Ok(SysResult::Ok)
     }
 
-    pub(crate) fn sys_stat(&mut self, pid: Pid, path: String) -> Outcome {
-        let path = self.resolve_path(pid, &path);
-        Outcome::Complete(match self.fs().stat(&path) {
-            Ok(meta) => SysResult::Stat(meta),
-            Err(e) => SysResult::Err(e),
-        })
+    pub(crate) fn sys_stat(&mut self, pid: Pid, path: String) -> Result<SysResult, Errno> {
+        Ok(SysResult::Stat(self.fs.stat(&self.resolve_path(pid, &path))?))
     }
 
-    pub(crate) fn sys_fstat(&mut self, pid: Pid, fd: Fd) -> Outcome {
-        let file = match self.task(pid).and_then(|t| t.files.get(fd)) {
-            Ok(file) => file,
-            Err(e) => return Outcome::Complete(SysResult::Err(e)),
-        };
-        let meta = match file.kind() {
-            FileKind::File { handle, .. } => match handle.metadata() {
-                Ok(meta) => meta,
-                Err(e) => return Outcome::Complete(SysResult::Err(e)),
-            },
-            FileKind::Directory { path } => match self.fs().stat(&path) {
-                Ok(meta) => meta,
-                Err(e) => return Outcome::Complete(SysResult::Err(e)),
-            },
+    pub(crate) fn sys_fstat(&mut self, pid: Pid, fd: Fd) -> Result<SysResult, Errno> {
+        let meta = match self.file(pid, fd)?.kind() {
+            FileKind::File { handle, .. } => handle.metadata()?,
+            FileKind::Directory { path } => self.fs.stat(&path)?,
             // Pipes, sockets and sinks report a character-device-like stat.
             _ => Metadata {
                 file_type: FileType::Regular,
@@ -681,42 +564,36 @@ impl KernelState {
                 atime_ms: 0,
             },
         };
-        Outcome::Complete(SysResult::Stat(meta))
+        Ok(SysResult::Stat(meta))
     }
 
-    pub(crate) fn sys_fsync(&mut self, pid: Pid, fd: Fd) -> Outcome {
-        let file = match self.task(pid).and_then(|t| t.files.get(fd)) {
-            Ok(file) => file,
-            Err(e) => return Outcome::Complete(SysResult::Err(e)),
-        };
-        Outcome::Complete(match file.kind() {
-            FileKind::File { handle, .. } => match handle.fsync() {
-                Ok(()) => SysResult::Ok,
-                Err(e) => SysResult::Err(e),
-            },
+    pub(crate) fn sys_fsync(&mut self, pid: Pid, fd: Fd) -> Result<SysResult, Errno> {
+        match self.file(pid, fd)?.kind() {
+            FileKind::File { handle, .. } => handle.fsync()?,
             // Directories, host sinks and the terminal have nothing buffered
             // kernel-side.
-            FileKind::Directory { .. } | FileKind::HostSink { .. } | FileKind::Null | FileKind::Tty => SysResult::Ok,
+            FileKind::Directory { .. } | FileKind::HostSink { .. } | FileKind::Null | FileKind::Tty => {}
             // fsync on pipes and sockets is EINVAL, as on Linux.
-            _ => SysResult::Err(Errno::EINVAL),
-        })
+            _ => return Err(Errno::EINVAL),
+        }
+        Ok(SysResult::Ok)
     }
 
-    pub(crate) fn sys_access(&mut self, pid: Pid, path: String, _mode: u32) -> Outcome {
+    pub(crate) fn sys_access(&mut self, pid: Pid, path: String, _mode: u32) -> Result<SysResult, Errno> {
         // Browsix has no users: access reduces to an existence check, with the
         // browser sandbox standing in for permissions (§3.1 of the paper).
-        let path = self.resolve_path(pid, &path);
-        Outcome::Complete(match self.fs().stat(&path) {
-            Ok(_) => SysResult::Ok,
-            Err(e) => SysResult::Err(e),
-        })
+        self.fs.stat(&self.resolve_path(pid, &path))?;
+        Ok(SysResult::Ok)
     }
 
-    pub(crate) fn sys_utimes(&mut self, pid: Pid, path: String, atime_ms: u64, mtime_ms: u64) -> Outcome {
-        let path = self.resolve_path(pid, &path);
-        Outcome::Complete(match self.fs().set_times(&path, atime_ms, mtime_ms) {
-            Ok(()) => SysResult::Ok,
-            Err(e) => SysResult::Err(e),
-        })
+    pub(crate) fn sys_utimes(
+        &mut self,
+        pid: Pid,
+        path: String,
+        atime_ms: u64,
+        mtime_ms: u64,
+    ) -> Result<SysResult, Errno> {
+        self.fs.set_times(&self.resolve_path(pid, &path), atime_ms, mtime_ms)?;
+        Ok(SysResult::Ok)
     }
 }

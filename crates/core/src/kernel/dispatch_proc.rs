@@ -5,7 +5,7 @@ use browsix_fs::{Errno, FileSystem};
 
 use crate::exec::ForkImage;
 use crate::fd::{FileKind, OpenFile};
-use crate::kernel::{KernelState, Outcome, ReplyTo, ShardMsg, WaitKind};
+use crate::kernel::{shard, KernelState, Outcome, ReplyTo, WaitKind};
 use crate::signals::{SigAction, SigSet, Signal};
 use crate::syscall::{encode_stop_status, encode_wait_status, SysResult, WNOHANG, WUNTRACED};
 use crate::task::Pid;
@@ -19,11 +19,8 @@ impl KernelState {
         env: Vec<(String, String)>,
         cwd: Option<String>,
         stdio: [Option<i32>; 3],
-    ) -> Outcome {
-        let parent = match self.task(pid) {
-            Ok(task) => task,
-            Err(e) => return Outcome::Complete(SysResult::Err(e)),
-        };
+    ) -> Result<SysResult, Errno> {
+        let parent = self.task(pid)?;
         let parent_cwd = parent.cwd.clone();
         let parent_env = parent.env.clone();
         let child_cwd = cwd
@@ -45,20 +42,13 @@ impl KernelState {
         // supplied one explicitly.
         let child_env = if env.is_empty() { parent_env } else { env };
 
-        match self.spawn_process(pid, &exe_path, args, child_env, &child_cwd, files, None, None, None) {
-            Ok(child) => Outcome::Complete(SysResult::Int(child as i64)),
-            Err(e) => Outcome::Complete(SysResult::Err(e)),
-        }
+        let child = self.spawn_process(pid, &exe_path, args, child_env, &child_cwd, files, None, None, None)?;
+        Ok(SysResult::Int(child as i64))
     }
 
-    pub(crate) fn sys_fork(&mut self, pid: Pid, image: Vec<u8>, resume_point: u64) -> Outcome {
-        let parent = match self.task(pid) {
-            Ok(task) => task,
-            Err(e) => return Outcome::Complete(SysResult::Err(e)),
-        };
-        let Some(launcher) = parent.launcher.clone() else {
-            return Outcome::Complete(SysResult::Err(Errno::ENOSYS));
-        };
+    pub(crate) fn sys_fork(&mut self, pid: Pid, image: Vec<u8>, resume_point: u64) -> Result<SysResult, Errno> {
+        let parent = self.task(pid)?;
+        let launcher = parent.launcher.clone().ok_or(Errno::ENOSYS)?;
         let exe_path = parent.exe_path.clone();
         let args = parent.args.clone();
         let env = parent.env.clone();
@@ -72,7 +62,7 @@ impl KernelState {
         // `sys_vm_write`.
         let (address_space, vm_delta) = parent.address_space.fork_clone();
         let fork_image = ForkImage { image, resume_point };
-        match self.spawn_process(
+        let child = self.spawn_process(
             pid,
             &exe_path,
             args,
@@ -82,29 +72,23 @@ impl KernelState {
             Some(fork_image),
             Some(launcher),
             None,
-        ) {
-            Ok(child) => {
-                if let Ok(child_task) = self.task_mut(child) {
-                    child_task.address_space = address_space;
-                }
-                self.stats.record_vm(vm_delta);
-                Outcome::Complete(SysResult::Int(child as i64))
-            }
-            Err(e) => Outcome::Complete(SysResult::Err(e)),
+        )?;
+        if let Ok(child_task) = self.task_mut(child) {
+            child_task.address_space = address_space;
         }
+        self.stats.record_vm(vm_delta);
+        Ok(SysResult::Int(child as i64))
     }
 
-    pub(crate) fn sys_pipe2(&mut self, pid: Pid) -> Outcome {
-        if let Err(e) = self.task(pid) {
-            return Outcome::Complete(SysResult::Err(e));
-        }
-        let stream_id = self.streams_mut().create();
+    pub(crate) fn sys_pipe2(&mut self, pid: Pid) -> Result<SysResult, Errno> {
+        self.task(pid)?;
+        let stream_id = self.streams.create();
         let reader = self.new_stream_file(FileKind::PipeReader { stream: stream_id });
         let writer = self.new_stream_file(FileKind::PipeWriter { stream: stream_id });
-        let files = &mut self.task_mut(pid).expect("checked above").files;
+        let files = &mut self.task_mut(pid)?.files;
         let read_fd = files.insert(reader, 0);
         let write_fd = files.insert(writer, 0);
-        Outcome::Complete(SysResult::Pair(read_fd as i64, write_fd as i64))
+        Ok(SysResult::Pair(read_fd as i64, write_fd as i64))
     }
 
     /// Looks for a reportable child of `pid` matching `target` (-1 = any
@@ -179,187 +163,145 @@ impl KernelState {
         }
     }
 
-    pub(crate) fn sys_wait4(&mut self, pid: Pid, reply: ReplyTo, target: i32, options: u32) -> Outcome {
+    pub(crate) fn sys_wait4(&mut self, pid: Pid, reply: ReplyTo, target: i32, options: u32) -> Result<Outcome, Errno> {
         let kind = WaitKind::Wait4 { target, options };
         self.block(pid, Some(reply), kind, options & WNOHANG != 0)
     }
 
-    pub(crate) fn sys_exit(&mut self, pid: Pid, code: i32) -> Outcome {
+    pub(crate) fn sys_exit(&mut self, pid: Pid, code: i32) -> Result<Outcome, Errno> {
         self.finish_task(pid, encode_wait_status(Some(code), None));
-        Outcome::NoReply
+        Ok(Outcome::NoReply)
     }
 
     /// `kill(2)` addressing: `target > 0` signals that process, `target < 0`
     /// signals group `-target`, and `target == 0` signals the caller's own
-    /// group.
-    pub(crate) fn sys_kill(&mut self, caller: Pid, target: i32, signal: Signal) -> Outcome {
-        let result = if target > 0 {
+    /// group.  A process on another shard is signalled there, and the call
+    /// parks until that shard answers with the delivery's result.  A group
+    /// signal answers at once, whatever its members on other shards do with
+    /// it.
+    pub(crate) fn sys_kill(
+        &mut self,
+        caller: Pid,
+        reply: ReplyTo,
+        target: i32,
+        signal: Signal,
+    ) -> Result<Outcome, Errno> {
+        if target > 0 {
             let target = target as Pid;
-            if crate::kernel::shard::shard_of(target, self.nshards()) == self.shard_id() {
-                self.send_signal(target, signal)
-            } else {
-                // Owned by another shard: the router registry (live processes
-                // only) answers existence; delivery goes by message.  A target
-                // that dies in flight just drops the signal, exactly as a
-                // local target that exits between lookup and delivery would.
-                match self.router.process_shard(target) {
-                    Some(shard) => {
-                        self.send_shard(shard, ShardMsg::SignalPid { pid: target, signal });
-                        Ok(())
-                    }
-                    None => Err(Errno::ESRCH),
-                }
+            if shard::shard_of(target, self.nshards) != self.shard_id {
+                // Owned by another shard: the router registry (live
+                // processes only) answers existence, and the owner answers
+                // the call once the signal has landed.
+                let owner = self.router.process_shard(target).ok_or(Errno::ESRCH)?;
+                return Ok(self.remote_kill(caller, reply, owner, target, signal));
             }
+            self.send_signal(target, signal)?;
         } else {
             let pgid = if target == 0 {
-                match self.router.process_pgid(caller) {
-                    Some(pgid) => pgid,
-                    None => return Outcome::Complete(SysResult::Err(Errno::ESRCH)),
-                }
+                self.router.process_pgid(caller).ok_or(Errno::ESRCH)?
             } else {
-                match u32::try_from(-(target as i64)) {
-                    Ok(pgid) => pgid,
-                    Err(_) => return Outcome::Complete(SysResult::Err(Errno::EINVAL)),
-                }
+                u32::try_from(-(target as i64)).map_err(|_| Errno::EINVAL)?
             };
-            self.signal_pgroup(pgid, signal)
-        };
-        Outcome::Complete(match result {
-            Ok(()) => SysResult::Ok,
-            Err(e) => SysResult::Err(e),
-        })
+            self.signal_pgroup(pgid, signal)?;
+        }
+        Ok(Outcome::Complete(SysResult::Ok))
     }
 
-    pub(crate) fn sys_sigaction(&mut self, pid: Pid, signal: Signal, action: SigAction) -> Outcome {
+    pub(crate) fn sys_sigaction(&mut self, pid: Pid, signal: Signal, action: SigAction) -> Result<SysResult, Errno> {
         if !signal.catchable() {
-            return Outcome::Complete(SysResult::Err(Errno::EINVAL));
+            return Err(Errno::EINVAL);
         }
-        match self.task_mut(pid) {
-            Ok(task) => {
-                task.signals.set_action(signal, action);
-                Outcome::Complete(SysResult::Ok)
-            }
-            Err(e) => Outcome::Complete(SysResult::Err(e)),
-        }
+        self.task_mut(pid)?.signals.set_action(signal, action);
+        Ok(SysResult::Ok)
     }
 
     /// `sigprocmask`: updates the caller's blocked mask and dispatches any
     /// pending signals that became deliverable — each exactly once.
-    pub(crate) fn sys_sigprocmask(&mut self, pid: Pid, how: u32, mask: u64) -> Outcome {
-        let changed = match self.task_mut(pid) {
-            Ok(task) => task.signals.change_mask(how, SigSet::from_bits(mask)),
-            Err(e) => return Outcome::Complete(SysResult::Err(e)),
-        };
-        let Some((old, deliverable)) = changed else {
-            return Outcome::Complete(SysResult::Err(Errno::EINVAL));
-        };
+    pub(crate) fn sys_sigprocmask(&mut self, pid: Pid, how: u32, mask: u64) -> Result<SysResult, Errno> {
+        let changed = self.task_mut(pid)?.signals.change_mask(how, SigSet::from_bits(mask));
+        let (old, deliverable) = changed.ok_or(Errno::EINVAL)?;
         for signal in deliverable {
             // Delivery may terminate or stop the caller; dispatch re-checks
             // the task each time.
             self.dispatch_signal(pid, signal);
         }
-        Outcome::Complete(SysResult::Int(old.bits() as i64))
+        Ok(SysResult::Int(old.bits() as i64))
     }
 
     /// `setpgid`: moves `target` (0 = the caller) into group `pgid` (0 = a
     /// new group led by the target).  Only the caller itself or its children
     /// may be moved, as on Unix.  The move is made in the router's registry,
     /// so every shard sees it when the call returns.
-    pub(crate) fn sys_setpgid(&mut self, caller: Pid, target: Pid, pgid: Pid) -> Outcome {
+    pub(crate) fn sys_setpgid(&mut self, caller: Pid, target: Pid, pgid: Pid) -> Result<SysResult, Errno> {
         let target = if target == 0 { caller } else { target };
         let group = if pgid == 0 { target } else { pgid };
-        let allowed = target == caller
-            || self
-                .task(caller)
-                .map(|task| task.children.contains(&target))
-                .unwrap_or(false);
+        let allowed = target == caller || self.task(caller).is_ok_and(|task| task.children.contains(&target));
         if !allowed {
-            return Outcome::Complete(SysResult::Err(Errno::EPERM));
+            return Err(Errno::EPERM);
         }
-        Outcome::Complete(if self.router.set_pgid(target, group) {
-            SysResult::Ok
-        } else {
-            SysResult::Err(Errno::ESRCH)
-        })
+        if !self.router.set_pgid(target, group) {
+            return Err(Errno::ESRCH);
+        }
+        Ok(SysResult::Ok)
     }
 
     /// `getrusage`: resource-usage counters for the caller, pair-encoded as
     /// a `u32` count followed by (`str` key, `u64` value) pairs so the
     /// counter set can grow without a wire-format change.  Only
     /// `who == 0` (`RUSAGE_SELF`) is supported.
-    pub(crate) fn sys_getrusage(&mut self, pid: Pid, who: i32) -> Outcome {
+    pub(crate) fn sys_getrusage(&mut self, pid: Pid, who: i32) -> Result<SysResult, Errno> {
         if who != 0 {
-            return Outcome::Complete(SysResult::Err(Errno::EINVAL));
+            return Err(Errno::EINVAL);
         }
-        Outcome::Complete(match self.task(pid) {
-            Ok(task) => {
-                let counters: &[(&str, u64)] = &[
-                    ("syscalls", task.syscall_count),
-                    (
-                        "maxrss",
-                        (task.address_space.resident_page_count() * crate::vm::PAGE_SIZE) as u64,
-                    ),
-                ];
-                let mut out = Vec::new();
-                crate::wire::put_u32(&mut out, counters.len() as u32);
-                for (key, value) in counters {
-                    crate::wire::put_str(&mut out, key);
-                    crate::wire::put_u64(&mut out, *value);
-                }
-                SysResult::Data(out)
-            }
-            Err(e) => SysResult::Err(e),
-        })
+        let task = self.task(pid)?;
+        let counters: &[(&str, u64)] = &[
+            ("syscalls", task.syscall_count),
+            (
+                "maxrss",
+                (task.address_space.resident_page_count() * crate::vm::PAGE_SIZE) as u64,
+            ),
+        ];
+        let mut out = Vec::new();
+        crate::wire::put_u32(&mut out, counters.len() as u32);
+        for (key, value) in counters {
+            crate::wire::put_str(&mut out, key);
+            crate::wire::put_u64(&mut out, *value);
+        }
+        Ok(SysResult::Data(out))
     }
 
-    pub(crate) fn sys_getpgid(&mut self, caller: Pid, target: Pid) -> Outcome {
+    pub(crate) fn sys_getpgid(&mut self, caller: Pid, target: Pid) -> Result<SysResult, Errno> {
         let target = if target == 0 { caller } else { target };
-        Outcome::Complete(match self.router.process_pgid(target) {
-            Some(pgid) => SysResult::Int(pgid as i64),
-            None => SysResult::Err(Errno::ESRCH),
-        })
+        let pgid = self.router.process_pgid(target).ok_or(Errno::ESRCH)?;
+        Ok(SysResult::Int(pgid as i64))
     }
 
     /// `tcsetpgrp`: makes `pgid` the foreground group of the controlling
     /// terminal.  The kernel models one terminal, so there is no descriptor
     /// argument; any process may hand the foreground over (the shell uses
     /// this around every foreground pipeline).
-    pub(crate) fn sys_tcsetpgrp(&mut self, _caller: Pid, pgid: Pid) -> Outcome {
-        self.set_foreground_pgid(Some(pgid));
-        Outcome::Complete(SysResult::Ok)
+    pub(crate) fn sys_tcsetpgrp(&mut self, _caller: Pid, pgid: Pid) -> Result<SysResult, Errno> {
+        self.router.set_foreground_pgid(Some(pgid));
+        Ok(SysResult::Ok)
     }
 
-    pub(crate) fn sys_getppid(&mut self, pid: Pid) -> Outcome {
-        Outcome::Complete(match self.task(pid) {
-            Ok(task) => SysResult::Int(self.router.live_parent(task.ppid) as i64),
-            Err(e) => SysResult::Err(e),
-        })
+    pub(crate) fn sys_getppid(&mut self, pid: Pid) -> Result<SysResult, Errno> {
+        let ppid = self.task(pid)?.ppid;
+        Ok(SysResult::Int(self.router.live_parent(ppid) as i64))
     }
 
-    pub(crate) fn sys_getcwd(&mut self, pid: Pid) -> Outcome {
-        Outcome::Complete(match self.task(pid) {
-            Ok(task) => SysResult::Path(task.cwd.clone()),
-            Err(e) => SysResult::Err(e),
-        })
+    pub(crate) fn sys_getcwd(&mut self, pid: Pid) -> Result<SysResult, Errno> {
+        Ok(SysResult::Path(self.task(pid)?.cwd.clone()))
     }
 
-    pub(crate) fn sys_chdir(&mut self, pid: Pid, path: String) -> Outcome {
+    pub(crate) fn sys_chdir(&mut self, pid: Pid, path: String) -> Result<SysResult, Errno> {
         let resolved = self.resolve_path(pid, &path);
-        match self.fs().stat(&resolved) {
-            Ok(meta) if meta.is_dir() => {
-                if let Ok(task) = self.task_mut(pid) {
-                    task.cwd = resolved;
-                }
-                Outcome::Complete(SysResult::Ok)
-            }
-            Ok(_) => Outcome::Complete(SysResult::Err(Errno::ENOTDIR)),
-            Err(e) => Outcome::Complete(SysResult::Err(e)),
+        if !self.fs.stat(&resolved)?.is_dir() {
+            return Err(Errno::ENOTDIR);
         }
-    }
-
-    // Small helpers kept here so the parent module stays readable.
-
-    pub(crate) fn tasks_contains(&self, pid: Pid) -> bool {
-        self.task(pid).is_ok()
+        if let Ok(task) = self.task_mut(pid) {
+            task.cwd = resolved;
+        }
+        Ok(SysResult::Ok)
     }
 }

@@ -26,33 +26,21 @@ use browsix_browser::{Message, SharedArrayBuffer};
 use browsix_fs::{Errno, FileHandle, OpenFlags};
 
 use crate::fd::{Fd, FileKind, OpenFile};
-use crate::kernel::{KernelState, Outcome};
+use crate::kernel::KernelState;
 use crate::syscall::{ByteSource, SysResult};
 use crate::task::Pid;
-use crate::vm::{page_align, ShmObject, MAP_ANONYMOUS, MAP_SHARED};
+use crate::vm::{map_len, ShmObject, MAP_ANONYMOUS, MAP_SHARED};
 
 impl KernelState {
     /// `ftruncate(fd, size)`: sizes the descriptor's file — the only way to
     /// size a `shm_open` object, which has no path for `truncate`.
-    pub(crate) fn sys_ftruncate(&mut self, pid: Pid, fd: Fd, size: u64) -> Outcome {
-        let file = match self.task(pid).and_then(|t| t.files.get(fd)) {
-            Ok(file) => file,
-            Err(e) => return Outcome::Complete(SysResult::Err(e)),
-        };
-        Outcome::Complete(match file.kind() {
-            FileKind::File { handle, flags } => {
-                if !flags.write {
-                    SysResult::Err(Errno::EINVAL)
-                } else {
-                    match handle.truncate(size) {
-                        Ok(()) => SysResult::Ok,
-                        Err(e) => SysResult::Err(e),
-                    }
-                }
-            }
-            FileKind::Directory { .. } => SysResult::Err(Errno::EISDIR),
-            _ => SysResult::Err(Errno::EINVAL),
-        })
+    pub(crate) fn sys_ftruncate(&mut self, pid: Pid, fd: Fd, size: u64) -> Result<SysResult, Errno> {
+        match self.file(pid, fd)?.kind() {
+            FileKind::File { handle, flags } if flags.write => handle.truncate(size)?,
+            FileKind::Directory { .. } => return Err(Errno::EISDIR),
+            _ => return Err(Errno::EINVAL),
+        }
+        Ok(SysResult::Ok)
     }
 
     /// `mmap(addr, len, prot, flags, fd, offset)`.  Returns the base address;
@@ -67,39 +55,21 @@ impl KernelState {
         flags: u32,
         fd: i32,
         offset: u64,
-    ) -> Outcome {
-        let result = if flags & MAP_SHARED != 0 {
-            self.mmap_shared(pid, addr, len, prot, flags, fd, offset)
+    ) -> Result<SysResult, Errno> {
+        let base = if flags & MAP_SHARED != 0 {
+            self.mmap_shared(pid, addr, len, prot, flags, fd, offset)?
+        } else if flags & MAP_ANONYMOUS != 0 {
+            self.task_mut(pid)?.address_space.map_anonymous(addr, len, prot)?
         } else {
-            self.mmap_private(pid, addr, len, prot, flags, fd, offset)
+            let handle = self.file_handle(pid, fd)?;
+            let (base, delta) = self
+                .task_mut(pid)?
+                .address_space
+                .map_file(&handle, offset, len, addr, prot)?;
+            self.stats.record_vm(delta);
+            base
         };
-        Outcome::Complete(match result {
-            Ok(base) => SysResult::Int(base as i64),
-            Err(e) => SysResult::Err(e),
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn mmap_private(
-        &mut self,
-        pid: Pid,
-        addr: u64,
-        len: u64,
-        prot: u32,
-        flags: u32,
-        fd: i32,
-        offset: u64,
-    ) -> Result<u64, Errno> {
-        if flags & MAP_ANONYMOUS != 0 {
-            return self.task_mut(pid)?.address_space.map_anonymous(addr, len, prot);
-        }
-        let handle = self.file_handle(pid, fd)?;
-        let (base, delta) = self
-            .task_mut(pid)?
-            .address_space
-            .map_file(&handle, offset, len, addr, prot)?;
-        self.stats.record_vm(delta);
-        Ok(base)
+        Ok(SysResult::Int(base as i64))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -113,24 +83,21 @@ impl KernelState {
         fd: i32,
         offset: u64,
     ) -> Result<u64, Errno> {
+        // Refused before any buffer is sized from it.
+        let window = map_len(len)?;
         // Resolve the backing buffer: a fresh one for anonymous mappings, the
         // shm object's buffer when the descriptor is a mapped `shm_open`
         // object, or a buffer seeded from (and msync-able back to) a plain
         // file.
         let (sab, handle) = if flags & MAP_ANONYMOUS != 0 {
-            if len == 0 {
-                return Err(Errno::EINVAL);
-            }
-            (SharedArrayBuffer::new(page_align(len) as usize), None)
+            (SharedArrayBuffer::new(window as usize), None)
         } else {
             let handle = self.file_handle(pid, fd)?;
             let sab = match self.shm_object_for(&handle) {
                 Some(object) => object.sab_for_mapping()?,
                 None => {
-                    let size = page_align(handle.metadata()?.size.max(offset + len));
-                    if size == 0 {
-                        return Err(Errno::EINVAL);
-                    }
+                    let end = offset.checked_add(len).ok_or(Errno::EINVAL)?;
+                    let size = map_len(handle.metadata()?.size.max(end))?;
                     let sab = SharedArrayBuffer::new(size as usize);
                     let seed = handle.read_at(0, size as usize)?;
                     sab.write_bytes(0, &seed).map_err(|_| Errno::EIO)?;
@@ -150,64 +117,42 @@ impl KernelState {
             .with("type", "mmap-shared")
             .with("addr", base as i64)
             .with("offset", offset as i64)
-            .with("len", page_align(len) as i64)
+            .with("len", window as i64)
             .with("sab", Message::Shared(sab));
         self.post_to_worker(pid, msg, Vec::new());
         Ok(base)
     }
 
-    pub(crate) fn sys_munmap(&mut self, pid: Pid, addr: u64, len: u64) -> Outcome {
-        Outcome::Complete(
-            match self.task_mut(pid).and_then(|t| t.address_space.unmap(addr, len)) {
-                Ok(_region) => SysResult::Ok,
-                Err(e) => SysResult::Err(e),
-            },
-        )
+    pub(crate) fn sys_munmap(&mut self, pid: Pid, addr: u64, len: u64) -> Result<SysResult, Errno> {
+        self.task_mut(pid)?.address_space.unmap(addr, len)?;
+        Ok(SysResult::Ok)
     }
 
-    pub(crate) fn sys_msync(&mut self, pid: Pid, addr: u64, len: u64) -> Outcome {
-        Outcome::Complete(match self.task(pid).and_then(|t| t.address_space.msync(addr, len)) {
-            Ok(()) => SysResult::Ok,
-            Err(e) => SysResult::Err(e),
-        })
+    pub(crate) fn sys_msync(&mut self, pid: Pid, addr: u64, len: u64) -> Result<SysResult, Errno> {
+        self.task(pid)?.address_space.msync(addr, len)?;
+        Ok(SysResult::Ok)
     }
 
-    pub(crate) fn sys_mprotect(&mut self, pid: Pid, addr: u64, len: u64, prot: u32) -> Outcome {
-        Outcome::Complete(
-            match self
-                .task_mut(pid)
-                .and_then(|t| t.address_space.protect(addr, len, prot))
-            {
-                Ok(()) => SysResult::Ok,
-                Err(e) => SysResult::Err(e),
-            },
-        )
+    pub(crate) fn sys_mprotect(&mut self, pid: Pid, addr: u64, len: u64, prot: u32) -> Result<SysResult, Errno> {
+        self.task_mut(pid)?.address_space.protect(addr, len, prot)?;
+        Ok(SysResult::Ok)
     }
 
     /// `shm_open(name, flags, mode)`: opens (or creates) a named shared-memory
     /// object and returns a descriptor to it.  The descriptor behaves like a
     /// regular file descriptor (`ftruncate`, `read`, `write`, `dup`,
     /// inheritance) because it *is* one: the object is a detached in-memory
-    /// inode registered under the name.
-    pub(crate) fn sys_shm_open(&mut self, pid: Pid, name: String, flags: u32, mode: u32) -> Outcome {
-        let flags = match OpenFlags::from_bits(flags) {
-            Ok(flags) => flags,
-            Err(e) => return Outcome::Complete(SysResult::Err(e)),
-        };
-        let _ = mode; // no users in Browsix; the browser sandbox is the permission model
-                      // The shm namespace is kernel-global (processes on different shards
-                      // must rendezvous by name), so the registry lives on the router.
+    /// inode registered under the name.  `mode` is unused: Browsix has no
+    /// users, and the browser sandbox is the permission model.
+    pub(crate) fn sys_shm_open(&mut self, pid: Pid, name: String, flags: u32, _mode: u32) -> Result<SysResult, Errno> {
+        let flags = OpenFlags::from_bits(flags)?;
+        // The shm namespace is kernel-global (processes on different shards
+        // must rendezvous by name), so the registry lives on the router.
         let object = match self.router.shm_get(&name) {
-            Some(object) => {
-                if flags.create && flags.exclusive {
-                    return Outcome::Complete(SysResult::Err(Errno::EEXIST));
-                }
-                object
-            }
+            Some(_) if flags.create && flags.exclusive => return Err(Errno::EEXIST),
+            Some(object) => object,
+            None if !flags.create => return Err(Errno::ENOENT),
             None => {
-                if !flags.create {
-                    return Outcome::Complete(SysResult::Err(Errno::ENOENT));
-                }
                 let object = Arc::new(ShmObject::new());
                 self.router.shm_insert(&name, Arc::clone(&object));
                 self.stats.shm_objects += 1;
@@ -215,60 +160,40 @@ impl KernelState {
             }
         };
         if flags.truncate {
-            if let Err(e) = object.handle.truncate(0) {
-                return Outcome::Complete(SysResult::Err(e));
-            }
+            object.handle.truncate(0)?;
         }
         let file = OpenFile::new(FileKind::File {
             handle: Arc::clone(&object.handle),
             flags,
         });
-        Outcome::Complete(match self.task_mut(pid) {
-            Ok(task) => SysResult::Int(task.files.insert(file, 0) as i64),
-            Err(e) => SysResult::Err(e),
-        })
+        Ok(SysResult::Int(self.task_mut(pid)?.files.insert(file, 0) as i64))
     }
 
     /// `shm_unlink(name)`: removes the name; the object itself survives until
     /// the last descriptor and mapping drop their references.
-    pub(crate) fn sys_shm_unlink(&mut self, pid: Pid, name: String) -> Outcome {
-        let _ = pid;
-        Outcome::Complete(if self.router.shm_remove(&name) {
-            SysResult::Ok
-        } else {
-            SysResult::Err(Errno::ENOENT)
-        })
+    pub(crate) fn sys_shm_unlink(&mut self, _pid: Pid, name: String) -> Result<SysResult, Errno> {
+        if !self.router.shm_remove(&name) {
+            return Err(Errno::ENOENT);
+        }
+        Ok(SysResult::Ok)
     }
 
     /// `vm_read(addr, len)`: the simulated load.
-    pub(crate) fn sys_vm_read(&mut self, pid: Pid, addr: u64, len: usize) -> Outcome {
-        Outcome::Complete(match self.task(pid).and_then(|t| t.address_space.read(addr, len)) {
-            Ok(bytes) => SysResult::Data(bytes),
-            Err(e) => SysResult::Err(e),
-        })
+    pub(crate) fn sys_vm_read(&mut self, pid: Pid, addr: u64, len: usize) -> Result<SysResult, Errno> {
+        Ok(SysResult::Data(self.task(pid)?.address_space.read(addr, len)?))
     }
 
     /// `vm_write(addr, data)`: the simulated store; services COW faults.
-    pub(crate) fn sys_vm_write(&mut self, pid: Pid, addr: u64, data: ByteSource) -> Outcome {
-        let bytes = match self.resolve_bytes(pid, data) {
-            Ok(bytes) => bytes,
-            Err(e) => return Outcome::Complete(SysResult::Err(e)),
-        };
-        Outcome::Complete(
-            match self.task_mut(pid).and_then(|t| t.address_space.write(addr, &bytes)) {
-                Ok(delta) => {
-                    self.stats.record_vm(delta);
-                    SysResult::Ok
-                }
-                Err(e) => SysResult::Err(e),
-            },
-        )
+    pub(crate) fn sys_vm_write(&mut self, pid: Pid, addr: u64, data: ByteSource) -> Result<SysResult, Errno> {
+        let bytes = self.resolve_bytes(pid, data)?;
+        let delta = self.task_mut(pid)?.address_space.write(addr, &bytes)?;
+        self.stats.record_vm(delta);
+        Ok(SysResult::Ok)
     }
 
     /// The file handle behind descriptor `fd`, for mapping.
     fn file_handle(&self, pid: Pid, fd: i32) -> Result<Arc<dyn FileHandle>, Errno> {
-        let file = self.task(pid)?.files.get(fd)?;
-        match file.kind() {
+        match self.file(pid, fd)?.kind() {
             FileKind::File { handle, .. } => Ok(handle),
             FileKind::Directory { .. } => Err(Errno::EISDIR),
             _ => Err(Errno::EINVAL),

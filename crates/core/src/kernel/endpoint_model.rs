@@ -191,7 +191,7 @@ impl Fleet {
     }
 
     /// Issues one system call of `pid` on its owning shard, then settles.
-    fn syscall(&mut self, pid: Pid, call: impl FnOnce(&mut KernelState, ReplyTo) -> Outcome) -> Issued {
+    fn syscall<R: Into<Outcome>>(&mut self, pid: Pid, call: impl FnOnce(&mut KernelState, ReplyTo) -> R) -> Issued {
         let (index, outcome) = self.issue(pid, call);
         self.settle();
         match outcome {
@@ -204,7 +204,11 @@ impl Fleet {
     /// Runs one system call of `pid` on its owning shard as the kernel's
     /// loops do — the call, then its wakes — leaving the messages it sent
     /// queued; returns the index its completion is collected under.
-    fn issue(&mut self, pid: Pid, call: impl FnOnce(&mut KernelState, ReplyTo) -> Outcome) -> (u32, Outcome) {
+    fn issue<R: Into<Outcome>>(
+        &mut self,
+        pid: Pid,
+        call: impl FnOnce(&mut KernelState, ReplyTo) -> R,
+    ) -> (u32, Outcome) {
         let index = self.next_index;
         self.next_index += 1;
         let shard = self.shard_index(pid);
@@ -218,7 +222,7 @@ impl Fleet {
                 completions: Vec::new(),
             });
         }
-        let outcome = call(kernel, ReplyTo::Batch { index });
+        let outcome = call(kernel, ReplyTo::Batch { index }).into();
         kernel.drain_wakes();
         audit(kernel);
         (index, outcome)
@@ -1013,7 +1017,7 @@ impl Collision {
     }
 
     /// Issues a call of `children[child]` that must park on the owner.
-    fn park(&mut self, child: usize, call: impl FnOnce(&mut KernelState, Pid, ReplyTo) -> Outcome) -> u32 {
+    fn park<R: Into<Outcome>>(&mut self, child: usize, call: impl FnOnce(&mut KernelState, Pid, ReplyTo) -> R) -> u32 {
         let pid = self.children[child];
         match self.fleet.syscall(pid, |k, reply| call(k, pid, reply)) {
             Issued::Parked(index) => index,
@@ -1332,7 +1336,7 @@ fn a_sendfile_to_a_parked_reader_hands_it_a_streamful() {
     let file: Vec<u8> = (0..len).map(|i| (i / crate::vm::PAGE_SIZE) as u8).collect();
     for nshards in [1, 4] {
         let mut fleet = Fleet::boot(nshards);
-        fleet.shards[0].fs().write_file("/file", &file).expect("stage the file");
+        fleet.shards[0].fs.write_file("/file", &file).expect("stage the file");
         fleet.spawn_root();
         let root = fleet.procs[0].pid;
         let Issued::Done(SysResult::Pair(r, w)) = fleet.syscall(root, |k, _| k.sys_pipe2(root)) else {
@@ -1489,7 +1493,7 @@ fn group_and_parent_changes_are_seen_before_any_message_is_delivered() {
         assert_eq!(done(moved), Some(SysResult::Ok));
         let group = fleet.issue(child, |k, _| k.sys_getpgid(child, 0));
         assert_eq!(done(group), Some(SysResult::Int(child.into())), "{nshards} shard(s)");
-        let killed = fleet.issue(child, |k, _| k.sys_kill(child, 0, Signal::SIGUSR1));
+        let killed = fleet.issue(child, |k, reply| k.sys_kill(child, reply, 0, Signal::SIGUSR1));
         assert_eq!(done(killed), Some(SysResult::Ok));
         fleet.settle();
         assert!(
@@ -1507,6 +1511,65 @@ fn group_and_parent_changes_are_seen_before_any_message_is_delivered() {
             done(parent),
             Some(SysResult::Int(0)),
             "{nshards} shard(s): the orphan's parent"
+        );
+        fleet.settle();
+        fleet.drain();
+    }
+}
+
+/// A `kill` of a process on another shard answers only once the owner has
+/// delivered the signal.  The owner sends the stop to the parent's shard
+/// before its answer, and each shard's queue is FIFO, so a parent that
+/// `wait4(WNOHANG | WUNTRACED)`s as soon as its `kill` returns, with nothing
+/// else delivered in between, sees the stop — as at one shard.
+#[test]
+fn a_cross_shard_kill_answers_after_the_stop_has_landed() {
+    use crate::syscall::{encode_stop_status, WNOHANG, WUNTRACED};
+
+    for nshards in [2, 4] {
+        let mut fleet = Fleet::boot(nshards);
+        fleet.spawn_root();
+        let root = fleet.procs[0].pid;
+        let child = Fleet::expect_int(fleet.syscall(root, |k, _| {
+            k.sys_spawn(
+                root,
+                GUEST.to_owned(),
+                vec!["guest".to_owned()],
+                Vec::new(),
+                None,
+                [None; 3],
+            )
+        })) as Pid;
+        let parent = fleet.shard_index(root);
+        assert_ne!(fleet.shard_index(child), parent, "{nshards} shards");
+        fleet.procs.push(Proc {
+            pid: child,
+            fds: BTreeMap::new(),
+            parked: None,
+        });
+
+        let (index, outcome) = fleet.issue(root, |k, reply| k.sys_kill(root, reply, child as i32, Signal::SIGSTOP));
+        // One event at a time, until the kill's answer is in.
+        let answered = |fleet: &Fleet| {
+            let batch = fleet.shards[parent].tasks[&root].inflight.as_ref();
+            batch.is_some_and(|batch| batch.completions.iter().any(|c| c.index == index))
+        };
+        let mut done = matches!(outcome, Outcome::Complete(SysResult::Ok));
+        while !done {
+            let next = (0..nshards).find_map(|shard| Some((shard, fleet.queues[shard].try_recv().ok()?)));
+            let (shard, event) = next.expect("the kill is answered");
+            fleet.shards[shard].handle_one(Some(event));
+            done = answered(&fleet);
+        }
+        let options = WNOHANG | WUNTRACED;
+        let (_, waited) = fleet.issue(root, |k, reply| k.sys_wait4(root, reply, child as i32, options));
+        let stopped = SysResult::Wait {
+            pid: child,
+            status: encode_stop_status(Signal::SIGSTOP),
+        };
+        assert!(
+            matches!(waited, Outcome::Complete(result) if result == stopped),
+            "{nshards} shard(s): the stop had not landed when the kill returned"
         );
         fleet.settle();
         fleet.drain();

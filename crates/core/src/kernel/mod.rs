@@ -29,7 +29,7 @@ use browsix_fs::{Errno, MountedFs};
 
 use crate::events::{HostRequest, KernelEvent, OutputSink};
 use crate::exec::{resolve_executable, ExecutableRegistry, ForkImage, LaunchContext, ProgramLauncher};
-use crate::fd::{FdTable, FileKind, OpenFile};
+use crate::fd::{Fd, FdTable, FileKind, OpenFile};
 use crate::ring::{Ring, MAX_READ_BYTES};
 use crate::signals::{SigAction, Signal, SignalDisposition};
 use crate::socket::{SocketTable, StreamPair};
@@ -82,6 +82,22 @@ pub(crate) enum Outcome {
     Blocked,
     /// The call finished but no reply should be sent (`exit`).
     NoReply,
+}
+
+/// What a handler that never parks returns: its result, or the error that
+/// left it by `?`.  Either way the call completes now.
+impl From<Result<SysResult, Errno>> for Outcome {
+    fn from(result: Result<SysResult, Errno>) -> Outcome {
+        Outcome::Complete(result.unwrap_or_else(SysResult::Err))
+    }
+}
+
+/// What a handler that may park returns: an error found before it parked
+/// completes the call, like a result.
+impl From<Result<Outcome, Errno>> for Outcome {
+    fn from(result: Result<Outcome, Errno>) -> Outcome {
+        result.unwrap_or_else(|errno| Outcome::Complete(SysResult::Err(errno)))
+    }
 }
 
 /// Configuration captured at boot time and owned by the kernel thread.
@@ -308,16 +324,6 @@ impl KernelState {
         }
     }
 
-    /// This shard's index.
-    pub(crate) fn shard_id(&self) -> usize {
-        self.shard_id
-    }
-
-    /// The number of shards in the fleet.
-    pub(crate) fn nshards(&self) -> usize {
-        self.nshards
-    }
-
     // ---- syscall rings -------------------------------------------------------
 
     /// Drains one task's submission queue dry, dispatching each entry and
@@ -524,8 +530,8 @@ impl KernelState {
     /// read or write submitted on another shard — and then the wakes it
     /// raised.  Each call is one step: other processes are woken as soon as
     /// it is done, and its wakes run before its completion is sent.
-    fn run_call(&mut self, call: impl FnOnce(&mut Self) -> Outcome) -> Outcome {
-        let outcome = call(self);
+    fn run_call<R: Into<Outcome>>(&mut self, call: impl FnOnce(&mut Self) -> R) -> Outcome {
+        let outcome = call(self).into();
         self.drain_wakes();
         outcome
     }
@@ -1021,7 +1027,14 @@ impl KernelState {
             if shard == self.shard_id {
                 let _ = self.send_signal(pid, signal);
             } else {
-                self.send_shard(shard, ShardMsg::SignalPid { pid, signal });
+                self.send_shard(
+                    shard,
+                    ShardMsg::SignalPid {
+                        pid,
+                        signal,
+                        reply: None,
+                    },
+                );
             }
         }
         Ok(())
@@ -1038,17 +1051,6 @@ impl KernelState {
             Some(pgid) => self.signal_pgroup(pgid, signal),
             None => Err(Errno::ESRCH),
         }
-    }
-
-    /// The foreground process group, if one has been set with `tcsetpgrp`.
-    /// There is a single controlling terminal for the whole fleet, so the
-    /// group lives in the router.
-    pub(crate) fn foreground_pgid(&self) -> Option<Pid> {
-        self.router.foreground_pgid()
-    }
-
-    pub(crate) fn set_foreground_pgid(&mut self, pgid: Option<Pid>) {
-        self.router.set_foreground_pgid(pgid);
     }
 
     /// Applies an unblocked (or never-blocked) signal to its target: runs the
@@ -1122,7 +1124,8 @@ impl KernelState {
         // at the owner (a racing completion finds no token and is dropped)
         // and complete here.  Connects are exempt — their reply installs
         // the connection, and abandoning it would leak the server-side
-        // streams the owner already created.
+        // streams the owner already created — and so are kills, whose
+        // signal is sent whatever the caller does.
         for op in self.cancel_remote_ops(target, false) {
             self.stats.eintr_wakeups += 1;
             self.complete(op.pid, op.reply, SysResult::Err(Errno::EINTR));
@@ -1184,28 +1187,10 @@ impl KernelState {
         self.tasks.get_mut(&pid).map(|t| &mut **t).ok_or(Errno::ESRCH)
     }
 
-    pub(crate) fn fs(&self) -> &MountedFs {
-        self.fs.as_ref()
-    }
-
-    pub(crate) fn streams_mut(&mut self) -> &mut StreamTable {
-        &mut self.streams
-    }
-
-    pub(crate) fn streams(&self) -> &StreamTable {
-        &self.streams
-    }
-
-    pub(crate) fn sockets_mut(&mut self) -> &mut SocketTable {
-        &mut self.sockets
-    }
-
-    pub(crate) fn sockets(&self) -> &SocketTable {
-        &self.sockets
-    }
-
-    pub(crate) fn notify_port_listen(&mut self, port: u16) {
-        self.router.notify_port_listen(port);
+    /// The description behind `pid`'s descriptor `fd`: `ESRCH` for an
+    /// unknown process, `EBADF` for a descriptor that is not open.
+    pub(crate) fn file(&self, pid: Pid, fd: Fd) -> Result<Arc<OpenFile>, Errno> {
+        self.task(pid)?.files.get(fd)
     }
 
     /// Resolves a path relative to a task's working directory.

@@ -50,15 +50,12 @@ pub(crate) struct PollSubscribers {
 impl KernelState {
     /// The kind of the description behind `fd`, if it is open.
     fn fd_kind(&self, pid: Pid, fd: Fd) -> Option<FileKind> {
-        Some(self.task(pid).ok()?.files.get(fd).ok()?.kind())
+        Some(self.file(pid, fd).ok()?.kind())
     }
 
     /// Whether `fd`'s open-file description has `O_NONBLOCK` set.
     pub(crate) fn fd_nonblocking(&self, pid: Pid, fd: Fd) -> bool {
-        self.task(pid)
-            .ok()
-            .and_then(|t| t.files.get(fd).ok())
-            .is_some_and(|f| f.nonblocking())
+        self.file(pid, fd).is_ok_and(|file| file.nonblocking())
     }
 
     /// Computes one descriptor's `revents` word for `poll`.  `POLLERR`,
@@ -82,7 +79,7 @@ impl KernelState {
             | FileKind::HostSink { .. } => POLLIN | POLLOUT,
             // An unconnected socket is never ready for anything.
             FileKind::Socket { .. } => 0,
-            FileKind::SocketListener { port, id } if self.sockets().has_pending(*port, *id) => POLLIN,
+            FileKind::SocketListener { port, id } if self.sockets.has_pending(*port, *id) => POLLIN,
             FileKind::SocketListener { .. } => 0,
             // A stream end, or a socket's two.
             FileKind::PipeReader { .. } | FileKind::PipeWriter { .. } | FileKind::SocketStream { .. } => {
@@ -231,7 +228,13 @@ impl KernelState {
         }
     }
 
-    pub(crate) fn sys_poll(&mut self, pid: Pid, reply: ReplyTo, fds: Vec<PollRequest>, timeout_ms: i32) -> Outcome {
+    pub(crate) fn sys_poll(
+        &mut self,
+        pid: Pid,
+        reply: ReplyTo,
+        fds: Vec<PollRequest>,
+        timeout_ms: i32,
+    ) -> Result<Outcome, Errno> {
         // A zero timeout is a deadline already due: one that still awaits an
         // owner's first push parks, and that push completes it.
         let deadline = (timeout_ms >= 0).then(|| Instant::now() + std::time::Duration::from_millis(timeout_ms as u64));
@@ -243,17 +246,12 @@ impl KernelState {
         self.block(pid, Some(reply), kind, timeout_ms == 0)
     }
 
-    pub(crate) fn sys_setflags(&mut self, pid: Pid, fd: Fd, flags: u32) -> Outcome {
+    pub(crate) fn sys_setflags(&mut self, pid: Pid, fd: Fd, flags: u32) -> Result<SysResult, Errno> {
         if flags & !NONBLOCK != 0 {
-            return Outcome::Complete(SysResult::Err(Errno::EINVAL));
+            return Err(Errno::EINVAL);
         }
-        match self.task(pid).and_then(|t| t.files.get(fd)) {
-            Ok(file) => {
-                file.set_nonblocking(flags & NONBLOCK != 0);
-                Outcome::Complete(SysResult::Ok)
-            }
-            Err(e) => Outcome::Complete(SysResult::Err(e)),
-        }
+        self.file(pid, fd)?.set_nonblocking(flags & NONBLOCK != 0);
+        Ok(SysResult::Ok)
     }
 
     // ---- poll timeouts ---------------------------------------------------------

@@ -52,10 +52,10 @@
 //! | `SpawnTask` | `spawn_process`, when placement picks another shard | `SpawnAck` | sender: `pinned_files[token]`; receiver: task table, endpoint counts of the adopted descriptions | — (the ack always comes) |
 //! | `SpawnAck` | the shard that installed the task | — | sender's pins released like any descriptor | — |
 //! | `ChildExited` / `ChildStopped` / `ChildContinued` | the child's shard, on the state change (handled in place when the parent lives there too) | — | the parent's shard: `zombies` / `stops`, its `ChildOf` queue | the parent exiting (records dropped) |
-//! | `SignalPid` | `kill` / group signals naming a foreign pid | — | the target task | — |
+//! | `SignalPid` | `kill` of a foreign pid, and group signals with members elsewhere | `RemoteOpDone` (the delivery's result) when sent by `kill` | sender: `remote_ops[token]` for a `kill`; receiver: the target task | never (the signal is sent either way) |
 //! | `RemoteOp` | `sys_read` / `sys_write` on a descriptor whose stream another shard owns | `RemoteOpDone`, exactly once | sender: `remote_ops[token]`; owner: the stream, and a waiter whose reply address is `ReplyTo::Shard` if it parks | `CancelOp` |
 //! | `RemoteOpDone` | the owner, through `KernelState::complete` | — | sender's `remote_ops[token]` removed; a missing token drops the reply | — |
-//! | `CancelOp` | the submitter, when the process dies or takes `EINTR` | — | owner's waiter with reply address `(from_shard, token)` | — |
+//! | `CancelOp` | the submitter, when the process dies, or takes `EINTR` in a read or write | — | owner's waiter with reply address `(from_shard, token)` | — |
 //! | `Connect` | `sys_connect` to a port another shard listens on | `ConnectReply` | sender: `remote_ops[token]`; owner: two new streams, the backlog, `remote_client_pins` | never (the reply installs or disposes of the connection) |
 //! | `ConnectReply` | the listener's shard | `ConnectAck` | sender: the socket description gains the client's stream ends | — |
 //! | `ConnectAck` | the connecting shard, after its `RemoteEndpoints` | — | owner's `remote_client_pins` entry and the hold behind it | — |
@@ -94,7 +94,11 @@
 //! Signals are raised by the shard that owns the process: a remote write
 //! that ends in `EPIPE` comes back as a plain error, and the submitter sends
 //! its process `SIGPIPE` before completing the call — the same
-//! signal-then-error order as a local write.
+//! signal-then-error order as a local write.  A `kill` of a process on
+//! another shard is answered by that shard once the signal has been
+//! delivered, and a stop or exit it caused has already been sent to the
+//! parent's shard then: a parent that `kill`s its child and then `wait4`s
+//! sees the stop, as at one shard.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -187,6 +191,17 @@ pub(crate) enum RemoteKind {
     /// A connect to `port`, whose listener a foreign shard owns; the reply
     /// turns `fd` into the client side of the connection.
     Connect { fd: Fd, port: u16 },
+    /// A `kill` of a process a foreign shard owns.
+    Kill,
+}
+
+impl RemoteKind {
+    /// Whether a signal handler interrupts the call with `EINTR`: a read or
+    /// write is abandoned, while the reply to a connect installs the
+    /// connection and a signal is delivered whatever the caller does.
+    fn interruptible(self) -> bool {
+        matches!(self, RemoteKind::Read | RemoteKind::Write)
+    }
 }
 
 /// A syscall parked on this shard while a foreign shard executes it; keyed
@@ -276,6 +291,9 @@ pub enum ShardMsg {
         pid: Pid,
         /// The signal.
         signal: Signal,
+        /// Where the delivery's result goes (a `ReplyTo::Shard` naming the
+        /// `kill` that sent it); a group signal is not answered.
+        reply: Option<ReplyTo>,
     },
     /// Read or write a stream owned by the receiving shard.
     RemoteOp {
@@ -388,7 +406,7 @@ impl fmt::Debug for ShardMsg {
                 write!(f, "ChildStopped(pid={pid}, ppid={ppid}, {signal:?})")
             }
             ShardMsg::ChildContinued { pid, ppid } => write!(f, "ChildContinued(pid={pid}, ppid={ppid})"),
-            ShardMsg::SignalPid { pid, signal } => write!(f, "SignalPid(pid={pid}, {signal:?})"),
+            ShardMsg::SignalPid { pid, signal, .. } => write!(f, "SignalPid(pid={pid}, {signal:?})"),
             ShardMsg::RemoteOp {
                 token, pid, stream, io, ..
             } => match io {
@@ -482,7 +500,7 @@ impl KernelState {
         stream: StreamId,
         io: StreamIo,
         nonblocking: bool,
-    ) -> Outcome {
+    ) -> Result<Outcome, Errno> {
         let owner = stream_shard(stream);
         if owner == self.shard_id {
             return self.block(pid, Some(reply), io.on(stream), nonblocking);
@@ -500,7 +518,7 @@ impl KernelState {
             nonblocking,
         };
         self.send_shard(owner, msg);
-        Outcome::Blocked
+        Ok(Outcome::Blocked)
     }
 
     /// Submits a `connect` to the shard owning the target port's listener;
@@ -518,15 +536,42 @@ impl KernelState {
         Outcome::Blocked
     }
 
+    /// Sends `signal` to `target`, which `owner` owns, for a `kill` that
+    /// parks until the owner answers with the delivery's result.  Like a
+    /// connect, it is exempt from `EINTR`: the signal goes out either way.
+    pub(crate) fn remote_kill(
+        &mut self,
+        pid: Pid,
+        reply: ReplyTo,
+        owner: usize,
+        target: Pid,
+        signal: Signal,
+    ) -> Outcome {
+        let token = self.park_remote(pid, reply, RemoteKind::Kill, owner);
+        let reply = Some(ReplyTo::Shard {
+            shard: self.shard_id,
+            token,
+        });
+        self.send_shard(
+            owner,
+            ShardMsg::SignalPid {
+                pid: target,
+                signal,
+                reply,
+            },
+        );
+        Outcome::Blocked
+    }
+
     /// Takes every operation other shards are executing for `pid` out of
-    /// `remote_ops` — connects too only when `connects` says so — and tells
-    /// each owner to drop its parked side.  A completion already in flight
-    /// finds no token here and is discarded: exactly once either way.
-    pub(crate) fn cancel_remote_ops(&mut self, pid: Pid, connects: bool) -> Vec<PendingRemote> {
+    /// `remote_ops` — only the interruptible ones unless `all` says so — and
+    /// tells each owner to drop its parked side.  A completion already in
+    /// flight finds no token here and is discarded: exactly once either way.
+    pub(crate) fn cancel_remote_ops(&mut self, pid: Pid, all: bool) -> Vec<PendingRemote> {
         let tokens: Vec<u64> = self
             .remote_ops
             .iter()
-            .filter(|(_, op)| op.pid == pid && (connects || !matches!(op.kind, RemoteKind::Connect { .. })))
+            .filter(|(_, op)| op.pid == pid && (all || op.kind.interruptible()))
             .map(|(&token, _)| token)
             .collect();
         let from_shard = self.shard_id;
@@ -594,8 +639,14 @@ impl KernelState {
             ShardMsg::ChildContinued { pid, .. } => {
                 self.stops.remove(&pid);
             }
-            ShardMsg::SignalPid { pid, signal } => {
-                let _ = self.send_signal(pid, signal);
+            ShardMsg::SignalPid { pid, signal, reply } => {
+                // The delivery has run to its end here — a stop or an exit
+                // it caused is already on its way to the parent's shard —
+                // when the caller's answer leaves.
+                let result = self.send_signal(pid, signal).map(|()| SysResult::Ok);
+                if let Some(reply) = reply {
+                    self.complete(pid, reply, result.unwrap_or_else(SysResult::Err));
+                }
             }
             ShardMsg::RemoteOp {
                 token,
@@ -661,9 +712,7 @@ impl KernelState {
                         // that asked (the caller may have died, or closed and
                         // reused the number, while the connect was in flight).
                         let socket = op.as_ref().and_then(|op| match op.kind {
-                            RemoteKind::Connect { fd, port } => {
-                                Some((self.tasks.get(&op.pid)?.files.get(fd).ok()?, port))
-                            }
+                            RemoteKind::Connect { fd, port } => Some((self.file(op.pid, fd).ok()?, port)),
                             _ => None,
                         });
                         let socket = socket.filter(|(file, _)| matches!(file.kind(), FileKind::Socket { .. }));

@@ -490,8 +490,8 @@ impl WaitKind {
 impl KernelState {
     /// Tries the blocking operation `kind` once on behalf of `pid`: the one
     /// would-block decision of each wait kind.
-    fn attempt(&mut self, pid: Pid, kind: WaitKind) -> Attempt {
-        match kind {
+    fn attempt(&mut self, pid: Pid, kind: WaitKind) -> Result<Attempt, Errno> {
+        Ok(match kind {
             WaitKind::Read { stream, len } => match self.try_read_stream(stream, len) {
                 Some(data) => Attempt::Done(SysResult::Data(data)),
                 None => Attempt::blocked_on(WaitChannel::StreamReadable(stream), kind, false),
@@ -502,25 +502,26 @@ impl KernelState {
                 written,
             } => {
                 let len = data.len();
-                match self.try_write_stream(pid, stream, &mut data, written) {
-                    Ok(accepted) if written + accepted >= len => Attempt::Done(SysResult::Int(len as i64)),
-                    Ok(accepted) => {
-                        let written = written + accepted;
-                        let kind = WaitKind::Write { stream, data, written };
-                        Attempt::blocked_on(WaitChannel::StreamWritable(stream), kind, accepted > 0)
-                    }
-                    // Mid-wait EPIPE: the error (and the SIGPIPE) wins over
-                    // the partial count.
-                    Err(errno) => Attempt::Done(SysResult::Err(errno)),
+                // Mid-wait EPIPE: the error (and the SIGPIPE) wins over the
+                // partial count.
+                let accepted = self.try_write_stream(pid, stream, &mut data, written)?;
+                if written + accepted >= len {
+                    Attempt::Done(SysResult::Int(len as i64))
+                } else {
+                    let kind = WaitKind::Write {
+                        stream,
+                        data,
+                        written: written + accepted,
+                    };
+                    Attempt::blocked_on(WaitChannel::StreamWritable(stream), kind, accepted > 0)
                 }
             }
-            WaitKind::Wait4 { target, options } => match self.try_reap_child(pid, target, options) {
-                Ok(Some((child, status))) => Attempt::Done(SysResult::Wait { pid: child, status }),
+            WaitKind::Wait4 { target, options } => match self.try_reap_child(pid, target, options)? {
+                Some((child, status)) => Attempt::Done(SysResult::Wait { pid: child, status }),
                 // Only a child of ours exiting (or stopping) wakes it.
-                Ok(None) => Attempt::blocked_on(WaitChannel::ChildOf(pid), kind, false),
-                Err(e) => Attempt::Done(SysResult::Err(e)),
+                None => Attempt::blocked_on(WaitChannel::ChildOf(pid), kind, false),
             },
-            WaitKind::Accept { fd } => self.try_accept(pid, fd),
+            WaitKind::Accept { fd } => self.try_accept(pid, fd)?,
             WaitKind::Sendfile {
                 out,
                 in_file,
@@ -544,11 +545,11 @@ impl KernelState {
                 // A transfer that already moved bytes reports them; the error
                 // will resurface on the next call.
                 Err(_) if sent > 0 => Attempt::Done(SysResult::Int(sent as i64)),
-                Err(e) => Attempt::Done(SysResult::Err(e)),
+                Err(e) => return Err(e),
             },
-            WaitKind::Splice { input, output, len } => match self.try_splice(pid, input, output, len) {
-                Ok(Some(moved)) => Attempt::Done(SysResult::Int(moved as i64)),
-                Ok(None) => Attempt::Blocked {
+            WaitKind::Splice { input, output, len } => match self.try_splice(pid, input, output, len)? {
+                Some(moved) => Attempt::Done(SysResult::Int(moved as i64)),
+                None => Attempt::Blocked {
                     kind,
                     channels: Channels::Many(vec![
                         WaitChannel::StreamReadable(input),
@@ -556,13 +557,12 @@ impl KernelState {
                     ]),
                     progressed: false,
                 },
-                Err(e) => Attempt::Done(SysResult::Err(e)),
             },
             WaitKind::Poll(mut poll) => {
                 let revents = self.poll_revents(pid, &poll.fds);
                 if let Some(revents) = revents.filter(|words| words.iter().any(|&r| r != 0)) {
                     self.unwatch_foreign_streams(std::mem::take(&mut poll.watched));
-                    return Attempt::Done(SysResult::Poll(revents));
+                    return Ok(Attempt::Done(SysResult::Poll(revents)));
                 }
                 let channels = Channels::from_vec(self.poll_wait_channels(pid, &poll.fds));
                 Attempt::Blocked {
@@ -572,7 +572,7 @@ impl KernelState {
                 }
             }
             WaitKind::HttpClient(client) => self.pump_http_client(client),
-        }
+        })
     }
 
     /// The one entry for a blocking call: attempt it, and if it would block,
@@ -584,8 +584,14 @@ impl KernelState {
     /// is parked before any of them can look for it: a partial write that
     /// wakes a reader, which frees space in the stream being written, finds
     /// the writer on its queue.
-    pub(crate) fn block(&mut self, pid: Pid, reply: Option<ReplyTo>, kind: WaitKind, nonblocking: bool) -> Outcome {
-        match self.attempt(pid, kind) {
+    pub(crate) fn block(
+        &mut self,
+        pid: Pid,
+        reply: Option<ReplyTo>,
+        kind: WaitKind,
+        nonblocking: bool,
+    ) -> Result<Outcome, Errno> {
+        Ok(match self.attempt(pid, kind)? {
             Attempt::Done(result) => Outcome::Complete(result),
             Attempt::Blocked { kind, .. } if nonblocking && self.answerable(pid, &kind) => {
                 Outcome::Complete(self.would_block(kind))
@@ -596,13 +602,13 @@ impl KernelState {
                 channels: Channels::None,
                 kind,
                 ..
-            } if kind.deadline().is_none() => Outcome::Complete(SysResult::Err(Errno::EINVAL)),
+            } if kind.deadline().is_none() => return Err(Errno::EINVAL),
             Attempt::Blocked { kind, channels, .. } => {
                 self.stats.waiters_parked += 1;
                 self.park_waiter(channels, Waiter { pid, reply, kind });
                 Outcome::Blocked
             }
-        }
+        })
     }
 
     /// Whether a blocked call can say now what it would report if it
@@ -705,13 +711,14 @@ impl KernelState {
         // lives until its submitter cancels it (`CancelOp`), and the kernel's
         // own HTTP clients belong to no process at all.
         let local = matches!(waiter.reply, Some(ReplyTo::Batch { .. } | ReplyTo::Ring { .. }));
-        if local && !self.tasks_contains(waiter.pid) {
+        if local && !self.tasks.contains_key(&waiter.pid) {
             return self.discard_waiter(waiter);
         }
         let Waiter { pid, reply, kind } = waiter;
         match self.attempt(pid, kind) {
-            Attempt::Done(result) => self.finish_waiter(pid, reply, result),
-            Attempt::Blocked { kind, .. }
+            Ok(Attempt::Done(result)) => self.finish_waiter(pid, reply, result),
+            Err(errno) => self.finish_waiter(pid, reply, SysResult::Err(errno)),
+            Ok(Attempt::Blocked { kind, .. })
                 if kind.deadline().is_some_and(|d| Instant::now() >= d) && self.answerable(pid, &kind) =>
             {
                 self.stats.poll_timeouts += 1;
@@ -720,11 +727,11 @@ impl KernelState {
                     self.complete(pid, reply, result);
                 }
             }
-            Attempt::Blocked {
+            Ok(Attempt::Blocked {
                 kind,
                 channels,
                 progressed,
-            } => {
+            }) => {
                 if !progressed {
                     self.stats.spurious_wakeups += 1;
                 }

@@ -55,9 +55,32 @@ pub const MAP_PRIVATE: u32 = 2;
 /// `MAP_ANONYMOUS`: not backed by a file.
 pub const MAP_ANONYMOUS: u32 = 0x20;
 
+/// The most bytes one mapping may span: 4 GiB, the whole address space of
+/// a 32-bit guest (asm.js and wasm32 heaps can address no more).
+pub const MAX_MAP_LEN: u64 = 1 << 32;
+
 /// Rounds `len` up to a whole number of pages.
-pub fn page_align(len: u64) -> u64 {
-    len.div_ceil(PAGE_SIZE as u64) * PAGE_SIZE as u64
+///
+/// # Errors
+///
+/// [`Errno::EINVAL`] if that is past `u64::MAX`.
+pub fn page_align(len: u64) -> Result<u64, Errno> {
+    len.checked_next_multiple_of(PAGE_SIZE as u64).ok_or(Errno::EINVAL)
+}
+
+/// The length of a new mapping of `len` bytes, in whole pages, checked
+/// before anything is allocated for it.
+///
+/// # Errors
+///
+/// [`Errno::EINVAL`] for a zero length; [`Errno::ENOMEM`] past
+/// [`MAX_MAP_LEN`].
+pub fn map_len(len: u64) -> Result<u64, Errno> {
+    match len {
+        0 => Err(Errno::EINVAL),
+        len if len > MAX_MAP_LEN => Err(Errno::ENOMEM),
+        len => page_align(len),
+    }
 }
 
 /// One page of a private region.
@@ -200,7 +223,7 @@ impl AddressSpace {
     /// may not span regions (regions are allocated with guard gaps).
     fn region_containing(&self, addr: u64, len: u64) -> Result<&Region, Errno> {
         let (_, region) = self.regions.range(..=addr).next_back().ok_or(Errno::EFAULT)?;
-        if addr + len <= region.base + region.len {
+        if addr.checked_add(len).is_some_and(|end| end <= region.base + region.len) {
             Ok(region)
         } else {
             Err(Errno::EFAULT)
@@ -209,7 +232,7 @@ impl AddressSpace {
 
     fn region_containing_mut(&mut self, addr: u64, len: u64) -> Result<&mut Region, Errno> {
         let (_, region) = self.regions.range_mut(..=addr).next_back().ok_or(Errno::EFAULT)?;
-        if addr + len <= region.base + region.len {
+        if addr.checked_add(len).is_some_and(|end| end <= region.base + region.len) {
             Ok(region)
         } else {
             Err(Errno::EFAULT)
@@ -217,27 +240,22 @@ impl AddressSpace {
     }
 
     /// Picks (or validates) a base address for a new `len`-byte mapping.
+    /// Every mapping is followed by a one-page guard gap, so accesses can
+    /// never run off the end of one region into the next; a mapping whose
+    /// gap would end past `u64::MAX` is `EINVAL`.
     fn alloc_range(&mut self, addr_hint: u64, len: u64) -> Result<u64, Errno> {
-        if addr_hint == 0 {
-            let base = self.next_base;
-            // Leave a one-page guard gap so accesses can never run off the
-            // end of one region into the next.
-            self.next_base = base + len + PAGE_SIZE as u64;
-            return Ok(base);
-        }
         if !addr_hint.is_multiple_of(PAGE_SIZE as u64) {
             return Err(Errno::EINVAL);
         }
+        let base = if addr_hint == 0 { self.next_base } else { addr_hint };
+        let end = base.checked_add(len).ok_or(Errno::EINVAL)?;
+        let next = end.checked_add(PAGE_SIZE as u64).ok_or(Errno::EINVAL)?;
         // A fixed address must not overlap an existing region.
-        let overlaps = self
-            .regions
-            .values()
-            .any(|r| addr_hint < r.base + r.len && r.base < addr_hint + len);
-        if overlaps {
+        if addr_hint != 0 && self.regions.values().any(|r| base < r.base + r.len && r.base < end) {
             return Err(Errno::EEXIST);
         }
-        self.next_base = self.next_base.max(addr_hint + len + PAGE_SIZE as u64);
-        Ok(addr_hint)
+        self.next_base = self.next_base.max(next);
+        Ok(base)
     }
 
     /// Maps `len` bytes of zero-filled anonymous private memory, returning
@@ -246,12 +264,10 @@ impl AddressSpace {
     /// # Errors
     ///
     /// [`Errno::EINVAL`] for a zero length or unaligned fixed address;
-    /// [`Errno::EEXIST`] if a fixed address overlaps an existing mapping.
+    /// [`Errno::ENOMEM`] past [`MAX_MAP_LEN`]; [`Errno::EEXIST`] if a fixed
+    /// address overlaps an existing mapping.
     pub fn map_anonymous(&mut self, addr_hint: u64, len: u64, prot: u32) -> Result<u64, Errno> {
-        if len == 0 {
-            return Err(Errno::EINVAL);
-        }
-        let len = page_align(len);
+        let len = map_len(len)?;
         let base = self.alloc_range(addr_hint, len)?;
         let pages = vec![PageSlot::Zero; (len / PAGE_SIZE as u64) as usize];
         self.regions.insert(
@@ -276,7 +292,8 @@ impl AddressSpace {
     /// # Errors
     ///
     /// [`Errno::EINVAL`] for a zero length or unaligned offset/fixed address;
-    /// the handle's errors faulting pages in.
+    /// [`Errno::ENOMEM`] past [`MAX_MAP_LEN`]; the handle's errors faulting
+    /// pages in.
     pub fn map_file(
         &mut self,
         handle: &Arc<dyn FileHandle>,
@@ -285,10 +302,10 @@ impl AddressSpace {
         addr_hint: u64,
         prot: u32,
     ) -> Result<(u64, VmDelta), Errno> {
-        if len == 0 || !offset.is_multiple_of(PAGE_SIZE as u64) {
+        let len = map_len(len)?;
+        if !offset.is_multiple_of(PAGE_SIZE as u64) {
             return Err(Errno::EINVAL);
         }
-        let len = page_align(len);
         let first_page = offset / PAGE_SIZE as u64;
         let mut pages = Vec::with_capacity((len / PAGE_SIZE as u64) as usize);
         let mut delta = VmDelta::default();
@@ -319,7 +336,8 @@ impl AddressSpace {
     /// # Errors
     ///
     /// [`Errno::EINVAL`] if the window is zero-length, unaligned or exceeds
-    /// the buffer; [`Errno::EEXIST`] for an overlapping fixed address.
+    /// the buffer; [`Errno::ENOMEM`] past [`MAX_MAP_LEN`];
+    /// [`Errno::EEXIST`] for an overlapping fixed address.
     pub fn map_shared(
         &mut self,
         sab: SharedArrayBuffer,
@@ -329,13 +347,11 @@ impl AddressSpace {
         addr_hint: u64,
         prot: u32,
     ) -> Result<u64, Errno> {
-        if len == 0 || !offset.is_multiple_of(PAGE_SIZE as u64) {
+        let in_buffer = offset.checked_add(len).is_some_and(|end| end <= sab.len() as u64);
+        if !offset.is_multiple_of(PAGE_SIZE as u64) || !in_buffer {
             return Err(Errno::EINVAL);
         }
-        if offset + len > sab.len() as u64 {
-            return Err(Errno::EINVAL);
-        }
-        let len = page_align(len);
+        let len = map_len(len)?;
         let base = self.alloc_range(addr_hint, len)?;
         self.regions.insert(
             base,
@@ -359,8 +375,9 @@ impl AddressSpace {
     /// [`Errno::EINVAL`] if `addr` is not a region base or `len` does not
     /// cover the whole region.
     pub fn unmap(&mut self, addr: u64, len: u64) -> Result<Region, Errno> {
+        let len = page_align(len)?;
         match self.regions.get(&addr) {
-            Some(region) if page_align(len) == region.len => Ok(self.regions.remove(&addr).expect("present")),
+            Some(region) if region.len == len => Ok(self.regions.remove(&addr).expect("present")),
             _ => Err(Errno::EINVAL),
         }
     }
@@ -372,8 +389,9 @@ impl AddressSpace {
     ///
     /// [`Errno::EINVAL`] if the range is not exactly one region.
     pub fn protect(&mut self, addr: u64, len: u64, prot: u32) -> Result<(), Errno> {
+        let len = page_align(len)?;
         match self.regions.get_mut(&addr) {
-            Some(region) if page_align(len) == region.len => {
+            Some(region) if region.len == len => {
                 region.prot = prot;
                 Ok(())
             }
@@ -582,16 +600,14 @@ impl ShmObject {
     ///
     /// # Errors
     ///
-    /// [`Errno::EINVAL`] if the object still has zero size.
+    /// [`Errno::EINVAL`] if the object still has zero size, [`Errno::ENOMEM`]
+    /// if it is larger than [`MAX_MAP_LEN`].
     pub fn sab_for_mapping(&self) -> Result<SharedArrayBuffer, Errno> {
         let mut slot = self.sab.lock();
         if let Some(sab) = slot.as_ref() {
             return Ok(sab.clone());
         }
-        let size = page_align(self.handle.metadata()?.size);
-        if size == 0 {
-            return Err(Errno::EINVAL);
-        }
+        let size = map_len(self.handle.metadata()?.size)?;
         let sab = SharedArrayBuffer::new(size as usize);
         let seed = self.handle.read_at(0, size as usize)?;
         sab.write_bytes(0, &seed).map_err(|_| Errno::EIO)?;

@@ -643,7 +643,7 @@ impl RuntimeEnv for BrowsixEnv {
         };
         Ok(MappedRegion {
             addr: base,
-            len: browsix_core::vm::page_align(len),
+            len: browsix_core::vm::page_align(len)?,
             shared,
             shared_offset: 0,
         })

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use browsix_browser::SharedArrayBuffer;
-use browsix_core::vm::{page_align, AddressSpace, ShmObject};
+use browsix_core::vm::{map_len, AddressSpace, ShmObject};
 use browsix_core::{Errno, SigAction, Signal, MAP_ANONYMOUS, MAP_SHARED, POLLHUP, POLLIN, POLLNVAL, POLLOUT, WNOHANG};
 use browsix_fs::{DirEntry, FileHandle, FileSystem, Metadata, MountedFs, OpenFlags};
 
@@ -659,20 +659,16 @@ impl RuntimeEnv for NativeEnv {
         // Same placement and backing rules as the kernel's handlers, run
         // directly against this process's embedded address space.
         if flags & MAP_SHARED != 0 {
+            let window = map_len(len)?;
             let (sab, handle) = if flags & MAP_ANONYMOUS != 0 {
-                if len == 0 {
-                    return Err(Errno::EINVAL);
-                }
-                (SharedArrayBuffer::new(page_align(len) as usize), None)
+                (SharedArrayBuffer::new(window as usize), None)
             } else {
                 let handle = self.file_handle(fd)?;
                 let sab = match self.shm_object_for(&handle) {
                     Some(object) => object.sab_for_mapping()?,
                     None => {
-                        let size = page_align(handle.metadata()?.size.max(offset + len));
-                        if size == 0 {
-                            return Err(Errno::EINVAL);
-                        }
+                        let end = offset.checked_add(len).ok_or(Errno::EINVAL)?;
+                        let size = map_len(handle.metadata()?.size.max(end))?;
                         let sab = SharedArrayBuffer::new(size as usize);
                         let seed = handle.read_at(0, size as usize)?;
                         sab.write_bytes(0, &seed).map_err(|_| Errno::EIO)?;
@@ -686,7 +682,7 @@ impl RuntimeEnv for NativeEnv {
                 .map_shared(sab.clone(), handle, offset, len, addr, prot)?;
             return Ok(MappedRegion {
                 addr: base,
-                len: page_align(len),
+                len: window,
                 shared: Some(sab),
                 shared_offset: 0,
             });
@@ -699,7 +695,7 @@ impl RuntimeEnv for NativeEnv {
         };
         Ok(MappedRegion {
             addr: base,
-            len: page_align(len),
+            len: map_len(len)?,
             shared: None,
             shared_offset: 0,
         })

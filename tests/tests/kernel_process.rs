@@ -4,11 +4,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use browsix_core::{BootConfig, Kernel, SigAction, Signal};
+use browsix_core::{BootConfig, Errno, Fd, Kernel, SigAction, Signal};
 use browsix_fs::{FileSystem, OpenFlags};
 use browsix_runtime::{
-    guest, EmscriptenLauncher, EmscriptenMode, ExecutionProfile, NodeLauncher, RuntimeEnv, SpawnStdio,
-    SyscallConvention,
+    guest, EmscriptenLauncher, EmscriptenMode, ExecutionProfile, NodeLauncher, PollFd, RuntimeEnv, SpawnStdio,
+    SyscallConvention, POLLIN, POLLNVAL,
 };
 
 /// Boots a kernel with a single registered program and no injected delays.
@@ -492,4 +492,69 @@ fn kernel_stats_count_processes_and_syscalls() {
     assert!(stats.count("stat") >= 1);
     assert!(stats.total_syscalls >= 3);
     kernel.shutdown();
+}
+
+/// The errors the calls that may park find before parking: each is the
+/// call's answer at once, on both conventions, and the process goes on
+/// making calls.
+#[test]
+fn parking_calls_answer_their_errors_without_parking() {
+    type Call = fn(&mut dyn RuntimeEnv, Fd, Fd) -> Result<(), Errno>;
+    let guest_main = |env: &mut dyn RuntimeEnv| {
+        let me = env.getpid();
+        let (r, w) = env.pipe().unwrap();
+        let cases: [(&str, Call, Errno); 10] = [
+            ("read", |env, _, _| env.read(99, 1).map(drop), Errno::EBADF),
+            ("write", |env, _, _| env.write(99, b"x").map(drop), Errno::EBADF),
+            ("accept", |env, _, _| env.accept(99).map(drop), Errno::EBADF),
+            ("connect", |env, _, _| env.connect(99, 80), Errno::EBADF),
+            (
+                "sendfile",
+                |env, _, _| env.sendfile(99, 98, -1, 1).map(drop),
+                Errno::EBADF,
+            ),
+            ("splice", |env, _, _| env.splice(99, 98, 1).map(drop), Errno::EBADF),
+            ("accept on a pipe", |env, r, _| env.accept(r).map(drop), Errno::ENOTSOCK),
+            (
+                "sendfile from a pipe",
+                |env, r, w| env.sendfile(w, r, -1, 1).map(drop),
+                Errno::EINVAL,
+            ),
+            (
+                "splice into its own pipe",
+                |env, r, w| env.splice(r, w, 1).map(drop),
+                Errno::EINVAL,
+            ),
+            (
+                "wait4 without children",
+                |env, _, _| env.wait_options(-1, 0).map(drop),
+                Errno::ECHILD,
+            ),
+        ];
+        for (what, call, errno) in cases {
+            assert_eq!(call(env, r, w), Err(errno), "{what}");
+            assert_eq!(env.getpid(), me, "after {what}");
+        }
+        // A closed descriptor is POLLNVAL at once, even to a poll that
+        // would wait forever.
+        let closed = env.open("/closed", OpenFlags::write_create_truncate()).unwrap();
+        env.close(closed).unwrap();
+        let mut fds = [PollFd::new(closed, POLLIN)];
+        assert_eq!(env.poll(&mut fds, -1), Ok(1));
+        assert_eq!(fds[0].revents, POLLNVAL);
+        assert_eq!(env.getpid(), me, "after poll");
+        0
+    };
+    for mode in [EmscriptenMode::Emterpreter, EmscriptenMode::AsmJs] {
+        let profile = ExecutionProfile::instant(match mode {
+            EmscriptenMode::AsmJs => SyscallConvention::Sync,
+            EmscriptenMode::Emterpreter => SyscallConvention::Async,
+        });
+        let launcher = EmscriptenLauncher::new("errors", guest("errors", guest_main), mode).with_profile(profile);
+        let kernel = boot_with("errors", Arc::new(launcher));
+        let handle = kernel.spawn("/usr/bin/errors", &["errors"], &[]).unwrap();
+        assert_eq!(handle.wait().code, Some(0), "{mode:?}");
+        assert_eq!(kernel.stats().waiters_parked, 0, "{mode:?}: a call parked");
+        kernel.shutdown();
+    }
 }

@@ -342,3 +342,41 @@ fn shm_objects_outlive_unlink_until_last_reference() {
     assert_eq!(kernel.stats().shm_objects, 2);
     kernel.shutdown();
 }
+
+/// `mmap` refuses a length or an address it cannot map with an error, not
+/// an arithmetic overflow in the kernel or a page table sized from the
+/// request, and the next mapping works: a length past `u64::MAX` once
+/// rounded to pages, a fixed address whose mapping would end past the top
+/// of the address space, and private or shared lengths just over the 4 GiB
+/// a 32-bit guest can address.
+#[test]
+fn mmap_refuses_what_it_cannot_map() {
+    let kernel = boot_node("overreach", |env: &mut dyn RuntimeEnv| {
+        let rw = PROT_READ | PROT_WRITE;
+        let page = PAGE_SIZE as u64;
+        let past_4g = (1 << 32) + page;
+        let cases = [
+            (0, u64::MAX, MAP_PRIVATE | MAP_ANONYMOUS, Errno::ENOMEM),
+            (u64::MAX - page + 1, page, MAP_PRIVATE | MAP_ANONYMOUS, Errno::EINVAL),
+            (0, past_4g, MAP_PRIVATE | MAP_ANONYMOUS, Errno::ENOMEM),
+            (0, past_4g, MAP_SHARED | MAP_ANONYMOUS, Errno::ENOMEM),
+        ];
+        for (addr, len, flags, errno) in cases {
+            assert_eq!(
+                env.mmap(addr, len, rw, flags, -1, 0).err(),
+                Some(errno),
+                "{addr:#x} + {len:#x}"
+            );
+            let region = env.mmap(0, page, rw, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0).unwrap();
+            env.vm_write(region.addr, b"ok").unwrap();
+            assert_eq!(env.vm_read(region.addr, 2).unwrap(), b"ok");
+            // A load whose end is past `u64::MAX` faults.
+            assert_eq!(env.vm_read(u64::MAX - 1, 16), Err(Errno::EFAULT));
+            env.munmap(region.addr, region.len).unwrap();
+        }
+        0
+    });
+    let handle = kernel.spawn("/usr/bin/overreach", &["overreach"], &[]).unwrap();
+    assert!(handle.wait().success());
+    kernel.shutdown();
+}
