@@ -17,7 +17,7 @@ use browsix_http::{HttpRequest, HttpResponse};
 use crate::hostapi::ResourceCounts;
 use crate::signals::Signal;
 use crate::stats::KernelStats;
-use crate::task::Pid;
+use crate::task::{Pid, TaskSpec};
 
 /// A callback the embedding application supplies for a process's standard
 /// output or standard error (the `logStdout`/`logStderr` parameters of
@@ -28,21 +28,10 @@ pub type OutputSink = Arc<dyn Fn(&[u8]) + Send + Sync>;
 pub enum HostRequest {
     /// Start a process on behalf of the web application.
     Spawn {
-        /// Path of the executable.
-        path: String,
-        /// Argument vector.
-        args: Vec<String>,
-        /// Environment variables (merged over the boot-time defaults).
-        env: Vec<(String, String)>,
-        /// Working directory.
-        cwd: String,
-        /// Callback receiving the process's standard output.
-        stdout: OutputSink,
-        /// Callback receiving the process's standard error.
-        stderr: OutputSink,
-        /// Receives the process's wait status when it exits (the `onExit`
-        /// of `kernel.system`); subscribed before the process can run.
-        exit: Option<Sender<i32>>,
+        /// The process: its `env` is merged over the boot-time defaults
+        /// where the kernel receives it.  Boxed, so that every event on the
+        /// kernel's queue is not as large as a spawn.
+        spec: Box<TaskSpec>,
         /// Receives the new pid, or the reason the spawn failed.
         reply: Sender<Result<Pid, Errno>>,
     },
@@ -119,7 +108,7 @@ pub enum HostRequest {
 impl std::fmt::Debug for HostRequest {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let name = match self {
-            HostRequest::Spawn { path, .. } => return write!(f, "Spawn({path})"),
+            HostRequest::Spawn { spec, .. } => return write!(f, "Spawn({})", spec.path),
             HostRequest::Kill { pid, signal, .. } => return write!(f, "Kill({pid}, {signal})"),
             HostRequest::SignalForeground { signal, .. } => return write!(f, "SignalForeground({signal})"),
             HostRequest::WatchExit { pid, .. } => return write!(f, "WatchExit({pid})"),

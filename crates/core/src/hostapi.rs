@@ -19,12 +19,13 @@ use browsix_http::{HttpRequest, HttpResponse};
 
 use crate::events::{HostRequest, KernelEvent, OutputSink};
 use crate::exec::ExecutableRegistry;
+use crate::fd::{FileKind, OpenFile};
 use crate::kernel::shard::{resolve_shards, shard_of, RouterState};
 use crate::kernel::{KernelConfig, KernelState};
 use crate::signals::Signal;
 use crate::stats::KernelStats;
 use crate::syscall::{wait_status_exit_code, wait_status_signal};
-use crate::task::Pid;
+use crate::task::{Pid, TaskSpec};
 
 /// Configuration for [`Kernel::boot`].
 #[derive(Clone)]
@@ -323,14 +324,24 @@ impl Kernel {
         exit: Option<Sender<i32>>,
     ) -> Result<Pid, Errno> {
         let (reply_tx, reply_rx) = bounded(1);
-        let request = HostRequest::Spawn {
+        // Host-started processes read from the controlling terminal, which
+        // is what routes SIGTTIN to background readers.
+        let stdio = [
+            FileKind::Tty,
+            FileKind::HostSink { sink: stdout },
+            FileKind::HostSink { sink: stderr },
+        ];
+        let spec = TaskSpec {
             path: path.to_owned(),
             args: args.iter().map(|s| s.to_string()).collect(),
             env: env.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect(),
             cwd: "/".to_owned(),
-            stdout,
-            stderr,
+            files: (0..).zip(stdio.map(OpenFile::new)).collect(),
             exit,
+            ..TaskSpec::default()
+        };
+        let request = HostRequest::Spawn {
+            spec: Box::new(spec),
             reply: reply_tx,
         };
         // Spawns enter at shard 0; the kernel's round-robin placement may

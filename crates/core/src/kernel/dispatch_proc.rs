@@ -1,6 +1,8 @@
 //! Process-management system-call handlers: spawn, fork, pipe2, wait4, exit,
 //! kill, signal registration and the process-metadata calls.
 
+use std::sync::Arc;
+
 use browsix_fs::{Errno, FileSystem};
 
 use crate::exec::ForkImage;
@@ -8,7 +10,7 @@ use crate::fd::{FileKind, OpenFile};
 use crate::kernel::{shard, KernelState, Outcome, ReplyTo, WaitKind};
 use crate::signals::{SigAction, SigSet, Signal};
 use crate::syscall::{encode_stop_status, encode_wait_status, SysResult, WNOHANG, WUNTRACED};
-use crate::task::Pid;
+use crate::task::{Pid, TaskSpec};
 
 impl KernelState {
     pub(crate) fn sys_spawn(
@@ -21,61 +23,58 @@ impl KernelState {
         stdio: [Option<i32>; 3],
     ) -> Result<SysResult, Errno> {
         let parent = self.task(pid)?;
-        let parent_cwd = parent.cwd.clone();
-        let parent_env = parent.env.clone();
-        let child_cwd = cwd
-            .map(|c| browsix_fs::path::resolve(&parent_cwd, &c))
-            .unwrap_or(parent_cwd.clone());
-        let exe_path = browsix_fs::path::resolve(&parent_cwd, &path);
-
-        // Assemble the child's stdin/stdout/stderr: an explicit parent fd, or
-        // inherit the parent's descriptor of the same number, or /dev/null.
+        // The child's stdin/stdout/stderr: an explicit parent fd, which
+        // must be open, or else the parent's descriptor of the same number,
+        // or /dev/null.
         let files = (0..3)
             .zip(stdio)
-            .map(|(fd, slot)| {
-                let file = parent.files.get(slot.unwrap_or(fd));
-                (fd, file.unwrap_or_else(|_| OpenFile::new(FileKind::Null)))
+            .map(|(fd, slot)| match slot {
+                Some(parent_fd) => parent.files.get(parent_fd).map(|file| (fd, file)),
+                None => Ok((
+                    fd,
+                    parent.files.get(fd).unwrap_or_else(|_| OpenFile::new(FileKind::Null)),
+                )),
             })
-            .collect();
-
-        // The child environment: parent's environment unless the caller
-        // supplied one explicitly.
-        let child_env = if env.is_empty() { parent_env } else { env };
-
-        let child = self.spawn_process(pid, &exe_path, args, child_env, &child_cwd, files, None, None, None)?;
+            .collect::<Result<_, Errno>>()?;
+        let spec = TaskSpec {
+            ppid: pid,
+            path: browsix_fs::path::resolve(&parent.cwd, &path),
+            args,
+            // An empty environment inherits the parent's.
+            env: if env.is_empty() { parent.env.clone() } else { env },
+            cwd: cwd.map_or_else(
+                || parent.cwd.clone(),
+                |cwd| browsix_fs::path::resolve(&parent.cwd, &cwd),
+            ),
+            files,
+            ..TaskSpec::default()
+        };
+        let child = self.spawn_process(spec)?;
         Ok(SysResult::Int(child as i64))
     }
 
     pub(crate) fn sys_fork(&mut self, pid: Pid, image: Vec<u8>, resume_point: u64) -> Result<SysResult, Errno> {
         let parent = self.task(pid)?;
-        let launcher = parent.launcher.clone().ok_or(Errno::ENOSYS)?;
-        let exe_path = parent.exe_path.clone();
-        let args = parent.args.clone();
-        let env = parent.env.clone();
-        let cwd = parent.cwd.clone();
-        // The child inherits the parent's descriptor table (shared
-        // descriptions, exactly like fork on Unix).
-        let files = parent.files.inherit();
         // Clone the parent's address space copy-on-write: O(regions) work,
         // every materialised page shared by reference.  The first post-fork
         // write to a shared page (parent or child) COW-faults in
         // `sys_vm_write`.
         let (address_space, vm_delta) = parent.address_space.fork_clone();
-        let fork_image = ForkImage { image, resume_point };
-        let child = self.spawn_process(
-            pid,
-            &exe_path,
-            args,
-            env,
-            &cwd,
-            files,
-            Some(fork_image),
-            Some(launcher),
-            None,
-        )?;
-        if let Ok(child_task) = self.task_mut(child) {
-            child_task.address_space = address_space;
-        }
+        let spec = TaskSpec {
+            ppid: pid,
+            path: parent.exe_path.clone(),
+            args: parent.args.clone(),
+            env: parent.env.clone(),
+            cwd: parent.cwd.clone(),
+            // The child inherits the parent's descriptor table (shared
+            // descriptions, exactly like fork on Unix).
+            files: parent.files.inherit(),
+            launcher: Some(Arc::clone(&parent.launcher)),
+            fork_image: Some(ForkImage { image, resume_point }),
+            address_space,
+            exit: None,
+        };
+        let child = self.spawn_process(spec)?;
         self.stats.record_vm(vm_delta);
         Ok(SysResult::Int(child as i64))
     }

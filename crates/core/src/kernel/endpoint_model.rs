@@ -25,7 +25,9 @@ use browsix_http::{HttpRequest, HttpResponse, Method};
 
 use super::shard::{shard_of, stream_shard};
 use super::*;
-use crate::fd::Fd;
+use crate::events::OutputSink;
+use crate::exec::ProgramLauncher;
+use crate::fd::{Fd, FileKind};
 use crate::streams::StreamState;
 use crate::syscall::{ByteSource, PollRequest, POLLERR, POLLHUP, POLLIN, POLLOUT};
 
@@ -449,19 +451,23 @@ impl Fleet {
         let sink: OutputSink = Arc::new(|_: &[u8]| {});
         let (reply, pid) = bounded(1);
         let (exit, exited) = bounded(1);
-        self.host(
-            0,
-            HostRequest::Spawn {
-                path: GUEST.to_owned(),
-                args: vec!["guest".to_owned()],
-                env: Vec::new(),
-                cwd: "/".to_owned(),
-                stdout: Arc::clone(&sink),
-                stderr: sink,
-                exit: Some(exit),
-                reply,
+        let stdio = [
+            FileKind::Tty,
+            FileKind::HostSink {
+                sink: Arc::clone(&sink),
             },
-        );
+            FileKind::HostSink { sink },
+        ];
+        let spec = TaskSpec {
+            path: GUEST.to_owned(),
+            args: vec!["guest".to_owned()],
+            cwd: "/".to_owned(),
+            files: (0..).zip(stdio.map(OpenFile::new)).collect(),
+            exit: Some(exit),
+            ..TaskSpec::default()
+        };
+        let spec = Box::new(spec);
+        self.host(0, HostRequest::Spawn { spec, reply });
         let pid = pid.try_recv().expect("spawn replied").expect("spawn succeeded");
         self.exits.insert(pid, exited);
         let fds = (0..3).map(|fd| (fd, End::Other)).collect();
@@ -561,7 +567,8 @@ impl Fleet {
                 // sockets alike travel to whichever shard the child lands on
                 let pick = |fleet: &Fleet, n: u8| match nth_fd(fleet, n) {
                     Some((fd, end)) => (Some(fd), end),
-                    None => (Some(999), End::Other),
+                    // An empty table: each inherited slot gets /dev/null.
+                    None => (None, End::Other),
                 };
                 let picks = [pick(self, b), pick(self, c), pick(self, b.wrapping_add(c))];
                 let stdio = [picks[0].0, picks[1].0, picks[2].0];

@@ -27,16 +27,16 @@ use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use browsix_browser::{Message, PlatformConfig, WorkerPool, WorkerScope};
 use browsix_fs::{Errno, MountedFs};
 
-use crate::events::{HostRequest, KernelEvent, OutputSink};
-use crate::exec::{resolve_executable, ExecutableRegistry, ForkImage, LaunchContext, ProgramLauncher};
-use crate::fd::{Fd, FdTable, FileKind, OpenFile};
+use crate::events::{HostRequest, KernelEvent};
+use crate::exec::{resolve_executable, ExecutableRegistry, LaunchContext};
+use crate::fd::{Fd, OpenFile};
 use crate::ring::{Ring, MAX_READ_BYTES};
 use crate::signals::{SigAction, Signal, SignalDisposition};
 use crate::socket::{SocketTable, StreamPair};
 use crate::stats::{KernelStats, SyscallTally};
 use crate::streams::{Stream, StreamId, StreamTable};
 use crate::syscall::{encode_wait_status, Completion, CompletionBatch, SysResult, Syscall, SyscallBatch};
-use crate::task::{InflightBatch, Pid, Task, TaskState};
+use crate::task::{InflightBatch, Pid, Task, TaskSpec, TaskState};
 use crate::wire::Reader;
 
 use poll::{PollSubscribers, PollSubscription};
@@ -617,18 +617,14 @@ impl KernelState {
 
     fn handle_host_request(&mut self, request: HostRequest) {
         match request {
-            HostRequest::Spawn {
-                path,
-                args,
-                env,
-                cwd,
-                stdout,
-                stderr,
-                exit,
-                reply,
-            } => {
-                let result = self.host_spawn(&path, args, env, &cwd, stdout, stderr, exit);
-                let _ = reply.send(result);
+            HostRequest::Spawn { mut spec, reply } => {
+                let mut env = self.default_env.clone();
+                for (key, value) in spec.env {
+                    env.retain(|(existing, _)| *existing != key);
+                    env.push((key, value));
+                }
+                spec.env = env;
+                let _ = reply.send(self.spawn_process(*spec));
             }
             HostRequest::Kill { pid, signal, reply } => {
                 let result = self.send_signal(pid, signal);
@@ -690,93 +686,42 @@ impl KernelState {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn host_spawn(
-        &mut self,
-        path: &str,
-        args: Vec<String>,
-        env: Vec<(String, String)>,
-        cwd: &str,
-        stdout: OutputSink,
-        stderr: OutputSink,
-        exit: Option<Sender<i32>>,
-    ) -> Result<Pid, Errno> {
-        let stdout_fd = OpenFile::new(FileKind::HostSink { sink: stdout });
-        let stderr_fd = OpenFile::new(FileKind::HostSink { sink: stderr });
-        // Host-started processes read from the controlling terminal, which
-        // is what routes SIGTTIN to background readers.
-        let stdin = OpenFile::new(FileKind::Tty);
-        let mut merged_env = self.default_env.clone();
-        for (k, v) in env {
-            merged_env.retain(|(existing, _)| existing != &k);
-            merged_env.push((k, v));
-        }
-        self.spawn_process(
-            0,
-            path,
-            args,
-            merged_env,
-            cwd,
-            [(0, stdin), (1, stdout_fd), (2, stderr_fd)].into_iter().collect(),
-            None,
-            None,
-            exit,
-        )
-    }
-
     // ---- process lifecycle -----------------------------------------------------
 
-    /// Creates a task and its worker, returning the new pid.
+    /// Starts the process `spec` describes, returning its pid: the one way
+    /// a process is created, for the host API, `spawn` and `fork` alike.
     ///
-    /// Placement: forks stay on the parent's shard (the copied descriptor
-    /// table and COW image stay local); everything else round-robins across
-    /// shards via the router, deterministically in spawn order.  A
-    /// cross-shard spawn resolves the executable here (the mount table is
-    /// shared), pre-allocates the pid, pins the child's descriptions until
-    /// the owner acks, and returns the pid immediately — exactly like a local
-    /// spawn, whose worker also has not run yet when `spawn` returns.
-    /// `exit`, if given, is told the process's wait status when it exits; it
-    /// is subscribed where the task is installed, before the process runs.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn spawn_process(
-        &mut self,
-        ppid: Pid,
-        path: &str,
-        mut args: Vec<String>,
-        env: Vec<(String, String)>,
-        cwd: &str,
-        mut files: FdTable,
-        fork_image: Option<ForkImage>,
-        forced_launcher: Option<Arc<dyn ProgramLauncher>>,
-        exit: Option<Sender<i32>>,
-    ) -> Result<Pid, Errno> {
-        let keep_local = fork_image.is_some() || forced_launcher.is_some();
-        let launcher = match forced_launcher {
-            Some(launcher) => launcher,
-            None => {
-                let resolved = resolve_executable(self.fs.as_ref(), &self.registry, path)?;
-                if !resolved.prepend_args.is_empty() {
-                    let mut new_args = resolved.prepend_args.clone();
-                    new_args.extend(args.into_iter().skip(1));
-                    args = new_args;
-                }
-                resolved.launcher
+    /// Resolves the launcher (a fork brings its parent's) and prepends a
+    /// shebang's interpreter args.  Placement: forks stay on the parent's
+    /// shard (the copied descriptor table and COW image stay local);
+    /// everything else round-robins across shards via the router,
+    /// deterministically in spawn order.  The spec then moves, whole, into
+    /// the task: here, or on the shard it was placed on by
+    /// [`ShardMsg::SpawnTask`], while this shard pins the child's
+    /// descriptions until that shard acks.  Either way the pid returns at
+    /// once, before the process's worker has run.
+    pub(crate) fn spawn_process(&mut self, mut spec: TaskSpec) -> Result<Pid, Errno> {
+        if spec.launcher.is_none() {
+            let resolved = resolve_executable(self.fs.as_ref(), &self.registry, &spec.path)?;
+            if !resolved.prepend_args.is_empty() {
+                let args = std::mem::take(&mut spec.args);
+                spec.args = resolved.prepend_args;
+                spec.args.extend(args.into_iter().skip(1));
             }
-        };
+            spec.launcher = Some(resolved.launcher);
+        }
 
-        let target = if keep_local {
+        let target = if spec.fork_image.is_some() {
             self.shard_id
         } else {
             self.router.place_spawn()
         };
+        let ppid = spec.ppid;
         let pid = self.router.allocate_pid(target);
         self.router.register_process(pid, target, ppid);
-        let name = browsix_fs::path::basename(path);
 
         if target == self.shard_id {
-            self.install_task(
-                pid, ppid, &name, path, cwd, args, env, files, fork_image, launcher, exit,
-            );
+            self.install_task(pid, spec);
         } else {
             let token = self.next_remote_token();
             // The child gets handles of its own on its descriptions (an
@@ -785,29 +730,24 @@ impl KernelState {
             // owner has counted those handles and acks, so the streams behind
             // them never look unreferenced in between.
             let mut handles: HashMap<*const OpenFile, Arc<OpenFile>> = HashMap::new();
-            let exported = files
+            let exported = spec
+                .files
                 .iter()
                 .map(|(fd, file)| {
                     let handle = handles.entry(Arc::as_ptr(file)).or_insert_with(|| file.export());
                     (fd, Arc::clone(handle))
                 })
                 .collect();
-            self.pinned_files.insert(token, files.clear());
+            self.pinned_files.insert(token, spec.files.clear());
+            spec.files = exported;
+            let origin = self.shard_id;
             self.send_shard(
                 target,
                 ShardMsg::SpawnTask {
                     token,
-                    origin: self.shard_id,
+                    origin,
                     pid,
-                    ppid,
-                    name,
-                    path: path.to_owned(),
-                    cwd: cwd.to_owned(),
-                    args,
-                    env,
-                    launcher,
-                    files: exported,
-                    exit,
+                    spec: Box::new(spec),
                 },
             );
         }
@@ -817,32 +757,34 @@ impl KernelState {
         Ok(pid)
     }
 
-    /// Installs a fully-resolved task on this shard: task-table entry,
-    /// worker (on a pooled thread) and init message.  The descriptor table's
-    /// references are already counted (shared with the parent, or adopted
-    /// from another shard); the caller pushes the child onto its parent's
-    /// `children` (the parent may live on another shard).  `exit` starts
-    /// watching the task's exit.
-    #[allow(clippy::too_many_arguments)]
-    fn install_task(
-        &mut self,
-        pid: Pid,
-        ppid: Pid,
-        name: &str,
-        path: &str,
-        cwd: &str,
-        args: Vec<String>,
-        env: Vec<(String, String)>,
-        files: FdTable,
-        fork_image: Option<ForkImage>,
-        launcher: Arc<dyn ProgramLauncher>,
-        exit: Option<Sender<i32>>,
-    ) {
-        let mut task = Task::new(pid, ppid, name, path, cwd);
-        task.args = args.clone();
-        task.env = env.clone();
-        task.launcher = Some(Arc::clone(&launcher));
-        task.files = files;
+    /// Installs a task on this shard from its spec, whose launcher is
+    /// resolved: task-table entry, worker (on a pooled thread) and init
+    /// message.  The descriptor table's references are already counted
+    /// (shared with the parent, or adopted from another shard); the caller
+    /// pushes the child onto its parent's `children` (the parent may live on
+    /// another shard).  The spec's exit watcher starts watching here.
+    fn install_task(&mut self, pid: Pid, mut spec: TaskSpec) {
+        let exit = spec.exit.take();
+        let fork_image = spec.fork_image.take();
+        let mut task = Task::new(pid, spec);
+
+        // Init message: argument vector, environment, cwd and (for fork) the
+        // guest memory snapshot.
+        let env_msgs: Vec<Message> = task
+            .env
+            .iter()
+            .map(|(k, v)| Message::Array(vec![Message::from(k.as_str()), Message::from(v.as_str())]))
+            .collect();
+        let mut init = Message::map()
+            .with("type", "init")
+            .with("args", Message::from(task.args.clone()))
+            .with("env", Message::Array(env_msgs))
+            .with("cwd", task.cwd.as_str());
+        if let Some(image) = fork_image {
+            init = init
+                .with("fork_image", image.image)
+                .with("fork_resume", image.resume_point as i64);
+        }
 
         // The worker script: hand the scope and kernel channel to the
         // launcher, which will wait for the init message before running
@@ -850,10 +792,10 @@ impl KernelState {
         // doorbell of the process lands on its owning shard directly.
         let kernel_tx = self.events_tx.clone();
         let config = self.config.clone();
-        let launcher_for_worker = Arc::clone(&launcher);
-        let worker = self.workers.spawn(
+        let launcher = Arc::clone(&task.launcher);
+        task.worker = Some(self.workers.spawn(
             &self.config,
-            &format!("pid{pid}-{name}"),
+            &format!("pid{pid}-{}", task.name),
             Box::new(move |scope: WorkerScope| {
                 let ctx = LaunchContext {
                     pid,
@@ -861,30 +803,12 @@ impl KernelState {
                     kernel: kernel_tx,
                     scope,
                 };
-                launcher_for_worker.launch(ctx);
+                launcher.launch(ctx);
             }),
-        );
-        task.worker = Some(worker);
+        ));
         self.tasks.insert(pid, Box::new(task));
         self.exit_watchers.extend(exit.map(|exit| (pid, vec![exit])));
         self.stats.processes_spawned += 1;
-
-        // Init message: argument vector, environment, cwd and (for fork) the
-        // guest memory snapshot.
-        let env_msgs: Vec<Message> = env
-            .iter()
-            .map(|(k, v)| Message::Array(vec![Message::from(k.as_str()), Message::from(v.as_str())]))
-            .collect();
-        let mut init = Message::map()
-            .with("type", "init")
-            .with("args", Message::from(args))
-            .with("env", Message::Array(env_msgs))
-            .with("cwd", cwd);
-        if let Some(image) = fork_image {
-            init = init
-                .with("fork_image", image.image)
-                .with("fork_resume", image.resume_point as i64);
-        }
         self.post_to_worker(pid, init, Vec::new());
     }
 

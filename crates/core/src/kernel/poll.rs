@@ -312,12 +312,12 @@ mod tests {
     use super::*;
     use crate::fd::OpenFile;
     use crate::kernel::endpoint_model::Fleet;
-    use crate::task::Task;
+    use crate::task::{test_spec, Task};
 
     /// Installs a process holding a pipe reader (fd 0), a pipe writer (fd 1)
     /// and a socket whose two ends are both `stream` (fd 2).
     fn watch(kernel: &mut KernelState, pid: Pid, stream: StreamId) {
-        let mut task = Task::new(pid, 0, "watcher", "/bin/watcher", "/");
+        let mut task = Task::new(pid, test_spec(0, "/bin/watcher", "/"));
         let kinds = [
             FileKind::PipeReader { stream },
             FileKind::PipeWriter { stream },

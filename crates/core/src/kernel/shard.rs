@@ -49,7 +49,7 @@
 //!
 //! | message | sent by | answered by | per-shard state | cancelled by |
 //! |---|---|---|---|---|
-//! | `SpawnTask` | `spawn_process`, when placement picks another shard | `SpawnAck` | sender: `pinned_files[token]`; receiver: task table, endpoint counts of the adopted descriptions | — (the ack always comes) |
+//! | `SpawnTask` | `spawn_process`, when placement picks another shard: the new process's `TaskSpec`, moved whole, its launcher resolved and its descriptors exported | `SpawnAck` | sender: `pinned_files[token]`; receiver: task table, endpoint counts of the adopted descriptions | — (the ack always comes) |
 //! | `SpawnAck` | the shard that installed the task | — | sender's pins released like any descriptor | — |
 //! | `ChildExited` / `ChildStopped` / `ChildContinued` | the child's shard, on the state change (handled in place when the parent lives there too) | — | the parent's shard: `zombies` / `stops`, its `ChildOf` queue | the parent exiting (records dropped) |
 //! | `SignalPid` | `kill` of a foreign pid, and group signals with members elsewhere | `RemoteOpDone` (the delivery's result) when sent by `kill` | sender: `remote_ops[token]` for a `kill`; receiver: the target task | never (the signal is sent either way) |
@@ -110,8 +110,7 @@ use crossbeam::channel::Sender;
 use browsix_fs::Errno;
 
 use crate::events::KernelEvent;
-use crate::exec::ProgramLauncher;
-use crate::fd::{Fd, FdTable, FileKind};
+use crate::fd::{Fd, FileKind};
 use crate::kernel::poll::PollSubscribers;
 use crate::kernel::waitq::WaitChannel;
 use crate::kernel::{KernelState, Outcome, ReplyTo, WaitKind};
@@ -119,7 +118,7 @@ use crate::signals::Signal;
 use crate::socket::StreamPair;
 use crate::streams::{Stream, StreamId, StreamState};
 use crate::syscall::SysResult;
-use crate::task::Pid;
+use crate::task::{Pid, TaskSpec};
 use crate::vm::ShmObject;
 
 /// Maximum shard count (the id encodings below reserve 6 bits).
@@ -222,7 +221,8 @@ pub(crate) struct PendingRemote {
 /// with that shard's syscalls in a single total order.
 pub enum ShardMsg {
     /// Create a task on the receiving shard (the spawn side of round-robin
-    /// placement).  The executable is already resolved.
+    /// placement).  The spec is the one `spawn` built, moved here unchanged
+    /// but for its launcher, already resolved, and its descriptor table.
     SpawnTask {
         /// Completion token, minted by the origin shard.
         token: u64,
@@ -230,27 +230,11 @@ pub enum ShardMsg {
         origin: usize,
         /// The pre-allocated pid (already registered with the router).
         pid: Pid,
-        /// Parent pid (lives on `origin`).
-        ppid: Pid,
-        /// Task name (basename of the path).
-        name: String,
-        /// Executable path.
-        path: String,
-        /// Working directory.
-        cwd: String,
-        /// Argument vector (prepend-args already applied).
-        args: Vec<String>,
-        /// Environment.
-        env: Vec<(String, String)>,
-        /// The resolved launcher.
-        launcher: Arc<dyn ProgramLauncher>,
-        /// The child's descriptor table: handles exported for the receiving
-        /// shard ([`OpenFile::export`](crate::fd::OpenFile::export)) on the
-        /// parent's descriptions.
-        files: FdTable,
-        /// The host's exit watcher of a host-started process, subscribed
-        /// as the task is installed.
-        exit: Option<Sender<i32>>,
+        /// The process.  Its descriptor table holds handles exported for
+        /// the receiving shard ([`OpenFile::export`](crate::fd::OpenFile::export))
+        /// on the parent's descriptions.  Boxed, so that every event on the
+        /// kernel's queue is not as large as a spawn.
+        spec: Box<TaskSpec>,
     },
     /// The spawned task exists; the origin drops its pins.
     SpawnAck {
@@ -393,10 +377,12 @@ pub enum ShardMsg {
 impl fmt::Debug for ShardMsg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ShardMsg::SpawnTask {
-                token, pid, ppid, name, ..
-            } => {
-                write!(f, "SpawnTask(token={token}, pid={pid}, ppid={ppid}, {name:?})")
+            ShardMsg::SpawnTask { token, pid, spec, .. } => {
+                write!(
+                    f,
+                    "SpawnTask(token={token}, pid={pid}, ppid={}, {:?})",
+                    spec.ppid, spec.path
+                )
             }
             ShardMsg::SpawnAck { token } => write!(f, "SpawnAck({token})"),
             ShardMsg::ChildExited { pid, ppid, status } => {
@@ -591,27 +577,19 @@ impl KernelState {
                 token,
                 origin,
                 pid,
-                ppid,
-                name,
-                path,
-                cwd,
-                args,
-                env,
-                launcher,
-                files,
-                exit,
+                spec,
             } => {
                 // The handles were exported for this shard: count each once
                 // (stdout and stderr are often one description).  The origin
                 // keeps its own references pinned until the ack, so the
                 // streams cannot see a gap.
                 let mut adopted = HashSet::new();
-                for (_, file) in files.iter() {
+                for (_, file) in spec.files.iter() {
                     if adopted.insert(Arc::as_ptr(file)) {
                         self.adopt_file(file);
                     }
                 }
-                self.install_task(pid, ppid, &name, &path, &cwd, args, env, files, None, launcher, exit);
+                self.install_task(pid, *spec);
                 self.send_shard(origin, ShardMsg::SpawnAck { token });
             }
             ShardMsg::SpawnAck { token } => {

@@ -15,9 +15,11 @@
 
 use std::sync::Arc;
 
+use crossbeam::channel::Sender;
+
 use browsix_browser::Worker;
 
-use crate::exec::ProgramLauncher;
+use crate::exec::{ForkImage, ProgramLauncher};
 use crate::fd::FdTable;
 use crate::ring::Ring;
 use crate::signals::{Signal, SignalState};
@@ -61,6 +63,35 @@ impl InflightBatch {
     pub fn is_complete(&self) -> bool {
         self.completions.len() as u32 >= self.total
     }
+}
+
+/// Everything a new process is made of.  The host API, `spawn` and `fork`
+/// each build one, and it moves whole — to another shard too, when
+/// placement puts the process there — into the task it describes.
+#[derive(Default)]
+pub struct TaskSpec {
+    /// Parent pid (0 for a process the host starts).
+    pub ppid: Pid,
+    /// Path of the executable.
+    pub path: String,
+    /// Argument vector (`argv[0]` included).
+    pub args: Vec<String>,
+    /// Environment.
+    pub env: Vec<(String, String)>,
+    /// Working directory.
+    pub cwd: String,
+    /// The descriptor table, its references already counted.
+    pub files: FdTable,
+    /// The program that runs the process: a fork's is its parent's; for
+    /// anything else the kernel resolves `path` before it places the task.
+    pub launcher: Option<Arc<dyn ProgramLauncher>>,
+    /// A forked child's guest snapshot, handed over in its init message.
+    pub fork_image: Option<ForkImage>,
+    /// The address space: empty, or a forked parent's, cloned copy-on-write.
+    pub address_space: AddressSpace,
+    /// Told the wait status when the process exits (the host's `onExit`);
+    /// subscribed before the process runs.
+    pub exit: Option<Sender<i32>>,
 }
 
 /// A kernel task.
@@ -107,7 +138,7 @@ pub struct Task {
     /// Environment the task was started with.
     pub env: Vec<(String, String)>,
     /// The launcher that started this task; reused by `fork`.
-    pub launcher: Option<Arc<dyn ProgramLauncher>>,
+    pub launcher: Arc<dyn ProgramLauncher>,
     /// The task's virtual address space: `mmap` regions, COW pages, shared
     /// mappings.
     pub address_space: AddressSpace,
@@ -131,16 +162,18 @@ impl std::fmt::Debug for Task {
 }
 
 impl Task {
-    /// Creates a fresh running task with an empty descriptor table.
-    pub fn new(pid: Pid, ppid: Pid, name: &str, exe_path: &str, cwd: &str) -> Task {
+    /// Creates a running task from its spec, whose launcher is resolved.
+    /// The spec's exit watcher and fork image are not part of the task: the
+    /// kernel takes them out first.
+    pub fn new(pid: Pid, spec: TaskSpec) -> Task {
         Task {
             pid,
-            ppid,
-            name: name.to_owned(),
-            exe_path: exe_path.to_owned(),
-            cwd: cwd.to_owned(),
+            ppid: spec.ppid,
+            name: browsix_fs::path::basename(&spec.path),
+            exe_path: spec.path,
+            cwd: spec.cwd,
             state: TaskState::Running,
-            files: FdTable::new(),
+            files: spec.files,
             worker: None,
             signals: SignalState::new(),
             stashed_frames: Vec::new(),
@@ -148,10 +181,10 @@ impl Task {
             pending_cqes: std::collections::VecDeque::new(),
             inflight: None,
             children: Vec::new(),
-            args: Vec::new(),
-            env: Vec::new(),
-            launcher: None,
-            address_space: AddressSpace::new(),
+            args: spec.args,
+            env: spec.env,
+            launcher: spec.launcher.expect("a task is installed with its launcher resolved"),
+            address_space: spec.address_space,
             syscall_count: 0,
         }
     }
@@ -193,13 +226,30 @@ impl Task {
     }
 }
 
+/// A spec for a task of the kernel's own unit tests, whose program never
+/// runs.
+#[cfg(test)]
+pub(crate) fn test_spec(ppid: Pid, path: &str, cwd: &str) -> TaskSpec {
+    struct Idle;
+    impl ProgramLauncher for Idle {
+        fn launch(&self, _ctx: crate::exec::LaunchContext) {}
+    }
+    TaskSpec {
+        ppid,
+        path: path.to_owned(),
+        cwd: cwd.to_owned(),
+        launcher: Some(Arc::new(Idle)),
+        ..TaskSpec::default()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn new_task_is_running_with_no_fds() {
-        let task = Task::new(3, 1, "cat", "/usr/bin/cat", "/home");
+        let task = Task::new(3, test_spec(1, "/usr/bin/cat", "/home"));
         assert!(task.is_running());
         assert_eq!(task.files.len(), 0);
         assert_eq!(task.cwd, "/home");
@@ -210,7 +260,7 @@ mod tests {
     #[test]
     fn signal_handler_registration() {
         use crate::signals::SigAction;
-        let mut task = Task::new(2, 1, "sh", "/bin/sh", "/");
+        let mut task = Task::new(2, test_spec(1, "/bin/sh", "/"));
         assert!(!task.handles_signal(Signal::SIGCHLD));
         task.signals
             .set_action(Signal::SIGCHLD, SigAction::Handler { restart: false });
@@ -221,7 +271,7 @@ mod tests {
 
     #[test]
     fn stopped_state_is_alive_but_not_running() {
-        let mut task = Task::new(6, 1, "cat", "/usr/bin/cat", "/");
+        let mut task = Task::new(6, test_spec(1, "/usr/bin/cat", "/"));
         task.state = TaskState::Stopped {
             signal: Signal::SIGTSTP,
         };
@@ -232,7 +282,7 @@ mod tests {
 
     #[test]
     fn debug_output_is_compact() {
-        let task = Task::new(1, 0, "make", "/usr/bin/make", "/proj");
+        let task = Task::new(1, test_spec(0, "/usr/bin/make", "/proj"));
         let text = format!("{task:?}");
         assert!(text.contains("make"));
         assert!(text.contains("pid: 1"));

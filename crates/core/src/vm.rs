@@ -180,7 +180,7 @@ impl VmDelta {
 
 /// A task's virtual address space: regions ordered by base address, plus a
 /// bump allocator for `addr = 0` mappings.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct AddressSpace {
     regions: BTreeMap<u64, Region>,
     next_base: u64,
@@ -192,6 +192,12 @@ impl std::fmt::Debug for AddressSpace {
             .field("regions", &self.regions.len())
             .field("resident_pages", &self.resident_page_count())
             .finish()
+    }
+}
+
+impl Default for AddressSpace {
+    fn default() -> Self {
+        AddressSpace::new()
     }
 }
 

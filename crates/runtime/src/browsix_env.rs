@@ -16,9 +16,15 @@ use crate::profile::ExecutionProfile;
 /// shared-heap staging area so a flush always stages in one piece.
 const STDOUT_BUFFER_LIMIT: usize = 32 * 1024;
 
+/// The exit code of a guest whose program panicked: a Rust program's, when
+/// its `main` panics.
+const PANIC_EXIT_CODE: i32 = 101;
+
 /// Runs one guest program as a Browsix process: waits for the init message,
 /// builds the environment, runs the program and issues the final `exit`
-/// system call.  Shared by all three launchers.
+/// system call — with [`PANIC_EXIT_CODE`] if the program panicked, so the
+/// kernel learns that the process is gone and its buffered stdout still goes
+/// out.  Shared by all three launchers.
 pub(crate) fn run_guest_process(
     ctx: browsix_core::exec::LaunchContext,
     factory: &crate::program::GuestFactory,
@@ -31,8 +37,8 @@ pub(crate) fn run_guest_process(
     }
     let mut env = BrowsixEnv::new(client, start, profile);
     let mut program = factory();
-    let code = program.run(&mut env);
-    env.exit_process(code);
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| program.run(&mut env)));
+    env.exit_process(run.unwrap_or(PANIC_EXIT_CODE));
 }
 
 /// The process-side view of Browsix.

@@ -538,6 +538,11 @@ impl RuntimeEnv for NativeEnv {
     }
 
     fn spawn(&mut self, path: &str, args: &[String], stdio: SpawnStdio) -> Result<u32, Errno> {
+        // An explicit descriptor must be open; an inherited one may be closed.
+        let stdio = [stdio.stdin, stdio.stdout, stdio.stderr];
+        if stdio.iter().flatten().any(|fd| !self.fds.contains_key(fd)) {
+            return Err(Errno::EBADF);
+        }
         let resolved = self.resolve(path);
         let mut program = self
             .world
@@ -550,7 +555,7 @@ impl RuntimeEnv for NativeEnv {
         child.ppid = self.pid;
         child.env = self.env.clone();
         // Wire the child's standard descriptors.
-        for (child_fd, selector) in [(0, stdio.stdin), (1, stdio.stdout), (2, stdio.stderr)] {
+        for (child_fd, selector) in (0..).zip(stdio) {
             let source = selector.unwrap_or(child_fd);
             if let Some(entry) = self.fds.get(&source) {
                 child.fds.insert(child_fd, entry.clone());
@@ -877,6 +882,16 @@ mod tests {
             .unwrap();
         let child = env.wait_options(-1, WNOHANG).unwrap().expect("an exited child");
         assert_eq!((child.pid, child.exit_code), (pid, Some(7)));
+        // An explicit stdio descriptor must be open: nothing runs.
+        let closed = SpawnStdio {
+            stdin: Some(57),
+            ..SpawnStdio::default()
+        };
+        assert_eq!(
+            env.spawn("/usr/bin/child", &["child".to_string()], closed),
+            Err(Errno::EBADF)
+        );
+        assert_eq!(env.wait_options(-1, WNOHANG).unwrap(), None);
     }
 
     #[test]

@@ -4,7 +4,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use browsix_core::{BootConfig, Errno, Fd, Kernel, SigAction, Signal};
+use browsix_core::kernel::shard::shard_of;
+use browsix_core::{
+    BootConfig, Errno, Fd, Kernel, SigAction, Signal, MAP_ANONYMOUS, MAP_PRIVATE, PAGE_SIZE, PROT_READ, PROT_WRITE,
+};
 use browsix_fs::{FileSystem, OpenFlags};
 use browsix_runtime::{
     guest, EmscriptenLauncher, EmscriptenMode, ExecutionProfile, NodeLauncher, PollFd, RuntimeEnv, SpawnStdio,
@@ -555,6 +558,187 @@ fn parking_calls_answer_their_errors_without_parking() {
         let handle = kernel.spawn("/usr/bin/errors", &["errors"], &[]).unwrap();
         assert_eq!(handle.wait().code, Some(0), "{mode:?}");
         assert_eq!(kernel.stats().waiters_parked, 0, "{mode:?}: a call parked");
+        kernel.shutdown();
+    }
+}
+
+/// Both conventions: an Emscripten guest in Emterpreter mode over messages,
+/// and one in asm.js mode over the shared-memory ring.
+fn each_convention() -> [(EmscriptenMode, ExecutionProfile); 2] {
+    [
+        (EmscriptenMode::Emterpreter, instant_async()),
+        (
+            EmscriptenMode::AsmJs,
+            ExecutionProfile::instant(SyscallConvention::Sync),
+        ),
+    ]
+}
+
+/// A guest whose program panics exits like a Rust program whose `main`
+/// panicked, with status 101, and what it printed before still arrives.
+#[test]
+fn a_guest_that_panics_exits_with_status_101() {
+    let panics = guest("panics", |env: &mut dyn RuntimeEnv| {
+        env.print("before\n");
+        panic!("a guest fails (expected by this test)");
+    });
+    let node = NodeLauncher::new("panics", panics.clone()).with_profile(instant_async());
+    let ring = EmscriptenLauncher::new("panics", panics, EmscriptenMode::AsmJs)
+        .with_profile(ExecutionProfile::instant(SyscallConvention::Sync));
+    let launchers: [(&str, Arc<dyn browsix_core::ProgramLauncher>); 2] =
+        [("async", Arc::new(node)), ("sync", Arc::new(ring))];
+    for (convention, launcher) in launchers {
+        let kernel = boot_with("panics", launcher);
+        let handle = kernel.spawn("/usr/bin/panics", &["panics"], &[]).unwrap();
+        let status = handle
+            .wait_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|| panic!("{convention}: the panicked guest never exited"));
+        assert_eq!(status.code, Some(101), "{convention}");
+        assert_eq!(handle.stdout_string(), "before\n", "{convention}");
+        wait_until_no_task(&kernel);
+        kernel.shutdown();
+    }
+}
+
+/// `spawn` refuses an explicit stdio descriptor that is not open with
+/// `EBADF`; an inherited slot whose descriptor is closed gets `/dev/null`.
+#[test]
+fn spawn_refuses_an_explicit_stdio_descriptor_that_is_not_open() {
+    let reader = guest("reader", |env: &mut dyn RuntimeEnv| match env.read(0, 16) {
+        Ok(data) if data.is_empty() => 0,
+        other => {
+            env.eprint(&format!("reader: read of fd 0 gave {other:?}\n"));
+            1
+        }
+    });
+    let parent = guest("parent", |env: &mut dyn RuntimeEnv| {
+        let args = ["reader".to_string()];
+        let closed = SpawnStdio {
+            stdin: Some(57),
+            ..SpawnStdio::default()
+        };
+        let explicit = env.spawn("/usr/bin/reader", &args, closed);
+        env.close(0).unwrap();
+        let inherited = env
+            .spawn("/usr/bin/reader", &args, SpawnStdio::default())
+            .and_then(|child| env.wait(child as i32))
+            .map(|waited| waited.exit_code);
+        env.print(&format!("{explicit:?} {inherited:?}\n"));
+        0
+    });
+    for (mode, profile) in each_convention() {
+        let kernel = Kernel::boot(BootConfig::in_memory());
+        for (name, program) in [("reader", reader.clone()), ("parent", parent.clone())] {
+            let launcher = EmscriptenLauncher::new(name, program, mode).with_profile(profile.clone());
+            kernel
+                .registry()
+                .register(&format!("/usr/bin/{name}"), Arc::new(launcher));
+        }
+        let handle = kernel.spawn("/usr/bin/parent", &["parent"], &[]).unwrap();
+        let status = handle.wait_timeout(Duration::from_secs(30)).expect("parent hung");
+        assert_eq!(status.code, Some(0), "{mode:?}: {}", handle.stderr_string());
+        assert_eq!(
+            handle.stdout_string(),
+            "Err(EBADF) Ok(Some(0))\n",
+            "{mode:?}: stderr: {}",
+            handle.stderr_string()
+        );
+        kernel.shutdown();
+    }
+}
+
+/// A new process is what it was asked to be, at one shard and at two: a
+/// host-started one's environment is the boot defaults with the spawn's own
+/// over them; a child `spawn` starts has its parent's environment and
+/// working directory and its own argv, and at two shards lives on the other
+/// one; a child `fork` starts has the same argv, environment and working
+/// directory, and reads what its parent mapped before the fork.
+#[test]
+fn a_new_process_gets_its_environment_cwd_argv_and_mappings() {
+    let specimen = guest("specimen", |env: &mut dyn RuntimeEnv| {
+        let mut vars = env.env_vars();
+        vars.sort();
+        let describe =
+            |env: &mut dyn RuntimeEnv, who: &str| format!("{who} {:?} {vars:?} {}", env.args(), env.getcwd());
+        if let Some(image) = env.fork_image() {
+            let addr = u64::from_le_bytes(image.try_into().unwrap());
+            let mapped = env
+                .vm_read(addr, 7)
+                .map(|bytes| String::from_utf8_lossy(&bytes).into_owned());
+            let line = format!("{} {mapped:?}\n", describe(env, "fork"));
+            env.print(&line);
+            return 0;
+        }
+        if env.args().len() > 1 {
+            let line = format!("{}\n", describe(env, "spawned"));
+            env.print(&line);
+            return 0;
+        }
+        env.mkdir("/work").unwrap();
+        env.chdir("/work").unwrap();
+        let line = format!("{}\n", describe(env, "parent"));
+        env.print(&line);
+        let args = ["specimen".to_string(), "spawned".to_string()];
+        let spawned = env.spawn("/usr/bin/specimen", &args, SpawnStdio::default()).unwrap();
+        let spawned_exit = env.wait(spawned as i32).unwrap().exit_code;
+        let region = env
+            .mmap(
+                0,
+                PAGE_SIZE as u64,
+                PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS,
+                -1,
+                0,
+            )
+            .unwrap();
+        env.vm_write(region.addr, b"mapping").unwrap();
+        let forked = env.fork(region.addr.to_le_bytes().to_vec()).unwrap();
+        let forked_exit = env.wait(forked as i32).unwrap().exit_code;
+        env.print(&format!("children {spawned} {spawned_exit:?} {forked_exit:?}\n"));
+        0
+    });
+    for shards in [1, 2] {
+        let config = BootConfig::in_memory()
+            .with_shards(shards)
+            .with_env("KEEP", "boot")
+            .with_env("SWAP", "boot");
+        let launcher = EmscriptenLauncher::new("specimen", specimen.clone(), EmscriptenMode::Emterpreter)
+            .with_profile(instant_async());
+        config.registry.register("/usr/bin/specimen", Arc::new(launcher));
+        let kernel = Kernel::boot(config);
+        let handle = kernel
+            .spawn(
+                "/usr/bin/specimen",
+                &["specimen"],
+                &[("SWAP", "spawn"), ("NEW", "spawn")],
+            )
+            .unwrap();
+        let status = handle.wait_timeout(Duration::from_secs(30)).expect("specimen hung");
+        assert_eq!(status.code, Some(0), "{shards} shard(s): {}", handle.stderr_string());
+        // `HOME` and `PATH` are `BootConfig::in_memory`'s defaults.
+        let vars =
+            r#"[("HOME", "/home"), ("KEEP", "boot"), ("NEW", "spawn"), ("PATH", "/usr/bin:/bin"), ("SWAP", "spawn")]"#;
+        let stdout = handle.stdout_string();
+        let (expected, children) = stdout.rsplit_once("children ").expect("the parent's last line");
+        assert_eq!(
+            expected,
+            format!(
+                "parent [\"specimen\"] {vars} /work\n\
+                 spawned [\"specimen\", \"spawned\"] {vars} /work\n\
+                 fork [\"specimen\"] {vars} /work Ok(\"mapping\")\n"
+            ),
+            "{shards} shard(s)"
+        );
+        let (spawned, exits) = children.split_once(' ').unwrap();
+        assert_eq!(exits, "Some(0) Some(0)\n", "{shards} shard(s)");
+        let spawned: u32 = spawned.parse().unwrap();
+        if shards > 1 {
+            assert_ne!(
+                shard_of(spawned, shards),
+                shard_of(handle.pid, shards),
+                "the spawned child shares its parent's shard"
+            );
+        }
         kernel.shutdown();
     }
 }
