@@ -198,11 +198,6 @@ impl Message {
             _ => None,
         }
     }
-
-    /// Convenience accessor: `self.get(key)` as a shared buffer.
-    pub fn get_shared(&self, key: &str) -> Option<&SharedArrayBuffer> {
-        self.get(key).and_then(Message::as_shared)
-    }
 }
 
 impl From<&str> for Message {
@@ -347,7 +342,7 @@ mod tests {
         let msg = Message::map().with("sab", sab.clone());
         // The "clone" the receiving context gets aliases the same memory.
         let received = msg.structured_clone();
-        let handle = received.get_shared("sab").unwrap();
+        let handle = received.get("sab").and_then(Message::as_shared).unwrap();
         assert!(handle.same_buffer(&sab));
         sab.store_i32(0, 42).unwrap();
         assert_eq!(handle.load_i32(0).unwrap(), 42);

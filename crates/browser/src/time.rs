@@ -51,13 +51,6 @@ impl Stopwatch {
     pub fn elapsed_ms(&self) -> f64 {
         self.elapsed().as_secs_f64() * 1e3
     }
-
-    /// Restarts the stopwatch and returns the time elapsed before the restart.
-    pub fn lap(&mut self) -> Duration {
-        let elapsed = self.start.elapsed();
-        self.start = Instant::now();
-        elapsed
-    }
 }
 
 impl Default for Stopwatch {
@@ -93,16 +86,6 @@ mod tests {
         let sw = Stopwatch::start();
         precise_delay(target);
         assert!(sw.elapsed() >= target);
-    }
-
-    #[test]
-    fn stopwatch_lap_resets() {
-        let mut sw = Stopwatch::start();
-        precise_delay(Duration::from_micros(200));
-        let first = sw.lap();
-        assert!(first >= Duration::from_micros(200));
-        let second = sw.elapsed();
-        assert!(second < first);
     }
 
     #[test]

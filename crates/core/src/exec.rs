@@ -145,14 +145,6 @@ impl ExecutableRegistry {
         inner.interpreters.get(&base).cloned()
     }
 
-    /// All registered program paths, sorted (used by `ls`-style tooling and
-    /// the Figure 2 component report).
-    pub fn registered_paths(&self) -> Vec<String> {
-        let mut paths: Vec<String> = self.inner.read().programs.keys().cloned().collect();
-        paths.sort();
-        paths
-    }
-
     /// Number of registered programs.
     pub fn len(&self) -> usize {
         self.inner.read().programs.len()
@@ -298,7 +290,6 @@ mod tests {
         assert!(registry.lookup("/usr/bin/../bin/ls").is_some());
         assert!(registry.lookup("/usr/bin/cat").is_none());
         assert_eq!(registry.len(), 1);
-        assert_eq!(registry.registered_paths(), vec!["/usr/bin/ls".to_string()]);
     }
 
     #[test]

@@ -142,8 +142,8 @@ impl ExitStatus {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResourceCounts {
     /// Processes: live ones (running or stopped), plus exited children whose
-    /// parent has not reaped them yet — one exit record each, kept on the
-    /// parent's shard.  An unreaped child counts once, at any shard count.
+    /// parent has not reaped them yet — one exit record each, kept in the
+    /// parent's task.  An unreaped child counts once, at any shard count.
     pub tasks: usize,
     /// Stream buffers: one per pipe, two per socket connection (which is
     /// nothing but its two streams, so there is no separate count of those).
@@ -266,11 +266,6 @@ impl Kernel {
             platform: config.platform,
             threads,
         }
-    }
-
-    /// The number of shards this kernel runs.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// The event queue of the shard that owns `pid`.
@@ -624,7 +619,6 @@ mod tests {
     #[test]
     fn boot_multi_shard_and_shutdown() {
         let kernel = Kernel::boot(BootConfig::in_memory().with_shards(3));
-        assert_eq!(kernel.shard_count(), 3);
         assert_eq!(kernel.stats().total_syscalls, 0);
         assert_eq!(kernel.stats_per_shard().len(), 3);
         assert_eq!(kernel.kill(42, Signal::SIGTERM), Err(Errno::ESRCH));

@@ -10,7 +10,7 @@ use crate::fd::{FileKind, OpenFile};
 use crate::kernel::{shard, KernelState, Outcome, ReplyTo, WaitKind};
 use crate::signals::{SigAction, SigSet, Signal};
 use crate::syscall::{encode_stop_status, encode_wait_status, SysResult, WNOHANG, WUNTRACED};
-use crate::task::{Pid, TaskSpec};
+use crate::task::{ChildReport, Pid, TaskSpec};
 
 impl KernelState {
     pub(crate) fn sys_spawn(
@@ -95,56 +95,47 @@ impl KernelState {
     /// stop has not been reported yet.  Returns `Err(ECHILD)` if `pid` has
     /// no children at all matching the request.
     ///
-    /// Membership is the parent's `children` list, in spawn order, which may
-    /// name tasks that live on other shards.  Every child's exit and stop
-    /// arrives here as a record (`zombies` / `stops`, see
-    /// `ShardMsg::ChildExited`), wherever the child lived; taking the record
-    /// is the report, so each exit and each stop is reported exactly once.
+    /// The parent's `children` list, in spawn order, names its children and
+    /// holds what each has still to report, wherever the child lived (see
+    /// `ShardMsg::ChildChanged`); taking the report is the report, so each
+    /// exit and each stop is reported exactly once.
     pub(crate) fn try_reap_child(&mut self, pid: Pid, target: i32, options: u32) -> Result<Option<(Pid, i32)>, Errno> {
-        let candidates: Vec<Pid> = self
-            .task(pid)?
-            .children
-            .iter()
-            .copied()
-            .filter(|&child| target < 0 || child == target as Pid)
-            .collect();
-        if candidates.is_empty() {
+        let children = &mut self.task_mut(pid)?.children;
+        let matching = |child: Pid| target < 0 || child == target as Pid;
+        if !children.iter().any(|&(child, _)| matching(child)) {
             return Err(Errno::ECHILD);
         }
-        for &child in &candidates {
-            if let Some(status) = self.zombies.remove(&child) {
-                self.task_mut(pid)?.children.retain(|&c| c != child);
-                return Ok(Some((child, status)));
-            }
+        let exited = children
+            .iter()
+            .enumerate()
+            .find_map(|(i, &(child, report))| match report {
+                Some(ChildReport::Exited(status)) if matching(child) => Some((i, child, status)),
+                _ => None,
+            });
+        if let Some((i, child, status)) = exited {
+            children.remove(i);
+            return Ok(Some((child, status)));
         }
         if options & WUNTRACED != 0 {
-            for &child in &candidates {
-                if let Some(signal) = self.stops.remove(&child) {
-                    return Ok(Some((child, encode_stop_status(signal))));
+            for (child, report) in children.iter_mut().filter(|(child, _)| matching(*child)) {
+                if let Some(ChildReport::Stopped(signal)) = *report {
+                    *report = None;
+                    return Ok(Some((*child, encode_stop_status(signal))));
                 }
             }
         }
         Ok(None)
     }
 
-    /// Checks the exit and stop records: each belongs to a child of a live
-    /// task on this shard, and no child has both (an exit replaces the stop
-    /// record).
-    #[cfg(any(test, feature = "scavenger"))]
-    pub(crate) fn audit_exit_records(&self) {
-        let parented = |child: &Pid| self.tasks.values().any(|t| t.children.contains(child));
-        for child in self.zombies.keys().chain(self.stops.keys()) {
-            debug_assert!(
-                parented(child),
-                "shard {}: pid {child}'s record outlived its parent",
-                self.shard_id
-            );
-            debug_assert!(
-                !(self.zombies.contains_key(child) && self.stops.contains_key(child)),
-                "shard {}: pid {child} is recorded both exited and stopped",
-                self.shard_id
-            );
-        }
+    /// The unreaped exits this shard's tasks hold, as `(child, status)`.
+    pub(crate) fn exit_records(&self) -> impl Iterator<Item = (Pid, i32)> + '_ {
+        self.tasks
+            .values()
+            .flat_map(|task| &task.children)
+            .filter_map(|&(child, report)| match report {
+                Some(ChildReport::Exited(status)) => Some((child, status)),
+                _ => None,
+            })
     }
 
     /// Checks that every task in this shard's table is in the router's
@@ -234,7 +225,10 @@ impl KernelState {
     pub(crate) fn sys_setpgid(&mut self, caller: Pid, target: Pid, pgid: Pid) -> Result<SysResult, Errno> {
         let target = if target == 0 { caller } else { target };
         let group = if pgid == 0 { target } else { pgid };
-        let allowed = target == caller || self.task(caller).is_ok_and(|task| task.children.contains(&target));
+        let allowed = target == caller
+            || self
+                .task(caller)
+                .is_ok_and(|task| task.children.iter().any(|&(c, _)| c == target));
         if !allowed {
             return Err(Errno::EPERM);
         }

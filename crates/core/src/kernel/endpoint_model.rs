@@ -826,8 +826,6 @@ impl Fleet {
                 "shard {id}: poll subscriptions left"
             );
             assert!(shard.poll_subscribers.is_empty(), "shard {id}: poll subscribers left");
-            assert!(shard.zombies.is_empty(), "shard {id}: exit records left");
-            assert!(shard.stops.is_empty(), "shard {id}: stop records left");
         }
         for conn in &self.conns {
             assert!(conn.http.is_none(), "an HTTP exchange never finished");
@@ -840,7 +838,6 @@ fn audit(kernel: &KernelState) {
     kernel.audit_endpoints();
     kernel.audit_listeners();
     kernel.audit_poll_subscriptions();
-    kernel.audit_exit_records();
     kernel.audit_process_registry();
 }
 
@@ -903,11 +900,11 @@ fn scripted_corner_cases() {
     }
 }
 
-/// An exit record lives on the parent's shard from the child's exit until
+/// An exit record lives in the parent's task from the child's exit until
 /// the parent reaps it or dies.  A child beside its parent (always at 1
-/// shard, for one of the children at 2) has its `ChildExited` handled in
+/// shard, for one of the children at 2) has its `ChildChanged` handled in
 /// place, one on another shard sends it to the parent's; the two read the
-/// same.  A `ChildExited` that arrives after its parent died is dropped,
+/// same.  A `ChildChanged` that arrives after its parent died is dropped,
 /// leaving nothing behind.
 #[test]
 fn exit_records_live_with_the_parent_at_every_shard_count() {
@@ -942,10 +939,9 @@ fn exit_records_live_with_the_parent_at_every_shard_count() {
                 fleet.shards.iter().all(|s| !s.tasks.contains_key(&child)),
                 "{nshards}: {child}"
             );
-            assert_eq!(
-                fleet.shards[parent].zombies.get(&child),
-                Some(&encode_wait_status(Some(3), None))
-            );
+            assert!(fleet.shards[parent].tasks[&root]
+                .children
+                .contains(&(child, Some(ChildReport::Exited(encode_wait_status(Some(3), None))))));
         }
         assert_eq!(tasks(&mut fleet), 4, "{nshards} shard(s): root, `late` and two records");
 
@@ -962,7 +958,7 @@ fn exit_records_live_with_the_parent_at_every_shard_count() {
         assert_eq!(tasks(&mut fleet), 3, "{nshards} shard(s): reaping took one record");
 
         // `late` exits, and its root is killed before the exit is delivered
-        // when `late` lives on another shard (the `ChildExited` is still
+        // when `late` lives on another shard (the `ChildChanged` is still
         // queued).
         fleet.issue(late, |k, _| k.sys_exit(late, 0));
         fleet.kill(0);

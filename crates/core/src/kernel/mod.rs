@@ -36,7 +36,7 @@ use crate::socket::{SocketTable, StreamPair};
 use crate::stats::{KernelStats, SyscallTally};
 use crate::streams::{Stream, StreamId, StreamTable};
 use crate::syscall::{encode_wait_status, Completion, CompletionBatch, SysResult, Syscall, SyscallBatch};
-use crate::task::{InflightBatch, Pid, Task, TaskSpec, TaskState};
+use crate::task::{ChildReport, InflightBatch, Pid, Task, TaskSpec, TaskState};
 use crate::wire::Reader;
 
 use poll::{PollSubscribers, PollSubscription};
@@ -148,12 +148,6 @@ pub(crate) struct KernelState {
     next_remote_token: u64,
     /// Syscalls executing on a foreign shard, keyed by token.
     remote_ops: HashMap<u64, PendingRemote>,
-    /// Wait statuses of exited, unreaped children of this shard's tasks,
-    /// wherever the child lived: `wait4` reaps by taking the record.
-    zombies: HashMap<Pid, i32>,
-    /// Stop signals of stopped children of this shard's tasks that no
-    /// `WUNTRACED` wait has reported yet: reporting takes the record.
-    stops: HashMap<Pid, Signal>,
     /// `(readers, writers)` references this shard holds on streams owned by
     /// other shards; each change is reported to the owner, per stream.
     foreign_endpoints: HashMap<StreamId, (u32, u32)>,
@@ -171,9 +165,6 @@ pub(crate) struct KernelState {
     /// Descriptions of in-flight cross-shard spawns: references kept (and
     /// released like any other) until the owning shard acks the task exists.
     pinned_files: HashMap<u64, Vec<Arc<OpenFile>>>,
-
-    /// Host channels told a live process's wait status when it exits.
-    exit_watchers: HashMap<Pid, Vec<Sender<i32>>>,
 
     /// Tasks whose completion queue received entries while the current event
     /// was being handled and that have not been notified since: each is
@@ -217,15 +208,12 @@ impl KernelState {
             poll_deadlines: Vec::new(),
             next_remote_token: 1,
             remote_ops: HashMap::new(),
-            zombies: HashMap::new(),
-            stops: HashMap::new(),
             foreign_endpoints: HashMap::new(),
             remote_contribs: HashMap::new(),
             poll_subscriptions: HashMap::new(),
             poll_subscribers: HashMap::new(),
             remote_client_pins: HashSet::new(),
             pinned_files: HashMap::new(),
-            exit_watchers: HashMap::new(),
             cq_unnotified: Vec::new(),
             workers: WorkerPool::new(),
             stats: KernelStats::default(),
@@ -278,9 +266,8 @@ impl KernelState {
         // complete none), that the endpoint counts equal a from-scratch
         // recount, that every listener lives exactly as long as its
         // description, that every `poll` subscription is counted and every
-        // subscribed stream's last push is its state, that every exit and
-        // stop record belongs to a live task's child, that every task here is
-        // registered here, and that no ring holds a completion published
+        // subscribed stream's last push is its state, that every task here
+        // is registered here, and that no ring holds a completion published
         // since it was last notified.
         #[cfg(feature = "scavenger")]
         {
@@ -288,7 +275,6 @@ impl KernelState {
             self.audit_endpoints();
             self.audit_listeners();
             self.audit_poll_subscriptions();
-            self.audit_exit_records();
             self.audit_process_registry();
             assert!(
                 self.cq_unnotified.is_empty(),
@@ -635,14 +621,16 @@ impl KernelState {
                 let _ = reply.send(result);
             }
             HostRequest::WatchExit { pid, reply } => {
-                if self.tasks.contains_key(&pid) {
-                    self.exit_watchers.entry(pid).or_default().push(reply);
+                if let Some(task) = self.tasks.get_mut(&pid) {
+                    task.watchers.push(reply);
                 } else {
                     // An exited child's record, if its parent is here; else
                     // (unknown, reaped, or its record elsewhere) a generic
                     // failure status, so callers do not hang.
-                    let unknown = encode_wait_status(Some(127), None);
-                    let _ = reply.send(self.zombies.get(&pid).copied().unwrap_or(unknown));
+                    let status = self
+                        .exit_records()
+                        .find_map(|(child, status)| (child == pid).then_some(status));
+                    let _ = reply.send(status.unwrap_or(encode_wait_status(Some(127), None)));
                 }
             }
             HostRequest::HttpRequest { port, request, reply } => {
@@ -663,7 +651,7 @@ impl KernelState {
             }
             HostRequest::ReadResources { reply } => {
                 let _ = reply.send(crate::hostapi::ResourceCounts {
-                    tasks: self.tasks.len() + self.zombies.len(),
+                    tasks: self.tasks.len() + self.exit_records().count(),
                     streams: self.streams.len(),
                     waiters: self.waiters.len(),
                 });
@@ -752,7 +740,7 @@ impl KernelState {
             );
         }
         if let Some(parent) = self.tasks.get_mut(&ppid) {
-            parent.children.push(pid);
+            parent.children.push((pid, None));
         }
         Ok(pid)
     }
@@ -762,9 +750,8 @@ impl KernelState {
     /// message.  The descriptor table's references are already counted
     /// (shared with the parent, or adopted from another shard); the caller
     /// pushes the child onto its parent's `children` (the parent may live on
-    /// another shard).  The spec's exit watcher starts watching here.
+    /// another shard).
     fn install_task(&mut self, pid: Pid, mut spec: TaskSpec) {
-        let exit = spec.exit.take();
         let fork_image = spec.fork_image.take();
         let mut task = Task::new(pid, spec);
 
@@ -807,7 +794,6 @@ impl KernelState {
             }),
         ));
         self.tasks.insert(pid, Box::new(task));
-        self.exit_watchers.extend(exit.map(|exit| (pid, vec![exit])));
         self.stats.processes_spawned += 1;
         self.post_to_worker(pid, init, Vec::new());
     }
@@ -815,9 +801,9 @@ impl KernelState {
     /// Ends a process.  Its task leaves the table first, so nothing that
     /// runs during the teardown (a signal, a wake, a peer's message) can find
     /// it.  The teardown works on the removed value: worker, address space,
-    /// parked calls, children and descriptors.  The wait status becomes a
-    /// record on the parent's shard ([`KernelState::tell_parent`]) and, last,
-    /// goes to host watchers.
+    /// parked calls and descriptors; its children's records go with it.  The
+    /// wait status becomes the parent's record of this child
+    /// ([`KernelState::tell_parent`]) and, last, goes to host watchers.
     pub(crate) fn finish_task(&mut self, pid: Pid, status: i32) {
         let Some(mut task) = self.tasks.remove(&pid) else {
             return;
@@ -837,13 +823,6 @@ impl KernelState {
         // receive their completions: drop them before any wakeups run.
         self.drop_waiters_of(pid);
 
-        // The records of children that exited or stopped die with this
-        // parent; there is no init process to reap them.
-        for &child in &task.children {
-            self.zombies.remove(&child);
-            self.stops.remove(&child);
-        }
-
         // Let go of the descriptor table: each description this process held
         // the last reference to closes its stream endpoints and wakes exactly
         // the EOF/EPIPE waiters that affects.  The parent's exit record comes
@@ -853,38 +832,35 @@ impl KernelState {
         // readers they wake run before its `wait4` (fewer parks for a shell
         // waiting on its pipeline's stages in turn).
         let ppid = task.ppid;
-        let exited = ShardMsg::ChildExited { pid, ppid, status };
-        let exited = if shard::shard_of(ppid, self.nshards) == self.shard_id {
-            Some(exited)
-        } else {
-            self.tell_parent(ppid, exited);
-            None
-        };
+        let exited = Some(ChildReport::Exited(status));
+        let local_parent = shard::shard_of(ppid, self.nshards) == self.shard_id;
+        if !local_parent {
+            self.tell_parent(pid, ppid, exited);
+        }
         for file in task.files.clear() {
             self.release_file(file);
         }
-        if let Some(exited) = exited {
-            self.tell_parent(ppid, exited);
+        if local_parent {
+            self.tell_parent(pid, ppid, exited);
         }
 
         // Wake host watchers last: a host that sees the exit finds every
         // listener the process held the last reference to already closed.
-        if let Some(watchers) = self.exit_watchers.remove(&pid) {
-            for watcher in watchers {
-                let _ = watcher.send(status);
-            }
+        for watcher in task.watchers {
+            let _ = watcher.send(status);
         }
     }
 
-    /// Tells a task's parent that it exited, stopped or continued: `msg` is
-    /// one of [`ShardMsg::ChildExited`], [`ShardMsg::ChildStopped`] and
-    /// [`ShardMsg::ChildContinued`], handled here when the parent lives on
-    /// this shard and sent to its shard otherwise — one path at every shard
-    /// count.  Host-started processes (`ppid` 0) have nobody to tell.
-    fn tell_parent(&mut self, ppid: Pid, msg: ShardMsg) {
+    /// Tells task `pid`'s parent that it exited or stopped (`report`), or
+    /// continued (`None`): a [`ShardMsg::ChildChanged`], handled here when
+    /// the parent lives on this shard and sent to its shard otherwise — one
+    /// path at every shard count.  Host-started processes (`ppid` 0) have
+    /// nobody to tell.
+    fn tell_parent(&mut self, pid: Pid, ppid: Pid, report: Option<ChildReport>) {
         if ppid == 0 {
             return;
         }
+        let msg = ShardMsg::ChildChanged { pid, ppid, report };
         let shard = shard::shard_of(ppid, self.nshards);
         if shard == self.shard_id {
             self.handle_shard_msg(msg);
@@ -1067,12 +1043,7 @@ impl KernelState {
         }
         task.state = TaskState::Stopped { signal };
         let ppid = task.ppid;
-        let msg = ShardMsg::ChildStopped {
-            pid: target,
-            ppid,
-            signal,
-        };
-        self.tell_parent(ppid, msg);
+        self.tell_parent(target, ppid, Some(ChildReport::Stopped(signal)));
     }
 
     /// Resumes a stopped task (SIGCONT): replays the system-call frames
@@ -1089,7 +1060,7 @@ impl KernelState {
         let ppid = task.ppid;
         let stashed = std::mem::take(&mut task.stashed_frames);
         // The parent's not-yet-reported stop record is withdrawn.
-        self.tell_parent(ppid, ShardMsg::ChildContinued { pid: target, ppid });
+        self.tell_parent(target, ppid, None);
         for (seq, payload, transfers) in stashed {
             self.handle_syscall(target, seq, payload, transfers);
         }

@@ -51,7 +51,7 @@
 //! |---|---|---|---|---|
 //! | `SpawnTask` | `spawn_process`, when placement picks another shard: the new process's `TaskSpec`, moved whole, its launcher resolved and its descriptors exported | `SpawnAck` | sender: `pinned_files[token]`; receiver: task table, endpoint counts of the adopted descriptions | — (the ack always comes) |
 //! | `SpawnAck` | the shard that installed the task | — | sender's pins released like any descriptor | — |
-//! | `ChildExited` / `ChildStopped` / `ChildContinued` | the child's shard, on the state change (handled in place when the parent lives there too) | — | the parent's shard: `zombies` / `stops`, its `ChildOf` queue | the parent exiting (records dropped) |
+//! | `ChildChanged` | the child's shard, when it exits, stops or continues (handled in place when the parent lives there too) | — | the parent's task: the child's entry in `children`, its `ChildOf` queue | the parent exiting (its `children` go with it) |
 //! | `SignalPid` | `kill` of a foreign pid, and group signals with members elsewhere | `RemoteOpDone` (the delivery's result) when sent by `kill` | sender: `remote_ops[token]` for a `kill`; receiver: the target task | never (the signal is sent either way) |
 //! | `RemoteOp` | `sys_read` / `sys_write` on a descriptor whose stream another shard owns | `RemoteOpDone`, exactly once | sender: `remote_ops[token]`; owner: the stream, and a waiter whose reply address is `ReplyTo::Shard` if it parks | `CancelOp` |
 //! | `RemoteOpDone` | the owner, through `KernelState::complete` | — | sender's `remote_ops[token]` removed; a missing token drops the reply | — |
@@ -118,7 +118,7 @@ use crate::signals::Signal;
 use crate::socket::StreamPair;
 use crate::streams::{Stream, StreamId, StreamState};
 use crate::syscall::SysResult;
-use crate::task::{Pid, TaskSpec};
+use crate::task::{ChildReport, Pid, TaskSpec};
 use crate::vm::ShmObject;
 
 /// Maximum shard count (the id encodings below reserve 6 bits).
@@ -241,33 +241,18 @@ pub enum ShardMsg {
         /// Token from the corresponding [`ShardMsg::SpawnTask`].
         token: u64,
     },
-    /// A child exited and its parent lives on the receiving shard: the wait
-    /// status becomes the record the parent's `wait4` reaps (the child's
-    /// task has already left its shard's table).
-    ChildExited {
-        /// The exited child.
+    /// A child whose parent lives on the receiving shard exited or stopped,
+    /// or continued: the parent's entry for it is rewritten.  An exit
+    /// replaces a stop (the child's task has already left its shard's
+    /// table) and is reaped by `wait4`; a stop waits for one `WUNTRACED`
+    /// report; a continue withdraws a stop not yet reported.
+    ChildChanged {
+        /// The child.
         pid: Pid,
-        /// The remote parent.
+        /// Its parent.
         ppid: Pid,
-        /// Encoded wait status.
-        status: i32,
-    },
-    /// A child stopped (job control); the parent's shard records the stop
-    /// for one `WUNTRACED` report.
-    ChildStopped {
-        /// The stopped child.
-        pid: Pid,
-        /// The remote parent.
-        ppid: Pid,
-        /// The stop signal.
-        signal: Signal,
-    },
-    /// A stopped child resumed; the parent's stop record is withdrawn.
-    ChildContinued {
-        /// The resumed child.
-        pid: Pid,
-        /// The remote parent.
-        ppid: Pid,
+        /// What the parent's `wait4` has to report now (`None`: continued).
+        report: Option<ChildReport>,
     },
     /// Deliver a signal to a task owned by the receiving shard.
     SignalPid {
@@ -385,13 +370,9 @@ impl fmt::Debug for ShardMsg {
                 )
             }
             ShardMsg::SpawnAck { token } => write!(f, "SpawnAck({token})"),
-            ShardMsg::ChildExited { pid, ppid, status } => {
-                write!(f, "ChildExited(pid={pid}, ppid={ppid}, status={status})")
+            ShardMsg::ChildChanged { pid, ppid, report } => {
+                write!(f, "ChildChanged(pid={pid}, ppid={ppid}, {report:?})")
             }
-            ShardMsg::ChildStopped { pid, ppid, signal } => {
-                write!(f, "ChildStopped(pid={pid}, ppid={ppid}, {signal:?})")
-            }
-            ShardMsg::ChildContinued { pid, ppid } => write!(f, "ChildContinued(pid={pid}, ppid={ppid})"),
             ShardMsg::SignalPid { pid, signal, .. } => write!(f, "SignalPid(pid={pid}, {signal:?})"),
             ShardMsg::RemoteOp {
                 token, pid, stream, io, ..
@@ -597,25 +578,21 @@ impl KernelState {
                     self.release_file(file);
                 }
             }
-            // A parent that is gone already took its children's records
-            // with it, and nobody is left to reap or be told.
-            ShardMsg::ChildExited { pid, ppid, status } => {
-                if self.tasks.contains_key(&ppid) {
-                    self.stops.remove(&pid);
-                    self.zombies.insert(pid, status);
+            // A parent that is gone took its children's entries with it,
+            // and nobody is left to reap or be told.
+            ShardMsg::ChildChanged { pid, ppid, report } => {
+                let parent = self.tasks.get_mut(&ppid);
+                let Some((_, entry)) = parent.and_then(|p| p.children.iter_mut().find(|(child, _)| *child == pid))
+                else {
+                    return;
+                };
+                if report.is_some() {
+                    *entry = report;
                     let _ = self.send_signal(ppid, Signal::SIGCHLD);
                     self.wake(WaitChannel::ChildOf(ppid));
+                } else if matches!(entry, Some(ChildReport::Stopped(_))) {
+                    *entry = None;
                 }
-            }
-            ShardMsg::ChildStopped { pid, ppid, signal } => {
-                if self.tasks.contains_key(&ppid) {
-                    self.stops.insert(pid, signal);
-                    let _ = self.send_signal(ppid, Signal::SIGCHLD);
-                    self.wake(WaitChannel::ChildOf(ppid));
-                }
-            }
-            ShardMsg::ChildContinued { pid, .. } => {
-                self.stops.remove(&pid);
             }
             ShardMsg::SignalPid { pid, signal, reply } => {
                 // The delivery has run to its end here — a stop or an exit

@@ -150,13 +150,6 @@ impl WaiterList {
         }
     }
 
-    fn len(&self) -> usize {
-        match self {
-            WaiterList::One(_) => 1,
-            WaiterList::Many(v) => v.len(),
-        }
-    }
-
     /// Removes `id` if present; returns whether the list is now empty (and
     /// its channel entry should be dropped).
     fn remove_id(&mut self, id: WaiterId) -> bool {
@@ -238,11 +231,6 @@ impl<T> WaitTable<T> {
     /// Whether no waiter is parked.
     pub fn is_empty(&self) -> bool {
         self.waiters.is_empty()
-    }
-
-    /// Number of waiters parked on `channel`.
-    pub fn waiting_on(&self, channel: WaitChannel) -> usize {
-        self.channels.get(&channel).map(WaiterList::len).unwrap_or(0)
     }
 
     /// Parks `payload` on every channel in `channels` (possibly none, for
@@ -859,7 +847,6 @@ mod tests {
             table.park(vec![WaitChannel::StreamReadable(stream)], "other");
         }
         assert_eq!(table.len(), 259);
-        assert_eq!(table.waiting_on(WaitChannel::StreamReadable(1)), 1);
 
         let woken = table.take_channel(WaitChannel::StreamReadable(1));
         assert_eq!(woken, vec!["read-1"]);

@@ -465,11 +465,6 @@ impl Ring {
 
     // --- completion queue -------------------------------------------------
 
-    /// Free CQ slots from the producer's (kernel's) point of view.
-    pub fn cq_space(&self) -> u32 {
-        RING_SLOTS - self.queued(self.geo.cq()).1
-    }
-
     /// The CQ tail index, which the process also uses as the `Atomics.wait`
     /// expected value while blocking for completions.
     pub fn cq_tail(&self) -> u32 {
@@ -831,7 +826,7 @@ mod tests {
         assert_eq!(ring.sq_space(), RING_SLOTS);
         // Same on the completion side, where the head is the guest's word.
         ring.sab().store_i32(RING_BYTES as usize, 1_000).unwrap();
-        assert_eq!(ring.cq_space(), RING_SLOTS);
+        assert_eq!(ring.queued(ring.geo.cq()).1, 0);
         assert_eq!(ring.pop_cqe(), None);
     }
 

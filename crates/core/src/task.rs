@@ -8,7 +8,9 @@
 //! (the registered shared heap and the ring mapped into it) and `fork` (the
 //! launcher used to start it).  A task lives exactly as long as its process:
 //! at exit it leaves the task table, and what `wait4` still needs — the
-//! wait status — is a record its parent's shard holds.  Its process group,
+//! wait status, or a stop not yet reported — is its entry in its parent's
+//! [`Task::children`], so it leaves with the parent's task, as the host's
+//! exit watchers ([`Task::watchers`]) leave with its own.  Its process group,
 //! and whether the parent it names still lives, are not kept here: the
 //! router's process registry is their one record, read alike from every
 //! shard.
@@ -41,6 +43,15 @@ pub enum TaskState {
         /// The stop signal that suspended it.
         signal: Signal,
     },
+}
+
+/// What a child did that its parent's `wait4` has not reported yet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChildReport {
+    /// Stopped by this job-control signal (reported once, under `WUNTRACED`).
+    Stopped(Signal),
+    /// Exited with this encoded wait status (reported once, by reaping).
+    Exited(i32),
 }
 
 /// Bookkeeping for the submission batch the task currently has in flight.
@@ -131,8 +142,10 @@ pub struct Task {
     pub pending_cqes: std::collections::VecDeque<(u32, SysResult)>,
     /// The submission batch currently awaiting delivery of its completions.
     pub inflight: Option<InflightBatch>,
-    /// Child process ids: live, or exited and not yet reaped.
-    pub children: Vec<Pid>,
+    /// Children in spawn order, live or exited and not yet reaped, each with
+    /// what `wait4` has still to report of it.  A child may live on another
+    /// shard: its exit and stops reach this entry by message.
+    pub children: Vec<(Pid, Option<ChildReport>)>,
     /// Argument vector the task was started with.
     pub args: Vec<String>,
     /// Environment the task was started with.
@@ -145,6 +158,8 @@ pub struct Task {
     /// System calls dispatched for this task, over every transport
     /// (reported by `getrusage` as the `syscalls` counter).
     pub syscall_count: u64,
+    /// Host channels told the wait status when the process exits.
+    pub watchers: Vec<Sender<i32>>,
 }
 
 impl std::fmt::Debug for Task {
@@ -163,8 +178,8 @@ impl std::fmt::Debug for Task {
 
 impl Task {
     /// Creates a running task from its spec, whose launcher is resolved.
-    /// The spec's exit watcher and fork image are not part of the task: the
-    /// kernel takes them out first.
+    /// The spec's fork image is not part of the task: the kernel takes it
+    /// out first.
     pub fn new(pid: Pid, spec: TaskSpec) -> Task {
         Task {
             pid,
@@ -186,6 +201,7 @@ impl Task {
             launcher: spec.launcher.expect("a task is installed with its launcher resolved"),
             address_space: spec.address_space,
             syscall_count: 0,
+            watchers: spec.exit.into_iter().collect(),
         }
     }
 

@@ -143,14 +143,6 @@ impl Region {
         matches!(self.kind, RegionKind::Shared { .. })
     }
 
-    /// The shared buffer carrying a `MAP_SHARED` region's bytes.
-    pub fn shared_buffer(&self) -> Option<&SharedArrayBuffer> {
-        match &self.kind {
-            RegionKind::Shared { sab, .. } => Some(sab),
-            RegionKind::Private => None,
-        }
-    }
-
     /// Number of materialised (RAM) pages.
     pub fn resident_pages(&self) -> usize {
         self.pages.iter().filter(|s| matches!(s, PageSlot::Ram(_))).count()
@@ -167,15 +159,6 @@ pub struct VmDelta {
     pub pages_shared: u64,
     /// Pages physically copied (each COW fault copies one page).
     pub pages_copied: u64,
-}
-
-impl VmDelta {
-    /// Sums another delta into this one.
-    pub fn absorb(&mut self, other: VmDelta) {
-        self.cow_faults += other.cow_faults;
-        self.pages_shared += other.pages_shared;
-        self.pages_copied += other.pages_copied;
-    }
 }
 
 /// A task's virtual address space: regions ordered by base address, plus a
@@ -218,11 +201,6 @@ impl AddressSpace {
     /// Total materialised (RAM) pages across all private regions.
     pub fn resident_page_count(&self) -> usize {
         self.regions.values().map(Region::resident_pages).sum()
-    }
-
-    /// The region starting exactly at `base`, if any.
-    pub fn region_at(&self, base: u64) -> Option<&Region> {
-        self.regions.get(&base)
     }
 
     /// The region containing `[addr, addr + len)`, or `EFAULT`.  Accesses
@@ -644,7 +622,7 @@ mod tests {
     fn lengths_round_up_to_pages_and_gaps_fault() {
         let mut space = AddressSpace::new();
         let base = space.map_anonymous(0, 100, PROT_READ | PROT_WRITE).unwrap();
-        let region = space.region_at(base).unwrap();
+        let region = space.region_containing(base, 1).unwrap();
         assert_eq!(region.len, PAGE_SIZE as u64);
         // In-page past-the-request reads succeed (mmap rounds to pages)...
         assert!(space.read(base + 200, 8).is_ok());

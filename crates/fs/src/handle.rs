@@ -11,7 +11,7 @@
 //! path lookup    (sys_open)     ──► dentry cache      (mount.rs)
 //!                                   mount table       (mount.rs)
 //!                                   backend inode     (memfs / overlay /
-//!                                                      httpfs / bundle)
+//!                                                      httpfs)
 //! ```
 //!
 //! A [`FileHandle`] is the VFS analogue of a Unix *open file description*
@@ -148,8 +148,7 @@ pub fn read_full(handle: &dyn FileHandle) -> FsResult<Vec<u8>> {
     Err(Errno::EIO)
 }
 
-/// Rejects a write-mode open on a read-only backend; shared helper for the
-/// read-only backends (`bundle`, `httpfs`).
+/// Rejects a write-mode open on a read-only backend (`httpfs`).
 ///
 /// # Errors
 ///
@@ -161,72 +160,10 @@ pub(crate) fn deny_write_open(flags: crate::types::OpenFlags) -> FsResult<()> {
     Ok(())
 }
 
-/// A handle over an immutable byte buffer, used by [`BundleFs`](crate::BundleFs)
-/// (and tests): the node is the `Arc`'d data itself.
-pub(crate) struct StaticHandle {
-    pub(crate) backend: &'static str,
-    pub(crate) data: Arc<Vec<u8>>,
-    pub(crate) mode: u32,
-    pub(crate) timestamp_ms: u64,
-}
-
-impl FileHandle for StaticHandle {
-    fn backend_name(&self) -> &'static str {
-        self.backend
-    }
-
-    fn metadata(&self) -> FsResult<Metadata> {
-        Ok(Metadata {
-            file_type: crate::types::FileType::Regular,
-            size: self.data.len() as u64,
-            mode: self.mode,
-            mtime_ms: self.timestamp_ms,
-            atime_ms: self.timestamp_ms,
-        })
-    }
-
-    fn read_at(&self, offset: u64, len: usize) -> FsResult<Vec<u8>> {
-        let start = (offset as usize).min(self.data.len());
-        let end = start.saturating_add(len).min(self.data.len());
-        Ok(self.data[start..end].to_vec())
-    }
-
-    fn write_at(&self, _offset: u64, _data: &[u8]) -> FsResult<usize> {
-        Err(Errno::EROFS)
-    }
-
-    fn truncate(&self, _size: u64) -> FsResult<()> {
-        Err(Errno::EROFS)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::types::OpenFlags;
-
-    fn static_handle(data: &[u8]) -> StaticHandle {
-        StaticHandle {
-            backend: "static",
-            data: Arc::new(data.to_vec()),
-            mode: 0o444,
-            timestamp_ms: 7,
-        }
-    }
-
-    #[test]
-    fn static_handle_reads_and_rejects_writes() {
-        let h = static_handle(b"hello world");
-        assert_eq!(h.read_at(0, 5).unwrap(), b"hello");
-        assert_eq!(h.read_at(6, 100).unwrap(), b"world");
-        assert!(h.read_at(100, 4).unwrap().is_empty());
-        assert_eq!(h.metadata().unwrap().size, 11);
-        assert_eq!(h.write_at(0, b"x"), Err(Errno::EROFS));
-        assert_eq!(h.truncate(0), Err(Errno::EROFS));
-        assert_eq!(h.append(b"x"), Err(Errno::EROFS));
-        assert_eq!(h.fsync(), Ok(()));
-        assert_eq!(h.backend_name(), "static");
-    }
 
     #[test]
     fn deny_write_open_checks_all_write_flags() {

@@ -14,8 +14,6 @@
 //! * [`httpfs`] — a read-only file system backed by a simulated remote HTTP
 //!   server; files are fetched lazily on first access and cached, exactly like
 //!   the TeX Live mount in the paper's LaTeX editor.
-//! * [`bundle`] — a read-only file system built ahead of time from a static
-//!   bundle (the analogue of BrowserFS's zip backend).
 //! * [`overlay`] — a writable overlay on top of a read-only underlay with
 //!   copy-up, whiteouts and the lazy-vs-eager initialisation choice the paper
 //!   calls out as a key optimisation.
@@ -37,7 +35,6 @@
 //! ```
 
 pub mod backend;
-pub mod bundle;
 pub mod errno;
 pub mod handle;
 pub mod httpfs;
@@ -48,7 +45,6 @@ pub mod path;
 pub mod types;
 
 pub use backend::{FileSystem, FsResult, IoStats};
-pub use bundle::{Bundle, BundleFs};
 pub use errno::Errno;
 pub use handle::{read_full, FileHandle};
 pub use httpfs::{HttpFs, HttpFsStats};

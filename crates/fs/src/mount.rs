@@ -166,12 +166,6 @@ impl MountedFs {
         }
     }
 
-    /// The list of active mount points (excluding the root), most specific
-    /// first.
-    pub fn mount_points(&self) -> Vec<String> {
-        self.mounts.read().iter().map(|m| m.point.clone()).collect()
-    }
-
     /// Dentry-cache hit and miss counts since creation.
     pub fn dentry_cache_counters(&self) -> (u64, u64) {
         self.dcache.counters()
@@ -360,14 +354,13 @@ impl FileSystem for MountedFs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bundle::{Bundle, BundleFs};
     use crate::memfs::MemFs;
 
-    fn texmf_bundle() -> Arc<dyn FileSystem> {
-        let mut bundle = Bundle::new();
-        bundle.insert_text("/article.cls", "class");
-        bundle.insert_text("/fonts/cmr10.tfm", "font");
-        Arc::new(BundleFs::new(bundle))
+    fn texmf() -> Arc<dyn FileSystem> {
+        Arc::new(crate::httpfs::static_httpfs(&[
+            ("/article.cls", "class"),
+            ("/fonts/cmr10.tfm", "font"),
+        ]))
     }
 
     #[test]
@@ -383,7 +376,7 @@ mod tests {
     fn mounted_backend_receives_inner_paths() {
         let fs = MountedFs::new(Arc::new(MemFs::new()));
         fs.mkdir("/usr").unwrap();
-        fs.mount("/usr/texmf", texmf_bundle()).unwrap();
+        fs.mount("/usr/texmf", texmf()).unwrap();
         assert_eq!(fs.read_file("/usr/texmf/article.cls").unwrap(), b"class");
         assert_eq!(fs.read_file("/usr/texmf/fonts/cmr10.tfm").unwrap(), b"font");
         assert!(fs.stat("/usr/texmf").unwrap().is_dir());
@@ -394,12 +387,12 @@ mod tests {
     fn mount_points_show_in_parent_listings() {
         let fs = MountedFs::new(Arc::new(MemFs::new()));
         fs.mkdir("/usr").unwrap();
-        fs.mount("/usr/texmf", texmf_bundle()).unwrap();
+        fs.mount("/usr/texmf", texmf()).unwrap();
         let names: Vec<String> = fs.read_dir("/usr").unwrap().into_iter().map(|e| e.name).collect();
         assert_eq!(names, vec!["texmf"]);
         // Even when the parent directory does not exist in the root backend.
         let fs2 = MountedFs::new(Arc::new(MemFs::new()));
-        fs2.mount("/opt/pkg", texmf_bundle()).unwrap();
+        fs2.mount("/opt/pkg", texmf()).unwrap();
         let names: Vec<String> = fs2.read_dir("/opt").unwrap().into_iter().map(|e| e.name).collect();
         assert_eq!(names, vec!["pkg"]);
     }
@@ -415,7 +408,6 @@ mod tests {
         fs.mount("/mnt/inner", inner).unwrap();
         assert_eq!(fs.read_file("/mnt/marker").unwrap(), b"outer");
         assert_eq!(fs.read_file("/mnt/inner/marker").unwrap(), b"inner");
-        assert_eq!(fs.mount_points(), vec!["/mnt/inner".to_string(), "/mnt".to_string()]);
     }
 
     #[test]
@@ -430,7 +422,7 @@ mod tests {
     #[test]
     fn unmount_removes_routing() {
         let fs = MountedFs::new(Arc::new(MemFs::new()));
-        fs.mount("/data", texmf_bundle()).unwrap();
+        fs.mount("/data", texmf()).unwrap();
         assert!(fs.exists("/data/article.cls"));
         fs.unmount("/data").unwrap();
         assert!(!fs.exists("/data/article.cls"));
@@ -460,7 +452,7 @@ mod tests {
     #[test]
     fn writes_to_read_only_mounts_fail() {
         let fs = MountedFs::new(Arc::new(MemFs::new()));
-        fs.mount("/ro", texmf_bundle()).unwrap();
+        fs.mount("/ro", texmf()).unwrap();
         assert_eq!(fs.write_file("/ro/new", b"x"), Err(Errno::EROFS));
     }
 
@@ -507,7 +499,7 @@ mod tests {
         fs.mkdir("/data").unwrap();
         fs.stat("/data").unwrap();
         // Mounting over /data must re-route cached descendants.
-        fs.mount("/data", texmf_bundle()).unwrap();
+        fs.mount("/data", texmf()).unwrap();
         assert_eq!(fs.read_file("/data/article.cls").unwrap(), b"class");
         fs.unmount("/data").unwrap();
         assert_eq!(fs.stat("/data/article.cls"), Err(Errno::ENOENT));
@@ -518,13 +510,9 @@ mod tests {
     #[test]
     fn open_handle_resolves_the_mount_once() {
         let fs = MountedFs::new(Arc::new(MemFs::new()));
-        fs.mount("/ro", texmf_bundle()).unwrap();
+        fs.mount("/ro", texmf()).unwrap();
         let h = fs.open_handle("/ro/article.cls", OpenFlags::read_only()).unwrap();
-        assert_eq!(
-            h.backend_name(),
-            "bundlefs",
-            "handle must come from the mounted backend"
-        );
+        assert_eq!(h.backend_name(), "httpfs", "handle must come from the mounted backend");
         assert_eq!(h.read_at(0, 5).unwrap(), b"class");
 
         fs.write_file("/local", b"root").unwrap();
@@ -537,7 +525,7 @@ mod tests {
     #[test]
     fn handle_io_is_unaffected_by_unmount_of_other_trees() {
         let fs = MountedFs::new(Arc::new(MemFs::new()));
-        fs.mount("/ro", texmf_bundle()).unwrap();
+        fs.mount("/ro", texmf()).unwrap();
         fs.write_file("/f", b"stable").unwrap();
         let h = fs.open_handle("/f", OpenFlags::read_only()).unwrap();
         fs.unmount("/ro").unwrap();

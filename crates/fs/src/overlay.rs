@@ -554,15 +554,13 @@ impl Drop for OverlayHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bundle::{Bundle, BundleFs};
 
     fn lower() -> Arc<dyn FileSystem> {
-        let mut bundle = Bundle::new();
-        bundle
-            .insert_text("/etc/passwd", "root:x:0:0")
-            .insert_text("/usr/share/doc/readme", "read me")
-            .insert_text("/usr/share/doc/license", "MIT");
-        Arc::new(BundleFs::new(bundle))
+        Arc::new(crate::httpfs::static_httpfs(&[
+            ("/etc/passwd", "root:x:0:0"),
+            ("/usr/share/doc/readme", "read me"),
+            ("/usr/share/doc/license", "MIT"),
+        ]))
     }
 
     #[test]

@@ -82,11 +82,6 @@ impl Json {
         }
     }
 
-    /// The numeric payload as an integer.
-    pub fn as_i64(&self) -> Option<i64> {
-        self.as_f64().map(|n| n as i64)
-    }
-
     /// The boolean payload, if this is a boolean.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
@@ -442,7 +437,7 @@ mod tests {
         let parsed = Json::decode(&text).unwrap();
         assert_eq!(parsed, value);
         assert_eq!(parsed.get("meta").unwrap().get("score").unwrap().as_f64(), Some(9.5));
-        assert_eq!(parsed.get("width").unwrap().as_i64(), Some(640));
+        assert_eq!(parsed.get("width").unwrap().as_f64(), Some(640.0));
         assert_eq!(parsed.get("tags").unwrap().as_array().unwrap().len(), 2);
         assert_eq!(parsed.get("meta").unwrap().get("nsfw").unwrap().as_bool(), Some(false));
     }

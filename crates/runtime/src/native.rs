@@ -206,11 +206,6 @@ impl NativeEnv {
         }
     }
 
-    /// The exit code recorded by an explicit [`RuntimeEnv::exit`] call.
-    pub fn recorded_exit(&self) -> Option<i32> {
-        self.exit_code
-    }
-
     fn resolve(&self, path: &str) -> String {
         browsix_fs::path::resolve(&self.cwd, path)
     }
@@ -902,7 +897,7 @@ mod tests {
         assert_eq!(env.fork_image(), None);
         assert_eq!(env.kill(1, Signal::SIGTERM), Err(Errno::ESRCH));
         env.exit(3);
-        assert_eq!(env.recorded_exit(), Some(3));
+        assert_eq!(env.exit_code, Some(3));
     }
 
     #[test]

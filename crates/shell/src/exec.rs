@@ -63,11 +63,6 @@ impl Shell {
         self.positional = args.to_vec();
     }
 
-    /// Sets a shell variable.
-    pub fn set_var(&mut self, name: &str, value: &str) {
-        self.vars.insert(name.to_owned(), value.to_owned());
-    }
-
     /// Looks up a shell variable (not the environment).
     pub fn var(&self, name: &str) -> Option<&str> {
         self.vars.get(name).map(|s| s.as_str())
@@ -76,15 +71,6 @@ impl Shell {
     /// The job table (background and stopped pipelines).
     pub fn jobs(&self) -> &[Job] {
         &self.jobs
-    }
-
-    /// Pids of jobs started with `&` that have not been reaped yet.
-    pub fn background_jobs(&self) -> Vec<u32> {
-        self.jobs
-            .iter()
-            .filter(|job| !matches!(job.state, JobState::Done(_)))
-            .flat_map(|job| job.pids.iter().copied())
-            .collect()
     }
 
     /// Parses and runs `source`, returning the exit status of the last

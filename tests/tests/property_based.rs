@@ -487,12 +487,15 @@ proptest! {
         seed in proptest::collection::vec(any::<u8>(), 0..512),
         ops in proptest::collection::vec((any::<u8>(), any::<u16>(), any::<u8>(), any::<u8>()), 0..24),
     ) {
-        use browsix_fs::{Bundle, BundleFs, MountedFs, OverlayFs, OverlayMode};
+        use browsix_browser::{NetworkProfile, RemoteEndpoint, StaticFiles};
+        use browsix_fs::{HttpFs, MountedFs, OverlayFs, OverlayMode};
         use std::sync::Arc;
 
-        let mut bundle = Bundle::new();
-        bundle.insert("/data/file.bin", seed.clone());
-        let overlay = OverlayFs::new(Arc::new(BundleFs::new(bundle)), OverlayMode::Lazy);
+        let files = StaticFiles::new();
+        files.insert("/data/file.bin", seed.clone());
+        let endpoint = RemoteEndpoint::with_static_files(files, NetworkProfile::instant());
+        let lower = HttpFs::new(endpoint, vec![("/data/file.bin".to_string(), seed.len() as u64)]);
+        let overlay = OverlayFs::new(Arc::new(lower), OverlayMode::Lazy);
         let root = MountedFs::new(Arc::new(MemFs::new()));
         root.mount("/ov", Arc::new(overlay)).unwrap();
 

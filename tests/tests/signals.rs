@@ -225,8 +225,10 @@ fn wait4_reports_a_sigtstp_stopped_child_instead_of_hanging() {
     // Regression for the WUNTRACED satellite: a parent waiting with
     // WUNTRACED on a child stopped by SIGTSTP must get the stop status (and
     // must NOT hang forever); after SIGCONT + SIGKILL it reaps the real
-    // termination status.  The same at 1 and 4 shards, for a forked child
-    // (on its parent's shard) and a spawned one (placed on another shard
+    // termination status.  A stop that a SIGCONT withdrew before the parent
+    // waited is not reported, and a SIGKILL of a stopped child is reported
+    // instead of its stop.  The same at 1 and 4 shards, for forked children
+    // (on their parent's shard) and spawned ones (placed on other shards
     // once there are 4).
     fn dawdle(env: &mut dyn RuntimeEnv) -> ! {
         loop {
@@ -246,12 +248,16 @@ fn wait4_reports_a_sigtstp_stopped_child_instead_of_hanging() {
                         if env.fork_image().is_some() {
                             dawdle(env);
                         }
-                        let child = if env.args()[1] == "fork" {
-                            env.fork(b"child".to_vec()).unwrap()
-                        } else {
-                            env.spawn("/usr/bin/dawdler", &["dawdler".to_string()], Default::default())
-                                .unwrap()
+                        let fork = env.args()[1] == "fork";
+                        let start = |env: &mut dyn RuntimeEnv| {
+                            if fork {
+                                env.fork(b"child".to_vec()).unwrap()
+                            } else {
+                                env.spawn("/usr/bin/dawdler", &["dawdler".to_string()], Default::default())
+                                    .unwrap()
+                            }
                         };
+                        let child = start(env);
                         env.kill(child, Signal::SIGTSTP).unwrap();
                         let stopped = env.wait_options(child as i32, WUNTRACED).unwrap().unwrap();
                         assert_eq!(stopped.pid, child);
@@ -263,6 +269,25 @@ fn wait4_reports_a_sigtstp_stopped_child_instead_of_hanging() {
                         env.kill(child, Signal::SIGKILL).unwrap();
                         let dead = env.wait(child as i32).unwrap();
                         assert_eq!(dead.term_signal(), Some(Signal::SIGKILL));
+
+                        // Stopped and continued before the parent waits:
+                        // nothing is left to report.
+                        let child = start(env);
+                        env.kill(child, Signal::SIGTSTP).unwrap();
+                        env.kill(child, Signal::SIGCONT).unwrap();
+                        assert!(env.wait_options(child as i32, WUNTRACED | WNOHANG).unwrap().is_none());
+                        env.kill(child, Signal::SIGKILL).unwrap();
+                        assert_eq!(env.wait(child as i32).unwrap().term_signal(), Some(Signal::SIGKILL));
+
+                        // Stopped and then killed before the parent waits:
+                        // the kill is reported, not the stop.
+                        let child = start(env);
+                        env.kill(child, Signal::SIGTSTP).unwrap();
+                        env.kill(child, Signal::SIGKILL).unwrap();
+                        let dead = env.wait_options(child as i32, WUNTRACED).unwrap().unwrap();
+                        assert_eq!(dead.pid, child);
+                        assert_eq!(dead.term_signal(), Some(Signal::SIGKILL));
+                        assert_eq!(dead.stop_signal(), None);
                         0
                     }),
                 ),
