@@ -1,242 +1,40 @@
-//! Read-only bundles: a file system built ahead of time from static content.
+//! Test fixture: a bundle of static files served read-only.
 //!
-//! BrowserFS ships a zip-file backend that web applications use to stage
-//! read-only assets.  Browsix's LaTeX editor and meme generator both stage
-//! files this way (Makefiles, document sources, fonts, base images).  Our
-//! [`Bundle`] is the logical equivalent: a set of `(path, bytes)` pairs
-//! assembled by a builder and served read-only by [`BundleFs`].
+//! An application ships its read-only files (a TeX Live tree, `/etc`) as a
+//! bundle on a web server; Browsix mounts it through [`HttpFs`].  Tests that
+//! need such a lower layer build one here, with no modeled network cost.
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use browsix_browser::{NetworkProfile, RemoteEndpoint, StaticFiles};
 
-use crate::backend::{FileSystem, FsResult};
-use crate::errno::Errno;
-use crate::handle::{deny_write_open, FileHandle, StaticHandle};
-use crate::path::{components, normalize};
-use crate::types::{now_millis, DirEntry, FileType, Metadata, OpenFlags};
+use crate::httpfs::HttpFs;
 
-/// A static set of files, assembled with [`Bundle::insert`] and then mounted
-/// through [`BundleFs`].
-#[derive(Debug, Clone, Default)]
-pub struct Bundle {
-    files: BTreeMap<String, Arc<Vec<u8>>>,
-}
-
-impl Bundle {
-    /// Creates an empty bundle.
-    pub fn new() -> Bundle {
-        Bundle::default()
+/// A read-only file system serving `files` from an in-memory server with no
+/// modeled network cost, each listed at its true size.
+pub(crate) fn static_httpfs(files: &[(&str, &str)]) -> HttpFs {
+    let server = StaticFiles::new();
+    for (path, text) in files {
+        server.insert(path, text.as_bytes().to_vec());
     }
-
-    /// Adds (or replaces) a file.  The path is normalised.
-    pub fn insert(&mut self, path: &str, data: impl Into<Vec<u8>>) -> &mut Self {
-        self.files.insert(normalize(path), Arc::new(data.into()));
-        self
-    }
-
-    /// Adds a UTF-8 text file; convenience wrapper over [`Bundle::insert`].
-    pub fn insert_text(&mut self, path: &str, text: &str) -> &mut Self {
-        self.insert(path, text.as_bytes().to_vec())
-    }
-
-    /// Number of files in the bundle.
-    pub fn len(&self) -> usize {
-        self.files.len()
-    }
-
-    /// Whether the bundle contains no files.
-    pub fn is_empty(&self) -> bool {
-        self.files.is_empty()
-    }
-
-    /// Total payload size in bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.files.values().map(|d| d.len() as u64).sum()
-    }
-
-    /// Iterates over `(path, data)` pairs in path order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &[u8])> {
-        self.files.iter().map(|(p, d)| (p.as_str(), d.as_slice()))
-    }
-
-    /// Looks up a file by (normalised) path.
-    pub fn get(&self, path: &str) -> Option<&[u8]> {
-        self.files.get(&normalize(path)).map(|d| d.as_slice())
-    }
-
-    /// All file paths, sorted.
-    pub fn paths(&self) -> Vec<String> {
-        self.files.keys().cloned().collect()
-    }
-}
-
-/// A read-only [`FileSystem`] serving the contents of a [`Bundle`].
-///
-/// Directories are implied by file paths: if `/a/b/c.txt` exists, `/a` and
-/// `/a/b` are directories.
-#[derive(Debug)]
-pub struct BundleFs {
-    bundle: Bundle,
-    created_ms: u64,
-}
-
-impl BundleFs {
-    /// Wraps a bundle in a read-only file system.
-    pub fn new(bundle: Bundle) -> BundleFs {
-        BundleFs {
-            bundle,
-            created_ms: now_millis(),
-        }
-    }
-
-    /// Access to the underlying bundle.
-    pub fn bundle(&self) -> &Bundle {
-        &self.bundle
-    }
-
-    fn is_implied_dir(&self, path: &str) -> bool {
-        let normalized = normalize(path);
-        if normalized == "/" {
-            return true;
-        }
-        let prefix = format!("{normalized}/");
-        self.bundle.files.keys().any(|p| p.starts_with(&prefix))
-    }
-}
-
-impl FileSystem for BundleFs {
-    fn backend_name(&self) -> &'static str {
-        "bundlefs"
-    }
-
-    fn read_only(&self) -> bool {
-        true
-    }
-
-    fn stat(&self, path: &str) -> FsResult<Metadata> {
-        let normalized = normalize(path);
-        if let Some(data) = self.bundle.files.get(&normalized) {
-            return Ok(Metadata {
-                file_type: FileType::Regular,
-                size: data.len() as u64,
-                mode: 0o444,
-                mtime_ms: self.created_ms,
-                atime_ms: self.created_ms,
-            });
-        }
-        if self.is_implied_dir(&normalized) {
-            return Ok(Metadata {
-                file_type: FileType::Directory,
-                size: 0,
-                mode: 0o555,
-                mtime_ms: self.created_ms,
-                atime_ms: self.created_ms,
-            });
-        }
-        Err(Errno::ENOENT)
-    }
-
-    fn read_dir(&self, path: &str) -> FsResult<Vec<DirEntry>> {
-        let normalized = normalize(path);
-        if self.bundle.files.contains_key(&normalized) {
-            return Err(Errno::ENOTDIR);
-        }
-        if !self.is_implied_dir(&normalized) {
-            return Err(Errno::ENOENT);
-        }
-        let depth = components(&normalized).len();
-        let mut entries: BTreeMap<String, FileType> = BTreeMap::new();
-        let prefix = if normalized == "/" {
-            String::from("/")
-        } else {
-            format!("{normalized}/")
-        };
-        for file_path in self.bundle.files.keys() {
-            if !file_path.starts_with(&prefix) {
-                continue;
-            }
-            let comps = components(file_path);
-            if comps.len() == depth + 1 {
-                entries.insert(comps[depth].clone(), FileType::Regular);
-            } else if comps.len() > depth + 1 {
-                entries.entry(comps[depth].clone()).or_insert(FileType::Directory);
-            }
-        }
-        Ok(entries
-            .into_iter()
-            .map(|(name, file_type)| DirEntry { name, file_type })
-            .collect())
-    }
-
-    fn mkdir(&self, _path: &str) -> FsResult<()> {
-        Err(Errno::EROFS)
-    }
-
-    fn rmdir(&self, _path: &str) -> FsResult<()> {
-        Err(Errno::EROFS)
-    }
-
-    fn create(&self, _path: &str, _mode: u32) -> FsResult<()> {
-        Err(Errno::EROFS)
-    }
-
-    fn unlink(&self, _path: &str) -> FsResult<()> {
-        Err(Errno::EROFS)
-    }
-
-    fn rename(&self, _from: &str, _to: &str) -> FsResult<()> {
-        Err(Errno::EROFS)
-    }
-
-    /// The bundle's "inode" is the `Arc`'d byte buffer itself: the handle
-    /// holds it directly, so reads never consult the path map again.
-    fn open_handle(&self, path: &str, flags: OpenFlags) -> FsResult<Arc<dyn FileHandle>> {
-        deny_write_open(flags)?;
-        let normalized = normalize(path);
-        match self.bundle.files.get(&normalized) {
-            Some(data) => Ok(Arc::new(StaticHandle {
-                backend: "bundlefs",
-                data: Arc::clone(data),
-                mode: 0o444,
-                timestamp_ms: self.created_ms,
-            })),
-            None if self.is_implied_dir(&normalized) => Err(Errno::EISDIR),
-            None => Err(Errno::ENOENT),
-        }
-    }
-
-    fn set_times(&self, _path: &str, _atime_ms: u64, _mtime_ms: u64) -> FsResult<()> {
-        Err(Errno::EROFS)
-    }
-
-    fn chmod(&self, _path: &str, _mode: u32) -> FsResult<()> {
-        Err(Errno::EROFS)
-    }
+    let endpoint = RemoteEndpoint::with_static_files(server, NetworkProfile::instant());
+    HttpFs::new(
+        endpoint,
+        files.iter().map(|(path, text)| (path.to_string(), text.len() as u64)),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::FileSystem;
+    use crate::errno::Errno;
+    use crate::types::FileType;
 
-    fn sample() -> BundleFs {
-        let mut bundle = Bundle::new();
-        bundle
-            .insert_text("/texmf/article.cls", "\\ProvidesClass{article}")
-            .insert_text("/texmf/fonts/cmr10.tfm", "font data")
-            .insert_text("/Makefile", "all: main.pdf");
-        BundleFs::new(bundle)
-    }
-
-    #[test]
-    fn bundle_builder_accumulates_files() {
-        let mut bundle = Bundle::new();
-        assert!(bundle.is_empty());
-        bundle.insert("/a", vec![1, 2, 3]).insert_text("b/c", "hi");
-        assert_eq!(bundle.len(), 2);
-        assert_eq!(bundle.total_bytes(), 5);
-        assert_eq!(bundle.get("b/c"), Some(&b"hi"[..]));
-        assert_eq!(bundle.paths(), vec!["/a".to_string(), "/b/c".to_string()]);
-        assert_eq!(bundle.iter().count(), 2);
+    fn sample() -> HttpFs {
+        static_httpfs(&[
+            ("/texmf/article.cls", "\\ProvidesClass{article}"),
+            ("/texmf/fonts/cmr10.tfm", "font data"),
+            ("/Makefile", "all: main.pdf"),
+        ])
     }
 
     #[test]

@@ -163,7 +163,23 @@ pub(crate) fn deny_write_open(flags: crate::types::OpenFlags) -> FsResult<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::FileSystem;
     use crate::types::OpenFlags;
+
+    #[test]
+    fn static_handle_reads_and_rejects_writes() {
+        let fs = crate::bundle::static_httpfs(&[("/f", "hello world")]);
+        let h = fs.open_handle("/f", OpenFlags::read_only()).unwrap();
+        assert_eq!(h.read_at(0, 5).unwrap(), b"hello");
+        assert_eq!(h.read_at(6, 100).unwrap(), b"world");
+        assert!(h.read_at(100, 4).unwrap().is_empty());
+        assert_eq!(h.metadata().unwrap().size, 11);
+        assert_eq!(h.write_at(0, b"x"), Err(Errno::EROFS));
+        assert_eq!(h.truncate(0), Err(Errno::EROFS));
+        assert_eq!(h.append(b"x"), Err(Errno::EROFS));
+        assert_eq!(h.fsync(), Ok(()));
+        assert_eq!(h.backend_name(), "httpfs");
+    }
 
     #[test]
     fn deny_write_open_checks_all_write_flags() {

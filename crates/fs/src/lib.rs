@@ -35,6 +35,8 @@
 //! ```
 
 pub mod backend;
+#[cfg(test)]
+mod bundle;
 pub mod errno;
 pub mod handle;
 pub mod httpfs;

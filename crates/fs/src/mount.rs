@@ -357,7 +357,7 @@ mod tests {
     use crate::memfs::MemFs;
 
     fn texmf() -> Arc<dyn FileSystem> {
-        Arc::new(crate::httpfs::static_httpfs(&[
+        Arc::new(crate::bundle::static_httpfs(&[
             ("/article.cls", "class"),
             ("/fonts/cmr10.tfm", "font"),
         ]))

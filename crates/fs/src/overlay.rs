@@ -556,7 +556,7 @@ mod tests {
     use super::*;
 
     fn lower() -> Arc<dyn FileSystem> {
-        Arc::new(crate::httpfs::static_httpfs(&[
+        Arc::new(crate::bundle::static_httpfs(&[
             ("/etc/passwd", "root:x:0:0"),
             ("/usr/share/doc/readme", "read me"),
             ("/usr/share/doc/license", "MIT"),
