@@ -475,8 +475,9 @@ pub fn parse(text: &str) -> Result<Abi, ParseError> {
     Ok(abi)
 }
 
-/// Opcodes once assigned and now reserved forever (56 was `ring_setup`).
-pub const RETIRED_OPCODES: &[u8] = &[56];
+/// Opcodes once assigned and now reserved forever (1 was the `spawn`
+/// without process-group and foreground arguments, 56 `ring_setup`).
+pub const RETIRED_OPCODES: &[u8] = &[1, 56];
 
 /// Result tags once assigned and now reserved forever (9 was `DataFixed`).
 pub const RETIRED_TAGS: &[u8] = &[9];
@@ -582,7 +583,7 @@ mod tests {
     #[test]
     fn the_reference_lists_the_retired_numbers() {
         let reference = docs::render(&parse(IDL).unwrap());
-        assert!(reference.contains("Retired opcodes, never to be reused: 56."));
+        assert!(reference.contains("Retired opcodes, never to be reused: 1, 56."));
         assert!(reference.contains("Retired, never to be reused: 9."));
         assert!(!reference.contains("ring_setup"));
     }

@@ -20,6 +20,8 @@ pub fn representative_syscalls() -> Vec<Syscall> {
             env: vec![],
             cwd: None,
             stdio: [None; 3],
+            pgroup: -1,
+            foreground: false,
         },
         Syscall::Pipe2,
         Syscall::Wait4 { pid: -1, options: 0 },

@@ -319,6 +319,21 @@ impl FdTable {
         }
     }
 
+    /// The table another shard's process is given: a handle of its own
+    /// ([`OpenFile::export`]) on each distinct description, shared by the
+    /// descriptors that share it here.  Nothing else refers to the handles
+    /// once this returns, so the last release on the receiving shard finds
+    /// each handle's `Arc` alone and counts its stream ends off.
+    pub fn export(&self) -> FdTable {
+        let mut handles: BTreeMap<*const OpenFile, Arc<OpenFile>> = BTreeMap::new();
+        self.iter()
+            .map(|(fd, file)| {
+                let handle = handles.entry(Arc::as_ptr(file)).or_insert_with(|| file.export());
+                (fd, Arc::clone(handle))
+            })
+            .collect()
+    }
+
     /// Removes every descriptor (process exit), returning the descriptions
     /// in ascending fd order for the caller to release.
     #[must_use = "the removed descriptions must be released"]

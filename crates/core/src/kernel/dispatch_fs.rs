@@ -582,7 +582,11 @@ impl KernelState {
     pub(crate) fn sys_access(&mut self, pid: Pid, path: String, _mode: u32) -> Result<SysResult, Errno> {
         // Browsix has no users: access reduces to an existence check, with the
         // browser sandbox standing in for permissions (§3.1 of the paper).
-        self.fs.stat(&self.resolve_path(pid, &path))?;
+        // A registered executable exists, as `spawn` sees it.
+        let path = self.resolve_path(pid, &path);
+        if self.registry.lookup(&path).is_none() {
+            self.fs.stat(&path)?;
+        }
         Ok(SysResult::Ok)
     }
 

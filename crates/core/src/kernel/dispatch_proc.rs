@@ -13,6 +13,11 @@ use crate::syscall::{encode_stop_status, encode_wait_status, SysResult, WNOHANG,
 use crate::task::{ChildReport, Pid, TaskSpec};
 
 impl KernelState {
+    /// `spawn`: the child's descriptors, environment and working directory
+    /// come from the caller unless given; `pgroup` (`-1` the caller's group,
+    /// `0` a new one, `g` group `g`) and `foreground` hold from before the
+    /// child runs (see [`KernelState::spawn_process`]).
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn sys_spawn(
         &mut self,
         pid: Pid,
@@ -21,6 +26,8 @@ impl KernelState {
         env: Vec<(String, String)>,
         cwd: Option<String>,
         stdio: [Option<i32>; 3],
+        pgroup: i32,
+        foreground: bool,
     ) -> Result<SysResult, Errno> {
         let parent = self.task(pid)?;
         // The child's stdin/stdout/stderr: an explicit parent fd, which
@@ -47,6 +54,8 @@ impl KernelState {
                 |cwd| browsix_fs::path::resolve(&parent.cwd, &cwd),
             ),
             files,
+            pgroup: u32::try_from(pgroup).ok(),
+            foreground,
             ..TaskSpec::default()
         };
         let child = self.spawn_process(spec)?;
@@ -72,7 +81,7 @@ impl KernelState {
             launcher: Some(Arc::clone(&parent.launcher)),
             fork_image: Some(ForkImage { image, resume_point }),
             address_space,
-            exit: None,
+            ..TaskSpec::default()
         };
         let child = self.spawn_process(spec)?;
         self.stats.record_vm(vm_delta);
@@ -220,22 +229,24 @@ impl KernelState {
 
     /// `setpgid`: moves `target` (0 = the caller) into group `pgid` (0 = a
     /// new group led by the target).  Only the caller itself or its children
-    /// may be moved, as on Unix.  The move is made in the router's registry,
-    /// so every shard sees it when the call returns.
+    /// may be moved, and only into a new group or one that still exists, as
+    /// on Unix (see `RouterState::set_pgid`).  The move is made in the router's registry, so every
+    /// shard sees it when the call returns.
     pub(crate) fn sys_setpgid(&mut self, caller: Pid, target: Pid, pgid: Pid) -> Result<SysResult, Errno> {
         let target = if target == 0 { caller } else { target };
         let group = if pgid == 0 { target } else { pgid };
-        let allowed = target == caller
-            || self
-                .task(caller)
-                .is_ok_and(|task| task.children.iter().any(|&(c, _)| c == target));
-        if !allowed {
+        if target != caller && !self.is_child(caller, target) {
             return Err(Errno::EPERM);
         }
-        if !self.router.set_pgid(target, group) {
-            return Err(Errno::ESRCH);
-        }
+        self.router.set_pgid(target, group, self.is_child(caller, group))?;
         Ok(SysResult::Ok)
+    }
+
+    /// Whether `child` is a child of `pid`'s it has not reaped: running,
+    /// stopped, or exited with its status still to report.
+    pub(crate) fn is_child(&self, pid: Pid, child: Pid) -> bool {
+        self.task(pid)
+            .is_ok_and(|task| task.children.iter().any(|&(c, _)| c == child))
     }
 
     /// `getrusage`: resource-usage counters for the caller, pair-encoded as
@@ -271,8 +282,9 @@ impl KernelState {
 
     /// `tcsetpgrp`: makes `pgid` the foreground group of the controlling
     /// terminal.  The kernel models one terminal, so there is no descriptor
-    /// argument; any process may hand the foreground over (the shell uses
-    /// this around every foreground pipeline).
+    /// argument; any process may hand the foreground over (the shell takes
+    /// it back after every foreground pipeline, whose `spawn` handed it
+    /// over).
     pub(crate) fn sys_tcsetpgrp(&mut self, _caller: Pid, pgid: Pid) -> Result<SysResult, Errno> {
         self.router.set_foreground_pgid(Some(pgid));
         Ok(SysResult::Ok)

@@ -573,7 +573,16 @@ impl Fleet {
                 let picks = [pick(self, b), pick(self, c), pick(self, b.wrapping_add(c))];
                 let stdio = [picks[0].0, picks[1].0, picks[2].0];
                 let child = Self::expect_int(self.syscall(pid, |k, _| {
-                    k.sys_spawn(pid, GUEST.to_owned(), vec!["guest".to_owned()], Vec::new(), None, stdio)
+                    k.sys_spawn(
+                        pid,
+                        GUEST.to_owned(),
+                        vec!["guest".to_owned()],
+                        Vec::new(),
+                        None,
+                        stdio,
+                        -1,
+                        false,
+                    )
                 })) as Pid;
                 self.watch(child);
                 let fds = picks.iter().enumerate().map(|(fd, pick)| (fd as Fd, pick.1)).collect();
@@ -914,7 +923,9 @@ fn exit_records_live_with_the_parent_at_every_shard_count() {
         let root = fleet.procs[0].pid;
         let spawn = |fleet: &mut Fleet| {
             let args = vec!["guest".to_owned()];
-            let call = |k: &mut KernelState, _| k.sys_spawn(root, GUEST.to_owned(), args, Vec::new(), None, [None; 3]);
+            let call = |k: &mut KernelState, _| {
+                k.sys_spawn(root, GUEST.to_owned(), args, Vec::new(), None, [None; 3], -1, false)
+            };
             Fleet::expect_int(fleet.syscall(root, call)) as Pid
         };
         let [reaped, orphaned, late] = [(); 3].map(|()| spawn(&mut fleet));
@@ -1006,6 +1017,8 @@ impl Collision {
                     Vec::new(),
                     None,
                     stdio,
+                    -1,
+                    false,
                 )
             })) as Pid
         });
@@ -1424,6 +1437,8 @@ fn a_zero_timeout_poll_of_a_foreign_stream_reports_its_state() {
                 Vec::new(),
                 None,
                 stdio,
+                -1,
+                false,
             )
         })) as Pid;
         if nshards > 1 {
@@ -1473,6 +1488,8 @@ fn group_and_parent_changes_are_seen_before_any_message_is_delivered() {
                 Vec::new(),
                 None,
                 [None; 3],
+                -1,
+                false,
             )
         })) as Pid;
         if nshards > 1 {
@@ -1541,6 +1558,8 @@ fn a_cross_shard_kill_answers_after_the_stop_has_landed() {
                 Vec::new(),
                 None,
                 [None; 3],
+                -1,
+                false,
             )
         })) as Pid;
         let parent = fleet.shard_index(root);

@@ -683,8 +683,10 @@ impl KernelState {
     /// shebang's interpreter args.  Placement: forks stay on the parent's
     /// shard (the copied descriptor table and COW image stay local);
     /// everything else round-robins across shards via the router,
-    /// deterministically in spawn order.  The spec then moves, whole, into
-    /// the task: here, or on the shard it was placed on by
+    /// deterministically in spawn order.  The process is registered in its
+    /// group, and that group made the terminal's foreground group if the
+    /// spec asks, before anything can see it run.  The spec then moves,
+    /// whole, into the task: here, or on the shard it was placed on by
     /// [`ShardMsg::SpawnTask`], while this shard pins the child's
     /// descriptions until that shard acks.  Either way the pid returns at
     /// once, before the process's worker has run.
@@ -706,26 +708,26 @@ impl KernelState {
         };
         let ppid = spec.ppid;
         let pid = self.router.allocate_pid(target);
-        self.router.register_process(pid, target, ppid);
+        let zombie_leader = spec.pgroup.is_some_and(|group| self.is_child(ppid, group));
+        let pgid = self
+            .router
+            .register_process(pid, target, ppid, spec.pgroup, zombie_leader)?;
+        if spec.foreground {
+            self.router.set_foreground_pgid(Some(pgid));
+        }
 
         if target == self.shard_id {
             self.install_task(pid, spec);
         } else {
             let token = self.next_remote_token();
             // The child gets handles of its own on its descriptions (an
-            // `Arc<OpenFile>` never spans shards), one per distinct
-            // description.  This shard's references stay pinned until the
-            // owner has counted those handles and acks, so the streams behind
-            // them never look unreferenced in between.
-            let mut handles: HashMap<*const OpenFile, Arc<OpenFile>> = HashMap::new();
-            let exported = spec
-                .files
-                .iter()
-                .map(|(fd, file)| {
-                    let handle = handles.entry(Arc::as_ptr(file)).or_insert_with(|| file.export());
-                    (fd, Arc::clone(handle))
-                })
-                .collect();
+            // `Arc<OpenFile>` never spans shards), made before the message
+            // leaves: a copy still held here while the child ran and exited
+            // there would keep its release from counting a stream end off.
+            // This shard's references stay pinned until the owner has
+            // counted those handles and acks, so the streams behind them
+            // never look unreferenced in between.
+            let exported = spec.files.export();
             self.pinned_files.insert(token, spec.files.clear());
             spec.files = exported;
             let origin = self.shard_id;

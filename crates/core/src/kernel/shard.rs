@@ -747,6 +747,18 @@ struct ProcessEntry {
     pgid: Pid,
 }
 
+/// `setpgid`'s rule for putting `pid` in group `pgid`: a process may lead a
+/// new group of its own or join one that still exists — a live process is
+/// in it, or its leader has exited but is not reaped yet (`zombie_leader`:
+/// the caller knows), since an unreaped zombie keeps its group, as on Unix.
+fn joinable(processes: &HashMap<Pid, ProcessEntry>, pid: Pid, pgid: Pid, zombie_leader: bool) -> Result<(), Errno> {
+    if pgid == pid || zombie_leader || processes.values().any(|entry| entry.pgid == pgid) {
+        Ok(())
+    } else {
+        Err(Errno::EPERM)
+    }
+}
+
 /// Port-table state: which shard owns each listening port, plus the global
 /// ephemeral-port and listener-id counters.
 #[derive(Debug, Default)]
@@ -821,13 +833,33 @@ impl RouterState {
 
     // ---- process registry ------------------------------------------------
 
-    /// Registers a new process of `ppid`'s on `shard`.  It joins its
-    /// parent's group, read under the same lock; a host-started process
-    /// (`ppid` 0) leads a fresh group of its own.
-    pub(crate) fn register_process(&self, pid: Pid, shard: usize, ppid: Pid) {
+    /// Registers a new process of `ppid`'s on `shard`, in the group
+    /// `pgroup` names (see [`TaskSpec::pgroup`](crate::task::TaskSpec)),
+    /// and returns that group.  With `None` it joins its parent's group,
+    /// read under the same lock; a host-started process (`ppid` 0) leads a
+    /// fresh group of its own.
+    ///
+    /// # Errors
+    ///
+    /// [`Errno::EPERM`] if it would join a group that no longer exists, as
+    /// `setpgid` refuses (see [`joinable`]); nothing is registered then.
+    pub(crate) fn register_process(
+        &self,
+        pid: Pid,
+        shard: usize,
+        ppid: Pid,
+        pgroup: Option<Pid>,
+        zombie_leader: bool,
+    ) -> Result<Pid, Errno> {
         let mut processes = self.processes.lock().unwrap();
-        let pgid = processes.get(&ppid).map_or(pid, |parent| parent.pgid);
+        let pgid = match pgroup {
+            None => processes.get(&ppid).map_or(pid, |parent| parent.pgid),
+            Some(0) => pid,
+            Some(group) => group,
+        };
+        joinable(&processes, pid, pgid, zombie_leader)?;
         processes.insert(pid, ProcessEntry { shard, pgid });
+        Ok(pgid)
     }
 
     pub(crate) fn remove_process(&self, pid: Pid) {
@@ -844,10 +876,21 @@ impl RouterState {
         self.processes.lock().unwrap().get(&pid).map(|e| e.pgid)
     }
 
-    /// Moves a live process into group `pgid`; `false` if it is gone.
-    pub(crate) fn set_pgid(&self, pid: Pid, pgid: Pid) -> bool {
+    /// Moves a live process into group `pgid`.
+    ///
+    /// # Errors
+    ///
+    /// [`Errno::ESRCH`] if the process is gone, [`Errno::EPERM`] if `pgid`
+    /// is neither its own pid nor a group that still exists (see
+    /// [`joinable`]).
+    pub(crate) fn set_pgid(&self, pid: Pid, pgid: Pid, zombie_leader: bool) -> Result<(), Errno> {
         let mut processes = self.processes.lock().unwrap();
-        processes.get_mut(&pid).map(|entry| entry.pgid = pgid).is_some()
+        if !processes.contains_key(&pid) {
+            return Err(Errno::ESRCH);
+        }
+        joinable(&processes, pid, pgid, zombie_leader)?;
+        processes.entry(pid).and_modify(|entry| entry.pgid = pgid);
+        Ok(())
     }
 
     /// What `getppid` reports for a task whose recorded parent is `ppid`:
@@ -1049,17 +1092,32 @@ mod tests {
         let router = RouterState::new(2);
         // Host-started processes lead their own group; a child joins its
         // parent's.
-        router.register_process(1, 1, 0);
-        router.register_process(2, 0, 1);
-        router.register_process(3, 1, 0);
+        assert_eq!(router.register_process(1, 1, 0, None, false), Ok(1));
+        assert_eq!(router.register_process(2, 0, 1, None, false), Ok(1));
+        assert_eq!(router.register_process(3, 1, 0, None, false), Ok(3));
         assert_eq!(router.process_shard(2), Some(0));
         assert_eq!(router.group_members(1), vec![(1, 1), (2, 0)]);
-        assert!(router.set_pgid(3, 1));
+        assert_eq!(router.set_pgid(3, 1, false), Ok(()));
         assert_eq!(router.group_members(1), vec![(1, 1), (2, 0), (3, 1)]);
+        // A spawn names its child's group: a new one, or one that exists.
+        assert_eq!(router.register_process(4, 0, 1, Some(0), false), Ok(4));
+        assert_eq!(router.register_process(5, 1, 1, Some(4), false), Ok(4));
+        assert_eq!(router.register_process(6, 0, 1, Some(9), false), Err(Errno::EPERM));
+        assert_eq!(router.process_shard(6), None, "a refused spawn registers nothing");
+        assert_eq!(router.set_pgid(5, 9, false), Err(Errno::EPERM));
+        assert_eq!(router.group_members(4), vec![(4, 0), (5, 1)]);
+        // An unreaped leader keeps its group after it has gone.
+        router.remove_process(4);
+        router.remove_process(5);
+        assert_eq!(router.register_process(6, 0, 1, Some(4), true), Ok(4));
         router.remove_process(2);
         assert_eq!(router.group_members(1), vec![(1, 1), (3, 1)]);
         assert_eq!(router.process_shard(2), None);
-        assert!(!router.set_pgid(2, 2), "a finished process has no group to change");
+        assert_eq!(
+            router.set_pgid(2, 2, false),
+            Err(Errno::ESRCH),
+            "a finished process has no group to change"
+        );
         assert_eq!((router.live_parent(1), router.live_parent(2)), (1, 0));
     }
 

@@ -557,6 +557,8 @@ mod tests {
                 env: vec![("HOME".into(), "/home".into())],
                 cwd: Some("/home".into()),
                 stdio: [None, Some(4), Some(5)],
+                pgroup: 0,
+                foreground: true,
             },
             Syscall::Fork {
                 image: vec![1, 2, 3],

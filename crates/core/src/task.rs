@@ -103,6 +103,13 @@ pub struct TaskSpec {
     /// Told the wait status when the process exits (the host's `onExit`);
     /// subscribed before the process runs.
     pub exit: Option<Sender<i32>>,
+    /// The process group it is born in: `None` keeps its parent's (a
+    /// process the host starts leads a new one), `Some(0)` leads a new
+    /// group, `Some(g)` joins group `g`.
+    pub pgroup: Option<Pid>,
+    /// Whether its group becomes the terminal's foreground group before it
+    /// runs.
+    pub foreground: bool,
 }
 
 /// A kernel task.

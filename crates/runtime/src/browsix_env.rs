@@ -8,7 +8,10 @@ use browsix_core::{
 use browsix_fs::{DirEntry, Metadata, OpenFlags};
 
 use crate::client::SyscallClient;
-use crate::env::{Fd, MappedRegion, PollFd, RuntimeEnv, SpawnStdio, WaitedChild, MAP_SHARED};
+use crate::env::{
+    Fd, JobCall, JobValue, MappedRegion, PollFd, RuntimeEnv, SpawnAttrs, SpawnGroup, SpawnStdio, WaitedChild,
+    MAP_SHARED,
+};
 use crate::profile::ExecutionProfile;
 
 /// Stdout writes below this size are coalesced into one buffered syscall;
@@ -177,6 +180,69 @@ impl BrowsixEnv {
             SysResult::Err(e) => Err(e),
             _ => Err(Errno::EIO),
         }
+    }
+
+    /// The `spawn` system call, with the caller's environment.
+    fn spawn_call(&self, path: &str, args: &[String], stdio: SpawnStdio, attrs: SpawnAttrs) -> Syscall {
+        Syscall::Spawn {
+            path: path.to_owned(),
+            args: args.to_vec(),
+            env: self.env.clone(),
+            cwd: None,
+            stdio: [stdio.stdin, stdio.stdout, stdio.stderr],
+            pgroup: match attrs.group {
+                SpawnGroup::Parent => -1,
+                SpawnGroup::New => 0,
+                SpawnGroup::Join(pgid) => pgid as i32,
+            },
+            foreground: attrs.foreground,
+        }
+    }
+
+    /// The system call a [`JobCall`] is.
+    fn job_syscall(&self, call: JobCall) -> Syscall {
+        match call {
+            JobCall::Pipe => Syscall::Pipe2,
+            JobCall::Access(path) => Syscall::Access {
+                path: path.to_owned(),
+                mode: 0,
+            },
+            JobCall::Spawn {
+                path,
+                args,
+                stdio,
+                attrs,
+            } => self.spawn_call(path, args, stdio, attrs),
+            JobCall::Close(fd) => Syscall::Close { fd },
+            JobCall::Getpgid(pid) => Syscall::Getpgid { pid },
+            JobCall::Wait { pid, options } => Syscall::Wait4 { pid, options },
+        }
+    }
+}
+
+/// What `wait4` answered, as [`RuntimeEnv::wait_options`] reports it.
+fn waited(result: SysResult) -> Result<Option<WaitedChild>, Errno> {
+    match result {
+        SysResult::Wait { pid: 0, .. } => Ok(None),
+        SysResult::Wait { pid, status } => Ok(Some(WaitedChild {
+            pid,
+            status,
+            exit_code: browsix_core::syscall::wait_status_exit_code(status),
+        })),
+        SysResult::Err(e) => Err(e),
+        _ => Err(Errno::EIO),
+    }
+}
+
+/// What the system call `call` made answered, as a [`JobValue`].
+fn job_value(call: JobCall, result: SysResult) -> Result<JobValue, Errno> {
+    match (call, result) {
+        (JobCall::Wait { .. }, result) => waited(result).map(JobValue::Waited),
+        (_, SysResult::Err(e)) => Err(e),
+        (JobCall::Pipe, SysResult::Pair(read_fd, write_fd)) => Ok(JobValue::Pipe(read_fd as Fd, write_fd as Fd)),
+        (JobCall::Spawn { .. } | JobCall::Getpgid(_), SysResult::Int(id)) => Ok(JobValue::Id(id as u32)),
+        (JobCall::Access(_) | JobCall::Close(_), SysResult::Ok | SysResult::Int(_)) => Ok(JobValue::Done),
+        _ => Err(Errno::EIO),
     }
 }
 
@@ -464,14 +530,8 @@ impl RuntimeEnv for BrowsixEnv {
     }
 
     fn spawn(&mut self, path: &str, args: &[String], stdio: SpawnStdio) -> Result<u32, Errno> {
-        self.expect_int(Syscall::Spawn {
-            path: path.to_owned(),
-            args: args.to_vec(),
-            env: self.env.clone(),
-            cwd: None,
-            stdio: [stdio.stdin, stdio.stdout, stdio.stderr],
-        })
-        .map(|pid| pid as u32)
+        let call = self.spawn_call(path, args, stdio, SpawnAttrs::default());
+        self.expect_int(call).map(|pid| pid as u32)
     }
 
     fn pipe(&mut self) -> Result<(Fd, Fd), Errno> {
@@ -480,44 +540,6 @@ impl RuntimeEnv for BrowsixEnv {
             SysResult::Err(e) => Err(e),
             _ => Err(Errno::EIO),
         }
-    }
-
-    fn close_many(&mut self, fds: &[Fd]) -> Result<(), Errno> {
-        if fds.is_empty() {
-            return Ok(());
-        }
-        let mut batch = SyscallBatch::new();
-        for &fd in fds {
-            batch.push(Syscall::Close { fd });
-        }
-        let mut first_error = Ok(());
-        for result in self.submit(|_| batch) {
-            if let SysResult::Err(e) = result {
-                if first_error.is_ok() {
-                    first_error = Err(e);
-                }
-            }
-        }
-        first_error
-    }
-
-    fn pipe_many(&mut self, count: usize) -> Result<Vec<(Fd, Fd)>, Errno> {
-        if count == 0 {
-            return Ok(Vec::new());
-        }
-        let mut batch = SyscallBatch::new();
-        for _ in 0..count {
-            batch.push(Syscall::Pipe2);
-        }
-        let mut pairs = Vec::with_capacity(count);
-        for result in self.submit(|_| batch) {
-            match result {
-                SysResult::Pair(read_fd, write_fd) => pairs.push((read_fd as Fd, write_fd as Fd)),
-                SysResult::Err(e) => return Err(e),
-                _ => return Err(Errno::EIO),
-            }
-        }
-        Ok(pairs)
     }
 
     fn stat_many(&mut self, paths: &[&str]) -> Vec<Result<Metadata, Errno>> {
@@ -577,16 +599,23 @@ impl RuntimeEnv for BrowsixEnv {
     }
 
     fn wait_options(&mut self, pid: i32, options: u32) -> Result<Option<WaitedChild>, Errno> {
-        match self.call(Syscall::Wait4 { pid, options }) {
-            SysResult::Wait { pid: 0, .. } => Ok(None),
-            SysResult::Wait { pid, status } => Ok(Some(WaitedChild {
-                pid,
-                status,
-                exit_code: browsix_core::syscall::wait_status_exit_code(status),
-            })),
-            SysResult::Err(e) => Err(e),
-            _ => Err(Errno::EIO),
+        waited(self.call(Syscall::Wait4 { pid, options }))
+    }
+
+    fn job_control(&mut self, calls: &[JobCall]) -> Vec<Result<JobValue, Errno>> {
+        if calls.is_empty() {
+            return Vec::new();
         }
+        let mut batch = SyscallBatch::new();
+        for &call in calls {
+            batch.push(self.job_syscall(call));
+        }
+        let results = self.submit(|_| batch);
+        calls
+            .iter()
+            .zip(results)
+            .map(|(&call, result)| job_value(call, result))
+            .collect()
     }
 
     fn pending_signals(&mut self) -> Vec<Signal> {

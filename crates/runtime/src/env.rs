@@ -141,6 +141,91 @@ impl SpawnStdio {
     }
 }
 
+/// The process group a spawned child is born in, as
+/// `posix_spawnattr_setpgroup` names it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum SpawnGroup {
+    /// The parent's group.
+    #[default]
+    Parent,
+    /// A new group led by the child.
+    New,
+    /// An existing group (`EPERM` if it is gone, as `setpgid` refuses).
+    Join(u32),
+}
+
+/// How a child is started, beyond its descriptors: its process group and
+/// whether that group takes the terminal before the child runs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SpawnAttrs {
+    /// The group the child is born in.
+    pub group: SpawnGroup,
+    /// Whether the child's group becomes the terminal's foreground group
+    /// before the child runs.
+    pub foreground: bool,
+}
+
+/// One call of a [`RuntimeEnv::job_control`] batch.
+#[derive(Debug, Clone, Copy)]
+pub enum JobCall<'a> {
+    /// `pipe2`: answers [`JobValue::Pipe`].
+    Pipe,
+    /// `access`: whether a path exists (a registered executable counts).
+    Access(&'a str),
+    /// `spawn` with attributes: answers the child's pid as [`JobValue::Id`].
+    Spawn {
+        /// Executable path.
+        path: &'a str,
+        /// Argument vector, `argv[0]` included.
+        args: &'a [String],
+        /// The child's standard descriptors.
+        stdio: SpawnStdio,
+        /// Its group and terminal.
+        attrs: SpawnAttrs,
+    },
+    /// `close`.
+    Close(Fd),
+    /// `getpgid` of a pid (0 = self): answers [`JobValue::Id`].
+    Getpgid(u32),
+    /// `wait4` with option bits: answers [`JobValue::Waited`].
+    Wait {
+        /// The child (-1 = any).
+        pid: i32,
+        /// [`WNOHANG`] | [`WUNTRACED`].
+        options: u32,
+    },
+}
+
+/// What a [`JobCall`] answered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JobValue {
+    /// `access` or `close` succeeded.
+    Done,
+    /// A pid or a process group.
+    Id(u32),
+    /// A pipe's read and write descriptors.
+    Pipe(Fd, Fd),
+    /// What `wait4` reported (`None`: `WNOHANG` found nothing).
+    Waited(Option<WaitedChild>),
+}
+
+/// Runs one [`JobCall`] through the environment's own methods: the default
+/// of [`RuntimeEnv::job_control`], for environments without process groups,
+/// which start a spawn's child as [`RuntimeEnv::spawn`] does.
+fn run_job_call<E: RuntimeEnv + ?Sized>(env: &mut E, call: JobCall) -> Result<JobValue, Errno> {
+    Ok(match call {
+        JobCall::Pipe => {
+            let (read_fd, write_fd) = env.pipe()?;
+            JobValue::Pipe(read_fd, write_fd)
+        }
+        JobCall::Access(path) => env.access(path).map(|()| JobValue::Done)?,
+        JobCall::Spawn { path, args, stdio, .. } => JobValue::Id(env.spawn(path, args, stdio)?),
+        JobCall::Close(fd) => env.close(fd).map(|()| JobValue::Done)?,
+        JobCall::Getpgid(pid) => JobValue::Id(env.getpgid(pid)?),
+        JobCall::Wait { pid, options } => JobValue::Waited(env.wait_options(pid, options)?),
+    })
+}
+
 /// A reaped child process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WaitedChild {
@@ -351,21 +436,11 @@ pub trait RuntimeEnv {
     /// Closes several descriptors, reporting the first error after attempting
     /// all of them.  Batched environments close them in one round trip.
     fn close_many(&mut self, fds: &[Fd]) -> Result<(), Errno> {
-        let mut first_error = Ok(());
-        for &fd in fds {
-            if let Err(e) = self.close(fd) {
-                if first_error.is_ok() {
-                    first_error = Err(e);
-                }
-            }
-        }
-        first_error
-    }
-
-    /// Creates `count` pipes, returning `(read_fd, write_fd)` pairs.  Batched
-    /// environments create them all in one round trip.
-    fn pipe_many(&mut self, count: usize) -> Result<Vec<(Fd, Fd)>, Errno> {
-        (0..count).map(|_| self.pipe()).collect()
+        let calls: Vec<JobCall> = fds.iter().map(|&fd| JobCall::Close(fd)).collect();
+        self.job_control(&calls)
+            .into_iter()
+            .find_map(Result::err)
+            .map_or(Ok(()), Err)
     }
 
     /// Stats a path.
@@ -453,6 +528,17 @@ pub trait RuntimeEnv {
     /// Makes `pgid` the foreground group of the controlling terminal.
     fn tcsetpgrp(&mut self, _pgid: u32) -> Result<(), Errno> {
         Ok(())
+    }
+
+    /// Runs `calls` in order, one result per call: how a shell starts a
+    /// job (its pipes, its stages' spawns, its closes and its first wait).
+    /// Environments backed by the batched syscall ABI
+    /// ([`BrowsixEnv`](crate::BrowsixEnv)) submit them in one round trip,
+    /// so only the last may block (a `wait4`), and none may depend on
+    /// another's result.  The default, for environments without process
+    /// groups, runs them one by one through the methods above.
+    fn job_control(&mut self, calls: &[JobCall]) -> Vec<Result<JobValue, Errno>> {
+        calls.iter().map(|&call| run_job_call(self, call)).collect()
     }
 
     /// Drains signals delivered since the last call.

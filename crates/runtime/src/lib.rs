@@ -42,8 +42,9 @@ pub use browsix_env::BrowsixEnv;
 pub use client::SyscallClient;
 pub use emscripten::{EmscriptenLauncher, EmscriptenMode};
 pub use env::{
-    MappedRegion, PollFd, RuntimeEnv, SpawnStdio, WaitedChild, MAP_ANONYMOUS, MAP_PRIVATE, MAP_SHARED, PAGE_SIZE,
-    POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT, PROT_READ, PROT_WRITE,
+    JobCall, JobValue, MappedRegion, PollFd, RuntimeEnv, SpawnAttrs, SpawnGroup, SpawnStdio, WaitedChild,
+    MAP_ANONYMOUS, MAP_PRIVATE, MAP_SHARED, PAGE_SIZE, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT, PROT_READ,
+    PROT_WRITE,
 };
 pub use gopherjs::GopherJsLauncher;
 pub use native::{NativeEnv, NativeWorld};

@@ -4,9 +4,9 @@
 
 use std::collections::HashMap;
 
-use browsix_core::{Signal, WNOHANG, WUNTRACED};
+use browsix_core::{Errno, Signal, WNOHANG, WUNTRACED};
 use browsix_fs::OpenFlags;
-use browsix_runtime::{RuntimeEnv, SpawnStdio, WaitedChild};
+use browsix_runtime::{JobCall, JobValue, RuntimeEnv, SpawnAttrs, SpawnGroup, SpawnStdio, WaitedChild};
 
 use crate::ast::{Command, ListOp, Pipeline, Redirect};
 use crate::parser::parse_script;
@@ -28,7 +28,7 @@ pub enum JobState {
 pub struct Job {
     /// Job number, as printed by `jobs` (`[1]`, `[2]`, ...).
     pub id: usize,
-    /// The process group every member was moved into (the first member's
+    /// The process group every member was born in (the first member's
     /// pid, following the usual shell convention).
     pub pgid: u32,
     /// Members that have not been reaped yet.
@@ -50,6 +50,8 @@ pub struct Shell {
     next_job_id: usize,
     last_background_pid: Option<u32>,
     exited: Option<i32>,
+    /// The shell's own process group, read by its first foreground job.
+    shell_pgid: Option<u32>,
 }
 
 impl Shell {
@@ -215,116 +217,183 @@ impl Shell {
             }
         }
 
-        // Build the pipeline: N commands, N-1 pipes created in one batched
-        // submission.
-        let pipes = match env.pipe_many(commands.len() - 1) {
-            Ok(pipes) => pipes,
-            Err(e) => {
-                env.eprint(&format!("sh: pipe: {e}\n"));
-                return 1;
-            }
-        };
-
-        let mut pids = Vec::new();
+        // Every stage is expanded and its redirections opened before
+        // anything starts.  The expanded command lines are what the job table
+        // records (re-expanding later could glob differently once the
+        // pipeline has touched the filesystem).
         let mut status = 0;
         let mut opened: Vec<i32> = Vec::new();
-        // The expanded command lines, captured as spawned so the job table
-        // records exactly what ran (re-expanding later could glob
-        // differently once the pipeline has touched the filesystem).
         let mut described: Vec<String> = Vec::new();
-        for (index, command) in commands.iter().enumerate() {
+        let mut stages: Vec<Option<Stage>> = Vec::with_capacity(commands.len());
+        for command in &commands {
             let words = self.expand_words(env, &command.words);
             if words.is_empty() {
+                stages.push(None);
                 continue;
             }
             described.push(words.join(" "));
-            let mut stdio = SpawnStdio::inherit();
-            if index > 0 {
-                stdio.stdin = Some(pipes[index - 1].0);
-            }
-            if index + 1 < commands.len() {
-                stdio.stdout = Some(pipes[index].1);
-            }
-            // Redirections override pipeline plumbing.
-            let mut redirect_failed = false;
-            for redirect in &command.redirects {
-                let result = match redirect {
-                    Redirect::Input(path) => {
-                        let path = self.expand_word(env, path);
-                        env.open(&path, OpenFlags::read_only()).inspect(|&fd| {
-                            stdio.stdin = Some(fd);
-                        })
-                    }
-                    Redirect::Output(path) => {
-                        let path = self.expand_word(env, path);
-                        env.open(&path, OpenFlags::write_create_truncate()).inspect(|&fd| {
-                            stdio.stdout = Some(fd);
-                        })
-                    }
-                    Redirect::Append(path) => {
-                        let path = self.expand_word(env, path);
-                        env.open(&path, OpenFlags::append_create()).inspect(|&fd| {
-                            stdio.stdout = Some(fd);
-                        })
-                    }
-                    Redirect::Stderr(path) => {
-                        let path = self.expand_word(env, path);
-                        env.open(&path, OpenFlags::write_create_truncate()).inspect(|&fd| {
-                            stdio.stderr = Some(fd);
-                        })
-                    }
-                };
-                match result {
-                    Ok(fd) => opened.push(fd),
-                    Err(e) => {
-                        env.eprint(&format!("sh: redirect: {e}\n"));
-                        redirect_failed = true;
-                        break;
-                    }
+            stages.push(match self.prepare_stage(env, words, &command.redirects, &mut opened) {
+                Ok(stage) => Some(stage),
+                Err(code) => {
+                    status = code;
+                    None
                 }
-            }
-            if redirect_failed {
-                status = 1;
-                continue;
-            }
-            match self.spawn_command(env, &words, stdio) {
-                Ok(pid) => pids.push(pid),
+            });
+        }
+        let to_close = match plumb(env, &mut stages, opened, &mut status) {
+            Ok(to_close) => to_close,
+            Err(code) => return code,
+        };
+
+        // Batch 2: the first stage that starts leads a new process group,
+        // which holds the terminal from its birth when in the foreground.
+        // It may still try each `PATH` candidate, as nothing is closed yet.
+        let foreground = !pipeline.background;
+        let lead = SpawnAttrs {
+            group: SpawnGroup::New,
+            foreground,
+        };
+        let mut stages = stages.into_iter().flatten();
+        let mut pids = Vec::new();
+        for stage in stages.by_ref() {
+            match spawn_stage(env, &stage, lead) {
+                Ok(pid) => {
+                    pids.push(pid);
+                    break;
+                }
                 Err(code) => status = code,
             }
         }
+        let rest: Vec<Stage> = stages.collect();
 
-        // The shell closes its copies of the pipe and redirect descriptors so
-        // readers see EOF once the writers exit — all in one batched
-        // submission.
-        let mut to_close: Vec<i32> = pipes
-            .iter()
-            .flat_map(|&(read_fd, write_fd)| [read_fd, write_fd])
-            .collect();
-        to_close.extend(opened);
-        let _ = env.close_many(&to_close);
-
-        // Job control: every member of the pipeline moves into a process
-        // group led by its first member, so terminal signals, `fg`, `bg` and
-        // `kill -PGID` address the pipeline as one unit.
-        let pgid = pids.first().copied();
-        if let Some(pgid) = pgid {
-            for &pid in &pids {
-                let _ = env.setpgid(pid, pgid);
+        // Batch 3: the other stages join the leader's group, the shell closes
+        // its copies of the pipe and redirect descriptors so readers see EOF
+        // once the writers exit, and — in the foreground — waits for the
+        // leader, reading its own group first (once per shell) to take the
+        // terminal back after.
+        let Some(&leader) = pids.first() else {
+            let _ = env.close_many(&to_close);
+            return status;
+        };
+        let asks_group = foreground && self.shell_pgid.is_none();
+        let mut calls: Vec<JobCall> = Vec::new();
+        if asks_group {
+            calls.push(JobCall::Getpgid(0));
+        }
+        let join = SpawnAttrs {
+            group: SpawnGroup::Join(leader),
+            foreground: false,
+        };
+        calls.extend(rest.iter().map(|stage| JobCall::Spawn {
+            path: &stage.candidates[0],
+            args: &stage.words,
+            stdio: stage.stdio,
+            attrs: join,
+        }));
+        calls.extend(to_close.iter().map(|&fd| JobCall::Close(fd)));
+        if foreground {
+            calls.push(JobCall::Wait {
+                pid: leader as i32,
+                options: WUNTRACED,
+            });
+        }
+        let mut results = env.job_control(&calls).into_iter();
+        if asks_group {
+            self.shell_pgid = Some(match results.next() {
+                Some(Ok(JobValue::Id(pgid))) => pgid,
+                _ => 0,
+            });
+        }
+        // A stage that fails to start here is reported; the pipeline's
+        // status is still its last started member's.
+        for (stage, result) in rest.iter().zip(results.by_ref()) {
+            match pid_of(result) {
+                Ok(pid) => pids.push(pid),
+                Err(e) => {
+                    spawn_failed(env, &stage.words[0], e);
+                }
             }
         }
 
         let cmdline = described.join(" | ");
         if pipeline.background {
             self.last_background_pid = pids.last().copied();
-            if let Some(pgid) = pgid {
-                self.add_job(pgid, pids, cmdline);
-            }
+            self.add_job(leader, pids, cmdline);
             return 0;
         }
-        match pgid {
-            Some(pgid) => self.foreground_wait(env, pgid, pids, &cmdline),
-            None => status,
+        let first_wait = results.nth(to_close.len()).map(|result| match result? {
+            JobValue::Waited(waited) => Ok(waited),
+            _ => Err(Errno::EIO),
+        });
+        self.foreground_wait(env, leader, pids, &cmdline, first_wait)
+    }
+
+    /// Makes a stage of `words`: opens its redirections and lists the paths
+    /// its command may run from.  A failure is reported, as the shell's
+    /// status for the stage.
+    fn prepare_stage(
+        &self,
+        env: &mut dyn RuntimeEnv,
+        words: Vec<String>,
+        redirects: &[Redirect],
+        opened: &mut Vec<i32>,
+    ) -> Result<Stage, i32> {
+        let stdio = self.open_redirects(env, redirects, opened).map_err(|e| {
+            env.eprint(&format!("sh: redirect: {e}\n"));
+            1
+        })?;
+        let candidates = self.candidates(env, &words[0]);
+        if candidates.is_empty() {
+            return Err(spawn_failed(env, &words[0], Errno::ENOENT));
         }
+        Ok(Stage {
+            words,
+            stdio,
+            candidates,
+        })
+    }
+
+    /// Opens a command's redirections, returning the descriptors they give
+    /// its stdin, stdout and stderr; every descriptor opened is recorded in
+    /// `opened`, for the shell to close once the pipeline has started.
+    fn open_redirects(
+        &self,
+        env: &mut dyn RuntimeEnv,
+        redirects: &[Redirect],
+        opened: &mut Vec<i32>,
+    ) -> Result<SpawnStdio, Errno> {
+        let mut stdio = SpawnStdio::inherit();
+        for redirect in redirects {
+            let (path, flags, slot) = match redirect {
+                Redirect::Input(path) => (path, OpenFlags::read_only(), &mut stdio.stdin),
+                Redirect::Output(path) => (path, OpenFlags::write_create_truncate(), &mut stdio.stdout),
+                Redirect::Append(path) => (path, OpenFlags::append_create(), &mut stdio.stdout),
+                Redirect::Stderr(path) => (path, OpenFlags::write_create_truncate(), &mut stdio.stderr),
+            };
+            let fd = env.open(&self.expand_word(env, path), flags)?;
+            opened.push(fd);
+            *slot = Some(fd);
+        }
+        Ok(stdio)
+    }
+
+    /// The paths a command name may run from: itself if it names a path,
+    /// else each `PATH` directory's entry, in order.
+    fn candidates(&self, env: &dyn RuntimeEnv, command: &str) -> Vec<String> {
+        if command.contains('/') {
+            return vec![command.to_owned()];
+        }
+        let path_var = self.lookup(env, "PATH");
+        let path_var = if path_var.is_empty() {
+            "/usr/bin:/bin".to_owned()
+        } else {
+            path_var
+        };
+        path_var
+            .split(':')
+            .filter(|dir| !dir.is_empty())
+            .map(|dir| format!("{dir}/{command}"))
+            .collect()
     }
 
     /// Records a running background job, returning its job number.
@@ -341,18 +410,25 @@ impl Shell {
         id
     }
 
-    /// Runs a process group in the foreground: hands it the terminal, waits
-    /// for every member (reporting stops, not just exits), then takes the
-    /// terminal back.  A stopped pipeline becomes a `Stopped` entry in the
-    /// job table, exactly like `Ctrl-Z` under a real shell.
-    fn foreground_wait(&mut self, env: &mut dyn RuntimeEnv, pgid: u32, pids: Vec<u32>, cmdline: &str) -> i32 {
-        let shell_pgid = env.getpgid(0).unwrap_or(0);
-        let _ = env.tcsetpgrp(pgid);
+    /// Waits for a foreground process group, which already holds the
+    /// terminal, reporting stops as well as exits, then takes the terminal
+    /// back.  `first` is the first member's wait when the caller already
+    /// made it.  A stopped pipeline becomes a `Stopped` entry in the job
+    /// table, exactly like `Ctrl-Z` under a real shell.
+    fn foreground_wait(
+        &mut self,
+        env: &mut dyn RuntimeEnv,
+        pgid: u32,
+        pids: Vec<u32>,
+        cmdline: &str,
+        mut first: Option<Result<Option<WaitedChild>, Errno>>,
+    ) -> i32 {
         let mut status = 0;
-        let mut remaining = pids.clone();
+        let mut remaining = pids;
         let mut stopped = false;
         while let Some(&pid) = remaining.first() {
-            match env.wait_options(pid as i32, WUNTRACED) {
+            let waited = first.take().unwrap_or_else(|| env.wait_options(pid as i32, WUNTRACED));
+            match waited {
                 Ok(Some(child)) if child.stop_signal().is_some() => {
                     stopped = true;
                     status = 128 + child.stop_signal().map(|s| s.number()).unwrap_or(0);
@@ -371,6 +447,7 @@ impl Shell {
                 }
             }
         }
+        let shell_pgid = self.shell_pgid(env);
         let _ = env.tcsetpgrp(shell_pgid);
         if stopped {
             let id = self.add_job(pgid, remaining, cmdline.to_owned());
@@ -382,41 +459,15 @@ impl Shell {
         status
     }
 
+    /// The shell's own process group, read once.
+    fn shell_pgid(&mut self, env: &mut dyn RuntimeEnv) -> u32 {
+        *self.shell_pgid.get_or_insert_with(|| env.getpgid(0).unwrap_or(0))
+    }
+
     /// The shell's exit status for one reaped child: its exit code, or
     /// `128 + signal` when it was killed.
     fn child_status(child: &WaitedChild) -> i32 {
         child.exit_code.unwrap_or(128 + (child.status & 0x7f))
-    }
-
-    fn spawn_command(&mut self, env: &mut dyn RuntimeEnv, words: &[String], stdio: SpawnStdio) -> Result<u32, i32> {
-        let command = &words[0];
-        let candidates: Vec<String> = if command.contains('/') {
-            vec![command.clone()]
-        } else {
-            let path_var = self.lookup(env, "PATH");
-            let path_var = if path_var.is_empty() {
-                "/usr/bin:/bin".to_owned()
-            } else {
-                path_var
-            };
-            path_var
-                .split(':')
-                .filter(|dir| !dir.is_empty())
-                .map(|dir| format!("{dir}/{command}"))
-                .collect()
-        };
-        for candidate in &candidates {
-            match env.spawn(candidate, words, stdio) {
-                Ok(pid) => return Ok(pid),
-                Err(browsix_core::Errno::ENOENT) => continue,
-                Err(e) => {
-                    env.eprint(&format!("sh: {command}: {e}\n"));
-                    return Err(126);
-                }
-            }
-        }
-        env.eprint(&format!("sh: {command}: command not found\n"));
-        Err(127)
     }
 
     fn try_builtin(&mut self, env: &mut dyn RuntimeEnv, words: &[String]) -> Option<i32> {
@@ -492,8 +543,9 @@ impl Shell {
                     return Some(1);
                 };
                 let job = self.jobs.remove(index);
+                let _ = env.tcsetpgrp(job.pgid);
                 let _ = env.kill_group(job.pgid, Signal::SIGCONT);
-                Some(self.foreground_wait(env, job.pgid, job.pids, &job.cmdline))
+                Some(self.foreground_wait(env, job.pgid, job.pids, &job.cmdline, None))
             }
             "bg" => {
                 self.refresh_jobs(env);
@@ -558,6 +610,135 @@ impl Shell {
                 .iter()
                 .rposition(|job| !matches!(job.state, JobState::Done(_))),
         }
+    }
+}
+
+/// One command of a pipeline, expanded and ready to start.
+struct Stage {
+    /// The expanded words, the command first.
+    words: Vec<String>,
+    /// Its standard descriptors: its redirections', then the pipeline's.
+    stdio: SpawnStdio,
+    /// The paths the command may run from, in `PATH` order; just the one
+    /// found, once [`Stage::resolve`] has looked.
+    candidates: Vec<String>,
+}
+
+impl Stage {
+    /// Finds, by `access`, the first candidate after the first that exists,
+    /// and keeps only it; `false` if none does.
+    fn resolve(&mut self, env: &mut dyn RuntimeEnv) -> bool {
+        let Some(found) = self.candidates.iter().skip(1).position(|path| env.access(path).is_ok()) else {
+            return false;
+        };
+        self.candidates.drain(..=found);
+        self.candidates.truncate(1);
+        true
+    }
+}
+
+/// Batch 1 of a pipeline's start: creates the pipes between `stages` and
+/// wires them in where no redirection overrides them, and finds each later
+/// stage's program by an `access` of its first candidate (the rest, one by
+/// one, only if that one is missing).  Later stages start in a batch that
+/// also closes the shell's pipe ends, where a failed spawn cannot be tried
+/// again, so a stage whose program is not found is reported and dropped
+/// here.  Returns the descriptors the shell must close once the pipeline
+/// has started: the pipe ends and `opened`.
+fn plumb(
+    env: &mut dyn RuntimeEnv,
+    stages: &mut [Option<Stage>],
+    opened: Vec<i32>,
+    status: &mut i32,
+) -> Result<Vec<i32>, i32> {
+    let later: Vec<usize> = (1..stages.len()).filter(|&i| stages[i].is_some()).collect();
+    let mut calls: Vec<JobCall> = (1..stages.len()).map(|_| JobCall::Pipe).collect();
+    calls.extend(
+        later
+            .iter()
+            .filter_map(|&i| stages[i].as_ref())
+            .map(|stage| JobCall::Access(&stage.candidates[0])),
+    );
+    let mut results = env.job_control(&calls).into_iter();
+    let mut pipes = Vec::new();
+    let mut pipe_error = None;
+    for result in results.by_ref().take(stages.len() - 1) {
+        match result {
+            Ok(JobValue::Pipe(read_fd, write_fd)) => pipes.push((read_fd, write_fd)),
+            Ok(_) => pipe_error = Some(Errno::EIO),
+            Err(e) => pipe_error = Some(e),
+        }
+    }
+    let found: Vec<bool> = results.map(|result| result.is_ok()).collect();
+    let mut to_close: Vec<i32> = pipes
+        .iter()
+        .flat_map(|&(read_fd, write_fd)| [read_fd, write_fd])
+        .collect();
+    to_close.extend(opened);
+    if let Some(e) = pipe_error {
+        env.eprint(&format!("sh: pipe: {e}\n"));
+        let _ = env.close_many(&to_close);
+        return Err(1);
+    }
+    for (i, found) in later.into_iter().zip(found) {
+        let Some(stage) = stages[i].as_mut() else {
+            continue;
+        };
+        if !found && !stage.resolve(env) {
+            *status = spawn_failed(env, &stage.words[0], Errno::ENOENT);
+            stages[i] = None;
+        }
+    }
+    for (i, stage) in stages.iter_mut().enumerate() {
+        let Some(stage) = stage else {
+            continue;
+        };
+        if i > 0 {
+            stage.stdio.stdin = stage.stdio.stdin.or(Some(pipes[i - 1].0));
+        }
+        if i < pipes.len() {
+            stage.stdio.stdout = stage.stdio.stdout.or(Some(pipes[i].1));
+        }
+    }
+    Ok(to_close)
+}
+
+/// Starts `stage` with `attrs`, trying each of its candidates in turn
+/// while the last says `ENOENT`.  A failure is reported, as the shell's
+/// status for the stage.
+fn spawn_stage(env: &mut dyn RuntimeEnv, stage: &Stage, attrs: SpawnAttrs) -> Result<u32, i32> {
+    for path in &stage.candidates {
+        let spawn = JobCall::Spawn {
+            path,
+            args: &stage.words,
+            stdio: stage.stdio,
+            attrs,
+        };
+        match pid_of(env.job_control(&[spawn]).pop().unwrap_or(Err(Errno::EIO))) {
+            Err(Errno::ENOENT) => continue,
+            started => return started.map_err(|e| spawn_failed(env, &stage.words[0], e)),
+        }
+    }
+    Err(spawn_failed(env, &stage.words[0], Errno::ENOENT))
+}
+
+/// The pid a spawn's [`JobCall`] answered.
+fn pid_of(result: Result<JobValue, Errno>) -> Result<u32, Errno> {
+    match result? {
+        JobValue::Id(pid) => Ok(pid),
+        _ => Err(Errno::EIO),
+    }
+}
+
+/// Reports a command that could not start and returns the shell's status
+/// for it: 127 when it was not found, 126 otherwise.
+fn spawn_failed(env: &mut dyn RuntimeEnv, command: &str, e: Errno) -> i32 {
+    if e == Errno::ENOENT {
+        env.eprint(&format!("sh: {command}: command not found\n"));
+        127
+    } else {
+        env.eprint(&format!("sh: {command}: {e}\n"));
+        126
     }
 }
 

@@ -15,8 +15,9 @@
 //!   A call whose opcode or a shape whose tag is retired keeps its place and
 //!   its bytes, pinned raw as a `Call::Retired` or `Shape::Retired`, and is
 //!   checked to decode to nothing.
-//! - New syscalls/result shapes are APPENDED, then the corpus is re-blessed
-//!   with `BROWSIX_ABI_BLESS=1 cargo test -p browsix-tests --test abi_drift`.
+//! - New syscalls/result shapes are APPENDED, each with its line at the end
+//!   of [`APPENDED`], then the corpus is re-blessed with
+//!   `BROWSIX_ABI_BLESS=1 cargo test -p browsix-tests --test abi_drift`.
 //!   The resulting `git diff` of `abi/golden_corpus.txt` must be append-only;
 //!   changed existing lines mean the encoder broke compatibility.
 
@@ -32,13 +33,19 @@ use browsix_fs::{DirEntry, Errno, FileType, Metadata, OpenFlags};
 fn corpus_calls() -> Vec<Call> {
     use Call::{Live, Retired};
     vec![
-        Live(Syscall::Spawn {
-            path: "/usr/bin/pdflatex".into(),
-            args: vec!["pdflatex".into(), "main.tex".into()],
-            env: vec![("HOME".into(), "/home".into())],
-            cwd: Some("/home".into()),
-            stdio: [None, Some(4), Some(5)],
-        }),
+        // The first `spawn`, opcode 1, retired: the same call as the one
+        // appended below, without `pgroup` and `foreground`.
+        Retired(
+            "spawn",
+            &[
+                0x01, 0x11, 0x00, 0x00, 0x00, 0x2f, 0x75, 0x73, 0x72, 0x2f, 0x62, 0x69, 0x6e, 0x2f, 0x70, 0x64, 0x66,
+                0x6c, 0x61, 0x74, 0x65, 0x78, 0x02, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x70, 0x64, 0x66, 0x6c,
+                0x61, 0x74, 0x65, 0x78, 0x08, 0x00, 0x00, 0x00, 0x6d, 0x61, 0x69, 0x6e, 0x2e, 0x74, 0x65, 0x78, 0x01,
+                0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x48, 0x4f, 0x4d, 0x45, 0x05, 0x00, 0x00, 0x00, 0x2f, 0x68,
+                0x6f, 0x6d, 0x65, 0x01, 0x05, 0x00, 0x00, 0x00, 0x2f, 0x68, 0x6f, 0x6d, 0x65, 0x00, 0x01, 0x04, 0x00,
+                0x00, 0x00, 0x01, 0x05, 0x00, 0x00, 0x00,
+            ],
+        ),
         Live(Syscall::Fork {
             image: vec![1, 2, 3],
             resume_point: 42,
@@ -261,6 +268,15 @@ fn corpus_calls() -> Vec<Call> {
             fd: 1,
             data: ByteSource::Transfer { index: 2, len: 65536 },
         }),
+        Live(Syscall::Spawn {
+            path: "/usr/bin/pdflatex".into(),
+            args: vec!["pdflatex".into(), "main.tex".into()],
+            env: vec![("HOME".into(), "/home".into())],
+            cwd: Some("/home".into()),
+            stdio: [None, Some(4), Some(5)],
+            pgroup: 0,
+            foreground: true,
+        }),
     ]
 }
 
@@ -354,9 +370,20 @@ fn hex(bytes: &[u8]) -> String {
 /// How many of [`corpus_calls`] and [`corpus_results`] the two whole-frame
 /// lines cover.  Those lines are pinned like any other, so they stay the
 /// frames of the shapes that existed when they were blessed; shapes appended
-/// since are rendered after them, and the file only ever grows at its end.
+/// since are rendered after them, in [`APPENDED`]'s order, and the file only
+/// ever grows at its end.
 const FRAMED_CALLS: usize = 68;
 const FRAMED_RESULTS: usize = 13;
+
+/// A line after the frames: a call or a result shape, by its index.
+enum Appended {
+    Call(usize),
+    Result(usize),
+}
+
+/// Every call and result appended after the frames, in the order their lines
+/// were blessed.  Append-only: a new entry's line goes at the end.
+const APPENDED: &[Appended] = &[Appended::Call(68), Appended::Result(13), Appended::Call(69)];
 
 /// Renders the whole corpus as stable `kind index name: hex` lines.
 fn render_corpus() -> String {
@@ -368,8 +395,27 @@ fn render_corpus() -> String {
     // Whole-frame entries pin the batch headers (magic, version, counts) too.
     out.push_str(&format!("batch syscalls: {}\n", hex(&framed_calls(&calls))));
     out.push_str(&format!("batch completions: {}\n", hex(&framed_completions(&results))));
-    out.extend((FRAMED_CALLS..calls.len()).map(call_line));
-    out.extend((FRAMED_RESULTS..results.len()).map(result_line));
+    let (mut appended_calls, mut appended_results) = (Vec::new(), Vec::new());
+    for line in APPENDED {
+        match *line {
+            Appended::Call(i) => {
+                appended_calls.push(i);
+                out.push_str(&call_line(i));
+            }
+            Appended::Result(i) => {
+                appended_results.push(i);
+                out.push_str(&result_line(i));
+            }
+        }
+    }
+    assert_eq!(
+        (appended_calls, appended_results),
+        (
+            (FRAMED_CALLS..calls.len()).collect(),
+            (FRAMED_RESULTS..results.len()).collect()
+        ),
+        "APPENDED must name each call and result after the frames once, in index order"
+    );
     out
 }
 

@@ -252,6 +252,28 @@ fn blocked_cross_shard_writers_get_exactly_one_sigpipe_each() {
 
 // ---- exited children ---------------------------------------------------------
 
+/// A child placed on another shard that exits at once still counts its
+/// pipe end off there, so the reader sees EOF.  The handles a spawn exports
+/// must be its own by the time the child can run: a copy the spawning shard
+/// still held while the child ran and exited kept that release from
+/// counting, and `true | wc -c` hung (about one line in 900 on one CPU).
+#[test]
+fn a_writer_that_exits_at_once_on_another_shard_closes_its_pipe_end() {
+    let kernel = boot_full(4);
+    for round in 0..1000 {
+        let handle = kernel.spawn("/bin/sh", &["sh", "-c", "true | wc -c"], &[]).unwrap();
+        let status = handle
+            .wait_timeout(Duration::from_secs(20))
+            .unwrap_or_else(|| panic!("round {round}: `true | wc -c` hung; tasks {:?}", kernel.tasks()));
+        assert_eq!(
+            (status.code, handle.stdout_string().trim()),
+            (Some(0), "0"),
+            "round {round}"
+        );
+    }
+    kernel.shutdown();
+}
+
 #[test]
 fn an_exited_child_leaves_the_task_table_at_every_shard_count() {
     // A dead process is no task, wherever it lived.  The parent reads its
